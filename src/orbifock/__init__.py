@@ -13,12 +13,12 @@ from .fock import FockVector, SYMBOLIC, apply_mode, basis, make_monomial, theta
 from .twisted import DeltaTable, apply_delta, delta_coefficients, twisted_zero_mode
 from .vertex import mode_operator, virasoro, zero_mode
 from .zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n,
-                  e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, named_element,
-                  omega, s_alpha, s_pair, star, star_fold, star_power)
+                  e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
+                  s_alpha, s_pair, star, star_fold, star_power)
 from .toplevel import (FAMILIES, TopLevelAction, conformal_shift, disprove_equiv,
                        evaluate, evaluate_word, independence_rank)
 from .script import ScriptError, parse_expr, parse_script, realize
-from .runner import Report, RunConfig, Runner, run_script, run_text
+from .runner import Report, RunConfig, Runner, run_text
 from .suites import run_suite
 from .tables import emit_tables, parse_tables
 
@@ -30,10 +30,10 @@ __all__ = [
     "delta_coefficients", "twisted_zero_mode", "mode_operator", "virasoro",
     "zero_mode", "GeneratorPolicy", "OSpanEchelon", "Verdict", "build_ospan",
     "circ_n", "e_t", "e_t_bar", "e_u", "e_u_bar", "hgen", "jgen", "lam",
-    "named_element", "omega", "s_alpha", "s_pair", "star", "star_fold",
+    "omega", "s_alpha", "s_pair", "star", "star_fold",
     "star_power", "FAMILIES", "TopLevelAction", "conformal_shift",
     "disprove_equiv", "evaluate", "evaluate_word", "independence_rank",
     "ScriptError", "parse_expr", "parse_script", "realize", "Report",
-    "RunConfig", "Runner", "run_script", "run_text", "run_suite",
+    "RunConfig", "Runner", "run_text", "run_suite",
     "emit_tables", "parse_tables", "__version__",
 ]

@@ -1,9 +1,14 @@
-"""Command-line entry points: verify, suite, tables, delta-table."""
+"""Command-line entry points: verify, suite, tables, delta-table.
+
+Exit codes: 0 pass, 1 fail (a statement not Proved), 2 user error (bad
+arguments or an unreadable or malformed script, reported in one stderr line).
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import script as dsl
 from .runner import CACHE_ENV, RunConfig, Runner, default_cache_dir
@@ -11,6 +16,13 @@ from .suites import SUITE_NAMES, run_suite
 from .tables import emit_tables
 from .twisted import delta_coefficients
 from .zhu import GeneratorPolicy
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _add_config_args(p):
@@ -44,7 +56,7 @@ def _emit(report, args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbifock",
         description="Exact verification of quotient-algebra relations for "
                     "the free-boson orbifold")
@@ -66,9 +78,19 @@ def main(argv=None):
     p.add_argument("--degree", type=int, default=8)
 
     args = parser.parse_args(argv)
+    if args.command in ("verify", "suite"):
+        for option, value, low in (("--rank", args.rank, 1),
+                                   ("--max-weight", args.max_weight, 0),
+                                   ("--slack", args.slack, 0)):
+            if value < low:
+                parser.error(f"{option} must be at least {low}, got {value}")
 
     if args.command == "verify":
-        text = sys.stdin.read() if args.script == "-" else open(args.script).read()
+        try:
+            text = (sys.stdin.read() if args.script == "-"
+                    else Path(args.script).read_text())
+        except (OSError, UnicodeError) as exc:
+            parser.error(f"cannot read script: {exc}")
         try:
             stmts = dsl.parse_script(text, args.rank)
         except dsl.ScriptError as exc:
@@ -81,15 +103,15 @@ def main(argv=None):
         report = run_suite(args.name, _config(args))
         return _emit(report, args)
 
-    if args.command == "tables":
-        sys.stdout.write(emit_tables(args.rank, args.format))
-        return 0
-
-    if args.command == "delta-table":
-        sys.stdout.write(delta_coefficients(args.degree).to_text())
-        return 0
-
-    return 2
+    try:
+        if args.command == "tables":
+            text = emit_tables(args.rank, args.format)
+        else:
+            text = delta_coefficients(args.degree).to_text()
+    except ValueError as exc:
+        parser.error(str(exc))
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -137,12 +137,3 @@ class LPoly:
 
     __repr__ = __str__
 
-
-def coeff_is_zero(c):
-    """True for Fraction(0) and for the zero polynomial."""
-    return not c
-
-
-def coeff_str(c):
-    """Canonical string form: 'p/q' for rationals, polynomial form otherwise."""
-    return str(c)

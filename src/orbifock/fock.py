@@ -32,10 +32,6 @@ def _to_n2(n):
     return int(n2)
 
 
-def mode_weight2(n2):
-    return -n2
-
-
 def mono_weight2(mono):
     """Twice the mode-weight of a monomial (sum of -n over its modes)."""
     return sum(-n2 for _, n2 in mono)
@@ -174,18 +170,6 @@ class FockVector:
     def max_weight2(self):
         return max((mono_weight2(m) for m in self.terms), default=0)
 
-    def is_homogeneous(self):
-        return len({mono_weight2(m) for m in self.terms}) <= 1
-
-    def parity(self):
-        """+1 / -1 if all monomials share that theta-parity; raises otherwise."""
-        ps = {mono_parity(m) for m in self.terms}
-        if not ps:
-            return 1
-        if len(ps) > 1:
-            raise ValueError("vector has mixed parity")
-        return ps.pop()
-
     def is_even(self):
         return all(mono_parity(m) == 1 for m in self.terms)
 
@@ -269,11 +253,15 @@ def apply_mode2(gen, n2, vec, hw=None):
         if hw == SYMBOLIC:
             return vec.scale(LPoly.unit(ell, gen))
         return vec.scale(hw[gen - 1])
-    # Annihilation: contract one matching creation mode per occurrence.
+    return FockVector(ell, twisted, annihilate(vec.terms, gen, n2))
+
+
+def annihilate(terms, gen, n2):
+    """Contract h_gen(n2/2), n2 > 0, against a raw term dict; a fresh dict."""
     target = (gen, -n2)
     amount = n2 // 2 if n2 % 2 == 0 else Fraction(n2, 2)
     out = {}
-    for mono, c in vec.terms.items():
+    for mono, c in terms.items():
         mult = mono.count(target)
         if not mult:
             continue
@@ -284,7 +272,7 @@ def apply_mode2(gen, n2, vec, hw=None):
             out[reduced] = add
         else:
             out.pop(reduced, None)
-    return FockVector(ell, twisted, out)
+    return out
 
 
 def theta(vec):

@@ -63,7 +63,6 @@ class Report:
         self.config = config
         self.results = []
         self.cache_hits = 0
-        self.expect_all_proved = True
 
     def add(self, result):
         self.results.append(result)
@@ -75,12 +74,9 @@ class Report:
         return out
 
     def passed(self):
+        """True when every statement was Proved."""
         c = self.counts()
-        if c["Disproved"] or c["Error"]:
-            return False
-        if self.expect_all_proved and c["Unknown"]:
-            return False
-        return True
+        return not (c["Disproved"] or c["Error"] or c["Unknown"])
 
     def to_text(self, with_timing=False):
         lines = [f"# config: {self.config.describe()}"]
@@ -188,11 +184,6 @@ class Runner:
                            f"(slack {cfg.slack}); no disproof found")
 
 
-def run_script(statements, config):
-    """Run parsed statements under a configuration; returns the report."""
-    return Runner(config).run(statements)
-
-
 def run_text(text, config):
     """Parse and run a script given as text."""
-    return run_script(dsl.parse_script(text, config.rank), config)
+    return Runner(config).run(dsl.parse_script(text, config.rank))

@@ -445,11 +445,6 @@ def parse_expr(text, rank=None):
     return expr
 
 
-def parse_named(text, rank):
-    """Resolve a single named-generator expression to its state."""
-    return realize(parse_expr(text, rank), rank)
-
-
 # ---------------------------------------------------------------------------
 # Realization
 

@@ -20,48 +20,13 @@ from . import script as dsl
 from . import zhu
 from .fock import FockVector, basis, make_monomial
 from .runner import Report, RunConfig, Runner, StatementResult
+from .tables import GOLDEN
 from .toplevel import (FAMILIES, _fraction_rank, disprove_equiv, evaluate,
                        evaluate_word)
 from .zhu import GeneratorPolicy
 
 SUITE_NAMES = ("tables", "circle_reductions", "matrix_units",
                "final_relations", "all")
-
-# Golden expected actions, one string per (element, family), in the script
-# language's expected-value syntax.
-TABLE1 = {
-    (1, "Hminus"): "E(1,2) + E(2,1)",
-    (1, "Mlambda"): "l1*l2",
-    (1, "Tminus"): "1/2 E(1,2) + 1/2 E(2,1)",
-    (2, "Hminus"): "-2 E(1,2)",
-    (2, "Mlambda"): "-l1*l2",
-    (2, "Tminus"): "-3/4 E(1,2) - 1/4 E(2,1)",
-    (3, "Hminus"): "3 E(1,2)",
-    (3, "Mlambda"): "l1*l2",
-    (3, "Tminus"): "15/16 E(1,2) + 3/16 E(2,1)",
-    (4, "Hminus"): "-4 E(1,2)",
-    (4, "Mlambda"): "-l1*l2",
-    (4, "Tminus"): "-35/32 E(1,2) - 5/32 E(2,1)",
-    (5, "Hminus"): "5 E(1,2)",
-    (5, "Mlambda"): "l1*l2",
-    (5, "Tminus"): "315/256 E(1,2) + 35/256 E(2,1)",
-}
-
-TABLE2 = {
-    "Eu(1,2)": {"Hminus": "E(1,2)", "Mlambda": "0", "Tminus": "0"},
-    "Eubar(2,1)": {"Hminus": "E(2,1)", "Mlambda": "0", "Tminus": "0"},
-    "Et(1,2)": {"Hminus": "0", "Mlambda": "0", "Tminus": "E(1,2)"},
-    "Etbar(2,1)": {"Hminus": "0", "Mlambda": "0", "Tminus": "E(2,1)"},
-    "Lam(1,2)": {"Hminus": "0", "Mlambda": "l1*l2", "Tminus": "0"},
-}
-
-TABLE3 = {
-    "w1": {"Hplus": "0", "Hminus": "E(1,1)", "Mlambda": "1/2 l1^2",
-           "Tplus": "1/16", "Tminus": "1/16 I + 1/2 E(1,1)"},
-    "J1": {"Hplus": "0", "Hminus": "-6 E(1,1)",
-           "Mlambda": "l1^4 - 1/2 l1^2",
-           "Tplus": "3/128", "Tminus": "3/128 I - 3/8 E(1,1)"},
-}
 
 
 def run_suite(name, config):
@@ -101,16 +66,10 @@ def tables_suite(config):
     cfg = RunConfig(rank=rank, max_weight=config.max_weight,
                     slack=config.slack, cache_dir=config.cache_dir)
     report = Report(cfg)
-    lines = []
-    for m in range(1, 6):
-        for fam in ("Hminus", "Mlambda", "Tminus"):
-            lines.append(f"assert_eval S(1,1;2,{m}) on {fam} = {TABLE1[m, fam]}")
-    for label, row in TABLE2.items():
-        for fam, expected in row.items():
-            lines.append(f"assert_eval {label} on {fam} = {expected}")
-    for label, row in TABLE3.items():
-        for fam, expected in row.items():
-            lines.append(f"assert_eval {label} on {fam} = {expected}")
+    lines = [f"assert_eval {label} on {fam} = {expected}"
+             for elements in GOLDEN.values()
+             for label, row in elements.items()
+             for fam, expected in row.items()]
     return _run_lines(lines, cfg, report)
 
 

@@ -12,27 +12,39 @@ import csv
 import io
 import json
 
-from . import zhu
-from .toplevel import FAMILIES, evaluate, parse_action
+from .script import parse_expr, realize
+from .toplevel import evaluate, parse_action
 
-TABLE1_FAMILIES = ("Hminus", "Mlambda", "Tminus")
-TABLE2_FAMILIES = ("Hminus", "Mlambda", "Tminus")
-TABLE3_FAMILIES = FAMILIES
-
-
-def _elements(rank):
-    a, b = 1, 2
-    t1 = [(f"S({a},1;{b},{m})", zhu.s_pair(rank, a, 1, b, m)) for m in range(1, 6)]
-    t2 = [
-        (f"Eu({a},{b})", zhu.e_u(rank, a, b)),
-        (f"Eubar({b},{a})", zhu.e_u_bar(rank, b, a)),
-        (f"Et({a},{b})", zhu.e_t(rank, a, b)),
-        (f"Etbar({b},{a})", zhu.e_t_bar(rank, b, a)),
-        (f"Lam({a},{b})", zhu.lam(rank, a, b)),
-    ]
-    t3 = [("w1", zhu.omega(rank, 1)), ("J1", zhu.jgen(rank, 1))]
-    return {1: (t1, TABLE1_FAMILIES), 2: (t2, TABLE2_FAMILIES),
-            3: (t3, TABLE3_FAMILIES)}
+# Golden actions, table -> element label -> family -> expected value, in the
+# script language; each element is built by parsing its label.
+GOLDEN = {
+    1: {
+        "S(1,1;2,1)": {"Hminus": "E(1,2) + E(2,1)", "Mlambda": "l1*l2",
+                       "Tminus": "1/2 E(1,2) + 1/2 E(2,1)"},
+        "S(1,1;2,2)": {"Hminus": "-2 E(1,2)", "Mlambda": "-l1*l2",
+                       "Tminus": "-3/4 E(1,2) - 1/4 E(2,1)"},
+        "S(1,1;2,3)": {"Hminus": "3 E(1,2)", "Mlambda": "l1*l2",
+                       "Tminus": "15/16 E(1,2) + 3/16 E(2,1)"},
+        "S(1,1;2,4)": {"Hminus": "-4 E(1,2)", "Mlambda": "-l1*l2",
+                       "Tminus": "-35/32 E(1,2) - 5/32 E(2,1)"},
+        "S(1,1;2,5)": {"Hminus": "5 E(1,2)", "Mlambda": "l1*l2",
+                       "Tminus": "315/256 E(1,2) + 35/256 E(2,1)"},
+    },
+    2: {
+        "Eu(1,2)": {"Hminus": "E(1,2)", "Mlambda": "0", "Tminus": "0"},
+        "Eubar(2,1)": {"Hminus": "E(2,1)", "Mlambda": "0", "Tminus": "0"},
+        "Et(1,2)": {"Hminus": "0", "Mlambda": "0", "Tminus": "E(1,2)"},
+        "Etbar(2,1)": {"Hminus": "0", "Mlambda": "0", "Tminus": "E(2,1)"},
+        "Lam(1,2)": {"Hminus": "0", "Mlambda": "l1*l2", "Tminus": "0"},
+    },
+    3: {
+        "w1": {"Hplus": "0", "Hminus": "E(1,1)", "Mlambda": "1/2 l1^2",
+               "Tplus": "1/16", "Tminus": "1/16 I + 1/2 E(1,1)"},
+        "J1": {"Hplus": "0", "Hminus": "-6 E(1,1)",
+               "Mlambda": "l1^4 - 1/2 l1^2",
+               "Tplus": "3/128", "Tminus": "3/128 I - 3/8 E(1,1)"},
+    },
+}
 
 
 def table_actions(rank):
@@ -40,9 +52,10 @@ def table_actions(rank):
     if rank < 2:
         raise ValueError("tables need rank at least 2")
     rows = []
-    for tnum, (elements, families) in sorted(_elements(rank).items()):
-        for label, vec in elements:
-            for fam in families:
+    for tnum, elements in GOLDEN.items():
+        for label, row in elements.items():
+            vec = realize(parse_expr(label, rank), rank)
+            for fam in row:
                 rows.append((tnum, label, fam, evaluate(vec, fam)))
     return rows
 

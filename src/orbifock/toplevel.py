@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .coeffs import LPoly
 from .fock import FockVector, SYMBOLIC, VACUUM, make_monomial
-from .twisted import delta_coefficients, twisted_zero_mode
+from .twisted import twisted_zero_mode
 from .vertex import zero_mode
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
@@ -35,22 +35,6 @@ FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
 WITNESS_ORDER = ("Hminus", "Mlambda", "Tminus", "Hplus", "Tplus")
 
 _MATRIX_FAMILIES = {"Hminus", "Tminus"}
-
-_tables = {}
-
-
-def _delta_table(degree):
-    degree = max(2, degree)
-    best = max(_tables, default=0)
-    if degree > best:
-        _tables.clear()
-        _tables[degree] = delta_coefficients(degree)
-        best = degree
-    return _tables[best]
-
-
-def family_dim(fam, rank):
-    return rank if fam in _MATRIX_FAMILIES else 1
 
 
 def conformal_shift(fam, rank):
@@ -213,7 +197,7 @@ def _parse_lpoly(text, rank):
     return total
 
 
-def evaluate(u, fam, table=None):
+def evaluate(u, fam):
     """The action of o(u) on the family's top level, exactly."""
     if u.twisted:
         raise ValueError("evaluate expects untwisted states")
@@ -236,17 +220,15 @@ def evaluate(u, fam, table=None):
                 rank, False, make_monomial(rank, False, [(j, -1)]))
             cols.append(zero_mode(u, tgt))
         return _matrix_from_columns(cols, rank, False)
-    if fam in ("Tplus", "Tminus"):
-        if table is None:
-            table = _delta_table(u.max_weight2() // 2)
-        if fam == "Tplus":
-            w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True), table)
-            return TopLevelAction.scalar(w.coeff(VACUUM))
+    if fam == "Tplus":
+        w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
+        return TopLevelAction.scalar(w.coeff(VACUUM))
+    if fam == "Tminus":
         cols = []
         for j in range(1, rank + 1):
             tgt = FockVector.from_monomial(
                 rank, True, make_monomial(rank, True, [(j, Fraction(-1, 2))]))
-            cols.append(twisted_zero_mode(u, tgt, table))
+            cols.append(twisted_zero_mode(u, tgt))
         return _matrix_from_columns(cols, rank, True)
     raise ValueError(f"unknown family {fam!r}")
 
@@ -262,14 +244,14 @@ def _matrix_from_columns(cols, rank, twisted):
     return TopLevelAction.matrix(rows)
 
 
-def evaluate_word(factors, fam, table=None):
+def evaluate_word(factors, fam):
     """Left-to-right product of the factors' top-level actions."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty word")
-    out = evaluate(factors[0], fam, table)
+    out = evaluate(factors[0], fam)
     for f in factors[1:]:
-        out = out * evaluate(f, fam, table)
+        out = out * evaluate(f, fam)
     return out
 
 
@@ -303,14 +285,13 @@ def disprove_equiv(x, y):
     return None
 
 
-def _flatten(u, lambda_monomials):
+def _flatten(u, poly, lambda_monomials):
     row = []
     for fam in ("Hminus", "Tminus"):
         act = evaluate(u, fam)
         row.extend(v for _, v in act.entries())
     for fam in ("Hplus", "Tplus"):
         row.append(evaluate(u, fam).data)
-    poly = evaluate(u, "Mlambda").data
     row.extend(poly.terms.get(exp, Fraction(0)) for exp in lambda_monomials)
     return row
 
@@ -325,7 +306,7 @@ def independence_rank(elements):
     for p in polys:
         exps.update(p.terms)
     lambda_monomials = sorted(exps)
-    rows = [_flatten(u, lambda_monomials) for u in elements]
+    rows = [_flatten(u, p, lambda_monomials) for u, p in zip(elements, polys)]
     return _fraction_rank(rows)
 
 

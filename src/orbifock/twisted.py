@@ -83,33 +83,11 @@ class DeltaTable:
             if self.entries.get((n, m)) != c:
                 raise ValueError(f"asymmetric table entry at ({m},{n})")
 
-    def __eq__(self, other):
-        return (isinstance(other, DeltaTable)
-                and self.max_degree == other.max_degree
-                and self.entries == other.entries)
-
     def to_text(self):
         lines = [f"# delta table, degree {self.max_degree}"]
         for (m, n) in sorted(self.entries):
             lines.append(f"{m} {n} {self.entries[m, n]}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        max_degree = None
-        entries = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                max_degree = int(line.rsplit(None, 1)[-1])
-                continue
-            m, n, c = line.split()
-            entries[int(m), int(n)] = Fraction(c)
-        if max_degree is None:
-            raise ValueError("delta table text lacks a degree header")
-        return cls(max_degree, entries)
 
 
 def delta_coefficients(max_degree):
@@ -126,21 +104,17 @@ def delta_coefficients(max_degree):
     return DeltaTable(max_degree, entries)
 
 
-def load_or_build_table(max_degree, path=None):
-    """Read a cached table if valid, else compute (and cache) one."""
-    if path is not None:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                table = DeltaTable.from_text(fh.read())
-            if table.max_degree >= max_degree:
-                return table
-        except (OSError, ValueError):
-            pass
-    table = delta_coefficients(max_degree)
-    if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(table.to_text())
-    return table
+# The largest table built so far; a table serves every smaller degree.
+_largest = None
+
+
+def delta_table(degree):
+    """A shared table of degree at least ``degree`` (and at least 2)."""
+    global _largest
+    degree = max(2, degree)
+    if _largest is None or degree > _largest.max_degree:
+        _largest = delta_coefficients(degree)
+    return _largest
 
 
 def _delta_once(v, table):
@@ -196,29 +170,23 @@ def apply_delta(v, table):
     return {s: w for s, w in buckets.items() if w}
 
 
-def twisted_mode_operator(v, m, target, table=None):
-    """Component m of the corrected twisted field of an even untwisted state.
+def twisted_zero_mode(v, target, table=None):
+    """The grade-preserving component of the corrected twisted field.
 
     Only even (theta-fixed) states have integral components on the twisted
-    module; odd-parity input is rejected.
+    module; odd-parity input is rejected.  Without ``table`` the shared
+    table sized by the state's maximal weight is used.
     """
     if not v.is_even():
         raise ValueError("twisted components need an even-parity state")
     if not target.twisted:
         raise ValueError("target must live in the twisted sector")
     if table is None:
-        table = delta_coefficients(max(2, v.max_weight2() // 2))
-    out = FockVector.zero(target.ell, True)
-    for shift, w in apply_delta(v, table).items():
-        out = out + mode_component(w, m + shift, target)
-    return out
-
-
-def twisted_zero_mode(v, target, table=None):
-    """The grade-preserving corrected component, over homogeneous parts."""
+        table = delta_table(v.max_weight2() // 2)
     out = FockVector.zero(target.ell, True)
     for w2, comp in v.graded_components().items():
         if w2 % 2:
             raise ValueError("state has half-integer weight; no integral zero mode")
-        out = out + twisted_mode_operator(comp, w2 // 2 - 1, target, table)
+        for shift, w in apply_delta(comp, table).items():
+            out = out + mode_component(w, w2 // 2 - 1 + shift, target)
     return out

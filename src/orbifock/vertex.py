@@ -27,7 +27,7 @@ from itertools import groupby
 from math import comb
 
 from .coeffs import LPoly
-from .fock import SYMBOLIC, FockVector, mono_weight2, single
+from .fock import SYMBOLIC, FockVector, annihilate, mono_weight2, single
 
 
 @lru_cache(maxsize=None)
@@ -130,24 +130,6 @@ def _grouped_tuples(groups, total2, ann_budget2, twisted, gen_caps):
         yield 1, ()
 
 
-def _ann_terms(terms, g, k2, amount):
-    """Contract one annihilation mode against a raw term dict."""
-    key = (g, -k2)
-    out = {}
-    for mono, c in terms.items():
-        mult = mono.count(key)
-        if not mult:
-            continue
-        idx = mono.index(key)
-        reduced = mono[:idx] + mono[idx + 1:]
-        s = out.get(reduced, 0) + c * (amount * mult)
-        if s:
-            out[reduced] = s
-        else:
-            out.pop(reduced, None)
-    return out
-
-
 def mode_component(v, m, target, hw=None):
     """The component v_m of Y(v,z), or of the plain twisted field on H(theta).
 
@@ -183,8 +165,7 @@ def mode_component(v, m, target, hw=None):
             creators = []
             for g, k2 in ops:
                 if k2 > 0:
-                    amount = k2 // 2 if k2 % 2 == 0 else Fraction(k2, 2)
-                    terms = _ann_terms(terms, g, k2, amount)
+                    terms = annihilate(terms, g, k2)
                     if not terms:
                         break
                 elif k2 < 0:

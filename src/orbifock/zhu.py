@@ -31,18 +31,23 @@ FORMAT_VERSION = 2
 # ---------------------------------------------------------------------------
 # Products
 
+def _binomial_sum(u, v, shift):
+    """sum_i C(wt u, i) u_{i-shift} v, over the homogeneous parts of u."""
+    out = FockVector.zero(u.ell)
+    for w2, comp in u.graded_components().items():
+        w = w2 // 2
+        for i in range(w + 1):
+            out = out + comb(w, i) * mode_operator(comp, i - shift, v)
+    return out
+
+
 def star(u, v):
     """The associative product representative star(u, v)."""
     _check_even_untwisted(u, "star")
     _check_even_untwisted(v, "star")
     if u.ell != v.ell:
         raise ValueError("rank mismatch in star")
-    out = FockVector.zero(u.ell)
-    for w2, comp in u.graded_components().items():
-        w = w2 // 2
-        for i in range(w + 1):
-            out = out + comb(w, i) * mode_operator(comp, i - 1, v)
-    return out
+    return _binomial_sum(u, v, 1)
 
 
 def circ_n(u, v, n=0):
@@ -53,12 +58,7 @@ def circ_n(u, v, n=0):
     _check_even_untwisted(v, "circ_n")
     if u.ell != v.ell:
         raise ValueError("rank mismatch in circ_n")
-    out = FockVector.zero(u.ell)
-    for w2, comp in u.graded_components().items():
-        w = w2 // 2
-        for i in range(w + 1):
-            out = out + comb(w, i) * mode_operator(comp, i - n - 2, v)
-    return out
+    return _binomial_sum(u, v, n + 2)
 
 
 def star_fold(factors):
@@ -171,19 +171,6 @@ def s_alpha(rank, pairs):
     return star_fold([s_pair(rank, a, 1, b, 1) for a, b in pairs])
 
 
-@dataclass(frozen=True)
-class NamedElement:
-    name: str
-    vector: FockVector
-
-
-def named_element(name, rank):
-    """Resolve a generator name like 'w1', 'J2', 'S(1,1;2,3)' or 'Eu(1,2)'."""
-    from .script import parse_named  # local import: script owns the syntax
-
-    return NamedElement(name, parse_named(name, rank))
-
-
 # ---------------------------------------------------------------------------
 # Generator policies and the echelonized circle span
 
@@ -200,14 +187,13 @@ class GeneratorPolicy:
     """
 
     pairs: str = "all"
-    max_n: int | None = None
 
     def __post_init__(self):
         if self.pairs not in ("all", "omega", "quadratic"):
             raise ValueError(f"unknown pair policy {self.pairs!r}")
 
     def key(self):
-        return f"pairs={self.pairs},max_n={self.max_n}"
+        return f"pairs={self.pairs}"
 
 
 DEFAULT_POLICY = GeneratorPolicy()
@@ -404,10 +390,7 @@ def _iter_circle_pairs(ell, limit2, policy):
 
     def tops(wu2, wv2):
         # top weight of circ_n is wt u + wt v + n + 1
-        max_n = (limit2 - wu2 - wv2 - 2) // 2
-        if policy.max_n is not None:
-            max_n = min(max_n, policy.max_n)
-        return range(0, max_n + 1)
+        return range(0, (limit2 - wu2 - wv2 - 2) // 2 + 1)
 
     def vacuum_circles():
         for wu2 in range(2, limit2 - 1):
@@ -461,6 +444,9 @@ def build_ospan(rank, max_weight, slack=2, extra_generators=(),
     Caching keys on rank, cutoffs and policy; extra generators are never
     cached.
     """
+    if max_weight < 0 or slack < 0:
+        raise ValueError(f"max_weight and slack must be nonnegative, got "
+                         f"{max_weight} and {slack}")
     max_weight2 = 2 * max_weight
     slack2 = 2 * slack
     certifying = extra_in_span or not extra_generators

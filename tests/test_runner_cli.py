@@ -85,9 +85,15 @@ def test_report_determinism_modulo_timing():
 
 def test_report_unknown_blocks_pass_only_when_expected():
     report = run_text("assert_equiv w1 ~ w1 + circ(w1, J1)", cfg())
+    assert report.results[0].status == "Unknown"
     assert not report.passed()
-    report.expect_all_proved = False
-    assert report.passed()
+
+
+def test_negative_slack_is_an_error():
+    config = RunConfig(rank=1, max_weight=4, slack=-1, cache_dir=None)
+    report = Runner(config).run(parse_script("assert_equiv circ(w1, one) ~ 0", 1))
+    assert report.results[0].status == "Error"
+    assert "nonnegative" in report.results[0].detail
 
 
 def test_cache_hits_counted(tmp_path):
@@ -115,6 +121,28 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     ugly.write_text("assert_equiv w1 ~ (\n")
     assert main(["verify", str(ugly), "--rank", "2"]) == 2
     assert "syntax error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{missing}"],
+    ["delta-table", "--degree", "1"],
+    ["tables", "--rank", "1"],
+    ["verify", "{script}", "--rank", "0"],
+    ["verify", "{script}", "--slack", "-3"],
+    ["verify", "{script}", "--max-weight", "-1"],
+], ids=["missing-script", "degree-1", "tables-rank-1", "rank-0",
+        "negative-slack", "negative-max-weight"])
+def test_cli_user_errors_exit_2(argv, tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text("assert_eval w1 on Tplus = 1/16\n")
+    argv = [a.format(script=script, missing=tmp_path / "missing.txt")
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_json_format(tmp_path, capsys):

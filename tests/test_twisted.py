@@ -6,7 +6,7 @@ import pytest
 
 from orbifock.fock import FockVector, single
 from orbifock.twisted import (DeltaTable, apply_delta, delta_coefficients,
-                              load_or_build_table, twisted_zero_mode)
+                              delta_table, twisted_zero_mode)
 
 F = Fraction
 
@@ -138,15 +138,14 @@ def test_matrix_action_on_twisted_top_level():
     assert twisted_zero_mode(S12, t2, table) == F(-3, 4) * t1
 
 
-def test_table_file_round_trip(tmp_path):
-    path = tmp_path / "delta.txt"
-    table = load_or_build_table(6, str(path))
-    assert path.exists()
-    again = load_or_build_table(6, str(path))
-    assert again == table
-    reparsed = DeltaTable.from_text(table.to_text())
-    assert reparsed == table
-    # Corrupt cache falls back to a rebuild.
-    path.write_text("garbage\n")
-    rebuilt = load_or_build_table(6, str(path))
-    assert rebuilt == table
+def test_shared_table_cache():
+    # Without a table, the zero mode uses the shared cache.
+    S12 = single(2, False, [(1, -1), (2, -2)])
+    t1 = single(2, True, [(1, F(-1, 2))])
+    assert twisted_zero_mode(S12, t1) == twisted_zero_mode(
+        S12, t1, delta_coefficients(8))
+    # The cache only grows: a smaller request returns the larger table.
+    big = delta_table(12)
+    assert big.max_degree >= 12
+    assert delta_table(3) is big
+    assert delta_table(12) is big

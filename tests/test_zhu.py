@@ -8,8 +8,7 @@ import pytest
 from orbifock.fock import FockVector, basis, single
 from orbifock.vertex import mode_operator, virasoro
 from orbifock.zhu import (GeneratorPolicy, Verdict, build_ospan, circ_n, e_t,
-                          e_t_bar, e_u, e_u_bar, hgen, jgen, lam, named_element,
-                          omega, s_alpha, s_pair, star, star_power)
+                          e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_alpha, s_pair, star, star_power)
 
 F = Fraction
 
@@ -95,7 +94,7 @@ def test_parity_and_top_weight_laws():
                                            + 2 * n + 2)
 
 
-def test_named_element_formulas():
+def test_generator_formulas():
     lam12 = lam(2, 1, 2)
     want = (45 * s_pair(2, 1, 1, 2, 2) + 190 * s_pair(2, 1, 1, 2, 3)
             + 240 * s_pair(2, 1, 1, 2, 4) + 96 * s_pair(2, 1, 1, 2, 5))
@@ -105,8 +104,6 @@ def test_named_element_formulas():
                           + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
     assert hgen(1, 1) == jgen(1, 1) + omega(1, 1) - 4 * star(omega(1, 1), omega(1, 1))
     assert star_power(omega(1, 1), 0) == FockVector.vacuum(1)
-    ne = named_element("Eu(1,2)", 2)
-    assert ne.name == "Eu(1,2)" and ne.vector == e_u(2, 1, 2)
     with pytest.raises(ValueError):
         e_u(2, 1, 1)
     with pytest.raises(ValueError):
