@@ -84,6 +84,8 @@ def main(argv=None):
                                    ("--slack", args.slack, 0)):
             if value < low:
                 parser.error(f"{option} must be at least {low}, got {value}")
+    if args.command == "delta-table" and args.degree < 2:
+        parser.error(f"--degree must be at least 2, got {args.degree}")
 
     if args.command == "verify":
         try:

@@ -238,11 +238,6 @@ def apply_mode(gen, n, vec, hw=None):
         raise ValueError(f"generator index {gen} out of range 1..{vec.ell}")
     if (n2 % 2 != 0) != vec.twisted:
         raise ValueError(f"mode index {n} does not match the vector's sector")
-    return apply_mode2(gen, n2, vec, hw)
-
-
-def apply_mode2(gen, n2, vec, hw=None):
-    """Same as :func:`apply_mode` with the index given as a twice-value."""
     ell, twisted = vec.ell, vec.twisted
     if n2 < 0:
         return FockVector(ell, twisted,

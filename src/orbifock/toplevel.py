@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import LPoly
-from .fock import FockVector, SYMBOLIC, VACUUM, make_monomial
-from .twisted import twisted_zero_mode
+from .fock import FockVector, SYMBOLIC, VACUUM, make_monomial, single
+from .twisted import _zero_modes, twisted_zero_mode
 from .vertex import zero_mode
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
@@ -224,12 +224,8 @@ def evaluate(u, fam):
         w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
         return TopLevelAction.scalar(w.coeff(VACUUM))
     if fam == "Tminus":
-        cols = []
-        for j in range(1, rank + 1):
-            tgt = FockVector.from_monomial(
-                rank, True, make_monomial(rank, True, [(j, Fraction(-1, 2))]))
-            cols.append(twisted_zero_mode(u, tgt))
-        return _matrix_from_columns(cols, rank, True)
+        tgts = [single(rank, True, [(j, Fraction(-1, 2))]) for j in range(1, rank + 1)]
+        return _matrix_from_columns(_zero_modes(u, tgts), rank, True)
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -11,15 +11,19 @@ and the rationals ``c_mn`` are read off the bivariate series
     -log( (sqrt(1+x) + sqrt(1+y)) / 2 ).
 
 Rows/columns with m = 0 or n = 0 are dropped: the zero mode kills the vacuum
-module, so those terms never act.  Each application of Delta removes two
-units of mode-weight, making the exponential a finite sum.
+module, so those terms never act.  On a monomial, Delta_z contracts a pair
+of equal-generator factors h_i(-p) h_i(-q) with weight ``2 c_pq p q`` (terms
+(p, q) and (q, p)) at exponent -(p+q); Delta^k reaches k disjoint pairs in k!
+orders, so exp(Delta_z) sums over the partial matchings of the factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from .fock import FockVector, apply_mode2
+from .fock import FockVector, mono_weight2
 from .vertex import mode_component
 
 
@@ -117,30 +121,32 @@ def delta_table(degree):
     return _largest
 
 
-def _delta_once(v, table):
-    """Apply Delta_z once: map z-exponent -> contracted untwisted vector."""
-    buckets = {}
-    for (m, n), c in table.entries.items():
-        shift = -(m + n)
-        for i in range(1, v.ell + 1):
-            w = apply_mode2(i, 2 * n, v)
-            if not w:
-                continue
-            w = apply_mode2(i, 2 * m, w)
-            if not w:
-                continue
-            prev = buckets.get(shift)
-            buckets[shift] = c * w if prev is None else prev + c * w
-    return {s: w for s, w in buckets.items() if w}
+def _matchings(modes, table):
+    """{unmatched modes: weight} over the partial matchings of ``modes``.
+
+    ``modes`` is one generator's creation modes n (for h(-n)), in order; the
+    first stays, or pairs with each distinct later mode times its count.
+    """
+    if len(modes) < 2:
+        return {modes: 1}
+    first, rest = modes[0], modes[1:]
+    out = {(first,) + rem: w for rem, w in _matchings(rest, table).items()}
+    for j, second in enumerate(rest):
+        c = table.entries.get((first, second))
+        if c and not (j and rest[j - 1] == second):
+            pair = 2 * c * first * second * rest.count(second)
+            for rem, w in _matchings(rest[:j] + rest[j + 1:], table).items():
+                out[rem] = out.get(rem, 0) + pair * w
+    return out
 
 
 def apply_delta(v, table):
     """The finite expansion of exp(Delta_z) v, keyed by z-exponent.
 
-    Requires the table degree to cover the state's mode-weight; each Delta
-    application removes two units of weight, so the sum terminates on its
-    own and the bucket at exponent -k is homogeneous of weight(v) - k when
-    v is homogeneous.
+    Each monomial expands into its partial matchings, one generator at a
+    time; a matching that removes weight k lands at exponent -k, so that
+    bucket is homogeneous of weight(v) - k when v is homogeneous.  Requires
+    the table degree to cover the state's mode-weight.
     """
     if v.twisted:
         raise ValueError("apply_delta acts on untwisted states")
@@ -148,26 +154,20 @@ def apply_delta(v, table):
         raise ValueError(
             f"delta table degree {table.max_degree} too small for a state of "
             f"weight {Fraction(v.max_weight2(), 2)}")
-    buckets = {0: v}
-    frontier = {0: v}
-    k = 0
-    fact = 1
-    while frontier:
-        k += 1
-        fact *= k
-        nxt = {}
-        for s, w in frontier.items():
-            for ds, dw in _delta_once(w, table).items():
-                key = s + ds
-                prev = nxt.get(key)
-                nxt[key] = dw if prev is None else prev + dw
-        frontier = {s: w for s, w in nxt.items() if w}
-        inv_fact = Fraction(1, fact)
-        for s, w in frontier.items():
-            scaled = inv_fact * w
-            prev = buckets.get(s)
-            buckets[s] = scaled if prev is None else prev + scaled
-    return {s: w for s, w in buckets.items() if w}
+    buckets = {}
+    for mono, c in v.terms.items():
+        partial = {(): c}
+        for gen, factors in groupby(mono, key=itemgetter(0)):
+            matched = _matchings(tuple(-n2 // 2 for _, n2 in factors), table)
+            partial = {head + tuple((gen, -2 * n) for n in rem): w * coeff
+                       for head, coeff in partial.items()
+                       for rem, w in matched.items()}
+        for rem, coeff in partial.items():
+            terms = buckets.setdefault(
+                (mono_weight2(rem) - mono_weight2(mono)) // 2, {})
+            terms[rem] = terms.get(rem, 0) + coeff
+    return {s: w for s in sorted(buckets, reverse=True)
+            if (w := FockVector(v.ell, False, buckets[s]))}
 
 
 def twisted_zero_mode(v, target, table=None):
@@ -177,16 +177,22 @@ def twisted_zero_mode(v, target, table=None):
     module; odd-parity input is rejected.  Without ``table`` the shared
     table sized by the state's maximal weight is used.
     """
+    return _zero_modes(v, [target], table)[0]
+
+
+def _zero_modes(v, targets, table=None):
+    """:func:`twisted_zero_mode` on each target, expanding exp(Delta_z) v once."""
     if not v.is_even():
         raise ValueError("twisted components need an even-parity state")
-    if not target.twisted:
+    if not all(target.twisted for target in targets):
         raise ValueError("target must live in the twisted sector")
     if table is None:
         table = delta_table(v.max_weight2() // 2)
-    out = FockVector.zero(target.ell, True)
+    outs = [FockVector.zero(target.ell, True) for target in targets]
     for w2, comp in v.graded_components().items():
         if w2 % 2:
             raise ValueError("state has half-integer weight; no integral zero mode")
         for shift, w in apply_delta(comp, table).items():
-            out = out + mode_component(w, w2 // 2 - 1 + shift, target)
-    return out
+            outs = [out + mode_component(w, w2 // 2 - 1 + shift, target)
+                    for out, target in zip(outs, targets)]
+    return outs

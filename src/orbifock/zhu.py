@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-from .fock import FockVector, basis, mono_key, mono_weight2, single
+from .fock import FockVector, basis, mono_weight2, single
 from .vertex import mode_operator
 
 FORMAT_VERSION = 2

@@ -123,16 +123,16 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "{missing}"],
-    ["delta-table", "--degree", "1"],
-    ["tables", "--rank", "1"],
-    ["verify", "{script}", "--rank", "0"],
-    ["verify", "{script}", "--slack", "-3"],
-    ["verify", "{script}", "--max-weight", "-1"],
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "{missing}"], "cannot read script"),
+    (["delta-table", "--degree", "1"], "--degree"),
+    (["tables", "--rank", "1"], "rank"),
+    (["verify", "{script}", "--rank", "0"], "--rank"),
+    (["verify", "{script}", "--slack", "-3"], "--slack"),
+    (["verify", "{script}", "--max-weight", "-1"], "--max-weight"),
 ], ids=["missing-script", "degree-1", "tables-rank-1", "rank-0",
         "negative-slack", "negative-max-weight"])
-def test_cli_user_errors_exit_2(argv, tmp_path, capsys):
+def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("assert_eval w1 on Tplus = 1/16\n")
     argv = [a.format(script=script, missing=tmp_path / "missing.txt")
@@ -143,6 +143,7 @@ def test_cli_user_errors_exit_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert names in captured.err
 
 
 def test_cli_json_format(tmp_path, capsys):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import orbifock.twisted as twisted
 from orbifock.coeffs import LPoly
-from orbifock.fock import FockVector, single
+from orbifock.fock import FockVector, make_monomial, single
 from orbifock.toplevel import (TopLevelAction, conformal_shift, disprove_equiv,
                                evaluate, evaluate_word, independence_rank,
                                parse_action)
@@ -146,3 +147,23 @@ def test_action_string_round_trip():
 def test_matrix_arithmetic_guards():
     with pytest.raises(ValueError):
         TopLevelAction.scalar(1) + TopLevelAction.poly(LPoly.const(1, 1))
+
+
+def test_tminus_expands_each_state_once(monkeypatch):
+    real = twisted.apply_delta
+    calls = []
+
+    def counting(v, table):
+        calls.append(v)
+        return real(v, table)
+
+    monkeypatch.setattr(twisted, "apply_delta", counting)
+    for u in (jgen(3, 1), jgen(3, 1) + omega(3, 2)):
+        calls.clear()
+        act = evaluate(u, "Tminus")
+        assert len(calls) == len(u.graded_components())
+        tops = [make_monomial(3, True, [(j, F(-1, 2))]) for j in (1, 2, 3)]
+        cols = [twisted.twisted_zero_mode(u, FockVector.from_monomial(3, True, t))
+                for t in tops]
+        assert act == TopLevelAction.matrix(
+            [[col.coeff(t) for col in cols] for t in tops])

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from orbifock.fock import FockVector, single
+from orbifock.fock import FockVector, apply_mode, basis, single
 from orbifock.twisted import (DeltaTable, apply_delta, delta_coefficients,
                               delta_table, twisted_zero_mode)
+from orbifock.zhu import hgen, jgen
 
 F = Fraction
 
@@ -86,6 +87,38 @@ def test_apply_delta_examples():
 
     hv = single(1, False, [(1, -1)])
     assert apply_delta(hv, table) == {0: hv}
+
+
+def reference_delta(v, table):
+    """exp(Delta_z) v in operator form: Delta applied k times, over k!."""
+    buckets, frontier, k = {}, {0: v}, 0
+    while frontier:
+        for s, w in frontier.items():
+            buckets[s] = buckets.get(s, FockVector.zero(v.ell)) + w
+        k += 1
+        nxt = {}
+        for s, w in frontier.items():
+            for (m, n), c in table.entries.items():
+                for i in range(1, v.ell + 1):
+                    dw = apply_mode(i, m, apply_mode(i, n, w))
+                    if dw:
+                        prev = nxt.get(s - m - n, FockVector.zero(v.ell))
+                        nxt[s - m - n] = prev + F(c, k) * dw
+        frontier = {s: w for s, w in nxt.items() if w}
+    return {s: w for s, w in buckets.items() if w}
+
+
+def test_matching_expansion_matches_operator_form():
+    table = delta_coefficients(8)
+    states = [FockVector.from_monomial(2, False, mono)
+              for weight in range(9) for mono in basis(2, False, weight, "even")]
+    # Repeated equal modes are where the pair multiplicities must agree.
+    assert single(2, False, [(1, -1)] * 4) in states
+    assert single(2, False, [(1, -2)] * 2) in states
+    states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
+               for a in range(1, ell + 1)]
+    for v in states:
+        assert apply_delta(v, table) == reference_delta(v, table), v
 
 
 def test_bucket_weights():
