@@ -28,9 +28,11 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_args(p):
     p.add_argument("--rank", type=int, default=2, help="number of generators")
     p.add_argument("--max-weight", type=int, default=8,
-                   help="reduction cutoff weight (default 8)")
+                   help="cutoff weight above which a claim stays Unknown "
+                        "(default 8)")
     p.add_argument("--slack", type=int, default=2,
-                   help="extra weight allowed for circle tails (default 2)")
+                   help="extra weight allowed for circle tails; the echelon "
+                        "is keyed by max-weight + slack (default 2)")
     p.add_argument("--pairs", choices=("all", "omega", "quadratic"),
                    default="all", help="circle generator policy")
     p.add_argument("--format", choices=("text", "json"), default="text")

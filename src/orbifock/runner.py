@@ -114,12 +114,14 @@ class Runner:
     def echelon(self):
         if self._echelon is None:
             cfg = self.config
-            if cfg.max_weight + cfg.slack > MAX_WEIGHT_CAP:
-                raise ResourceWarning(
-                    f"max_weight+slack {cfg.max_weight + cfg.slack} exceeds the "
-                    f"resource guard {MAX_WEIGHT_CAP}")
-            self._echelon = build_ospan(cfg.rank, cfg.max_weight, cfg.slack,
-                                        policy=cfg.policy,
+            if cfg.max_weight < 0 or cfg.slack < 0:
+                raise ValueError(f"max_weight and slack must be nonnegative, "
+                                 f"got {cfg.max_weight} and {cfg.slack}")
+            window = cfg.max_weight + cfg.slack
+            if window > MAX_WEIGHT_CAP:
+                raise ResourceWarning(f"max_weight+slack {window} exceeds the "
+                                      f"resource guard {MAX_WEIGHT_CAP}")
+            self._echelon = build_ospan(cfg.rank, window, policy=cfg.policy,
                                         cache_dir=cfg.cache_dir)
         return self._echelon
 

@@ -48,9 +48,12 @@ def run_suite(name, config):
 
 
 def _run_lines(lines, config, report):
+    """Run script lines into report; return the Runner, whose echelon
+    a native check may reuse."""
     stmts = dsl.parse_script("\n".join(lines), config.rank)
-    Runner(config).run(stmts, report)
-    return report
+    runner = Runner(config)
+    runner.run(stmts, report)
+    return runner
 
 
 def _native(report, text, ok, detail=""):
@@ -70,7 +73,8 @@ def tables_suite(config):
              for elements in GOLDEN.values()
              for label, row in elements.items()
              for fam, expected in row.items()]
-    return _run_lines(lines, cfg, report)
+    _run_lines(lines, cfg, report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +126,7 @@ def circle_reductions_suite(config):
     # Basis of the quadratic sector and the weight-7 relation behind it.
     lines.append("assert_rank [S(1,1;2,1), S(1,1;2,2), S(1,1;2,3), "
                  "S(1,1;2,4), S(1,1;2,5)] = 5")
-    _run_lines(lines, cfg2, report)
+    runner2 = _run_lines(lines, cfg2, report)
 
     # Mixed-index shift relations need three generators.
     cfg3 = RunConfig(rank=3, max_weight=7, slack=1,
@@ -140,20 +144,20 @@ def circle_reductions_suite(config):
             f"+ 1/{2 * m} (S(2,4;2,{m}) + 2 S(2,3;2,{m}) + S(2,2;2,{m}))")
     _run_lines(lines, cfg3, report)
 
-    _membership_and_leading_coefficient(report, config)
+    _membership_and_leading_coefficient(report, runner2.echelon())
     return report
 
 
-def _membership_and_leading_coefficient(report, config):
+def _membership_and_leading_coefficient(report, full):
     """The six-step ladder: S(1,6) falls into the span of S(1,m), m <= 5.
 
     Two native checks: the reduced normal forms of S(1,1..6) modulo the full
     truncated span have rank 5, and the circle of the basic quadratic with
     h_1(-1)^4 reduces, modulo the omega-anchored span plus everything below
-    weight 7, to exactly -64 times the reduced form of S(1,6).
+    weight 7, to exactly -64 times the reduced form of S(1,6).  ``full``
+    is the rank-2 window-10 echelon of the quadratic shift relations.
     """
     t0 = time.perf_counter()
-    full = zhu.build_ospan(2, 8, 2, cache_dir=config.cache_dir)
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
     monos = sorted({mn for r in reduced for mn in r.terms})
     rows = [[r.terms.get(mn, 0) for mn in monos] for r in reduced]
@@ -170,9 +174,8 @@ def _membership_and_leading_coefficient(report, config):
     for w2 in range(0, 13):
         for mn in basis(2, False, Fraction(w2, 2), "even"):
             blanket.append(FockVector.from_monomial(2, False, mn))
-    anchored = zhu.build_ospan(2, 8, 2, extra_generators=blanket,
-                               policy=GeneratorPolicy(pairs="omega"),
-                               extra_in_span=False)
+    anchored = zhu.build_ospan(2, 10, extra_generators=blanket,
+                               policy=GeneratorPolicy(pairs="omega"))
     circle = zhu.circ_n(zhu.s_pair(2, 1, 1, 2, 1),
                         FockVector.from_monomial(
                             2, False, make_monomial(2, False, [(1, -1)] * 4)))

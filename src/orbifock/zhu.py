@@ -25,7 +25,7 @@ from math import comb, gcd
 from .fock import FockVector, basis, mono_weight2, single
 from .vertex import mode_operator
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +233,27 @@ def _vector_to_int_row(vec, col_index):
 
 
 class OSpanEchelon:
-    """Echelonized spanning set of circle elements, weight-truncated.
+    """Echelonized spanning set of circle elements, truncated at a window.
 
-    Rows are primitive integer vectors over the even monomial basis up to
-    ``max_weight + slack``; the pivot of a row is its maximal monomial in the
-    canonical order, so reduction rewrites top-weight monomials into lower
-    tails and the conformal vectors survive as their own normal forms.  ``certifying`` is False when extra non-circle rows were
-    mixed in (used for normal-form bookkeeping), in which case equivalence
-    certificates are refused.
+    Rows are primitive integer vectors over the even monomial basis of
+    weight at most the window (half of ``window2``).  The rows depend only
+    on the rank, the generator policy and the window; the cutoff above
+    which a claim stays Unknown belongs to the caller.  The pivot of a row
+    is its maximal monomial in the canonical order, so reduction rewrites
+    top-weight monomials into lower tails and the conformal vectors survive
+    as their own normal forms.  ``certifying`` is False when extra
+    non-circle rows were mixed in (used for normal-form bookkeeping), in
+    which case equivalence certificates are refused.
     """
 
-    def __init__(self, ell, max_weight2, slack2, policy, certifying=True):
+    def __init__(self, ell, window2, policy, certifying=True):
         self.ell = ell
-        self.max_weight2 = max_weight2
-        self.slack2 = slack2
+        self.window2 = window2
         self.policy = policy
         self.certifying = certifying
         self.columns = []
         self.col_index = {}
-        for w2 in range(0, max_weight2 + slack2 + 1):
+        for w2 in range(0, window2 + 1):
             for mono in basis(ell, False, Fraction(w2, 2), "even"):
                 self.col_index[mono] = len(self.columns)
                 self.columns.append(mono)
@@ -316,10 +318,10 @@ class OSpanEchelon:
             raise ValueError("reduce expects untwisted vectors")
         if not vec.is_even():
             raise ValueError("reduce expects even-parity vectors")
-        if vec.max_weight2() > self.max_weight2:
+        if vec.max_weight2() > self.window2:
             raise ValueError(
                 f"vector weight {Fraction(vec.max_weight2(), 2)} exceeds the "
-                f"echelon cutoff {Fraction(self.max_weight2, 2)}")
+                f"echelon window {Fraction(self.window2, 2)}")
         work = {}
         for mono, c in vec.terms.items():
             work[self.col_index[mono]] = Fraction(c)
@@ -349,18 +351,16 @@ class OSpanEchelon:
 
     # -- persistence --------------------------------------------------------
 
+    def _header(self):
+        return (f"# ospan v{FORMAT_VERSION} ell={self.ell} "
+                f"window2={self.window2} policy={self.policy.key()} "
+                f"cols={len(self.columns)}")
+
     def cache_key(self):
-        h = hashlib.sha256()
-        h.update(f"v{FORMAT_VERSION};ell={self.ell};W2={self.max_weight2};"
-                 f"S2={self.slack2};{self.policy.key()};"
-                 f"cert={int(self.certifying)}".encode())
-        return h.hexdigest()[:24]
+        return hashlib.sha256(self._header().encode()).hexdigest()[:24]
 
     def to_text(self):
-        lines = [f"# ospan v{FORMAT_VERSION} ell={self.ell} "
-                 f"W2={self.max_weight2} S2={self.slack2} "
-                 f"policy={self.policy.key()} cert={int(self.certifying)} "
-                 f"cols={len(self.columns)}"]
+        lines = [self._header()]
         for p in sorted(self.rows):
             row = self.rows[p]
             cells = " ".join(f"{c}:{row[c]}" for c in sorted(row))
@@ -368,18 +368,25 @@ class OSpanEchelon:
         return "\n".join(lines) + "\n"
 
     def load_rows(self, text):
+        """Read rows written by ``to_text``; ValueError on any malformed file."""
         lines = text.splitlines()
-        head = lines[0]
-        if f"v{FORMAT_VERSION}" not in head or f"cols={len(self.columns)}" not in head:
+        if not lines or lines[0] != self._header():
             raise ValueError("incompatible cache file")
+        ncols = len(self.columns)
         for line in lines[1:]:
             if not line.strip():
                 continue
             row = {}
             for cell in line.split():
                 c, v = cell.split(":")
-                row[int(c)] = int(v)
-            self.rows[max(row)] = row
+                c, v = int(c), int(v)
+                if not 0 <= c < ncols or v == 0:
+                    raise ValueError(f"bad cache cell {cell!r}")
+                row[c] = v
+            pivot = max(row)
+            if pivot in self.rows:
+                raise ValueError(f"duplicate cache pivot {pivot}")
+            self.rows[pivot] = row
 
 
 def _iter_circle_pairs(ell, limit2, policy):
@@ -434,23 +441,21 @@ def _iter_circle_pairs(ell, limit2, policy):
                             yield uv, vv, n, ("circ", um, vm, n)
 
 
-def build_ospan(rank, max_weight, slack=2, extra_generators=(),
-                policy=DEFAULT_POLICY, extra_in_span=True, cache_dir=None):
-    """Echelonize the truncated circle span.
+def build_ospan(rank, window, extra_generators=(), policy=DEFAULT_POLICY,
+                cache_dir=None):
+    """Echelonize the circle span truncated at weight ``window``.
 
-    ``extra_generators`` are additional row vectors; with
-    ``extra_in_span=False`` they are bookkeeping rows (weight quotients and
-    the like) and the result refuses to issue equivalence certificates.
-    Caching keys on rank, cutoffs and policy; extra generators are never
-    cached.
+    The echelon depends only on (rank, policy, window), and so does its
+    cache file in ``cache_dir``; a caller with cutoff W and slack S asks
+    for window W+S and answers queries above W itself.
+    ``extra_generators`` are additional bookkeeping rows (weight quotients
+    and the like); an echelon built with them refuses to issue equivalence
+    certificates and is never cached.
     """
-    if max_weight < 0 or slack < 0:
-        raise ValueError(f"max_weight and slack must be nonnegative, got "
-                         f"{max_weight} and {slack}")
-    max_weight2 = 2 * max_weight
-    slack2 = 2 * slack
-    certifying = extra_in_span or not extra_generators
-    ech = OSpanEchelon(rank, max_weight2, slack2, policy, certifying)
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
+    window2 = 2 * window
+    ech = OSpanEchelon(rank, window2, policy, certifying=not extra_generators)
 
     cache_file = None
     if cache_dir and not extra_generators:
@@ -465,17 +470,26 @@ def build_ospan(rank, max_weight, slack=2, extra_generators=(),
             except (OSError, ValueError):
                 ech.rows.clear()
 
-    limit2 = max_weight2 + slack2
-    for u, v, n, tag in _iter_circle_pairs(rank, limit2, policy):
+    for u, v, n, tag in _iter_circle_pairs(rank, window2, policy):
         vec = circ_n(u, v, n)
-        if vec.is_zero() or vec.max_weight2() > limit2:
+        if vec.is_zero() or vec.max_weight2() > window2:
             continue
         ech.insert(vec, tag)
     for i, vec in enumerate(extra_generators):
-        if vec and vec.max_weight2() <= limit2:
+        if vec and vec.max_weight2() <= window2:
             ech.insert(vec, ("extra", i))
     ech.cache_hit = False
     if cache_file:
-        with open(cache_file, "w", encoding="ascii") as fh:
-            fh.write(ech.to_text())
+        # Write aside and rename, so a reader never sees a partial file.
+        text = ech.to_text()
+        tmp = f"{cache_file}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, cache_file)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return ech

@@ -59,7 +59,7 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
     S = [s_pair(2, 1, 1, 2, m) for m in range(1, 6)]
     assert independence_rank(S) == 5
 
-    ech = build_ospan(2, 8, 2, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+    ech = build_ospan(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
     reduced = [ech.reduce(s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
     monos = sorted({mn for r in reduced for mn in r.terms})
     rows = [[r.terms.get(mn, 0) for mn in monos] for r in reduced]
@@ -70,9 +70,8 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
     blanket = [FockVector.from_monomial(2, False, mn)
                for w2 in range(0, 13)
                for mn in basis(2, False, F(w2, 2), "even")]
-    anchored = build_ospan(2, 8, 2, extra_generators=blanket,
-                           policy=GeneratorPolicy(pairs="omega"),
-                           extra_in_span=False)
+    anchored = build_ospan(2, 10, extra_generators=blanket,
+                           policy=GeneratorPolicy(pairs="omega"))
     circle = circ_n(s_pair(2, 1, 1, 2, 1),
                     single(2, False, [(1, -1)] * 4))
     nf = anchored.reduce(circle)
@@ -88,7 +87,7 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
 
 def test_criterion_3_product_shift_identities(capsys):
     t0 = time.time()
-    ech = build_ospan(2, 10, 0, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+    ech = build_ospan(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
     us = [FockVector.from_monomial(2, False, m)
           for w in range(0, 6) for m in basis(2, False, w, "even")]
     assert len(us) == 36
@@ -220,7 +219,7 @@ def test_criterion_8_scope_honesty(capsys):
     # even when no evaluation disproof exists.
     assert set(SUITE_NAMES) == {"tables", "circle_reductions", "matrix_units",
                                 "final_relations", "all"}
-    ech = build_ospan(2, 4, 0)
+    ech = build_ospan(2, 4)
     deep = circ_n(jgen(2, 1), jgen(2, 1), 0)  # weight 9 circle, beyond reach
     x = omega(2, 1) + deep
     y = omega(2, 1)

@@ -103,6 +103,9 @@ def test_cache_hits_counted(tmp_path):
     second = Runner(config).run(stmts)
     assert first.cache_hits == 0
     assert second.cache_hits == 1
+    # The same window at another cutoff reads the same echelon.
+    same_window = RunConfig(rank=1, max_weight=6, slack=0, cache_dir=str(tmp_path))
+    assert Runner(same_window).run(stmts).cache_hits == 1
 
 
 def test_cli_verify_and_exit_codes(tmp_path, capsys):

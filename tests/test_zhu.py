@@ -1,13 +1,14 @@
 """Products, named generators, and the circle-span engine."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
 from orbifock.fock import FockVector, basis, single
 from orbifock.vertex import mode_operator, virasoro
-from orbifock.zhu import (GeneratorPolicy, Verdict, build_ospan, circ_n, e_t,
+from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n, e_t,
                           e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_alpha, s_pair, star, star_power)
 
 F = Fraction
@@ -26,7 +27,7 @@ def naive_product(u, v, shift):
 
 @pytest.fixture(scope="module")
 def echelon1():
-    return build_ospan(1, 4, 2)
+    return build_ospan(1, 6)
 
 
 def test_star_identity_element():
@@ -145,9 +146,9 @@ def test_reduce_weight_guard(echelon1):
 
 
 def test_reduce_then_count_consistency():
-    # The truncated quotient dimensions agree between two slack values.
-    e_a = build_ospan(1, 4, 2)
-    e_b = build_ospan(1, 4, 3)
+    # The truncated quotient dimensions agree between two windows.
+    e_a = build_ospan(1, 6)
+    e_b = build_ospan(1, 7)
     dims_a = sum(1 for w in (0, 2, 3, 4)
                  for m in basis(1, False, w, "even")
                  if not e_a.reduce(FockVector.from_monomial(1, False, m)).is_zero())
@@ -158,7 +159,7 @@ def test_reduce_then_count_consistency():
 
 
 def test_is_equiv_examples():
-    e = build_ospan(2, 6, 2)
+    e = build_ospan(2, 8)
     S = s_pair(2, 1, 1, 2, 1)
     lhs = star(S, omega(2, 1))
     rhs = virasoro(1, -2, S) + virasoro(1, -1, S)
@@ -171,7 +172,7 @@ def test_is_equiv_examples():
 def test_noncertifying_echelon_refuses_certificates():
     blanket = [FockVector.from_monomial(1, False, m)
                for w in (0, 2) for m in basis(1, False, w, "even")]
-    e = build_ospan(1, 4, 0, extra_generators=blanket, extra_in_span=False)
+    e = build_ospan(1, 4, extra_generators=blanket)
     with pytest.raises(ValueError):
         e.is_equiv(omega(1, 1), FockVector.zero(1))
     assert e.reduce(FockVector.vacuum(1)).is_zero()
@@ -184,10 +185,53 @@ def test_policy_validation_and_keys():
 
 
 def test_echelon_cache_round_trip(tmp_path):
-    e1 = build_ospan(1, 4, 2, cache_dir=str(tmp_path))
+    e1 = build_ospan(1, 6, cache_dir=str(tmp_path))
     assert not e1.cache_hit
-    e2 = build_ospan(1, 4, 2, cache_dir=str(tmp_path))
+    e2 = build_ospan(1, 6, cache_dir=str(tmp_path))
     assert e2.cache_hit
     assert e1.rows == e2.rows
     w1 = omega(1, 1)
     assert e1.reduce(w1) == e2.reduce(w1)
+    assert not build_ospan(1, 7, cache_dir=str(tmp_path)).cache_hit
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(OSpanEchelon, "to_text", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build_ospan(1, 6, cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    assert not build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
+    assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
+
+
+# Corruptions of the rank-1 window-6 cache file, each of which load_rows
+# must reject.  It has 15 columns; column 4 (h1(-2)^2) is a pivot, 9 and 14
+# are not.  The first appended line would replace pivot 4 with a row reaching
+# a weight-6 column through a negative index.
+CORRUPTIONS = {
+    "empty-file": lambda text: "",
+    "appended-pivot-4": lambda text: text + "-3:5 4:1\n",
+    "negative-column": lambda text: text + "-3:5 9:1\n",
+    "column-past-end": lambda text: text + "1:1 15:1\n",
+    "zero-entry": lambda text: text + "0:0 14:1\n",
+    "duplicate-pivot": lambda text: text + "1:1 4:1\n",
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_malformed_cache_file_is_rebuilt(tmp_path, corrupt):
+    fresh = build_ospan(1, 6, cache_dir=str(tmp_path))
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    path.write_text(corrupt(path.read_text()))
+    again = build_ospan(1, 6, cache_dir=str(tmp_path))
+    assert not again.cache_hit
+    assert again.rows == fresh.rows
+    h2 = single(1, False, [(1, -2), (1, -2)])
+    assert again.reduce(h2) == (3 * single(1, False, [(1, -1), (1, -1)])
+                                - 2 * single(1, False, [(1, -3), (1, -1)]))
+    assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
