@@ -9,10 +9,13 @@ this into a finite sum over mode tuples ``(k_1, ..., k_k)``:
           prod_i C(-k_i - 1, n_i - 1) : h_{a_1}(k_1) ... h_{a_k}(k_k) :
 
 applied with creation modes on the left.  Over integer modes the binomial
-vanishes on the window -n_i < k_i < 0, and annihilators beyond the target's
-mode-weight kill it, which makes the sum finite.  The same expansion runs
-over half-integer modes on the twisted module (where no window vanishes and
-the surrounding code supplies the exponential correction).
+vanishes on the window -n_i < k_i < 0.  The sum is finite because it is
+driven by the target's contractions: an annihilator h_g(k) survives only if
+h_g(-k) occurs in some target monomial, so only those are enumerated, zero
+modes only on highest-weight modules, and the creation modes are whatever
+then closes the sum.  The same expansion runs over half-integer modes on the
+twisted module (where no window vanishes and the surrounding code supplies
+the exponential correction).
 
 Identical factors are enumerated as multisets: a run of equal mode indices
 over a group of equal factors stands for all its ordered rearrangements,
@@ -51,83 +54,100 @@ def d_coeff2(k2, n):
     return Fraction(num, 2 ** (n - 1) * den)
 
 
-def _grouped_tuples(groups, total2, ann_budget2, twisted, gen_caps):
-    """Yield (multiplier, ops) pairs of the grouped mode expansion.
+def _grouped_tuples(groups, total2, ann_budget2, twisted, ann_modes, zero_ok):
+    """The (multiplier, ops) pairs of the grouped mode expansion, as a list.
 
     ``groups`` lists (gen, n, n2, mult) over the source monomial's distinct
     factors; ``ops`` assigns each factor a twice-index, nonincreasing inside
     each group, and ``multiplier`` counts the ordered tuples the multiset
-    stands for times the product of expansion coefficients.  Annihilators
-    respect the target's total and per-generator mode-weight budgets, and
-    creation depth is bounded by ``ann_budget2 - total2``; branches that
-    cannot balance the remaining sum are cut as soon as that is visible.
+    stands for times the product of expansion coefficients.
+
+    The expansion is driven by the target's contractions: ``ann_modes``
+    maps each generator g to a dict, in descending key order, from each k2
+    with h_g(-k2/2) in some target monomial to the most copies of it in one
+    monomial.  Those are the only annihilators tried, each at most that many
+    times, since any other one kills every target monomial.  A zero mode is
+    tried only when ``zero_ok`` (a highest-weight module).  Annihilators also
+    respect the target's mode-weight budget ``ann_budget2``, creation depth
+    is bounded by ``ann_budget2 - total2``, and a branch is cut as soon as
+    the indices still open can no longer close the remaining sum.
     """
     cre_budget2 = ann_budget2 - total2
     if cre_budget2 < 0:
-        return
+        return []
     ngroups = len(groups)
-    lo_ann = 1 if twisted else 0
+    last = ngroups - 1
+    # hi[i]: the largest index a factor of group i can take; reach[i]: the
+    # largest sum the groups after i can still contribute.
+    hi = []
+    for g, _, n2src, _ in groups:
+        if g in ann_modes:
+            hi.append(next(iter(ann_modes[g])))
+        elif zero_ok:
+            hi.append(0)
+        else:
+            hi.append(-1 if twisted else -n2src)
+    reach = [0] * ngroups
+    for i in range(last, 0, -1):
+        reach[i - 1] = reach[i] + groups[i][3] * hi[i]
+    out = []
     ops = []
 
-    def candidates(g, n2src, next_max, rem2, ann2, cre2):
-        cap = min(ann2, rem2 + cre2)
-        if gen_caps is not None:
-            cap = min(cap, gen_caps.get(g, 0))
-        if next_max is not None:
-            cap = min(cap, next_max)
-        k2 = cap
-        if twisted:
-            k2 -= (k2 % 2 == 0)
-        else:
-            k2 -= k2 % 2
-        while k2 >= lo_ann:
-            yield k2
-            k2 -= 2
-        start = -1 if twisted else -n2src
-        if next_max is not None and next_max < start:
-            start = next_max
-        low = max(-cre2, rem2 - ann2)
-        k2 = start
-        while k2 >= low:
-            yield k2
-            k2 -= 2
-
     def rec(gi, slots, next_max, rem2, ann2, cre2, mult):
-        if rem2 > ann2 or rem2 < -cre2:
-            return
-        if slots == 0:
-            gi += 1
-            if gi == ngroups:
-                if rem2 == 0:
-                    yield mult, tuple(ops)
-                return
-            yield from rec(gi, groups[gi][3], None, rem2, ann2, cre2, mult)
+        top = hi[gi] if hi[gi] < next_max else next_max
+        if rem2 > ann2 or rem2 > slots * top + reach[gi] or rem2 < -cre2:
             return
         g, n, n2src, _ = groups[gi]
-        for k2 in candidates(g, n2src, next_max, rem2, ann2, cre2):
+        modes = ann_modes.get(g, {})
+        start = min(-1 if twisted else -n2src, next_max)
+        if gi == last and slots == 1:
+            # The final index must close the sum; the check above already
+            # keeps it within top, ann2 and cre2.
+            k2 = rem2
+            if k2 > 0:
+                ok = k2 in modes
+            elif k2 == 0:
+                ok = zero_ok
+            else:
+                ok = k2 <= start and (start - k2) % 2 == 0
+            if ok:
+                out.append((mult * d_coeff2(k2, n), (*ops, (g, k2))))
+            return
+        cap = min(ann2, rem2 + cre2, top)
+        cands = [(k2, count if count < slots else slots)
+                 for k2, count in modes.items() if k2 <= cap]
+        if zero_ok and top >= 0:
+            cands.append((0, slots))
+        low = max(-cre2, rem2 - min(ann2, reach[gi]))
+        cands.extend((k2, slots) for k2 in range(start, low - 1, -2))
+        base = len(ops)
+        for k2, most in cands:
             d = d_coeff2(k2, n)
-            if not d:
-                continue
             dc = 1
-            base = len(ops)
-            for c in range(1, slots + 1):
+            for c in range(1, most + 1):
                 if k2 > 0 and c * k2 > ann2:
                     break
                 if k2 < 0 and -c * k2 > cre2:
                     break
                 dc = dc * d
                 ops.append((g, k2))
-                yield from rec(gi, slots - c, k2 - 2, rem2 - c * k2,
-                               ann2 - c * k2 if k2 > 0 else ann2,
-                               cre2 + c * k2 if k2 < 0 else cre2,
-                               mult * comb(slots, c) * dc)
+                r2 = rem2 - c * k2
+                a2 = ann2 - c * k2 if k2 > 0 else ann2
+                c2 = cre2 + c * k2 if k2 < 0 else cre2
+                m2 = mult * comb(slots, c) * dc
+                if c < slots:
+                    rec(gi, slots - c, k2 - 2, r2, a2, c2, m2)
+                elif gi < last:
+                    rec(gi + 1, groups[gi + 1][3], hi[gi + 1], r2, a2, c2, m2)
+                elif r2 == 0:
+                    out.append((m2, tuple(ops)))
             del ops[base:]
 
     if ngroups:
-        yield from rec(0, groups[0][3], None, total2, ann_budget2,
-                       cre_budget2, 1)
+        rec(0, groups[0][3], hi[0], total2, ann_budget2, cre_budget2, 1)
     elif total2 == 0:
-        yield 1, ()
+        out.append((1, ()))
+    return out
 
 
 def mode_component(v, m, target, hw=None):
@@ -146,20 +166,23 @@ def mode_component(v, m, target, hw=None):
     if target.is_zero() or v.is_zero():
         return FockVector.zero(target.ell, twisted)
     ann_budget2 = target.max_weight2()
-    gen_caps = {}
+    counts = {}
     for tmono in target.terms:
-        per = {}
-        for g, n2 in tmono:
-            per[g] = per.get(g, 0) - n2
-        for g, w2 in per.items():
-            gen_caps[g] = max(gen_caps.get(g, 0), w2)
+        for (g, n2), grp in groupby(tmono):
+            c = sum(1 for _ in grp)
+            if c > counts.get((g, -n2), 0):
+                counts[(g, -n2)] = c
+    ann_modes = {}
+    for (g, k2), c in sorted(counts.items(), reverse=True):
+        ann_modes.setdefault(g, {})[k2] = c
+    zero_ok = hw is not None and not twisted
     acc = {}
     for mono, c in v.terms.items():
         groups = [(g, -n2 // 2, -n2, sum(1 for _ in grp))
                   for (g, n2), grp in groupby(mono)]
         total2 = 2 * m + 2 - mono_weight2(mono)
         for mult, ops in _grouped_tuples(groups, total2, ann_budget2,
-                                         twisted, gen_caps):
+                                         twisted, ann_modes, zero_ok):
             coeff = c * mult
             terms = target.terms
             creators = []
@@ -170,16 +193,12 @@ def mode_component(v, m, target, hw=None):
                         break
                 elif k2 < 0:
                     creators.append((g, k2))
+                elif hw == SYMBOLIC:
+                    coeff = coeff * LPoly.unit(v.ell, g)
                 else:
-                    if hw is None:
-                        terms = {}
+                    coeff = coeff * hw[g - 1]
+                    if not coeff:
                         break
-                    if hw == SYMBOLIC:
-                        coeff = coeff * LPoly.unit(v.ell, g)
-                    else:
-                        coeff = coeff * hw[g - 1]
-                        if not coeff:
-                            break
             if not terms or not coeff:
                 continue
             creators = tuple(creators)

@@ -272,12 +272,13 @@ class OSpanEchelon:
         row = self._reduce_int_row(row)
         if not row:
             return False
-        self.rows[max(row)] = _normalize_int_row(row)
+        self.rows[max(row)] = row
         if tag is not None:
             self.provenance.append(tag)
         return True
 
     def _reduce_int_row(self, row):
+        """Eliminate the leading pivots of ``row`` in place; the primitive rest."""
         steps = 0
         while row:
             p = max(row)
@@ -289,19 +290,15 @@ class OSpanEchelon:
             g = gcd(a, b)
             a //= g
             b //= g
-            new = {}
-            if a == 1:
-                new.update(row)
-            else:
-                for c, v in row.items():
-                    new[c] = v * a
+            if a != 1:
+                for c in row:
+                    row[c] *= a
             for c, v in pivot_row.items():
-                s = new.get(c, 0) - b * v
+                s = row.get(c, 0) - b * v
                 if s:
-                    new[c] = s
+                    row[c] = s
                 else:
-                    new.pop(c, None)
-            row = new
+                    del row[c]
             steps += 1
             if row and steps % 24 == 0:
                 row = _normalize_int_row(row)

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from orbifock.fock import FockVector, apply_mode, basis, single
-from orbifock.vertex import d_coeff2, mode_operator, virasoro, zero_mode
+from orbifock import vertex
+from orbifock.fock import SYMBOLIC, FockVector, apply_mode, basis, single
+from orbifock.vertex import d_coeff2, mode_component, mode_operator, virasoro, zero_mode
+from orbifock.zhu import build_ospan
 
 F = Fraction
 
@@ -20,13 +22,22 @@ def oracle_d(k, n):
     return val
 
 
-def oracle_mode_operator(v, m, target, box=9):
-    """Brute-force expansion: box enumeration plus one-at-a-time modes."""
-    out = FockVector.zero(v.ell, False)
+def oracle_mode_operator(v, m, target, hw=None, box=9):
+    """Brute-force expansion: box enumeration plus one-at-a-time modes.
+
+    Modes run over the integers on an untwisted target and over the
+    half-integers on a twisted one.  Zero modes act through ``apply_mode``
+    with ``hw`` (zero on the vacuum module when ``hw`` is None).
+    """
+    if target.twisted:
+        modes = [k + F(1, 2) for k in range(-box, box)]
+    else:
+        modes = list(range(-box, box + 1))
+    out = FockVector.zero(v.ell, target.twisted)
     for mono, c in v.terms.items():
         facs = [(g, -n2 // 2) for g, n2 in mono]
         total = m + 1 - sum(n for _, n in facs)
-        for ks in itertools.product(range(-box, box + 1), repeat=len(facs)):
+        for ks in itertools.product(modes, repeat=len(facs)):
             if sum(ks) != total:
                 continue
             coeff = F(c)
@@ -36,12 +47,10 @@ def oracle_mode_operator(v, m, target, box=9):
                     break
             if not coeff:
                 continue
-            if any(k == 0 for k in ks):
-                continue  # zero modes act as zero on the vacuum module
             w = target
             for k, (g, _) in sorted(zip(ks, facs)):
-                if k > 0:
-                    w = apply_mode(g, k, w)
+                if k >= 0:
+                    w = apply_mode(g, k, w, hw)
                     if not w:
                         break
             if not w:
@@ -88,6 +97,85 @@ def test_mode_operator_against_oracle(ell):
         for m in range(-3, 4):
             for t in targets:
                 assert mode_operator(v, m, t) == oracle_mode_operator(v, m, t)
+
+
+def _states(ell, weights):
+    return [FockVector.from_monomial(ell, False, m)
+            for w in weights for m in basis(ell, False, w, "all")]
+
+
+# Targets whose contractions the grouped expansion prunes on: repeated
+# modes, several generators, and several terms.
+PRUNED_TARGETS = {
+    "h1(-1)^3": single(2, False, [(1, -1)] * 3),
+    "h1(-1)^2 h2(-2)": single(2, False, [(1, -1), (1, -1), (2, -2)]),
+    "h1(-1)^2 + h1(-2)": (single(2, False, [(1, -1), (1, -1)])
+                          + single(2, False, [(1, -2)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_TARGETS))
+def test_pruned_targets_against_oracle(name):
+    target = PRUNED_TARGETS[name]
+    states = _states(2, (1, 2, 3)) + [single(2, False, [(1, -1)] * 4)]
+    for v in states:
+        for m in range(-3, 5):
+            assert mode_operator(v, m, target) == oracle_mode_operator(v, m, target)
+
+
+@pytest.mark.parametrize("hw", [(2, -3), (0, 5), SYMBOLIC])
+def test_zero_modes_against_oracle(hw):
+    # On a highest-weight module a zero mode multiplies by hw[g-1] (or l_g)
+    # instead of killing the term.
+    targets = [FockVector.vacuum(2), single(2, False, [(2, -1)]),
+               PRUNED_TARGETS["h1(-1)^2 h2(-2)"],
+               PRUNED_TARGETS["h1(-1)^2 + h1(-2)"]]
+    for v in _states(2, (1, 2, 3)):
+        for m in range(-2, 4):
+            for t in targets:
+                assert (mode_operator(v, m, t, hw)
+                        == oracle_mode_operator(v, m, t, hw))
+
+
+@pytest.mark.parametrize("modes", [
+    [(1, F(-1, 2)), (1, F(-1, 2))],
+    [(1, F(-3, 2)), (2, F(-1, 2))],
+], ids=["h1(-1/2)^2", "h1(-3/2)h2(-1/2)"])
+def test_twisted_targets_against_oracle(modes):
+    target = single(2, True, modes)
+    for v in _states(2, (1, 2, 3)):
+        for m in range(-2, 4):
+            assert (mode_component(v, m, target)
+                    == oracle_mode_operator(v, m, target))
+
+
+def test_expansion_tries_only_the_targets_contractions(monkeypatch):
+    # Over every circle of the rank-2 window-6 span, each annihilator the
+    # enumeration proposes must meet its own mode in some target monomial,
+    # and no zero mode is proposed on the vacuum module.
+    seen = {"target": None, "hw": None, "annihilators": 0}
+    inner_component = vertex.mode_component
+    inner_tuples = vertex._grouped_tuples
+
+    def component(v, m, target, hw=None):
+        seen["target"], seen["hw"] = target, hw
+        return inner_component(v, m, target, hw)
+
+    def tuples(*args):
+        out = list(inner_tuples(*args))
+        target_modes = {mode for mono in seen["target"].terms for mode in mono}
+        for _, ops in out:
+            for g, k2 in ops:
+                if k2 > 0:
+                    assert (g, -k2) in target_modes, (ops, seen["target"])
+                    seen["annihilators"] += 1
+                assert k2 != 0 or seen["hw"] is not None, ops
+        return out
+
+    monkeypatch.setattr(vertex, "mode_component", component)
+    monkeypatch.setattr(vertex, "_grouped_tuples", tuples)
+    assert build_ospan(2, 6).rank() > 0
+    assert seen["annihilators"] > 0
 
 
 def test_mode_weight_bookkeeping():
@@ -155,7 +243,6 @@ def test_zero_mode_identity_and_rejections():
 
 def test_zero_mode_on_highest_weight_vectors():
     # Only fully balanced zero-mode tuples survive on a highest-weight line.
-    from orbifock.fock import SYMBOLIC
     J = (single(1, False, [(1, -1)] * 4)
          + single(1, False, [(1, -3), (1, -1)], -2)
          + single(1, False, [(1, -2), (1, -2)], F(3, 2)))

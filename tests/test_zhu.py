@@ -1,5 +1,6 @@
 """Products, named generators, and the circle-span engine."""
 
+import hashlib
 import itertools
 import os
 from fractions import Fraction
@@ -182,6 +183,27 @@ def test_policy_validation_and_keys():
     with pytest.raises(ValueError):
         GeneratorPolicy(pairs="bogus")
     assert GeneratorPolicy().key() != GeneratorPolicy(pairs="omega").key()
+
+
+# SHA-256 of to_text() and the number of kept circles, recorded before the
+# mode expansion and the elimination were rewritten for speed; any change to
+# either that alters a stored row changes these.
+ECHELON_GOLDENS = [
+    ((1, 8), "all",
+     "3dc727910a5c999c48308d4e2688fa352e866a8bf670d763c13c33fe6e674bc5", 26),
+    ((2, 6), "omega",
+     "dfca00e8217e84d18c03791bd18029ba6a4426db70d2b3ae6469ded912df9119", 45),
+    ((3, 5), "quadratic",
+     "3729d1d7a2e69ac6f6fb9a6bcb675ca47c7094a598513d5a9e396ec8156dfcb5", 60),
+]
+
+
+@pytest.mark.parametrize("args, pairs, digest, kept", ECHELON_GOLDENS,
+                         ids=["r1w8-all", "r2w6-omega", "r3w5-quadratic"])
+def test_echelon_golden(args, pairs, digest, kept):
+    e = build_ospan(*args, policy=GeneratorPolicy(pairs))
+    assert hashlib.sha256(e.to_text().encode()).hexdigest() == digest
+    assert len(e.provenance) == kept
 
 
 def test_echelon_cache_round_trip(tmp_path):
