@@ -27,14 +27,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_args(p):
     p.add_argument("--rank", type=int, default=2, help="number of generators")
-    p.add_argument("--max-weight", type=int, default=8,
-                   help="cutoff weight above which a claim stays Unknown "
-                        "(default 8)")
-    p.add_argument("--slack", type=int, default=2,
-                   help="extra weight allowed for circle tails; the echelon "
-                        "is keyed by max-weight + slack (default 2)")
-    p.add_argument("--pairs", choices=("all", "omega", "quadratic"),
-                   default="all", help="circle generator policy")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true",
                    help="include per-statement timing in text output")
@@ -67,6 +59,14 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run a relation script")
     p.add_argument("script", help="path to the script file, or - for stdin")
     _add_config_args(p)
+    p.add_argument("--max-weight", type=int, default=8,
+                   help="cutoff weight above which a claim stays Unknown "
+                        "(default 8)")
+    p.add_argument("--slack", type=int, default=2,
+                   help="extra weight allowed for circle tails; the echelon "
+                        "is keyed by max-weight + slack (default 2)")
+    p.add_argument("--pairs", choices=("all", "omega", "quadratic"),
+                   default="all", help="circle generator policy")
 
     p = sub.add_parser("suite", help="run a built-in suite")
     p.add_argument("name", choices=SUITE_NAMES)
@@ -80,12 +80,13 @@ def main(argv=None):
     p.add_argument("--degree", type=int, default=8)
 
     args = parser.parse_args(argv)
-    if args.command in ("verify", "suite"):
-        for option, value, low in (("--rank", args.rank, 1),
-                                   ("--max-weight", args.max_weight, 0),
-                                   ("--slack", args.slack, 0)):
-            if value < low:
-                parser.error(f"{option} must be at least {low}, got {value}")
+    if args.command in ("verify", "suite") and args.rank < 1:
+        parser.error(f"--rank must be at least 1, got {args.rank}")
+    if args.command == "verify":
+        for option, value in (("--max-weight", args.max_weight),
+                              ("--slack", args.slack)):
+            if value < 0:
+                parser.error(f"{option} must be at least 0, got {value}")
     if args.command == "delta-table" and args.degree < 2:
         parser.error(f"--degree must be at least 2, got {args.degree}")
 
@@ -104,7 +105,9 @@ def main(argv=None):
         return _emit(report, args)
 
     if args.command == "suite":
-        report = run_suite(args.name, _config(args))
+        # Each suite block sets its own cutoff and policy.
+        report = run_suite(args.name, RunConfig(
+            rank=args.rank, cache_dir=args.cache_dir or default_cache_dir()))
         return _emit(report, args)
 
     try:

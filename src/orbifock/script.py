@@ -156,7 +156,6 @@ class Statement:
     col: int
 
 
-_NAMED_ARITY = {"Eu": 2, "Eubar": 2, "Et": 2, "Etbar": 2, "Lam": 2}
 _OFFDIAG = {"Eu", "Eubar", "Et", "Etbar", "Lam"}
 _ATOM_START_NAMES = re.compile(r"^(one|[wJH]\d+|h\d+|S|Eu|Eubar|Et|Etbar|Lam|circ|circn)$")
 
@@ -347,13 +346,13 @@ class _Parser:
             nn = self.parse_positive()
             self.expect(")")
             return Named("S", (a, mm, b, nn))
-        if name in _NAMED_ARITY:
+        if name in _OFFDIAG:
             self.expect("(")
             a = self.parse_index()
             self.expect(",")
             b = self.parse_index()
             self.expect(")")
-            if name in _OFFDIAG and a == b:
+            if a == b:
                 raise ScriptError(f"{name} needs two distinct indices",
                                   tok.line, tok.col)
             return Named(name, (a, b))

@@ -6,9 +6,18 @@ modes, but the honest module action corrects the inserted state first:
 
     Delta_z = sum_{m,n >= 1} c_mn sum_i h_i(m) h_i(n) z^(-m-n)
 
-and the rationals ``c_mn`` are read off the bivariate series
+and the rationals ``c_mn`` are the coefficients of x^m y^n in
 
-    -log( (sqrt(1+x) + sqrt(1+y)) / 2 ).
+    f(x, y) = -log( (sqrt(1+x) + sqrt(1+y)) / 2 ).
+
+They have the closed form ``c_mn = C(-1/2, m) C(-1/2, n) / (2(m+n))``.
+Proof: put a = sqrt(1+x) and b = sqrt(1+y).  Then x da/dx = (a^2 - 1)/(2a),
+likewise for b, so the Euler operator gives
+
+    (x d/dx + y d/dy) f = -(a - 1/a + b - 1/b) / (2(a+b)) = (1/(ab) - 1)/2.
+
+The Euler operator multiplies the x^m y^n coefficient by m+n, and
+1/(ab) = sum C(-1/2, m) C(-1/2, n) x^m y^n; f has no constant term.
 
 Rows/columns with m = 0 or n = 0 are dropped: the zero mode kills the vacuum
 module, so those terms never act.  On a monomial, Delta_z contracts a pair
@@ -25,54 +34,6 @@ from operator import itemgetter
 
 from .fock import FockVector, mono_weight2
 from .vertex import mode_component
-
-
-def _series_sqrt1p(deg):
-    """Coefficients of sqrt(1+t) up to degree ``deg``."""
-    out = [Fraction(1)]
-    for k in range(1, deg + 1):
-        out.append(out[-1] * (Fraction(1, 2) - (k - 1)) / k)
-    return out
-
-
-def _bivariate_log_series(deg):
-    """Dense table of the generating series, total degree <= deg."""
-    sq = _series_sqrt1p(deg)
-    # g(x, y) = (sqrt(1+x) + sqrt(1+y))/2 - 1, no constant term.
-    g = [[Fraction(0)] * (deg + 1) for _ in range(deg + 1)]
-    for k in range(1, deg + 1):
-        g[k][0] += sq[k] / 2
-        g[0][k] += sq[k] / 2
-
-    def mul(a, b):
-        out = [[Fraction(0)] * (deg + 1) for _ in range(deg + 1)]
-        for i in range(deg + 1):
-            row = a[i]
-            for j in range(deg + 1 - i):
-                ca = row[j]
-                if not ca:
-                    continue
-                for p in range(deg + 1 - i - j):
-                    brow = b[p]
-                    for q in range(deg + 1 - i - j - p):
-                        cb = brow[q]
-                        if cb:
-                            out[i + p][j + q] += ca * cb
-        return out
-
-    # -log(1 + g) = sum_{j>=1} (-1)^j g^j / j
-    total = [[Fraction(0)] * (deg + 1) for _ in range(deg + 1)]
-    power = g
-    sign = -1
-    for j in range(1, deg + 1):
-        for i in range(deg + 1):
-            for k in range(deg + 1 - i):
-                if power[i][k]:
-                    total[i][k] += Fraction(sign, j) * power[i][k]
-        if j < deg:
-            power = mul(power, g)
-        sign = -sign
-    return total
 
 
 class DeltaTable:
@@ -95,17 +56,16 @@ class DeltaTable:
 
 
 def delta_coefficients(max_degree):
-    """Compute the correction table by exact series composition."""
+    """The correction table from the closed form of ``c_mn``."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    total = _bivariate_log_series(max_degree)
-    entries = {}
-    for m in range(1, max_degree):
-        for n in range(1, max_degree + 1 - m):
-            c = total[m][n]
-            if c:
-                entries[m, n] = c
-    return DeltaTable(max_degree, entries)
+    # binom[k] = C(-1/2, k)
+    binom = [Fraction(1)]
+    for k in range(1, max_degree):
+        binom.append(binom[-1] * (1 - 2 * k) / (2 * k))
+    return DeltaTable(max_degree, {
+        (m, n): binom[m] * binom[n] / (2 * (m + n))
+        for m in range(1, max_degree) for n in range(1, max_degree + 1 - m)})
 
 
 # The largest table built so far; a table serves every smaller degree.

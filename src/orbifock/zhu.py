@@ -241,16 +241,14 @@ class OSpanEchelon:
     which a claim stays Unknown belongs to the caller.  The pivot of a row
     is its maximal monomial in the canonical order, so reduction rewrites
     top-weight monomials into lower tails and the conformal vectors survive
-    as their own normal forms.  ``certifying`` is False when extra
-    non-circle rows were mixed in (used for normal-form bookkeeping), in
-    which case equivalence certificates are refused.
+    as their own normal forms.  Every row is a combination of circle
+    elements, so a zero normal form certifies membership in O.
     """
 
-    def __init__(self, ell, window2, policy, certifying=True):
+    def __init__(self, ell, window2, policy):
         self.ell = ell
         self.window2 = window2
         self.policy = policy
-        self.certifying = certifying
         self.columns = []
         self.col_index = {}
         for w2 in range(0, window2 + 1):
@@ -258,12 +256,11 @@ class OSpanEchelon:
                 self.col_index[mono] = len(self.columns)
                 self.columns.append(mono)
         self.rows = {}  # pivot column -> primitive integer row
-        self.provenance = []
         self.cache_hit = False
 
     # -- construction -----------------------------------------------------
 
-    def insert(self, vec, tag=None):
+    def insert(self, vec):
         """Reduce a vector against the echelon and keep what remains."""
         try:
             row = _vector_to_int_row(vec, self.col_index)
@@ -273,8 +270,6 @@ class OSpanEchelon:
         if not row:
             return False
         self.rows[max(row)] = row
-        if tag is not None:
-            self.provenance.append(tag)
         return True
 
     def _reduce_int_row(self, row):
@@ -341,9 +336,6 @@ class OSpanEchelon:
 
     def is_equiv(self, x, y):
         """ProvedEqual when x - y reduces to zero; Unknown otherwise."""
-        if not self.certifying:
-            raise ValueError("echelon contains non-circle rows; "
-                             "certificates would be unsound")
         return Verdict.PROVED_EQUAL if self.reduce(x - y).is_zero() else Verdict.UNKNOWN
 
     # -- persistence --------------------------------------------------------
@@ -387,7 +379,7 @@ class OSpanEchelon:
 
 
 def _iter_circle_pairs(ell, limit2, policy):
-    """Yield (u_vec, v_vec, n, tag) whose full circle fits within limit2."""
+    """Yield (u_vec, v_vec, n) whose full circle fits within limit2."""
     monos_by_w2 = {}
     for w2 in range(0, limit2 + 1):
         monos_by_w2[w2] = basis(ell, False, Fraction(w2, 2), "even")
@@ -401,17 +393,17 @@ def _iter_circle_pairs(ell, limit2, policy):
             for um in monos_by_w2[wu2]:
                 uv = FockVector.from_monomial(ell, False, um)
                 for n in tops(wu2, 0):
-                    yield uv, FockVector.vacuum(ell), n, ("circ-vac", um, n)
+                    yield uv, FockVector.vacuum(ell), n
 
     if policy.pairs == "omega":
-        omegas = [omega(ell, a) for a in range(1, ell + 1)]
-        for a, om in enumerate(omegas, start=1):
+        for a in range(1, ell + 1):
+            om = omega(ell, a)
             for wv2 in range(2, limit2 - 5):
                 for vm in monos_by_w2[wv2]:
                     vv = FockVector.from_monomial(ell, False, vm)
                     for n in tops(4, wv2):
-                        yield om, vv, n, ("circ-omega", a, vm, n)
-                        yield vv, om, n, ("circ-omega-r", a, vm, n)
+                        yield om, vv, n
+                        yield vv, om, n
         yield from vacuum_circles()
     elif policy.pairs == "quadratic":
         quads = [m for w2 in range(2, limit2 + 1)
@@ -425,7 +417,7 @@ def _iter_circle_pairs(ell, limit2, policy):
                     continue
                 vv = FockVector.from_monomial(ell, False, vm)
                 for n in tops(wu2, wv2):
-                    yield uv, vv, n, ("circ", um, vm, n)
+                    yield uv, vv, n
         yield from vacuum_circles()
     else:
         for wu2 in range(2, limit2 - 1):
@@ -435,27 +427,24 @@ def _iter_circle_pairs(ell, limit2, policy):
                     for vm in monos_by_w2[wv2]:
                         vv = FockVector.from_monomial(ell, False, vm)
                         for n in tops(wu2, wv2):
-                            yield uv, vv, n, ("circ", um, vm, n)
+                            yield uv, vv, n
 
 
-def build_ospan(rank, window, extra_generators=(), policy=DEFAULT_POLICY,
-                cache_dir=None):
+def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
     """Echelonize the circle span truncated at weight ``window``.
 
-    The echelon depends only on (rank, policy, window), and so does its
-    cache file in ``cache_dir``; a caller with cutoff W and slack S asks
-    for window W+S and answers queries above W itself.
-    ``extra_generators`` are additional bookkeeping rows (weight quotients
-    and the like); an echelon built with them refuses to issue equivalence
-    certificates and is never cached.
+    The echelon holds circle rows only and depends only on (rank, policy,
+    window), and so does its cache file in ``cache_dir``; a caller with
+    cutoff W and slack S asks for window W+S and answers queries above W
+    itself.  Without ``cache_dir`` nothing is read or written.
     """
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
     window2 = 2 * window
-    ech = OSpanEchelon(rank, window2, policy, certifying=not extra_generators)
+    ech = OSpanEchelon(rank, window2, policy)
 
     cache_file = None
-    if cache_dir and not extra_generators:
+    if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         cache_file = os.path.join(cache_dir, f"ospan-{ech.cache_key()}.txt")
         if os.path.exists(cache_file):
@@ -467,14 +456,11 @@ def build_ospan(rank, window, extra_generators=(), policy=DEFAULT_POLICY,
             except (OSError, ValueError):
                 ech.rows.clear()
 
-    for u, v, n, tag in _iter_circle_pairs(rank, window2, policy):
+    for u, v, n in _iter_circle_pairs(rank, window2, policy):
         vec = circ_n(u, v, n)
         if vec.is_zero() or vec.max_weight2() > window2:
             continue
-        ech.insert(vec, tag)
-    for i, vec in enumerate(extra_generators):
-        if vec and vec.max_weight2() <= window2:
-            ech.insert(vec, ("extra", i))
+        ech.insert(vec)
     ech.cache_hit = False
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file.

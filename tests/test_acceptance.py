@@ -6,6 +6,7 @@ the checklist).  All numeric comparisons are exact rational equality; the
 stated wall-clock budgets are asserted too.
 """
 
+import copy
 import itertools
 import os
 import time
@@ -15,7 +16,7 @@ import pytest
 
 from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.runner import RunConfig
-from orbifock.suites import SUITE_NAMES, run_suite
+from orbifock.suites import SUITE_NAMES, _reduce_from_weight, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
                                independence_rank, _fraction_rank)
 from orbifock.twisted import delta_coefficients, twisted_zero_mode
@@ -66,18 +67,29 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
     assert _fraction_rank(rows[:5]) == 5
     assert _fraction_rank(rows) == 5  # S(1,6) falls into the span
 
-    # Leading coefficient -64 of the weight-7 circle relation.
+    # Leading coefficient -64 of the weight-7 circle relation.  The oracle
+    # quotients by weight < 7 with bookkeeping rows: the omega-anchored
+    # circles, then every even monomial below weight 7 inserted as a row.
+    anchored = build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"))
+    oracle = copy.deepcopy(anchored)
     blanket = [FockVector.from_monomial(2, False, mn)
                for w2 in range(0, 13)
                for mn in basis(2, False, F(w2, 2), "even")]
-    anchored = build_ospan(2, 10, extra_generators=blanket,
-                           policy=GeneratorPolicy(pairs="omega"))
+    assert len(blanket) == 71
+    for vec in blanket:
+        oracle.insert(vec)
     circle = circ_n(s_pair(2, 1, 1, 2, 1),
                     single(2, False, [(1, -1)] * 4))
-    nf = anchored.reduce(circle)
-    s16 = anchored.reduce(s_pair(2, 1, 1, 2, 6))
+    nf = oracle.reduce(circle)
+    s16 = oracle.reduce(s_pair(2, 1, 1, 2, 6))
     assert not s16.is_zero()
     assert nf == -64 * s16
+    # The suite drops the low-weight part of a plain normal form instead.
+    top = [FockVector.from_monomial(2, False, mn)
+           for w in range(7, 11) for mn in basis(2, False, w, "even")]
+    assert len(top) == 540
+    for vec in top:
+        assert _reduce_from_weight(anchored, vec, 7) == oracle.reduce(vec)
     elapsed = time.time() - t0
     assert elapsed < 300
     _announce(capsys, 2,

@@ -133,8 +133,9 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     (["verify", "{script}", "--rank", "0"], "--rank"),
     (["verify", "{script}", "--slack", "-3"], "--slack"),
     (["verify", "{script}", "--max-weight", "-1"], "--max-weight"),
+    (["suite", "tables", "--pairs", "omega"], "--pairs"),
 ], ids=["missing-script", "degree-1", "tables-rank-1", "rank-0",
-        "negative-slack", "negative-max-weight"])
+        "negative-slack", "negative-max-weight", "suite-pairs"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("assert_eval w1 on Tplus = 1/16\n")

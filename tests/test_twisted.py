@@ -13,12 +13,16 @@ F = Fraction
 
 
 def hand_series_coefficients(deg):
-    """Independent low-order expansion of -log((sqrt(1+x)+sqrt(1+y))/2).
+    """Series expansion of -log((sqrt(1+x)+sqrt(1+y))/2) to total degree deg.
 
-    Composed by hand from sqrt(1+t) = 1 + t/2 - t^2/8 + t^3/16 - 5t^4/128
-    and -log(1+u) = -u + u^2/2 - u^3/3 + u^4/4, truncated at total degree 4.
+    Composed from sqrt(1+t) = sum s_k t^k, with s_0 = 1 and
+    s_k = s_(k-1) (3/2 - k) / k, and -log(1+u) = -u + u^2/2 - u^3/3 + ...,
+    independently of the closed form the library uses.
     """
-    sq = [F(1), F(1, 2), F(-1, 8), F(1, 16), F(-5, 128)]
+    sq = [F(1)]
+    for k in range(1, deg + 1):
+        sq.append(sq[-1] * (F(3, 2) - k) / k)
+    assert sq[:5] == [F(1), F(1, 2), F(-1, 8), F(1, 16), F(-5, 128)]
     u = {}
     for k in range(1, deg + 1):
         u[k, 0] = sq[k] / 2
@@ -44,11 +48,12 @@ def hand_series_coefficients(deg):
 
 
 def test_coefficients_against_hand_expansion():
-    table = delta_coefficients(4)
-    hand = hand_series_coefficients(4)
-    for m in range(1, 4):
-        for n in range(1, 5 - m):
-            assert table.entries.get((m, n), F(0)) == hand[m, n]
+    table = delta_coefficients(16)
+    hand = hand_series_coefficients(16)
+    expected = {(m, n): hand[m, n]
+                for m in range(1, 16) for n in range(1, 17 - m)}
+    assert len(expected) == 120
+    assert table.entries == expected
     assert table.entries[1, 1] == F(1, 16)
     assert table.entries[1, 3] == F(5, 256)
     assert table.entries[2, 2] == F(9, 512)

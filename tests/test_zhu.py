@@ -170,15 +170,6 @@ def test_is_equiv_examples():
     assert e.is_equiv(lhs, rhs) is Verdict.PROVED_EQUAL
 
 
-def test_noncertifying_echelon_refuses_certificates():
-    blanket = [FockVector.from_monomial(1, False, m)
-               for w in (0, 2) for m in basis(1, False, w, "even")]
-    e = build_ospan(1, 4, extra_generators=blanket)
-    with pytest.raises(ValueError):
-        e.is_equiv(omega(1, 1), FockVector.zero(1))
-    assert e.reduce(FockVector.vacuum(1)).is_zero()
-
-
 def test_policy_validation_and_keys():
     with pytest.raises(ValueError):
         GeneratorPolicy(pairs="bogus")
@@ -203,7 +194,7 @@ ECHELON_GOLDENS = [
 def test_echelon_golden(args, pairs, digest, kept):
     e = build_ospan(*args, policy=GeneratorPolicy(pairs))
     assert hashlib.sha256(e.to_text().encode()).hexdigest() == digest
-    assert len(e.provenance) == kept
+    assert e.rank() == kept
 
 
 def test_echelon_cache_round_trip(tmp_path):
