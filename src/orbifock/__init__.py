@@ -9,14 +9,14 @@ verification suites behind the ``orbifock`` command.
 """
 
 from .coeffs import LPoly
-from .fock import FockVector, SYMBOLIC, apply_mode, basis, make_monomial, theta
+from .fock import FockVector, SYMBOLIC, apply_mode, basis, make_monomial
 from .twisted import DeltaTable, apply_delta, delta_coefficients, twisted_zero_mode
-from .vertex import mode_operator, virasoro, zero_mode
+from .vertex import mode_component, virasoro
 from .zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n,
                   e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
-                  s_alpha, s_pair, star, star_fold, star_power)
-from .toplevel import (FAMILIES, TopLevelAction, conformal_shift, disprove_equiv,
-                       evaluate, evaluate_word, independence_rank)
+                  s_pair, star, star_power)
+from .toplevel import (FAMILIES, TopLevelAction, disprove_equiv, evaluate,
+                       evaluate_word, independence_rank)
 from .script import ScriptError, parse_expr, parse_script, realize
 from .runner import Report, RunConfig, Runner, run_text
 from .suites import run_suite
@@ -26,14 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LPoly", "FockVector", "SYMBOLIC", "apply_mode", "basis",
-    "make_monomial", "theta", "DeltaTable", "apply_delta",
-    "delta_coefficients", "twisted_zero_mode", "mode_operator", "virasoro",
-    "zero_mode", "GeneratorPolicy", "OSpanEchelon", "Verdict", "build_ospan",
-    "circ_n", "e_t", "e_t_bar", "e_u", "e_u_bar", "hgen", "jgen", "lam",
-    "omega", "s_alpha", "s_pair", "star", "star_fold",
-    "star_power", "FAMILIES", "TopLevelAction", "conformal_shift",
-    "disprove_equiv", "evaluate", "evaluate_word", "independence_rank",
-    "ScriptError", "parse_expr", "parse_script", "realize", "Report",
-    "RunConfig", "Runner", "run_text", "run_suite",
-    "emit_tables", "parse_tables", "__version__",
+    "make_monomial", "DeltaTable", "apply_delta", "delta_coefficients",
+    "twisted_zero_mode", "mode_component", "virasoro", "GeneratorPolicy",
+    "OSpanEchelon", "Verdict", "build_ospan", "circ_n", "e_t", "e_t_bar",
+    "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
+    "star_power", "FAMILIES", "TopLevelAction", "disprove_equiv", "evaluate",
+    "evaluate_word", "independence_rank", "ScriptError", "parse_expr",
+    "parse_script", "realize", "Report", "RunConfig", "Runner", "run_text",
+    "run_suite", "emit_tables", "parse_tables", "__version__",
 ]

@@ -270,12 +270,6 @@ def annihilate(terms, gen, n2):
     return out
 
 
-def theta(vec):
-    """The involution scaling each monomial by (-1)^(number of modes)."""
-    return FockVector(vec.ell, vec.twisted,
-                      {m: (c if mono_parity(m) == 1 else -c) for m, c in vec.terms.items()})
-
-
 def _partitions(total, max_part, allowed_step, min_part):
     """Partitions of ``total`` into parts from {min_part, min_part+step, ...}."""
     if total == 0:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import LPoly
-from .fock import FockVector, SYMBOLIC, VACUUM, make_monomial, single
-from .twisted import _zero_modes, twisted_zero_mode
-from .vertex import zero_mode
+from .fock import VACUUM, FockVector
+from .twisted import corrected_terms, twisted_zero_mode
+from .vertex import top_level_matrix
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
 
@@ -35,25 +35,6 @@ FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
 WITNESS_ORDER = ("Hminus", "Mlambda", "Tminus", "Hplus", "Tplus")
 
 _MATRIX_FAMILIES = {"Hminus", "Tminus"}
-
-
-def conformal_shift(fam, rank):
-    """Conformal weight of the family's top level (symbolic for Mlambda)."""
-    if fam == "Hplus":
-        return Fraction(0)
-    if fam == "Hminus":
-        return Fraction(1)
-    if fam == "Tplus":
-        return Fraction(rank, 16)
-    if fam == "Tminus":
-        return Fraction(rank, 16) + Fraction(1, 2)
-    if fam == "Mlambda":
-        half = LPoly.const(rank, 0)
-        for i in range(1, rank + 1):
-            li = LPoly.unit(rank, i)
-            half = half + Fraction(1, 2) * (li * li)
-        return half
-    raise ValueError(f"unknown family {fam!r}")
 
 
 @dataclass(frozen=True)
@@ -198,46 +179,48 @@ def _parse_lpoly(text, rank):
 
 
 def evaluate(u, fam):
-    """The action of o(u) on the family's top level, exactly."""
+    """The action of o(u) on the family's top level, exactly.
+
+    By Wick's theorem a term c * h_{a_1}(-n_1)...h_{a_k}(-n_k) of u acts
+    on a top level only through its balanced mode tuples, and there are few:
+
+    - Hplus: annihilators kill |0> and no zero mode acts, so only the
+      vacuum coefficient of u survives.
+    - Mlambda: annihilators kill |lambda> and creators raise its weight, so
+      every factor takes its zero mode, with coefficient C(-1, n-1) =
+      (-1)^(n-1): the term gives c * prod (-1)^(n_i - 1) l_{a_i}.
+    - Hminus: one contraction and one creation at modes +-1, or none
+      (:func:`orbifock.vertex.top_level_matrix`).
+    - Tplus and Tminus: the same on the remainders of exp(Delta_z) u at
+      modes +-1/2 (:func:`orbifock.twisted.twisted_zero_mode`, which Tplus
+      goes through, and :func:`orbifock.twisted.corrected_terms`).
+    """
     if u.twisted:
         raise ValueError("evaluate expects untwisted states")
     if not u.is_even():
         raise ValueError("evaluate expects even-parity states")
     rank = u.ell
     if fam == "Hplus":
-        w = zero_mode(u, FockVector.vacuum(rank))
-        return TopLevelAction.scalar(w.coeff(VACUUM))
+        return TopLevelAction.scalar(u.coeff(VACUUM))
     if fam == "Mlambda":
-        w = zero_mode(u, FockVector.vacuum(rank), hw=SYMBOLIC)
-        c = w.coeff(VACUUM)
-        if not isinstance(c, LPoly):
-            c = LPoly.const(rank, c)
-        return TopLevelAction.poly(c)
+        terms = {}
+        for mono, c in u.terms.items():
+            exps = [0] * rank
+            for g, n2 in mono:
+                exps[g - 1] += 1
+                if n2 % 4 == 0:  # n = -n2/2 is even
+                    c = -c
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, Fraction(0)) + c
+        return TopLevelAction.poly(LPoly(rank, terms))
     if fam == "Hminus":
-        cols = []
-        for j in range(1, rank + 1):
-            tgt = FockVector.from_monomial(
-                rank, False, make_monomial(rank, False, [(j, -1)]))
-            cols.append(zero_mode(u, tgt))
-        return _matrix_from_columns(cols, rank, False)
+        return TopLevelAction.matrix(top_level_matrix(u.terms, rank, 2))
     if fam == "Tplus":
         w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
         return TopLevelAction.scalar(w.coeff(VACUUM))
     if fam == "Tminus":
-        tgts = [single(rank, True, [(j, Fraction(-1, 2))]) for j in range(1, rank + 1)]
-        return _matrix_from_columns(_zero_modes(u, tgts), rank, True)
+        return TopLevelAction.matrix(top_level_matrix(corrected_terms(u), rank, 1))
     raise ValueError(f"unknown family {fam!r}")
-
-
-def _matrix_from_columns(cols, rank, twisted):
-    n2 = -1 if twisted else -2
-    rows = [[Fraction(0)] * rank for _ in range(rank)]
-    for j, w in enumerate(cols):
-        for mono, c in w.terms.items():
-            if len(mono) != 1 or mono[0][1] != n2:
-                raise AssertionError("zero mode left the top level")
-            rows[mono[0][0] - 1][j] = c
-    return TopLevelAction.matrix(rows)
 
 
 def evaluate_word(factors, fam):

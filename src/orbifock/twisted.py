@@ -24,6 +24,12 @@ module, so those terms never act.  On a monomial, Delta_z contracts a pair
 of equal-generator factors h_i(-p) h_i(-q) with weight ``2 c_pq p q`` (terms
 (p, q) and (q, p)) at exponent -(p+q); Delta^k reaches k disjoint pairs in k!
 orders, so exp(Delta_z) sums over the partial matchings of the factors.
+
+On the top level, spanned by |0>_tw and the h_j(-1/2)|0>_tw, the plain
+field of each remainder acts like an untwisted state's on h_j(-1)|0>: the
+twisted module has no zero mode, so only the empty remainder (a scalar)
+and two-factor remainders (contracting h_b(1/2), creating h_a(-1/2)) act.
+:func:`orbifock.vertex.top_level_matrix` holds that rule.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .fock import FockVector, mono_weight2
-from .vertex import mode_component
+from .vertex import top_level_matrix
 
 
 class DeltaTable:
@@ -130,29 +136,46 @@ def apply_delta(v, table):
             if (w := FockVector(v.ell, False, buckets[s]))}
 
 
-def twisted_zero_mode(v, target, table=None):
-    """The grade-preserving component of the corrected twisted field.
+def corrected_terms(v, table=None):
+    """exp(Delta_z) v as one term dict, summed over its z-buckets.
 
-    Only even (theta-fixed) states have integral components on the twisted
-    module; odd-parity input is rejected.  Without ``table`` the shared
-    table sized by the state's maximal weight is used.
+    The expansion runs once per graded component of v, which must have
+    even parity: only those states have integral components on the twisted
+    module.  Without ``table`` the shared table sized by the state's
+    maximal weight is used.
     """
-    return _zero_modes(v, [target], table)[0]
-
-
-def _zero_modes(v, targets, table=None):
-    """:func:`twisted_zero_mode` on each target, expanding exp(Delta_z) v once."""
     if not v.is_even():
         raise ValueError("twisted components need an even-parity state")
-    if not all(target.twisted for target in targets):
-        raise ValueError("target must live in the twisted sector")
     if table is None:
         table = delta_table(v.max_weight2() // 2)
-    outs = [FockVector.zero(target.ell, True) for target in targets]
-    for w2, comp in v.graded_components().items():
-        if w2 % 2:
-            raise ValueError("state has half-integer weight; no integral zero mode")
-        for shift, w in apply_delta(comp, table).items():
-            outs = [out + mode_component(w, w2 // 2 - 1 + shift, target)
-                    for out, target in zip(outs, targets)]
-    return outs
+    terms = {}
+    for comp in v.graded_components().values():
+        for w in apply_delta(comp, table).values():
+            for mono, c in w.terms.items():
+                terms[mono] = terms.get(mono, 0) + c
+    return terms
+
+
+def twisted_zero_mode(v, target, table=None):
+    """o(v), the grade-preserving component of Y_tw(v, z), on the top level.
+
+    ``target`` must be a combination of |0>_tw and the h_j(-1/2)|0>_tw.
+    """
+    if not target.twisted:
+        raise ValueError("target must live in the twisted sector")
+    if v.ell != target.ell:
+        raise ValueError("rank mismatch between state and target")
+    if any(len(mono) > 1 or (mono and mono[0][1] != -1) for mono in target.terms):
+        raise ValueError("target must lie on the twisted top level")
+    terms = corrected_terms(v, table)
+    rows = top_level_matrix(terms, v.ell, 1)
+    out = {}
+    for mono, c in target.terms.items():
+        if not mono:
+            out[mono] = c * terms.get(mono, 0)
+            continue
+        j = mono[0][0] - 1
+        for i, row in enumerate(rows):
+            key = ((i + 1, -1),)
+            out[key] = out.get(key, 0) + c * row[j]
+    return FockVector(v.ell, True, out)

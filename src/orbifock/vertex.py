@@ -1,25 +1,28 @@
-"""Vertex-operator mode components for free-boson states.
+"""Vertex-operator mode components on the vacuum module of the free boson.
 
 For a state ``v = h_{a_1}(-n_1) ... h_{a_k}(-n_k) |0>`` the field ``Y(v,z)``
 is the normally ordered product of the derived boson currents
 ``(1/(n_i-1)!) d^{n_i-1} alpha_{a_i}(z)``.  Extracting one ``z``-power turns
-this into a finite sum over mode tuples ``(k_1, ..., k_k)``:
+this into a finite sum over integer mode tuples ``(k_1, ..., k_k)``:
 
     v_m = sum over tuples with sum(k_i) = m + 1 - sum(n_i) of
           prod_i C(-k_i - 1, n_i - 1) : h_{a_1}(k_1) ... h_{a_k}(k_k) :
 
-applied with creation modes on the left.  Over integer modes the binomial
-vanishes on the window -n_i < k_i < 0.  The sum is finite because it is
-driven by the target's contractions: an annihilator h_g(k) survives only if
-h_g(-k) occurs in some target monomial, so only those are enumerated, zero
-modes only on highest-weight modules, and the creation modes are whatever
-then closes the sum.  The same expansion runs over half-integer modes on the
-twisted module (where no window vanishes and the surrounding code supplies
-the exponential correction).
+applied with creation modes on the left.  The binomial vanishes on the
+window -n_i < k_i < 0, and a zero mode kills the whole vacuum module.  The
+sum is finite because it is driven by the target's contractions: an
+annihilator h_g(k) survives only if h_g(-k) occurs in some target monomial,
+so only those are enumerated, and the creation modes are whatever then
+closes the sum.
 
 Identical factors are enumerated as multisets: a run of equal mode indices
 over a group of equal factors stands for all its ordered rearrangements,
 with the multiplicity folded into one binomial multiplier.
+
+This engine serves the products of :mod:`orbifock.zhu`.  The top levels of
+the five families need no enumeration: a grade-preserving mode tuple meets
+at most one contraction there, so :mod:`orbifock.toplevel` evaluates them
+in closed form, with :func:`top_level_matrix` for the two matrix families.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import comb
 
-from .coeffs import LPoly
-from .fock import SYMBOLIC, FockVector, annihilate, mono_weight2, single
+from .fock import FockVector, annihilate, mono_weight2, single
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +56,35 @@ def d_coeff2(k2, n):
     return Fraction(num, 2 ** (n - 1) * den)
 
 
-def _grouped_tuples(groups, total2, ann_budget2, twisted, ann_modes, zero_ok):
+def top_level_matrix(terms, rank, k2):
+    """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, as rows.
+
+    ``terms`` maps monomials to coefficients: those of v on the vacuum
+    module (k = 1), or those of the remainders of exp(Delta_z) v on the
+    twisted module (k = 1/2); ``k2`` is twice k.  Neither module has a
+    zero mode, so a grade-preserving mode tuple on h_b(-k)|top> is either
+    empty or contracts h_b(k) against it and creates one h_a(-k).  The
+    vacuum term thus acts as the identity, a two-factor term
+    h_a(-p) h_b(-q) adds k d(k, q) d(-k, p) to entry (a, b) and the mirror
+    term to entry (b, a), and every other term acts as zero.  Here
+    d(k, n) = C(-k-1, n-1) is :func:`d_coeff2`, and entry (a, b) is the
+    coefficient of basis vector a in the image of basis vector b.
+    """
+    k = Fraction(k2, 2)
+    rows = [[Fraction(0)] * rank for _ in range(rank)]
+    for mono, c in terms.items():
+        if not mono:
+            for i in range(rank):
+                rows[i][i] += c
+        elif len(mono) == 2:
+            (a, p2), (b, q2) = mono
+            p, q = -p2 // 2, -q2 // 2
+            rows[a - 1][b - 1] += c * k * d_coeff2(k2, q) * d_coeff2(-k2, p)
+            rows[b - 1][a - 1] += c * k * d_coeff2(k2, p) * d_coeff2(-k2, q)
+    return rows
+
+
+def _grouped_tuples(groups, total2, ann_budget2, ann_modes):
     """The (multiplier, ops) pairs of the grouped mode expansion, as a list.
 
     ``groups`` lists (gen, n, n2, mult) over the source monomial's distinct
@@ -66,11 +96,10 @@ def _grouped_tuples(groups, total2, ann_budget2, twisted, ann_modes, zero_ok):
     maps each generator g to a dict, in descending key order, from each k2
     with h_g(-k2/2) in some target monomial to the most copies of it in one
     monomial.  Those are the only annihilators tried, each at most that many
-    times, since any other one kills every target monomial.  A zero mode is
-    tried only when ``zero_ok`` (a highest-weight module).  Annihilators also
-    respect the target's mode-weight budget ``ann_budget2``, creation depth
-    is bounded by ``ann_budget2 - total2``, and a branch is cut as soon as
-    the indices still open can no longer close the remaining sum.
+    times, since any other one kills every target monomial.  Annihilators
+    also respect the target's mode-weight budget ``ann_budget2``, creation
+    depth is bounded by ``ann_budget2 - total2``, and a branch is cut as
+    soon as the indices still open can no longer close the remaining sum.
     """
     cre_budget2 = ann_budget2 - total2
     if cre_budget2 < 0:
@@ -79,14 +108,8 @@ def _grouped_tuples(groups, total2, ann_budget2, twisted, ann_modes, zero_ok):
     last = ngroups - 1
     # hi[i]: the largest index a factor of group i can take; reach[i]: the
     # largest sum the groups after i can still contribute.
-    hi = []
-    for g, _, n2src, _ in groups:
-        if g in ann_modes:
-            hi.append(next(iter(ann_modes[g])))
-        elif zero_ok:
-            hi.append(0)
-        else:
-            hi.append(-1 if twisted else -n2src)
+    hi = [next(iter(ann_modes[g])) if g in ann_modes else -n2src
+          for g, _, n2src, _ in groups]
     reach = [0] * ngroups
     for i in range(last, 0, -1):
         reach[i - 1] = reach[i] + groups[i][3] * hi[i]
@@ -99,25 +122,17 @@ def _grouped_tuples(groups, total2, ann_budget2, twisted, ann_modes, zero_ok):
             return
         g, n, n2src, _ = groups[gi]
         modes = ann_modes.get(g, {})
-        start = min(-1 if twisted else -n2src, next_max)
+        start = min(-n2src, next_max)
         if gi == last and slots == 1:
             # The final index must close the sum; the check above already
             # keeps it within top, ann2 and cre2.
             k2 = rem2
-            if k2 > 0:
-                ok = k2 in modes
-            elif k2 == 0:
-                ok = zero_ok
-            else:
-                ok = k2 <= start and (start - k2) % 2 == 0
-            if ok:
+            if (k2 in modes) if k2 > 0 else k2 <= start:
                 out.append((mult * d_coeff2(k2, n), (*ops, (g, k2))))
             return
         cap = min(ann2, rem2 + cre2, top)
         cands = [(k2, count if count < slots else slots)
                  for k2, count in modes.items() if k2 <= cap]
-        if zero_ok and top >= 0:
-            cands.append((0, slots))
         low = max(-cre2, rem2 - min(ann2, reach[gi]))
         cands.extend((k2, slots) for k2 in range(start, low - 1, -2))
         base = len(ops)
@@ -150,21 +165,14 @@ def _grouped_tuples(groups, total2, ann_budget2, twisted, ann_modes, zero_ok):
     return out
 
 
-def mode_component(v, m, target, hw=None):
-    """The component v_m of Y(v,z), or of the plain twisted field on H(theta).
-
-    ``v`` is an untwisted state; ``target`` may live in either sector and
-    determines whether modes run over integers or half-integers.  ``hw``
-    feeds the zero-mode action on highest-weight modules (see
-    :func:`orbifock.fock.apply_mode`).
-    """
-    if v.twisted:
-        raise ValueError("expansion states must be untwisted")
+def mode_component(v, m, target):
+    """The component v_m of Y(v,z) applied to ``target``, both untwisted."""
+    if v.twisted or target.twisted:
+        raise ValueError("mode components act on the untwisted vacuum module")
     if v.ell != target.ell:
         raise ValueError("rank mismatch between state and target")
-    twisted = target.twisted
     if target.is_zero() or v.is_zero():
-        return FockVector.zero(target.ell, twisted)
+        return FockVector.zero(target.ell)
     ann_budget2 = target.max_weight2()
     counts = {}
     for tmono in target.terms:
@@ -175,14 +183,12 @@ def mode_component(v, m, target, hw=None):
     ann_modes = {}
     for (g, k2), c in sorted(counts.items(), reverse=True):
         ann_modes.setdefault(g, {})[k2] = c
-    zero_ok = hw is not None and not twisted
     acc = {}
     for mono, c in v.terms.items():
         groups = [(g, -n2 // 2, -n2, sum(1 for _ in grp))
                   for (g, n2), grp in groupby(mono)]
         total2 = 2 * m + 2 - mono_weight2(mono)
-        for mult, ops in _grouped_tuples(groups, total2, ann_budget2,
-                                         twisted, ann_modes, zero_ok):
+        for mult, ops in _grouped_tuples(groups, total2, ann_budget2, ann_modes):
             coeff = c * mult
             terms = target.terms
             creators = []
@@ -191,15 +197,9 @@ def mode_component(v, m, target, hw=None):
                     terms = annihilate(terms, g, k2)
                     if not terms:
                         break
-                elif k2 < 0:
-                    creators.append((g, k2))
-                elif hw == SYMBOLIC:
-                    coeff = coeff * LPoly.unit(v.ell, g)
                 else:
-                    coeff = coeff * hw[g - 1]
-                    if not coeff:
-                        break
-            if not terms or not coeff:
+                    creators.append((g, k2))
+            if not terms:
                 continue
             creators = tuple(creators)
             for tmono, tval in terms.items():
@@ -209,32 +209,10 @@ def mode_component(v, m, target, hw=None):
                     acc[full] = s
                 else:
                     acc.pop(full, None)
-    return FockVector(target.ell, twisted, acc)
+    return FockVector(target.ell, False, acc)
 
 
-def mode_operator(v, m, target, hw=None):
-    """Untwisted component v_m acting on an untwisted target."""
-    if target.twisted:
-        raise ValueError("mode_operator acts on the untwisted sector")
-    return mode_component(v, m, target, hw)
-
-
-def virasoro(a, n, v, hw=None):
+def virasoro(a, n, v):
     """The coordinate Virasoro mode L_a(n), i.e. the quadratic's (n+1)-component."""
-    if v.twisted:
-        raise ValueError("virasoro acts on the untwisted sector")
     omega_a = single(v.ell, False, [(a, -1), (a, -1)], Fraction(1, 2))
-    return mode_component(omega_a, n + 1, v, hw)
-
-
-def zero_mode(v, target, hw=None):
-    """o(v): the grade-preserving component, summed over homogeneous parts."""
-    if target.twisted:
-        raise ValueError("zero_mode acts on untwisted modules; "
-                         "the twisted module needs the corrected field")
-    out = FockVector.zero(target.ell, target.twisted)
-    for w2, comp in v.graded_components().items():
-        if w2 % 2:
-            raise ValueError("state has half-integer weight; no integral zero mode")
-        out = out + mode_component(comp, w2 // 2 - 1, target, hw)
-    return out
+    return mode_component(omega_a, n + 1, v)

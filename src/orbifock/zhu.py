@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .fock import FockVector, basis, mono_weight2, single
-from .vertex import mode_operator
+from .vertex import mode_component
 
 FORMAT_VERSION = 3
 
@@ -37,7 +37,7 @@ def _binomial_sum(u, v, shift):
     for w2, comp in u.graded_components().items():
         w = w2 // 2
         for i in range(w + 1):
-            out = out + comb(w, i) * mode_operator(comp, i - shift, v)
+            out = out + comb(w, i) * mode_component(comp, i - shift, v)
     return out
 
 
@@ -59,17 +59,6 @@ def circ_n(u, v, n=0):
     if u.ell != v.ell:
         raise ValueError("rank mismatch in circ_n")
     return _binomial_sum(u, v, n + 2)
-
-
-def star_fold(factors):
-    """Left-associated star product of a sequence of states."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty product")
-    out = factors[0]
-    for f in factors[1:]:
-        out = star(out, f)
-    return out
 
 
 def star_power(u, k):
@@ -158,17 +147,6 @@ def lam(rank, a, b):
     """The central element seeing only the highest-weight family."""
     _check_offdiag(rank, a, b, "Lam")
     return _s_combo(rank, a, b, [(2, 45), (3, 190), (4, 240), (5, 96)])
-
-
-def s_alpha(rank, pairs):
-    """Star product of the quadratics h_a(-1)h_b(-1) over disjoint index pairs."""
-    seen = set()
-    for a, b in pairs:
-        for i in (a, b):
-            if i in seen:
-                raise ValueError("index pairs must be disjoint")
-            seen.add(i)
-    return star_fold([s_pair(rank, a, 1, b, 1) for a, b in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from orbifock.suites import SUITE_NAMES, _reduce_from_weight, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
                                independence_rank, _fraction_rank)
 from orbifock.twisted import delta_coefficients, twisted_zero_mode
-from orbifock.vertex import mode_operator, virasoro
+from orbifock.vertex import mode_component, virasoro
 from orbifock.zhu import (GeneratorPolicy, Verdict, build_ospan, circ_n, e_t,
                           e_u, hgen, jgen, lam, omega, s_pair, star)
 
@@ -209,7 +209,7 @@ def test_criterion_7_property_suites(capsys):
         out = FockVector.zero(1)
         for w2, comp in u.graded_components().items():
             for i in range(w2 // 2 + 1):
-                out = out + comb(w2 // 2, i) * mode_operator(comp, i - shift, v)
+                out = out + comb(w2 // 2, i) * mode_component(comp, i - shift, v)
         return out
 
     small = [FockVector.from_monomial(1, False, m)

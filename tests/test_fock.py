@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbifock.fock import (FockVector, apply_mode, basis, make_monomial,
-                           mono_key, single, theta)
+                           mono_key, single)
 
 F = Fraction
 
@@ -143,23 +143,6 @@ def test_basis_examples():
     assert set(got) == {"h1(-1)h1(-1)", "h1(-1)h2(-1)", "h2(-1)h2(-1)"}
     assert basis(3, True, 0, "even") == [()]
     assert basis(3, False, 0, "odd") == []
-
-
-def test_theta_signs_and_involution():
-    omega = single(1, False, [(1, -1), (1, -1)], F(1, 2))
-    assert theta(omega) == omega
-    v = single(1, False, [(1, -1)])
-    assert theta(v) == -v
-    mixed = omega + 3 * v
-    assert theta(theta(mixed)) == mixed
-
-
-def test_theta_anticommutes_with_modes():
-    for w in (0, 1, 2):
-        for m in basis(2, False, w, "all"):
-            v = FockVector.from_monomial(2, False, m)
-            for n in (-2, -1, 1):
-                assert theta(apply_mode(1, n, v)) == -apply_mode(1, n, theta(v))
 
 
 def test_vector_arithmetic_drops_zeros():

@@ -13,7 +13,7 @@ import pytest
 
 from orbifock.fock import FockVector, basis
 from orbifock.toplevel import FAMILIES, evaluate
-from orbifock.vertex import mode_operator
+from orbifock.vertex import mode_component
 from orbifock.zhu import (Verdict, build_ospan, circ_n, e_t, e_u, hgen, jgen,
                           lam, omega, s_pair, star)
 
@@ -107,6 +107,6 @@ def test_mode_weight_law_on_products(gens):
     sv = star(u, v)
     for w2, comp in sv.graded_components().items():
         t = FockVector.vacuum(2)
-        out = mode_operator(comp, w2 // 2 - 1, t)
+        out = mode_component(comp, w2 // 2 - 1, t)
         if out:
             assert out.weight() == 0

@@ -7,9 +7,8 @@ import pytest
 import orbifock.twisted as twisted
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, make_monomial, single
-from orbifock.toplevel import (TopLevelAction, conformal_shift, disprove_equiv,
-                               evaluate, evaluate_word, independence_rank,
-                               parse_action)
+from orbifock.toplevel import (TopLevelAction, disprove_equiv, evaluate,
+                               evaluate_word, independence_rank, parse_action)
 from orbifock.zhu import e_t, e_u, hgen, jgen, lam, omega, s_pair, star
 
 F = Fraction
@@ -121,17 +120,6 @@ def test_rank_invariance_under_scaling_and_permutation():
     assert independence_rank(S) == independence_rank(list(reversed(S)))
     scaled = [F(3, 7) * S[0], -2 * S[1], S[2], F(1, 9) * S[3]]
     assert independence_rank(scaled) == independence_rank(S)
-
-
-def test_conformal_shifts():
-    assert conformal_shift("Hplus", 3) == 0
-    assert conformal_shift("Hminus", 3) == 1
-    assert conformal_shift("Tplus", 3) == F(3, 16)
-    assert conformal_shift("Tminus", 3) == F(3, 16) + F(1, 2)
-    shift = conformal_shift("Mlambda", 2)
-    assert isinstance(shift, LPoly)
-    assert shift == F(1, 2) * (LPoly.unit(2, 1) * LPoly.unit(2, 1)) \
-        + F(1, 2) * (LPoly.unit(2, 2) * LPoly.unit(2, 2))
 
 
 def test_action_string_round_trip():

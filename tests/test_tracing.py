@@ -64,3 +64,38 @@ def test_tracer_installs_and_restores_every_name(tmp_path):
     assert [metrics[f"zhu.build_ospan.{outcome}"]
             for outcome in ("uncached", "cache_miss", "cache_hit")] == [1, 1, 1]
     assert metrics["zhu.build_ospan.calls"] == 3
+
+
+EVAL_SCRIPT = """\
+assert_zero_eval circ(w1, J1)
+assert_zero_eval circ(one, one)
+assert_zero_eval w1 * Eu(1,2) - Eu(1,2)
+assert_equiv J1 ~ w1
+assert_eval w1 on Tplus = 1/16
+"""
+
+
+def test_tracer_sees_every_evaluation_layer(monkeypatch):
+    # A small rank-2 script must reach every layer the eval-r2 workload's
+    # per-layer metrics require, so a family that stops going through a
+    # traced entry point (Tplus through twisted_zero_mode, say) fails here.
+    import orbifock.script
+    import orbifock.twisted
+    from orbifock.runner import RunConfig
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(run_id=0)
+    tracer.install()
+    try:
+        monkeypatch.setattr(orbifock.twisted, "_largest", None)
+        stmts = orbifock.script.parse_script(EVAL_SCRIPT, 2)
+        report = Runner(RunConfig(rank=2, cache_dir=None)).run(stmts)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert report.counts() == {"Proved": 4, "Disproved": 1, "Unknown": 0,
+                               "Error": 0}, report.to_text()
+    required = [name for name, workloads in tracing.LAYER_METRICS
+                if "eval-r2" in workloads and name != "trace.overhead_ratio"]
+    assert len(required) == 32
+    assert [name for name in required if not metrics[name]] == []

@@ -153,11 +153,19 @@ def test_twisted_scalars():
 
 
 def test_twisted_grading_preserved():
+    # o(v) keeps the top level's grading; a target above it is refused.
     table = delta_coefficients(8)
     omega = single(2, False, [(1, -1), (1, -1)], F(1, 2))
-    tgt = single(2, True, [(1, F(-3, 2)), (2, F(-1, 2))])
+    tgt = single(2, True, [(1, F(-1, 2))])
     out = twisted_zero_mode(omega, tgt, table)
     assert out and out.weight() == tgt.weight()
+    for above in (single(2, True, [(1, F(-3, 2)), (2, F(-1, 2))]),
+                  single(2, True, [(1, F(-3, 2))]),
+                  tgt + single(2, True, [(1, F(-1, 2)), (2, F(-1, 2))])):
+        with pytest.raises(ValueError):
+            twisted_zero_mode(omega, above, table)
+    with pytest.raises(ValueError):
+        twisted_zero_mode(omega, single(2, False, [(1, -1)]), table)
 
 
 def test_odd_parity_rejected():

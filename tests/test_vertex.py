@@ -1,14 +1,16 @@
-"""Mode components: expansion identities, weights, and the desk oracle."""
+"""Mode components and top-level closed forms against the desk oracle."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from orbifock import vertex
+from orbifock import vertex, zhu
 from orbifock.fock import SYMBOLIC, FockVector, apply_mode, basis, single
-from orbifock.vertex import d_coeff2, mode_component, mode_operator, virasoro, zero_mode
-from orbifock.zhu import build_ospan
+from orbifock.toplevel import FAMILIES, TopLevelAction, evaluate
+from orbifock.twisted import apply_delta, delta_coefficients, twisted_zero_mode
+from orbifock.vertex import d_coeff2, mode_component, virasoro
+from orbifock.zhu import build_ospan, hgen, jgen
 
 F = Fraction
 
@@ -80,7 +82,7 @@ def test_single_mode_state_is_the_current():
                     for m in basis(2, False, w, "all")]
     for t in targets:
         for n in range(-3, 4):
-            assert mode_operator(v, n, t) == apply_mode(1, n, t)
+            assert mode_component(v, n, t) == apply_mode(1, n, t)
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -96,7 +98,7 @@ def test_mode_operator_against_oracle(ell):
     for v in states:
         for m in range(-3, 4):
             for t in targets:
-                assert mode_operator(v, m, t) == oracle_mode_operator(v, m, t)
+                assert mode_component(v, m, t) == oracle_mode_operator(v, m, t)
 
 
 def _states(ell, weights):
@@ -120,46 +122,114 @@ def test_pruned_targets_against_oracle(name):
     states = _states(2, (1, 2, 3)) + [single(2, False, [(1, -1)] * 4)]
     for v in states:
         for m in range(-3, 5):
-            assert mode_operator(v, m, target) == oracle_mode_operator(v, m, target)
+            assert mode_component(v, m, target) == oracle_mode_operator(v, m, target)
+
+
+def oracle_top_level(u, fam, box=1, hw=SYMBOLIC):
+    """o(u) on the family's top level, as the oracle's image vectors.
+
+    One vector per top-level basis vector: the brute-force grade-preserving
+    component of each graded piece, after exp(Delta_z) on the twisted
+    families.  On a top level every surviving mode lies in [-1, 1].
+    ``hw`` is the highest weight of Mlambda.
+    """
+    rank = u.ell
+    if fam in ("Hplus", "Mlambda", "Hminus"):
+        hw = hw if fam == "Mlambda" else None
+        tops = ([FockVector.vacuum(rank)] if fam != "Hminus" else
+                [single(rank, False, [(j, -1)]) for j in range(1, rank + 1)])
+        return [sum((oracle_mode_operator(comp, w2 // 2 - 1, t, hw, box)
+                     for w2, comp in u.graded_components().items()),
+                    FockVector.zero(rank)) for t in tops]
+    tops = ([FockVector.vacuum(rank, twisted=True)] if fam == "Tplus" else
+            [single(rank, True, [(j, F(-1, 2))]) for j in range(1, rank + 1)])
+    table = delta_coefficients(max(2, u.max_weight2() // 2))
+    outs = []
+    for t in tops:
+        out = FockVector.zero(rank, twisted=True)
+        for w2, comp in u.graded_components().items():
+            for shift, w in apply_delta(comp, table).items():
+                out = out + oracle_mode_operator(w, w2 // 2 - 1 + shift, t,
+                                                 box=box)
+        outs.append(out)
+    return outs
+
+
+def action_images(act, fam, rank):
+    """The closed-form action as image vectors, in the oracle's layout."""
+    twisted = fam in ("Tplus", "Tminus")
+    if act.kind != "matrix":
+        return [FockVector.vacuum(rank, twisted, coeff=act.data)]
+    n = F(-1, 2) if twisted else -1
+    return [sum((act.data[i][j] * single(rank, twisted, [(i + 1, n)])
+                 for i in range(rank)), FockVector.zero(rank, twisted))
+            for j in range(rank)]
+
+
+def _even_states(ell, max_weight):
+    return [FockVector.from_monomial(ell, False, m)
+            for w in range(max_weight + 1) for m in basis(ell, False, w, "even")]
+
+
+ORACLE_STATES = (_even_states(1, 8) + _even_states(2, 6) + _even_states(3, 4)
+                 + [gen(ell, a) for ell in (1, 2, 3) for gen in (jgen, hgen)
+                    for a in range(1, ell + 1)])
+
+
+@pytest.mark.parametrize("box", [1, 2])
+def test_top_level_closed_forms_against_oracle(box):
+    # Every family's closed form against the brute-force expansion.  Box 1
+    # holds every mode that can act on a top level; box 2 (weight <= 4)
+    # confirms that the wider modes add nothing.
+    states = ORACLE_STATES if box == 1 else [
+        u for u in ORACLE_STATES if u.max_weight2() <= 8]
+    for u in states:
+        for fam in FAMILIES:
+            got = action_images(evaluate(u, fam), fam, u.ell)
+            assert got == oracle_top_level(u, fam, box), (u, fam)
 
 
 @pytest.mark.parametrize("hw", [(2, -3), (0, 5), SYMBOLIC])
 def test_zero_modes_against_oracle(hw):
-    # On a highest-weight module a zero mode multiplies by hw[g-1] (or l_g)
-    # instead of killing the term.
-    targets = [FockVector.vacuum(2), single(2, False, [(2, -1)]),
-               PRUNED_TARGETS["h1(-1)^2 h2(-2)"],
-               PRUNED_TARGETS["h1(-1)^2 + h1(-2)"]]
-    for v in _states(2, (1, 2, 3)):
-        for m in range(-2, 4):
-            for t in targets:
-                assert (mode_operator(v, m, t, hw)
-                        == oracle_mode_operator(v, m, t, hw))
+    # On a highest-weight top level every factor acts by its zero mode,
+    # which multiplies by hw[g-1] (or l_g).  The Mlambda polynomial, read at
+    # a numeric weight, must match the oracle's numeric zero modes.
+    for u in _even_states(2, 6) + [jgen(2, 1), hgen(2, 2)]:
+        poly = evaluate(u, "Mlambda").data
+        if hw != SYMBOLIC:
+            poly = sum((c * F(hw[0]) ** e[0] * F(hw[1]) ** e[1]
+                        for e, c in poly.terms.items()), F(0))
+        want = oracle_top_level(u, "Mlambda", hw=hw)
+        assert [FockVector.vacuum(2, coeff=poly)] == want, u
 
 
-@pytest.mark.parametrize("modes", [
-    [(1, F(-1, 2)), (1, F(-1, 2))],
-    [(1, F(-3, 2)), (2, F(-1, 2))],
-], ids=["h1(-1/2)^2", "h1(-3/2)h2(-1/2)"])
-def test_twisted_targets_against_oracle(modes):
-    target = single(2, True, modes)
-    for v in _states(2, (1, 2, 3)):
-        for m in range(-2, 4):
-            assert (mode_component(v, m, target)
-                    == oracle_mode_operator(v, m, target))
+@pytest.mark.parametrize("target", [
+    FockVector.vacuum(2, twisted=True) + single(2, True, [(1, F(-1, 2))]),
+    single(2, True, [(1, F(-1, 2))]) - 2 * single(2, True, [(2, F(-1, 2))]),
+], ids=["|0>+h1(-1/2)", "h1(-1/2)-2h2(-1/2)"])
+def test_twisted_zero_mode_against_oracle(target):
+    # Mixed top-level targets, against the oracle's corrected components.
+    table = delta_coefficients(8)
+    for u in _even_states(2, 4) + [jgen(2, 1), hgen(2, 2)]:
+        want = FockVector.zero(2, twisted=True)
+        for w2, comp in u.graded_components().items():
+            for shift, w in apply_delta(comp, table).items():
+                want = want + oracle_mode_operator(w, w2 // 2 - 1 + shift,
+                                                   target, box=1)
+        assert twisted_zero_mode(u, target, table) == want, u
 
 
 def test_expansion_tries_only_the_targets_contractions(monkeypatch):
     # Over every circle of the rank-2 window-6 span, each annihilator the
     # enumeration proposes must meet its own mode in some target monomial,
-    # and no zero mode is proposed on the vacuum module.
-    seen = {"target": None, "hw": None, "annihilators": 0}
+    # and no zero mode is ever proposed.
+    seen = {"target": None, "annihilators": 0}
     inner_component = vertex.mode_component
     inner_tuples = vertex._grouped_tuples
 
-    def component(v, m, target, hw=None):
-        seen["target"], seen["hw"] = target, hw
-        return inner_component(v, m, target, hw)
+    def component(v, m, target):
+        seen["target"] = target
+        return inner_component(v, m, target)
 
     def tuples(*args):
         out = list(inner_tuples(*args))
@@ -169,10 +239,10 @@ def test_expansion_tries_only_the_targets_contractions(monkeypatch):
                 if k2 > 0:
                     assert (g, -k2) in target_modes, (ops, seen["target"])
                     seen["annihilators"] += 1
-                assert k2 != 0 or seen["hw"] is not None, ops
+                assert k2 != 0, ops
         return out
 
-    monkeypatch.setattr(vertex, "mode_component", component)
+    monkeypatch.setattr(zhu, "mode_component", component)
     monkeypatch.setattr(vertex, "_grouped_tuples", tuples)
     assert build_ospan(2, 6).rank() > 0
     assert seen["annihilators"] > 0
@@ -182,7 +252,7 @@ def test_mode_weight_bookkeeping():
     v = single(1, False, [(1, -2), (1, -1)])
     t = single(1, False, [(1, -1), (1, -1)])
     for m in range(-3, 4):
-        out = mode_operator(v, m, t)
+        out = mode_component(v, m, t)
         if out:
             assert out.weight() == v.weight() + t.weight() - m - 1
 
@@ -195,7 +265,7 @@ def test_virasoro_matches_quadratic_modes():
                    for m in basis(1, False, w, "all")]
     for v in states:
         for n in range(-4, 3):
-            assert virasoro(1, n, v) == mode_operator(omega, n + 1, v)
+            assert virasoro(1, n, v) == mode_component(omega, n + 1, v)
 
 
 def test_virasoro_grades_and_creates():
@@ -227,18 +297,18 @@ def test_translation_property_of_components():
             v = FockVector.from_monomial(1, False, mono)
             lv = virasoro(1, -1, v)
             for m in range(-2, 4):
-                assert mode_operator(lv, m, t) == (-m) * mode_operator(v, m - 1, t)
+                assert mode_component(lv, m, t) == (-m) * mode_component(v, m - 1, t)
 
 
 def test_zero_mode_identity_and_rejections():
     v = FockVector.vacuum(2)
     t = single(2, False, [(1, -1)])
-    assert zero_mode(v, t) == t
+    assert mode_component(v, -1, t) == t
     with pytest.raises(ValueError):
-        zero_mode(single(2, False, [(1, -1)]),
-                  FockVector.vacuum(2, twisted=True))
+        mode_component(single(2, False, [(1, -1)]), 0,
+                       FockVector.vacuum(2, twisted=True))
     with pytest.raises(ValueError):
-        mode_operator(single(2, True, [(1, F(-1, 2))]), 0, t)
+        mode_component(single(2, True, [(1, F(-1, 2))]), 0, t)
 
 
 def test_zero_mode_on_highest_weight_vectors():
@@ -246,12 +316,7 @@ def test_zero_mode_on_highest_weight_vectors():
     J = (single(1, False, [(1, -1)] * 4)
          + single(1, False, [(1, -3), (1, -1)], -2)
          + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
-    out = zero_mode(J, FockVector.vacuum(1), hw=SYMBOLIC)
-    assert str(out.coeff(())) == "-1/2*l1^2 + l1^4"
-
+    assert str(evaluate(J, "Mlambda")) == "-1/2*l1^2 + l1^4"
+    # S(1,1;2,1) swaps the two vectors of the Hminus top level.
     S11 = single(2, False, [(1, -1), (2, -1)])
-    for c in (1, 2):
-        tgt = single(2, False, [(c, -1)])
-        got = zero_mode(S11, tgt)
-        want = single(2, False, [(2 if c == 1 else 1, -1)])
-        assert got == want
+    assert evaluate(S11, "Hminus") == TopLevelAction.matrix([[0, 1], [1, 0]])

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from orbifock.fock import FockVector, basis, single
-from orbifock.vertex import mode_operator, virasoro
+from orbifock.vertex import mode_component, virasoro
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n, e_t,
-                          e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_alpha, s_pair, star, star_power)
+                          e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_pair, star, star_power)
 
 F = Fraction
 
@@ -22,7 +22,7 @@ def naive_product(u, v, shift):
     for w2, comp in u.graded_components().items():
         w = w2 // 2
         for i in range(w + 1):
-            out = out + comb(w, i) * mode_operator(comp, i - shift, v)
+            out = out + comb(w, i) * mode_component(comp, i - shift, v)
     return out
 
 
@@ -110,13 +110,6 @@ def test_generator_formulas():
         e_u(2, 1, 1)
     with pytest.raises(ValueError):
         lam(2, 3, 1)
-    with pytest.raises(ValueError):
-        s_alpha(4, [(1, 2), (2, 3)])
-
-
-def test_s_alpha_is_star_chain():
-    got = s_alpha(4, [(1, 2), (3, 4)])
-    assert got == single(4, False, [(1, -1), (2, -1), (3, -1), (4, -1)])
 
 
 def test_echelon_contains_shift_row(echelon1):
