@@ -66,7 +66,12 @@ def main(argv=None):
                    help="extra weight allowed for circle tails; the echelon "
                         "is keyed by max-weight + slack (default 2)")
     p.add_argument("--pairs", choices=("all", "omega", "quadratic"),
-                   default="all", help="circle generator policy")
+                   default="all",
+                   help="circle generator policy, by the left factors of "
+                        "circ_n(a, v): omega = the w_a; all = the w_a, the "
+                        "h_a(-1)h_b(-1) with a < b and the J_a (default); "
+                        "quadratic = the two-mode monomials, paired with each "
+                        "other")
 
     p = sub.add_parser("suite", help="run a built-in suite")
     p.add_argument("name", choices=SUITE_NAMES)

@@ -270,8 +270,16 @@ class _Parser:
         value = Fraction(int(tok.text))
         if self.peek().text == "/" and self.peek(1).kind == "int":
             self.next()
-            value /= int(self.next().text)
+            value /= self.parse_denominator()
         return value
+
+    def parse_denominator(self):
+        tok = self.next()
+        if tok.kind != "int":
+            raise ScriptError("expected a denominator", tok.line, tok.col)
+        if int(tok.text) == 0:
+            raise ScriptError("zero denominator", tok.line, tok.col)
+        return int(tok.text)
 
     def at_atom_start(self, expected):
         tok = self.peek()
@@ -374,10 +382,7 @@ class _Parser:
             idx = Fraction(int(num.text))
             if self.peek().text == "/":
                 self.next()
-                den = self.next()
-                if den.kind != "int":
-                    raise ScriptError("expected a denominator", den.line, den.col)
-                idx /= int(den.text)
+                idx /= self.parse_denominator()
             self.expect(")")
             modes.append((gen, -idx))
             nxt = self.peek()

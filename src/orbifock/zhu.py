@@ -20,12 +20,13 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, product
 from math import comb, gcd
 
-from .fock import FockVector, basis, mono_weight2, single
+from .fock import FockVector, basis, single
 from .vertex import mode_component
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +157,22 @@ def lam(rank, a, b):
 class GeneratorPolicy:
     """Which circle elements seed the truncated span.
 
-    ``pairs="all"`` takes every ordered pair of even monomials whose full
-    circle fits the cutoff.  ``"omega"`` restricts to pairs with one side a
-    coordinate conformal vector (plus vacuum circles for every monomial),
-    the family behind the one-sided weight-reduction arguments.
-    ``"quadratic"`` pairs two-mode monomials with each other (plus vacuum
-    circles), which is what the four-index sign relations come from.
+    A policy is a pair of factor lists.  The span is seeded by the vacuum
+    circles circ_n(m, |0>) of every even monomial m, and by circ_n(a, v) for
+    each left factor a and each right factor v, over every n whose full
+    circle fits the window.  The right factors are the even monomials of
+    weight >= 1 unless a policy says otherwise.  The policies nest:
+
+    - ``"omega"``: left = the coordinate conformal vectors omega_a, the
+      family behind the one-sided weight-reduction arguments.
+    - ``"all"`` (the default): left = the omega_a, the off-diagonal
+      quadratics h_a(-1)h_b(-1) (a < b) and the singlets J_a, the
+      generators the paper works from.  At every window tested this spans
+      the same space as circ_n(u, v) over all ordered pairs of even
+      monomials.  J_a is needed only at rank 1: without it the rank-1 span
+      loses one dimension at window 10 and two at window 12.
+    - ``"quadratic"``: left = right = the two-mode monomials of every
+      weight, which is what the four-index sign relations come from.
     """
 
     pairs: str = "all"
@@ -172,6 +183,18 @@ class GeneratorPolicy:
 
     def key(self):
         return f"pairs={self.pairs}"
+
+    def factors(self, ell, monos):
+        """(left, right) factor lists, given the even monomials of weight >= 1."""
+        if self.pairs == "quadratic":
+            quads = [v for v in monos if all(len(m) == 2 for m in v.terms)]
+            return quads, quads
+        gens = range(1, ell + 1)
+        left = [omega(ell, a) for a in gens]
+        if self.pairs == "all":
+            left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
+            left += [jgen(ell, a) for a in gens]
+        return left, monos
 
 
 DEFAULT_POLICY = GeneratorPolicy()
@@ -356,56 +379,19 @@ class OSpanEchelon:
             self.rows[pivot] = row
 
 
-def _iter_circle_pairs(ell, limit2, policy):
-    """Yield (u_vec, v_vec, n) whose full circle fits within limit2."""
-    monos_by_w2 = {}
-    for w2 in range(0, limit2 + 1):
-        monos_by_w2[w2] = basis(ell, False, Fraction(w2, 2), "even")
+def _iter_circle_pairs(ell, columns, limit2, policy):
+    """Yield (u_vec, v_vec, n) whose full circle fits within limit2.
 
-    def tops(wu2, wv2):
-        # top weight of circ_n is wt u + wt v + n + 1
-        return range(0, (limit2 - wu2 - wv2 - 2) // 2 + 1)
-
-    def vacuum_circles():
-        for wu2 in range(2, limit2 - 1):
-            for um in monos_by_w2[wu2]:
-                uv = FockVector.from_monomial(ell, False, um)
-                for n in tops(wu2, 0):
-                    yield uv, FockVector.vacuum(ell), n
-
-    if policy.pairs == "omega":
-        for a in range(1, ell + 1):
-            om = omega(ell, a)
-            for wv2 in range(2, limit2 - 5):
-                for vm in monos_by_w2[wv2]:
-                    vv = FockVector.from_monomial(ell, False, vm)
-                    for n in tops(4, wv2):
-                        yield om, vv, n
-                        yield vv, om, n
-        yield from vacuum_circles()
-    elif policy.pairs == "quadratic":
-        quads = [m for w2 in range(2, limit2 + 1)
-                 for m in monos_by_w2[w2] if len(m) == 2]
-        for um in quads:
-            uv = FockVector.from_monomial(ell, False, um)
-            wu2 = mono_weight2(um)
-            for vm in quads:
-                wv2 = mono_weight2(vm)
-                if wu2 + wv2 + 2 > limit2:
-                    continue
-                vv = FockVector.from_monomial(ell, False, vm)
-                for n in tops(wu2, wv2):
-                    yield uv, vv, n
-        yield from vacuum_circles()
-    else:
-        for wu2 in range(2, limit2 - 1):
-            for um in monos_by_w2[wu2]:
-                uv = FockVector.from_monomial(ell, False, um)
-                for wv2 in range(0, limit2 - wu2 - 1):
-                    for vm in monos_by_w2[wv2]:
-                        vv = FockVector.from_monomial(ell, False, vm)
-                        for n in tops(wu2, wv2):
-                            yield uv, vv, n
+    ``columns`` are the echelon's even monomials.  The vacuum circles come
+    first, then every (left, right) pair of the policy's factors.
+    """
+    monos = [FockVector.from_monomial(ell, False, m) for m in columns if m]
+    left, right = policy.factors(ell, monos)
+    vac = FockVector.vacuum(ell)
+    for u, v in chain(((m, vac) for m in monos), product(left, right)):
+        # top weight of circ_n is wt u + wt v + n + 1; every factor is homogeneous
+        for n in range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1):
+            yield u, v, n
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
@@ -434,11 +420,10 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
             except (OSError, ValueError):
                 ech.rows.clear()
 
-    for u, v, n in _iter_circle_pairs(rank, window2, policy):
+    for u, v, n in _iter_circle_pairs(rank, ech.columns, window2, policy):
         vec = circ_n(u, v, n)
-        if vec.is_zero() or vec.max_weight2() > window2:
-            continue
-        ech.insert(vec)
+        if not vec.is_zero():
+            ech.insert(vec)
     ech.cache_hit = False
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file.

@@ -126,6 +126,16 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+def test_cli_zero_denominator_exit_2(tmp_path, capsys):
+    script = tmp_path / "zero.txt"
+    script.write_text("assert_equiv 1/0 ~ 0\n")
+    assert main(["verify", str(script), "--rank", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "syntax error" in captured.err
+
+
 @pytest.mark.parametrize("argv, names", [
     (["verify", "{missing}"], "cannot read script"),
     (["delta-table", "--degree", "1"], "--degree"),

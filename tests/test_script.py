@@ -107,6 +107,18 @@ def test_syntax_errors_carry_location():
         parse_script("assert_rank [w1] = x")
 
 
+@pytest.mark.parametrize("text", [
+    "assert_equiv 1/0 ~ 0",
+    "assert_equiv h1(-1/0)h1(-1) ~ 0",
+    "assert_eval w1 on Tplus = 1/0",
+], ids=["scalar", "mode-index", "expected-value"])
+def test_zero_denominator_is_a_syntax_error(text):
+    with pytest.raises(ScriptError) as err:
+        parse_script(text, rank=2)
+    assert "zero denominator" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, text.index("/0") + 2)
+
+
 def test_index_errors():
     with pytest.raises(ScriptError):
         parse_script("assert_equiv Eu(1,1) ~ 0", rank=3)
