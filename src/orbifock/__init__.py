@@ -20,7 +20,7 @@ from .toplevel import (FAMILIES, TopLevelAction, disprove_equiv, evaluate,
 from .script import ScriptError, parse_expr, parse_script, realize
 from .runner import Report, RunConfig, Runner, run_text
 from .suites import run_suite
-from .tables import emit_tables, parse_tables
+from .tables import emit_tables
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "star_power", "FAMILIES", "TopLevelAction", "disprove_equiv", "evaluate",
     "evaluate_word", "independence_rank", "ScriptError", "parse_expr",
     "parse_script", "realize", "Report", "RunConfig", "Runner", "run_text",
-    "run_suite", "emit_tables", "parse_tables", "__version__",
+    "run_suite", "emit_tables", "__version__",
 ]

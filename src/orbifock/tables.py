@@ -1,4 +1,4 @@
-"""Canonical top-level action tables, their emission and reparsing.
+"""Canonical top-level action tables and their emission.
 
 Three tables cover the generator actions on the five module families: the
 quadratics h_1(-1)h_2(-m) for m = 1..5, the five matrix-unit/center
@@ -13,7 +13,7 @@ import io
 import json
 
 from .script import parse_expr, realize
-from .toplevel import evaluate, parse_action
+from .toplevel import evaluate
 
 # Golden actions, table -> element label -> family -> expected value, in the
 # script language; each element is built by parsing its label.
@@ -78,27 +78,4 @@ def emit_tables(rank, fmt="csv"):
                      for tnum, label, fam, action in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_tables(text, fmt, rank=None):
-    """Reparse emitted tables into (table, element, family, action) rows."""
-    out = []
-    if fmt == "csv":
-        if rank is None:
-            raise ValueError("csv reparsing needs the rank")
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["table", "element", "family", "action"]:
-            raise ValueError("unrecognized table header")
-        for tnum, label, fam, action in reader:
-            out.append((int(tnum), label, fam, parse_action(action, fam, rank)))
-        return out
-    if fmt == "json":
-        payload = json.loads(text)
-        rank = payload["rank"] if rank is None else rank
-        for row in payload["rows"]:
-            out.append((row["table"], row["element"], row["family"],
-                        parse_action(row["action"], row["family"], rank)))
-        return out
     raise ValueError(f"unknown format {fmt!r}")

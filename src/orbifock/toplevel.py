@@ -141,43 +141,6 @@ class TopLevelAction:
         return self.to_string()
 
 
-def parse_action(text, fam, rank):
-    """Inverse of :meth:`TopLevelAction.to_string` for a known family."""
-    text = text.strip()
-    if fam in _MATRIX_FAMILIES:
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"matrix action expected, got {text!r}")
-        rows = [[Fraction(v) for v in row.split(",")]
-                for row in text[1:-1].split(";")]
-        return TopLevelAction.matrix(rows)
-    if fam == "Mlambda":
-        return TopLevelAction.poly(_parse_lpoly(text, rank))
-    return TopLevelAction.scalar(Fraction(text))
-
-
-def _parse_lpoly(text, rank):
-    total = LPoly.const(rank, 0)
-    text = text.replace(" - ", " + -")
-    for part in text.split(" + "):
-        part = part.strip()
-        if not part or part == "0":
-            continue
-        coeff = Fraction(1)
-        exps = [0] * rank
-        for factor in part.split("*"):
-            factor = factor.strip()
-            if factor.startswith("-l"):
-                coeff = -coeff
-                factor = factor[1:]
-            if factor.startswith("l"):
-                sym, _, pw = factor.partition("^")
-                exps[int(sym[1:]) - 1] += int(pw) if pw else 1
-            else:
-                coeff *= Fraction(factor)
-        total = total + LPoly(rank, {tuple(exps): coeff})
-    return total
-
-
 def evaluate(u, fam):
     """The action of o(u) on the family's top level, exactly.
 

@@ -168,7 +168,8 @@ def twisted_zero_mode(v, target, table=None):
     if any(len(mono) > 1 or (mono and mono[0][1] != -1) for mono in target.terms):
         raise ValueError("target must lie on the twisted top level")
     terms = corrected_terms(v, table)
-    rows = top_level_matrix(terms, v.ell, 1)
+    # Only the one-mode terms of the target read the matrix.
+    rows = top_level_matrix(terms, v.ell, 1) if any(target.terms) else None
     out = {}
     for mono, c in target.terms.items():
         if not mono:

@@ -1,35 +1,35 @@
 """Vertex-operator mode components on the vacuum module of the free boson.
 
-For a state ``v = h_{a_1}(-n_1) ... h_{a_k}(-n_k) |0>`` the field ``Y(v,z)``
-is the normally ordered product of the derived boson currents
-``(1/(n_i-1)!) d^{n_i-1} alpha_{a_i}(z)``.  Extracting one ``z``-power turns
-this into a finite sum over integer mode tuples ``(k_1, ..., k_k)``:
+The state a = h_g(-1)|0> has the modes a_k = h_g(k), and every monomial is
+built from such factors: h_g(-n) w = a_{-n} w.  The Borcherds identity for
+a_{-n} w therefore peels one factor off a monomial at a time:
 
-    v_m = sum over tuples with sum(k_i) = m + 1 - sum(n_i) of
-          prod_i C(-k_i - 1, n_i - 1) : h_{a_1}(k_1) ... h_{a_k}(k_k) :
+    (h_g(-n) w)_q t = sum_{i >= 0} C(n+i-1, i) [ h_g(-n-i) w_{q+i} t
+                                                - (-1)^n w_{q-n-i} h_g(i) t ]
 
-applied with creation modes on the left.  The binomial vanishes on the
-window -n_i < k_i < 0, and a zero mode kills the whole vacuum module.  The
-sum is finite because it is driven by the target's contractions: an
-annihilator h_g(k) survives only if h_g(-k) occurs in some target monomial,
-so only those are enumerated, and the creation modes are whatever then
-closes the sum.
+with |0>_q t = delta_{q,-1} t at the bottom.  Both sums are finite.  The
+component w_{q+i} t has weight wt w + wt t - q - i - 1, so the first sum
+stops once that is negative.  In the second, h_g(0) kills the vacuum
+module and h_g(i) with i >= 1 contracts a factor h_g(-i) of t, so only the
+i with h_g(-i) in t contribute.
 
-Identical factors are enumerated as multisets: a run of equal mode indices
-over a group of equal factors stands for all its ordered rearrangements,
-with the multiplicity folded into one binomial multiplier.
+The recursion runs per (state monomial, target monomial) pair and memoizes
+each (monomial, q, target monomial) it meets.  The memo lives for one
+product: :func:`orbifock.zhu.star` and :func:`orbifock.zhu.circ_n` create
+it and pass it to each of their :func:`mode_component` calls, which share
+peeled suffixes and contracted targets.  No component outlives its product.
 
 This engine serves the products of :mod:`orbifock.zhu`.  The top levels of
-the five families need no enumeration: a grade-preserving mode tuple meets
-at most one contraction there, so :mod:`orbifock.toplevel` evaluates them
-in closed form, with :func:`top_level_matrix` for the two matrix families.
+the five families need no mode expansion: a grade-preserving mode tuple
+meets at most one contraction there, so :mod:`orbifock.toplevel` evaluates
+them in closed form, with :func:`top_level_matrix` for the two matrix
+families.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 
 from .fock import FockVector, annihilate, mono_weight2, single
@@ -37,10 +37,11 @@ from .fock import FockVector, annihilate, mono_weight2, single
 
 @lru_cache(maxsize=None)
 def d_coeff2(k2, n):
-    """The expansion coefficient C(-k-1, n-1) with k given as a twice-value.
+    """The coefficient C(-k-1, n-1), with k given as a twice-value.
 
-    Integer for integer modes, Fraction for half-integer ones; zero exactly
-    when k is an integer with -n < k < 0.
+    It weighs the mode h(k) in the field of h(-n)|0>; its user is
+    :func:`top_level_matrix`.  Integer for integer modes, Fraction for
+    half-integer ones; zero exactly when k is an integer with -n < k < 0.
     """
     if n == 1:
         return 1
@@ -84,131 +85,60 @@ def top_level_matrix(terms, rank, k2):
     return rows
 
 
-def _grouped_tuples(groups, total2, ann_budget2, ann_modes):
-    """The (multiplier, ops) pairs of the grouped mode expansion, as a list.
+def _component(mono, q, tmono, memo):
+    """mono_q tmono as a term dict, peeling mono's first factor h_g(-n).
 
-    ``groups`` lists (gen, n, n2, mult) over the source monomial's distinct
-    factors; ``ops`` assigns each factor a twice-index, nonincreasing inside
-    each group, and ``multiplier`` counts the ordered tuples the multiset
-    stands for times the product of expansion coefficients.
-
-    The expansion is driven by the target's contractions: ``ann_modes``
-    maps each generator g to a dict, in descending key order, from each k2
-    with h_g(-k2/2) in some target monomial to the most copies of it in one
-    monomial.  Those are the only annihilators tried, each at most that many
-    times, since any other one kills every target monomial.  Annihilators
-    also respect the target's mode-weight budget ``ann_budget2``, creation
-    depth is bounded by ``ann_budget2 - total2``, and a branch is cut as
-    soon as the indices still open can no longer close the remaining sum.
+    Writes mono = h_g(-n) w and applies the Borcherds identity (module
+    docstring); the memo holds every (monomial, q, target monomial) met.
     """
-    cre_budget2 = ann_budget2 - total2
-    if cre_budget2 < 0:
-        return []
-    ngroups = len(groups)
-    last = ngroups - 1
-    # hi[i]: the largest index a factor of group i can take; reach[i]: the
-    # largest sum the groups after i can still contribute.
-    hi = [next(iter(ann_modes[g])) if g in ann_modes else -n2src
-          for g, _, n2src, _ in groups]
-    reach = [0] * ngroups
-    for i in range(last, 0, -1):
-        reach[i - 1] = reach[i] + groups[i][3] * hi[i]
-    out = []
-    ops = []
-
-    def rec(gi, slots, next_max, rem2, ann2, cre2, mult):
-        top = hi[gi] if hi[gi] < next_max else next_max
-        if rem2 > ann2 or rem2 > slots * top + reach[gi] or rem2 < -cre2:
-            return
-        g, n, n2src, _ = groups[gi]
-        modes = ann_modes.get(g, {})
-        start = min(-n2src, next_max)
-        if gi == last and slots == 1:
-            # The final index must close the sum; the check above already
-            # keeps it within top, ann2 and cre2.
-            k2 = rem2
-            if (k2 in modes) if k2 > 0 else k2 <= start:
-                out.append((mult * d_coeff2(k2, n), (*ops, (g, k2))))
-            return
-        cap = min(ann2, rem2 + cre2, top)
-        cands = [(k2, count if count < slots else slots)
-                 for k2, count in modes.items() if k2 <= cap]
-        low = max(-cre2, rem2 - min(ann2, reach[gi]))
-        cands.extend((k2, slots) for k2 in range(start, low - 1, -2))
-        base = len(ops)
-        for k2, most in cands:
-            d = d_coeff2(k2, n)
-            dc = 1
-            for c in range(1, most + 1):
-                if k2 > 0 and c * k2 > ann2:
-                    break
-                if k2 < 0 and -c * k2 > cre2:
-                    break
-                dc = dc * d
-                ops.append((g, k2))
-                r2 = rem2 - c * k2
-                a2 = ann2 - c * k2 if k2 > 0 else ann2
-                c2 = cre2 + c * k2 if k2 < 0 else cre2
-                m2 = mult * comb(slots, c) * dc
-                if c < slots:
-                    rec(gi, slots - c, k2 - 2, r2, a2, c2, m2)
-                elif gi < last:
-                    rec(gi + 1, groups[gi + 1][3], hi[gi + 1], r2, a2, c2, m2)
-                elif r2 == 0:
-                    out.append((m2, tuple(ops)))
-            del ops[base:]
-
-    if ngroups:
-        rec(0, groups[0][3], hi[0], total2, ann_budget2, cre_budget2, 1)
-    elif total2 == 0:
-        out.append((1, ()))
+    key = (mono, q, tmono)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if not mono:
+        if q == -1:
+            out[tmono] = 1
+        memo[key] = out
+        return out
+    (g, n2), w = mono[0], mono[1:]
+    n = -n2 // 2
+    # w_{q+i} tmono has weight wt w + wt tmono - q - i - 1, which must be >= 0.
+    for i in range((mono_weight2(w) + mono_weight2(tmono)) // 2 - q):
+        c = comb(n + i - 1, i)
+        mode = (g, n2 - 2 * i)
+        for wmono, x in _component(w, q + i, tmono, memo).items():
+            full = tuple(sorted((*wmono, mode)))
+            out[full] = out.get(full, 0) + c * x
+    # h_g(i) t, i >= 1, contracts a factor h_g(-i) of t; h_g(0) kills t.
+    sign = -1 if n % 2 == 0 else 1
+    for k2 in {-m2 for h, m2 in tmono if h == g}:
+        i = k2 // 2
+        c = sign * comb(n + i - 1, i)
+        for reduced, y in annihilate({tmono: 1}, g, k2).items():
+            for wmono, x in _component(w, q - n - i, reduced, memo).items():
+                out[wmono] = out.get(wmono, 0) + c * y * x
+    memo[key] = out
     return out
 
 
-def mode_component(v, m, target):
-    """The component v_m of Y(v,z) applied to ``target``, both untwisted."""
+def mode_component(v, m, target, *, memo=None):
+    """The component v_m of Y(v,z) applied to ``target``, both untwisted.
+
+    ``memo`` is shared by the calls of one product (see the module
+    docstring); each call without one gets a fresh dict.
+    """
     if v.twisted or target.twisted:
         raise ValueError("mode components act on the untwisted vacuum module")
     if v.ell != target.ell:
         raise ValueError("rank mismatch between state and target")
-    if target.is_zero() or v.is_zero():
-        return FockVector.zero(target.ell)
-    ann_budget2 = target.max_weight2()
-    counts = {}
-    for tmono in target.terms:
-        for (g, n2), grp in groupby(tmono):
-            c = sum(1 for _ in grp)
-            if c > counts.get((g, -n2), 0):
-                counts[(g, -n2)] = c
-    ann_modes = {}
-    for (g, k2), c in sorted(counts.items(), reverse=True):
-        ann_modes.setdefault(g, {})[k2] = c
+    if memo is None:
+        memo = {}
     acc = {}
     for mono, c in v.terms.items():
-        groups = [(g, -n2 // 2, -n2, sum(1 for _ in grp))
-                  for (g, n2), grp in groupby(mono)]
-        total2 = 2 * m + 2 - mono_weight2(mono)
-        for mult, ops in _grouped_tuples(groups, total2, ann_budget2, ann_modes):
-            coeff = c * mult
-            terms = target.terms
-            creators = []
-            for g, k2 in ops:
-                if k2 > 0:
-                    terms = annihilate(terms, g, k2)
-                    if not terms:
-                        break
-                else:
-                    creators.append((g, k2))
-            if not terms:
-                continue
-            creators = tuple(creators)
-            for tmono, tval in terms.items():
-                full = tuple(sorted(tmono + creators)) if creators else tmono
-                s = acc.get(full, 0) + coeff * tval
-                if s:
-                    acc[full] = s
-                else:
-                    acc.pop(full, None)
+        for tmono, tc in target.terms.items():
+            for full, x in _component(mono, m, tmono, memo).items():
+                acc[full] = acc.get(full, 0) + c * tc * x
     return FockVector(target.ell, False, acc)
 
 

@@ -33,12 +33,16 @@ FORMAT_VERSION = 4
 # Products
 
 def _binomial_sum(u, v, shift):
-    """sum_i C(wt u, i) u_{i-shift} v, over the homogeneous parts of u."""
+    """sum_i C(wt u, i) u_{i-shift} v, over the homogeneous parts of u.
+
+    The mode components share one memo, which lives for this product only.
+    """
     out = FockVector.zero(u.ell)
+    memo = {}
     for w2, comp in u.graded_components().items():
         w = w2 // 2
         for i in range(w + 1):
-            out = out + comb(w, i) * mode_component(comp, i - shift, v)
+            out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)
     return out
 
 

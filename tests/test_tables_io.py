@@ -1,14 +1,13 @@
-"""Table emission: golden fragments, determinism, and reparse round-trips."""
+"""Table emission: golden fragments, determinism, and read-back round trips."""
 
-from fractions import Fraction
+import csv
+import io
+import json
 
 import pytest
 
-from orbifock.tables import emit_tables, parse_tables, table_actions
-from orbifock.toplevel import TopLevelAction, evaluate
-from orbifock.zhu import s_pair
-
-F = Fraction
+from orbifock.script import parse_script, realize_expected
+from orbifock.tables import GOLDEN, emit_tables, table_actions
 
 
 def test_row_counts():
@@ -35,27 +34,42 @@ def test_rank_one_matrices_error():
         emit_tables(1, "csv")
 
 
+def _golden_cells(rank):
+    # The golden expected value of every row, realized in the script language
+    # and rendered as the emitted action cell.
+    cells = []
+    for tnum, elements in GOLDEN.items():
+        for label, row in elements.items():
+            for fam, expected in row.items():
+                stmt, = parse_script(f"assert_eval {label} on {fam} = {expected}")
+                act = realize_expected(stmt.payload[2], fam, rank)
+                cells.append([str(tnum), label, fam, act.to_string()])
+    return cells
+
+
 def test_csv_round_trip():
+    # Emitted csv read back by the csv module gives the computed rows, and
+    # every action cell equals the golden value of its row.
     for rank in (2, 3):
-        text = emit_tables(rank, "csv")
-        rows = parse_tables(text, "csv", rank)
-        assert rows == [tuple(r) for r in table_actions(rank)]
+        rows = list(csv.reader(io.StringIO(emit_tables(rank, "csv"))))
+        computed = [[str(t), label, fam, a.to_string()]
+                    for t, label, fam, a in table_actions(rank)]
+        assert rows == [["table", "element", "family", "action"]] + computed
+        assert rows[1:] == _golden_cells(rank)
 
 
 def test_json_round_trip():
-    text = emit_tables(3, "json")
-    rows = parse_tables(text, "json")
-    want = table_actions(3)
-    assert rows == want
-    # Round-tripped actions are usable objects, not strings.
-    S14 = next(a for _, label, fam, a in rows
-               if label == "S(1,1;2,4)" and fam == "Tminus")
-    assert isinstance(S14, TopLevelAction)
-    assert S14 == evaluate(s_pair(3, 1, 1, 2, 4), "Tminus")
+    for rank in (2, 3):
+        payload = json.loads(emit_tables(rank, "json"))
+        assert payload["rank"] == rank
+        rows = [[str(r["table"]), r["element"], r["family"], r["action"]]
+                for r in payload["rows"]]
+        computed = [[str(t), label, fam, a.to_string()]
+                    for t, label, fam, a in table_actions(rank)]
+        assert rows == computed
+        assert rows == _golden_cells(rank)
 
 
 def test_bad_format_rejected():
     with pytest.raises(ValueError):
         emit_tables(2, "xml")
-    with pytest.raises(ValueError):
-        parse_tables("x", "xml")

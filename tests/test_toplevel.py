@@ -8,7 +8,7 @@ import orbifock.twisted as twisted
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, make_monomial, single
 from orbifock.toplevel import (TopLevelAction, disprove_equiv, evaluate,
-                               evaluate_word, independence_rank, parse_action)
+                               evaluate_word, independence_rank)
 from orbifock.zhu import e_t, e_u, hgen, jgen, lam, omega, s_pair, star
 
 F = Fraction
@@ -120,16 +120,6 @@ def test_rank_invariance_under_scaling_and_permutation():
     assert independence_rank(S) == independence_rank(list(reversed(S)))
     scaled = [F(3, 7) * S[0], -2 * S[1], S[2], F(1, 9) * S[3]]
     assert independence_rank(scaled) == independence_rank(S)
-
-
-def test_action_string_round_trip():
-    for fam in ("Hminus", "Tminus"):
-        act = evaluate(s_pair(2, 1, 1, 2, 4), fam)
-        assert parse_action(act.to_string(), fam, 2) == act
-    act = evaluate(jgen(2, 1), "Mlambda")
-    assert parse_action(act.to_string(), "Mlambda", 2) == act
-    act = evaluate(omega(2, 1), "Tplus")
-    assert parse_action(act.to_string(), "Tplus", 2) == act
 
 
 def test_matrix_arithmetic_guards():

@@ -1,16 +1,17 @@
 """Mode components and top-level closed forms against the desk oracle."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from orbifock import vertex, zhu
 from orbifock.fock import SYMBOLIC, FockVector, apply_mode, basis, single
 from orbifock.toplevel import FAMILIES, TopLevelAction, evaluate
 from orbifock.twisted import apply_delta, delta_coefficients, twisted_zero_mode
 from orbifock.vertex import d_coeff2, mode_component, virasoro
-from orbifock.zhu import build_ospan, hgen, jgen
+from orbifock.zhu import hgen, jgen
 
 F = Fraction
 
@@ -219,33 +220,39 @@ def test_twisted_zero_mode_against_oracle(target):
         assert twisted_zero_mode(u, target, table) == want, u
 
 
-def test_expansion_tries_only_the_targets_contractions(monkeypatch):
-    # Over every circle of the rank-2 window-6 span, each annihilator the
-    # enumeration proposes must meet its own mode in some target monomial,
-    # and no zero mode is ever proposed.
-    seen = {"target": None, "annihilators": 0}
-    inner_component = vertex.mode_component
-    inner_tuples = vertex._grouped_tuples
+def gbinom(k, j):
+    # C(k, j) for any integer k: a falling factorial over j!.
+    num = 1
+    for i in range(j):
+        num *= k - i
+    return num // factorial(j)
 
-    def component(v, m, target):
-        seen["target"] = target
-        return inner_component(v, m, target)
 
-    def tuples(*args):
-        out = list(inner_tuples(*args))
-        target_modes = {mode for mono in seen["target"].terms for mode in mono}
-        for _, ops in out:
-            for g, k2 in ops:
-                if k2 > 0:
-                    assert (g, -k2) in target_modes, (ops, seen["target"])
-                    seen["annihilators"] += 1
-                assert k2 != 0, ops
-        return out
+CASES = 1000
 
-    monkeypatch.setattr(zhu, "mode_component", component)
-    monkeypatch.setattr(vertex, "_grouped_tuples", tuples)
-    assert build_ospan(2, 6).rank() > 0
-    assert seen["annihilators"] > 0
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_commutator_with_heisenberg_modes(ell):
+    # [h_a(k), v_m] w = sum_{j>=1} C(k, j) (h_a(j) v)_{m+k-j} w for k of both
+    # signs, on states and targets up to weight 6, beyond the oracle's box.
+    rng = random.Random(ell)
+    monos = [mono for wt in range(7) for mono in basis(ell, False, wt, "all")]
+    nonzero = 0
+    for _ in range(CASES):
+        v = FockVector.from_monomial(ell, False, rng.choice(monos))
+        w = FockVector.from_monomial(ell, False, rng.choice(monos))
+        a = rng.randint(1, ell)
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        m = rng.randint(-3, (v.max_weight2() + w.max_weight2()) // 2)
+        lhs = (apply_mode(a, k, mode_component(v, m, w))
+               - mode_component(v, m, apply_mode(a, k, w)))
+        rhs = FockVector.zero(ell)
+        for j in range(1, v.max_weight2() // 2 + 1):
+            rhs = rhs + gbinom(k, j) * mode_component(
+                apply_mode(a, j, v), m + k - j, w)
+        assert lhs == rhs, (v, w, a, k, m)
+        nonzero += bool(lhs)
+    assert nonzero > CASES // 3
 
 
 def test_mode_weight_bookkeeping():
