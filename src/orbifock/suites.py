@@ -281,6 +281,10 @@ def _multiplication_tables(report, rank):
     """Full product tables of the two unit families, under evaluation."""
     units = _unit_words(rank)
     fams = FAMILIES
+    # Each unit word is evaluated once per family; a product of two words
+    # acts as the product of their actions.
+    acts = {(key, fam): evaluate_word(word, fam)
+            for key, word in units.items() for fam in fams}
     bad = []
     checks = 0
     for kind in ("u", "t"):
@@ -288,12 +292,11 @@ def _multiplication_tables(report, rank):
             for b in range(1, rank + 1):
                 for c in range(1, rank + 1):
                     for d in range(1, rank + 1):
-                        word = units[kind, a, b] + units[kind, c, d]
                         checks += 1
                         for fam in fams:
-                            got = evaluate_word(word, fam)
+                            got = acts[(kind, a, b), fam] * acts[(kind, c, d), fam]
                             if b == c:
-                                want = evaluate_word(units[kind, a, d], fam)
+                                want = acts[(kind, a, d), fam]
                             else:
                                 want = got.zero(fam, rank)
                             if got != want:
@@ -309,11 +312,11 @@ def _multiplication_tables(report, rank):
         for b in range(1, rank + 1):
             for c in range(1, rank + 1):
                 for d in range(1, rank + 1):
-                    for word in (units["u", a, b] + units["t", c, d],
-                                 units["t", c, d] + units["u", a, b]):
+                    for left, right in ((("u", a, b), ("t", c, d)),
+                                        (("t", c, d), ("u", a, b))):
                         checks += 1
                         for fam in fams:
-                            if not evaluate_word(word, fam).is_zero():
+                            if not (acts[left, fam] * acts[right, fam]).is_zero():
                                 bad.append((a, b, c, d, fam))
     _native(report,
             f"mutual annihilation of the two unit families, rank {rank} "

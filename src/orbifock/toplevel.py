@@ -156,7 +156,10 @@ def evaluate(u, fam):
       (:func:`orbifock.vertex.top_level_matrix`).
     - Tplus and Tminus: the same on the remainders of exp(Delta_z) u at
       modes +-1/2 (:func:`orbifock.twisted.twisted_zero_mode`, which Tplus
-      goes through, and :func:`orbifock.twisted.corrected_terms`).
+      goes through, and :func:`orbifock.twisted.corrected_terms`).  Only
+      the empty remainder and the two-factor ones act, so Tplus expands
+      exp(Delta_z) u to its perfect matchings only and Tminus to the
+      matchings that leave at most two factors.
     """
     if u.twisted:
         raise ValueError("evaluate expects untwisted states")
@@ -182,7 +185,8 @@ def evaluate(u, fam):
         w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
         return TopLevelAction.scalar(w.coeff(VACUUM))
     if fam == "Tminus":
-        return TopLevelAction.matrix(top_level_matrix(corrected_terms(u), rank, 1))
+        terms = corrected_terms(u, keep=2)
+        return TopLevelAction.matrix(top_level_matrix(terms, rank, 1))
     raise ValueError(f"unknown family {fam!r}")
 
 

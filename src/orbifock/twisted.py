@@ -29,7 +29,13 @@ On the top level, spanned by |0>_tw and the h_j(-1/2)|0>_tw, the plain
 field of each remainder acts like an untwisted state's on h_j(-1)|0>: the
 twisted module has no zero mode, so only the empty remainder (a scalar)
 and two-factor remainders (contracting h_b(1/2), creating h_a(-1/2)) act.
-:func:`orbifock.vertex.top_level_matrix` holds that rule.
+:func:`orbifock.vertex.top_level_matrix` holds that rule.  A grade-preserving
+mode tuple meets at most one contraction there, because a top-level vector
+has at most one factor, so a remainder of four or more factors never acts.
+Matchings remove factors in pairs, so an even state leaves only remainders
+of even length.  The top-level callers therefore expand exp(Delta_z) only
+up to remainders of two factors (``keep=2``), or none (``keep=0``) when
+|0>_tw alone is read, and the result is exact.
 """
 
 from __future__ import annotations
@@ -87,31 +93,44 @@ def delta_table(degree):
     return _largest
 
 
-def _matchings(modes, table):
-    """{unmatched modes: weight} over the partial matchings of ``modes``.
+def _matchings(modes, table, keep, memo):
+    """{unmatched modes: weight} over the partial matchings of ``modes``
+    that leave at most ``keep`` of them unmatched.
 
     ``modes`` is one generator's creation modes n (for h(-n)), in order; the
     first stays, or pairs with each distinct later mode times its count.
+    ``memo`` holds every (modes, keep) met, with keep capped at len(modes).
     """
+    keep = min(keep, len(modes))
+    key = (modes, keep)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if len(modes) < 2:
-        return {modes: 1}
-    first, rest = modes[0], modes[1:]
-    out = {(first,) + rem: w for rem, w in _matchings(rest, table).items()}
-    for j, second in enumerate(rest):
-        c = table.entries.get((first, second))
-        if c and not (j and rest[j - 1] == second):
-            pair = 2 * c * first * second * rest.count(second)
-            for rem, w in _matchings(rest[:j] + rest[j + 1:], table).items():
-                out[rem] = out.get(rem, 0) + pair * w
+        out = {modes: 1} if len(modes) <= keep else {}
+    else:
+        first, rest = modes[0], modes[1:]
+        out = {(first,) + rem: w for rem, w in
+               _matchings(rest, table, keep - 1, memo).items()} if keep else {}
+        for j, second in enumerate(rest):
+            c = table.entries.get((first, second))
+            if c and not (j and rest[j - 1] == second):
+                pair = 2 * c * first * second * rest.count(second)
+                for rem, w in _matchings(rest[:j] + rest[j + 1:], table,
+                                         keep, memo).items():
+                    out[rem] = out.get(rem, 0) + pair * w
+    memo[key] = out
     return out
 
 
-def apply_delta(v, table):
-    """The finite expansion of exp(Delta_z) v, keyed by z-exponent.
+def apply_delta(v, table, keep=None):
+    """The expansion of exp(Delta_z) v, keyed by z-exponent.
 
     Each monomial expands into its partial matchings, one generator at a
     time; a matching that removes weight k lands at exponent -k, so that
-    bucket is homogeneous of weight(v) - k when v is homogeneous.  Requires
+    bucket is homogeneous of weight(v) - k when v is homogeneous.  With
+    ``keep``, a remainder of more than ``keep`` factors is dropped, across
+    the generators together; ``None`` keeps the full expansion.  Requires
     the table degree to cover the state's mode-weight.
     """
     if v.twisted:
@@ -120,14 +139,19 @@ def apply_delta(v, table):
         raise ValueError(
             f"delta table degree {table.max_degree} too small for a state of "
             f"weight {Fraction(v.max_weight2(), 2)}")
+    if keep is None:
+        keep = max(map(len, v.terms), default=0)
+    memo = {}
     buckets = {}
     for mono, c in v.terms.items():
         partial = {(): c}
         for gen, factors in groupby(mono, key=itemgetter(0)):
-            matched = _matchings(tuple(-n2 // 2 for _, n2 in factors), table)
+            matched = _matchings(tuple(-n2 // 2 for _, n2 in factors), table,
+                                 keep, memo)
             partial = {head + tuple((gen, -2 * n) for n in rem): w * coeff
                        for head, coeff in partial.items()
-                       for rem, w in matched.items()}
+                       for rem, w in matched.items()
+                       if len(head) + len(rem) <= keep}
         for rem, coeff in partial.items():
             terms = buckets.setdefault(
                 (mono_weight2(rem) - mono_weight2(mono)) // 2, {})
@@ -136,13 +160,16 @@ def apply_delta(v, table):
             if (w := FockVector(v.ell, False, buckets[s]))}
 
 
-def corrected_terms(v, table=None):
+def corrected_terms(v, table=None, keep=None):
     """exp(Delta_z) v as one term dict, summed over its z-buckets.
 
     The expansion runs once per graded component of v, which must have
     even parity: only those states have integral components on the twisted
-    module.  Without ``table`` the shared table sized by the state's
-    maximal weight is used.
+    module.  ``keep`` goes to :func:`apply_delta`: the top-level action
+    reads only the remainders of 0 and 2 factors (module docstring), so
+    ``keep=2`` loses nothing there and ``keep=0`` gives the scalar part.
+    Without ``table`` the shared table sized by the state's maximal weight
+    is used.
     """
     if not v.is_even():
         raise ValueError("twisted components need an even-parity state")
@@ -150,7 +177,7 @@ def corrected_terms(v, table=None):
         table = delta_table(v.max_weight2() // 2)
     terms = {}
     for comp in v.graded_components().values():
-        for w in apply_delta(comp, table).values():
+        for w in apply_delta(comp, table, keep=keep).values():
             for mono, c in w.terms.items():
                 terms[mono] = terms.get(mono, 0) + c
     return terms
@@ -160,6 +187,10 @@ def twisted_zero_mode(v, target, table=None):
     """o(v), the grade-preserving component of Y_tw(v, z), on the top level.
 
     ``target`` must be a combination of |0>_tw and the h_j(-1/2)|0>_tw.
+    |0>_tw reads only the empty remainder of exp(Delta_z) v and the
+    h_j(-1/2)|0>_tw only the remainders of at most two factors, so the
+    expansion stops there: at 0 factors when the target is a multiple of
+    |0>_tw, at 2 otherwise.
     """
     if not target.twisted:
         raise ValueError("target must live in the twisted sector")
@@ -167,9 +198,10 @@ def twisted_zero_mode(v, target, table=None):
         raise ValueError("rank mismatch between state and target")
     if any(len(mono) > 1 or (mono and mono[0][1] != -1) for mono in target.terms):
         raise ValueError("target must lie on the twisted top level")
-    terms = corrected_terms(v, table)
     # Only the one-mode terms of the target read the matrix.
-    rows = top_level_matrix(terms, v.ell, 1) if any(target.terms) else None
+    one_mode = any(target.terms)
+    terms = corrected_terms(v, table, keep=2 if one_mode else 0)
+    rows = top_level_matrix(terms, v.ell, 1) if one_mode else None
     out = {}
     for mono, c in target.terms.items():
         if not mono:

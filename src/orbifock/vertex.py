@@ -15,9 +15,13 @@ i with h_g(-i) in t contribute.
 
 The recursion runs per (state monomial, target monomial) pair and memoizes
 each (monomial, q, target monomial) it meets.  The memo lives for one
-product: :func:`orbifock.zhu.star` and :func:`orbifock.zhu.circ_n` create
-it and pass it to each of their :func:`mode_component` calls, which share
-peeled suffixes and contracted targets.  No component outlives its product.
+product, or for the circles of one pair: :func:`orbifock.zhu.star` and
+:func:`orbifock.zhu.circ_n` create it and pass it to each of their
+:func:`mode_component` calls, which share peeled suffixes and contracted
+targets, and :func:`orbifock.zhu.build_ospan` hands one memo to the
+circles circ_n(u, v) of a pair over all its n, whose components u_m v
+overlap.  No component outlives its pair, so a build holds the memo of
+one pair at a time; a memo shared by the whole build would grow with it.
 
 This engine serves the products of :mod:`orbifock.zhu`.  The top levels of
 the five families need no mode expansion: a grade-preserving mode tuple

@@ -32,13 +32,16 @@ FORMAT_VERSION = 4
 # ---------------------------------------------------------------------------
 # Products
 
-def _binomial_sum(u, v, shift):
+def _binomial_sum(u, v, shift, memo=None):
     """sum_i C(wt u, i) u_{i-shift} v, over the homogeneous parts of u.
 
-    The mode components share one memo, which lives for this product only.
+    The mode components share one memo.  Without ``memo`` it lives for this
+    product only; a caller may pass one to share it between the products
+    of one pair (u, v).
     """
     out = FockVector.zero(u.ell)
-    memo = {}
+    if memo is None:
+        memo = {}
     for w2, comp in u.graded_components().items():
         w = w2 // 2
         for i in range(w + 1):
@@ -55,15 +58,19 @@ def star(u, v):
     return _binomial_sum(u, v, 1)
 
 
-def circ_n(u, v, n=0):
-    """The circle element circ_n(u, v); always a member of the span O."""
+def circ_n(u, v, n=0, *, memo=None):
+    """The circle element circ_n(u, v); always a member of the span O.
+
+    ``memo`` may be shared by the circles of one pair (u, v) over several
+    n: their mode components u_m v overlap (see :func:`_binomial_sum`).
+    """
     if n < 0:
         raise ValueError("circle index n must be nonnegative")
     _check_even_untwisted(u, "circ_n")
     _check_even_untwisted(v, "circ_n")
     if u.ell != v.ell:
         raise ValueError("rank mismatch in circ_n")
-    return _binomial_sum(u, v, n + 2)
+    return _binomial_sum(u, v, n + 2, memo)
 
 
 def star_power(u, k):
@@ -384,7 +391,7 @@ class OSpanEchelon:
 
 
 def _iter_circle_pairs(ell, columns, limit2, policy):
-    """Yield (u_vec, v_vec, n) whose full circle fits within limit2.
+    """Yield (u_vec, v_vec, ns): the n whose full circle fits within limit2.
 
     ``columns`` are the echelon's even monomials.  The vacuum circles come
     first, then every (left, right) pair of the policy's factors.
@@ -394,8 +401,7 @@ def _iter_circle_pairs(ell, columns, limit2, policy):
     vac = FockVector.vacuum(ell)
     for u, v in chain(((m, vac) for m in monos), product(left, right)):
         # top weight of circ_n is wt u + wt v + n + 1; every factor is homogeneous
-        for n in range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1):
-            yield u, v, n
+        yield u, v, range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1)
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
@@ -424,10 +430,13 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
             except (OSError, ValueError):
                 ech.rows.clear()
 
-    for u, v, n in _iter_circle_pairs(rank, ech.columns, window2, policy):
-        vec = circ_n(u, v, n)
-        if not vec.is_zero():
-            ech.insert(vec)
+    for u, v, ns in _iter_circle_pairs(rank, ech.columns, window2, policy):
+        # One memo per pair: each u_m v is computed once across all n.
+        memo = {}
+        for n in ns:
+            vec = circ_n(u, v, n, memo=memo)
+            if not vec.is_zero():
+                ech.insert(vec)
     ech.cache_hit = False
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file.

@@ -131,9 +131,9 @@ def test_tminus_expands_each_state_once(monkeypatch):
     real = twisted.apply_delta
     calls = []
 
-    def counting(v, table):
+    def counting(v, table, keep=None):
         calls.append(v)
-        return real(v, table)
+        return real(v, table, keep=keep)
 
     monkeypatch.setattr(twisted, "apply_delta", counting)
     for u in (jgen(3, 1), jgen(3, 1) + omega(3, 2)):

@@ -99,3 +99,34 @@ def test_tracer_sees_every_evaluation_layer(monkeypatch):
                 if "eval-r2" in workloads and name != "trace.overhead_ratio"]
     assert len(required) == 32
     assert [name for name in required if not metrics[name]] == []
+
+
+CERTIFY_SCRIPT = """\
+assert_equiv (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 ~ 0
+assert_rank [w1, J1, H1] = 3
+"""
+
+
+def test_tracer_sees_every_cold_build_layer(tmp_path):
+    # A certificate on an empty cache must reach every layer the
+    # certify-cold workload's per-layer metrics require, so a build that
+    # stops going through a traced entry point (circ_n, say) fails here.
+    import orbifock.script
+    from orbifock.runner import RunConfig
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(run_id=0)
+    tracer.install()
+    try:
+        stmts = orbifock.script.parse_script(CERTIFY_SCRIPT, 1)
+        config = RunConfig(rank=1, max_weight=8, slack=2, cache_dir=str(tmp_path))
+        report = Runner(config).run(stmts)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert report.counts() == {"Proved": 2, "Disproved": 0, "Unknown": 0,
+                               "Error": 0}, report.to_text()
+    assert metrics["zhu.build_ospan.cache_miss"] == 1
+    required = [name for name, workloads in tracing.LAYER_METRICS
+                if "certify-cold" in workloads and name != "trace.overhead_ratio"]
+    assert [name for name in required if not metrics[name]] == []

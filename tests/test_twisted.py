@@ -126,6 +126,30 @@ def test_matching_expansion_matches_operator_form():
         assert apply_delta(v, table) == reference_delta(v, table), v
 
 
+def test_truncated_expansion_drops_only_long_remainders():
+    table = delta_coefficients(8)
+    states = [FockVector.from_monomial(2, False, mono)
+              for weight in range(9) for mono in basis(2, False, weight, "even")]
+    states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
+               for a in range(1, ell + 1)]
+    short = 0
+    for v in states:
+        full = apply_delta(v, table)
+        for keep in (0, 2):
+            want = {}
+            for s, w in full.items():
+                kept = FockVector(v.ell, False, {mono: c for mono, c in w.terms.items()
+                                                 if len(mono) <= keep})
+                if kept:
+                    want[s] = kept
+            got = apply_delta(v, table, keep=keep)
+            assert got == want, (v, keep)
+            assert list(got) == list(want), (v, keep)
+            short += any(len(mono) > keep for w in full.values() for mono in w.terms)
+    # The truncation drops something in more than half of the cases.
+    assert short > len(states)
+
+
 def test_bucket_weights():
     table = delta_coefficients(8)
     J = (single(1, False, [(1, -1)] * 4)

@@ -9,8 +9,9 @@ import pytest
 
 from orbifock.fock import FockVector, basis, single
 from orbifock.vertex import mode_component, virasoro
-from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n, e_t,
-                          e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_pair, star, star_power)
+from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, Verdict, _iter_circle_pairs,
+                          build_ospan, circ_n, e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam,
+                          omega, s_pair, star, star_power)
 
 F = Fraction
 
@@ -257,6 +258,20 @@ def test_omega_span_matches_both_orders(ell, window):
     got = build_ospan(ell, window, policy=GeneratorPolicy("omega"))
     want = echelon_of(ell, window, omega_two_order_circles(ell, window))
     assert canonical_rows(got) == canonical_rows(want)
+
+
+@pytest.mark.parametrize("pairs", ["all", "quadratic"])
+def test_circle_memo_shared_across_n(pairs):
+    # build_ospan hands one memo to the circles of a pair over all n.
+    policy = GeneratorPolicy(pairs)
+    columns = OSpanEchelon(2, 12, policy).columns
+    shared = 0
+    for u, v, ns in _iter_circle_pairs(2, columns, 12, policy):
+        memo = {}
+        for n in ns:
+            assert circ_n(u, v, n, memo=memo) == circ_n(u, v, n), (u, v, n)
+        shared += len(ns) > 1
+    assert shared > 20
 
 
 def test_policies_nest_in_all():
