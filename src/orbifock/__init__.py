@@ -9,9 +9,9 @@ verification suites behind the ``orbifock`` command.
 """
 
 from .coeffs import LPoly
-from .fock import FockVector, SYMBOLIC, apply_mode, basis, make_monomial
+from .fock import FockVector, basis, make_monomial
 from .twisted import DeltaTable, apply_delta, delta_coefficients, twisted_zero_mode
-from .vertex import mode_component, virasoro
+from .vertex import mode_component
 from .zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n,
                   e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
                   s_pair, star, star_power)
@@ -25,9 +25,9 @@ from .tables import emit_tables
 __version__ = "0.1.0"
 
 __all__ = [
-    "LPoly", "FockVector", "SYMBOLIC", "apply_mode", "basis",
-    "make_monomial", "DeltaTable", "apply_delta", "delta_coefficients",
-    "twisted_zero_mode", "mode_component", "virasoro", "GeneratorPolicy",
+    "LPoly", "FockVector", "basis", "make_monomial", "DeltaTable",
+    "apply_delta", "delta_coefficients", "twisted_zero_mode",
+    "mode_component", "GeneratorPolicy",
     "OSpanEchelon", "Verdict", "build_ospan", "circ_n", "e_t", "e_t_bar",
     "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
     "star_power", "FAMILIES", "TopLevelAction", "disprove_equiv", "evaluate",

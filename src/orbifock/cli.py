@@ -68,10 +68,10 @@ def main(argv=None):
     p.add_argument("--pairs", choices=("all", "omega", "quadratic"),
                    default="all",
                    help="circle generator policy, by the left factors of "
-                        "circ_n(a, v): omega = the w_a; all = the w_a, the "
-                        "h_a(-1)h_b(-1) with a < b and the J_a (default); "
-                        "quadratic = the two-mode monomials, paired with each "
-                        "other")
+                        "circ_0(a, v): omega = the w_a; all = the w_a, the "
+                        "h_a(-1)h_b(-1) with a < b and, at rank 1, J_1 "
+                        "(default); quadratic = the two-mode monomials, "
+                        "paired with each other")
 
     p = sub.add_parser("suite", help="run a built-in suite")
     p.add_argument("name", choices=SUITE_NAMES)

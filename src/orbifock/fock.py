@@ -17,9 +17,6 @@ from itertools import combinations_with_replacement
 
 from .coeffs import LPoly
 
-# Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g.
-SYMBOLIC = "symbolic"
-
 # A monomial is a tuple of (gen, n2) pairs; the vacuum is the empty tuple.
 VACUUM = ()
 
@@ -211,44 +208,6 @@ class FockVector:
 def single(ell, twisted, modes, coeff=1):
     """Vector with one monomial, given as (gen, n) pairs."""
     return FockVector.from_monomial(ell, twisted, make_monomial(ell, twisted, modes), coeff)
-
-
-def _insert_mode(mono, gen, n2):
-    """Insert one creation mode, keeping the canonical sort."""
-    out = list(mono)
-    key = (gen, n2)
-    lo = 0
-    while lo < len(out) and out[lo] <= key:
-        lo += 1
-    out.insert(lo, key)
-    return tuple(out)
-
-
-def apply_mode(gen, n, vec, hw=None):
-    """Act with the Heisenberg mode h_gen(n) on a vector.
-
-    Creation modes (n < 0) multiply into each monomial.  Annihilation modes
-    contract against matching creation modes via [h_a(m), h_b(k)] = m d_ab
-    d_{m+k,0}.  The zero mode multiplies by the highest-weight pairing: the
-    polynomial l_gen when ``hw`` is :data:`SYMBOLIC`, the given numeric value
-    when ``hw`` is a tuple, and 0 when ``hw`` is None (the vacuum module).
-    """
-    n2 = _to_n2(n)
-    if not 1 <= gen <= vec.ell:
-        raise ValueError(f"generator index {gen} out of range 1..{vec.ell}")
-    if (n2 % 2 != 0) != vec.twisted:
-        raise ValueError(f"mode index {n} does not match the vector's sector")
-    ell, twisted = vec.ell, vec.twisted
-    if n2 < 0:
-        return FockVector(ell, twisted,
-                          {_insert_mode(m, gen, n2): c for m, c in vec.terms.items()})
-    if n2 == 0:
-        if hw is None:
-            return FockVector.zero(ell, twisted)
-        if hw == SYMBOLIC:
-            return vec.scale(LPoly.unit(ell, gen))
-        return vec.scale(hw[gen - 1])
-    return FockVector(ell, twisted, annihilate(vec.terms, gen, n2))
 
 
 def annihilate(terms, gen, n2):

@@ -57,10 +57,14 @@ class StatementResult:
 
 
 class Report:
-    """Per-statement outcomes plus the overall verdict."""
+    """Per-statement outcomes plus the overall verdict.
+
+    ``header`` is the ``# config:`` text, the full configuration by default.
+    """
 
     def __init__(self, config):
         self.config = config
+        self.header = config.describe()
         self.results = []
         self.cache_hits = 0
 
@@ -79,7 +83,7 @@ class Report:
         return not (c["Disproved"] or c["Error"] or c["Unknown"])
 
     def to_text(self, with_timing=False):
-        lines = [f"# config: {self.config.describe()}"]
+        lines = [f"# config: {self.header}"]
         for r in self.results:
             line = r.line()
             if with_timing:
@@ -94,7 +98,7 @@ class Report:
 
     def to_json(self):
         return json.dumps({
-            "config": self.config.describe(),
+            "config": self.header,
             "results": [{"text": r.text, "status": r.status,
                          "detail": r.detail, "ms": round(r.ms, 3)}
                         for r in self.results],

@@ -41,11 +41,14 @@ def run_suite(name, config):
             part = run_suite(sub, config)
             report.results.extend(part.results)
             report.cache_hits += part.cache_hits
-        return report
-    return {"tables": tables_suite,
-            "circle_reductions": circle_reductions_suite,
-            "matrix_units": matrix_units_suite,
-            "final_relations": final_relations_suite}[name](config)
+    else:
+        report = {"tables": tables_suite,
+                  "circle_reductions": circle_reductions_suite,
+                  "matrix_units": matrix_units_suite,
+                  "final_relations": final_relations_suite}[name](config)
+    # The rank is all a suite reads; each block sets its own cutoff and policy.
+    report.header = f"rank={config.rank}"
+    return report
 
 
 def _run_lines(lines, config, report):

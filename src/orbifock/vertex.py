@@ -15,13 +15,10 @@ i with h_g(-i) in t contribute.
 
 The recursion runs per (state monomial, target monomial) pair and memoizes
 each (monomial, q, target monomial) it meets.  The memo lives for one
-product, or for the circles of one pair: :func:`orbifock.zhu.star` and
-:func:`orbifock.zhu.circ_n` create it and pass it to each of their
-:func:`mode_component` calls, which share peeled suffixes and contracted
-targets, and :func:`orbifock.zhu.build_ospan` hands one memo to the
-circles circ_n(u, v) of a pair over all its n, whose components u_m v
-overlap.  No component outlives its pair, so a build holds the memo of
-one pair at a time; a memo shared by the whole build would grow with it.
+product: :func:`orbifock.zhu.star` and :func:`orbifock.zhu.circ_n` create
+it and pass it to each of their :func:`mode_component` calls, which share
+peeled suffixes and contracted targets.  A build thus holds the memo of one
+circle at a time; a memo shared by the whole build would grow with it.
 
 This engine serves the products of :mod:`orbifock.zhu`.  The top levels of
 the five families need no mode expansion: a grade-preserving mode tuple
@@ -36,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .fock import FockVector, annihilate, mono_weight2, single
+from .fock import FockVector, annihilate, mono_weight2
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +142,3 @@ def mode_component(v, m, target, *, memo=None):
                 acc[full] = acc.get(full, 0) + c * tc * x
     return FockVector(target.ell, False, acc)
 
-
-def virasoro(a, n, v):
-    """The coordinate Virasoro mode L_a(n), i.e. the quadratic's (n+1)-component."""
-    omega_a = single(v.ell, False, [(a, -1), (a, -1)], Fraction(1, 2))
-    return mode_component(omega_a, n + 1, v)

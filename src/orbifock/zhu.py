@@ -32,16 +32,13 @@ FORMAT_VERSION = 4
 # ---------------------------------------------------------------------------
 # Products
 
-def _binomial_sum(u, v, shift, memo=None):
+def _binomial_sum(u, v, shift):
     """sum_i C(wt u, i) u_{i-shift} v, over the homogeneous parts of u.
 
-    The mode components share one memo.  Without ``memo`` it lives for this
-    product only; a caller may pass one to share it between the products
-    of one pair (u, v).
+    The mode components of this one product share one memo.
     """
     out = FockVector.zero(u.ell)
-    if memo is None:
-        memo = {}
+    memo = {}
     for w2, comp in u.graded_components().items():
         w = w2 // 2
         for i in range(w + 1):
@@ -58,11 +55,12 @@ def star(u, v):
     return _binomial_sum(u, v, 1)
 
 
-def circ_n(u, v, n=0, *, memo=None):
+def circ_n(u, v, n=0):
     """The circle element circ_n(u, v); always a member of the span O.
 
-    ``memo`` may be shared by the circles of one pair (u, v) over several
-    n: their mode components u_m v overlap (see :func:`_binomial_sum`).
+    Echelons are seeded with circ_0 alone, because every circ_n with
+    n >= 1 is a combination of circ_0 circles of no higher top weight (see
+    :class:`GeneratorPolicy`); scripts may still ask for any n >= 0.
     """
     if n < 0:
         raise ValueError("circle index n must be nonnegative")
@@ -70,7 +68,7 @@ def circ_n(u, v, n=0, *, memo=None):
     _check_even_untwisted(v, "circ_n")
     if u.ell != v.ell:
         raise ValueError("rank mismatch in circ_n")
-    return _binomial_sum(u, v, n + 2, memo)
+    return _binomial_sum(u, v, n + 2)
 
 
 def star_power(u, k):
@@ -169,21 +167,36 @@ class GeneratorPolicy:
     """Which circle elements seed the truncated span.
 
     A policy is a pair of factor lists.  The span is seeded by the vacuum
-    circles circ_n(m, |0>) of every even monomial m, and by circ_n(a, v) for
-    each left factor a and each right factor v, over every n whose full
-    circle fits the window.  The right factors are the even monomials of
-    weight >= 1 unless a policy says otherwise.  The policies nest:
+    circles circ_0(m, |0>) of every even monomial m, and by circ_0(a, v) for
+    each left factor a and each right factor v whose circle fits the
+    window.  The right factors are the even monomials of weight >= 1 unless
+    a policy says otherwise.  The policies nest:
 
     - ``"omega"``: left = the coordinate conformal vectors omega_a, the
       family behind the one-sided weight-reduction arguments.
     - ``"all"`` (the default): left = the omega_a, the off-diagonal
-      quadratics h_a(-1)h_b(-1) (a < b) and the singlets J_a, the
-      generators the paper works from.  At every window tested this spans
-      the same space as circ_n(u, v) over all ordered pairs of even
-      monomials.  J_a is needed only at rank 1: without it the rank-1 span
-      loses one dimension at window 10 and two at window 12.
+      quadratics h_a(-1)h_b(-1) (a < b), and at rank 1 the singlet J_1,
+      the generators the paper works from.  At every window tested this
+      spans the same space as circ_n(u, v) over all ordered pairs of even
+      monomials and all n.  J_a is needed only at rank 1: without it the
+      rank-1 span loses one dimension at window 10 and two at window 12,
+      while at ranks 2-4 its circles keep no row.
     - ``"quadratic"``: left = right = the two-mode monomials of every
       weight, which is what the four-index sign relations come from.
+
+    The circles with n >= 1 are not seeded.  Integrating Y(L(-1)a, z) =
+    d/dz Y(a, z) by parts gives
+
+        circ_n(L(-1)a, v) + wt a circ_n(a, v)
+            = (n+1) circ_n(a, v) + (n+2) circ_{n+1}(a, v),
+
+    so circ_n(a, v) is a combination of circ_0(L(-1)^j a, v), j <= n, each
+    of top weight at most that of circ_n(a, v) (Zhu, Lemma 2.1.2).  L(-1)
+    maps a monomial to monomials of one more weight and as many modes, so
+    circ_0 alone is exact under truncation for the vacuum circles, for
+    ``"quadratic"`` and for circles over all pairs of monomials; for the
+    generator lists of ``"omega"`` and ``"all"`` the tests compare the span
+    with all n and all pairs.
     """
 
     pairs: str = "all"
@@ -204,7 +217,8 @@ class GeneratorPolicy:
         left = [omega(ell, a) for a in gens]
         if self.pairs == "all":
             left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
-            left += [jgen(ell, a) for a in gens]
+            if ell == 1:
+                left.append(jgen(1, 1))
         return left, monos
 
 
@@ -391,7 +405,7 @@ class OSpanEchelon:
 
 
 def _iter_circle_pairs(ell, columns, limit2, policy):
-    """Yield (u_vec, v_vec, ns): the n whose full circle fits within limit2.
+    """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within limit2.
 
     ``columns`` are the echelon's even monomials.  The vacuum circles come
     first, then every (left, right) pair of the policy's factors.
@@ -400,17 +414,21 @@ def _iter_circle_pairs(ell, columns, limit2, policy):
     left, right = policy.factors(ell, monos)
     vac = FockVector.vacuum(ell)
     for u, v in chain(((m, vac) for m in monos), product(left, right)):
-        # top weight of circ_n is wt u + wt v + n + 1; every factor is homogeneous
-        yield u, v, range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1)
+        # top weight of circ_0 is wt u + wt v + 1; every factor is homogeneous
+        if u.weight2() + v.weight2() + 2 <= limit2:
+            yield u, v
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
     """Echelonize the circle span truncated at weight ``window``.
 
-    The echelon holds circle rows only and depends only on (rank, policy,
-    window), and so does its cache file in ``cache_dir``; a caller with
-    cutoff W and slack S asks for window W+S and answers queries above W
-    itself.  Without ``cache_dir`` nothing is read or written.
+    The span is seeded with circ_0(u, v) for the pairs of
+    :func:`_iter_circle_pairs`; the circles with n >= 1 add nothing (see
+    :class:`GeneratorPolicy`).  The echelon holds circle rows only and
+    depends only on (rank, policy, window), and so does its cache file in
+    ``cache_dir``; a caller with cutoff W and slack S asks for window W+S
+    and answers queries above W itself.  Without ``cache_dir`` nothing is
+    read or written.
     """
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
@@ -430,13 +448,10 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
             except (OSError, ValueError):
                 ech.rows.clear()
 
-    for u, v, ns in _iter_circle_pairs(rank, ech.columns, window2, policy):
-        # One memo per pair: each u_m v is computed once across all n.
-        memo = {}
-        for n in ns:
-            vec = circ_n(u, v, n, memo=memo)
-            if not vec.is_zero():
-                ech.insert(vec)
+    for u, v in _iter_circle_pairs(rank, ech.columns, window2, policy):
+        vec = circ_n(u, v)
+        if not vec.is_zero():
+            ech.insert(vec)
     ech.cache_hit = False
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file.

@@ -14,13 +14,14 @@ from fractions import Fraction
 
 import pytest
 
+from mode_oracle import virasoro
 from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.runner import RunConfig
 from orbifock.suites import SUITE_NAMES, _reduce_from_weight, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
                                independence_rank, _fraction_rank)
 from orbifock.twisted import delta_coefficients, twisted_zero_mode
-from orbifock.vertex import mode_component, virasoro
+from orbifock.vertex import mode_component
 from orbifock.zhu import (GeneratorPolicy, Verdict, build_ospan, circ_n, e_t,
                           e_u, hgen, jgen, lam, omega, s_pair, star)
 

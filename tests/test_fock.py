@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbifock.fock import (FockVector, apply_mode, basis, make_monomial,
-                           mono_key, single)
+from mode_oracle import apply_mode
+from orbifock.fock import FockVector, basis, make_monomial, mono_key, single
 
 F = Fraction
 

@@ -182,3 +182,16 @@ def test_cli_suite_smoke(capsys):
     assert main(["suite", "tables", "--rank", "2"]) == 0
     out = capsys.readouterr().out
     assert out.strip().endswith("PASS")
+
+
+def test_cli_suite_header_names_rank_only(tmp_path, capsys):
+    # A suite reads only the rank; verify describes its whole configuration.
+    assert main(["suite", "tables", "--rank", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# config: rank=3"
+    assert main(["suite", "tables", "--rank", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == "rank=3"
+    script = tmp_path / "s.txt"
+    script.write_text("assert_eval w1 on Tplus = 1/16\n")
+    assert main(["verify", str(script), "--rank", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "# config: rank=1 max_weight=8 slack=2 policy[pairs=all]")

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbifock.fock import FockVector, apply_mode, basis, single
+from mode_oracle import apply_mode
+from orbifock.fock import FockVector, basis, single
 from orbifock.twisted import (DeltaTable, apply_delta, delta_coefficients,
                               delta_table, twisted_zero_mode)
 from orbifock.zhu import hgen, jgen

@@ -7,11 +7,12 @@ from math import factorial
 
 import pytest
 
-from orbifock.fock import SYMBOLIC, FockVector, apply_mode, basis, single
+from mode_oracle import SYMBOLIC, apply_mode, virasoro
+from orbifock.fock import FockVector, basis, single
 from orbifock.toplevel import FAMILIES, TopLevelAction, evaluate
 from orbifock.twisted import apply_delta, delta_coefficients, twisted_zero_mode
-from orbifock.vertex import d_coeff2, mode_component, virasoro
-from orbifock.zhu import hgen, jgen
+from orbifock.vertex import d_coeff2, mode_component
+from orbifock.zhu import hgen, jgen, omega
 
 F = Fraction
 
@@ -264,24 +265,15 @@ def test_mode_weight_bookkeeping():
             assert out.weight() == v.weight() + t.weight() - m - 1
 
 
-def test_virasoro_matches_quadratic_modes():
-    omega = single(1, False, [(1, -1), (1, -1)], F(1, 2))
-    states = [FockVector.vacuum(1)]
-    for w in (1, 2, 3):
-        states += [FockVector.from_monomial(1, False, m)
-                   for m in basis(1, False, w, "all")]
-    for v in states:
-        for n in range(-4, 3):
-            assert virasoro(1, n, v) == mode_component(omega, n + 1, v)
-
-
 def test_virasoro_grades_and_creates():
-    assert virasoro(1, -2, FockVector.vacuum(1)) == single(
+    # L_1(n) is the (n+1)-component of omega_1: L_1(-2)|0> = omega_1, and
+    # L_1(0) counts the weight carried by generator 1.
+    assert mode_component(omega(1, 1), -1, FockVector.vacuum(1)) == single(
         1, False, [(1, -1), (1, -1)], F(1, 2))
     for m in basis(2, False, 3, "all"):
         v = FockVector.from_monomial(2, False, m)
         w1 = sum(-n2 for g, n2 in m if g == 1) // 2
-        assert virasoro(1, 0, v) == w1 * v
+        assert mode_component(omega(2, 1), 1, v) == w1 * v
 
 
 def test_commuting_coordinate_virasoro():

@@ -3,15 +3,18 @@
 import hashlib
 import os
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd
 
 import pytest
 
+from mode_oracle import virasoro
+from orbifock import zhu
 from orbifock.fock import FockVector, basis, single
-from orbifock.vertex import mode_component, virasoro
-from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, Verdict, _iter_circle_pairs,
-                          build_ospan, circ_n, e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam,
-                          omega, s_pair, star, star_power)
+from orbifock.vertex import mode_component
+from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n,
+                          e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_pair,
+                          star, star_power)
 
 F = Fraction
 
@@ -260,18 +263,61 @@ def test_omega_span_matches_both_orders(ell, window):
     assert canonical_rows(got) == canonical_rows(want)
 
 
-@pytest.mark.parametrize("pairs", ["all", "quadratic"])
-def test_circle_memo_shared_across_n(pairs):
-    # build_ospan hands one memo to the circles of a pair over all n.
-    policy = GeneratorPolicy(pairs)
-    columns = OSpanEchelon(2, 12, policy).columns
-    shared = 0
-    for u, v, ns in _iter_circle_pairs(2, columns, 12, policy):
-        memo = {}
-        for n in ns:
-            assert circ_n(u, v, n, memo=memo) == circ_n(u, v, n), (u, v, n)
-        shared += len(ns) > 1
-    assert shared > 20
+# The enumeration build_ospan ran before it seeded circ_0 alone: each
+# policy's circles circ_n over every n whose full circle fits, with J_a a
+# left factor of "all" at every rank.  It is the oracle for the n = 0 seeds.
+def all_n_generator_circles(ell, window, pairs):
+    limit2 = 2 * window
+    monos = [FockVector.from_monomial(ell, False, m)
+             for w2 in range(2, limit2 + 1)
+             for m in basis(ell, False, F(w2, 2), "even")]
+    if pairs == "quadratic":
+        left = right = [v for v in monos if all(len(m) == 2 for m in v.terms)]
+    else:
+        gens = range(1, ell + 1)
+        left = [omega(ell, a) for a in gens]
+        if pairs == "all":
+            left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
+            left += [jgen(ell, a) for a in gens]
+        right = monos
+    one = FockVector.vacuum(ell)
+    for u, v in chain(((m, one) for m in monos), product(left, right)):
+        for n in range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1):
+            yield circ_n(u, v, n)
+
+
+# The six echelons `orbifock suite all` builds: (rank, window, policy).
+SUITE_ECHELONS = [(1, 10, "all"), (1, 12, "all"), (2, 10, "all"),
+                  (2, 10, "omega"), (3, 8, "quadratic"), (4, 8, "quadratic")]
+
+
+@pytest.mark.parametrize("ell, window, pairs", SUITE_ECHELONS,
+                         ids=[f"r{r}w{w}-{p}" for r, w, p in SUITE_ECHELONS])
+def test_circ0_seeds_span_all_n(ell, window, pairs):
+    # The shipped rows lie in the all-n span and have its rank, so the two
+    # spans are equal.
+    got = build_ospan(ell, window, policy=GeneratorPolicy(pairs))
+    want = echelon_of(ell, window, all_n_generator_circles(ell, window, pairs))
+    assert got.rank() == want.rank()
+    for row in got.rows.values():
+        vec = FockVector(ell, False, {got.columns[c]: v for c, v in row.items()})
+        assert want.reduce(vec).is_zero()
+
+
+def test_build_seeds_circ0_without_singlets_above_rank_1(monkeypatch):
+    calls = []
+    real = zhu.circ_n
+
+    def spy(u, v, n=0, **kwargs):
+        calls.append((u, n))
+        return real(u, v, n, **kwargs)
+
+    monkeypatch.setattr(zhu, "circ_n", spy)
+    build_ospan(2, 8)
+    singlets = [jgen(2, a) for a in (1, 2)]
+    assert calls
+    assert all(n == 0 for _, n in calls)
+    assert not any(u in singlets for u, _ in calls)
 
 
 def test_policies_nest_in_all():
