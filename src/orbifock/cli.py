@@ -7,6 +7,7 @@ arguments or an unreadable or malformed script, reported in one stderr line).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -32,13 +33,6 @@ def _add_config_args(p):
                    help="include per-statement timing in text output")
     p.add_argument("--cache-dir", default=None,
                    help=f"echelon cache directory (default ${CACHE_ENV})")
-
-
-def _config(args):
-    return RunConfig(rank=args.rank, max_weight=args.max_weight,
-                     slack=args.slack,
-                     policy=GeneratorPolicy(pairs=args.pairs),
-                     cache_dir=args.cache_dir or default_cache_dir())
 
 
 def _emit(report, args):
@@ -94,6 +88,14 @@ def main(argv=None):
                 parser.error(f"{option} must be at least 0, got {value}")
     if args.command == "delta-table" and args.degree < 2:
         parser.error(f"--degree must be at least 2, got {args.degree}")
+    if args.command in ("verify", "suite"):
+        # Created up front, so an unusable directory fails before any work.
+        cache_dir = args.cache_dir or default_cache_dir()
+        try:
+            if cache_dir:
+                os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"cannot use cache directory {cache_dir}: {exc}")
 
     if args.command == "verify":
         try:
@@ -106,13 +108,16 @@ def main(argv=None):
         except dsl.ScriptError as exc:
             print(f"syntax error: {exc}", file=sys.stderr)
             return 2
-        report = Runner(_config(args)).run(stmts)
+        report = Runner(RunConfig(
+            rank=args.rank, max_weight=args.max_weight, slack=args.slack,
+            policy=GeneratorPolicy(pairs=args.pairs),
+            cache_dir=cache_dir)).run(stmts)
         return _emit(report, args)
 
     if args.command == "suite":
         # Each suite block sets its own cutoff and policy.
-        report = run_suite(args.name, RunConfig(
-            rank=args.rank, cache_dir=args.cache_dir or default_cache_dir()))
+        report = run_suite(args.name, RunConfig(rank=args.rank,
+                                                cache_dir=cache_dir))
         return _emit(report, args)
 
     try:

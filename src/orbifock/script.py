@@ -15,6 +15,11 @@ power, ``circ(x,y)`` / ``circn(x,y,n)`` the circle elements, and a literal
 juxtaposed before an atom is a tight scalar multiple.  Expected values on
 the right of ``assert_eval`` use ``l1..l_ell``, matrix units ``E(a,b)``,
 ``I``, and rationals.
+
+Expressions nest at most ``MAX_NESTING`` = 100 levels, checked at parse
+time: parentheses, circle arguments and unary minus signs each open one,
+as does each node on a path of the parsed tree (a sum of k terms is k
+deep), so parsing, realizing and formatting stay below the recursion limit.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .coeffs import LPoly
 from .fock import FockVector, make_monomial
 from .toplevel import FAMILIES, TopLevelAction
 from . import zhu
+
+
+MAX_NESTING = 100
+_TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
 
 
 class ScriptError(ValueError):
@@ -156,6 +165,17 @@ class Statement:
     col: int
 
 
+def _depth(expr):
+    """Nodes on the longest path of an expression tree, found iteratively."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack += [(getattr(node, name), depth + 1) for name in
+                  ("arg", "left", "right", "base") if hasattr(node, name)]
+    return deepest
+
+
 _OFFDIAG = {"Eu", "Eubar", "Et", "Etbar", "Lam"}
 _ATOM_START_NAMES = re.compile(r"^(one|[wJH]\d+|h\d+|S|Eu|Eubar|Et|Etbar|Lam|circ|circn)$")
 
@@ -165,6 +185,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.rank = rank
+        self.level = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -187,6 +208,12 @@ class _Parser:
     def fail(self, message):
         tok = self.peek()
         raise ScriptError(message, tok.line, tok.col)
+
+    def enter(self):
+        """Open one nesting level; the caller closes it."""
+        self.level += 1
+        if self.level > MAX_NESTING:
+            self.fail(_TOO_DEEP)
 
     # -- statements ----------------------------------------------------------
 
@@ -238,11 +265,17 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self, expected=False):
+        start = self.peek()
+        self.enter()
         left = self.parse_term(expected)
         while self.peek().text in ("+", "-") and self.peek().kind == "punct":
             op = self.next().text
             right = self.parse_term(expected)
             left = Bin(op, left, right)
+        self.level -= 1
+        # The outermost expression checks its whole tree.
+        if not self.level and _depth(left) > MAX_NESTING:
+            raise ScriptError(_TOO_DEEP, start.line, start.col)
         return left
 
     def parse_term(self, expected):
@@ -257,7 +290,10 @@ class _Parser:
         tok = self.peek()
         if tok.text == "-":
             self.next()
-            return Neg(self.parse_factor(expected))
+            self.enter()
+            arg = self.parse_factor(expected)
+            self.level -= 1
+            return Neg(arg)
         if tok.kind == "int":
             value = self.parse_number()
             if self.at_atom_start(expected):

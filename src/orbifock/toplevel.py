@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .coeffs import LPoly
 from .fock import VACUUM, FockVector
-from .twisted import corrected_terms, twisted_zero_mode
+from .twisted import apply_delta, twisted_zero_mode
 from .vertex import top_level_matrix
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
@@ -155,9 +155,10 @@ def evaluate(u, fam):
     - Hminus: one contraction and one creation at modes +-1, or none
       (:func:`orbifock.vertex.top_level_matrix`).
     - Tplus and Tminus: the same on the remainders of exp(Delta_z) u at
-      modes +-1/2 (:func:`orbifock.twisted.twisted_zero_mode`, which Tplus
-      goes through, and :func:`orbifock.twisted.corrected_terms`).  Only
-      the empty remainder and the two-factor ones act, so Tplus expands
+      modes +-1/2, summed over the powers of z
+      (:func:`orbifock.twisted.apply_delta`; Tplus goes through
+      :func:`orbifock.twisted.twisted_zero_mode`).  Only the empty
+      remainder and the two-factor ones act, so Tplus expands
       exp(Delta_z) u to its perfect matchings only and Tminus to the
       matchings that leave at most two factors.
     """
@@ -185,8 +186,8 @@ def evaluate(u, fam):
         w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
         return TopLevelAction.scalar(w.coeff(VACUUM))
     if fam == "Tminus":
-        terms = corrected_terms(u, keep=2)
-        return TopLevelAction.matrix(top_level_matrix(terms, rank, 1))
+        return TopLevelAction.matrix(
+            top_level_matrix(apply_delta(u, keep=2), rank, 1))
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -33,9 +33,10 @@ and two-factor remainders (contracting h_b(1/2), creating h_a(-1/2)) act.
 mode tuple meets at most one contraction there, because a top-level vector
 has at most one factor, so a remainder of four or more factors never acts.
 Matchings remove factors in pairs, so an even state leaves only remainders
-of even length.  The top-level callers therefore expand exp(Delta_z) only
-up to remainders of two factors (``keep=2``), or none (``keep=0``) when
-|0>_tw alone is read, and the result is exact.
+of even length.  :func:`twisted_zero_mode` and the Tminus evaluation
+therefore expand exp(Delta_z) only up to remainders of two factors
+(``keep=2``), or none (``keep=0``) when |0>_tw alone is read, and the
+result is exact.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .fock import FockVector, mono_weight2
+from .fock import FockVector
 from .vertex import top_level_matrix
 
 
@@ -123,18 +124,21 @@ def _matchings(modes, table, keep, memo):
     return out
 
 
-def apply_delta(v, table, keep=None):
-    """The expansion of exp(Delta_z) v, keyed by z-exponent.
+def apply_delta(v, table=None, keep=None):
+    """exp(Delta_z) v as one term dict, summed over the powers of z.
 
     Each monomial expands into its partial matchings, one generator at a
-    time; a matching that removes weight k lands at exponent -k, so that
-    bucket is homogeneous of weight(v) - k when v is homogeneous.  With
-    ``keep``, a remainder of more than ``keep`` factors is dropped, across
-    the generators together; ``None`` keeps the full expansion.  Requires
-    the table degree to cover the state's mode-weight.
+    time.  A matching that removes weight k carries z^(-k), so on a
+    homogeneous state a remainder's weight fixes its exponent and the sum,
+    which is all the top level reads, loses nothing.  With ``keep``, a
+    remainder of more than ``keep`` factors is dropped, across the
+    generators together; ``None`` keeps the full expansion.  The table
+    (the shared one by default) must cover the state's mode-weight.
     """
     if v.twisted:
         raise ValueError("apply_delta acts on untwisted states")
+    if table is None:
+        table = delta_table(v.max_weight2() // 2)
     if v.max_weight2() > 2 * table.max_degree:
         raise ValueError(
             f"delta table degree {table.max_degree} too small for a state of "
@@ -142,7 +146,7 @@ def apply_delta(v, table, keep=None):
     if keep is None:
         keep = max(map(len, v.terms), default=0)
     memo = {}
-    buckets = {}
+    terms = {}
     for mono, c in v.terms.items():
         partial = {(): c}
         for gen, factors in groupby(mono, key=itemgetter(0)):
@@ -153,34 +157,8 @@ def apply_delta(v, table, keep=None):
                        for rem, w in matched.items()
                        if len(head) + len(rem) <= keep}
         for rem, coeff in partial.items():
-            terms = buckets.setdefault(
-                (mono_weight2(rem) - mono_weight2(mono)) // 2, {})
             terms[rem] = terms.get(rem, 0) + coeff
-    return {s: w for s in sorted(buckets, reverse=True)
-            if (w := FockVector(v.ell, False, buckets[s]))}
-
-
-def corrected_terms(v, table=None, keep=None):
-    """exp(Delta_z) v as one term dict, summed over its z-buckets.
-
-    The expansion runs once per graded component of v, which must have
-    even parity: only those states have integral components on the twisted
-    module.  ``keep`` goes to :func:`apply_delta`: the top-level action
-    reads only the remainders of 0 and 2 factors (module docstring), so
-    ``keep=2`` loses nothing there and ``keep=0`` gives the scalar part.
-    Without ``table`` the shared table sized by the state's maximal weight
-    is used.
-    """
-    if not v.is_even():
-        raise ValueError("twisted components need an even-parity state")
-    if table is None:
-        table = delta_table(v.max_weight2() // 2)
-    terms = {}
-    for comp in v.graded_components().values():
-        for w in apply_delta(comp, table, keep=keep).values():
-            for mono, c in w.terms.items():
-                terms[mono] = terms.get(mono, 0) + c
-    return terms
+    return {mono: c for mono, c in terms.items() if c}
 
 
 def twisted_zero_mode(v, target, table=None):
@@ -190,7 +168,8 @@ def twisted_zero_mode(v, target, table=None):
     |0>_tw reads only the empty remainder of exp(Delta_z) v and the
     h_j(-1/2)|0>_tw only the remainders of at most two factors, so the
     expansion stops there: at 0 factors when the target is a multiple of
-    |0>_tw, at 2 otherwise.
+    |0>_tw, at 2 otherwise.  ``v`` must have even parity: only those states
+    have integral components on the twisted module.
     """
     if not target.twisted:
         raise ValueError("target must live in the twisted sector")
@@ -198,9 +177,11 @@ def twisted_zero_mode(v, target, table=None):
         raise ValueError("rank mismatch between state and target")
     if any(len(mono) > 1 or (mono and mono[0][1] != -1) for mono in target.terms):
         raise ValueError("target must lie on the twisted top level")
+    if not v.is_even():
+        raise ValueError("twisted components need an even-parity state")
     # Only the one-mode terms of the target read the matrix.
     one_mode = any(target.terms)
-    terms = corrected_terms(v, table, keep=2 if one_mode else 0)
+    terms = apply_delta(v, table, keep=2 if one_mode else 0)
     rows = top_level_matrix(terms, v.ell, 1) if one_mode else None
     out = {}
     for mono, c in target.terms.items():

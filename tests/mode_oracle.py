@@ -2,8 +2,11 @@
 
 The package never applies one mode at a time: products go through
 ``vertex.mode_component`` and top levels through closed forms.  The oracle
-tests build their expected values from the single modes here instead.
+tests build their expected values from the single modes here instead,
+including exp(Delta_z) in operator form (:func:`reference_delta`).
 """
+
+from fractions import Fraction
 
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, _to_n2, annihilate
@@ -55,3 +58,26 @@ def apply_mode(gen, n, vec, hw=None):
 def virasoro(a, n, v):
     """The coordinate Virasoro mode L_a(n), the (n+1)-component of omega_a."""
     return mode_component(omega(v.ell, a), n + 1, v)
+
+
+def reference_delta(v, table):
+    """exp(Delta_z) v in operator form: Delta applied k times, over k!.
+
+    Keyed by z-exponent: Delta lowers the weight by m + n at exponent
+    -(m+n), so bucket s of a homogeneous v has weight wt v + s.
+    """
+    buckets, frontier, k = {}, {0: v}, 0
+    while frontier:
+        for s, w in frontier.items():
+            buckets[s] = buckets.get(s, FockVector.zero(v.ell)) + w
+        k += 1
+        nxt = {}
+        for s, w in frontier.items():
+            for (m, n), c in table.entries.items():
+                for i in range(1, v.ell + 1):
+                    dw = apply_mode(i, m, apply_mode(i, n, w))
+                    if dw:
+                        prev = nxt.get(s - m - n, FockVector.zero(v.ell))
+                        nxt[s - m - n] = prev + Fraction(c, k) * dw
+        frontier = {s: w for s, w in nxt.items() if w}
+    return {s: w for s, w in buckets.items() if w}

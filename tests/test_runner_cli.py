@@ -144,8 +144,11 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys):
     (["verify", "{script}", "--slack", "-3"], "--slack"),
     (["verify", "{script}", "--max-weight", "-1"], "--max-weight"),
     (["suite", "tables", "--pairs", "omega"], "--pairs"),
+    (["verify", "{script}", "--cache-dir", "{script}/cache"], "cache directory"),
+    (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
 ], ids=["missing-script", "degree-1", "tables-rank-1", "rank-0",
-        "negative-slack", "negative-max-weight", "suite-pairs"])
+        "negative-slack", "negative-max-weight", "suite-pairs",
+        "verify-cache-under-file", "suite-cache-under-file"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("assert_eval w1 on Tplus = 1/16\n")
@@ -158,6 +161,44 @@ def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert names in captured.err
+
+
+def test_cli_cache_dir_from_environment_exit_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("ORBIFOCK_CACHE_DIR", str(blocker / "cache"))
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "matrix_units"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "cache directory" in captured.err
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 250 + "w1" + ")" * 250,
+    "-" * 3000 + "w1",
+    "+".join(["w1"] * 1000),
+], ids=["250-parentheses", "3000-minus-signs", "1000-term-sum"])
+def test_cli_deep_expression_exit_2(expr, tmp_path, capsys):
+    script = tmp_path / "deep.txt"
+    script.write_text(f"assert_equiv {expr} ~ w1\n")
+    assert main(["verify", str(script), "--rank", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("syntax error: line 1, col ")
+    assert "nested more than" in captured.err
+
+
+def test_cli_nested_expressions_within_bound(tmp_path, capsys):
+    script = tmp_path / "nested.txt"
+    script.write_text("assert_equiv " + "+".join(["w1"] * 100) + " ~ 100 w1\n"
+                      "assert_equiv " + "(" * 50 + "w1" + ")" * 50 + " ~ w1\n")
+    assert main(["verify", str(script), "--rank", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PROVED   ]") == 2
 
 
 def test_cli_json_format(tmp_path, capsys):

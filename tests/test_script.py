@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from orbifock.fock import FockVector, single
-from orbifock.script import (ScriptError, format_expr, format_statement,
-                             parse_expr, parse_script, realize,
-                             realize_expected)
+from orbifock.script import (MAX_NESTING, ScriptError, format_expr,
+                             format_statement, parse_expr, parse_script,
+                             realize, realize_expected)
 from orbifock.toplevel import TopLevelAction, evaluate
 from orbifock.zhu import circ_n, e_u, hgen, jgen, lam, omega, s_pair, star
 
@@ -117,6 +117,28 @@ def test_zero_denominator_is_a_syntax_error(text):
         parse_script(text, rank=2)
     assert "zero denominator" in str(err.value)
     assert (err.value.line, err.value.col) == (1, text.index("/0") + 2)
+
+
+def test_nesting_bound():
+    # The top-level expression is one level; each parenthesis, circle or
+    # unary minus opens another, and a sum of k terms is k levels deep.
+    inside = MAX_NESTING - 1
+    for ok, bad in (("(" * inside + "w1" + ")" * inside,
+                     "(" * MAX_NESTING + "w1" + ")" * MAX_NESTING),
+                    ("-" * inside + "w1", "-" * MAX_NESTING + "w1"),
+                    ("circ(" * inside + "w1" + ", one)" * inside,
+                     "circ(" * MAX_NESTING + "w1" + ", one)" * MAX_NESTING),
+                    ("+".join(["w1"] * MAX_NESTING),
+                     "+".join(["w1"] * (MAX_NESTING + 1))),
+                    ("*".join(["w1"] * MAX_NESTING),
+                     "*".join(["w1"] * (MAX_NESTING + 1)))):
+        assert format_expr(parse_expr(ok, 2))
+        with pytest.raises(ScriptError, match="nested more than"):
+            parse_expr(bad, 2)
+    with pytest.raises(ScriptError, match="nested more than") as err:
+        parse_script("assert_eval w1 on Hminus = "
+                     + "+".join(["I"] * (MAX_NESTING + 1)), 2)
+    assert (err.value.line, err.value.col) == (1, 28)
 
 
 def test_index_errors():

@@ -1,10 +1,10 @@
-"""Twisted sector: correction table, exponential buckets, corrected modes."""
+"""Twisted sector: correction table, the exp(Delta_z) expansion, corrected modes."""
 
 from fractions import Fraction
 
 import pytest
 
-from mode_oracle import apply_mode
+from mode_oracle import reference_delta
 from orbifock.fock import FockVector, basis, single
 from orbifock.twisted import (DeltaTable, apply_delta, delta_coefficients,
                               delta_table, twisted_zero_mode)
@@ -83,35 +83,25 @@ def test_asymmetric_table_rejected():
 def test_apply_delta_examples():
     table = delta_coefficients(6)
     one = FockVector.vacuum(1)
-    assert apply_delta(one, table) == {0: one}
+    assert apply_delta(one, table) == {(): 1}
 
     omega = single(1, False, [(1, -1), (1, -1)], F(1, 2))
-    buckets = apply_delta(omega, table)
-    assert set(buckets) == {0, -2}
-    assert buckets[0] == omega
-    assert buckets[-2] == FockVector.vacuum(1, coeff=F(1, 16))
+    assert apply_delta(omega, table) == {((1, -2), (1, -2)): F(1, 2),
+                                         (): F(1, 16)}
+    # Without a table the shared one serves.
+    assert apply_delta(omega) == apply_delta(omega, table)
 
     hv = single(1, False, [(1, -1)])
-    assert apply_delta(hv, table) == {0: hv}
+    assert apply_delta(hv, table) == {((1, -2),): 1}
 
 
-def reference_delta(v, table):
-    """exp(Delta_z) v in operator form: Delta applied k times, over k!."""
-    buckets, frontier, k = {}, {0: v}, 0
-    while frontier:
-        for s, w in frontier.items():
-            buckets[s] = buckets.get(s, FockVector.zero(v.ell)) + w
-        k += 1
-        nxt = {}
-        for s, w in frontier.items():
-            for (m, n), c in table.entries.items():
-                for i in range(1, v.ell + 1):
-                    dw = apply_mode(i, m, apply_mode(i, n, w))
-                    if dw:
-                        prev = nxt.get(s - m - n, FockVector.zero(v.ell))
-                        nxt[s - m - n] = prev + F(c, k) * dw
-        frontier = {s: w for s, w in nxt.items() if w}
-    return {s: w for s, w in buckets.items() if w}
+def flat(buckets):
+    """The operator form's buckets summed over z, as one term dict."""
+    terms = {}
+    for w in buckets.values():
+        for mono, c in w.terms.items():
+            terms[mono] = terms.get(mono, 0) + c
+    return {mono: c for mono, c in terms.items() if c}
 
 
 def test_matching_expansion_matches_operator_form():
@@ -124,7 +114,7 @@ def test_matching_expansion_matches_operator_form():
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     for v in states:
-        assert apply_delta(v, table) == reference_delta(v, table), v
+        assert apply_delta(v, table) == flat(reference_delta(v, table)), v
 
 
 def test_truncated_expansion_drops_only_long_remainders():
@@ -137,28 +127,25 @@ def test_truncated_expansion_drops_only_long_remainders():
     for v in states:
         full = apply_delta(v, table)
         for keep in (0, 2):
-            want = {}
-            for s, w in full.items():
-                kept = FockVector(v.ell, False, {mono: c for mono, c in w.terms.items()
-                                                 if len(mono) <= keep})
-                if kept:
-                    want[s] = kept
-            got = apply_delta(v, table, keep=keep)
-            assert got == want, (v, keep)
-            assert list(got) == list(want), (v, keep)
-            short += any(len(mono) > keep for w in full.values() for mono in w.terms)
+            want = {mono: c for mono, c in full.items() if len(mono) <= keep}
+            assert apply_delta(v, table, keep=keep) == want, (v, keep)
+            short += any(len(mono) > keep for mono in full)
     # The truncation drops something in more than half of the cases.
     assert short > len(states)
 
 
 def test_bucket_weights():
+    # Bucket s of a homogeneous state's operator form has weight wt v + s,
+    # so the z-exponent of a remainder is fixed by its weight and summing
+    # the buckets, as apply_delta does, loses nothing.
     table = delta_coefficients(8)
     J = (single(1, False, [(1, -1)] * 4)
          + single(1, False, [(1, -3), (1, -1)], -2)
          + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
-    for shift, vec in apply_delta(J, table).items():
-        if vec:
-            assert vec.weight() == 4 + shift
+    buckets = reference_delta(J, table)
+    assert len(buckets) > 1
+    for shift, vec in buckets.items():
+        assert vec.weight() == 4 + shift
 
 
 def test_twisted_scalars():

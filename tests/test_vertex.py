@@ -7,10 +7,10 @@ from math import factorial
 
 import pytest
 
-from mode_oracle import SYMBOLIC, apply_mode, virasoro
+from mode_oracle import SYMBOLIC, apply_mode, reference_delta, virasoro
 from orbifock.fock import FockVector, basis, single
 from orbifock.toplevel import FAMILIES, TopLevelAction, evaluate
-from orbifock.twisted import apply_delta, delta_coefficients, twisted_zero_mode
+from orbifock.twisted import delta_coefficients, twisted_zero_mode
 from orbifock.vertex import d_coeff2, mode_component
 from orbifock.zhu import hgen, jgen, omega
 
@@ -131,8 +131,9 @@ def oracle_top_level(u, fam, box=1, hw=SYMBOLIC):
     """o(u) on the family's top level, as the oracle's image vectors.
 
     One vector per top-level basis vector: the brute-force grade-preserving
-    component of each graded piece, after exp(Delta_z) on the twisted
-    families.  On a top level every surviving mode lies in [-1, 1].
+    component of each graded piece, after exp(Delta_z) in operator form
+    (:func:`mode_oracle.reference_delta`) on the twisted families.  On a
+    top level every surviving mode lies in [-1, 1].
     ``hw`` is the highest weight of Mlambda.
     """
     rank = u.ell
@@ -150,7 +151,7 @@ def oracle_top_level(u, fam, box=1, hw=SYMBOLIC):
     for t in tops:
         out = FockVector.zero(rank, twisted=True)
         for w2, comp in u.graded_components().items():
-            for shift, w in apply_delta(comp, table).items():
+            for shift, w in reference_delta(comp, table).items():
                 out = out + oracle_mode_operator(w, w2 // 2 - 1 + shift, t,
                                                  box=box)
         outs.append(out)
@@ -215,7 +216,7 @@ def test_twisted_zero_mode_against_oracle(target):
     for u in _even_states(2, 4) + [jgen(2, 1), hgen(2, 2)]:
         want = FockVector.zero(2, twisted=True)
         for w2, comp in u.graded_components().items():
-            for shift, w in apply_delta(comp, table).items():
+            for shift, w in reference_delta(comp, table).items():
                 want = want + oracle_mode_operator(w, w2 // 2 - 1 + shift,
                                                    target, box=1)
         assert twisted_zero_mode(u, target, table) == want, u
