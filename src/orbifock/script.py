@@ -603,7 +603,8 @@ def _fmt(expr, prec):
     if isinstance(expr, Ident):
         return "I"
     if isinstance(expr, Neg):
-        inner = _fmt(expr.arg, 2)
+        # A negated negation prints as --x, which parses back at its depth.
+        inner = _fmt(expr.arg, 1 if isinstance(expr.arg, Neg) else 2)
         out = f"-{inner}"
         return f"({out})" if prec >= 2 else out
     if isinstance(expr, Scale):

@@ -1,8 +1,34 @@
 """Vertex-operator mode components on the vacuum module of the free boson.
 
-The state a = h_g(-1)|0> has the modes a_k = h_g(k), and every monomial is
-built from such factors: h_g(-n) w = a_{-n} w.  The Borcherds identity for
-a_{-n} w therefore peels one factor off a monomial at a time:
+The products of :mod:`orbifock.zhu` take one (state monomial, target
+monomial) pair at a time, and two kinds of pair have a closed form by
+Wick's theorem.
+
+*Vacuum target.*  Y(m, z)|0> = exp(z L(-1)) m, so m_q|0> = 0 for q >= 0
+and m_{-1-j}|0> is the weight-j part of exp(L(-1)) m: for
+m = h(-n_1) ... h(-n_k),
+
+    m_{-1-j}|0> = sum_{i_1+...+i_k = j} prod_r C(n_r+i_r-1, i_r) h(-n_r-i_r),
+
+which is :func:`vacuum_component`.  Hence circ_0(m, |0>) = L(-1)m + wt(m) m
+and star(m, |0>) = m.
+
+*State of at most two factors.*  The vacuum acts as |0>_q t = delta_{q,-1} t,
+and u = h_a(-p) h_b(-r) has the normal-ordered modes
+
+    u_q = sum_{k+l = q+1-p-r} d(k, p) d(l, r) :h_a(k) h_b(l):,
+
+with d(k, n) = C(-k-1, n-1) (:func:`d_coeff2`).  On a target monomial only
+finitely many k act: both modes creating (q+1-p-r < k < 0), or k or l
+contracting a factor of the target; h(0) kills the vacuum module.  That is
+:func:`wick_component`.
+
+Every other pair, a state monomial of three or more factors (J_a, H_a and
+nested products in scripts) on a target other than the vacuum, goes to the
+Borcherds recursion of :func:`mode_component`.  The state a = h_g(-1)|0>
+has the modes a_k = h_g(k), and every monomial is built from such factors:
+h_g(-n) w = a_{-n} w.  The Borcherds identity for a_{-n} w therefore peels
+one factor off a monomial at a time:
 
     (h_g(-n) w)_q t = sum_{i >= 0} C(n+i-1, i) [ h_g(-n-i) w_{q+i} t
                                                 - (-1)^n w_{q-n-i} h_g(i) t ]
@@ -20,11 +46,10 @@ it and pass it to each of their :func:`mode_component` calls, which share
 peeled suffixes and contracted targets.  A build thus holds the memo of one
 circle at a time; a memo shared by the whole build would grow with it.
 
-This engine serves the products of :mod:`orbifock.zhu`.  The top levels of
-the five families need no mode expansion: a grade-preserving mode tuple
-meets at most one contraction there, so :mod:`orbifock.toplevel` evaluates
-them in closed form, with :func:`top_level_matrix` for the two matrix
-families.
+The top levels of the five families need no mode expansion: a
+grade-preserving mode tuple meets at most one contraction there, so
+:mod:`orbifock.toplevel` evaluates them in closed form, with
+:func:`top_level_matrix` for the two matrix families.
 """
 
 from __future__ import annotations
@@ -40,9 +65,10 @@ from .fock import FockVector, annihilate, mono_weight2
 def d_coeff2(k2, n):
     """The coefficient C(-k-1, n-1), with k given as a twice-value.
 
-    It weighs the mode h(k) in the field of h(-n)|0>; its user is
-    :func:`top_level_matrix`.  Integer for integer modes, Fraction for
-    half-integer ones; zero exactly when k is an integer with -n < k < 0.
+    It weighs the mode h(k) in the field of h(-n)|0>; its users are
+    :func:`top_level_matrix` and :func:`wick_component`.  Integer for
+    integer modes, Fraction for half-integer ones; zero exactly when k is
+    an integer with -n < k < 0.
     """
     if n == 1:
         return 1
@@ -84,6 +110,74 @@ def top_level_matrix(terms, rank, k2):
             rows[a - 1][b - 1] += c * k * d_coeff2(k2, q) * d_coeff2(-k2, p)
             rows[b - 1][a - 1] += c * k * d_coeff2(k2, p) * d_coeff2(-k2, q)
     return rows
+
+
+def vacuum_component(mono, j):
+    """mono_{-1-j}|0> as a term dict: the weight-j part of exp(L(-1)) mono.
+
+    Each factor h_g(-n) of mono becomes h_g(-n-i) with weight C(n+i-1, i),
+    and the i of all factors add up to j (module docstring).
+    """
+    if not j:
+        return {mono: 1}
+    parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
+    for g, n2 in mono:
+        n = -n2 // 2
+        grown = {}
+        for (modes, used), c in parts.items():
+            for i in range(j - used + 1):
+                key = ((*modes, (g, n2 - 2 * i)), used + i)
+                grown[key] = grown.get(key, 0) + c * comb(n + i - 1, i)
+        parts = grown
+    out = {}
+    for (modes, used), c in parts.items():
+        if used == j:
+            full = tuple(sorted(modes))
+            out[full] = out.get(full, 0) + c
+    return out
+
+
+def wick_component(mono, q, tmono):
+    """mono_q tmono as a term dict, for a monomial of zero or two factors.
+
+    For mono = h_a(-p) h_b(-r) it sums d(k, p) d(l, r) :h_a(k) h_b(l): tmono
+    over k + l = q+1-p-r (module docstring), visiting only the k that act.
+    """
+    if not mono:
+        return {tmono: 1} if q == -1 else {}
+    (a, p2), (b, r2) = mono
+    p, r = -p2 // 2, -r2 // 2
+    s = q + 1 - p - r
+    out = {}
+
+    def add(m, c):
+        out[m] = out.get(m, 0) + c
+
+    # Both create: d(k, p) d(l, r) vanishes unless k <= -p and l <= -r.
+    for k in range(s + r, -p + 1):
+        l = s - k
+        add(tuple(sorted((*tmono, (a, 2 * k), (b, 2 * l)))),
+            d_coeff2(2 * k, p) * d_coeff2(2 * l, r))
+    # h_b(l), l >= 1, contracts a factor of tmono; h_a(k) creates or contracts.
+    for l in {-m2 // 2 for g, m2 in tmono if g == b}:
+        k = s - l
+        if k == 0 or -p < k < 0:
+            continue
+        c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
+        for reduced, x in annihilate({tmono: c}, b, 2 * l).items():
+            if k < 0:
+                add(tuple(sorted((*reduced, (a, 2 * k)))), x)
+            else:
+                for both, y in annihilate({reduced: x}, a, 2 * k).items():
+                    add(both, y)
+    # h_a(k), k >= 1, contracts a factor of tmono while h_b(l) creates.
+    for k in {-m2 // 2 for g, m2 in tmono if g == a}:
+        l = s - k
+        if l <= -r:
+            c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
+            for reduced, x in annihilate({tmono: c}, a, 2 * k).items():
+                add(tuple(sorted((*reduced, (b, 2 * l)))), x)
+    return out
 
 
 def _component(mono, q, tmono, memo):

@@ -20,11 +20,10 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product
 from math import comb, gcd
 
-from .fock import FockVector, basis, single
-from .vertex import mode_component
+from .fock import VACUUM, FockVector, basis, mono_weight2, single
+from .vertex import mode_component, vacuum_component, wick_component
 
 FORMAT_VERSION = 4
 
@@ -33,17 +32,42 @@ FORMAT_VERSION = 4
 # Products
 
 def _binomial_sum(u, v, shift):
-    """sum_i C(wt u, i) u_{i-shift} v, over the homogeneous parts of u.
+    """sum_i C(wt m, i) m_{i-shift} t over the monomials m of u and t of v.
 
-    The mode components of this one product share one memo.
+    Each (m, t) pair with t the vacuum, or with m of at most two factors,
+    is taken in closed form (:func:`vacuum_component`,
+    :func:`wick_component`).  The longer monomials of each weight go to
+    :func:`mode_component` against the rest of v, and those calls of one
+    product share one memo.
     """
-    out = FockVector.zero(u.ell)
-    memo = {}
-    for w2, comp in u.graded_components().items():
-        w = w2 // 2
-        for i in range(w + 1):
-            out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)
-    return out
+    acc = {}
+
+    def add(terms, c):
+        for mono, x in terms.items():
+            acc[mono] = acc.get(mono, 0) + c * x
+
+    vac = v.terms.get(VACUUM)
+    rest = {m: c for m, c in v.terms.items() if m}
+    longer = {}  # weight -> the monomials of u with three or more factors
+    for mono, c in u.terms.items():
+        w = mono_weight2(mono) // 2
+        if vac:
+            for i in range(min(w, shift - 1) + 1):
+                add(vacuum_component(mono, shift - 1 - i), comb(w, i) * c * vac)
+        if len(mono) > 2:
+            longer.setdefault(w, {})[mono] = c
+        else:
+            for tmono, tc in rest.items():
+                for i in range(w + 1):
+                    add(wick_component(mono, i - shift, tmono), comb(w, i) * c * tc)
+    if rest and longer:
+        target = FockVector(v.ell, False, rest)
+        memo = {}
+        for w, terms in longer.items():
+            comp = FockVector(u.ell, False, terms)
+            for i in range(w + 1):
+                add(mode_component(comp, i - shift, target, memo=memo).terms, comb(w, i))
+    return FockVector(u.ell, False, acc)
 
 
 def star(u, v):
@@ -408,15 +432,22 @@ def _iter_circle_pairs(ell, columns, limit2, policy):
     """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within limit2.
 
     ``columns`` are the echelon's even monomials.  The vacuum circles come
-    first, then every (left, right) pair of the policy's factors.
+    first, then every (left, right) pair of the policy's factors.  Each
+    factor is homogeneous and its weight is taken once.
     """
     monos = [FockVector.from_monomial(ell, False, m) for m in columns if m]
     left, right = policy.factors(ell, monos)
     vac = FockVector.vacuum(ell)
-    for u, v in chain(((m, vac) for m in monos), product(left, right)):
-        # top weight of circ_0 is wt u + wt v + 1; every factor is homogeneous
-        if u.weight2() + v.weight2() + 2 <= limit2:
-            yield u, v
+    right = [(v, v.weight2()) for v in right]
+    # top weight of circ_0 is wt u + wt v + 1
+    for u in monos:
+        if u.weight2() + 2 <= limit2:
+            yield u, vac
+    for u in left:
+        room2 = limit2 - 2 - u.weight2()
+        for v, v2 in right:
+            if v2 <= room2:
+                yield u, v
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):

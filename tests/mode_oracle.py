@@ -1,12 +1,15 @@
 """Single Heisenberg modes, the desk oracle's building block.
 
-The package never applies one mode at a time: products go through
-``vertex.mode_component`` and top levels through closed forms.  The oracle
-tests build their expected values from the single modes here instead,
-including exp(Delta_z) in operator form (:func:`reference_delta`).
+The package never applies one mode at a time: products go through closed
+forms and ``vertex.mode_component``, and top levels through closed forms.
+The oracle tests build their expected values from the single modes here
+instead, including exp(Delta_z) in operator form (:func:`reference_delta`).
+The products' reference, :func:`reference_product`, runs every pair
+through the Borcherds recursion.
 """
 
 from fractions import Fraction
+from math import comb
 
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, _to_n2, annihilate
@@ -81,3 +84,18 @@ def reference_delta(v, table):
                         nxt[s - m - n] = prev + Fraction(c, k) * dw
         frontier = {s: w for s, w in nxt.items() if w}
     return {s: w for s, w in buckets.items() if w}
+
+
+def reference_product(u, v, shift):
+    """sum_i C(wt u, i) u_{i-shift} v over the homogeneous parts of u.
+
+    The products star (shift 1) and circ_n (shift n + 2) with every mode
+    component from the Borcherds recursion, whose calls share one memo.
+    """
+    out = FockVector.zero(u.ell)
+    memo = {}
+    for w2, comp in u.graded_components().items():
+        w = w2 // 2
+        for i in range(w + 1):
+            out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)
+    return out

@@ -47,6 +47,20 @@ def test_pretty_print_round_trip():
         assert format_statement(again[0]) == text
 
 
+NEGATIONS = {"two": ("-(-w1)", "--w1"),
+             "sum": ("-(-(w1 + J1))", "--(w1 + J1)"),
+             "99": ("-" * (MAX_NESTING - 1) + "w1", "-" * (MAX_NESTING - 1) + "w1")}
+
+
+@pytest.mark.parametrize("text, printed", NEGATIONS.values(), ids=NEGATIONS.keys())
+def test_nested_negation_round_trip(text, printed):
+    # A negated negation prints without parentheses, so its printed form is
+    # no deeper than the parsed one.
+    expr = parse_expr(text, 2)
+    assert format_expr(expr) == printed
+    assert parse_expr(printed, 2) == expr
+
+
 def test_realize_named_atoms():
     assert realize(parse_expr("w2", 2), 2) == omega(2, 2)
     assert realize(parse_expr("J1", 2), 2) == jgen(2, 1)

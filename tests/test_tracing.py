@@ -67,7 +67,7 @@ def test_tracer_installs_and_restores_every_name(tmp_path):
 
 
 EVAL_SCRIPT = """\
-assert_zero_eval circ(w1, J1)
+assert_zero_eval circ(J1, w1)
 assert_zero_eval circ(one, one)
 assert_zero_eval w1 * Eu(1,2) - Eu(1,2)
 assert_equiv J1 ~ w1

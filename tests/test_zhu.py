@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from mode_oracle import virasoro
+from mode_oracle import reference_product, virasoro
 from orbifock import zhu
 from orbifock.fock import FockVector, basis, single
 from orbifock.vertex import mode_component
@@ -68,6 +68,57 @@ def test_star_and_circ_against_naive_oracle():
             assert star(u, v) == naive_product(u, v, 1)
             assert circ_n(u, v, 0) == naive_product(u, v, 2)
             assert circ_n(u, v, 1) == naive_product(u, v, 3)
+
+
+# The 13 rank-2 generators of the benchmark's circle sample.
+BENCHMARK_GENERATORS = [
+    FockVector.vacuum(2), omega(2, 1), omega(2, 2), jgen(2, 1), jgen(2, 2),
+    hgen(2, 1), hgen(2, 2), s_pair(2, 1, 1, 2, 1), e_u(2, 1, 2), e_u(2, 2, 1),
+    e_t(2, 1, 2), e_t(2, 2, 1), lam(2, 1, 2)]
+
+
+def test_products_match_recursion_on_benchmark_generators():
+    # circ_3 reaches the vacuum target at j = 4 - i, so j >= 2 is covered.
+    for u in BENCHMARK_GENERATORS:
+        for v in BENCHMARK_GENERATORS:
+            assert star(u, v) == reference_product(u, v, 1), (u, v)
+            for n in range(4):
+                assert circ_n(u, v, n) == reference_product(u, v, n + 2), (u, v, n)
+
+
+@pytest.mark.parametrize("ell, window, pairs", [(2, 10, "all"), (3, 8, "quadratic")],
+                         ids=["r2w10-all", "r3w8-quadratic"])
+def test_build_circles_match_recursion(ell, window, pairs):
+    policy = GeneratorPolicy(pairs)
+    columns = OSpanEchelon(ell, 2 * window, policy).columns
+    for u, v in zhu._iter_circle_pairs(ell, columns, 2 * window, policy):
+        assert circ_n(u, v) == reference_product(u, v, 2), (u, v)
+
+
+def test_vacuum_circles_are_translations():
+    # circ_0(m, |0>) = L(-1)m + wt(m) m and star(m, |0>) = m.
+    one = FockVector.vacuum(2)
+    for w in (2, 3, 4):
+        for m in basis(2, False, w, "even"):
+            u = FockVector.from_monomial(2, False, m)
+            assert star(u, one) == u
+            assert circ_n(u, one) == virasoro(1, -1, u) + virasoro(2, -1, u) + w * u
+
+
+def test_build_makes_no_recursive_mode_calls(monkeypatch):
+    # Every circle of the rank-2 "all" policy has the vacuum on the right or
+    # a two-factor left factor, so none reaches the recursion.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return mode_component(*args, **kwargs)
+
+    monkeypatch.setattr(zhu, "mode_component", spy)
+    assert build_ospan(2, 8).rank()
+    assert calls == []
+    assert star(jgen(2, 1), omega(2, 1)) == reference_product(jgen(2, 1), omega(2, 1), 1)
+    assert calls
 
 
 def test_circ_examples_and_guards():
