@@ -12,10 +12,10 @@ from .coeffs import LPoly
 from .fock import FockVector, basis, make_monomial
 from .twisted import DeltaTable, apply_delta, delta_coefficients, twisted_zero_mode
 from .vertex import mode_component
-from .zhu import (GeneratorPolicy, OSpanEchelon, Verdict, build_ospan, circ_n,
+from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                   e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
                   s_pair, star, star_power)
-from .toplevel import (FAMILIES, TopLevelAction, disprove_equiv, evaluate,
+from .toplevel import (FAMILIES, Matrix, disprove_equiv, evaluate,
                        evaluate_word, independence_rank)
 from .script import ScriptError, parse_expr, parse_script, realize
 from .runner import Report, RunConfig, Runner, run_text
@@ -28,9 +28,9 @@ __all__ = [
     "LPoly", "FockVector", "basis", "make_monomial", "DeltaTable",
     "apply_delta", "delta_coefficients", "twisted_zero_mode",
     "mode_component", "GeneratorPolicy",
-    "OSpanEchelon", "Verdict", "build_ospan", "circ_n", "e_t", "e_t_bar",
+    "OSpanEchelon", "build_ospan", "circ_n", "e_t", "e_t_bar",
     "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
-    "star_power", "FAMILIES", "TopLevelAction", "disprove_equiv", "evaluate",
+    "star_power", "FAMILIES", "Matrix", "disprove_equiv", "evaluate",
     "evaluate_word", "independence_rank", "ScriptError", "parse_expr",
     "parse_script", "realize", "Report", "RunConfig", "Runner", "run_text",
     "run_suite", "emit_tables", "__version__",

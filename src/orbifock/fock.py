@@ -170,14 +170,6 @@ class FockVector:
     def is_even(self):
         return all(mono_parity(m) == 1 for m in self.terms)
 
-    def graded_components(self):
-        """Map from twice-weight to the homogeneous component at that weight."""
-        comps = {}
-        for m, c in self.terms.items():
-            comps.setdefault(mono_weight2(m), {})[m] = c
-        return {w2: FockVector(self.ell, self.twisted, t)
-                for w2, t in sorted(comps.items())}
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
 

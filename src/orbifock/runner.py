@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import script as dsl
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
-                       independence_rank)
-from .zhu import DEFAULT_POLICY, Verdict, build_ospan
+                       first_nonzero, independence_rank)
+from .zhu import DEFAULT_POLICY, build_ospan
 
 # Hard resource guard: echelons above this weight are refused, not attempted.
 MAX_WEIGHT_CAP = 16
@@ -164,13 +164,11 @@ class Runner:
                 return "Proved", ""
             return "Disproved", f"rank {got} != {value}"
         if stmt.kind == "zero_eval":
-            x = dsl.realize(stmt.payload[0], rank)
-            for fam in FAMILIES:
-                act = evaluate(x, fam)
-                if not act.is_zero():
-                    entry, val = next((e, v) for e, v in act.entries() if v)
-                    return "Disproved", str(Witness(fam, entry, val, 0))
-            return "Proved", ""
+            found = first_nonzero(dsl.realize(stmt.payload[0], rank), FAMILIES)
+            if found is None:
+                return "Proved", ""
+            fam, entry, val = found
+            return "Disproved", str(Witness(fam, entry, val, 0))
         raise ValueError(f"unknown statement kind {stmt.kind!r}")
 
     def check_equiv(self, left, right):
@@ -184,7 +182,7 @@ class Runner:
         if diff.max_weight2() > 2 * cfg.max_weight:
             return "Unknown", (f"weight {diff.max_weight2() / 2:g} exceeds "
                                f"cutoff {cfg.max_weight}; no disproof found")
-        if self.echelon().is_equiv(left, right) is Verdict.PROVED_EQUAL:
+        if self.echelon().reduce(diff).is_zero():
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"
         return "Unknown", (f"no certificate at cutoff {cfg.max_weight} "
                            f"(slack {cfg.slack}); no disproof found")

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .coeffs import LPoly
 from .fock import FockVector, make_monomial
-from .toplevel import FAMILIES, TopLevelAction
+from .toplevel import FAMILIES, Matrix, identity
 from . import zhu
 
 
@@ -537,23 +537,23 @@ def _realize_named(expr, rank):
 def realize_expected(expr, fam, rank):
     """Turn an expected-value AST into a top-level action for a family."""
     if isinstance(expr, Num):
-        return TopLevelAction.identity(fam, rank).scale(expr.value)
+        return expr.value * identity(fam, rank)
     if isinstance(expr, Ident):
-        return TopLevelAction.identity(fam, rank)
+        return identity(fam, rank)
     if isinstance(expr, LSym):
         if fam != "Mlambda":
             raise ValueError(f"l{expr.index} only makes sense on Mlambda")
-        return TopLevelAction.poly(LPoly.unit(rank, expr.index))
+        return LPoly.unit(rank, expr.index)
     if isinstance(expr, MatUnit):
         if fam not in ("Hminus", "Tminus"):
             raise ValueError("matrix units only make sense on Hminus/Tminus")
-        return TopLevelAction.unit_matrix(rank, expr.a, expr.b)
+        return Matrix.unit(rank, expr.a, expr.b)
     if isinstance(expr, Neg):
-        return realize_expected(expr.arg, fam, rank).scale(-1)
+        return -realize_expected(expr.arg, fam, rank)
     if isinstance(expr, Scale):
-        return realize_expected(expr.arg, fam, rank).scale(expr.value)
+        return expr.value * realize_expected(expr.arg, fam, rank)
     if isinstance(expr, Pow):
-        out = TopLevelAction.identity(fam, rank)
+        out = identity(fam, rank)
         base = realize_expected(expr.base, fam, rank)
         for _ in range(expr.exp):
             out = out * base

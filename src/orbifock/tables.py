@@ -68,13 +68,13 @@ def emit_tables(rank, fmt="csv"):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["table", "element", "family", "action"])
         for tnum, label, fam, action in rows:
-            writer.writerow([tnum, label, fam, action.to_string()])
+            writer.writerow([tnum, label, fam, str(action)])
         return buf.getvalue()
     if fmt == "json":
         payload = {
             "rank": rank,
             "rows": [{"table": tnum, "element": label, "family": fam,
-                      "action": action.to_string()}
+                      "action": str(action)}
                      for tnum, label, fam, action in rows],
         }
         return json.dumps(payload, indent=2) + "\n"

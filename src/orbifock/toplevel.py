@@ -13,8 +13,11 @@ Families and their top-level bases:
     Tplus   twisted module, even part         basis { |0>_tw }
     Tminus  twisted module, odd part          basis { h_a(-1/2)|0>_tw }
 
-Matrix actions follow the column convention: ``entry[i][j]`` is the
-coefficient of basis vector i in o(u) applied to basis vector j, so words
+An action is a plain value: a ``Fraction`` on the one-dimensional top
+levels (Hplus, Tplus), the ``LPoly`` in l1..l_ell on Mlambda, and a
+:class:`Matrix` on Hminus and Tminus, so sums and words of actions use
+Python's operators.  Matrix actions follow the column convention:
+``rows[i][j]`` is the coefficient of basis vector i in o(u) applied to basis vector j, so words
 evaluate by left-to-right matrix products and the unit E(a,b) sends basis
 vector b to basis vector a.
 """
@@ -37,108 +40,86 @@ WITNESS_ORDER = ("Hminus", "Mlambda", "Tminus", "Hplus", "Tplus")
 _MATRIX_FAMILIES = {"Hminus", "Tminus"}
 
 
-@dataclass(frozen=True)
-class TopLevelAction:
-    """Scalar, lambda-polynomial, or exact rational matrix."""
+class Matrix:
+    """An immutable square matrix of Fractions, in the column convention."""
 
-    kind: str  # "scalar" | "poly" | "matrix"
-    data: object
+    __slots__ = ("rows",)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def scalar(cls, value):
-        return cls("scalar", Fraction(value))
+    def __init__(self, rows):
+        self.rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
 
     @classmethod
-    def poly(cls, p):
-        return cls("poly", p)
-
-    @classmethod
-    def matrix(cls, rows):
-        return cls("matrix", tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-    @classmethod
-    def zero(cls, fam, rank):
-        if fam in _MATRIX_FAMILIES:
-            return cls.matrix([[0] * rank for _ in range(rank)])
-        if fam == "Mlambda":
-            return cls.poly(LPoly.const(rank, 0))
-        return cls.scalar(0)
-
-    @classmethod
-    def identity(cls, fam, rank):
-        if fam in _MATRIX_FAMILIES:
-            return cls.matrix([[1 if i == j else 0 for j in range(rank)]
-                               for i in range(rank)])
-        if fam == "Mlambda":
-            return cls.poly(LPoly.const(rank, 1))
-        return cls.scalar(1)
-
-    @classmethod
-    def unit_matrix(cls, rank, a, b):
+    def unit(cls, rank, a, b):
         """E(a,b): sends basis vector b to basis vector a."""
-        return cls.matrix([[1 if (i == a and j == b) else 0
-                            for j in range(1, rank + 1)]
-                           for i in range(1, rank + 1)])
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _require(self, other):
-        if self.kind != other.kind:
-            raise ValueError(f"mixing {self.kind} and {other.kind} actions")
+        return cls([[int(i == a and j == b) for j in range(1, rank + 1)]
+                    for i in range(1, rank + 1)])
 
     def __add__(self, other):
-        self._require(other)
-        if self.kind == "matrix":
-            return TopLevelAction.matrix(
-                [[a + b for a, b in zip(r1, r2)]
-                 for r1, r2 in zip(self.data, other.data)])
-        return TopLevelAction(self.kind, self.data + other.data)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return Matrix([[a + b for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return Matrix([[-v for v in row] for row in self.rows])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if self.kind == "matrix":
-            return TopLevelAction.matrix([[c * v for v in row] for row in self.data])
-        return TopLevelAction(self.kind, c * self.data)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other):
-        """Composition: left-to-right word products."""
-        self._require(other)
-        if self.kind == "matrix":
-            n = len(self.data)
-            rows = [[sum((self.data[i][k] * other.data[k][j] for k in range(n)),
-                         Fraction(0)) for j in range(n)] for i in range(n)]
-            return TopLevelAction.matrix(rows)
-        return TopLevelAction(self.kind, self.data * other.data)
+        """Composition (left-to-right word products) or a scalar multiple."""
+        if isinstance(other, Matrix):
+            cols = list(zip(*other.rows))
+            return Matrix([[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                            for col in cols] for row in self.rows])
+        if isinstance(other, (int, Fraction)):
+            return Matrix([[other * v for v in row] for row in self.rows])
+        return NotImplemented
 
-    def is_zero(self):
-        if self.kind == "matrix":
-            return all(not v for row in self.data for v in row)
-        return not self.data
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
 
-    # -- inspection -----------------------------------------------------------
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.rows == other.rows
 
-    def entries(self):
-        """(label, value) pairs in a deterministic order, zeros included."""
-        if self.kind == "matrix":
-            return [((i + 1, j + 1), v)
-                    for i, row in enumerate(self.data)
-                    for j, v in enumerate(row)]
-        if self.kind == "poly":
-            return [(exp, c) for exp, c in self.data.sorted_terms()]
-        return [((), self.data)]
-
-    def to_string(self):
-        if self.kind == "matrix":
-            return "[" + ";".join(
-                ",".join(str(v) for v in row) for row in self.data) + "]"
-        return str(self.data)
+    def __bool__(self):
+        return any(v for row in self.rows for v in row)
 
     def __str__(self):
-        return self.to_string()
+        return "[" + ";".join(",".join(str(v) for v in row)
+                              for row in self.rows) + "]"
+
+
+def identity(fam, rank):
+    """The action of the vacuum on the family's top level."""
+    if fam in _MATRIX_FAMILIES:
+        return Matrix([[int(i == j) for j in range(rank)] for i in range(rank)])
+    if fam == "Mlambda":
+        return LPoly.const(rank, 1)
+    return Fraction(1)
+
+
+def _entries(act):
+    """(entry, value) pairs of an action, in the witness reading order."""
+    if isinstance(act, Matrix):
+        return [((i + 1, j + 1), v)
+                for i, row in enumerate(act.rows) for j, v in enumerate(row)]
+    if isinstance(act, LPoly):
+        return act.sorted_terms()
+    return [((), act)]
+
+
+def _check_state(u):
+    if u.twisted:
+        raise ValueError("evaluate expects untwisted states")
+    if not u.is_even():
+        raise ValueError("evaluate expects even-parity states")
 
 
 def evaluate(u, fam):
@@ -162,13 +143,10 @@ def evaluate(u, fam):
       exp(Delta_z) u to its perfect matchings only and Tminus to the
       matchings that leave at most two factors.
     """
-    if u.twisted:
-        raise ValueError("evaluate expects untwisted states")
-    if not u.is_even():
-        raise ValueError("evaluate expects even-parity states")
+    _check_state(u)
     rank = u.ell
     if fam == "Hplus":
-        return TopLevelAction.scalar(u.coeff(VACUUM))
+        return Fraction(u.coeff(VACUUM))
     if fam == "Mlambda":
         terms = {}
         for mono, c in u.terms.items():
@@ -179,15 +157,14 @@ def evaluate(u, fam):
                     c = -c
             exps = tuple(exps)
             terms[exps] = terms.get(exps, Fraction(0)) + c
-        return TopLevelAction.poly(LPoly(rank, terms))
+        return LPoly(rank, terms)
     if fam == "Hminus":
-        return TopLevelAction.matrix(top_level_matrix(u.terms, rank, 2))
+        return Matrix(top_level_matrix(u.terms, rank, 2))
     if fam == "Tplus":
         w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
-        return TopLevelAction.scalar(w.coeff(VACUUM))
+        return Fraction(w.coeff(VACUUM))
     if fam == "Tminus":
-        return TopLevelAction.matrix(
-            top_level_matrix(apply_delta(u, keep=2), rank, 1))
+        return Matrix(top_level_matrix(apply_delta(u, keep=2), rank, 1))
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -216,29 +193,41 @@ class Witness:
         return f"{self.family}{where}: {self.left} vs {self.right}"
 
 
-def disprove_equiv(x, y):
-    """First family (fixed order) whose evaluations differ, or None."""
-    for fam in WITNESS_ORDER:
-        ax = evaluate(x, fam)
-        ay = evaluate(y, fam)
-        if ax != ay:
-            left = dict(ax.entries())
-            right = dict(ay.entries())
-            for entry, v in (ax - ay).entries():
-                if v:
-                    return Witness(fam, entry,
-                                   left.get(entry, Fraction(0)),
-                                   right.get(entry, Fraction(0)))
+def first_nonzero(u, order):
+    """The first (family, entry, value) where o(u) is nonzero, or None.
+
+    Families are read in the given order, and each action's entries in
+    the order of :func:`_entries`.
+    """
+    for fam in order:
+        for entry, v in _entries(evaluate(u, fam)):
+            if v:
+                return fam, entry, v
     return None
+
+
+def disprove_equiv(x, y):
+    """First family (fixed order) whose evaluations differ, or None.
+
+    Evaluation is linear, so each family evaluates x - y once; only the
+    witnessing family evaluates x and y, for the witness text.  Both sides
+    are checked first, because odd parts can cancel in x - y.
+    """
+    _check_state(x)
+    _check_state(y)
+    found = first_nonzero(x - y, WITNESS_ORDER)
+    if found is None:
+        return None
+    fam, entry, _ = found
+    left, right = (dict(_entries(evaluate(v, fam))).get(entry, Fraction(0))
+                   for v in (x, y))
+    return Witness(fam, entry, left, right)
 
 
 def _flatten(u, poly, lambda_monomials):
     row = []
-    for fam in ("Hminus", "Tminus"):
-        act = evaluate(u, fam)
-        row.extend(v for _, v in act.entries())
-    for fam in ("Hplus", "Tplus"):
-        row.append(evaluate(u, fam).data)
+    for fam in ("Hminus", "Tminus", "Hplus", "Tplus"):
+        row.extend(v for _, v in _entries(evaluate(u, fam)))
     row.extend(poly.terms.get(exp, Fraction(0)) for exp in lambda_monomials)
     return row
 
@@ -249,7 +238,7 @@ def independence_rank(elements):
     if not elements:
         return 0
     exps = set()
-    polys = [evaluate(u, "Mlambda").data for u in elements]
+    polys = [evaluate(u, "Mlambda") for u in elements]
     for p in polys:
         exps.update(p.terms)
     lambda_monomials = sorted(exps)

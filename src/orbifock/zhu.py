@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
@@ -249,11 +248,6 @@ class GeneratorPolicy:
 DEFAULT_POLICY = GeneratorPolicy()
 
 
-class Verdict(Enum):
-    PROVED_EQUAL = "ProvedEqual"
-    UNKNOWN = "Unknown"
-
-
 def _normalize_int_row(row):
     g = 0
     for v in row.values():
@@ -383,10 +377,6 @@ class OSpanEchelon:
                     work.pop(c, None)
         return FockVector(self.ell, False,
                           {self.columns[c]: v for c, v in done.items()})
-
-    def is_equiv(self, x, y):
-        """ProvedEqual when x - y reduces to zero; Unknown otherwise."""
-        return Verdict.PROVED_EQUAL if self.reduce(x - y).is_zero() else Verdict.UNKNOWN
 
     # -- persistence --------------------------------------------------------
 

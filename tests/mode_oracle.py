@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from orbifock.coeffs import LPoly
-from orbifock.fock import FockVector, _to_n2, annihilate
+from orbifock.fock import FockVector, _to_n2, annihilate, mono_weight2
 from orbifock.vertex import mode_component
 from orbifock.zhu import omega
 
@@ -86,6 +86,14 @@ def reference_delta(v, table):
     return {s: w for s, w in buckets.items() if w}
 
 
+def graded_parts(u):
+    """Map from twice-weight to u's homogeneous component, ascending."""
+    parts = {}
+    for m, c in u.terms.items():
+        parts.setdefault(mono_weight2(m), {})[m] = c
+    return {w2: FockVector(u.ell, u.twisted, t) for w2, t in sorted(parts.items())}
+
+
 def reference_product(u, v, shift):
     """sum_i C(wt u, i) u_{i-shift} v over the homogeneous parts of u.
 
@@ -94,7 +102,7 @@ def reference_product(u, v, shift):
     """
     out = FockVector.zero(u.ell)
     memo = {}
-    for w2, comp in u.graded_components().items():
+    for w2, comp in graded_parts(u).items():
         w = w2 // 2
         for i in range(w + 1):
             out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)

@@ -14,15 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from mode_oracle import virasoro
+from mode_oracle import reference_product, virasoro
 from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.runner import RunConfig
 from orbifock.suites import SUITE_NAMES, _reduce_from_weight, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
                                independence_rank, _fraction_rank)
 from orbifock.twisted import delta_coefficients, twisted_zero_mode
-from orbifock.vertex import mode_component
-from orbifock.zhu import (GeneratorPolicy, Verdict, build_ospan, circ_n, e_t,
+from orbifock.zhu import (GeneratorPolicy, build_ospan, circ_n, e_t,
                           e_u, hgen, jgen, lam, omega, s_pair, star)
 
 F = Fraction
@@ -115,14 +114,14 @@ def test_criterion_3_product_shift_identities(capsys):
                     x = (virasoro(a, -n - 3, u) + 2 * virasoro(a, -n - 2, u)
                          + virasoro(a, -n - 1, u))
                     if x:
-                        assert ech.is_equiv(x, zero) is Verdict.PROVED_EQUAL
+                        assert ech.reduce(x - zero).is_zero()
                         checked += 1
             x = star(u, wa)
             y = virasoro(a, -2, u) + virasoro(a, -1, u)
-            assert ech.is_equiv(x, y) is Verdict.PROVED_EQUAL
+            assert ech.reduce(x - y).is_zero()
             x2 = star(wa, u) - x
             y2 = virasoro(a, -1, u) + virasoro(a, 0, u)
-            assert ech.is_equiv(x2, y2) is Verdict.PROVED_EQUAL
+            assert ech.reduce(x2 - y2).is_zero()
             checked += 2
     elapsed = time.time() - t0
     assert elapsed < 300
@@ -158,7 +157,7 @@ def test_criterion_5_final_relations(capsys):
     spot = [r for r in report.results if "decomposes" in r.text]
     assert len(spot) == 1 and spot[0].status == "Proved"
     assert "630/128 + 594/128 + -4680/128 + 3456/128" in spot[0].detail
-    assert evaluate(hgen(2, 1), "Hminus").data == ((F(-9), F(0)), (F(0), F(0)))
+    assert evaluate(hgen(2, 1), "Hminus").rows == ((F(-9), F(0)), (F(0), F(0)))
     assert elapsed < 120
     _announce(capsys, 5,
               f"closing relations hold on all five families at ranks 2 and 3 "
@@ -202,23 +201,14 @@ def test_criterion_7_property_suites(capsys):
             c = circ_n(u, v, n)
             assert c.is_even()
             for fam in FAMILIES:
-                assert evaluate(c, fam).is_zero()
+                assert not evaluate(c, fam)
     # Brute-force oracle for the products at rank 1, weight <= 4.
-    from math import comb
-
-    def naive(u, v, shift):
-        out = FockVector.zero(1)
-        for w2, comp in u.graded_components().items():
-            for i in range(w2 // 2 + 1):
-                out = out + comb(w2 // 2, i) * mode_component(comp, i - shift, v)
-        return out
-
     small = [FockVector.from_monomial(1, False, m)
              for w in (0, 2, 3, 4) for m in basis(1, False, w, "even")]
     for u in small:
         for v in small:
-            assert star(u, v) == naive(u, v, 1)
-            assert circ_n(u, v, 0) == naive(u, v, 2)
+            assert star(u, v) == reference_product(u, v, 1)
+            assert circ_n(u, v, 0) == reference_product(u, v, 2)
     elapsed = time.time() - t0
     assert elapsed < 600
     _announce(capsys, 7,

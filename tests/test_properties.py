@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from mode_oracle import graded_parts
 from orbifock.fock import FockVector, basis
 from orbifock.toplevel import FAMILIES, evaluate
 from orbifock.vertex import mode_component
-from orbifock.zhu import (Verdict, build_ospan, circ_n, e_t, e_u, hgen, jgen,
-                          lam, omega, s_pair, star)
+from orbifock.zhu import (build_ospan, circ_n, e_t, e_u, hgen, jgen, lam,
+                          omega, s_pair, star)
 
 F = Fraction
 
@@ -57,11 +58,11 @@ def test_circle_annihilation_on_all_pairs(gens):
         for n in (0, 1, 2):
             c = circ_n(u, v, n)
             for fam in FAMILIES:
-                assert evaluate(c, fam).is_zero(), (nu, nv, n, fam)
+                assert not evaluate(c, fam), (nu, nv, n, fam)
 
 
 def test_certificate_soundness_against_evaluation():
-    # Every ProvedEqual pair over a sample set evaluates identically.
+    # Every certified pair over a sample set evaluates identically.
     e = build_ospan(2, 8)
     sample = []
     for w in (0, 2, 3, 4):
@@ -72,7 +73,7 @@ def test_certificate_soundness_against_evaluation():
         for v in sample:
             if u.max_weight2() > 12 or v.max_weight2() > 12:
                 continue
-            if e.is_equiv(u, v) is Verdict.PROVED_EQUAL:
+            if e.reduce(u - v).is_zero():
                 pairs += 1
                 for fam in FAMILIES:
                     assert evaluate(u, fam) == evaluate(v, fam)
@@ -88,7 +89,7 @@ def test_associativity_modulo_circles():
         left = star(star(u, v), w)
         right = star(u, star(v, w))
         if left.max_weight2() <= 16 and right.max_weight2() <= 16:
-            assert e.is_equiv(left, right) is Verdict.PROVED_EQUAL
+            assert e.reduce(left - right).is_zero()
 
 
 def test_central_element_commutes_under_evaluation(gens):
@@ -105,7 +106,7 @@ def test_mode_weight_law_on_products(gens):
     # named generators stay finite and their components respect the grading.
     u, v = gens["Eu12"], gens["Et21"]
     sv = star(u, v)
-    for w2, comp in sv.graded_components().items():
+    for w2, comp in graded_parts(sv).items():
         t = FockVector.vacuum(2)
         out = mode_component(comp, w2 // 2 - 1, t)
         if out:

@@ -1,0 +1,89 @@
+"""Report lines pinned byte for byte: disproof witnesses and the recorded
+benchmark lines.
+
+The benchmark under ``perfbench/`` records the report line of every
+statement its workloads can draw (``perfbench/expected_lines.json``).  The
+replays here run the eval-r2 statements and ``suite all`` at rank 2 and
+compare their lines with the recording, so a drifted line fails in the
+test suite.  The recording is only read.
+"""
+
+import json
+import os
+import re
+
+import pytest
+
+from orbifock.runner import RunConfig, run_text
+from orbifock.suites import run_suite
+
+EXPECTED_LINES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "expected_lines.json")
+TIMING_RE = re.compile(r"\d+ ms\b")
+
+WITNESS_LINES = {
+    "assert_zero_eval one":
+        "[DISPROVED] assert_zero_eval one  (Hplus: 1 vs 0)",
+    "assert_zero_eval Lam(1,2)":
+        "[DISPROVED] assert_zero_eval Lam(1,2)  (Mlambda at (1, 1): 1 vs 0)",
+    "assert_zero_eval Et(1,2)":
+        "[DISPROVED] assert_zero_eval Et(1,2)  (Tminus at (1, 2): 1 vs 0)",
+    "assert_eval w1 on Tminus = I":
+        "[DISPROVED] assert_eval w1 on Tminus = I  "
+        "(Tminus: got [9/16,0;0,1/16], expected [1,0;0,1])",
+    "assert_eval J1 on Mlambda = l1^4":
+        "[DISPROVED] assert_eval J1 on Mlambda = l1^4  "
+        "(Mlambda: got -1/2*l1^2 + l1^4, expected l1^4)",
+    "assert_rank [w1, w2, J1] = 2":
+        "[DISPROVED] assert_rank [w1, w2, J1] = 2  (rank 3 != 2)",
+    "assert_equiv J1 ~ 3/128 one":
+        "[DISPROVED] assert_equiv J1 ~ 3/128 one  "
+        "(Hminus at (1, 1): -6 vs 3/128)",
+}
+
+# Realized states are checked before their difference is evaluated, so an
+# odd side stays an error even when the two sides cancel.
+ERROR_LINES = {
+    "assert_equiv h1(-1) ~ h1(-1)":
+        "[ERROR    ] assert_equiv h1(-1) ~ h1(-1)  "
+        "(evaluate expects even-parity states)",
+    "assert_equiv h1(-1)h1(-1) + h1(-1) ~ h1(-1)":
+        "[ERROR    ] assert_equiv h1(-1)h1(-1) + h1(-1) ~ h1(-1)  "
+        "(evaluate expects even-parity states)",
+    "assert_zero_eval h1(-1)":
+        "[ERROR    ] assert_zero_eval h1(-1)  "
+        "(evaluate expects even-parity states)",
+}
+
+
+def _line(result):
+    return TIMING_RE.sub("<t> ms", result.line())
+
+
+@pytest.fixture(scope="module")
+def expected_lines():
+    with open(EXPECTED_LINES, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("text, line", list(WITNESS_LINES.items())
+                         + list(ERROR_LINES.items()))
+def test_disproof_and_error_lines(text, line):
+    report = run_text(text, RunConfig(rank=2, cache_dir=None))
+    assert [r.line() for r in report.results] == [line]
+
+
+def test_eval_r2_lines_replay(expected_lines):
+    config = RunConfig(rank=2)
+    drifted = []
+    for text, want in expected_lines["eval-r2"].items():
+        got = [_line(r) for r in run_text(text, config).results]
+        if got != [want]:
+            drifted.append((text, got, want))
+    assert len(expected_lines["eval-r2"]) == 627
+    assert not drifted, drifted[:3]
+
+
+def test_suite_all_lines_replay(expected_lines):
+    report = run_suite("all", RunConfig(rank=2))
+    assert [_line(r) for r in report.results] == expected_lines["suite-warm"]

@@ -8,7 +8,7 @@ from orbifock.fock import FockVector, single
 from orbifock.script import (MAX_NESTING, ScriptError, format_expr,
                              format_statement, parse_expr, parse_script,
                              realize, realize_expected)
-from orbifock.toplevel import TopLevelAction, evaluate
+from orbifock.toplevel import evaluate
 from orbifock.zhu import circ_n, e_u, hgen, jgen, lam, omega, s_pair, star
 
 F = Fraction
@@ -92,7 +92,7 @@ def test_realize_expected_values():
     act = realize_expected(exp, "Tminus", 2)
     assert act == evaluate(omega(2, 1), "Tminus")
     exp = parse_script("assert_eval w1 on Tplus = 1/16", rank=2)[0].payload[2]
-    assert realize_expected(exp, "Tplus", 2) == TopLevelAction.scalar(F(1, 16))
+    assert realize_expected(exp, "Tplus", 2) == F(1, 16)
     exp = parse_script("assert_eval Lam(1,2) on Mlambda = l1*l2",
                        rank=2)[0].payload[2]
     assert realize_expected(exp, "Mlambda", 2) == evaluate(lam(2, 1, 2), "Mlambda")

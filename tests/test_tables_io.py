@@ -43,7 +43,7 @@ def _golden_cells(rank):
             for fam, expected in row.items():
                 stmt, = parse_script(f"assert_eval {label} on {fam} = {expected}")
                 act = realize_expected(stmt.payload[2], fam, rank)
-                cells.append([str(tnum), label, fam, act.to_string()])
+                cells.append([str(tnum), label, fam, str(act)])
     return cells
 
 
@@ -52,7 +52,7 @@ def test_csv_round_trip():
     # every action cell equals the golden value of its row.
     for rank in (2, 3):
         rows = list(csv.reader(io.StringIO(emit_tables(rank, "csv"))))
-        computed = [[str(t), label, fam, a.to_string()]
+        computed = [[str(t), label, fam, str(a)]
                     for t, label, fam, a in table_actions(rank)]
         assert rows == [["table", "element", "family", "action"]] + computed
         assert rows[1:] == _golden_cells(rank)
@@ -64,7 +64,7 @@ def test_json_round_trip():
         assert payload["rank"] == rank
         rows = [[str(r["table"]), r["element"], r["family"], r["action"]]
                 for r in payload["rows"]]
-        computed = [[str(t), label, fam, a.to_string()]
+        computed = [[str(t), label, fam, str(a)]
                     for t, label, fam, a in table_actions(rank)]
         assert rows == computed
         assert rows == _golden_cells(rank)

@@ -8,62 +8,62 @@ import orbifock.toplevel as toplevel
 import orbifock.twisted as twisted
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, make_monomial, single
-from orbifock.toplevel import (TopLevelAction, disprove_equiv, evaluate,
-                               evaluate_word, independence_rank)
-from orbifock.zhu import e_t, e_u, hgen, jgen, lam, omega, s_pair, star
+from orbifock.toplevel import (Matrix, disprove_equiv, evaluate,
+                               evaluate_word, identity, independence_rank)
+from orbifock.zhu import circ_n, e_t, e_u, hgen, jgen, lam, omega, s_pair, star
 
 F = Fraction
 
 
 def E(rank, a, b):
-    return TopLevelAction.unit_matrix(rank, a, b)
+    return Matrix.unit(rank, a, b)
 
 
 def test_quadratic_ladder_on_all_columns():
     acts = {
         1: (E(2, 1, 2) + E(2, 2, 1), "l1*l2",
-            E(2, 1, 2).scale(F(1, 2)) + E(2, 2, 1).scale(F(1, 2))),
-        2: (E(2, 1, 2).scale(-2), "-l1*l2",
-            E(2, 1, 2).scale(F(-3, 4)) + E(2, 2, 1).scale(F(-1, 4))),
-        3: (E(2, 1, 2).scale(3), "l1*l2",
-            E(2, 1, 2).scale(F(15, 16)) + E(2, 2, 1).scale(F(3, 16))),
-        4: (E(2, 1, 2).scale(-4), "-l1*l2",
-            E(2, 1, 2).scale(F(-35, 32)) + E(2, 2, 1).scale(F(-5, 32))),
-        5: (E(2, 1, 2).scale(5), "l1*l2",
-            E(2, 1, 2).scale(F(315, 256)) + E(2, 2, 1).scale(F(35, 256))),
+            F(1, 2) * E(2, 1, 2) + F(1, 2) * E(2, 2, 1)),
+        2: (-2 * E(2, 1, 2), "-l1*l2",
+            F(-3, 4) * E(2, 1, 2) + F(-1, 4) * E(2, 2, 1)),
+        3: (3 * E(2, 1, 2), "l1*l2",
+            F(15, 16) * E(2, 1, 2) + F(3, 16) * E(2, 2, 1)),
+        4: (-4 * E(2, 1, 2), "-l1*l2",
+            F(-35, 32) * E(2, 1, 2) + F(-5, 32) * E(2, 2, 1)),
+        5: (5 * E(2, 1, 2), "l1*l2",
+            F(315, 256) * E(2, 1, 2) + F(35, 256) * E(2, 2, 1)),
     }
     for m, (hm, ml, tm) in acts.items():
         S = s_pair(2, 1, 1, 2, m)
         assert evaluate(S, "Hminus") == hm
         assert str(evaluate(S, "Mlambda")) == ml
         assert evaluate(S, "Tminus") == tm
-        assert evaluate(S, "Hplus").is_zero()
-        assert evaluate(S, "Tplus").is_zero()
+        assert not evaluate(S, "Hplus")
+        assert not evaluate(S, "Tplus")
 
 
 def test_unit_and_center_rows():
     assert evaluate(e_u(2, 1, 2), "Hminus") == E(2, 1, 2)
-    assert evaluate(e_u(2, 1, 2), "Mlambda").is_zero()
-    assert evaluate(e_u(2, 1, 2), "Tminus").is_zero()
+    assert not evaluate(e_u(2, 1, 2), "Mlambda")
+    assert not evaluate(e_u(2, 1, 2), "Tminus")
     assert evaluate(e_t(2, 1, 2), "Tminus") == E(2, 1, 2)
-    assert evaluate(e_t(2, 1, 2), "Hminus").is_zero()
+    assert not evaluate(e_t(2, 1, 2), "Hminus")
     assert str(evaluate(lam(2, 1, 2), "Mlambda")) == "l1*l2"
-    assert evaluate(lam(2, 1, 2), "Hminus").is_zero()
-    assert evaluate(lam(2, 1, 2), "Tminus").is_zero()
+    assert not evaluate(lam(2, 1, 2), "Hminus")
+    assert not evaluate(lam(2, 1, 2), "Tminus")
 
 
 def test_singlet_rows():
     w1, J1 = omega(2, 1), jgen(2, 1)
-    I = TopLevelAction.identity("Tminus", 2)
-    assert evaluate(w1, "Hplus") == TopLevelAction.scalar(0)
+    I = identity("Tminus", 2)
+    assert evaluate(w1, "Hplus") == 0
     assert evaluate(w1, "Hminus") == E(2, 1, 1)
     assert str(evaluate(w1, "Mlambda")) == "1/2*l1^2"
-    assert evaluate(w1, "Tplus") == TopLevelAction.scalar(F(1, 16))
-    assert evaluate(w1, "Tminus") == I.scale(F(1, 16)) + E(2, 1, 1).scale(F(1, 2))
-    assert evaluate(J1, "Hminus") == E(2, 1, 1).scale(-6)
+    assert evaluate(w1, "Tplus") == F(1, 16)
+    assert evaluate(w1, "Tminus") == F(1, 16) * I + F(1, 2) * E(2, 1, 1)
+    assert evaluate(J1, "Hminus") == -6 * E(2, 1, 1)
     assert str(evaluate(J1, "Mlambda")) == "-1/2*l1^2 + l1^4"
-    assert evaluate(J1, "Tplus") == TopLevelAction.scalar(F(3, 128))
-    assert evaluate(J1, "Tminus") == I.scale(F(3, 128)) + E(2, 1, 1).scale(F(-3, 8))
+    assert evaluate(J1, "Tplus") == F(3, 128)
+    assert evaluate(J1, "Tminus") == F(3, 128) * I + F(-3, 8) * E(2, 1, 1)
 
 
 def test_evaluate_rejects_odd_or_twisted():
@@ -75,7 +75,7 @@ def test_evaluate_rejects_odd_or_twisted():
 
 def test_word_products():
     assert evaluate_word([e_u(3, 1, 2), e_u(3, 2, 3)], "Hminus") == E(3, 1, 3)
-    assert evaluate_word([hgen(2, 1)], "Hminus") == E(2, 1, 1).scale(-9)
+    assert evaluate_word([hgen(2, 1)], "Hminus") == -9 * E(2, 1, 1)
     lhs = evaluate_word([lam(3, 1, 2), lam(3, 2, 3)], "Mlambda")
     rhs = (evaluate(2 * omega(3, 2), "Mlambda")
            * evaluate(lam(3, 1, 3), "Mlambda"))
@@ -106,6 +106,26 @@ def test_disprove_equiv_witnesses():
     assert w is not None and w.family == "Mlambda" and w.entry == (1, 1)
 
 
+def test_disprove_equiv_evaluates_the_difference(monkeypatch):
+    # Evaluation is linear: x - y once per family, and x and y only in the
+    # witnessing family.
+    real = toplevel.evaluate
+    calls = []
+
+    def counting(u, fam):
+        calls.append(fam)
+        return real(u, fam)
+
+    monkeypatch.setattr(toplevel, "evaluate", counting)
+    w1 = omega(2, 1)
+    assert disprove_equiv(w1, w1 + circ_n(w1, jgen(2, 1), 0)) is None
+    assert calls == list(toplevel.WITNESS_ORDER)
+    calls.clear()
+    w = disprove_equiv(jgen(2, 1), F(3, 128) * FockVector.vacuum(2))
+    assert calls == ["Hminus"] * 3
+    assert str(w) == "Hminus at (1, 1): -6 vs 3/128"
+
+
 def test_independence_rank_examples():
     S = [s_pair(2, 1, 1, 2, m) for m in range(1, 6)]
     assert independence_rank(S) == 5
@@ -124,8 +144,10 @@ def test_rank_invariance_under_scaling_and_permutation():
 
 
 def test_matrix_arithmetic_guards():
-    with pytest.raises(ValueError):
-        TopLevelAction.scalar(1) + TopLevelAction.poly(LPoly.const(1, 1))
+    with pytest.raises(TypeError):
+        E(2, 1, 2) + F(1)
+    with pytest.raises(TypeError):
+        E(2, 1, 2) * LPoly.const(2, 1)
 
 
 def test_tminus_expands_each_state_once(monkeypatch):
@@ -148,5 +170,5 @@ def test_tminus_expands_each_state_once(monkeypatch):
         cols = [twisted.twisted_zero_mode(u, FockVector.from_monomial(3, True, t))
                 for t in tops]
         assert calls == [u] * 3
-        assert act == TopLevelAction.matrix(
+        assert act == Matrix(
             [[col.coeff(t) for col in cols] for t in tops])
