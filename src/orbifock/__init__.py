@@ -14,7 +14,7 @@ from .twisted import DeltaTable, apply_delta, delta_coefficients, twisted_zero_m
 from .vertex import mode_component
 from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                   e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
-                  s_pair, star, star_power)
+                  s_pair, star)
 from .toplevel import (FAMILIES, Matrix, disprove_equiv, evaluate,
                        evaluate_word, independence_rank)
 from .script import ScriptError, parse_expr, parse_script, realize
@@ -30,8 +30,8 @@ __all__ = [
     "mode_component", "GeneratorPolicy",
     "OSpanEchelon", "build_ospan", "circ_n", "e_t", "e_t_bar",
     "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
-    "star_power", "FAMILIES", "Matrix", "disprove_equiv", "evaluate",
-    "evaluate_word", "independence_rank", "ScriptError", "parse_expr",
+    "FAMILIES", "Matrix", "disprove_equiv", "evaluate", "evaluate_word",
+    "independence_rank", "ScriptError", "parse_expr",
     "parse_script", "realize", "Report", "RunConfig", "Runner", "run_text",
     "run_suite", "emit_tables", "__version__",
 ]

@@ -17,10 +17,7 @@ from dataclasses import dataclass, field
 from . import script as dsl
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
-from .zhu import DEFAULT_POLICY, build_ospan
-
-# Hard resource guard: echelons above this weight are refused, not attempted.
-MAX_WEIGHT_CAP = 16
+from .zhu import DEFAULT_POLICY, MAX_WEIGHT_CAP, build_ospan
 
 CACHE_ENV = "ORBIFOCK_CACHE_DIR"
 

@@ -7,14 +7,13 @@ Scripts are plain text, one statement per line, ``#`` comments::
     assert_rank [S(1,1;2,1), S(1,1;2,2)] = 2
     assert_zero_eval circ(w1, J1)
 
-Expression atoms are the named generators (``one``, ``w1``, ``J2``, ``H1``,
-``S(a,m;b,n)``, ``Eu(a,b)``, ``Eubar(a,b)``, ``Et(a,b)``, ``Etbar(a,b)``,
-``Lam(a,b)``), raw monomials like ``h1(-3)h1(-1)``, and rational literals.
-``*`` is the quotient product (left associative), ``^`` an integer product
-power, ``circ(x,y)`` / ``circn(x,y,n)`` the circle elements, and a literal
-juxtaposed before an atom is a tight scalar multiple.  Expected values on
-the right of ``assert_eval`` use ``l1..l_ell``, matrix units ``E(a,b)``,
-``I``, and rationals.
+Expression atoms are the names listed in the ``_ATOMS`` table, such as
+``w1``, ``Eu(2,3)`` and ``S(a,m;b,n)`` (``I``, ``l1`` and ``E(a,b)`` only
+in expected values, on the right of ``assert_eval``), raw monomials like
+``h1(-3)h1(-1)``, and rational literals.  ``*`` is the quotient product
+(left associative), ``^`` an integer product power, ``circ(x,y)`` /
+``circn(x,y,n)`` the circle elements, and a literal juxtaposed before an
+atom is a tight scalar multiple.
 
 Expressions nest at most ``MAX_NESTING`` = 100 levels, checked at parse
 time: parentheses, circle arguments and unary minus signs each open one,
@@ -24,9 +23,12 @@ deep), so parsing, realizing and formatting stay below the recursion limit.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 
 from .coeffs import LPoly
 from .fock import FockVector, make_monomial
@@ -99,31 +101,41 @@ class Num:
     value: Fraction
 
 
+# Every named atom: name -> (argument shape, True if the atom belongs only
+# in expected values).  Each letter of a shape is one argument: i, j and
+# the distinct pair a, b are generator indices, m and n positive mode
+# depths; a bare "i" is glued to the name (w1), other characters are
+# literal.
+_ATOMS = {
+    "one": ("", False), "I": ("", True),
+    "w": ("i", False), "J": ("i", False), "H": ("i", False), "l": ("i", True),
+    "Eu": ("(a,b)", False), "Eubar": ("(a,b)", False), "Et": ("(a,b)", False),
+    "Etbar": ("(a,b)", False), "Lam": ("(a,b)", False),
+    "E": ("(i,j)", True),
+    "S": ("(i,m;j,n)", False),
+}
+
+
+def _lookup(name, expected):
+    """(kind, glued index digits) of an atom name valid in expected values
+    or in main expressions, or None."""
+    m = re.fullmatch(r"([A-Za-z]+?)(\d*)", name)
+    if m and m[1] in _ATOMS:
+        shape, only_expected = _ATOMS[m[1]]
+        if only_expected == expected and (shape == "i") == bool(m[2]):
+            return m.groups()
+    return None
+
+
 @dataclass(frozen=True)
 class Named:
-    kind: str        # one | w | J | H | S | Eu | Eubar | Et | Etbar | Lam
-    args: tuple      # indices, or (a, m, b, n) for S
+    kind: str        # a key of _ATOMS
+    args: tuple      # one integer per letter of the kind's shape
 
 
 @dataclass(frozen=True)
 class Mono:
     modes: tuple     # ((gen, Fraction index), ...)
-
-
-@dataclass(frozen=True)
-class LSym:
-    index: int
-
-
-@dataclass(frozen=True)
-class MatUnit:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Ident:
-    pass
 
 
 @dataclass(frozen=True)
@@ -174,10 +186,6 @@ def _depth(expr):
         stack += [(getattr(node, name), depth + 1) for name in
                   ("arg", "left", "right", "base") if hasattr(node, name)]
     return deepest
-
-
-_OFFDIAG = {"Eu", "Eubar", "Et", "Etbar", "Lam"}
-_ATOM_START_NAMES = re.compile(r"^(one|[wJH]\d+|h\d+|S|Eu|Eubar|Et|Etbar|Lam|circ|circn)$")
 
 
 class _Parser:
@@ -323,9 +331,10 @@ class _Parser:
             return True
         if tok.kind != "name":
             return False
-        if expected:
-            return re.fullmatch(r"l\d+|E|I", tok.text) is not None
-        return _ATOM_START_NAMES.match(tok.text) is not None
+        if _lookup(tok.text, expected):
+            return True
+        return not expected and (tok.text in ("circ", "circn")
+                                 or re.fullmatch(r"h\d+", tok.text) is not None)
 
     def parse_power(self, expected):
         base = self.parse_atom(expected)
@@ -348,61 +357,52 @@ class _Parser:
             return Num(self.parse_number())
         if tok.kind != "name":
             self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
-        if expected:
-            return self.parse_expected_atom()
-        return self.parse_main_atom()
-
-    # -- main-expression atoms ---------------------------------------------
-
-    def parse_main_atom(self):
         tok = self.next()
-        name = tok.text
-        if name == "one":
-            return Named("one", ())
-        if name in ("circ", "circn"):
-            self.expect("(")
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            n = 0
-            if name == "circn":
-                self.expect(",")
-                ntok = self.next()
-                if ntok.kind != "int":
-                    raise ScriptError("expected an integer circle index",
-                                      ntok.line, ntok.col)
-                n = int(ntok.text)
-            self.expect(")")
-            return Circ(left, right, n)
-        m = re.fullmatch(r"([wJH])(\d+)", name)
-        if m:
-            idx = int(m.group(2))
-            self.check_index(idx, tok)
-            return Named(m.group(1), (idx,))
-        if name == "S":
-            self.expect("(")
-            a = self.parse_index()
-            self.expect(",")
-            mm = self.parse_positive()
-            self.expect(";")
-            b = self.parse_index()
-            self.expect(",")
-            nn = self.parse_positive()
-            self.expect(")")
-            return Named("S", (a, mm, b, nn))
-        if name in _OFFDIAG:
-            self.expect("(")
-            a = self.parse_index()
-            self.expect(",")
-            b = self.parse_index()
-            self.expect(")")
-            if a == b:
-                raise ScriptError(f"{name} needs two distinct indices",
-                                  tok.line, tok.col)
-            return Named(name, (a, b))
-        if re.fullmatch(r"h\d+", name):
+        if not expected and tok.text in ("circ", "circn"):
+            return self.parse_circle(tok.text)
+        if not expected and re.fullmatch(r"h\d+", tok.text):
             return self.parse_monomial(tok)
-        raise ScriptError(f"unknown name {name!r}", tok.line, tok.col)
+        return self.parse_named(tok, expected)
+
+    # -- atoms ---------------------------------------------------------------
+
+    def parse_named(self, tok, expected):
+        found = _lookup(tok.text, expected)
+        if found is None:
+            where = " in an expected value" if expected else ""
+            raise ScriptError(f"unknown name {tok.text!r}{where}", tok.line, tok.col)
+        kind, digits = found
+        shape = _ATOMS[kind][0]
+        if shape == "i":
+            self.check_index(int(digits), tok)
+            return Named(kind, (int(digits),))
+        args = []
+        for ch in shape:
+            if ch in "abij":
+                args.append(self.parse_index())
+            elif ch in "mn":
+                args.append(self.parse_positive())
+            else:
+                self.expect(ch)
+        if "a" in shape and args[0] == args[1]:
+            raise ScriptError(f"{kind} needs two distinct indices", tok.line, tok.col)
+        return Named(kind, tuple(args))
+
+    def parse_circle(self, name):
+        self.expect("(")
+        left = self.parse_expr()
+        self.expect(",")
+        right = self.parse_expr()
+        n = 0
+        if name == "circn":
+            self.expect(",")
+            ntok = self.next()
+            if ntok.kind != "int":
+                raise ScriptError("expected an integer circle index",
+                                  ntok.line, ntok.col)
+            n = int(ntok.text)
+        self.expect(")")
+        return Circ(left, right, n)
 
     def parse_monomial(self, first):
         modes = []
@@ -448,28 +448,6 @@ class _Parser:
             raise ScriptError(f"generator index {idx} out of range 1..{bound}",
                               tok.line, tok.col)
 
-    # -- expected-value atoms -------------------------------------------------
-
-    def parse_expected_atom(self):
-        tok = self.next()
-        name = tok.text
-        if name == "I":
-            return Ident()
-        m = re.fullmatch(r"l(\d+)", name)
-        if m:
-            idx = int(m.group(1))
-            self.check_index(idx, tok)
-            return LSym(idx)
-        if name == "E":
-            self.expect("(")
-            a = self.parse_index()
-            self.expect(",")
-            b = self.parse_index()
-            self.expect(")")
-            return MatUnit(a, b)
-        raise ScriptError(f"unknown name {name!r} in an expected value",
-                          tok.line, tok.col)
-
 
 def parse_script(text, rank=None):
     """Parse a script into statements; checks indices when rank is given."""
@@ -488,141 +466,123 @@ def parse_expr(text, rank=None):
 # ---------------------------------------------------------------------------
 # Realization
 
+_BUILDERS = {"one": FockVector.vacuum, "w": zhu.omega, "J": zhu.jgen,
+             "H": zhu.hgen, "S": zhu.s_pair, "Eu": zhu.e_u, "Eubar": zhu.e_u_bar,
+             "Et": zhu.e_t, "Etbar": zhu.e_t_bar, "Lam": zhu.lam}
+
+
+def _fold(expr, unit, product, leaf):
+    """Evaluate the arithmetic nodes of an expression: ``product(x, y, k)``
+    is x * y * ... * y with k factors y, and ``leaf(node, fold)`` realizes
+    every other node."""
+    def fold(e):
+        if isinstance(e, Num):
+            return e.value * unit
+        if isinstance(e, Neg):
+            return -fold(e.arg)
+        if isinstance(e, Scale):
+            return e.value * fold(e.arg)
+        if isinstance(e, Pow):
+            return product(unit, fold(e.base), e.exp)
+        if isinstance(e, Bin):
+            left, right = fold(e.left), fold(e.right)
+            if e.op == "+":
+                return left + right
+            if e.op == "-":
+                return left - right
+            return product(left, right, 1)
+        return leaf(e, fold)
+    return fold(expr)
+
+
+def _guard(what, top):
+    if top > zhu.MAX_WEIGHT_CAP:
+        raise ResourceWarning(f"{what} of top weight {top} exceeds the "
+                              f"weight cap {zhu.MAX_WEIGHT_CAP}")
+
+
 def realize(expr, rank):
-    """Turn a main-expression AST into an even untwisted state."""
-    if isinstance(expr, Num):
-        return FockVector.vacuum(rank, coeff=expr.value)
-    if isinstance(expr, Named):
-        return _realize_named(expr, rank)
-    if isinstance(expr, Mono):
-        mono = make_monomial(rank, False, expr.modes)
-        return FockVector.from_monomial(rank, False, mono)
-    if isinstance(expr, Neg):
-        return -realize(expr.arg, rank)
-    if isinstance(expr, Scale):
-        return expr.value * realize(expr.arg, rank)
-    if isinstance(expr, Pow):
-        return zhu.star_power(realize(expr.base, rank), expr.exp)
-    if isinstance(expr, Circ):
-        return zhu.circ_n(realize(expr.left, rank), realize(expr.right, rank), expr.n)
-    if isinstance(expr, Bin):
-        left = realize(expr.left, rank)
-        right = realize(expr.right, rank)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        return zhu.star(left, right)
-    raise TypeError(f"not a state expression: {expr!r}")
+    """Turn a main-expression AST into an even untwisted state.
 
+    A product, a whole power or a circle whose top weight exceeds
+    ``zhu.MAX_WEIGHT_CAP`` raises ResourceWarning before it is computed
+    (the top part of star(u, v) is the product of those of u and v).
+    """
+    def star(u, v, k):
+        _guard("product", (u.max_weight2() + k * v.max_weight2()) // 2)
+        return reduce(zhu.star, repeat(v, k), u)
 
-def _realize_named(expr, rank):
-    kind, args = expr.kind, expr.args
-    if kind == "one":
-        return FockVector.vacuum(rank)
-    if kind == "w":
-        return zhu.omega(rank, *args)
-    if kind == "J":
-        return zhu.jgen(rank, *args)
-    if kind == "H":
-        return zhu.hgen(rank, *args)
-    if kind == "S":
-        a, m, b, n = args
-        return zhu.s_pair(rank, a, m, b, n)
-    builder = {"Eu": zhu.e_u, "Eubar": zhu.e_u_bar,
-               "Et": zhu.e_t, "Etbar": zhu.e_t_bar, "Lam": zhu.lam}[kind]
-    return builder(rank, *args)
+    def leaf(e, fold):
+        if isinstance(e, Named) and e.kind in _BUILDERS:
+            return _BUILDERS[e.kind](rank, *e.args)
+        if isinstance(e, Mono):
+            mono = make_monomial(rank, False, e.modes)
+            return FockVector.from_monomial(rank, False, mono)
+        if isinstance(e, Circ):
+            u, v = fold(e.left), fold(e.right)
+            _guard("circle", (u.max_weight2() + v.max_weight2()) // 2 + e.n + 1)
+            return zhu.circ_n(u, v, e.n)
+        raise TypeError(f"not a state expression: {e!r}")
+
+    return _fold(expr, FockVector.vacuum(rank), star, leaf)
 
 
 def realize_expected(expr, fam, rank):
     """Turn an expected-value AST into a top-level action for a family."""
-    if isinstance(expr, Num):
-        return expr.value * identity(fam, rank)
-    if isinstance(expr, Ident):
-        return identity(fam, rank)
-    if isinstance(expr, LSym):
-        if fam != "Mlambda":
-            raise ValueError(f"l{expr.index} only makes sense on Mlambda")
-        return LPoly.unit(rank, expr.index)
-    if isinstance(expr, MatUnit):
-        if fam not in ("Hminus", "Tminus"):
-            raise ValueError("matrix units only make sense on Hminus/Tminus")
-        return Matrix.unit(rank, expr.a, expr.b)
-    if isinstance(expr, Neg):
-        return -realize_expected(expr.arg, fam, rank)
-    if isinstance(expr, Scale):
-        return expr.value * realize_expected(expr.arg, fam, rank)
-    if isinstance(expr, Pow):
-        out = identity(fam, rank)
-        base = realize_expected(expr.base, fam, rank)
-        for _ in range(expr.exp):
-            out = out * base
-        return out
-    if isinstance(expr, Bin):
-        left = realize_expected(expr.left, fam, rank)
-        right = realize_expected(expr.right, fam, rank)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        return left * right
-    raise TypeError(f"not an expected-value expression: {expr!r}")
+    def leaf(e, fold):
+        kind = e.kind if isinstance(e, Named) else None
+        if kind == "I":
+            return identity(fam, rank)
+        if kind == "l":
+            if fam != "Mlambda":
+                raise ValueError(f"l{e.args[0]} only makes sense on Mlambda")
+            return LPoly.unit(rank, *e.args)
+        if kind == "E":
+            if fam not in ("Hminus", "Tminus"):
+                raise ValueError("matrix units only make sense on Hminus/Tminus")
+            return Matrix.unit(rank, *e.args)
+        raise TypeError(f"not an expected-value expression: {e!r}")
+
+    return _fold(expr, identity(fam, rank),
+                 lambda x, y, k: reduce(operator.mul, repeat(y, k), x), leaf)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing (round-trips through the parser)
-
-def _fmt_num(q):
-    return str(q)
-
 
 def format_expr(expr):
     return _fmt(expr, 0)
 
 
 def _fmt(expr, prec):
-    # precedence levels: 0 sum, 1 product, 2 tight (scale/power/atom)
+    """The text of expr as an operand that binds at ``prec``: 0 a term, 1 a
+    factor, 2 a unary operand, 3 a tight scalar's operand, 4 a power's base.
+    A node whose own level is below ``prec`` is parenthesized."""
+    level = 4
     if isinstance(expr, Num):
-        return _fmt_num(expr.value)
-    if isinstance(expr, Named):
-        kind, args = expr.kind, expr.args
-        if kind == "one":
-            return "one"
-        if kind in ("w", "J", "H"):
-            return f"{kind}{args[0]}"
-        if kind == "S":
-            a, m, b, n = args
-            return f"S({a},{m};{b},{n})"
-        return f"{kind}({args[0]},{args[1]})"
-    if isinstance(expr, Mono):
-        return "".join(f"h{g}({idx})" for g, idx in expr.modes)
-    if isinstance(expr, LSym):
-        return f"l{expr.index}"
-    if isinstance(expr, MatUnit):
-        return f"E({expr.a},{expr.b})"
-    if isinstance(expr, Ident):
-        return "I"
-    if isinstance(expr, Neg):
+        out, level = str(expr.value), 2
+    elif isinstance(expr, Named):
+        args = iter(expr.args)
+        out = expr.kind + "".join(str(next(args)) if ch.isalpha() else ch
+                                  for ch in _ATOMS[expr.kind][0])
+    elif isinstance(expr, Mono):
+        out = "".join(f"h{g}({idx})" for g, idx in expr.modes)
+    elif isinstance(expr, Neg):
         # A negated negation prints as --x, which parses back at its depth.
-        inner = _fmt(expr.arg, 1 if isinstance(expr.arg, Neg) else 2)
-        out = f"-{inner}"
-        return f"({out})" if prec >= 2 else out
-    if isinstance(expr, Scale):
-        out = f"{_fmt_num(expr.value)} {_fmt(expr.arg, 2)}"
-        return out
-    if isinstance(expr, Pow):
-        return f"{_fmt(expr.base, 2)}^{expr.exp}"
-    if isinstance(expr, Circ):
-        if expr.n:
-            return f"circn({_fmt(expr.left, 0)}, {_fmt(expr.right, 0)}, {expr.n})"
-        return f"circ({_fmt(expr.left, 0)}, {_fmt(expr.right, 0)})"
-    if isinstance(expr, Bin):
-        lvl = 1 if expr.op == "*" else 0
-        left = _fmt(expr.left, lvl)
-        right = _fmt(expr.right, lvl + 1)
-        out = f"{left} {expr.op} {right}"
-        return f"({out})" if prec > lvl else out
-    raise TypeError(f"cannot format {expr!r}")
+        out, level = "-" + _fmt(expr.arg, 1 if isinstance(expr.arg, Neg) else 2), 1
+    elif isinstance(expr, Scale):
+        out, level = f"{expr.value} {_fmt(expr.arg, 3)}", 2
+    elif isinstance(expr, Pow):
+        out, level = f"{_fmt(expr.base, 4)}^{expr.exp}", 3
+    elif isinstance(expr, Circ):
+        inner = f"{_fmt(expr.left, 0)}, {_fmt(expr.right, 0)}"
+        out = f"circn({inner}, {expr.n})" if expr.n else f"circ({inner})"
+    elif isinstance(expr, Bin):
+        level = 1 if expr.op == "*" else 0
+        out = f"{_fmt(expr.left, level)} {expr.op} {_fmt(expr.right, level + 1)}"
+    else:
+        raise TypeError(f"cannot format {expr!r}")
+    return f"({out})" if prec > level else out
 
 
 def format_statement(stmt):

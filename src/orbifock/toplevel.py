@@ -51,6 +51,8 @@ class Matrix:
     @classmethod
     def unit(cls, rank, a, b):
         """E(a,b): sends basis vector b to basis vector a."""
+        if not (1 <= a <= rank and 1 <= b <= rank):
+            raise ValueError(f"matrix unit index out of range 1..{rank}")
         return cls([[int(i == a and j == b) for j in range(1, rank + 1)]
                     for i in range(1, rank + 1)])
 

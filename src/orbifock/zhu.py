@@ -26,6 +26,10 @@ from .vertex import mode_component, vacuum_component, wick_component
 
 FORMAT_VERSION = 4
 
+# Hard resource guard: echelons and realized products above this weight are
+# refused, not attempted.
+MAX_WEIGHT_CAP = 16
+
 
 # ---------------------------------------------------------------------------
 # Products
@@ -92,16 +96,6 @@ def circ_n(u, v, n=0):
     if u.ell != v.ell:
         raise ValueError("rank mismatch in circ_n")
     return _binomial_sum(u, v, n + 2)
-
-
-def star_power(u, k):
-    """k-fold star power, with the vacuum as the empty product."""
-    if k < 0:
-        raise ValueError("negative star power")
-    out = FockVector.vacuum(u.ell)
-    for _ in range(k):
-        out = star(out, u)
-    return out
 
 
 def _check_even_untwisted(u, opname):

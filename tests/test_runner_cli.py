@@ -3,11 +3,14 @@
 import json
 import os
 
+import time
+
 import pytest
 
 from orbifock.cli import main
 from orbifock.runner import MAX_WEIGHT_CAP, Report, RunConfig, Runner, run_text
 from orbifock.script import parse_script
+from orbifock.toplevel import Matrix
 
 
 def cfg(rank=2, max_weight=6, slack=2):
@@ -55,6 +58,15 @@ def test_error_status_for_bad_realization():
     assert report.passed() is False
 
 
+def test_out_of_range_matrix_unit_is_an_error():
+    # Read as the zero matrix, E(3,3) at rank 2 would prove this false claim.
+    with pytest.raises(ValueError, match="out of range"):
+        Matrix.unit(2, 1, 3)
+    report = Runner(RunConfig(rank=2)).run(parse_script(
+        "assert_eval Eu(1,2) on Hminus = E(1,2) + E(3,3)"))
+    assert report.results[0].status == "Error"
+
+
 def test_runner_never_both_proved_and_disproved():
     text = ("assert_equiv w1 ~ 0\n"
             "assert_equiv w1 ~ w1\n"
@@ -69,6 +81,21 @@ def test_resource_guard_reports_unknown():
                       cfg(max_weight=MAX_WEIGHT_CAP + 2, slack=0))
     assert report.results[0].status == "Unknown"
     assert "resource guard" in report.results[0].detail
+
+
+@pytest.mark.parametrize("expr", ["circ(" * 5 + "w1" + ", w1)" * 5, "w1^9"],
+                         ids=["circle-weight-17", "power-weight-18"])
+def test_realize_resource_guard_reports_unknown(expr):
+    t0 = time.perf_counter()
+    report = run_text(f"assert_zero_eval {expr}", cfg())
+    assert time.perf_counter() - t0 < 0.5
+    assert report.results[0].status == "Unknown"
+    assert report.results[0].detail.startswith("resource guard: ")
+
+
+def test_realize_resource_guard_admits_weight_15():
+    report = run_text("assert_zero_eval circn(Eu(1,2), Eu(1,2), 2)", cfg())
+    assert report.results[0].status == "Proved"
 
 
 def test_report_determinism_modulo_timing():

@@ -1,15 +1,19 @@
 """The assertion language: grammar, round-trips, realization, errors."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, single
-from orbifock.script import (MAX_NESTING, ScriptError, format_expr,
+from orbifock.script import (_ATOMS, MAX_NESTING, Bin, Circ, Mono, Named, Neg,
+                             Num, Pow, Scale, ScriptError, format_expr,
                              format_statement, parse_expr, parse_script,
                              realize, realize_expected)
-from orbifock.toplevel import evaluate
-from orbifock.zhu import circ_n, e_u, hgen, jgen, lam, omega, s_pair, star
+from orbifock.toplevel import Matrix, evaluate, identity
+from orbifock.zhu import (circ_n, e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam,
+                          omega, s_pair, star)
 
 F = Fraction
 
@@ -45,6 +49,117 @@ def test_pretty_print_round_trip():
         assert len(again) == 1
         assert (again[0].kind, again[0].payload) == (stmt.kind, stmt.payload)
         assert format_statement(again[0]) == text
+
+
+def parse_expected(text, rank):
+    return parse_script(f"assert_eval one on Hminus = {text}", rank)[0].payload[2]
+
+
+# Each printed form parses back to the same tree.
+PRINTED = {"scaled-power-base": "(2 w1)^2", "scaled-scale": "2 (3 w1)",
+           "number-power-base": "(1/2)^2", "power-power-base": "(w1^2)^3"}
+
+
+@pytest.mark.parametrize("text", PRINTED.values(), ids=PRINTED.keys())
+def test_tight_operands_keep_their_parentheses(text):
+    expr = parse_expr(text, 2)
+    assert format_expr(expr) == text
+    assert parse_expr(text, 2) == expr
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
+
+
+def _random_atom(rng, expected):
+    if not expected and rng.random() < 0.2:
+        return Mono(tuple((rng.randint(1, 3), Fraction(-rng.randint(1, 4)))
+                          for _ in range(rng.randint(1, 3))))
+    kind = rng.choice([k for k, (_, only) in _ATOMS.items() if only == expected])
+    shape = _ATOMS[kind][0]
+    args = [rng.randint(1, 3) if ch in "ijab" else rng.randint(1, 5)
+            for ch in shape if ch.isalpha()]
+    if "a" in shape:
+        args = rng.sample(range(1, 4), 2)
+    return Named(kind, tuple(args))
+
+
+def _random_expr(rng, depth, expected):
+    """A random tree over every node type the parser builds."""
+    if depth == 0 or rng.random() < 0.25:
+        return Num(_fraction(rng)) if rng.random() < 0.3 else _random_atom(rng, expected)
+    def sub():
+        return _random_expr(rng, depth - 1, expected)
+    pick = rng.randrange(6 if expected else 7)
+    if pick == 0:
+        return Neg(sub())
+    if pick == 1:
+        return Scale(_fraction(rng), sub())
+    if pick == 2:
+        return Pow(sub(), rng.randrange(4))
+    if pick == 6:
+        return Circ(sub(), sub(), rng.choice((0, 0, 1, 2)))
+    return Bin("+-*"[pick - 3], sub(), sub())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_printer_round_trip_fuzz(seed):
+    rng = random.Random(seed)
+    for i in range(300):
+        expected = i % 3 == 0
+        expr = _random_expr(rng, 5, expected)
+        text = format_expr(expr)
+        again = parse_expected(text, 3) if expected else parse_expr(text, 3)
+        assert again == expr, text
+
+
+# One printed atom per key of the atom table.
+ATOM_TEXTS = {"one": "one", "I": "I", "w": "w2", "J": "J1", "H": "H2",
+              "l": "l2", "Eu": "Eu(1,2)", "Eubar": "Eubar(2,1)",
+              "Et": "Et(1,2)", "Etbar": "Etbar(2,1)", "Lam": "Lam(1,2)",
+              "E": "E(2,1)", "S": "S(1,2;2,3)"}
+STATE_BUILDERS = {"one": FockVector.vacuum, "w": omega, "J": jgen, "H": hgen,
+                  "S": s_pair, "Eu": e_u, "Eubar": e_u_bar, "Et": e_t,
+                  "Etbar": e_t_bar, "Lam": lam}
+EXPECTED_ACTIONS = {"I": ("Tminus", identity("Tminus", 2)),
+                    "l": ("Mlambda", LPoly.unit(2, 2)),
+                    "E": ("Hminus", Matrix.unit(2, 2, 1))}
+
+
+@pytest.mark.parametrize("kind", _ATOMS)
+def test_atom_table_round_trip_and_realization(kind):
+    text = ATOM_TEXTS[kind]
+    if _ATOMS[kind][1]:
+        expr = parse_expected(text, 2)
+        fam, action = EXPECTED_ACTIONS[kind]
+        assert realize_expected(expr, fam, 2) == action
+    else:
+        expr = parse_expr(text, 2)
+        assert realize(expr, 2) == STATE_BUILDERS[kind](2, *expr.args)
+    assert expr.kind == kind
+    assert format_expr(expr) == text
+
+
+@pytest.mark.parametrize("text, col, message", [
+    ("assert_equiv l1 ~ 0", 14, "unknown name 'l1'"),
+    ("assert_equiv I ~ 0", 14, "unknown name 'I'"),
+    ("assert_equiv E(1,2) ~ 0", 14, "unknown name 'E'"),
+    ("assert_eval one on Hminus = w1", 29, "unknown name 'w1' in an expected value"),
+    ("assert_eval one on Hminus = h1(-1)", 29,
+     "unknown name 'h1' in an expected value"),
+    ("assert_eval one on Hminus = circ(w1, w1)", 29,
+     "unknown name 'circ' in an expected value"),
+    ("assert_equiv Eu1 ~ 0", 14, "unknown name 'Eu1'"),
+    ("assert_equiv S1 ~ 0", 14, "unknown name 'S1'"),
+    ("assert_equiv x1y ~ 0", 14, "unknown name 'x1y'"),
+    ("assert_equiv Eu(1,1) ~ 0", 14, "Eu needs two distinct indices"),
+    ("assert_equiv 2 Eu1 ~ 0", 16, "expected '~', found 'Eu1'"),
+    ("assert_eval one on Hminus = 2 w1", 31, "unexpected 'w1' after statement"),
+])
+def test_atom_errors_carry_location(text, col, message):
+    with pytest.raises(ScriptError) as err:
+        parse_script(text, rank=2)
+    assert str(err.value) == f"line 1, col {col}: {message}"
 
 
 NEGATIONS = {"two": ("-(-w1)", "--w1"),
