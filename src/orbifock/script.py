@@ -23,6 +23,7 @@ deep), so parsing, realizing and formatting stay below the recursion limit.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from . import zhu
 
 
 MAX_NESTING = 100
+# Python's default limit on the digits of an int converted to text.
+_MAX_DIGITS = 4300
 _TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
 
 
@@ -501,15 +504,30 @@ def _guard(what, top):
                               f"weight cap {zhu.MAX_WEIGHT_CAP}")
 
 
+def _scalar_power(c, k):
+    """c^k, after checking that its numerator and denominator stay printable."""
+    c = Fraction(c)
+    for part in (c.numerator, c.denominator):
+        if part and k * math.log10(abs(part)) >= _MAX_DIGITS:
+            raise ResourceWarning(f"scalar power ({c})^{k} exceeds "
+                                  f"{_MAX_DIGITS} digits")
+    return c ** k
+
+
 def realize(expr, rank):
     """Turn a main-expression AST into an even untwisted state.
 
     A product, a whole power or a circle whose top weight exceeds
     ``zhu.MAX_WEIGHT_CAP`` raises ResourceWarning before it is computed
-    (the top part of star(u, v) is the product of those of u and v).
+    (the top part of star(u, v) is the product of those of u and v).  A
+    weight-0 factor c|0> acts as the scalar c, because star(u, |0>) = u, so
+    its power is c^k, and ResourceWarning is raised when c^k would not
+    print in ``_MAX_DIGITS`` digits.
     """
     def star(u, v, k):
         _guard("product", (u.max_weight2() + k * v.max_weight2()) // 2)
+        if not v.max_weight2():
+            return _scalar_power(v.coeff(()), k) * u
         return reduce(zhu.star, repeat(v, k), u)
 
     def leaf(e, fold):

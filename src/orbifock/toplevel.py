@@ -17,9 +17,18 @@ An action is a plain value: a ``Fraction`` on the one-dimensional top
 levels (Hplus, Tplus), the ``LPoly`` in l1..l_ell on Mlambda, and a
 :class:`Matrix` on Hminus and Tminus, so sums and words of actions use
 Python's operators.  Matrix actions follow the column convention:
-``rows[i][j]`` is the coefficient of basis vector i in o(u) applied to basis vector j, so words
-evaluate by left-to-right matrix products and the unit E(a,b) sends basis
-vector b to basis vector a.
+``rows[i][j]`` is the coefficient of basis vector i in o(u) applied to
+basis vector j, so words evaluate by left-to-right matrix products and the
+unit E(a,b) sends basis vector b to basis vector a.
+
+The twisted families read o(u) on the remainders of exp(Delta_z) u
+(:func:`orbifock.twisted.apply_delta`), whose plain fields act on the
+twisted top level as untwisted fields act on the h_j(-1)|0>, at modes
++-1/2 in place of +-1 (:func:`top_level_matrix`): only the empty and the
+two-factor remainders act.  Matchings remove factors in pairs, so an even
+state leaves only remainders of even length.  Tplus therefore keeps the
+perfect matchings alone (:func:`orbifock.twisted.twisted_zero_mode`) and
+Tminus the matchings that leave at most two factors, and both are exact.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import LPoly
-from .fock import VACUUM, FockVector
+from .fock import VACUUM
 from .twisted import apply_delta, twisted_zero_mode
-from .vertex import top_level_matrix
+from .vertex import d_coeff2
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
 
@@ -124,6 +133,35 @@ def _check_state(u):
         raise ValueError("evaluate expects even-parity states")
 
 
+def top_level_matrix(terms, rank, k2):
+    """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, as rows.
+
+    ``terms`` maps monomials to coefficients: those of v on the vacuum
+    module (k = 1), or those of the remainders of exp(Delta_z) v on the
+    twisted module (k = 1/2); ``k2`` is twice k.  Neither module has a
+    zero mode, so a grade-preserving mode tuple on h_b(-k)|top> is either
+    empty or contracts h_b(k) against it and creates one h_a(-k).  The
+    vacuum term thus acts as the identity, a two-factor term
+    h_a(-p) h_b(-q) adds k d(k, q) d(-k, p) to entry (a, b) and the mirror
+    term to entry (b, a), and every other term acts as zero.  Here
+    d(k, n) = C(-k-1, n-1) is :func:`orbifock.vertex.d_coeff2`, and entry
+    (a, b) is the coefficient of basis vector a in the image of basis
+    vector b.
+    """
+    k = Fraction(k2, 2)
+    rows = [[Fraction(0)] * rank for _ in range(rank)]
+    for mono, c in terms.items():
+        if not mono:
+            for i in range(rank):
+                rows[i][i] += c
+        elif len(mono) == 2:
+            (a, p2), (b, q2) = mono
+            p, q = -p2 // 2, -q2 // 2
+            rows[a - 1][b - 1] += c * k * d_coeff2(k2, q) * d_coeff2(-k2, p)
+            rows[b - 1][a - 1] += c * k * d_coeff2(k2, p) * d_coeff2(-k2, q)
+    return rows
+
+
 def evaluate(u, fam):
     """The action of o(u) on the family's top level, exactly.
 
@@ -136,14 +174,11 @@ def evaluate(u, fam):
       every factor takes its zero mode, with coefficient C(-1, n-1) =
       (-1)^(n-1): the term gives c * prod (-1)^(n_i - 1) l_{a_i}.
     - Hminus: one contraction and one creation at modes +-1, or none
-      (:func:`orbifock.vertex.top_level_matrix`).
-    - Tplus and Tminus: the same on the remainders of exp(Delta_z) u at
-      modes +-1/2, summed over the powers of z
-      (:func:`orbifock.twisted.apply_delta`; Tplus goes through
-      :func:`orbifock.twisted.twisted_zero_mode`).  Only the empty
-      remainder and the two-factor ones act, so Tplus expands
-      exp(Delta_z) u to its perfect matchings only and Tminus to the
-      matchings that leave at most two factors.
+      (:func:`top_level_matrix`).
+    - Tplus: the empty remainder of exp(Delta_z) u, summed over the powers
+      of z (:func:`orbifock.twisted.twisted_zero_mode`).
+    - Tminus: :func:`top_level_matrix` on the remainders of at most two
+      factors, at modes +-1/2 (module docstring).
     """
     _check_state(u)
     rank = u.ell
@@ -163,8 +198,7 @@ def evaluate(u, fam):
     if fam == "Hminus":
         return Matrix(top_level_matrix(u.terms, rank, 2))
     if fam == "Tplus":
-        w = twisted_zero_mode(u, FockVector.vacuum(rank, twisted=True))
-        return Fraction(w.coeff(VACUUM))
+        return twisted_zero_mode(u)
     if fam == "Tminus":
         return Matrix(top_level_matrix(apply_delta(u, keep=2), rank, 1))
     raise ValueError(f"unknown family {fam!r}")

@@ -1,4 +1,4 @@
-"""The twisted sector: exponential correction table and corrected fields.
+"""The twisted sector: the exponential correction table and its expansion.
 
 The twisted module supports a plain normally ordered field over half-integer
 modes, but the honest module action corrects the inserted state first:
@@ -25,18 +25,11 @@ of equal-generator factors h_i(-p) h_i(-q) with weight ``2 c_pq p q`` (terms
 (p, q) and (q, p)) at exponent -(p+q); Delta^k reaches k disjoint pairs in k!
 orders, so exp(Delta_z) sums over the partial matchings of the factors.
 
-On the top level, spanned by |0>_tw and the h_j(-1/2)|0>_tw, the plain
-field of each remainder acts like an untwisted state's on h_j(-1)|0>: the
-twisted module has no zero mode, so only the empty remainder (a scalar)
-and two-factor remainders (contracting h_b(1/2), creating h_a(-1/2)) act.
-:func:`orbifock.vertex.top_level_matrix` holds that rule.  A grade-preserving
-mode tuple meets at most one contraction there, because a top-level vector
-has at most one factor, so a remainder of four or more factors never acts.
-Matchings remove factors in pairs, so an even state leaves only remainders
-of even length.  :func:`twisted_zero_mode` and the Tminus evaluation
-therefore expand exp(Delta_z) only up to remainders of two factors
-(``keep=2``), or none (``keep=0``) when |0>_tw alone is read, and the
-result is exact.
+Only the twisted top levels read the expansion, and they read little of it
+(see :mod:`orbifock.toplevel`): |0>_tw reads the empty remainder alone and
+the h_j(-1/2)|0>_tw read remainders of at most two factors.  So
+:func:`apply_delta` can stop at remainders of ``keep`` factors, and
+:func:`twisted_zero_mode`, the Tplus reading, keeps none.
 """
 
 from __future__ import annotations
@@ -44,9 +37,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-
-from .fock import FockVector
-from .vertex import top_level_matrix
 
 
 class DeltaTable:
@@ -124,25 +114,20 @@ def _matchings(modes, table, keep, memo):
     return out
 
 
-def apply_delta(v, table=None, keep=None):
+def apply_delta(v, keep=None):
     """exp(Delta_z) v as one term dict, summed over the powers of z.
 
     Each monomial expands into its partial matchings, one generator at a
-    time.  A matching that removes weight k carries z^(-k), so on a
-    homogeneous state a remainder's weight fixes its exponent and the sum,
-    which is all the top level reads, loses nothing.  With ``keep``, a
-    remainder of more than ``keep`` factors is dropped, across the
-    generators together; ``None`` keeps the full expansion.  The table
-    (the shared one by default) must cover the state's mode-weight.
+    time, with the coefficients of the shared :func:`delta_table`.  A
+    matching that removes weight k carries z^(-k), so on a homogeneous
+    state a remainder's weight fixes its exponent and the sum, which is all
+    the top level reads, loses nothing.  With ``keep``, a remainder of more
+    than ``keep`` factors is dropped, across the generators together;
+    ``None`` keeps the full expansion.
     """
     if v.twisted:
         raise ValueError("apply_delta acts on untwisted states")
-    if table is None:
-        table = delta_table(v.max_weight2() // 2)
-    if v.max_weight2() > 2 * table.max_degree:
-        raise ValueError(
-            f"delta table degree {table.max_degree} too small for a state of "
-            f"weight {Fraction(v.max_weight2(), 2)}")
+    table = delta_table(v.max_weight2() // 2)
     if keep is None:
         keep = max(map(len, v.terms), default=0)
     memo = {}
@@ -161,35 +146,14 @@ def apply_delta(v, table=None, keep=None):
     return {mono: c for mono, c in terms.items() if c}
 
 
-def twisted_zero_mode(v, target, table=None):
-    """o(v), the grade-preserving component of Y_tw(v, z), on the top level.
+def twisted_zero_mode(v):
+    """o(v) on |0>_tw, the Tplus top level, as a scalar.
 
-    ``target`` must be a combination of |0>_tw and the h_j(-1/2)|0>_tw.
-    |0>_tw reads only the empty remainder of exp(Delta_z) v and the
-    h_j(-1/2)|0>_tw only the remainders of at most two factors, so the
-    expansion stops there: at 0 factors when the target is a multiple of
-    |0>_tw, at 2 otherwise.  ``v`` must have even parity: only those states
-    have integral components on the twisted module.
+    |0>_tw reads only the empty remainder of exp(Delta_z) v, so the
+    expansion keeps the perfect matchings alone.  ``v`` must have even
+    parity: only those states have integral components on the twisted
+    module.
     """
-    if not target.twisted:
-        raise ValueError("target must live in the twisted sector")
-    if v.ell != target.ell:
-        raise ValueError("rank mismatch between state and target")
-    if any(len(mono) > 1 or (mono and mono[0][1] != -1) for mono in target.terms):
-        raise ValueError("target must lie on the twisted top level")
     if not v.is_even():
         raise ValueError("twisted components need an even-parity state")
-    # Only the one-mode terms of the target read the matrix.
-    one_mode = any(target.terms)
-    terms = apply_delta(v, table, keep=2 if one_mode else 0)
-    rows = top_level_matrix(terms, v.ell, 1) if one_mode else None
-    out = {}
-    for mono, c in target.terms.items():
-        if not mono:
-            out[mono] = c * terms.get(mono, 0)
-            continue
-        j = mono[0][0] - 1
-        for i, row in enumerate(rows):
-            key = ((i + 1, -1),)
-            out[key] = out.get(key, 0) + c * row[j]
-    return FockVector(v.ell, True, out)
+    return Fraction(apply_delta(v, keep=0).get((), 0))

@@ -45,11 +45,6 @@ product: :func:`orbifock.zhu.star` and :func:`orbifock.zhu.circ_n` create
 it and pass it to each of their :func:`mode_component` calls, which share
 peeled suffixes and contracted targets.  A build thus holds the memo of one
 circle at a time; a memo shared by the whole build would grow with it.
-
-The top levels of the five families need no mode expansion: a
-grade-preserving mode tuple meets at most one contraction there, so
-:mod:`orbifock.toplevel` evaluates them in closed form, with
-:func:`top_level_matrix` for the two matrix families.
 """
 
 from __future__ import annotations
@@ -66,9 +61,9 @@ def d_coeff2(k2, n):
     """The coefficient C(-k-1, n-1), with k given as a twice-value.
 
     It weighs the mode h(k) in the field of h(-n)|0>; its users are
-    :func:`top_level_matrix` and :func:`wick_component`.  Integer for
-    integer modes, Fraction for half-integer ones; zero exactly when k is
-    an integer with -n < k < 0.
+    :func:`wick_component` and :func:`orbifock.toplevel.top_level_matrix`.
+    Integer for integer modes, Fraction for half-integer ones; zero exactly
+    when k is an integer with -n < k < 0.
     """
     if n == 1:
         return 1
@@ -82,34 +77,6 @@ def d_coeff2(k2, n):
     if k2 % 2 == 0:
         return num // 2 ** (n - 1) // den
     return Fraction(num, 2 ** (n - 1) * den)
-
-
-def top_level_matrix(terms, rank, k2):
-    """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, as rows.
-
-    ``terms`` maps monomials to coefficients: those of v on the vacuum
-    module (k = 1), or those of the remainders of exp(Delta_z) v on the
-    twisted module (k = 1/2); ``k2`` is twice k.  Neither module has a
-    zero mode, so a grade-preserving mode tuple on h_b(-k)|top> is either
-    empty or contracts h_b(k) against it and creates one h_a(-k).  The
-    vacuum term thus acts as the identity, a two-factor term
-    h_a(-p) h_b(-q) adds k d(k, q) d(-k, p) to entry (a, b) and the mirror
-    term to entry (b, a), and every other term acts as zero.  Here
-    d(k, n) = C(-k-1, n-1) is :func:`d_coeff2`, and entry (a, b) is the
-    coefficient of basis vector a in the image of basis vector b.
-    """
-    k = Fraction(k2, 2)
-    rows = [[Fraction(0)] * rank for _ in range(rank)]
-    for mono, c in terms.items():
-        if not mono:
-            for i in range(rank):
-                rows[i][i] += c
-        elif len(mono) == 2:
-            (a, p2), (b, q2) = mono
-            p, q = -p2 // 2, -q2 // 2
-            rows[a - 1][b - 1] += c * k * d_coeff2(k2, q) * d_coeff2(-k2, p)
-            rows[b - 1][a - 1] += c * k * d_coeff2(k2, p) * d_coeff2(-k2, q)
-    return rows
 
 
 def vacuum_component(mono, j):

@@ -7,6 +7,7 @@ evaluation.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,16 +81,39 @@ def test_certificate_soundness_against_evaluation():
     assert pairs > 0  # the sample does contain equivalent distinct states
 
 
-def test_associativity_modulo_circles():
-    e = build_ospan(1, 10)
-    gens1 = [omega(1, 1), jgen(1, 1), FockVector.vacuum(1)]
-    for u, v, w in itertools.product(gens1, repeat=3):
-        if (u.max_weight2() + v.max_weight2() + w.max_weight2()) > 16:
+def _seeded_even_states(rank, count, seed):
+    """``count`` fixed combinations of three even monomials of weight <= 3."""
+    rng = random.Random(seed)
+    monos = [m for w in range(4) for m in basis(rank, False, w, "even")]
+    return [sum((rng.choice((-2, -1, 1, 3))
+                 * FockVector.from_monomial(rank, False, m)
+                 for m in rng.sample(monos, 3)), FockVector.zero(rank))
+            for _ in range(count)]
+
+
+def _assert_associative_mod_circles(e, states):
+    """(u * v) * w - u * (v * w) reduces to zero for every triple that the
+    echelon's window holds."""
+    window2 = e.window2
+    checked = 0
+    for u, v, w in itertools.product(states, repeat=3):
+        if u.max_weight2() + v.max_weight2() + w.max_weight2() > window2:
             continue
         left = star(star(u, v), w)
         right = star(u, star(v, w))
-        if left.max_weight2() <= 16 and right.max_weight2() <= 16:
-            assert e.reduce(left - right).is_zero()
+        assert e.reduce(left - right).is_zero(), (u, v, w)
+        checked += 1
+    return checked
+
+
+def test_associativity_modulo_circles():
+    e1 = build_ospan(1, 10)
+    gens1 = [omega(1, 1), jgen(1, 1), FockVector.vacuum(1)]
+    assert _assert_associative_mod_circles(e1, gens1) == 26
+    e2 = build_ospan(2, 10)
+    states2 = ([FockVector.vacuum(2), omega(2, 1), omega(2, 2),
+                s_pair(2, 1, 1, 2, 1)] + _seeded_even_states(2, 3, seed=5))
+    assert _assert_associative_mod_circles(e2, states2) == 7 ** 3
 
 
 def test_central_element_commutes_under_evaluation(gens):

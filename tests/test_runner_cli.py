@@ -2,8 +2,8 @@
 
 import json
 import os
-
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +96,25 @@ def test_realize_resource_guard_reports_unknown(expr):
 def test_realize_resource_guard_admits_weight_15():
     report = run_text("assert_zero_eval circn(Eu(1,2), Eu(1,2), 2)", cfg())
     assert report.results[0].status == "Proved"
+
+
+def test_powers_of_a_weight_zero_base():
+    # A power of c|0> is c^k|0>: no products, whatever the exponent, and a
+    # resource guard once c^k has more digits than Python prints.
+    t0 = time.perf_counter()
+    report = run_text("assert_zero_eval one^1000000000\n"
+                      "assert_zero_eval (1/2)^100000\n"
+                      "assert_zero_eval (2 one)^3\n"
+                      "assert_zero_eval (1/2)^10000\n", cfg())
+    assert time.perf_counter() - t0 < 1
+    one, huge, two, half = report.results
+    assert one.line() == ("[DISPROVED] assert_zero_eval one^1000000000  "
+                          "(Hplus: 1 vs 0)")
+    assert huge.status == "Unknown"
+    assert huge.detail.startswith("resource guard: ")
+    assert two.line() == "[DISPROVED] assert_zero_eval (2 one)^3  (Hplus: 8 vs 0)"
+    assert half.line() == ("[DISPROVED] assert_zero_eval (1/2)^10000  "
+                           f"(Hplus: {Fraction(1, 2 ** 10000)} vs 0)")
 
 
 def test_report_determinism_modulo_timing():

@@ -99,6 +99,12 @@ def test_tracer_sees_every_evaluation_layer(monkeypatch):
                 if "eval-r2" in workloads and name != "trace.overhead_ratio"]
     assert len(required) == 32
     assert [name for name in required if not metrics[name]] == []
+    # One path per twisted family: Tplus through twisted_zero_mode, and one
+    # exp(Delta_z) expansion per twisted evaluation.
+    tplus = metrics["toplevel.evaluate.Tplus.calls"]
+    tminus = metrics["toplevel.evaluate.Tminus.calls"]
+    assert metrics["twisted.twisted_zero_mode.calls"] == tplus
+    assert metrics["twisted.apply_delta.calls"] == tplus + tminus
 
 
 CERTIFY_SCRIPT = """\

@@ -6,6 +6,7 @@ import pytest
 
 from mode_oracle import reference_delta
 from orbifock.fock import FockVector, basis, single
+from orbifock.toplevel import Matrix, evaluate
 from orbifock.twisted import (DeltaTable, apply_delta, delta_coefficients,
                               delta_table, twisted_zero_mode)
 from orbifock.zhu import hgen, jgen
@@ -66,33 +67,23 @@ def test_symmetry_up_to_degree_16():
         assert table.entries[n, m] == c
 
 
-def test_degree_guard():
-    with pytest.raises(ValueError):
-        delta_coefficients(1)
-    table = delta_coefficients(2)
-    heavy = single(1, False, [(1, -2), (1, -1)])
-    with pytest.raises(ValueError):
-        apply_delta(heavy, table)
-
-
 def test_asymmetric_table_rejected():
     with pytest.raises(ValueError):
         DeltaTable(3, {(1, 2): F(1), (2, 1): F(2)})
+    # No table is built below degree 2, the first with an entry.
+    with pytest.raises(ValueError):
+        delta_coefficients(1)
 
 
 def test_apply_delta_examples():
-    table = delta_coefficients(6)
     one = FockVector.vacuum(1)
-    assert apply_delta(one, table) == {(): 1}
+    assert apply_delta(one) == {(): 1}
 
     omega = single(1, False, [(1, -1), (1, -1)], F(1, 2))
-    assert apply_delta(omega, table) == {((1, -2), (1, -2)): F(1, 2),
-                                         (): F(1, 16)}
-    # Without a table the shared one serves.
-    assert apply_delta(omega) == apply_delta(omega, table)
+    assert apply_delta(omega) == {((1, -2), (1, -2)): F(1, 2), (): F(1, 16)}
 
     hv = single(1, False, [(1, -1)])
-    assert apply_delta(hv, table) == {((1, -2),): 1}
+    assert apply_delta(hv) == {((1, -2),): 1}
 
 
 def flat(buckets):
@@ -114,21 +105,20 @@ def test_matching_expansion_matches_operator_form():
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     for v in states:
-        assert apply_delta(v, table) == flat(reference_delta(v, table)), v
+        assert apply_delta(v) == flat(reference_delta(v, table)), v
 
 
 def test_truncated_expansion_drops_only_long_remainders():
-    table = delta_coefficients(8)
     states = [FockVector.from_monomial(2, False, mono)
               for weight in range(9) for mono in basis(2, False, weight, "even")]
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     short = 0
     for v in states:
-        full = apply_delta(v, table)
+        full = apply_delta(v)
         for keep in (0, 2):
             want = {mono: c for mono, c in full.items() if len(mono) <= keep}
-            assert apply_delta(v, table, keep=keep) == want, (v, keep)
+            assert apply_delta(v, keep=keep) == want, (v, keep)
             short += any(len(mono) > keep for mono in full)
     # The truncation drops something in more than half of the cases.
     assert short > len(states)
@@ -149,59 +139,31 @@ def test_bucket_weights():
 
 
 def test_twisted_scalars():
-    table = delta_coefficients(8)
     for ell in (1, 2, 3):
-        vac = FockVector.vacuum(ell, twisted=True)
         omega = FockVector.zero(ell)
         for a in range(1, ell + 1):
             omega = omega + single(ell, False, [(a, -1), (a, -1)], F(1, 2))
-        out = twisted_zero_mode(omega, vac, table)
-        assert out == FockVector.vacuum(ell, twisted=True, coeff=F(ell, 16))
+        assert twisted_zero_mode(omega) == F(ell, 16)
     J = (single(1, False, [(1, -1)] * 4)
          + single(1, False, [(1, -3), (1, -1)], -2)
          + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
-    out = twisted_zero_mode(J, FockVector.vacuum(1, twisted=True), table)
-    assert out == FockVector.vacuum(1, twisted=True, coeff=F(3, 128))
-
-
-def test_twisted_grading_preserved():
-    # o(v) keeps the top level's grading; a target above it is refused.
-    table = delta_coefficients(8)
-    omega = single(2, False, [(1, -1), (1, -1)], F(1, 2))
-    tgt = single(2, True, [(1, F(-1, 2))])
-    out = twisted_zero_mode(omega, tgt, table)
-    assert out and out.weight() == tgt.weight()
-    for above in (single(2, True, [(1, F(-3, 2)), (2, F(-1, 2))]),
-                  single(2, True, [(1, F(-3, 2))]),
-                  tgt + single(2, True, [(1, F(-1, 2)), (2, F(-1, 2))])):
-        with pytest.raises(ValueError):
-            twisted_zero_mode(omega, above, table)
-    with pytest.raises(ValueError):
-        twisted_zero_mode(omega, single(2, False, [(1, -1)]), table)
+    out = twisted_zero_mode(J)
+    assert type(out) is Fraction and out == F(3, 128)
 
 
 def test_odd_parity_rejected():
-    table = delta_coefficients(4)
     odd = single(1, False, [(1, -1)])
     with pytest.raises(ValueError):
-        twisted_zero_mode(odd, FockVector.vacuum(1, twisted=True), table)
+        twisted_zero_mode(odd)
 
 
 def test_matrix_action_on_twisted_top_level():
-    table = delta_coefficients(8)
+    # Column j is the image of h_j(-1/2)|0>_tw.
     S12 = single(2, False, [(1, -1), (2, -2)])
-    t1 = single(2, True, [(1, F(-1, 2))])
-    t2 = single(2, True, [(2, F(-1, 2))])
-    assert twisted_zero_mode(S12, t1, table) == F(-1, 4) * t2
-    assert twisted_zero_mode(S12, t2, table) == F(-3, 4) * t1
+    assert evaluate(S12, "Tminus") == Matrix([[0, F(-3, 4)], [F(-1, 4), 0]])
 
 
 def test_shared_table_cache():
-    # Without a table, the zero mode uses the shared cache.
-    S12 = single(2, False, [(1, -1), (2, -2)])
-    t1 = single(2, True, [(1, F(-1, 2))])
-    assert twisted_zero_mode(S12, t1) == twisted_zero_mode(
-        S12, t1, delta_coefficients(8))
     # The cache only grows: a smaller request returns the larger table.
     big = delta_table(12)
     assert big.max_degree >= 12
