@@ -10,6 +10,19 @@ caring which kind it holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def clear_denominators(terms):
+    """(d, scaled): d is the lcm of the denominators of the values of
+    ``terms`` and ``scaled`` maps each key to its value times d, an int.
+
+    A dict of ints comes back as it is, with d = 1.
+    """
+    if all(type(c) is int for c in terms.values()):
+        return 1, terms
+    d = lcm(1, *(c.denominator for c in terms.values()))
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
 
 
 def _clean(terms):

@@ -24,7 +24,6 @@ deep), so parsing, realizing and formatting stay below the recursion limit.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -545,8 +544,66 @@ def realize(expr, rank):
     return _fold(expr, FockVector.vacuum(rank), star, leaf)
 
 
+def _scalar_part(act):
+    """c when the action is c times the identity, else None."""
+    if isinstance(act, Matrix):
+        c = act.rows[0][0]
+        diagonal = all(v == (c if i == j else 0)
+                       for i, row in enumerate(act.rows) for j, v in enumerate(row))
+        return c if diagonal else None
+    if isinstance(act, LPoly):
+        if any(any(exp) for exp in act.terms):
+            return None
+        return sum(act.terms.values(), Fraction(0))
+    return act
+
+
+def _check_digits(act):
+    """``act``, after checking that its entries print in ``_MAX_DIGITS``."""
+    if isinstance(act, Matrix):
+        values = [v for row in act.rows for v in row]
+    elif isinstance(act, LPoly):
+        values = act.terms.values()
+    else:
+        values = [act]
+    for v in values:
+        for part in (v.numerator, v.denominator):
+            if part and math.log10(abs(part)) >= _MAX_DIGITS:
+                raise ResourceWarning(f"power has an entry beyond "
+                                      f"{_MAX_DIGITS} digits")
+    return act
+
+
+def _action_power(x, y, k):
+    """x * y^k for top-level actions, under ``realize``'s guards.
+
+    A scalar, or a scalar multiple of the identity, goes through
+    :func:`_scalar_power`.  Any other base is raised by repeated squaring,
+    and every partial product is checked against ``_MAX_DIGITS``.  A
+    polynomial power whose degree exceeds ``zhu.MAX_WEIGHT_CAP`` is refused
+    first, as a product of that top weight is in ``realize``: the Mlambda
+    reading of a state of weight W has degree at most W.
+    """
+    c = _scalar_part(y)
+    if c is not None:
+        return x * _scalar_power(c, k)
+    if isinstance(y, LPoly):
+        _guard("polynomial power", k * max(map(sum, y.terms)))
+    while k:
+        if k & 1:
+            x = _check_digits(x * y)
+        k >>= 1
+        if k:
+            y = _check_digits(y * y)
+    return x
+
+
 def realize_expected(expr, fam, rank):
-    """Turn an expected-value AST into a top-level action for a family."""
+    """Turn an expected-value AST into a top-level action for a family.
+
+    Powers follow :func:`_action_power`, so an oversized one raises
+    ResourceWarning.
+    """
     def leaf(e, fold):
         kind = e.kind if isinstance(e, Named) else None
         if kind == "I":
@@ -561,8 +618,7 @@ def realize_expected(expr, fam, rank):
             return Matrix.unit(rank, *e.args)
         raise TypeError(f"not an expected-value expression: {e!r}")
 
-    return _fold(expr, identity(fam, rank),
-                 lambda x, y, k: reduce(operator.mul, repeat(y, k), x), leaf)
+    return _fold(expr, identity(fam, rank), _action_power, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeffs import LPoly
 from .fock import VACUUM
@@ -133,6 +134,16 @@ def _check_state(u):
         raise ValueError("evaluate expects even-parity states")
 
 
+@lru_cache(maxsize=None)
+def _pair_weight(k2, q, p):
+    """k d(k, q) d(-k, p), the weight of h_a(-p) h_b(-q) at entry (a, b).
+
+    At k = 1 it is an int, and zero unless p = 1, since d(-1, p) = C(0, p-1).
+    """
+    k = k2 // 2 if k2 % 2 == 0 else Fraction(k2, 2)
+    return k * d_coeff2(k2, q) * d_coeff2(-k2, p)
+
+
 def top_level_matrix(terms, rank, k2):
     """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, as rows.
 
@@ -147,9 +158,14 @@ def top_level_matrix(terms, rank, k2):
     d(k, n) = C(-k-1, n-1) is :func:`orbifock.vertex.d_coeff2`, and entry
     (a, b) is the coefficient of basis vector a in the image of basis
     vector b.
+
+    The factor k d(k, q) d(-k, p) is folded into one cached weight per
+    (k2, q, p) (:func:`_pair_weight`), an int at k = 1.  Rational products
+    are associative, so c times the folded weight is exactly the product
+    of the four factors: a term costs one product per entry it reaches,
+    and a zero weight none.
     """
-    k = Fraction(k2, 2)
-    rows = [[Fraction(0)] * rank for _ in range(rank)]
+    rows = [[0] * rank for _ in range(rank)]
     for mono, c in terms.items():
         if not mono:
             for i in range(rank):
@@ -157,8 +173,12 @@ def top_level_matrix(terms, rank, k2):
         elif len(mono) == 2:
             (a, p2), (b, q2) = mono
             p, q = -p2 // 2, -q2 // 2
-            rows[a - 1][b - 1] += c * k * d_coeff2(k2, q) * d_coeff2(-k2, p)
-            rows[b - 1][a - 1] += c * k * d_coeff2(k2, p) * d_coeff2(-k2, q)
+            w = _pair_weight(k2, q, p)
+            if w:
+                rows[a - 1][b - 1] += c * w
+            w = _pair_weight(k2, p, q)
+            if w:
+                rows[b - 1][a - 1] += c * w
     return rows
 
 

@@ -30,19 +30,39 @@ Only the twisted top levels read the expansion, and they read little of it
 the h_j(-1/2)|0>_tw read remainders of at most two factors.  So
 :func:`apply_delta` can stop at remainders of ``keep`` factors, and
 :func:`twisted_zero_mode`, the Tplus reading, keeps none.
+
+The expansion runs in integers under one common denominator.  The table
+holds each pair weight as an integer P_pq = D * 2 c_pq p q, where D is the
+lcm of the weights' denominators.  A matching of k pairs then weighs
+(product of its P) / D^k, and k = (len(mono) - len(remainder)) / 2 is
+fixed by the remainder alone.  The state's coefficients are scaled by the
+lcm d of their denominators, every product is lifted to the common power
+D^top (top pairs at most), and each remainder's integer sum is divided by
+d * D^top once.  Every step is an identity of rationals, so the result is
+the exact one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
+
+from .coeffs import clear_denominators
 
 
 class DeltaTable:
-    """Exact coefficients c_mn for 1 <= m, n and m + n <= max_degree."""
+    """Exact coefficients c_mn for 1 <= m, n and m + n <= max_degree.
 
-    __slots__ = ("max_degree", "entries")
+    ``entries`` maps (m, n) to c_mn.  The expansion reads the integer pair
+    weights ``pairs[m, n] = scale * 2 c_mn m n`` instead, computed once
+    here, with ``scale`` the lcm of the denominators of the 2 c_mn m n: a
+    product of k pair weights over ``scale**k`` is the exact rational
+    weight of those k pairs (module docstring).
+    """
+
+    __slots__ = ("max_degree", "entries", "scale", "pairs")
 
     def __init__(self, max_degree, entries):
         self.max_degree = max_degree
@@ -50,6 +70,10 @@ class DeltaTable:
         for (m, n), c in self.entries.items():
             if self.entries.get((n, m)) != c:
                 raise ValueError(f"asymmetric table entry at ({m},{n})")
+        weights = {mn: Fraction(2 * c * mn[0] * mn[1])
+                   for mn, c in self.entries.items() if c}
+        self.scale = lcm(1, *(w.denominator for w in weights.values()))
+        self.pairs = {mn: int(w * self.scale) for mn, w in weights.items()}
 
     def to_text(self):
         lines = [f"# delta table, degree {self.max_degree}"]
@@ -84,13 +108,15 @@ def delta_table(degree):
     return _largest
 
 
-def _matchings(modes, table, keep, memo):
-    """{unmatched modes: weight} over the partial matchings of ``modes``
-    that leave at most ``keep`` of them unmatched.
+def _matchings(modes, pairs, keep, memo):
+    """{unmatched modes: integer weight} over the partial matchings of
+    ``modes`` that leave at most ``keep`` of them unmatched.
 
     ``modes`` is one generator's creation modes n (for h(-n)), in order; the
     first stays, or pairs with each distinct later mode times its count.
-    ``memo`` holds every (modes, keep) met, with keep capped at len(modes).
+    ``pairs`` holds the table's integer pair weights, so a matching of k
+    pairs weighs its value times the table's ``scale**k``.  ``memo`` holds
+    every (modes, keep) met, with keep capped at len(modes).
     """
     keep = min(keep, len(modes))
     key = (modes, keep)
@@ -102,12 +128,12 @@ def _matchings(modes, table, keep, memo):
     else:
         first, rest = modes[0], modes[1:]
         out = {(first,) + rem: w for rem, w in
-               _matchings(rest, table, keep - 1, memo).items()} if keep else {}
+               _matchings(rest, pairs, keep - 1, memo).items()} if keep else {}
         for j, second in enumerate(rest):
-            c = table.entries.get((first, second))
-            if c and not (j and rest[j - 1] == second):
-                pair = 2 * c * first * second * rest.count(second)
-                for rem, w in _matchings(rest[:j] + rest[j + 1:], table,
+            pair = pairs.get((first, second))
+            if pair and not (j and rest[j - 1] == second):
+                pair *= rest.count(second)
+                for rem, w in _matchings(rest[:j] + rest[j + 1:], pairs,
                                          keep, memo).items():
                     out[rem] = out.get(rem, 0) + pair * w
     memo[key] = out
@@ -118,32 +144,41 @@ def apply_delta(v, keep=None):
     """exp(Delta_z) v as one term dict, summed over the powers of z.
 
     Each monomial expands into its partial matchings, one generator at a
-    time, with the coefficients of the shared :func:`delta_table`.  A
+    time, with the pair weights of the shared :func:`delta_table`.  A
     matching that removes weight k carries z^(-k), so on a homogeneous
     state a remainder's weight fixes its exponent and the sum, which is all
     the top level reads, loses nothing.  With ``keep``, a remainder of more
     than ``keep`` factors is dropped, across the generators together;
-    ``None`` keeps the full expansion.
+    ``None`` keeps the full expansion.  The sums run in integers and each
+    remainder is divided once by the common denominator (module
+    docstring), so the coefficients come back as Fractions.
     """
     if v.twisted:
         raise ValueError("apply_delta acts on untwisted states")
     table = delta_table(v.max_weight2() // 2)
+    longest = max(map(len, v.terms), default=0)
     if keep is None:
-        keep = max(map(len, v.terms), default=0)
+        keep = longest
+    den, scaled = clear_denominators(v.terms)
+    top = longest // 2
+    # lift[k]: a matching of k pairs, lifted to the common power scale**top.
+    lift = [table.scale ** (top - k) for k in range(top + 1)]
     memo = {}
     terms = {}
-    for mono, c in v.terms.items():
+    for mono, c in scaled.items():
         partial = {(): c}
         for gen, factors in groupby(mono, key=itemgetter(0)):
-            matched = _matchings(tuple(-n2 // 2 for _, n2 in factors), table,
-                                 keep, memo)
+            matched = _matchings(tuple(-n2 // 2 for _, n2 in factors),
+                                 table.pairs, keep, memo)
             partial = {head + tuple((gen, -2 * n) for n in rem): w * coeff
                        for head, coeff in partial.items()
                        for rem, w in matched.items()
                        if len(head) + len(rem) <= keep}
         for rem, coeff in partial.items():
+            coeff *= lift[(len(mono) - len(rem)) // 2]
             terms[rem] = terms.get(rem, 0) + coeff
-    return {mono: c for mono, c in terms.items() if c}
+    den *= table.scale ** top
+    return {mono: Fraction(c, den) for mono, c in terms.items() if c}
 
 
 def twisted_zero_mode(v):

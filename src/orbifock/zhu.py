@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
+from .coeffs import clear_denominators
 from .fock import VACUUM, FockVector, basis, mono_weight2, single
 from .vertex import mode_component, vacuum_component, wick_component
 
@@ -42,17 +43,26 @@ def _binomial_sum(u, v, shift):
     :func:`wick_component`).  The longer monomials of each weight go to
     :func:`mode_component` against the rest of v, and those calls of one
     product share one memo.
+
+    The sum is bilinear, and every component is an integer combination of
+    monomials when its inputs have integer coefficients.  So u and v are
+    scaled by the lcms du and dv of their coefficients' denominators, the
+    sum runs in Python ints, and each output coefficient is divided by
+    du * dv once, which is exact.  With du * dv = 1 the ints are returned
+    as they are.
     """
+    du, uterms = clear_denominators(u.terms)
+    dv, vterms = clear_denominators(v.terms)
     acc = {}
 
     def add(terms, c):
         for mono, x in terms.items():
             acc[mono] = acc.get(mono, 0) + c * x
 
-    vac = v.terms.get(VACUUM)
-    rest = {m: c for m, c in v.terms.items() if m}
+    vac = vterms.get(VACUUM)
+    rest = {m: c for m, c in vterms.items() if m}
     longer = {}  # weight -> the monomials of u with three or more factors
-    for mono, c in u.terms.items():
+    for mono, c in uterms.items():
         w = mono_weight2(mono) // 2
         if vac:
             for i in range(min(w, shift - 1) + 1):
@@ -70,6 +80,9 @@ def _binomial_sum(u, v, shift):
             comp = FockVector(u.ell, False, terms)
             for i in range(w + 1):
                 add(mode_component(comp, i - shift, target, memo=memo).terms, comb(w, i))
+    den = du * dv
+    if den > 1:
+        acc = {mono: Fraction(x, den) for mono, x in acc.items() if x}
     return FockVector(u.ell, False, acc)
 
 
@@ -258,15 +271,12 @@ def _normalize_int_row(row):
 
 def _vector_to_int_row(vec, col_index):
     """Clear denominators into a primitive integer row over the column basis."""
-    den = 1
-    for c in vec.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
     row = {}
-    for mono, c in vec.terms.items():
+    for mono, c in clear_denominators(vec.terms)[1].items():
         idx = col_index.get(mono)
         if idx is None:
             raise KeyError(mono)
-        row[idx] = int(c * den)
+        row[idx] = c
     return _normalize_int_row(row)
 
 

@@ -117,6 +117,27 @@ def test_powers_of_a_weight_zero_base():
                            f"(Hplus: {Fraction(1, 2 ** 10000)} vs 0)")
 
 
+def test_powers_in_expected_values():
+    # An identity or scalar base is raised as a scalar, under the digit
+    # guard; any other base by repeated squaring, under the same guard.
+    t0 = time.perf_counter()
+    report = run_text("assert_eval one on Hminus = I^100000\n"
+                      "assert_eval one on Hplus = (1/2)^100000\n"
+                      "assert_eval w1 on Hminus = E(1,1)^1000000000\n"
+                      "assert_eval one on Hminus = (E(1,1) + 2 E(2,2))^20000\n"
+                      "assert_eval one on Mlambda = (l1 + l2)^17\n", cfg())
+    assert time.perf_counter() - t0 < 1
+    identity, half, unit, growing, poly = report.results
+    assert identity.line() == "[PROVED   ] assert_eval one on Hminus = I^100000"
+    assert half.status == "Unknown"
+    assert half.detail == ("resource guard: scalar power (1/2)^100000 "
+                           "exceeds 4300 digits")
+    assert unit.status == "Proved"
+    for result in (growing, poly):
+        assert result.status == "Unknown"
+        assert result.detail.startswith("resource guard: ")
+
+
 def test_report_determinism_modulo_timing():
     text = ("assert_eval w1 on Hminus = E(1,1)\n"
             "assert_equiv w1 ~ 0\n")

@@ -9,12 +9,12 @@ from math import factorial
 import pytest
 
 from mode_oracle import (SYMBOLIC, apply_mode, graded_parts, reference_delta,
-                         virasoro)
+                         reference_product, virasoro)
 from orbifock.fock import FockVector, basis, single
 from orbifock.toplevel import FAMILIES, Matrix, evaluate
-from orbifock.twisted import delta_coefficients
+from orbifock.twisted import apply_delta, delta_coefficients
 from orbifock.vertex import d_coeff2, mode_component
-from orbifock.zhu import hgen, jgen, omega
+from orbifock.zhu import circ_n, hgen, jgen, omega, star
 
 F = Fraction
 
@@ -207,6 +207,73 @@ def test_top_level_readings_digest():
             digest.update(f"{evaluate(u, fam)}\n".encode())
     assert len(ORACLE_STATES) * len(FAMILIES) == 815
     assert digest.hexdigest() == READINGS_SHA256
+
+
+# Coefficients with unlike denominators, so that the integer kernels must
+# clear and restore them; the states above all have unit coefficients.
+MIXED_COEFFS = (F(1, 3), F(-5, 16), F(7, 2), 2, -3, 1)
+
+
+def _mixed(ell, monos, offset=0):
+    return FockVector(ell, False, {
+        m: MIXED_COEFFS[(i + offset) % len(MIXED_COEFFS)]
+        for i, m in enumerate(monos)})
+
+
+def _mixed_states():
+    states = []
+    for ell, top in ((1, 8), (2, 6), (3, 4)):
+        by_weight = [basis(ell, False, w, "even") for w in range(top + 1)]
+        states += [_mixed(ell, monos, w)
+                   for w, monos in enumerate(by_weight) if monos]
+        # One state across all weights, whose parts share the denominators.
+        states.append(_mixed(ell, [m for monos in by_weight for m in monos]))
+        states += [F(1, 3) * jgen(ell, a) + F(-5, 16) * hgen(ell, a)
+                   for a in range(1, ell + 1)]
+    return states
+
+
+MIXED_STATES = _mixed_states()
+
+
+def test_mixed_denominators_delta_against_oracle():
+    table = delta_coefficients(8)
+    for v in MIXED_STATES:
+        full = sum(reference_delta(v, table).values(), FockVector.zero(v.ell))
+        assert apply_delta(v) == full.terms, v
+        for keep in (2, 0):
+            want = {m: c for m, c in full.terms.items() if len(m) <= keep}
+            assert apply_delta(v, keep=keep) == want, (v, keep)
+
+
+def test_mixed_denominators_products_against_recursion():
+    # Pairs up to total weight 6 keep the recursion's reference affordable;
+    # the same states also meet unit-coefficient partners.
+    small = [u for u in MIXED_STATES if u.max_weight2() <= 8]
+    partners = small + [FockVector.from_monomial(u.ell, False, m)
+                        for u in small for m in list(u.terms)[:1]]
+    for u in small:
+        for v in partners:
+            if u.ell != v.ell or u.max_weight2() + v.max_weight2() > 12:
+                continue
+            assert star(u, v) == reference_product(u, v, 1), (u, v)
+            assert star(v, u) == reference_product(v, u, 1), (v, u)
+            for n in (0, 1):
+                assert circ_n(u, v, n) == reference_product(u, v, n + 2), (u, v, n)
+
+
+# The same digest over the mixed-coefficient states.
+MIXED_READINGS_SHA256 = \
+    "85f94c141c89d2c1f1938adf2e9c1b4dbac56ce940702072d89ea7aa6698fa94"
+
+
+def test_mixed_readings_digest():
+    digest = hashlib.sha256()
+    for u in MIXED_STATES:
+        for fam in FAMILIES:
+            digest.update(f"{evaluate(u, fam)}\n".encode())
+    assert len(MIXED_STATES) * len(FAMILIES) == 135
+    assert digest.hexdigest() == MIXED_READINGS_SHA256
 
 
 @pytest.mark.parametrize("hw", [(2, -3), (0, 5), SYMBOLIC])
