@@ -18,10 +18,14 @@ and u = h_a(-p) h_b(-r) has the normal-ordered modes
 
     u_q = sum_{k+l = q+1-p-r} d(k, p) d(l, r) :h_a(k) h_b(l):,
 
-with d(k, n) = C(-k-1, n-1) (:func:`d_coeff2`).  On a target monomial only
-finitely many k act: both modes creating (q+1-p-r < k < 0), or k or l
-contracting a factor of the target; h(0) kills the vacuum module.  That is
-:func:`wick_component`.
+with d(k, n) = C(-k-1, n-1) (:func:`d_coeff2`).  The products need
+sum_i C(w, i) u_{i-shift} t over 0 <= i <= w = p + r with shift >= 1, and
+there k + l = i+1-w-shift <= 0.  Two contractions would need k + l >= 2,
+and h(0) kills the vacuum module, so either both modes create (k <= -p,
+l <= -r, only when i < shift) or one contracts a factor h(-n) of the
+target t and the other creates.  The contraction does not depend on i, so
+:func:`wick_sum` makes each one once and then only places the creation
+mode for every i.
 
 Every other pair, a state monomial of three or more factors (J_a, H_a and
 nested products in scripts) on a target other than the vacuum, goes to the
@@ -61,7 +65,7 @@ def d_coeff2(k2, n):
     """The coefficient C(-k-1, n-1), with k given as a twice-value.
 
     It weighs the mode h(k) in the field of h(-n)|0>; its users are
-    :func:`wick_component` and :func:`orbifock.toplevel.top_level_matrix`.
+    :func:`wick_sum` and :func:`orbifock.toplevel.top_level_matrix`.
     Integer for integer modes, Fraction for half-integer ones; zero exactly
     when k is an integer with -n < k < 0.
     """
@@ -104,47 +108,42 @@ def vacuum_component(mono, j):
     return out
 
 
-def wick_component(mono, q, tmono):
-    """mono_q tmono as a term dict, for a monomial of zero or two factors.
+def wick_sum(mono, shift, tmono):
+    """sum_i C(w, i) mono_{i-shift} tmono as a term dict, w = wt mono.
 
-    For mono = h_a(-p) h_b(-r) it sums d(k, p) d(l, r) :h_a(k) h_b(l): tmono
-    over k + l = q+1-p-r (module docstring), visiting only the k that act.
+    For a monomial of zero or two factors.  With mono = h_a(-p) h_b(-r),
+    the i-th term has k + l = i+1-w-shift <= 0 (module docstring), so
+    either both modes create or one contracts a factor of tmono and the
+    other creates.  Each contraction of tmono is made once, and every i
+    then only places its creation mode.
     """
     if not mono:
-        return {tmono: 1} if q == -1 else {}
+        return {tmono: 1} if shift == 1 else {}
     (a, p2), (b, r2) = mono
     p, r = -p2 // 2, -r2 // 2
-    s = q + 1 - p - r
+    w = p + r
+    s0 = 1 - w - shift  # k + l at i = 0
     out = {}
-
-    def add(m, c):
-        out[m] = out.get(m, 0) + c
-
-    # Both create: d(k, p) d(l, r) vanishes unless k <= -p and l <= -r.
-    for k in range(s + r, -p + 1):
-        l = s - k
-        add(tuple(sorted((*tmono, (a, 2 * k), (b, 2 * l)))),
-            d_coeff2(2 * k, p) * d_coeff2(2 * l, r))
-    # h_b(l), l >= 1, contracts a factor of tmono; h_a(k) creates or contracts.
-    for l in {-m2 // 2 for g, m2 in tmono if g == b}:
-        k = s - l
-        if k == 0 or -p < k < 0:
-            continue
-        c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
-        for reduced, x in annihilate({tmono: c}, b, 2 * l).items():
-            if k < 0:
-                add(tuple(sorted((*reduced, (a, 2 * k)))), x)
-            else:
-                for both, y in annihilate({reduced: x}, a, 2 * k).items():
-                    add(both, y)
-    # h_a(k), k >= 1, contracts a factor of tmono while h_b(l) creates.
-    for k in {-m2 // 2 for g, m2 in tmono if g == a}:
-        l = s - k
-        if l <= -r:
-            c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
-            for reduced, x in annihilate({tmono: c}, a, 2 * k).items():
-                add(tuple(sorted((*reduced, (b, 2 * l)))), x)
-    return out
+    # Both create: k <= -p and l <= -r, so k + l <= -w, which needs i < shift.
+    for i in range(min(w + 1, shift)):
+        ci = comb(w, i)
+        s = s0 + i
+        for k in range(s + r, -p + 1):
+            l = s - k
+            m = tuple(sorted((*tmono, (a, 2 * k), (b, 2 * l))))
+            out[m] = out.get(m, 0) + ci * d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
+    # The factor h_g(-pg) of mono contracts a factor h_g(-n) of tmono, and
+    # the other factor h_h(-ph) creates h_h(k) with k = s0 + i - n <= -ph.
+    for g, pg, h, ph in ((b, r, a, p), (a, p, b, r)):
+        for n in {-m2 // 2 for g2, m2 in tmono if g2 == g}:
+            reduced = annihilate({tmono: d_coeff2(2 * n, pg)}, g, 2 * n)
+            for i in range(min(w, pg + n + shift - 1) + 1):
+                k2 = 2 * (s0 + i - n)
+                c = comb(w, i) * d_coeff2(k2, ph)
+                for red, x in reduced.items():
+                    m = tuple(sorted((*red, (h, k2))))
+                    out[m] = out.get(m, 0) + c * x
+    return {m: c for m, c in out.items() if c}
 
 
 def _component(mono, q, tmono, memo):

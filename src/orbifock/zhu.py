@@ -8,9 +8,11 @@ operations on states,
 
 where every ``circ_n`` lands in the span O of circle elements, which acts as
 zero on the top level of every admissible module.  Membership in a
-weight-truncated piece of O is decided by exact integer Gaussian elimination
-over the even monomial basis; a certificate of membership is sound, a failure
-is only inconclusive because circle elements mix weights.
+weight-truncated piece of O is decided by exact integer Gauss-Jordan
+elimination over the even monomial basis: the echelon's rows are kept fully
+reduced, so reducing a vector makes one subtraction per pivot column it
+touches.  A certificate of membership is sound, a failure is only
+inconclusive because circle elements mix weights.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import hashlib
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .coeffs import clear_denominators
 from .fock import VACUUM, FockVector, basis, mono_weight2, single
-from .vertex import mode_component, vacuum_component, wick_component
+from .vertex import mode_component, vacuum_component, wick_sum
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # Hard resource guard: echelons and realized products above this weight are
 # refused, not attempted.
@@ -39,10 +41,10 @@ def _binomial_sum(u, v, shift):
     """sum_i C(wt m, i) m_{i-shift} t over the monomials m of u and t of v.
 
     Each (m, t) pair with t the vacuum, or with m of at most two factors,
-    is taken in closed form (:func:`vacuum_component`,
-    :func:`wick_component`).  The longer monomials of each weight go to
-    :func:`mode_component` against the rest of v, and those calls of one
-    product share one memo.
+    is taken in closed form: :func:`vacuum_component` per i, and
+    :func:`wick_sum`, which sums over i in one pass.  The longer monomials
+    of each weight go to :func:`mode_component` against the rest of v, and
+    those calls of one product share one memo.
 
     The sum is bilinear, and every component is an integer combination of
     monomials when its inputs have integer coefficients.  So u and v are
@@ -71,8 +73,7 @@ def _binomial_sum(u, v, shift):
             longer.setdefault(w, {})[mono] = c
         else:
             for tmono, tc in rest.items():
-                for i in range(w + 1):
-                    add(wick_component(mono, i - shift, tmono), comb(w, i) * c * tc)
+                add(wick_sum(mono, shift, tmono), c * tc)
     if rest and longer:
         target = FockVector(v.ell, False, rest)
         memo = {}
@@ -256,17 +257,27 @@ DEFAULT_POLICY = GeneratorPolicy()
 
 
 def _normalize_int_row(row):
+    """The primitive multiple of a nonzero row whose pivot entry is positive."""
     g = 0
     for v in row.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
         if g == 1:
             break
-    if g > 1:
+    if row[max(row)] < 0:
+        g = -g
+    if g != 1:
         row = {c: v // g for c, v in row.items()}
-    lead = row[min(row)]
-    if lead < 0:
-        row = {c: -v for c, v in row.items()}
     return row
+
+
+def _axpy(row, f, other):
+    """row += f * other in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        s = row.get(c, 0) + f * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
 
 
 def _vector_to_int_row(vec, col_index):
@@ -283,14 +294,21 @@ def _vector_to_int_row(vec, col_index):
 class OSpanEchelon:
     """Echelonized spanning set of circle elements, truncated at a window.
 
-    Rows are primitive integer vectors over the even monomial basis of
-    weight at most the window (half of ``window2``).  The rows depend only
-    on the rank, the generator policy and the window; the cutoff above
-    which a claim stays Unknown belongs to the caller.  The pivot of a row
-    is its maximal monomial in the canonical order, so reduction rewrites
-    top-weight monomials into lower tails and the conformal vectors survive
-    as their own normal forms.  Every row is a combination of circle
-    elements, so a zero normal form certifies membership in O.
+    Rows are integer vectors over the even monomial basis of weight at most
+    the window (half of ``window2``).  The pivot of a row is its maximal
+    monomial in the canonical order, so reduction rewrites top-weight
+    monomials into lower tails and the conformal vectors survive as their
+    own normal forms.  Rows are kept fully reduced: each is zero in every
+    other row's pivot column, primitive, and has a positive pivot entry.
+    That form depends only on the span, so the rows depend only on the
+    rank, the generator policy and the window, not on the order of
+    insertion; the cutoff above which a claim stays Unknown belongs to the
+    caller.  Every row is a combination of circle elements, so a zero
+    normal form certifies membership in O.
+
+    Because no row touches another's pivot column, reducing a vector makes
+    one subtraction per pivot column of the vector, and none of them brings
+    in another pivot column.
     """
 
     def __init__(self, ell, window2, policy):
@@ -303,49 +321,76 @@ class OSpanEchelon:
             for mono in basis(ell, False, Fraction(w2, 2), "even"):
                 self.col_index[mono] = len(self.columns)
                 self.columns.append(mono)
-        self.rows = {}  # pivot column -> primitive integer row
+        self.rows = {}  # pivot column -> fully reduced integer row
+        # The column index of _column_holders: built on demand by insert,
+        # dropped when a build ends.
+        self._holders = None
         self.cache_hit = False
 
     # -- construction -----------------------------------------------------
 
     def insert(self, vec):
-        """Reduce a vector against the echelon and keep what remains."""
+        """Reduce a vector against the echelon and keep what remains.
+
+        The remainder becomes a row, and its pivot column is cleared from
+        the rows that hold an entry there, so every row stays fully reduced.
+        """
         try:
             row = _vector_to_int_row(vec, self.col_index)
         except KeyError:
             raise ValueError("row exceeds the echelon's weight window") from None
-        row = self._reduce_int_row(row)
-        if not row:
-            return False
-        self.rows[max(row)] = row
+        rows = self.rows
+        hits = [(p, rows[p]) for p in row if p in rows]
+        if hits:
+            # Scale once so that every pivot entry divides, then make one
+            # subtraction per pivot column; none reaches another pivot.
+            scale = 1
+            for p, prow in hits:
+                a = prow[p]
+                scale = lcm(scale, a // gcd(a, row[p]))
+            if scale != 1:
+                row = {c: v * scale for c, v in row.items()}
+            for p, prow in hits:
+                _axpy(row, -(row[p] // prow[p]), prow)
+            if not row:
+                return False
+            row = _normalize_int_row(row)
+        holders = self._holders
+        if holders is None:
+            holders = self._holders = self._column_holders()
+        p = max(row)
+        b = row[p]
+        for q in holders.pop(p, ()):
+            qrow = rows[q]
+            x = qrow.get(p)
+            if x is None:  # a stale or repeated entry of the index
+                continue
+            g = gcd(b, x)
+            if b != g:
+                qrow = {c: v * (b // g) for c, v in qrow.items()}
+            gained = [c for c in row if c not in qrow]
+            _axpy(qrow, -(x // g), row)
+            for c in gained:
+                holders.setdefault(c, []).append(q)
+            rows[q] = _normalize_int_row(qrow)
+        rows[p] = row
+        for c in row:
+            if c != p:
+                holders.setdefault(c, []).append(p)
         return True
 
-    def _reduce_int_row(self, row):
-        """Eliminate the leading pivots of ``row`` in place; the primitive rest."""
-        steps = 0
-        while row:
-            p = max(row)
-            pivot_row = self.rows.get(p)
-            if pivot_row is None:
-                return _normalize_int_row(row)
-            a = pivot_row[p]
-            b = row[p]
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            if a != 1:
-                for c in row:
-                    row[c] *= a
-            for c, v in pivot_row.items():
-                s = row.get(c, 0) - b * v
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
-            steps += 1
-            if row and steps % 24 == 0:
-                row = _normalize_int_row(row)
-        return row
+    def _column_holders(self):
+        """Column -> the pivots of the rows with an entry there.
+
+        Lists, not sets, to keep a build small: an entry whose row lost the
+        column stays behind, and :meth:`insert` skips it.
+        """
+        holders = {}
+        for p, row in self.rows.items():
+            for c in row:
+                if c != p:
+                    holders.setdefault(c, []).append(p)
+        return holders
 
     # -- queries -----------------------------------------------------------
 
@@ -365,22 +410,11 @@ class OSpanEchelon:
         work = {}
         for mono, c in vec.terms.items():
             work[self.col_index[mono]] = Fraction(c)
-        done = {}
-        while work:
-            p = max(work)
-            pivot_row = self.rows.get(p)
-            if pivot_row is None:
-                done[p] = work.pop(p)
-                continue
-            factor = work[p] / pivot_row[p]
-            for c, v in pivot_row.items():
-                s = work.get(c, Fraction(0)) - factor * v
-                if s:
-                    work[c] = s
-                else:
-                    work.pop(c, None)
+        for p in [c for c in work if c in self.rows]:
+            pivot_row = self.rows[p]
+            _axpy(work, -work[p] / pivot_row[p], pivot_row)
         return FockVector(self.ell, False,
-                          {self.columns[c]: v for c, v in done.items()})
+                          {self.columns[c]: v for c, v in work.items()})
 
     # -- persistence --------------------------------------------------------
 
@@ -401,7 +435,11 @@ class OSpanEchelon:
         return "\n".join(lines) + "\n"
 
     def load_rows(self, text):
-        """Read rows written by ``to_text``; ValueError on any malformed file."""
+        """Read rows written by ``to_text``; ValueError on any malformed file.
+
+        A row must be fully reduced (see the class docstring), since
+        :meth:`reduce` relies on that form.
+        """
         lines = text.splitlines()
         if not lines or lines[0] != self._header():
             raise ValueError("incompatible cache file")
@@ -419,7 +457,15 @@ class OSpanEchelon:
             pivot = max(row)
             if pivot in self.rows:
                 raise ValueError(f"duplicate cache pivot {pivot}")
+            if _normalize_int_row(row) != row:
+                raise ValueError(f"cache row {pivot} is not primitive with "
+                                 f"a positive pivot")
             self.rows[pivot] = row
+        for pivot, row in self.rows.items():
+            for c in row:
+                if c != pivot and c in self.rows:
+                    raise ValueError(f"cache row {pivot} has an entry in "
+                                     f"pivot column {c}")
 
 
 def _iter_circle_pairs(ell, columns, limit2, policy):
@@ -477,6 +523,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
         vec = circ_n(u, v)
         if not vec.is_zero():
             ech.insert(vec)
+    ech._holders = None  # only a build needs the column index
     ech.cache_hit = False
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file.

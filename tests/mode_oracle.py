@@ -5,7 +5,9 @@ forms and ``vertex.mode_component``, and top levels through closed forms.
 The oracle tests build their expected values from the single modes here
 instead, including exp(Delta_z) in operator form (:func:`reference_delta`).
 The products' reference, :func:`reference_product`, runs every pair
-through the Borcherds recursion.
+through the Borcherds recursion, and :func:`wick_component` takes one
+mode of a two-factor state at a time, the reference for
+``vertex.wick_sum``.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import comb
 
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, _to_n2, annihilate, mono_weight2
-from orbifock.vertex import mode_component
+from orbifock.vertex import d_coeff2, mode_component
 from orbifock.zhu import omega
 
 # Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g.
@@ -106,4 +108,48 @@ def reference_product(u, v, shift):
         w = w2 // 2
         for i in range(w + 1):
             out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)
+    return out
+
+
+def wick_component(mono, q, tmono):
+    """mono_q tmono as a term dict, for a monomial of zero or two factors.
+
+    For mono = h_a(-p) h_b(-r) it sums d(k, p) d(l, r) :h_a(k) h_b(l): tmono
+    over k + l = q+1-p-r (``vertex`` module docstring), visiting only the k
+    that act: both modes creating, or k or l contracting a factor of tmono.
+    """
+    if not mono:
+        return {tmono: 1} if q == -1 else {}
+    (a, p2), (b, r2) = mono
+    p, r = -p2 // 2, -r2 // 2
+    s = q + 1 - p - r
+    out = {}
+
+    def add(m, c):
+        out[m] = out.get(m, 0) + c
+
+    # Both create: d(k, p) d(l, r) vanishes unless k <= -p and l <= -r.
+    for k in range(s + r, -p + 1):
+        l = s - k
+        add(tuple(sorted((*tmono, (a, 2 * k), (b, 2 * l)))),
+            d_coeff2(2 * k, p) * d_coeff2(2 * l, r))
+    # h_b(l), l >= 1, contracts a factor of tmono; h_a(k) creates or contracts.
+    for l in {-m2 // 2 for g, m2 in tmono if g == b}:
+        k = s - l
+        if k == 0 or -p < k < 0:
+            continue
+        c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
+        for reduced, x in annihilate({tmono: c}, b, 2 * l).items():
+            if k < 0:
+                add(tuple(sorted((*reduced, (a, 2 * k)))), x)
+            else:
+                for both, y in annihilate({reduced: x}, a, 2 * k).items():
+                    add(both, y)
+    # h_a(k), k >= 1, contracts a factor of tmono while h_b(l) creates.
+    for k in {-m2 // 2 for g, m2 in tmono if g == a}:
+        l = s - k
+        if l <= -r:
+            c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
+            for reduced, x in annihilate({tmono: c}, a, 2 * k).items():
+                add(tuple(sorted((*reduced, (b, 2 * l)))), x)
     return out

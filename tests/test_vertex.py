@@ -4,16 +4,16 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from mode_oracle import (SYMBOLIC, apply_mode, graded_parts, reference_delta,
-                         reference_product, virasoro)
+                         reference_product, virasoro, wick_component)
 from orbifock.fock import FockVector, basis, single
 from orbifock.toplevel import FAMILIES, Matrix, evaluate
 from orbifock.twisted import apply_delta, delta_coefficients
-from orbifock.vertex import d_coeff2, mode_component
+from orbifock.vertex import d_coeff2, mode_component, wick_sum
 from orbifock.zhu import circ_n, hgen, jgen, omega, star
 
 F = Fraction
@@ -75,6 +75,25 @@ def test_d_coefficients():
     assert d_coeff2(-4, 2) == 1  # C(1, 1)
     assert d_coeff2(1, 2) == F(-3, 2)  # C(-3/2, 1)
     assert d_coeff2(-3, 4) == F(1, 16)  # C(1/2, 3)
+
+
+def test_one_pass_wick_sum_against_single_components():
+    # Every two-factor monomial m and every target t of weight <= 6 at
+    # rank 3, and the vacuum as m; shifts 1-4 need m_q t for -4 <= q < wt m.
+    targets = [t for w2 in range(0, 13) for t in basis(3, False, F(w2, 2), "even")]
+    states = [()] + [m for m in targets if len(m) == 2]
+    assert (len(targets), len(states)) == (212, 73)
+    for m in states:
+        w = sum(-n2 for _, n2 in m) // 2
+        for t in targets:
+            parts = {q: wick_component(m, q, t) for q in range(-4, w)}
+            for shift in range(1, 5):
+                want = {}
+                for i in range(w + 1):
+                    for mono, x in parts[i - shift].items():
+                        want[mono] = want.get(mono, 0) + comb(w, i) * x
+                want = {mono: x for mono, x in want.items() if x}
+                assert wick_sum(m, shift, t) == want, (m, t, shift)
 
 
 def test_single_mode_state_is_the_current():

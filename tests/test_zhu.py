@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd
@@ -348,6 +349,25 @@ def test_circ0_seeds_span_all_n(ell, window, pairs):
         assert want.reduce(vec).is_zero()
 
 
+@pytest.mark.parametrize("ell, window, pairs", SUITE_ECHELONS,
+                         ids=[f"r{r}w{w}-{p}" for r, w, p in SUITE_ECHELONS])
+def test_rows_are_fully_reduced(ell, window, pairs):
+    e = build_ospan(ell, window, policy=GeneratorPolicy(pairs))
+    assert e.rows == canonical_rows(e)
+
+
+def test_rows_do_not_depend_on_insertion_order():
+    columns = OSpanEchelon(2, 16, GeneratorPolicy()).columns
+    circles = [circ_n(u, v) for u, v in
+               zhu._iter_circle_pairs(2, columns, 16, GeneratorPolicy())]
+    want = build_ospan(2, 8).rows
+    for seed in (1, 2, 3):
+        shuffled = list(circles)
+        random.Random(seed).shuffle(shuffled)
+        assert shuffled != circles
+        assert echelon_of(2, 8, shuffled).rows == want
+
+
 def test_build_seeds_circ0_without_singlets_above_rank_1(monkeypatch):
     calls = []
     real = zhu.circ_n
@@ -418,17 +438,44 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
 
 
+def test_insert_after_load_matches_fresh_build(tmp_path):
+    # Criterion 2's blanket of low-weight monomials, inserted into an echelon
+    # read from a cache file, which has no column index until insert builds
+    # one.  The fresh echelon keeps one index from its first circle on.
+    policy = GeneratorPolicy("omega")
+    build_ospan(2, 10, policy=policy, cache_dir=str(tmp_path))
+    loaded = build_ospan(2, 10, policy=policy, cache_dir=str(tmp_path))
+    assert loaded.cache_hit
+    blanket = [FockVector.from_monomial(2, False, m)
+               for w2 in range(0, 13) for m in basis(2, False, F(w2, 2), "even")]
+    assert len(blanket) == 71
+    circles = [circ_n(u, v) for u, v in
+               zhu._iter_circle_pairs(2, loaded.columns, 20, policy)]
+    fresh = echelon_of(2, 10, circles + blanket)
+    for vec in blanket:
+        loaded.insert(vec)
+    assert loaded.rows == fresh.rows
+    assert loaded.rows == canonical_rows(loaded)
+
+
 # Corruptions of the rank-1 window-6 cache file, each of which load_rows
-# must reject.  It has 15 columns; column 4 (h1(-2)^2) is a pivot, 9 and 14
-# are not.  The first appended line would replace pivot 4 with a row reaching
-# a weight-6 column through a negative index.
+# must reject.  It has 15 columns; column 4 (h1(-2)^2) is a pivot, 0, 1, 9
+# and 14 are not, and only 0 and 14 are in no row.  The first appended line
+# would replace pivot 4 with a row reaching a weight-6 column through a
+# negative index.  The last four lines are well formed but not fully
+# reduced; "0:1 14:1" would still be accepted.
 CORRUPTIONS = {
     "empty-file": lambda text: "",
+    "format-v4": lambda text: text.replace("# ospan v5 ", "# ospan v4 ", 1),
     "appended-pivot-4": lambda text: text + "-3:5 4:1\n",
     "negative-column": lambda text: text + "-3:5 9:1\n",
     "column-past-end": lambda text: text + "1:1 15:1\n",
     "zero-entry": lambda text: text + "0:0 14:1\n",
     "duplicate-pivot": lambda text: text + "1:1 4:1\n",
+    "negative-pivot": lambda text: text + "0:1 14:-1\n",
+    "non-primitive": lambda text: text + "0:2 14:2\n",
+    "entry-in-pivot-column": lambda text: text + "4:1 14:1\n",
+    "pivot-column-held": lambda text: text + "1:1\n",
 }
 
 
