@@ -1,10 +1,12 @@
 """Exact coefficients: rationals and polynomials in the highest-weight parameters.
 
-Every coefficient in the package is either a ``fractions.Fraction`` or an
-:class:`LPoly`, a multivariate polynomial in the symbols ``l1 .. l_ell`` with
-rational coefficients.  No floats, anywhere.  Arithmetic between the two kinds
-promotes to ``LPoly``; generic code can add and multiply coefficients without
-caring which kind it holds.
+Every coefficient in the package is an ``int``, a ``fractions.Fraction`` or
+an :class:`LPoly`, a multivariate polynomial in the symbols ``l1 .. l_ell``
+with rational coefficients; the integer kernels return ints where no
+denominator is left (``star(S, S)`` and ``e_u(2, 1, 2)`` have only ints).
+No floats, anywhere.  A rational and an ``LPoly`` combine into an ``LPoly``;
+generic code can add and multiply coefficients without caring which kind it
+holds.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ from . import zhu
 from .fock import FockVector, make_monomial, mono_weight2
 from .runner import Report, RunConfig, Runner, StatementResult
 from .tables import GOLDEN
-from .toplevel import (FAMILIES, _fraction_rank, disprove_equiv, evaluate,
-                       evaluate_word)
+from .toplevel import FAMILIES, disprove_equiv, evaluate, evaluate_word
 from .zhu import GeneratorPolicy
 
 SUITE_NAMES = ("tables", "circle_reductions", "matrix_units",
@@ -177,10 +176,8 @@ def _membership_and_leading_coefficient(report, full):
     """
     t0 = time.perf_counter()
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
-    monos = sorted({mn for r in reduced for mn in r.terms})
-    rows = [[r.terms.get(mn, 0) for mn in monos] for r in reduced]
-    r5 = _fraction_rank(rows[:5])
-    r6 = _fraction_rank(rows)
+    r5 = zhu.exact_rank(r.terms for r in reduced[:5])
+    r6 = zhu.exact_rank(r.terms for r in reduced)
     _native(report,
             "S(1,1;2,6) lies in the span of S(1,1;2,m), m<=5, modulo circles",
             r5 == 5 and r6 == 5,

@@ -41,6 +41,7 @@ from .coeffs import LPoly
 from .fock import VACUUM
 from .twisted import apply_delta, twisted_zero_mode
 from .vertex import d_coeff2
+from .zhu import exact_rank
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
 
@@ -280,46 +281,10 @@ def disprove_equiv(x, y):
     return Witness(fam, entry, left, right)
 
 
-def _flatten(u, poly, lambda_monomials):
-    row = []
-    for fam in ("Hminus", "Tminus", "Hplus", "Tplus"):
-        row.extend(v for _, v in _entries(evaluate(u, fam)))
-    row.extend(poly.terms.get(exp, Fraction(0)) for exp in lambda_monomials)
-    return row
-
-
 def independence_rank(elements):
-    """Rank of the stacked evaluation functionals of the given states."""
-    elements = list(elements)
-    if not elements:
-        return 0
-    exps = set()
-    polys = [evaluate(u, "Mlambda") for u in elements]
-    for p in polys:
-        exps.update(p.terms)
-    lambda_monomials = sorted(exps)
-    rows = [_flatten(u, p, lambda_monomials) for u, p in zip(elements, polys)]
-    return _fraction_rank(rows)
-
-
-def _fraction_rank(rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / lead
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of the stacked evaluation functionals of the given states: one
+    sparse row per state over its (family, entry) values on all five
+    families, ranked by :func:`orbifock.zhu.exact_rank`."""
+    return exact_rank({(fam, entry): v for fam in FAMILIES
+                       for entry, v in _entries(evaluate(u, fam))}
+                      for u in elements)

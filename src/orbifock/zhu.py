@@ -13,6 +13,9 @@ elimination over the even monomial basis: the echelon's rows are kept fully
 reduced, so reducing a vector makes one subtraction per pivot column it
 touches.  A certificate of membership is sound, a failure is only
 inconclusive because circle elements mix weights.
+
+The same integer step (:func:`_eliminate`, :func:`_insert_row`) ranks any
+sparse rational rows on a scratch echelon (:func:`exact_rank`).
 """
 
 from __future__ import annotations
@@ -280,15 +283,76 @@ def _axpy(row, f, other):
             del row[c]
 
 
-def _vector_to_int_row(vec, col_index):
-    """Clear denominators into a primitive integer row over the column basis."""
-    row = {}
-    for mono, c in clear_denominators(vec.terms)[1].items():
-        idx = col_index.get(mono)
-        if idx is None:
-            raise KeyError(mono)
-        row[idx] = c
-    return _normalize_int_row(row)
+def _eliminate(rows, row):
+    """(scale, remainder) of the integer ``row`` (changed in place) modulo
+    fully reduced ``rows`` {pivot: row}: scale once so that every pivot entry
+    divides, then one subtraction per pivot column, none reaching another.
+    """
+    hits = [(p, rows[p]) for p in row if p in rows]
+    if not hits:
+        return 1, row
+    scale = 1
+    for p, prow in hits:
+        a = prow[p]
+        scale = lcm(scale, a // gcd(a, row[p]))
+    if scale != 1:
+        row = {c: v * scale for c, v in row.items()}
+    for p, prow in hits:
+        _axpy(row, -(row[p] // prow[p]), prow)
+    return scale, row
+
+
+def _insert_row(rows, holders, row):
+    """Normalize a nonzero remainder of :func:`_eliminate`, clear its pivot
+    from the rows that ``holders`` (:func:`_column_holders`) lists, and
+    record it; every row stays fully reduced and ``holders`` up to date."""
+    row = _normalize_int_row(row)
+    p = max(row)
+    b = row[p]
+    for q in holders.pop(p, ()):
+        qrow = rows[q]
+        x = qrow.get(p)
+        if x is None:  # a stale or repeated entry of the index
+            continue
+        g = gcd(b, x)
+        if b != g:
+            qrow = {c: v * (b // g) for c, v in qrow.items()}
+        gained = [c for c in row if c not in qrow]
+        _axpy(qrow, -(x // g), row)
+        for c in gained:
+            holders.setdefault(c, []).append(q)
+        rows[q] = _normalize_int_row(qrow)
+    rows[p] = row
+    for c in row:
+        if c != p:
+            holders.setdefault(c, []).append(p)
+
+
+def _column_holders(rows):
+    """Column -> the pivots of the rows with an entry there.
+
+    Lists, not sets, to keep a build small: an entry whose row lost the
+    column stays behind, and :func:`_insert_row` skips it.
+    """
+    holders = {}
+    for p, row in rows.items():
+        for c in row:
+            if c != p:
+                holders.setdefault(c, []).append(p)
+    return holders
+
+
+def exact_rank(rows):
+    """The rank over Q of sparse ``{key: rational}`` rows with mutually
+    comparable keys, by the integer steps of :meth:`OSpanEchelon.insert` on
+    a scratch echelon.  The rows are not changed."""
+    echelon, holders = {}, {}
+    for terms in rows:
+        row = {k: v for k, v in clear_denominators(terms)[1].items() if v}
+        row = _eliminate(echelon, row)[1]
+        if row:
+            _insert_row(echelon, holders, row)
+    return len(echelon)
 
 
 class OSpanEchelon:
@@ -308,7 +372,8 @@ class OSpanEchelon:
 
     Because no row touches another's pivot column, reducing a vector makes
     one subtraction per pivot column of the vector, and none of them brings
-    in another pivot column.
+    in another pivot column: :func:`_eliminate`, which :meth:`insert` and
+    :meth:`reduce` share.
     """
 
     def __init__(self, ell, window2, policy):
@@ -335,62 +400,19 @@ class OSpanEchelon:
         The remainder becomes a row, and its pivot column is cleared from
         the rows that hold an entry there, so every row stays fully reduced.
         """
+        col_index = self.col_index
         try:
-            row = _vector_to_int_row(vec, self.col_index)
+            row = {col_index[mono]: c
+                   for mono, c in clear_denominators(vec.terms)[1].items()}
         except KeyError:
             raise ValueError("row exceeds the echelon's weight window") from None
-        rows = self.rows
-        hits = [(p, rows[p]) for p in row if p in rows]
-        if hits:
-            # Scale once so that every pivot entry divides, then make one
-            # subtraction per pivot column; none reaches another pivot.
-            scale = 1
-            for p, prow in hits:
-                a = prow[p]
-                scale = lcm(scale, a // gcd(a, row[p]))
-            if scale != 1:
-                row = {c: v * scale for c, v in row.items()}
-            for p, prow in hits:
-                _axpy(row, -(row[p] // prow[p]), prow)
-            if not row:
-                return False
-            row = _normalize_int_row(row)
-        holders = self._holders
-        if holders is None:
-            holders = self._holders = self._column_holders()
-        p = max(row)
-        b = row[p]
-        for q in holders.pop(p, ()):
-            qrow = rows[q]
-            x = qrow.get(p)
-            if x is None:  # a stale or repeated entry of the index
-                continue
-            g = gcd(b, x)
-            if b != g:
-                qrow = {c: v * (b // g) for c, v in qrow.items()}
-            gained = [c for c in row if c not in qrow]
-            _axpy(qrow, -(x // g), row)
-            for c in gained:
-                holders.setdefault(c, []).append(q)
-            rows[q] = _normalize_int_row(qrow)
-        rows[p] = row
-        for c in row:
-            if c != p:
-                holders.setdefault(c, []).append(p)
+        row = _eliminate(self.rows, row)[1]
+        if not row:
+            return False
+        if self._holders is None:
+            self._holders = _column_holders(self.rows)
+        _insert_row(self.rows, self._holders, row)
         return True
-
-    def _column_holders(self):
-        """Column -> the pivots of the rows with an entry there.
-
-        Lists, not sets, to keep a build small: an entry whose row lost the
-        column stays behind, and :meth:`insert` skips it.
-        """
-        holders = {}
-        for p, row in self.rows.items():
-            for c in row:
-                if c != p:
-                    holders.setdefault(c, []).append(p)
-        return holders
 
     # -- queries -----------------------------------------------------------
 
@@ -398,7 +420,8 @@ class OSpanEchelon:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Exact normal form of a vector modulo the stored row space."""
+        """Exact normal form of a vector modulo the stored row space: one
+        integer :func:`_eliminate`, then one division per remaining entry."""
         if vec.twisted:
             raise ValueError("reduce expects untwisted vectors")
         if not vec.is_even():
@@ -407,14 +430,13 @@ class OSpanEchelon:
             raise ValueError(
                 f"vector weight {Fraction(vec.max_weight2(), 2)} exceeds the "
                 f"echelon window {Fraction(self.window2, 2)}")
-        work = {}
-        for mono, c in vec.terms.items():
-            work[self.col_index[mono]] = Fraction(c)
-        for p in [c for c in work if c in self.rows]:
-            pivot_row = self.rows[p]
-            _axpy(work, -work[p] / pivot_row[p], pivot_row)
+        d, terms = clear_denominators(vec.terms)
+        scale, row = _eliminate(self.rows, {self.col_index[mono]: c
+                                            for mono, c in terms.items()})
+        den = d * scale
         return FockVector(self.ell, False,
-                          {self.columns[c]: v for c, v in work.items()})
+                          {self.columns[c]: Fraction(v, den) if den > 1 else v
+                           for c, v in row.items()})
 
     # -- persistence --------------------------------------------------------
 

@@ -7,7 +7,9 @@ instead, including exp(Delta_z) in operator form (:func:`reference_delta`).
 The products' reference, :func:`reference_product`, runs every pair
 through the Borcherds recursion, and :func:`wick_component` takes one
 mode of a two-factor state at a time, the reference for
-``vertex.wick_sum``.
+``vertex.wick_sum``.  The exact linear algebra has dense ``Fraction``
+references too: :func:`fraction_rank` for ``zhu.exact_rank`` and
+:func:`fraction_reduce` for ``OSpanEchelon.reduce``.
 """
 
 from fractions import Fraction
@@ -153,3 +155,50 @@ def wick_component(mono, q, tmono):
             for reduced, x in annihilate({tmono: c}, a, 2 * k).items():
                 add(tuple(sorted((*reduced, (b, 2 * l)))), x)
     return out
+
+
+def fraction_rank(rows):
+    """Rank of dense rows of rationals by Fraction row echelon.
+
+    Entries become Fractions first: ``/`` on two ints would divide in floats.
+    """
+    rows = [[Fraction(v) for v in r] for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / lead
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def fraction_reduce(echelon, vec):
+    """Normal form of vec modulo a fully reduced echelon, in Fractions.
+
+    One subtraction per pivot column of vec, each with one division; no
+    row touches another's pivot column, so none brings in a new one.
+    """
+    work = {echelon.col_index[mono]: Fraction(c) for mono, c in vec.terms.items()}
+    for p in [c for c in work if c in echelon.rows]:
+        prow = echelon.rows[p]
+        f = work[p] / prow[p]
+        for c, v in prow.items():
+            s = work.get(c, 0) - f * v
+            if s:
+                work[c] = s
+            else:
+                del work[c]
+    return FockVector(echelon.ell, False,
+                      {echelon.columns[c]: v for c, v in work.items()})

@@ -19,10 +19,11 @@ from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.runner import RunConfig
 from orbifock.suites import SUITE_NAMES, _reduce_from_weight, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
-                               independence_rank, _fraction_rank)
+                               independence_rank)
 from orbifock.twisted import delta_coefficients, twisted_zero_mode
 from orbifock.zhu import (GeneratorPolicy, build_ospan, circ_n, e_t,
-                          e_u, hgen, jgen, lam, omega, s_pair, star)
+                          e_u, exact_rank, hgen, jgen, lam, omega, s_pair,
+                          star)
 
 F = Fraction
 
@@ -62,10 +63,8 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
 
     ech = build_ospan(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
     reduced = [ech.reduce(s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
-    monos = sorted({mn for r in reduced for mn in r.terms})
-    rows = [[r.terms.get(mn, 0) for mn in monos] for r in reduced]
-    assert _fraction_rank(rows[:5]) == 5
-    assert _fraction_rank(rows) == 5  # S(1,6) falls into the span
+    assert exact_rank(r.terms for r in reduced[:5]) == 5
+    assert exact_rank(r.terms for r in reduced) == 5  # S(1,6) falls into the span
 
     # Leading coefficient -64 of the weight-7 circle relation.  The oracle
     # quotients by weight < 7 with bookkeeping rows: the omega-anchored

@@ -1,9 +1,11 @@
 """Evaluation on the five top levels: tables, words, witnesses, ranks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from mode_oracle import fraction_rank
 import orbifock.toplevel as toplevel
 import orbifock.twisted as twisted
 from orbifock.coeffs import LPoly
@@ -134,6 +136,29 @@ def test_independence_rank_examples():
     assert independence_rank(five) == 5
     assert independence_rank([FockVector.zero(2)]) == 0
     assert independence_rank([]) == 0
+
+
+def test_independence_rank_matches_dense_reference():
+    # Dense rows: every matrix and scalar entry, then the Mlambda
+    # coefficients over the union of the exponents.
+    rng = random.Random(5064)
+    gens = [omega(2, 1), omega(2, 2), jgen(2, 1), e_u(2, 1, 2), e_t(2, 2, 1),
+            lam(2, 1, 2), s_pair(2, 1, 1, 2, 3), star(omega(2, 1), omega(2, 2))]
+    ranks = set()
+    for _ in range(20):
+        pool = rng.sample(gens, rng.randint(2, 4))
+        elements = [sum((rng.randint(-2, 2) * g for g in pool), FockVector.zero(2))
+                    for _ in range(rng.randint(1, 6))]
+        polys = [evaluate(u, "Mlambda") for u in elements]
+        exps = sorted({e for p in polys for e in p.terms})
+        dense = [[v for fam in ("Hminus", "Tminus", "Hplus", "Tplus")
+                  for _, v in toplevel._entries(evaluate(u, fam))]
+                 + [p.terms.get(e, 0) for e in exps]
+                 for u, p in zip(elements, polys)]
+        got = independence_rank(elements)
+        assert got == fraction_rank(dense)
+        ranks.add(len(elements) - got)
+    assert len(ranks) > 2  # full-rank and deficient stacks
 
 
 def test_rank_invariance_under_scaling_and_permutation():

@@ -136,3 +136,31 @@ def test_tracer_sees_every_cold_build_layer(tmp_path):
     required = [name for name, workloads in tracing.LAYER_METRICS
                 if "certify-cold" in workloads and name != "trace.overhead_ratio"]
     assert [name for name in required if not metrics[name]] == []
+
+
+def test_tracer_sees_every_warm_suite_layer(tmp_path, monkeypatch):
+    # suite all at rank 2 on the cache its own first run left: every layer
+    # the suite-warm workload's per-layer metrics require must be reached,
+    # every cached echelon read and only the anchored build made uncached.
+    # The second run starts, as a fresh process would, with no delta table.
+    import orbifock.twisted
+    from orbifock.runner import RunConfig
+    from orbifock.suites import run_suite
+
+    config = RunConfig(rank=2, cache_dir=str(tmp_path))
+    assert run_suite("all", config).passed()
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(run_id=0)
+    tracer.install()
+    try:
+        monkeypatch.setattr(orbifock.twisted, "_largest", None)
+        report = run_suite("all", config)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert report.passed(), report.to_text()
+    assert metrics["zhu.build_ospan.cache_miss"] == 0
+    assert metrics["zhu.build_ospan.uncached"] == 1
+    required = [name for name, workloads in tracing.LAYER_METRICS
+                if "suite-warm" in workloads and name != "trace.overhead_ratio"]
+    assert [name for name in required if not metrics[name]] == []

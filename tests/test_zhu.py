@@ -9,13 +9,14 @@ from math import gcd
 
 import pytest
 
-from mode_oracle import reference_product, virasoro
+from mode_oracle import (fraction_rank, fraction_reduce, reference_product,
+                         virasoro)
 from orbifock import zhu
 from orbifock.fock import FockVector, basis, single
 from orbifock.vertex import mode_component
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
-                          e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega, s_pair,
-                          star)
+                          e_t, e_t_bar, e_u, e_u_bar, exact_rank, hgen, jgen, lam,
+                          omega, s_pair, star)
 from orbifock.script import parse_expr, realize
 
 F = Fraction
@@ -492,3 +493,82 @@ def test_malformed_cache_file_is_rebuilt(tmp_path, corrupt):
     assert again.reduce(h2) == (3 * single(1, False, [(1, -1), (1, -1)])
                                 - 2 * single(1, False, [(1, -3), (1, -1)]))
     assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
+
+
+# Keys of mixed shapes, as independence_rank's (family, entry) columns: a
+# family name with an empty, a matrix or an exponent entry.
+RANK_KEYS = ([("Hplus", ()), ("Tplus", ())]
+             + [(fam, (i, j)) for fam in ("Hminus", "Tminus")
+                for i in (1, 2) for j in (1, 2)]
+             + [("Mlambda", e) for e in ((0, 0), (0, 2), (1, 1), (2, 0), (3, 1))])
+
+
+def _random_rational(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 16, 35)))
+
+
+def _random_rank_rows(rng):
+    """Sparse rational rows with zero, repeated, scaled and dependent rows."""
+    keys = rng.sample(RANK_KEYS, rng.randint(1, len(RANK_KEYS)))
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            f = rng.choice((F(-3, 7), 2, F(1, 16)))
+            rows.append({k: f * v for k, v in rng.choice(rows).items()})
+        elif len(rows) > 1 and kind < 0.5:
+            a, b = rng.sample(rows, 2)
+            fa, fb = _random_rational(rng), _random_rational(rng)
+            rows.append({k: fa * a.get(k, 0) + fb * b.get(k, 0)
+                         for k in set(a) | set(b)})
+        elif kind < 0.6:
+            rows.append(rng.choice(({}, {keys[0]: F(0)})))
+        else:
+            rows.append({k: rng.choice((_random_rational(rng), rng.randint(-5, 5), F(0)))
+                         for k in rng.sample(keys, rng.randint(1, len(keys)))})
+    return rows
+
+
+def test_exact_rank_matches_fraction_rank():
+    rng = random.Random(20261018)
+    ranks = set()
+    for _ in range(400):
+        rows = _random_rank_rows(rng)
+        cols = sorted({k for row in rows for k in row})
+        dense = [[row.get(k, 0) for k in cols] for row in rows]
+        want = fraction_rank(dense) if cols else 0
+        got = exact_rank(rows)
+        assert got == want, rows
+        assert exact_rank(reversed(rows)) == want
+        ranks.add((len(rows), got))
+    # Both full-rank and rank-deficient stacks occur.
+    assert any(n > r > 0 for n, r in ranks) and any(n == r > 1 for n, r in ranks)
+
+
+def test_exact_rank_leaves_its_rows_alone():
+    rows = [{1: 2, 2: 4}, {1: 1, 2: 3}, {2: 1}]
+    copies = [dict(row) for row in rows]
+    assert exact_rank(rows) == 2
+    assert rows == copies
+
+
+def test_reduce_matches_fraction_reference():
+    e = build_ospan(2, 8)
+    rng = random.Random(9905064)
+    for _ in range(200):
+        vec = FockVector(2, False, {
+            m: rng.choice((rng.randint(-6, 6), _random_rational(rng)))
+            for m in rng.sample(e.columns, rng.randint(1, 12))})
+        assert e.reduce(vec) == fraction_reduce(e, vec)
+    assert e.reduce(FockVector.zero(2)).is_zero()
+    # Criterion 2's blanket, plain and scaled, against both of its echelons.
+    blanket = [FockVector.from_monomial(2, False, m)
+               for w2 in range(0, 13) for m in basis(2, False, F(w2, 2), "even")]
+    assert len(blanket) == 71
+    for policy in (GeneratorPolicy(), GeneratorPolicy("omega")):
+        e = build_ospan(2, 10, policy=policy)
+        for vec in blanket:
+            for v in (vec, F(-5, 12) * vec):
+                assert e.reduce(v) == fraction_reduce(e, v)
