@@ -16,7 +16,7 @@ from .runner import CACHE_ENV, RunConfig, Runner, default_cache_dir
 from .suites import SUITE_NAMES, run_suite
 from .tables import emit_tables
 from .twisted import delta_coefficients
-from .zhu import GeneratorPolicy
+from .zhu import MAX_WEIGHT_CAP, GeneratorPolicy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +76,8 @@ def main(argv=None):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("delta-table", help="emit twisted correction coefficients")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=int, default=8,
+                   help=f"total degree, 2..{MAX_WEIGHT_CAP} (default 8)")
 
     args = parser.parse_args(argv)
     if args.command in ("verify", "suite") and args.rank < 1:
@@ -86,8 +87,9 @@ def main(argv=None):
                               ("--slack", args.slack)):
             if value < 0:
                 parser.error(f"{option} must be at least 0, got {value}")
-    if args.command == "delta-table" and args.degree < 2:
-        parser.error(f"--degree must be at least 2, got {args.degree}")
+    if args.command == "delta-table" and not 2 <= args.degree <= MAX_WEIGHT_CAP:
+        parser.error(f"--degree must be between 2 and {MAX_WEIGHT_CAP}, "
+                     f"got {args.degree}")
     if args.command in ("verify", "suite"):
         # Created up front, so an unusable directory fails before any work.
         cache_dir = args.cache_dir or default_cache_dir()

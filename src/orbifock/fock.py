@@ -1,10 +1,15 @@
-"""Fock-space states for the rank-ell free boson, untwisted and twisted.
+"""Fock-space states of the vacuum module of the rank-ell free boson.
 
 States are finite linear combinations of creation monomials
-``h_g(-n_1) ... h_g(-n_k) |0>`` with exact coefficients.  Mode indices live in
-the integers (untwisted sector) or in the half-integers (twisted sector); we
-store twice the index as an ``int`` so a single mode type covers both sectors
-without any float ever appearing.
+``h_g(-n_1) ... h_g(-n_k) |0>`` with exact coefficients; every creation
+mode of the vacuum module has an integer index.  The twisted module is met
+only through its top levels, read off the expansion in
+:mod:`orbifock.twisted`, and no twisted state is built.  A mode index is
+stored as twice its value, an ``int``, so the half-integer modes of the
+twisted module keep the same float-free encoding where they are still
+named: ``vertex.d_coeff2`` takes twice k, and :func:`annihilate` and
+:func:`format_mode` accept odd twice-values, as the tests' twisted oracle
+uses them.
 
 A monomial is a tuple of ``(gen, n2)`` pairs with ``n2 = 2n < 0``, sorted
 ascending, so commuting creation operators have one canonical spelling.
@@ -44,11 +49,11 @@ def mono_key(mono):
     return (mono_weight2(mono), mono)
 
 
-def make_monomial(ell, twisted, modes):
+def make_monomial(ell, modes):
     """Canonical creation monomial from (gen, n) pairs.
 
     Rejects annihilation or zero modes, generator indices outside 1..ell, and
-    indices of the wrong sector (integer vs half-integer).
+    indices that are not integers.
     """
     out = []
     for gen, n in modes:
@@ -57,9 +62,8 @@ def make_monomial(ell, twisted, modes):
             raise ValueError(f"generator index {gen} out of range 1..{ell}")
         if n2 >= 0:
             raise ValueError(f"h{gen}({n}) is not a creation mode")
-        if (n2 % 2 != 0) != twisted:
-            sector = "twisted" if twisted else "untwisted"
-            raise ValueError(f"mode index {n} invalid in the {sector} sector")
+        if n2 % 2:
+            raise ValueError(f"mode index {n} is not an integer")
         out.append((gen, n2))
     out.sort()
     return tuple(out)
@@ -78,30 +82,29 @@ def format_monomial(mono):
 
 
 class FockVector:
-    """A finite linear combination of canonical monomials in one sector.
+    """A finite linear combination of canonical monomials.
 
     Zero coefficients are never stored.  Instances are immutable by
     convention; all operations return fresh vectors.
     """
 
-    __slots__ = ("ell", "twisted", "terms")
+    __slots__ = ("ell", "terms")
 
-    def __init__(self, ell, twisted, terms=None):
+    def __init__(self, ell, terms=None):
         self.ell = ell
-        self.twisted = twisted
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls, ell, twisted=False):
-        return cls(ell, twisted, {})
+    def zero(cls, ell):
+        return cls(ell, {})
 
     @classmethod
-    def vacuum(cls, ell, twisted=False, coeff=1):
-        return cls(ell, twisted, {VACUUM: coeff})
+    def vacuum(cls, ell, coeff=1):
+        return cls(ell, {VACUUM: coeff})
 
     @classmethod
-    def from_monomial(cls, ell, twisted, mono, coeff=1):
-        return cls(ell, twisted, {mono: coeff})
+    def from_monomial(cls, ell, mono, coeff=1):
+        return cls(ell, {mono: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -110,8 +113,8 @@ class FockVector:
         return bool(self.terms)
 
     def _check_compatible(self, other):
-        if self.ell != other.ell or self.twisted != other.twisted:
-            raise ValueError("sector or rank mismatch between vectors")
+        if self.ell != other.ell:
+            raise ValueError("rank mismatch between vectors")
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -122,18 +125,18 @@ class FockVector:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return FockVector(self.ell, self.twisted, terms)
+        return FockVector(self.ell, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FockVector(self.ell, self.twisted, {m: -c for m, c in self.terms.items()})
+        return FockVector(self.ell, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
         if not c:
-            return FockVector.zero(self.ell, self.twisted)
-        return FockVector(self.ell, self.twisted, {m: c * v for m, v in self.terms.items()})
+            return FockVector.zero(self.ell)
+        return FockVector(self.ell, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, LPoly)):
@@ -143,11 +146,10 @@ class FockVector:
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return (self.ell == other.ell and self.twisted == other.twisted
-                and self.terms == other.terms)
+        return self.ell == other.ell and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ell, self.twisted, frozenset(self.terms.items())))
+        return hash((self.ell, frozenset(self.terms.items())))
 
     def coeff(self, mono):
         return self.terms.get(mono, 0)
@@ -197,9 +199,9 @@ class FockVector:
     __repr__ = __str__
 
 
-def single(ell, twisted, modes, coeff=1):
+def single(ell, modes, coeff=1):
     """Vector with one monomial, given as (gen, n) pairs."""
-    return FockVector.from_monomial(ell, twisted, make_monomial(ell, twisted, modes), coeff)
+    return FockVector.from_monomial(ell, make_monomial(ell, modes), coeff)
 
 
 def annihilate(terms, gen, n2):
@@ -221,36 +223,30 @@ def annihilate(terms, gen, n2):
     return out
 
 
-def _partitions(total, max_part, allowed_step, min_part):
-    """Partitions of ``total`` into parts from {min_part, min_part+step, ...}."""
+def _partitions(total, max_part):
+    """Partitions of ``total`` into parts of at most ``max_part``, largest
+    part first."""
     if total == 0:
         yield ()
         return
-    part = min(max_part, total)
-    # Align the largest usable part with the allowed residue class.
-    while part >= min_part and (part - min_part) % allowed_step != 0:
-        part -= 1
-    while part >= min_part:
-        for rest in _partitions(total - part, part, allowed_step, min_part):
+    for part in range(min(max_part, total), 0, -1):
+        for rest in _partitions(total - part, part):
             yield (part,) + rest
-        part -= allowed_step
 
 
-def basis(ell, twisted, weight, parity="all"):
-    """All canonical monomials of the given mode-weight, filtered by parity.
+def basis(ell, weight, parity="all"):
+    """All canonical monomials of the given integer mode-weight, filtered
+    by parity.
 
-    ``weight`` may be an int or Fraction; the twisted sector admits
-    half-integer weights.  The result comes back in the canonical monomial
-    order, so callers can rely on reproducible indexing.
+    The result comes back in the canonical monomial order, so callers can
+    rely on reproducible indexing.
     """
-    w2 = _to_n2(weight)
-    if w2 < 0:
+    if weight < 0:
         raise ValueError("weight must be nonnegative")
     if parity not in ("even", "odd", "all"):
         raise ValueError(f"parity filter {parity!r} not one of even/odd/all")
-    min_part = 1 if twisted else 2
     out = []
-    for part_shape in _partitions(w2, w2, 2, min_part):
+    for part_shape in _partitions(weight, weight):
         if parity == "even" and len(part_shape) % 2:
             continue
         if parity == "odd" and len(part_shape) % 2 == 0:
@@ -262,7 +258,7 @@ def basis(ell, twisted, weight, parity="all"):
         colorings = [()]
         for p, count in groups:
             colorings = [
-                prev + tuple((g, -p) for g in combo)
+                prev + tuple((g, -2 * p) for g in combo)
                 for prev in colorings
                 for combo in combinations_with_replacement(range(1, ell + 1), count)
             ]

@@ -514,11 +514,12 @@ def _scalar_power(c, k):
 
 
 def realize(expr, rank):
-    """Turn a main-expression AST into an even untwisted state.
+    """Turn a main-expression AST into an even state.
 
     A product, a whole power or a circle whose top weight exceeds
     ``zhu.MAX_WEIGHT_CAP`` raises ResourceWarning before it is computed
-    (the top part of star(u, v) is the product of those of u and v).  A
+    (the top part of star(u, v) is the product of those of u and v), and
+    so does an atom heavier than the cap, before anything reads it.  A
     weight-0 factor c|0> acts as the scalar c, because star(u, |0>) = u, so
     its power is c^k, and ResourceWarning is raised when c^k would not
     print in ``_MAX_DIGITS`` digits.
@@ -530,16 +531,18 @@ def realize(expr, rank):
         return reduce(zhu.star, repeat(v, k), u)
 
     def leaf(e, fold):
-        if isinstance(e, Named) and e.kind in _BUILDERS:
-            return _BUILDERS[e.kind](rank, *e.args)
-        if isinstance(e, Mono):
-            mono = make_monomial(rank, False, e.modes)
-            return FockVector.from_monomial(rank, False, mono)
         if isinstance(e, Circ):
             u, v = fold(e.left), fold(e.right)
             _guard("circle", (u.max_weight2() + v.max_weight2()) // 2 + e.n + 1)
             return zhu.circ_n(u, v, e.n)
-        raise TypeError(f"not a state expression: {e!r}")
+        if isinstance(e, Named) and e.kind in _BUILDERS:
+            atom = _BUILDERS[e.kind](rank, *e.args)
+        elif isinstance(e, Mono):
+            atom = FockVector.from_monomial(rank, make_monomial(rank, e.modes))
+        else:
+            raise TypeError(f"not a state expression: {e!r}")
+        _guard("atom", atom.max_weight2() // 2)
+        return atom
 
     return _fold(expr, FockVector.vacuum(rank), star, leaf)
 

@@ -159,8 +159,8 @@ def _reduce_from_weight(echelon, vec, low):
     modulo span + V_{<low}, and the rest of the normal form is dropped.
     """
     nf = echelon.reduce(vec)
-    return FockVector(nf.ell, False, {m: c for m, c in nf.terms.items()
-                                      if mono_weight2(m) >= 2 * low})
+    return FockVector(nf.ell, {m: c for m, c in nf.terms.items()
+                               if mono_weight2(m) >= 2 * low})
 
 
 def _membership_and_leading_coefficient(report, full):
@@ -187,8 +187,7 @@ def _membership_and_leading_coefficient(report, full):
     t0 = time.perf_counter()
     anchored = zhu.build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"))
     circle = zhu.circ_n(zhu.s_pair(2, 1, 1, 2, 1),
-                        FockVector.from_monomial(
-                            2, False, make_monomial(2, False, [(1, -1)] * 4)))
+                        FockVector.from_monomial(2, make_monomial(2, [(1, -1)] * 4)))
     nf = _reduce_from_weight(anchored, circle, 7)
     s16 = _reduce_from_weight(anchored, zhu.s_pair(2, 1, 1, 2, 6), 7)
     ok = (not s16.is_zero()) and nf == -64 * s16

@@ -129,8 +129,6 @@ def _entries(act):
 
 
 def _check_state(u):
-    if u.twisted:
-        raise ValueError("evaluate expects untwisted states")
     if not u.is_even():
         raise ValueError("evaluate expects even-parity states")
 

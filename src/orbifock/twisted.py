@@ -153,8 +153,6 @@ def apply_delta(v, keep=None):
     remainder is divided once by the common denominator (module
     docstring), so the coefficients come back as Fractions.
     """
-    if v.twisted:
-        raise ValueError("apply_delta acts on untwisted states")
     table = delta_table(v.max_weight2() // 2)
     longest = max(map(len, v.terms), default=0)
     if keep is None:

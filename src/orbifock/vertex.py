@@ -184,13 +184,11 @@ def _component(mono, q, tmono, memo):
 
 
 def mode_component(v, m, target, *, memo=None):
-    """The component v_m of Y(v,z) applied to ``target``, both untwisted.
+    """The component v_m of Y(v,z) applied to ``target``.
 
     ``memo`` is shared by the calls of one product (see the module
     docstring); each call without one gets a fresh dict.
     """
-    if v.twisted or target.twisted:
-        raise ValueError("mode components act on the untwisted vacuum module")
     if v.ell != target.ell:
         raise ValueError("rank mismatch between state and target")
     if memo is None:
@@ -200,5 +198,5 @@ def mode_component(v, m, target, *, memo=None):
         for tmono, tc in target.terms.items():
             for full, x in _component(mono, m, tmono, memo).items():
                 acc[full] = acc.get(full, 0) + c * tc * x
-    return FockVector(target.ell, False, acc)
+    return FockVector(target.ell, acc)
 

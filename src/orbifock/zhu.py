@@ -78,22 +78,22 @@ def _binomial_sum(u, v, shift):
             for tmono, tc in rest.items():
                 add(wick_sum(mono, shift, tmono), c * tc)
     if rest and longer:
-        target = FockVector(v.ell, False, rest)
+        target = FockVector(v.ell, rest)
         memo = {}
         for w, terms in longer.items():
-            comp = FockVector(u.ell, False, terms)
+            comp = FockVector(u.ell, terms)
             for i in range(w + 1):
                 add(mode_component(comp, i - shift, target, memo=memo).terms, comb(w, i))
     den = du * dv
     if den > 1:
         acc = {mono: Fraction(x, den) for mono, x in acc.items() if x}
-    return FockVector(u.ell, False, acc)
+    return FockVector(u.ell, acc)
 
 
 def star(u, v):
     """The associative product representative star(u, v)."""
-    _check_even_untwisted(u, "star")
-    _check_even_untwisted(v, "star")
+    _check_even(u, "star")
+    _check_even(v, "star")
     if u.ell != v.ell:
         raise ValueError("rank mismatch in star")
     return _binomial_sum(u, v, 1)
@@ -108,16 +108,14 @@ def circ_n(u, v, n=0):
     """
     if n < 0:
         raise ValueError("circle index n must be nonnegative")
-    _check_even_untwisted(u, "circ_n")
-    _check_even_untwisted(v, "circ_n")
+    _check_even(u, "circ_n")
+    _check_even(v, "circ_n")
     if u.ell != v.ell:
         raise ValueError("rank mismatch in circ_n")
     return _binomial_sum(u, v, n + 2)
 
 
-def _check_even_untwisted(u, opname):
-    if u.twisted:
-        raise ValueError(f"{opname} is defined on the untwisted even subalgebra")
+def _check_even(u, opname):
     if not u.is_even():
         raise ValueError(f"{opname} argument has odd-parity terms")
 
@@ -127,14 +125,14 @@ def _check_even_untwisted(u, opname):
 
 def omega(rank, a):
     """The coordinate conformal vector (1/2) h_a(-1)^2."""
-    return single(rank, False, [(a, -1), (a, -1)], Fraction(1, 2))
+    return single(rank, [(a, -1), (a, -1)], Fraction(1, 2))
 
 
 def jgen(rank, a):
     """The weight-4 singlet h_a(-1)^4 - 2 h_a(-3)h_a(-1) + 3/2 h_a(-2)^2."""
-    return (single(rank, False, [(a, -1)] * 4)
-            + single(rank, False, [(a, -3), (a, -1)], -2)
-            + single(rank, False, [(a, -2), (a, -2)], Fraction(3, 2)))
+    return (single(rank, [(a, -1)] * 4)
+            + single(rank, [(a, -3), (a, -1)], -2)
+            + single(rank, [(a, -2), (a, -2)], Fraction(3, 2)))
 
 
 def hgen(rank, a):
@@ -145,7 +143,7 @@ def hgen(rank, a):
 
 def s_pair(rank, a, m, b, n):
     """The quadratic h_a(-m) h_b(-n)."""
-    return single(rank, False, [(a, -m), (b, -n)])
+    return single(rank, [(a, -m), (b, -n)])
 
 
 def _s_combo(rank, a, b, coeffs):
@@ -382,8 +380,8 @@ class OSpanEchelon:
         self.policy = policy
         self.columns = []
         self.col_index = {}
-        for w2 in range(0, window2 + 1):
-            for mono in basis(ell, False, Fraction(w2, 2), "even"):
+        for w in range(window2 // 2 + 1):
+            for mono in basis(ell, w, "even"):
                 self.col_index[mono] = len(self.columns)
                 self.columns.append(mono)
         self.rows = {}  # pivot column -> fully reduced integer row
@@ -422,19 +420,17 @@ class OSpanEchelon:
     def reduce(self, vec):
         """Exact normal form of a vector modulo the stored row space: one
         integer :func:`_eliminate`, then one division per remaining entry."""
-        if vec.twisted:
-            raise ValueError("reduce expects untwisted vectors")
         if not vec.is_even():
             raise ValueError("reduce expects even-parity vectors")
         if vec.max_weight2() > self.window2:
             raise ValueError(
-                f"vector weight {Fraction(vec.max_weight2(), 2)} exceeds the "
-                f"echelon window {Fraction(self.window2, 2)}")
+                f"vector weight {vec.max_weight2() // 2} exceeds the "
+                f"echelon window {self.window2 // 2}")
         d, terms = clear_denominators(vec.terms)
         scale, row = _eliminate(self.rows, {self.col_index[mono]: c
                                             for mono, c in terms.items()})
         den = d * scale
-        return FockVector(self.ell, False,
+        return FockVector(self.ell,
                           {self.columns[c]: Fraction(v, den) if den > 1 else v
                            for c, v in row.items()})
 
@@ -497,7 +493,7 @@ def _iter_circle_pairs(ell, columns, limit2, policy):
     first, then every (left, right) pair of the policy's factors.  Each
     factor is homogeneous and its weight is taken once.
     """
-    monos = [FockVector.from_monomial(ell, False, m) for m in columns if m]
+    monos = [FockVector.from_monomial(ell, m) for m in columns if m]
     left, right = policy.factors(ell, monos)
     vac = FockVector.vacuum(ell)
     right = [(v, v.weight2()) for v in right]

@@ -43,23 +43,23 @@ def apply_mode(gen, n, vec, hw=None):
     d_{m+k,0}.  The zero mode multiplies by the highest-weight pairing: the
     polynomial l_gen when ``hw`` is :data:`SYMBOLIC`, the given numeric value
     when ``hw`` is a tuple, and 0 when ``hw`` is None (the vacuum module).
+    Half-integer modes act the same way on the twisted module's states,
+    whose monomials hold odd twice-values.
     """
     n2 = _to_n2(n)
     if not 1 <= gen <= vec.ell:
         raise ValueError(f"generator index {gen} out of range 1..{vec.ell}")
-    if (n2 % 2 != 0) != vec.twisted:
-        raise ValueError(f"mode index {n} does not match the vector's sector")
-    ell, twisted = vec.ell, vec.twisted
+    ell = vec.ell
     if n2 < 0:
-        return FockVector(ell, twisted,
-                          {_insert_mode(m, gen, n2): c for m, c in vec.terms.items()})
+        return FockVector(ell, {_insert_mode(m, gen, n2): c
+                                for m, c in vec.terms.items()})
     if n2 == 0:
         if hw is None:
-            return FockVector.zero(ell, twisted)
+            return FockVector.zero(ell)
         if hw == SYMBOLIC:
             return vec.scale(LPoly.unit(ell, gen))
         return vec.scale(hw[gen - 1])
-    return FockVector(ell, twisted, annihilate(vec.terms, gen, n2))
+    return FockVector(ell, annihilate(vec.terms, gen, n2))
 
 
 def virasoro(a, n, v):
@@ -95,7 +95,7 @@ def graded_parts(u):
     parts = {}
     for m, c in u.terms.items():
         parts.setdefault(mono_weight2(m), {})[m] = c
-    return {w2: FockVector(u.ell, u.twisted, t) for w2, t in sorted(parts.items())}
+    return {w2: FockVector(u.ell, t) for w2, t in sorted(parts.items())}
 
 
 def reference_product(u, v, shift):
@@ -200,5 +200,5 @@ def fraction_reduce(echelon, vec):
                 work[c] = s
             else:
                 del work[c]
-    return FockVector(echelon.ell, False,
+    return FockVector(echelon.ell,
                       {echelon.columns[c]: v for c, v in work.items()})

@@ -71,21 +71,21 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
     # circles, then every even monomial below weight 7 inserted as a row.
     anchored = build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"))
     oracle = copy.deepcopy(anchored)
-    blanket = [FockVector.from_monomial(2, False, mn)
-               for w2 in range(0, 13)
-               for mn in basis(2, False, F(w2, 2), "even")]
+    blanket = [FockVector.from_monomial(2, mn)
+               for w in range(0, 7)
+               for mn in basis(2, w, "even")]
     assert len(blanket) == 71
     for vec in blanket:
         oracle.insert(vec)
     circle = circ_n(s_pair(2, 1, 1, 2, 1),
-                    single(2, False, [(1, -1)] * 4))
+                    single(2, [(1, -1)] * 4))
     nf = oracle.reduce(circle)
     s16 = oracle.reduce(s_pair(2, 1, 1, 2, 6))
     assert not s16.is_zero()
     assert nf == -64 * s16
     # The suite drops the low-weight part of a plain normal form instead.
-    top = [FockVector.from_monomial(2, False, mn)
-           for w in range(7, 11) for mn in basis(2, False, w, "even")]
+    top = [FockVector.from_monomial(2, mn)
+           for w in range(7, 11) for mn in basis(2, w, "even")]
     assert len(top) == 540
     for vec in top:
         assert _reduce_from_weight(anchored, vec, 7) == oracle.reduce(vec)
@@ -99,8 +99,8 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
 def test_criterion_3_product_shift_identities(capsys):
     t0 = time.time()
     ech = build_ospan(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
-    us = [FockVector.from_monomial(2, False, m)
-          for w in range(0, 6) for m in basis(2, False, w, "even")]
+    us = [FockVector.from_monomial(2, m)
+          for w in range(0, 6) for m in basis(2, w, "even")]
     assert len(us) == 36
     zero = FockVector.zero(2)
     checked = 0
@@ -172,7 +172,7 @@ def test_criterion_6_twisted_engine(capsys):
     for ell in (1, 2, 3):
         om = FockVector.zero(ell)
         for a in range(1, ell + 1):
-            om = om + single(ell, False, [(a, -1), (a, -1)], F(1, 2))
+            om = om + single(ell, [(a, -1), (a, -1)], F(1, 2))
         assert twisted_zero_mode(om) == F(ell, 16)
     elapsed = time.time() - t0
     assert elapsed < 30
@@ -201,8 +201,8 @@ def test_criterion_7_property_suites(capsys):
             for fam in FAMILIES:
                 assert not evaluate(c, fam)
     # Brute-force oracle for the products at rank 1, weight <= 4.
-    small = [FockVector.from_monomial(1, False, m)
-             for w in (0, 2, 3, 4) for m in basis(1, False, w, "even")]
+    small = [FockVector.from_monomial(1, m)
+             for w in (0, 2, 3, 4) for m in basis(1, w, "even")]
     for u in small:
         for v in small:
             assert star(u, v) == reference_product(u, v, 1)

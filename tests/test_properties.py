@@ -67,8 +67,8 @@ def test_certificate_soundness_against_evaluation():
     e = build_ospan(2, 8)
     sample = []
     for w in (0, 2, 3, 4):
-        sample += [FockVector.from_monomial(2, False, m)
-                   for m in basis(2, False, w, "even")]
+        sample += [FockVector.from_monomial(2, m)
+                   for m in basis(2, w, "even")]
     pairs = 0
     for u in sample:
         for v in sample:
@@ -84,9 +84,9 @@ def test_certificate_soundness_against_evaluation():
 def _seeded_even_states(rank, count, seed):
     """``count`` fixed combinations of three even monomials of weight <= 3."""
     rng = random.Random(seed)
-    monos = [m for w in range(4) for m in basis(rank, False, w, "even")]
+    monos = [m for w in range(4) for m in basis(rank, w, "even")]
     return [sum((rng.choice((-2, -1, 1, 3))
-                 * FockVector.from_monomial(rank, False, m)
+                 * FockVector.from_monomial(rank, m)
                  for m in rng.sample(monos, 3)), FockVector.zero(rank))
             for _ in range(count)]
 

@@ -52,9 +52,10 @@ def test_eval_and_rank_and_zero_eval():
 
 
 def test_error_status_for_bad_realization():
-    # Twisted monomials cannot live in the even untwisted algebra.
+    # Twisted-module modes do not act on the vacuum module.
     report = run_text("assert_zero_eval h1(-1/2)h1(-1/2)", cfg())
     assert report.results[0].status == "Error"
+    assert "mode index -1/2 is not an integer" in report.results[0].detail
     assert report.passed() is False
 
 
@@ -83,8 +84,10 @@ def test_resource_guard_reports_unknown():
     assert "resource guard" in report.results[0].detail
 
 
-@pytest.mark.parametrize("expr", ["circ(" * 5 + "w1" + ", w1)" * 5, "w1^9"],
-                         ids=["circle-weight-17", "power-weight-18"])
+@pytest.mark.parametrize("expr", ["circ(" * 5 + "w1" + ", w1)" * 5, "w1^9",
+                                  "S(1,200;2,200)", "h1(-17)h1(-1)"],
+                         ids=["circle-weight-17", "power-weight-18",
+                              "pair-weight-400", "monomial-weight-18"])
 def test_realize_resource_guard_reports_unknown(expr):
     t0 = time.perf_counter()
     report = run_text(f"assert_zero_eval {expr}", cfg())
@@ -206,6 +209,7 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, names", [
     (["verify", "{missing}"], "cannot read script"),
     (["delta-table", "--degree", "1"], "--degree"),
+    (["delta-table", "--degree", "17"], "--degree"),
     (["tables", "--rank", "1"], "rank"),
     (["verify", "{script}", "--rank", "0"], "--rank"),
     (["verify", "{script}", "--slack", "-3"], "--slack"),
@@ -213,7 +217,7 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys):
     (["suite", "tables", "--pairs", "omega"], "--pairs"),
     (["verify", "{script}", "--cache-dir", "{script}/cache"], "cache directory"),
     (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
-], ids=["missing-script", "degree-1", "tables-rank-1", "rank-0",
+], ids=["missing-script", "degree-1", "degree-17", "tables-rank-1", "rank-0",
         "negative-slack", "negative-max-weight", "suite-pairs",
         "verify-cache-under-file", "suite-cache-under-file"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):

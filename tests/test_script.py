@@ -185,7 +185,7 @@ def test_realize_named_atoms():
     assert realize(parse_expr("one", 1), 1) == FockVector.vacuum(1)
     assert realize(parse_expr("5", 1), 1) == FockVector.vacuum(1, coeff=F(5))
     assert realize(parse_expr("h1(-3)h1(-1)", 1), 1) == single(
-        1, False, [(1, -3), (1, -1)])
+        1, [(1, -3), (1, -1)])
 
 
 def test_realize_operators():

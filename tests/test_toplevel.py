@@ -70,9 +70,7 @@ def test_singlet_rows():
 
 def test_evaluate_rejects_odd_or_twisted():
     with pytest.raises(ValueError):
-        evaluate(single(1, False, [(1, -1)]), "Hminus")
-    with pytest.raises(ValueError):
-        evaluate(single(1, True, [(1, F(-1, 2)), (1, F(-1, 2))]), "Hplus")
+        evaluate(single(1, [(1, -1)]), "Hminus")
 
 
 def test_word_products():

@@ -79,10 +79,10 @@ def test_apply_delta_examples():
     one = FockVector.vacuum(1)
     assert apply_delta(one) == {(): 1}
 
-    omega = single(1, False, [(1, -1), (1, -1)], F(1, 2))
+    omega = single(1, [(1, -1), (1, -1)], F(1, 2))
     assert apply_delta(omega) == {((1, -2), (1, -2)): F(1, 2), (): F(1, 16)}
 
-    hv = single(1, False, [(1, -1)])
+    hv = single(1, [(1, -1)])
     assert apply_delta(hv) == {((1, -2),): 1}
 
 
@@ -97,11 +97,11 @@ def flat(buckets):
 
 def test_matching_expansion_matches_operator_form():
     table = delta_coefficients(8)
-    states = [FockVector.from_monomial(2, False, mono)
-              for weight in range(9) for mono in basis(2, False, weight, "even")]
+    states = [FockVector.from_monomial(2, mono)
+              for weight in range(9) for mono in basis(2, weight, "even")]
     # Repeated equal modes are where the pair multiplicities must agree.
-    assert single(2, False, [(1, -1)] * 4) in states
-    assert single(2, False, [(1, -2)] * 2) in states
+    assert single(2, [(1, -1)] * 4) in states
+    assert single(2, [(1, -2)] * 2) in states
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     for v in states:
@@ -109,8 +109,8 @@ def test_matching_expansion_matches_operator_form():
 
 
 def test_truncated_expansion_drops_only_long_remainders():
-    states = [FockVector.from_monomial(2, False, mono)
-              for weight in range(9) for mono in basis(2, False, weight, "even")]
+    states = [FockVector.from_monomial(2, mono)
+              for weight in range(9) for mono in basis(2, weight, "even")]
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     short = 0
@@ -129,9 +129,9 @@ def test_bucket_weights():
     # so the z-exponent of a remainder is fixed by its weight and summing
     # the buckets, as apply_delta does, loses nothing.
     table = delta_coefficients(8)
-    J = (single(1, False, [(1, -1)] * 4)
-         + single(1, False, [(1, -3), (1, -1)], -2)
-         + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
+    J = (single(1, [(1, -1)] * 4)
+         + single(1, [(1, -3), (1, -1)], -2)
+         + single(1, [(1, -2), (1, -2)], F(3, 2)))
     buckets = reference_delta(J, table)
     assert len(buckets) > 1
     for shift, vec in buckets.items():
@@ -142,24 +142,24 @@ def test_twisted_scalars():
     for ell in (1, 2, 3):
         omega = FockVector.zero(ell)
         for a in range(1, ell + 1):
-            omega = omega + single(ell, False, [(a, -1), (a, -1)], F(1, 2))
+            omega = omega + single(ell, [(a, -1), (a, -1)], F(1, 2))
         assert twisted_zero_mode(omega) == F(ell, 16)
-    J = (single(1, False, [(1, -1)] * 4)
-         + single(1, False, [(1, -3), (1, -1)], -2)
-         + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
+    J = (single(1, [(1, -1)] * 4)
+         + single(1, [(1, -3), (1, -1)], -2)
+         + single(1, [(1, -2), (1, -2)], F(3, 2)))
     out = twisted_zero_mode(J)
     assert type(out) is Fraction and out == F(3, 128)
 
 
 def test_odd_parity_rejected():
-    odd = single(1, False, [(1, -1)])
+    odd = single(1, [(1, -1)])
     with pytest.raises(ValueError):
         twisted_zero_mode(odd)
 
 
 def test_matrix_action_on_twisted_top_level():
     # Column j is the image of h_j(-1/2)|0>_tw.
-    S12 = single(2, False, [(1, -1), (2, -2)])
+    S12 = single(2, [(1, -1), (2, -2)])
     assert evaluate(S12, "Tminus") == Matrix([[0, F(-3, 4)], [F(-1, 4), 0]])
 
 

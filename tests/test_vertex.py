@@ -28,18 +28,19 @@ def oracle_d(k, n):
     return val
 
 
-def oracle_mode_operator(v, m, target, hw=None, box=9):
+def oracle_mode_operator(v, m, target, hw=None, box=9, twisted=False):
     """Brute-force expansion: box enumeration plus one-at-a-time modes.
 
-    Modes run over the integers on an untwisted target and over the
-    half-integers on a twisted one.  Zero modes act through ``apply_mode``
+    Modes run over the integers on a target of the vacuum module, and over
+    the half-integers on a target of the twisted module (``twisted``), whose
+    states hold odd twice-values.  Zero modes act through ``apply_mode``
     with ``hw`` (zero on the vacuum module when ``hw`` is None).
     """
-    if target.twisted:
+    if twisted:
         modes = [k + F(1, 2) for k in range(-box, box)]
     else:
         modes = list(range(-box, box + 1))
-    out = FockVector.zero(v.ell, target.twisted)
+    out = FockVector.zero(v.ell)
     for mono, c in v.terms.items():
         facs = [(g, -n2 // 2) for g, n2 in mono]
         total = m + 1 - sum(n for _, n in facs)
@@ -80,7 +81,7 @@ def test_d_coefficients():
 def test_one_pass_wick_sum_against_single_components():
     # Every two-factor monomial m and every target t of weight <= 6 at
     # rank 3, and the vacuum as m; shifts 1-4 need m_q t for -4 <= q < wt m.
-    targets = [t for w2 in range(0, 13) for t in basis(3, False, F(w2, 2), "even")]
+    targets = [t for w in range(0, 7) for t in basis(3, w, "even")]
     states = [()] + [m for m in targets if len(m) == 2]
     assert (len(targets), len(states)) == (212, 73)
     for m in states:
@@ -98,11 +99,11 @@ def test_one_pass_wick_sum_against_single_components():
 
 def test_single_mode_state_is_the_current():
     # The state h_a(-1)|0> expands to the plain current: v_n = h_a(n).
-    v = single(2, False, [(1, -1)])
+    v = single(2, [(1, -1)])
     targets = [FockVector.vacuum(2)]
     for w in (1, 2):
-        targets += [FockVector.from_monomial(2, False, m)
-                    for m in basis(2, False, w, "all")]
+        targets += [FockVector.from_monomial(2, m)
+                    for m in basis(2, w, "all")]
     for t in targets:
         for n in range(-3, 4):
             assert mode_component(v, n, t) == apply_mode(1, n, t)
@@ -112,12 +113,12 @@ def test_single_mode_state_is_the_current():
 def test_mode_operator_against_oracle(ell):
     states = []
     for w in (1, 2, 3):
-        states += [FockVector.from_monomial(ell, False, m)
-                   for m in basis(ell, False, w, "all")]
+        states += [FockVector.from_monomial(ell, m)
+                   for m in basis(ell, w, "all")]
     targets = [FockVector.vacuum(ell)]
     for w in (1, 2):
-        targets += [FockVector.from_monomial(ell, False, m)
-                    for m in basis(ell, False, w, "all")]
+        targets += [FockVector.from_monomial(ell, m)
+                    for m in basis(ell, w, "all")]
     for v in states:
         for m in range(-3, 4):
             for t in targets:
@@ -125,24 +126,24 @@ def test_mode_operator_against_oracle(ell):
 
 
 def _states(ell, weights):
-    return [FockVector.from_monomial(ell, False, m)
-            for w in weights for m in basis(ell, False, w, "all")]
+    return [FockVector.from_monomial(ell, m)
+            for w in weights for m in basis(ell, w, "all")]
 
 
 # Targets whose contractions the grouped expansion prunes on: repeated
 # modes, several generators, and several terms.
 PRUNED_TARGETS = {
-    "h1(-1)^3": single(2, False, [(1, -1)] * 3),
-    "h1(-1)^2 h2(-2)": single(2, False, [(1, -1), (1, -1), (2, -2)]),
-    "h1(-1)^2 + h1(-2)": (single(2, False, [(1, -1), (1, -1)])
-                          + single(2, False, [(1, -2)])),
+    "h1(-1)^3": single(2, [(1, -1)] * 3),
+    "h1(-1)^2 h2(-2)": single(2, [(1, -1), (1, -1), (2, -2)]),
+    "h1(-1)^2 + h1(-2)": (single(2, [(1, -1), (1, -1)])
+                          + single(2, [(1, -2)])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRUNED_TARGETS))
 def test_pruned_targets_against_oracle(name):
     target = PRUNED_TARGETS[name]
-    states = _states(2, (1, 2, 3)) + [single(2, False, [(1, -1)] * 4)]
+    states = _states(2, (1, 2, 3)) + [single(2, [(1, -1)] * 4)]
     for v in states:
         for m in range(-3, 5):
             assert mode_component(v, m, target) == oracle_mode_operator(v, m, target)
@@ -161,38 +162,39 @@ def oracle_top_level(u, fam, box=1, hw=SYMBOLIC):
     if fam in ("Hplus", "Mlambda", "Hminus"):
         hw = hw if fam == "Mlambda" else None
         tops = ([FockVector.vacuum(rank)] if fam != "Hminus" else
-                [single(rank, False, [(j, -1)]) for j in range(1, rank + 1)])
+                [single(rank, [(j, -1)]) for j in range(1, rank + 1)])
         return [sum((oracle_mode_operator(comp, w2 // 2 - 1, t, hw, box)
                      for w2, comp in graded_parts(u).items()),
                     FockVector.zero(rank)) for t in tops]
-    tops = ([FockVector.vacuum(rank, twisted=True)] if fam == "Tplus" else
-            [single(rank, True, [(j, F(-1, 2))]) for j in range(1, rank + 1)])
+    # |0>_tw and the h_j(-1/2)|0>_tw, as monomials of odd twice-values.
+    tops = ([FockVector.vacuum(rank)] if fam == "Tplus" else
+            [FockVector.from_monomial(rank, ((j, -1),))
+             for j in range(1, rank + 1)])
     table = delta_coefficients(max(2, u.max_weight2() // 2))
     outs = []
     for t in tops:
-        out = FockVector.zero(rank, twisted=True)
+        out = FockVector.zero(rank)
         for w2, comp in graded_parts(u).items():
             for shift, w in reference_delta(comp, table).items():
                 out = out + oracle_mode_operator(w, w2 // 2 - 1 + shift, t,
-                                                 box=box)
+                                                 box=box, twisted=True)
         outs.append(out)
     return outs
 
 
 def action_images(act, fam, rank):
     """The closed-form action as image vectors, in the oracle's layout."""
-    twisted = fam in ("Tplus", "Tminus")
     if not isinstance(act, Matrix):
-        return [FockVector.vacuum(rank, twisted, coeff=act)]
-    n = F(-1, 2) if twisted else -1
-    return [sum((act.rows[i][j] * single(rank, twisted, [(i + 1, n)])
-                 for i in range(rank)), FockVector.zero(rank, twisted))
+        return [FockVector.vacuum(rank, coeff=act)]
+    n2 = -1 if fam in ("Tplus", "Tminus") else -2
+    return [sum((FockVector.from_monomial(rank, ((i + 1, n2),), act.rows[i][j])
+                 for i in range(rank)), FockVector.zero(rank))
             for j in range(rank)]
 
 
 def _even_states(ell, max_weight):
-    return [FockVector.from_monomial(ell, False, m)
-            for w in range(max_weight + 1) for m in basis(ell, False, w, "even")]
+    return [FockVector.from_monomial(ell, m)
+            for w in range(max_weight + 1) for m in basis(ell, w, "even")]
 
 
 ORACLE_STATES = (_even_states(1, 8) + _even_states(2, 6) + _even_states(3, 4)
@@ -234,7 +236,7 @@ MIXED_COEFFS = (F(1, 3), F(-5, 16), F(7, 2), 2, -3, 1)
 
 
 def _mixed(ell, monos, offset=0):
-    return FockVector(ell, False, {
+    return FockVector(ell, {
         m: MIXED_COEFFS[(i + offset) % len(MIXED_COEFFS)]
         for i, m in enumerate(monos)})
 
@@ -242,7 +244,7 @@ def _mixed(ell, monos, offset=0):
 def _mixed_states():
     states = []
     for ell, top in ((1, 8), (2, 6), (3, 4)):
-        by_weight = [basis(ell, False, w, "even") for w in range(top + 1)]
+        by_weight = [basis(ell, w, "even") for w in range(top + 1)]
         states += [_mixed(ell, monos, w)
                    for w, monos in enumerate(by_weight) if monos]
         # One state across all weights, whose parts share the denominators.
@@ -269,7 +271,7 @@ def test_mixed_denominators_products_against_recursion():
     # Pairs up to total weight 6 keep the recursion's reference affordable;
     # the same states also meet unit-coefficient partners.
     small = [u for u in MIXED_STATES if u.max_weight2() <= 8]
-    partners = small + [FockVector.from_monomial(u.ell, False, m)
+    partners = small + [FockVector.from_monomial(u.ell, m)
                         for u in small for m in list(u.terms)[:1]]
     for u in small:
         for v in partners:
@@ -325,11 +327,11 @@ def test_commutator_with_heisenberg_modes(ell):
     # [h_a(k), v_m] w = sum_{j>=1} C(k, j) (h_a(j) v)_{m+k-j} w for k of both
     # signs, on states and targets up to weight 6, beyond the oracle's box.
     rng = random.Random(ell)
-    monos = [mono for wt in range(7) for mono in basis(ell, False, wt, "all")]
+    monos = [mono for wt in range(7) for mono in basis(ell, wt, "all")]
     nonzero = 0
     for _ in range(CASES):
-        v = FockVector.from_monomial(ell, False, rng.choice(monos))
-        w = FockVector.from_monomial(ell, False, rng.choice(monos))
+        v = FockVector.from_monomial(ell, rng.choice(monos))
+        w = FockVector.from_monomial(ell, rng.choice(monos))
         a = rng.randint(1, ell)
         k = rng.choice([-3, -2, -1, 1, 2, 3])
         m = rng.randint(-3, (v.max_weight2() + w.max_weight2()) // 2)
@@ -345,8 +347,8 @@ def test_commutator_with_heisenberg_modes(ell):
 
 
 def test_mode_weight_bookkeeping():
-    v = single(1, False, [(1, -2), (1, -1)])
-    t = single(1, False, [(1, -1), (1, -1)])
+    v = single(1, [(1, -2), (1, -1)])
+    t = single(1, [(1, -1), (1, -1)])
     for m in range(-3, 4):
         out = mode_component(v, m, t)
         if out:
@@ -357,9 +359,9 @@ def test_virasoro_grades_and_creates():
     # L_1(n) is the (n+1)-component of omega_1: L_1(-2)|0> = omega_1, and
     # L_1(0) counts the weight carried by generator 1.
     assert mode_component(omega(1, 1), -1, FockVector.vacuum(1)) == single(
-        1, False, [(1, -1), (1, -1)], F(1, 2))
-    for m in basis(2, False, 3, "all"):
-        v = FockVector.from_monomial(2, False, m)
+        1, [(1, -1), (1, -1)], F(1, 2))
+    for m in basis(2, 3, "all"):
+        v = FockVector.from_monomial(2, m)
         w1 = sum(-n2 for g, n2 in m if g == 1) // 2
         assert mode_component(omega(2, 1), 1, v) == w1 * v
 
@@ -367,8 +369,8 @@ def test_virasoro_grades_and_creates():
 def test_commuting_coordinate_virasoro():
     # Distinct coordinates commute on every graded piece up to weight 3.
     for w in (0, 1, 2, 3):
-        for m in basis(2, False, w, "all"):
-            v = FockVector.from_monomial(2, False, m)
+        for m in basis(2, w, "all"):
+            v = FockVector.from_monomial(2, m)
             for p in (-2, -1, 0, 1):
                 for q in (-1, 0, 1):
                     ab = virasoro(1, p, virasoro(2, q, v))
@@ -378,10 +380,10 @@ def test_commuting_coordinate_virasoro():
 
 def test_translation_property_of_components():
     # (L(-1)v)_m = -m v_{m-1} over the enumerable range.
-    t = single(1, False, [(1, -1), (1, -1)])
+    t = single(1, [(1, -1), (1, -1)])
     for w in (1, 2, 3):
-        for mono in basis(1, False, w, "all"):
-            v = FockVector.from_monomial(1, False, mono)
+        for mono in basis(1, w, "all"):
+            v = FockVector.from_monomial(1, mono)
             lv = virasoro(1, -1, v)
             for m in range(-2, 4):
                 assert mode_component(lv, m, t) == (-m) * mode_component(v, m - 1, t)
@@ -389,21 +391,18 @@ def test_translation_property_of_components():
 
 def test_zero_mode_identity_and_rejections():
     v = FockVector.vacuum(2)
-    t = single(2, False, [(1, -1)])
+    t = single(2, [(1, -1)])
     assert mode_component(v, -1, t) == t
-    with pytest.raises(ValueError):
-        mode_component(single(2, False, [(1, -1)]), 0,
-                       FockVector.vacuum(2, twisted=True))
-    with pytest.raises(ValueError):
-        mode_component(single(2, True, [(1, F(-1, 2))]), 0, t)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        mode_component(v, -1, FockVector.vacuum(1))
 
 
 def test_zero_mode_on_highest_weight_vectors():
     # Only fully balanced zero-mode tuples survive on a highest-weight line.
-    J = (single(1, False, [(1, -1)] * 4)
-         + single(1, False, [(1, -3), (1, -1)], -2)
-         + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
+    J = (single(1, [(1, -1)] * 4)
+         + single(1, [(1, -3), (1, -1)], -2)
+         + single(1, [(1, -2), (1, -2)], F(3, 2)))
     assert str(evaluate(J, "Mlambda")) == "-1/2*l1^2 + l1^4"
     # S(1,1;2,1) swaps the two vectors of the Hminus top level.
-    S11 = single(2, False, [(1, -1), (2, -1)])
+    S11 = single(2, [(1, -1), (2, -1)])
     assert evaluate(S11, "Hminus") == Matrix([[0, 1], [1, 0]])

@@ -29,7 +29,7 @@ def echelon1():
 
 def test_star_identity_element():
     one = FockVector.vacuum(1)
-    v = single(1, False, [(1, -2), (1, -2)])
+    v = single(1, [(1, -2), (1, -2)])
     assert star(one, v) == v
     assert star(v, one) == v
 
@@ -37,8 +37,8 @@ def test_star_identity_element():
 def test_star_of_conformal_vector_is_virasoro_sum():
     w1 = omega(2, 1)
     for w in (0, 1, 2, 3):
-        for m in basis(2, False, w, "even"):
-            u = FockVector.from_monomial(2, False, m)
+        for m in basis(2, w, "even"):
+            u = FockVector.from_monomial(2, m)
             want = (virasoro(1, -2, u) + 2 * virasoro(1, -1, u)
                     + virasoro(1, 0, u))
             assert star(w1, u) == want
@@ -46,15 +46,15 @@ def test_star_of_conformal_vector_is_virasoro_sum():
 
 def test_star_of_disjoint_quadratics_is_juxtaposition():
     got = star(s_pair(4, 1, 1, 2, 1), s_pair(4, 3, 1, 4, 1))
-    assert got == single(4, False, [(1, -1), (2, -1), (3, -1), (4, -1)])
+    assert got == single(4, [(1, -1), (2, -1), (3, -1), (4, -1)])
 
 
 def test_star_and_circ_against_naive_oracle():
     # Rank 1, weight <= 4 on both sides.
     states = []
     for w in (0, 2, 3, 4):
-        states += [FockVector.from_monomial(1, False, m)
-                   for m in basis(1, False, w, "even")]
+        states += [FockVector.from_monomial(1, m)
+                   for m in basis(1, w, "even")]
     for u in states:
         for v in states:
             assert star(u, v) == reference_product(u, v, 1)
@@ -91,8 +91,8 @@ def test_vacuum_circles_are_translations():
     # circ_0(m, |0>) = L(-1)m + wt(m) m and star(m, |0>) = m.
     one = FockVector.vacuum(2)
     for w in (2, 3, 4):
-        for m in basis(2, False, w, "even"):
-            u = FockVector.from_monomial(2, False, m)
+        for m in basis(2, w, "even"):
+            u = FockVector.from_monomial(2, m)
             assert star(u, one) == u
             assert circ_n(u, one) == virasoro(1, -1, u) + virasoro(2, -1, u) + w * u
 
@@ -116,8 +116,8 @@ def test_build_makes_no_recursive_mode_calls(monkeypatch):
 def test_circ_examples_and_guards():
     w1 = omega(1, 1)
     one = FockVector.vacuum(1)
-    assert circ_n(w1, one, 0) == (single(1, False, [(1, -2), (1, -1)])
-                                  + single(1, False, [(1, -1), (1, -1)]))
+    assert circ_n(w1, one, 0) == (single(1, [(1, -2), (1, -1)])
+                                  + single(1, [(1, -1), (1, -1)]))
     for u in (w1, jgen(1, 1)):
         got = circ_n(w1, u, 1)
         want = (virasoro(1, -4, u) + 2 * virasoro(1, -3, u)
@@ -126,7 +126,7 @@ def test_circ_examples_and_guards():
     with pytest.raises(ValueError):
         circ_n(w1, one, -1)
     with pytest.raises(ValueError):
-        star(single(1, False, [(1, -1)]), one)
+        star(single(1, [(1, -1)]), one)
 
 
 def test_parity_and_top_weight_laws():
@@ -151,9 +151,9 @@ def test_generator_formulas():
     want = (45 * s_pair(2, 1, 1, 2, 2) + 190 * s_pair(2, 1, 1, 2, 3)
             + 240 * s_pair(2, 1, 1, 2, 4) + 96 * s_pair(2, 1, 1, 2, 5))
     assert lam12 == want
-    assert jgen(1, 1) == (single(1, False, [(1, -1)] * 4)
-                          + single(1, False, [(1, -3), (1, -1)], -2)
-                          + single(1, False, [(1, -2), (1, -2)], F(3, 2)))
+    assert jgen(1, 1) == (single(1, [(1, -1)] * 4)
+                          + single(1, [(1, -3), (1, -1)], -2)
+                          + single(1, [(1, -2), (1, -2)], F(3, 2)))
     assert hgen(1, 1) == jgen(1, 1) + omega(1, 1) - 4 * star(omega(1, 1), omega(1, 1))
     assert realize(parse_expr("w1^0", 1), 1) == FockVector.vacuum(1)
     with pytest.raises(ValueError):
@@ -163,15 +163,15 @@ def test_generator_formulas():
 
 
 def test_echelon_contains_shift_row(echelon1):
-    row = single(1, False, [(1, -2), (1, -1)]) + single(1, False, [(1, -1), (1, -1)])
+    row = single(1, [(1, -2), (1, -1)]) + single(1, [(1, -1), (1, -1)])
     assert echelon1.reduce(row).is_zero()
 
 
 def test_translation_rows_reduce_to_zero(echelon1):
     one = FockVector.vacuum(1)
     for w in (2, 3):
-        for m in basis(1, False, w, "even"):
-            u = FockVector.from_monomial(1, False, m)
+        for m in basis(1, w, "even"):
+            u = FockVector.from_monomial(1, m)
             assert echelon1.reduce(circ_n(u, one, 0)).is_zero()
 
 
@@ -182,11 +182,11 @@ def test_conformal_vector_survives_reduction(echelon1):
 
 
 def test_reduce_weight_guard(echelon1):
-    heavy = single(1, False, [(1, -5)] * 2)
+    heavy = single(1, [(1, -5)] * 2)
     with pytest.raises(ValueError):
         echelon1.reduce(heavy)
     with pytest.raises(ValueError):
-        echelon1.reduce(single(1, False, [(1, -1)]))
+        echelon1.reduce(single(1, [(1, -1)]))
 
 
 def test_reduce_then_count_consistency():
@@ -194,11 +194,11 @@ def test_reduce_then_count_consistency():
     e_a = build_ospan(1, 6)
     e_b = build_ospan(1, 7)
     dims_a = sum(1 for w in (0, 2, 3, 4)
-                 for m in basis(1, False, w, "even")
-                 if not e_a.reduce(FockVector.from_monomial(1, False, m)).is_zero())
+                 for m in basis(1, w, "even")
+                 if not e_a.reduce(FockVector.from_monomial(1, m)).is_zero())
     dims_b = sum(1 for w in (0, 2, 3, 4)
-                 for m in basis(1, False, w, "even")
-                 if not e_b.reduce(FockVector.from_monomial(1, False, m)).is_zero())
+                 for m in basis(1, w, "even")
+                 if not e_b.reduce(FockVector.from_monomial(1, m)).is_zero())
     assert dims_a == dims_b
 
 
@@ -224,9 +224,9 @@ def test_policy_validation_and_keys():
 # fits.  It is kept here as the oracle for the generator-family spans.
 def all_pairs_circles(ell, window):
     limit2 = 2 * window
-    monos = [FockVector.from_monomial(ell, False, m)
-             for w2 in range(limit2 + 1)
-             for m in basis(ell, False, F(w2, 2), "even")]
+    monos = [FockVector.from_monomial(ell, m)
+             for w in range(window + 1)
+             for m in basis(ell, w, "even")]
     for u in monos[1:]:  # u = |0> gives only zero circles
         for v in monos:
             for n in range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1):
@@ -236,9 +236,9 @@ def all_pairs_circles(ell, window):
 def omega_two_order_circles(ell, window):
     """The vacuum circles and circ_n(w_a, v), circ_n(v, w_a) in both orders."""
     limit2 = 2 * window
-    monos = [FockVector.from_monomial(ell, False, m)
-             for w2 in range(2, limit2 + 1)
-             for m in basis(ell, False, F(w2, 2), "even")]
+    monos = [FockVector.from_monomial(ell, m)
+             for w in range(1, window + 1)
+             for m in basis(ell, w, "even")]
     one = FockVector.vacuum(ell)
     for u in monos:
         for n in range((limit2 - u.weight2() - 2) // 2 + 1):
@@ -314,9 +314,9 @@ def test_omega_span_matches_both_orders(ell, window):
 # left factor of "all" at every rank.  It is the oracle for the n = 0 seeds.
 def all_n_generator_circles(ell, window, pairs):
     limit2 = 2 * window
-    monos = [FockVector.from_monomial(ell, False, m)
-             for w2 in range(2, limit2 + 1)
-             for m in basis(ell, False, F(w2, 2), "even")]
+    monos = [FockVector.from_monomial(ell, m)
+             for w in range(1, window + 1)
+             for m in basis(ell, w, "even")]
     if pairs == "quadratic":
         left = right = [v for v in monos if all(len(m) == 2 for m in v.terms)]
     else:
@@ -346,7 +346,7 @@ def test_circ0_seeds_span_all_n(ell, window, pairs):
     want = echelon_of(ell, window, all_n_generator_circles(ell, window, pairs))
     assert got.rank() == want.rank()
     for row in got.rows.values():
-        vec = FockVector(ell, False, {got.columns[c]: v for c, v in row.items()})
+        vec = FockVector(ell, {got.columns[c]: v for c, v in row.items()})
         assert want.reduce(vec).is_zero()
 
 
@@ -390,7 +390,7 @@ def test_policies_nest_in_all():
     for pairs in ("omega", "quadratic"):
         e = build_ospan(3, 6, policy=GeneratorPolicy(pairs))
         for row in e.rows.values():
-            vec = FockVector(3, False, {e.columns[c]: v for c, v in row.items()})
+            vec = FockVector(3, {e.columns[c]: v for c, v in row.items()})
             assert full.reduce(vec).is_zero()
 
 
@@ -447,8 +447,8 @@ def test_insert_after_load_matches_fresh_build(tmp_path):
     build_ospan(2, 10, policy=policy, cache_dir=str(tmp_path))
     loaded = build_ospan(2, 10, policy=policy, cache_dir=str(tmp_path))
     assert loaded.cache_hit
-    blanket = [FockVector.from_monomial(2, False, m)
-               for w2 in range(0, 13) for m in basis(2, False, F(w2, 2), "even")]
+    blanket = [FockVector.from_monomial(2, m)
+               for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
     circles = [circ_n(u, v) for u, v in
                zhu._iter_circle_pairs(2, loaded.columns, 20, policy)]
@@ -489,9 +489,9 @@ def test_malformed_cache_file_is_rebuilt(tmp_path, corrupt):
     again = build_ospan(1, 6, cache_dir=str(tmp_path))
     assert not again.cache_hit
     assert again.rows == fresh.rows
-    h2 = single(1, False, [(1, -2), (1, -2)])
-    assert again.reduce(h2) == (3 * single(1, False, [(1, -1), (1, -1)])
-                                - 2 * single(1, False, [(1, -3), (1, -1)]))
+    h2 = single(1, [(1, -2), (1, -2)])
+    assert again.reduce(h2) == (3 * single(1, [(1, -1), (1, -1)])
+                                - 2 * single(1, [(1, -3), (1, -1)]))
     assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
 
 
@@ -558,14 +558,14 @@ def test_reduce_matches_fraction_reference():
     e = build_ospan(2, 8)
     rng = random.Random(9905064)
     for _ in range(200):
-        vec = FockVector(2, False, {
+        vec = FockVector(2, {
             m: rng.choice((rng.randint(-6, 6), _random_rational(rng)))
             for m in rng.sample(e.columns, rng.randint(1, 12))})
         assert e.reduce(vec) == fraction_reduce(e, vec)
     assert e.reduce(FockVector.zero(2)).is_zero()
     # Criterion 2's blanket, plain and scaled, against both of its echelons.
-    blanket = [FockVector.from_monomial(2, False, m)
-               for w2 in range(0, 13) for m in basis(2, False, F(w2, 2), "even")]
+    blanket = [FockVector.from_monomial(2, m)
+               for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
     for policy in (GeneratorPolicy(), GeneratorPolicy("omega")):
         e = build_ospan(2, 10, policy=policy)
