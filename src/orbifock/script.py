@@ -550,10 +550,10 @@ def realize(expr, rank):
 def _scalar_part(act):
     """c when the action is c times the identity, else None."""
     if isinstance(act, Matrix):
-        c = act.rows[0][0]
-        diagonal = all(v == (c if i == j else 0)
-                       for i, row in enumerate(act.rows) for j, v in enumerate(row))
-        return c if diagonal else None
+        n = act.num[0][0]
+        diagonal = all(v == (n if i == j else 0)
+                       for i, row in enumerate(act.num) for j, v in enumerate(row))
+        return Fraction(n, act.den) if diagonal else None
     if isinstance(act, LPoly):
         if any(any(exp) for exp in act.terms):
             return None

@@ -19,7 +19,10 @@ levels (Hplus, Tplus), the ``LPoly`` in l1..l_ell on Mlambda, and a
 Python's operators.  Matrix actions follow the column convention:
 ``rows[i][j]`` is the coefficient of basis vector i in o(u) applied to
 basis vector j, so words evaluate by left-to-right matrix products and the
-unit E(a,b) sends basis vector b to basis vector a.
+unit E(a,b) sends basis vector b to basis vector a.  A Matrix holds integer
+numerators ``num`` over one positive denominator ``den`` in lowest terms
+(gcd 1, and ``den == 1`` for the zero matrix), so its products, sums and
+comparisons run in integers; ``rows`` gives the entries as Fractions.
 
 The twisted families read o(u) on the remainders of exp(Delta_z) u
 (:func:`orbifock.twisted.apply_delta`), whose plain fields act on the
@@ -36,8 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
-from .coeffs import LPoly
+from .coeffs import LPoly, clear_denominators
 from .fock import VACUUM
 from .twisted import apply_delta, twisted_zero_mode
 from .vertex import d_coeff2
@@ -52,12 +58,34 @@ _MATRIX_FAMILIES = {"Hminus", "Tminus"}
 
 
 class Matrix:
-    """An immutable square matrix of Fractions, in the column convention."""
+    """An immutable square matrix of rationals, in the column convention.
 
-    __slots__ = ("rows",)
+    The entries are held as integer numerators ``num`` (a tuple of int
+    rows) over one positive denominator ``den``, in lowest terms: the gcd
+    of ``den`` and every numerator is 1, so a zero matrix has ``den == 1``
+    and equal matrices have equal ``(den, num)``.  A product is integer dot
+    products and one gcd; ``rows`` gives the entries as Fractions.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        rows = [[Fraction(v) for v in row] for row in rows]
+        # Over the lcm of the reduced denominators the numerators share no
+        # factor with it, so the pair is already in lowest terms.
+        den = lcm(1, *(v.denominator for row in rows for v in row))
+        self.num = tuple(tuple(v.numerator * (den // v.denominator)
+                               for v in row) for row in rows)
+        self.den = den
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """The matrix num / den, for int rows ``num`` and ``den > 0``."""
+        g = gcd(den, *chain.from_iterable(num))
+        out = cls.__new__(cls)
+        out.num = tuple(tuple(v // g for v in row) for row in num)
+        out.den = den // g
+        return out
 
     @classmethod
     def unit(cls, rank, a, b):
@@ -67,14 +95,23 @@ class Matrix:
         return cls([[int(i == a and j == b) for j in range(1, rank + 1)]
                     for i in range(1, rank + 1)])
 
+    @property
+    def rows(self):
+        """The entries as tuples of Fractions."""
+        return tuple(tuple(Fraction(v, self.den) for v in row)
+                     for row in self.num)
+
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        d1, d2 = self.den, other.den
+        return Matrix._reduced([[a * d2 + b * d1 for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self.num, other.num)],
+                               d1 * d2)
 
     def __neg__(self):
-        return Matrix([[-v for v in row] for row in self.rows])
+        return Matrix._reduced([[-v for v in row] for row in self.num],
+                               self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -84,11 +121,14 @@ class Matrix:
     def __mul__(self, other):
         """Composition (left-to-right word products) or a scalar multiple."""
         if isinstance(other, Matrix):
-            cols = list(zip(*other.rows))
-            return Matrix([[sum((a * b for a, b in zip(row, col)), Fraction(0))
-                            for col in cols] for row in self.rows])
+            cols = list(zip(*other.num))
+            return Matrix._reduced([[sum(map(mul, row, col)) for col in cols]
+                                    for row in self.num],
+                                   self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return Matrix([[other * v for v in row] for row in self.rows])
+            n = other.numerator
+            return Matrix._reduced([[n * v for v in row] for row in self.num],
+                                   self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -99,10 +139,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.num == other.num
 
     def __bool__(self):
-        return any(v for row in self.rows for v in row)
+        return any(map(any, self.num))
 
     def __str__(self):
         return "[" + ";".join(",".join(str(v) for v in row)
@@ -135,16 +175,20 @@ def _check_state(u):
 
 @lru_cache(maxsize=None)
 def _pair_weight(k2, q, p):
-    """k d(k, q) d(-k, p), the weight of h_a(-p) h_b(-q) at entry (a, b).
+    """k d(k, q) d(-k, p), the weight of h_a(-p) h_b(-q) at entry (a, b), as
+    the pair (n, s) of the weight n / 2**s in lowest terms.
 
-    At k = 1 it is an int, and zero unless p = 1, since d(-1, p) = C(0, p-1).
+    At k = 1 it is an int (s = 0), and zero unless p = 1, since d(-1, p) =
+    C(0, p-1).  At k = 1/2 the binomials C(-k-1, n-1) of a half-integer
+    have power-of-two denominators, and so does the weight.
     """
     k = k2 // 2 if k2 % 2 == 0 else Fraction(k2, 2)
-    return k * d_coeff2(k2, q) * d_coeff2(-k2, p)
+    w = Fraction(k * d_coeff2(k2, q) * d_coeff2(-k2, p))
+    return w.numerator, w.denominator.bit_length() - 1
 
 
 def top_level_matrix(terms, rank, k2):
-    """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, as rows.
+    """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, a Matrix.
 
     ``terms`` maps monomials to coefficients: those of v on the vacuum
     module (k = 1), or those of the remainders of exp(Delta_z) v on the
@@ -158,27 +202,34 @@ def top_level_matrix(terms, rank, k2):
     (a, b) is the coefficient of basis vector a in the image of basis
     vector b.
 
-    The factor k d(k, q) d(-k, p) is folded into one cached weight per
-    (k2, q, p) (:func:`_pair_weight`), an int at k = 1.  Rational products
-    are associative, so c times the folded weight is exactly the product
-    of the four factors: a term costs one product per entry it reaches,
-    and a zero weight none.
+    The sums run in integers: the coefficients are cleared to ints over
+    their common denominator once, and each factor k d(k, q) d(-k, p) is
+    one cached weight n / 2**s per (k2, q, p) (:func:`_pair_weight`), lifted
+    to the largest s that a term reaches.  A term costs one product per
+    entry it reaches, and a zero weight none; the matrix is reduced once.
     """
-    rows = [[0] * rank for _ in range(rank)]
-    for mono, c in terms.items():
+    den, scaled = clear_denominators(terms)
+    diag = 0
+    reached = []  # (row, column, c * n, s) for each nonzero weight n / 2**s
+    for mono, c in scaled.items():
         if not mono:
-            for i in range(rank):
-                rows[i][i] += c
+            diag += c
         elif len(mono) == 2:
             (a, p2), (b, q2) = mono
             p, q = -p2 // 2, -q2 // 2
-            w = _pair_weight(k2, q, p)
+            w, s = _pair_weight(k2, q, p)
             if w:
-                rows[a - 1][b - 1] += c * w
-            w = _pair_weight(k2, p, q)
+                reached.append((a - 1, b - 1, c * w, s))
+            w, s = _pair_weight(k2, p, q)
             if w:
-                rows[b - 1][a - 1] += c * w
-    return rows
+                reached.append((b - 1, a - 1, c * w, s))
+    top = max((s for *_, s in reached), default=0)
+    num = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        num[i][i] = diag << top
+    for i, j, x, s in reached:
+        num[i][j] += x << (top - s)
+    return Matrix._reduced(num, den << top)
 
 
 def evaluate(u, fam):
@@ -215,11 +266,11 @@ def evaluate(u, fam):
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return LPoly(rank, terms)
     if fam == "Hminus":
-        return Matrix(top_level_matrix(u.terms, rank, 2))
+        return top_level_matrix(u.terms, rank, 2)
     if fam == "Tplus":
         return twisted_zero_mode(u)
     if fam == "Tminus":
-        return Matrix(top_level_matrix(apply_delta(u, keep=2), rank, 1))
+        return top_level_matrix(apply_delta(u, keep=2), rank, 1)
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -8,8 +8,9 @@ The products' reference, :func:`reference_product`, runs every pair
 through the Borcherds recursion, and :func:`wick_component` takes one
 mode of a two-factor state at a time, the reference for
 ``vertex.wick_sum``.  The exact linear algebra has dense ``Fraction``
-references too: :func:`fraction_rank` for ``zhu.exact_rank`` and
-:func:`fraction_reduce` for ``OSpanEchelon.reduce``.
+references too: :func:`fraction_rank` for ``zhu.exact_rank``,
+:func:`fraction_reduce` for ``OSpanEchelon.reduce`` and
+:class:`FractionMatrix` for ``toplevel.Matrix``.
 """
 
 from fractions import Fraction
@@ -202,3 +203,56 @@ def fraction_reduce(echelon, vec):
                 del work[c]
     return FockVector(echelon.ell,
                       {echelon.columns[c]: v for c, v in work.items()})
+
+
+class FractionMatrix:
+    """A square matrix of Fractions entry by entry, the reference for
+    ``toplevel.Matrix``, which holds integer numerators over one
+    denominator."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+    def __add__(self, other):
+        if not isinstance(other, FractionMatrix):
+            return NotImplemented
+        return FractionMatrix([[a + b for a, b in zip(r1, r2)]
+                               for r1, r2 in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return FractionMatrix([[-v for v in row] for row in self.rows])
+
+    def __sub__(self, other):
+        if not isinstance(other, FractionMatrix):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionMatrix):
+            cols = list(zip(*other.rows))
+            return FractionMatrix([[sum((a * b for a, b in zip(row, col)),
+                                        Fraction(0))
+                                    for col in cols] for row in self.rows])
+        if isinstance(other, (int, Fraction)):
+            return FractionMatrix([[other * v for v in row]
+                                   for row in self.rows])
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionMatrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __bool__(self):
+        return any(v for row in self.rows for v in row)
+
+    def __str__(self):
+        return "[" + ";".join(",".join(str(v) for v in row)
+                              for row in self.rows) + "]"

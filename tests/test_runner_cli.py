@@ -141,6 +141,18 @@ def test_powers_in_expected_values():
         assert result.detail.startswith("resource guard: ")
 
 
+def test_power_digit_guard_reads_entries_in_lowest_terms():
+    # The largest entry, 3^9000, prints in 4,294 digits, under the guard's
+    # 4300.  Over the shared denominator 2^9000 its numerator is 6^9000, of
+    # about 7,000 digits, which the guard must not read.
+    report = run_text("assert_eval one on Hminus = "
+                      "(1/2 E(1,1) + 3 E(2,2))^9000\n", cfg())
+    result, = report.results
+    assert result.status == "Disproved"
+    assert result.detail.startswith("Hminus: got [1,0;0,1], expected [1/")
+    assert result.detail.endswith(f",0;0,{3 ** 9000}]")
+
+
 def test_report_determinism_modulo_timing():
     text = ("assert_eval w1 on Hminus = E(1,1)\n"
             "assert_equiv w1 ~ 0\n")

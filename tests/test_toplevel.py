@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from mode_oracle import fraction_rank
+from mode_oracle import FractionMatrix, fraction_rank
 import orbifock.toplevel as toplevel
 import orbifock.twisted as twisted
 from orbifock.coeffs import LPoly
@@ -164,6 +165,62 @@ def test_rank_invariance_under_scaling_and_permutation():
     assert independence_rank(S) == independence_rank(list(reversed(S)))
     scaled = [F(3, 7) * S[0], -2 * S[1], S[2], F(1, 9) * S[3]]
     assert independence_rank(scaled) == independence_rank(S)
+
+
+def _random_rational_matrix(rng, rank):
+    """Entries over one of four denominator shapes, with zero rows."""
+    shape = rng.choice(("int", "equal", "coprime", "large"))
+    common = rng.randint(2, 40)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        n = rng.randint(-50, 50)
+        if shape == "int":
+            return n
+        if shape == "equal":
+            return F(n, common)
+        if shape == "coprime":
+            return F(n, rng.choice((1, 2, 3, 5, 7, 11, 13)))
+        return F(n * rng.randint(1, 10 ** 25), rng.randint(1, 10 ** 30))
+
+    return [[0] * rank if rng.random() < 0.2 else [entry() for _ in range(rank)]
+            for _ in range(rank)]
+
+
+def _assert_canonical(m):
+    assert m.den > 0
+    assert gcd(m.den, *(v for row in m.num for v in row)) == 1
+    if not any(any(row) for row in m.num):
+        assert m.den == 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_matrix_matches_fraction_reference(rank):
+    # Matrix holds integer numerators over one denominator; every operation
+    # must print, read and compare as the entrywise Fraction reference.
+    rng = random.Random(9905064 + rank)
+    scalars = [3, -2, F(5, 6), 0, F(-7, 4), F(-1, 10 ** 20)]
+    for _ in range(60):
+        left, right = (_random_rational_matrix(rng, rank) for _ in range(2))
+        a, b = Matrix(left), Matrix(right)
+        fa, fb = FractionMatrix(left), FractionMatrix(right)
+        k = rng.choice(scalars)
+        pairs = [(a, fa), (b, fb), (a + b, fa + fb), (a - b, fa - fb),
+                 (-a, -fa), (a * b, fa * fb), (b * a, fb * fa),
+                 (a * k, fa * k), (k * b, k * fb), (a * 0, fa * 0),
+                 (a * F(-3, 8), fa * F(-3, 8)), (a - a, fa - fa)]
+        for m, f in pairs:
+            _assert_canonical(m)
+            assert str(m) == str(f)
+            assert m.rows == f.rows
+            assert bool(m) == bool(f)
+            assert m == Matrix(f.rows)
+        for (m1, f1), (m2, f2) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert (m1 == m2) == (f1 == f2)
+    assert Matrix([[F(1, 2)]]) * 2 == Matrix([[1]])
+    assert Matrix([[F(1, 2)]]) * 2 != Matrix([[F(1, 2)]])
+    assert Matrix.__slots__ == ("num", "den")
 
 
 def test_matrix_arithmetic_guards():
