@@ -4,15 +4,11 @@ States are finite linear combinations of creation monomials
 ``h_g(-n_1) ... h_g(-n_k) |0>`` with exact coefficients; every creation
 mode of the vacuum module has an integer index.  The twisted module is met
 only through its top levels, read off the expansion in
-:mod:`orbifock.twisted`, and no twisted state is built.  A mode index is
-stored as twice its value, an ``int``, so the half-integer modes of the
-twisted module keep the same float-free encoding where they are still
-named: ``vertex.d_coeff2`` takes twice k, and :func:`annihilate` and
-:func:`format_mode` accept odd twice-values, as the tests' twisted oracle
-uses them.
+:mod:`orbifock.twisted`, and no twisted state is built.
 
-A monomial is a tuple of ``(gen, n2)`` pairs with ``n2 = 2n < 0``, sorted
-ascending, so commuting creation operators have one canonical spelling.
+A monomial is a tuple of ``(gen, n)`` pairs with the mode index ``n < 0``,
+sorted ascending, so commuting creation operators have one canonical
+spelling.
 """
 
 from __future__ import annotations
@@ -22,31 +18,18 @@ from itertools import combinations_with_replacement
 
 from .coeffs import LPoly
 
-# A monomial is a tuple of (gen, n2) pairs; the vacuum is the empty tuple.
+# A monomial is a tuple of (gen, n) pairs; the vacuum is the empty tuple.
 VACUUM = ()
 
 
-def _to_n2(n):
-    """Twice-value of a mode index given as int, Fraction or float-free pair."""
-    n2 = 2 * Fraction(n)
-    if n2.denominator != 1:
-        raise ValueError(f"mode index {n} is not a half-integer")
-    return int(n2)
-
-
-def mono_weight2(mono):
-    """Twice the mode-weight of a monomial (sum of -n over its modes)."""
-    return sum(-n2 for _, n2 in mono)
-
-
-def mono_parity(mono):
-    """+1 for an even number of modes, -1 for odd."""
-    return -1 if len(mono) % 2 else 1
+def mono_weight(mono):
+    """The mode-weight of a monomial (sum of -n over its modes)."""
+    return -sum(n for _, n in mono)
 
 
 def mono_key(mono):
     """Deterministic total order on monomials: by weight, then mode tuple."""
-    return (mono_weight2(mono), mono)
+    return (mono_weight(mono), mono)
 
 
 def make_monomial(ell, modes):
@@ -57,28 +40,21 @@ def make_monomial(ell, modes):
     """
     out = []
     for gen, n in modes:
-        n2 = _to_n2(n)
+        if Fraction(n).denominator != 1:
+            raise ValueError(f"mode index {n} is not an integer")
         if not 1 <= gen <= ell:
             raise ValueError(f"generator index {gen} out of range 1..{ell}")
-        if n2 >= 0:
+        if n >= 0:
             raise ValueError(f"h{gen}({n}) is not a creation mode")
-        if n2 % 2:
-            raise ValueError(f"mode index {n} is not an integer")
-        out.append((gen, n2))
+        out.append((gen, int(n)))
     out.sort()
     return tuple(out)
-
-
-def format_mode(gen, n2):
-    if n2 % 2 == 0:
-        return f"h{gen}({n2 // 2})"
-    return f"h{gen}({n2}/2)"
 
 
 def format_monomial(mono):
     if not mono:
         return "one"
-    return "".join(format_mode(g, n2) for g, n2 in mono)
+    return "".join(f"h{g}({n})" for g, n in mono)
 
 
 class FockVector:
@@ -154,23 +130,21 @@ class FockVector:
     def coeff(self, mono):
         return self.terms.get(mono, 0)
 
-    def weight2(self):
-        """Twice the common mode-weight; raises on inhomogeneous vectors."""
-        ws = {mono_weight2(m) for m in self.terms}
+    def weight(self):
+        """The common mode-weight; raises on inhomogeneous vectors."""
+        ws = {mono_weight(m) for m in self.terms}
         if not ws:
             raise ValueError("the zero vector has no weight")
         if len(ws) > 1:
             raise ValueError(f"vector is not homogeneous (weights {sorted(ws)})")
         return ws.pop()
 
-    def weight(self):
-        return Fraction(self.weight2(), 2)
-
-    def max_weight2(self):
-        return max((mono_weight2(m) for m in self.terms), default=0)
+    def max_weight(self):
+        return max((mono_weight(m) for m in self.terms), default=0)
 
     def is_even(self):
-        return all(mono_parity(m) == 1 for m in self.terms)
+        """True when every monomial has an even number of modes."""
+        return all(len(m) % 2 == 0 for m in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
@@ -204,10 +178,9 @@ def single(ell, modes, coeff=1):
     return FockVector.from_monomial(ell, make_monomial(ell, modes), coeff)
 
 
-def annihilate(terms, gen, n2):
-    """Contract h_gen(n2/2), n2 > 0, against a raw term dict; a fresh dict."""
-    target = (gen, -n2)
-    amount = n2 // 2 if n2 % 2 == 0 else Fraction(n2, 2)
+def annihilate(terms, gen, n):
+    """Contract h_gen(n), n > 0, against a raw term dict; a fresh dict."""
+    target = (gen, -n)
     out = {}
     for mono, c in terms.items():
         mult = mono.count(target)
@@ -215,7 +188,7 @@ def annihilate(terms, gen, n2):
             continue
         idx = mono.index(target)
         reduced = mono[:idx] + mono[idx + 1:]
-        add = out.get(reduced, 0) + c * (amount * mult)
+        add = out.get(reduced, 0) + c * (n * mult)
         if add:
             out[reduced] = add
         else:
@@ -258,7 +231,7 @@ def basis(ell, weight, parity="all"):
         colorings = [()]
         for p, count in groups:
             colorings = [
-                prev + tuple((g, -2 * p) for g in combo)
+                prev + tuple((g, -p) for g in combo)
                 for prev in colorings
                 for combo in combinations_with_replacement(range(1, ell + 1), count)
             ]

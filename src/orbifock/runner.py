@@ -176,8 +176,8 @@ class Runner:
         if diff.is_zero():
             return "Proved", "exact equality"
         cfg = self.config
-        if diff.max_weight2() > 2 * cfg.max_weight:
-            return "Unknown", (f"weight {diff.max_weight2() // 2} exceeds "
+        if diff.max_weight() > cfg.max_weight:
+            return "Unknown", (f"weight {diff.max_weight()} exceeds "
                                f"cutoff {cfg.max_weight}; no disproof found")
         if self.echelon().reduce(diff).is_zero():
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"

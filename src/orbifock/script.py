@@ -525,15 +525,15 @@ def realize(expr, rank):
     print in ``_MAX_DIGITS`` digits.
     """
     def star(u, v, k):
-        _guard("product", (u.max_weight2() + k * v.max_weight2()) // 2)
-        if not v.max_weight2():
+        _guard("product", u.max_weight() + k * v.max_weight())
+        if not v.max_weight():
             return _scalar_power(v.coeff(()), k) * u
         return reduce(zhu.star, repeat(v, k), u)
 
     def leaf(e, fold):
         if isinstance(e, Circ):
             u, v = fold(e.left), fold(e.right)
-            _guard("circle", (u.max_weight2() + v.max_weight2()) // 2 + e.n + 1)
+            _guard("circle", u.max_weight() + v.max_weight() + e.n + 1)
             return zhu.circ_n(u, v, e.n)
         if isinstance(e, Named) and e.kind in _BUILDERS:
             atom = _BUILDERS[e.kind](rank, *e.args)
@@ -541,7 +541,7 @@ def realize(expr, rank):
             atom = FockVector.from_monomial(rank, make_monomial(rank, e.modes))
         else:
             raise TypeError(f"not a state expression: {e!r}")
-        _guard("atom", atom.max_weight2() // 2)
+        _guard("atom", atom.max_weight())
         return atom
 
     return _fold(expr, FockVector.vacuum(rank), star, leaf)

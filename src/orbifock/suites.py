@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import script as dsl
 from . import zhu
-from .fock import FockVector, make_monomial, mono_weight2
+from .fock import FockVector, make_monomial, mono_weight
 from .runner import Report, RunConfig, Runner, StatementResult
 from .tables import GOLDEN
 from .toplevel import FAMILIES, disprove_equiv, evaluate, evaluate_word
@@ -160,7 +160,7 @@ def _reduce_from_weight(echelon, vec, low):
     """
     nf = echelon.reduce(vec)
     return FockVector(nf.ell, {m: c for m, c in nf.terms.items()
-                               if mono_weight2(m) >= 2 * low})
+                               if mono_weight(m) >= low})
 
 
 def _membership_and_leading_coefficient(report, full):

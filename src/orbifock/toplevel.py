@@ -46,7 +46,7 @@ from operator import mul
 from .coeffs import LPoly, clear_denominators
 from .fock import VACUUM
 from .twisted import apply_delta, twisted_zero_mode
-from .vertex import d_coeff2
+from .vertex import d_coeff
 from .zhu import exact_rank
 
 FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
@@ -174,37 +174,36 @@ def _check_state(u):
 
 
 @lru_cache(maxsize=None)
-def _pair_weight(k2, q, p):
+def _pair_weight(k, q, p):
     """k d(k, q) d(-k, p), the weight of h_a(-p) h_b(-q) at entry (a, b), as
     the pair (n, s) of the weight n / 2**s in lowest terms.
 
     At k = 1 it is an int (s = 0), and zero unless p = 1, since d(-1, p) =
-    C(0, p-1).  At k = 1/2 the binomials C(-k-1, n-1) of a half-integer
-    have power-of-two denominators, and so does the weight.
+    C(0, p-1).  At k = Fraction(1, 2) the binomials C(-k-1, n-1) of a
+    half-integer have power-of-two denominators, and so does the weight.
     """
-    k = k2 // 2 if k2 % 2 == 0 else Fraction(k2, 2)
-    w = Fraction(k * d_coeff2(k2, q) * d_coeff2(-k2, p))
+    w = Fraction(k * d_coeff(k, q) * d_coeff(-k, p))
     return w.numerator, w.denominator.bit_length() - 1
 
 
-def top_level_matrix(terms, rank, k2):
+def top_level_matrix(terms, rank, k):
     """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, a Matrix.
 
     ``terms`` maps monomials to coefficients: those of v on the vacuum
     module (k = 1), or those of the remainders of exp(Delta_z) v on the
-    twisted module (k = 1/2); ``k2`` is twice k.  Neither module has a
-    zero mode, so a grade-preserving mode tuple on h_b(-k)|top> is either
-    empty or contracts h_b(k) against it and creates one h_a(-k).  The
-    vacuum term thus acts as the identity, a two-factor term
-    h_a(-p) h_b(-q) adds k d(k, q) d(-k, p) to entry (a, b) and the mirror
-    term to entry (b, a), and every other term acts as zero.  Here
-    d(k, n) = C(-k-1, n-1) is :func:`orbifock.vertex.d_coeff2`, and entry
+    twisted module (k = Fraction(1, 2)).  Neither module has a zero mode,
+    so a grade-preserving mode tuple on h_b(-k)|top> is either empty or
+    contracts h_b(k) against it and creates one h_a(-k).  The vacuum term
+    thus acts as the identity, a two-factor term h_a(-p) h_b(-q) adds
+    k d(k, q) d(-k, p) to entry (a, b) and the mirror term to entry (b, a),
+    and every other term acts as zero.  Here
+    d(k, n) = C(-k-1, n-1) is :func:`orbifock.vertex.d_coeff`, and entry
     (a, b) is the coefficient of basis vector a in the image of basis
     vector b.
 
     The sums run in integers: the coefficients are cleared to ints over
     their common denominator once, and each factor k d(k, q) d(-k, p) is
-    one cached weight n / 2**s per (k2, q, p) (:func:`_pair_weight`), lifted
+    one cached weight n / 2**s per (k, q, p) (:func:`_pair_weight`), lifted
     to the largest s that a term reaches.  A term costs one product per
     entry it reaches, and a zero weight none; the matrix is reduced once.
     """
@@ -215,12 +214,12 @@ def top_level_matrix(terms, rank, k2):
         if not mono:
             diag += c
         elif len(mono) == 2:
-            (a, p2), (b, q2) = mono
-            p, q = -p2 // 2, -q2 // 2
-            w, s = _pair_weight(k2, q, p)
+            (a, p), (b, q) = mono
+            p, q = -p, -q
+            w, s = _pair_weight(k, q, p)
             if w:
                 reached.append((a - 1, b - 1, c * w, s))
-            w, s = _pair_weight(k2, p, q)
+            w, s = _pair_weight(k, p, q)
             if w:
                 reached.append((b - 1, a - 1, c * w, s))
     top = max((s for *_, s in reached), default=0)
@@ -258,19 +257,19 @@ def evaluate(u, fam):
         terms = {}
         for mono, c in u.terms.items():
             exps = [0] * rank
-            for g, n2 in mono:
+            for g, n in mono:
                 exps[g - 1] += 1
-                if n2 % 4 == 0:  # n = -n2/2 is even
+                if n % 2 == 0:
                     c = -c
             exps = tuple(exps)
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return LPoly(rank, terms)
     if fam == "Hminus":
-        return top_level_matrix(u.terms, rank, 2)
+        return top_level_matrix(u.terms, rank, 1)
     if fam == "Tplus":
         return twisted_zero_mode(u)
     if fam == "Tminus":
-        return top_level_matrix(apply_delta(u, keep=2), rank, 1)
+        return top_level_matrix(apply_delta(u, keep=2), rank, Fraction(1, 2))
     raise ValueError(f"unknown family {fam!r}")
 
 

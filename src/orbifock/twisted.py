@@ -153,7 +153,7 @@ def apply_delta(v, keep=None):
     remainder is divided once by the common denominator (module
     docstring), so the coefficients come back as Fractions.
     """
-    table = delta_table(v.max_weight2() // 2)
+    table = delta_table(v.max_weight())
     longest = max(map(len, v.terms), default=0)
     if keep is None:
         keep = longest
@@ -166,9 +166,9 @@ def apply_delta(v, keep=None):
     for mono, c in scaled.items():
         partial = {(): c}
         for gen, factors in groupby(mono, key=itemgetter(0)):
-            matched = _matchings(tuple(-n2 // 2 for _, n2 in factors),
+            matched = _matchings(tuple(-n for _, n in factors),
                                  table.pairs, keep, memo)
-            partial = {head + tuple((gen, -2 * n) for n in rem): w * coeff
+            partial = {head + tuple((gen, -n) for n in rem): w * coeff
                        for head, coeff in partial.items()
                        for rem, w in matched.items()
                        if len(head) + len(rem) <= keep}

@@ -18,7 +18,7 @@ and u = h_a(-p) h_b(-r) has the normal-ordered modes
 
     u_q = sum_{k+l = q+1-p-r} d(k, p) d(l, r) :h_a(k) h_b(l):,
 
-with d(k, n) = C(-k-1, n-1) (:func:`d_coeff2`).  The products need
+with d(k, n) = C(-k-1, n-1) (:func:`d_coeff`).  The products need
 sum_i C(w, i) u_{i-shift} t over 0 <= i <= w = p + r with shift >= 1, and
 there k + l = i+1-w-shift <= 0.  Two contractions would need k + l >= 2,
 and h(0) kills the vacuum module, so either both modes create (k <= -p,
@@ -53,34 +53,29 @@ circle at a time; a memo shared by the whole build would grow with it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from .fock import FockVector, annihilate, mono_weight2
+from .fock import FockVector, annihilate, mono_weight
 
 
 @lru_cache(maxsize=None)
-def d_coeff2(k2, n):
-    """The coefficient C(-k-1, n-1), with k given as a twice-value.
+def d_coeff(k, n):
+    """The coefficient C(-k-1, n-1), for an int or Fraction mode index k.
 
     It weighs the mode h(k) in the field of h(-n)|0>; its users are
-    :func:`wick_sum` and :func:`orbifock.toplevel.top_level_matrix`.
-    Integer for integer modes, Fraction for half-integer ones; zero exactly
-    when k is an integer with -n < k < 0.
+    :func:`wick_sum` and :func:`orbifock.toplevel.top_level_matrix`, which
+    reads the twisted top level at k = +-1/2.  An int for an int k or at
+    n = 1, a Fraction otherwise; zero exactly when k is an integer with
+    -n < k < 0.
     """
-    if n == 1:
-        return 1
     num = 1
-    top2 = -k2 - 2  # twice the upper argument -k-1
+    top = -k - 1
     for j in range(n - 1):
-        num *= top2 - 2 * j
-    den = 1
-    for j in range(2, n):
-        den *= j
-    if k2 % 2 == 0:
-        return num // 2 ** (n - 1) // den
-    return Fraction(num, 2 ** (n - 1) * den)
+        num *= top - j
+    if isinstance(num, int):
+        return num // factorial(n - 1)
+    return num / factorial(n - 1)
 
 
 def vacuum_component(mono, j):
@@ -92,12 +87,12 @@ def vacuum_component(mono, j):
     if not j:
         return {mono: 1}
     parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
-    for g, n2 in mono:
-        n = -n2 // 2
+    for g, m in mono:
+        n = -m
         grown = {}
         for (modes, used), c in parts.items():
             for i in range(j - used + 1):
-                key = ((*modes, (g, n2 - 2 * i)), used + i)
+                key = ((*modes, (g, m - i)), used + i)
                 grown[key] = grown.get(key, 0) + c * comb(n + i - 1, i)
         parts = grown
     out = {}
@@ -119,8 +114,8 @@ def wick_sum(mono, shift, tmono):
     """
     if not mono:
         return {tmono: 1} if shift == 1 else {}
-    (a, p2), (b, r2) = mono
-    p, r = -p2 // 2, -r2 // 2
+    (a, p), (b, r) = mono
+    p, r = -p, -r
     w = p + r
     s0 = 1 - w - shift  # k + l at i = 0
     out = {}
@@ -130,18 +125,18 @@ def wick_sum(mono, shift, tmono):
         s = s0 + i
         for k in range(s + r, -p + 1):
             l = s - k
-            m = tuple(sorted((*tmono, (a, 2 * k), (b, 2 * l))))
-            out[m] = out.get(m, 0) + ci * d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
+            m = tuple(sorted((*tmono, (a, k), (b, l))))
+            out[m] = out.get(m, 0) + ci * d_coeff(k, p) * d_coeff(l, r)
     # The factor h_g(-pg) of mono contracts a factor h_g(-n) of tmono, and
     # the other factor h_h(-ph) creates h_h(k) with k = s0 + i - n <= -ph.
     for g, pg, h, ph in ((b, r, a, p), (a, p, b, r)):
-        for n in {-m2 // 2 for g2, m2 in tmono if g2 == g}:
-            reduced = annihilate({tmono: d_coeff2(2 * n, pg)}, g, 2 * n)
+        for n in {-m for g2, m in tmono if g2 == g}:
+            reduced = annihilate({tmono: d_coeff(n, pg)}, g, n)
             for i in range(min(w, pg + n + shift - 1) + 1):
-                k2 = 2 * (s0 + i - n)
-                c = comb(w, i) * d_coeff2(k2, ph)
+                k = s0 + i - n
+                c = comb(w, i) * d_coeff(k, ph)
                 for red, x in reduced.items():
-                    m = tuple(sorted((*red, (h, k2))))
+                    m = tuple(sorted((*red, (h, k))))
                     out[m] = out.get(m, 0) + c * x
     return {m: c for m, c in out.items() if c}
 
@@ -162,21 +157,20 @@ def _component(mono, q, tmono, memo):
             out[tmono] = 1
         memo[key] = out
         return out
-    (g, n2), w = mono[0], mono[1:]
-    n = -n2 // 2
+    (g, m), w = mono[0], mono[1:]
+    n = -m
     # w_{q+i} tmono has weight wt w + wt tmono - q - i - 1, which must be >= 0.
-    for i in range((mono_weight2(w) + mono_weight2(tmono)) // 2 - q):
+    for i in range(mono_weight(w) + mono_weight(tmono) - q):
         c = comb(n + i - 1, i)
-        mode = (g, n2 - 2 * i)
+        mode = (g, m - i)
         for wmono, x in _component(w, q + i, tmono, memo).items():
             full = tuple(sorted((*wmono, mode)))
             out[full] = out.get(full, 0) + c * x
     # h_g(i) t, i >= 1, contracts a factor h_g(-i) of t; h_g(0) kills t.
     sign = -1 if n % 2 == 0 else 1
-    for k2 in {-m2 for h, m2 in tmono if h == g}:
-        i = k2 // 2
+    for i in {-m for h, m in tmono if h == g}:
         c = sign * comb(n + i - 1, i)
-        for reduced, y in annihilate({tmono: 1}, g, k2).items():
+        for reduced, y in annihilate({tmono: 1}, g, i).items():
             for wmono, x in _component(w, q - n - i, reduced, memo).items():
                 out[wmono] = out.get(wmono, 0) + c * y * x
     memo[key] = out

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .coeffs import clear_denominators
-from .fock import VACUUM, FockVector, basis, mono_weight2, single
+from .fock import VACUUM, FockVector, basis, mono_weight, single
 from .vertex import mode_component, vacuum_component, wick_sum
 
 FORMAT_VERSION = 5
@@ -68,7 +68,7 @@ def _binomial_sum(u, v, shift):
     rest = {m: c for m, c in vterms.items() if m}
     longer = {}  # weight -> the monomials of u with three or more factors
     for mono, c in uterms.items():
-        w = mono_weight2(mono) // 2
+        w = mono_weight(mono)
         if vac:
             for i in range(min(w, shift - 1) + 1):
                 add(vacuum_component(mono, shift - 1 - i), comb(w, i) * c * vac)
@@ -357,10 +357,9 @@ class OSpanEchelon:
     """Echelonized spanning set of circle elements, truncated at a window.
 
     Rows are integer vectors over the even monomial basis of weight at most
-    the window (half of ``window2``).  The pivot of a row is its maximal
-    monomial in the canonical order, so reduction rewrites top-weight
-    monomials into lower tails and the conformal vectors survive as their
-    own normal forms.  Rows are kept fully reduced: each is zero in every
+    the window.  The pivot of a row is its maximal monomial in the
+    canonical order, so reduction rewrites top-weight monomials into lower
+    tails and the conformal vectors survive as their own normal forms.  Rows are kept fully reduced: each is zero in every
     other row's pivot column, primitive, and has a positive pivot entry.
     That form depends only on the span, so the rows depend only on the
     rank, the generator policy and the window, not on the order of
@@ -374,13 +373,13 @@ class OSpanEchelon:
     :meth:`reduce` share.
     """
 
-    def __init__(self, ell, window2, policy):
+    def __init__(self, ell, window, policy):
         self.ell = ell
-        self.window2 = window2
+        self.window = window
         self.policy = policy
         self.columns = []
         self.col_index = {}
-        for w in range(window2 // 2 + 1):
+        for w in range(window + 1):
             for mono in basis(ell, w, "even"):
                 self.col_index[mono] = len(self.columns)
                 self.columns.append(mono)
@@ -422,10 +421,10 @@ class OSpanEchelon:
         integer :func:`_eliminate`, then one division per remaining entry."""
         if not vec.is_even():
             raise ValueError("reduce expects even-parity vectors")
-        if vec.max_weight2() > self.window2:
+        if vec.max_weight() > self.window:
             raise ValueError(
-                f"vector weight {vec.max_weight2() // 2} exceeds the "
-                f"echelon window {self.window2 // 2}")
+                f"vector weight {vec.max_weight()} exceeds the "
+                f"echelon window {self.window}")
         d, terms = clear_denominators(vec.terms)
         scale, row = _eliminate(self.rows, {self.col_index[mono]: c
                                             for mono, c in terms.items()})
@@ -438,7 +437,7 @@ class OSpanEchelon:
 
     def _header(self):
         return (f"# ospan v{FORMAT_VERSION} ell={self.ell} "
-                f"window2={self.window2} policy={self.policy.key()} "
+                f"window={self.window} policy={self.policy.key()} "
                 f"cols={len(self.columns)}")
 
     def cache_key(self):
@@ -486,8 +485,8 @@ class OSpanEchelon:
                                      f"pivot column {c}")
 
 
-def _iter_circle_pairs(ell, columns, limit2, policy):
-    """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within limit2.
+def _iter_circle_pairs(ell, columns, limit, policy):
+    """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within limit.
 
     ``columns`` are the echelon's even monomials.  The vacuum circles come
     first, then every (left, right) pair of the policy's factors.  Each
@@ -496,15 +495,15 @@ def _iter_circle_pairs(ell, columns, limit2, policy):
     monos = [FockVector.from_monomial(ell, m) for m in columns if m]
     left, right = policy.factors(ell, monos)
     vac = FockVector.vacuum(ell)
-    right = [(v, v.weight2()) for v in right]
+    right = [(v, v.weight()) for v in right]
     # top weight of circ_0 is wt u + wt v + 1
     for u in monos:
-        if u.weight2() + 2 <= limit2:
+        if u.weight() + 1 <= limit:
             yield u, vac
     for u in left:
-        room2 = limit2 - 2 - u.weight2()
-        for v, v2 in right:
-            if v2 <= room2:
+        room = limit - 1 - u.weight()
+        for v, wv in right:
+            if wv <= room:
                 yield u, v
 
 
@@ -521,8 +520,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
     """
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
-    window2 = 2 * window
-    ech = OSpanEchelon(rank, window2, policy)
+    ech = OSpanEchelon(rank, window, policy)
 
     cache_file = None
     if cache_dir:
@@ -537,7 +535,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
             except (OSError, ValueError):
                 ech.rows.clear()
 
-    for u, v in _iter_circle_pairs(rank, ech.columns, window2, policy):
+    for u, v in _iter_circle_pairs(rank, ech.columns, window, policy):
         vec = circ_n(u, v)
         if not vec.is_zero():
             ech.insert(vec)

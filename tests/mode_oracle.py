@@ -17,18 +17,18 @@ from fractions import Fraction
 from math import comb
 
 from orbifock.coeffs import LPoly
-from orbifock.fock import FockVector, _to_n2, annihilate, mono_weight2
-from orbifock.vertex import d_coeff2, mode_component
+from orbifock.fock import FockVector, annihilate, mono_weight
+from orbifock.vertex import d_coeff, mode_component
 from orbifock.zhu import omega
 
 # Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g.
 SYMBOLIC = "symbolic"
 
 
-def _insert_mode(mono, gen, n2):
+def _insert_mode(mono, gen, n):
     """Insert one creation mode, keeping the canonical sort."""
     out = list(mono)
-    key = (gen, n2)
+    key = (gen, n)
     lo = 0
     while lo < len(out) and out[lo] <= key:
         lo += 1
@@ -44,23 +44,23 @@ def apply_mode(gen, n, vec, hw=None):
     d_{m+k,0}.  The zero mode multiplies by the highest-weight pairing: the
     polynomial l_gen when ``hw`` is :data:`SYMBOLIC`, the given numeric value
     when ``hw`` is a tuple, and 0 when ``hw`` is None (the vacuum module).
-    Half-integer modes act the same way on the twisted module's states,
-    whose monomials hold odd twice-values.
+    Half-integer modes, given as Fractions, act the same way on the
+    twisted module's states, whose monomials hold Fraction indices such as
+    ``(j, Fraction(-1, 2))`` for h_j(-1/2).
     """
-    n2 = _to_n2(n)
     if not 1 <= gen <= vec.ell:
         raise ValueError(f"generator index {gen} out of range 1..{vec.ell}")
     ell = vec.ell
-    if n2 < 0:
-        return FockVector(ell, {_insert_mode(m, gen, n2): c
+    if n < 0:
+        return FockVector(ell, {_insert_mode(m, gen, n): c
                                 for m, c in vec.terms.items()})
-    if n2 == 0:
+    if n == 0:
         if hw is None:
             return FockVector.zero(ell)
         if hw == SYMBOLIC:
             return vec.scale(LPoly.unit(ell, gen))
         return vec.scale(hw[gen - 1])
-    return FockVector(ell, annihilate(vec.terms, gen, n2))
+    return FockVector(ell, annihilate(vec.terms, gen, n))
 
 
 def virasoro(a, n, v):
@@ -92,11 +92,11 @@ def reference_delta(v, table):
 
 
 def graded_parts(u):
-    """Map from twice-weight to u's homogeneous component, ascending."""
+    """Map from weight to u's homogeneous component, ascending."""
     parts = {}
     for m, c in u.terms.items():
-        parts.setdefault(mono_weight2(m), {})[m] = c
-    return {w2: FockVector(u.ell, t) for w2, t in sorted(parts.items())}
+        parts.setdefault(mono_weight(m), {})[m] = c
+    return {w: FockVector(u.ell, t) for w, t in sorted(parts.items())}
 
 
 def reference_product(u, v, shift):
@@ -107,8 +107,7 @@ def reference_product(u, v, shift):
     """
     out = FockVector.zero(u.ell)
     memo = {}
-    for w2, comp in graded_parts(u).items():
-        w = w2 // 2
+    for w, comp in graded_parts(u).items():
         for i in range(w + 1):
             out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)
     return out
@@ -123,8 +122,8 @@ def wick_component(mono, q, tmono):
     """
     if not mono:
         return {tmono: 1} if q == -1 else {}
-    (a, p2), (b, r2) = mono
-    p, r = -p2 // 2, -r2 // 2
+    (a, p), (b, r) = mono
+    p, r = -p, -r
     s = q + 1 - p - r
     out = {}
 
@@ -134,27 +133,27 @@ def wick_component(mono, q, tmono):
     # Both create: d(k, p) d(l, r) vanishes unless k <= -p and l <= -r.
     for k in range(s + r, -p + 1):
         l = s - k
-        add(tuple(sorted((*tmono, (a, 2 * k), (b, 2 * l)))),
-            d_coeff2(2 * k, p) * d_coeff2(2 * l, r))
+        add(tuple(sorted((*tmono, (a, k), (b, l)))),
+            d_coeff(k, p) * d_coeff(l, r))
     # h_b(l), l >= 1, contracts a factor of tmono; h_a(k) creates or contracts.
-    for l in {-m2 // 2 for g, m2 in tmono if g == b}:
+    for l in {-m for g, m in tmono if g == b}:
         k = s - l
         if k == 0 or -p < k < 0:
             continue
-        c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
-        for reduced, x in annihilate({tmono: c}, b, 2 * l).items():
+        c = d_coeff(k, p) * d_coeff(l, r)
+        for reduced, x in annihilate({tmono: c}, b, l).items():
             if k < 0:
-                add(tuple(sorted((*reduced, (a, 2 * k)))), x)
+                add(tuple(sorted((*reduced, (a, k)))), x)
             else:
-                for both, y in annihilate({reduced: x}, a, 2 * k).items():
+                for both, y in annihilate({reduced: x}, a, k).items():
                     add(both, y)
     # h_a(k), k >= 1, contracts a factor of tmono while h_b(l) creates.
-    for k in {-m2 // 2 for g, m2 in tmono if g == a}:
+    for k in {-m for g, m in tmono if g == a}:
         l = s - k
         if l <= -r:
-            c = d_coeff2(2 * k, p) * d_coeff2(2 * l, r)
-            for reduced, x in annihilate({tmono: c}, a, 2 * k).items():
-                add(tuple(sorted((*reduced, (b, 2 * l)))), x)
+            c = d_coeff(k, p) * d_coeff(l, r)
+            for reduced, x in annihilate({tmono: c}, a, k).items():
+                add(tuple(sorted((*reduced, (b, l)))), x)
     return out
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from mode_oracle import apply_mode
 from orbifock.fock import FockVector, basis, make_monomial, mono_key, single
+from orbifock.twisted import apply_delta
+from orbifock.zhu import omega
 
 F = Fraction
 
@@ -30,8 +32,24 @@ def test_make_monomial_rejections():
         make_monomial(1, [(2, -1)])  # generator out of range
     with pytest.raises(ValueError, match="not an integer"):
         make_monomial(1, [(1, F(-1, 2))])  # a twisted-module mode
+    with pytest.raises(ValueError, match="mode index -1/3 is not an integer"):
+        make_monomial(1, [(1, F(-1, 3))])
     with pytest.raises(ValueError):
         make_monomial(1, [(1, 0)])  # zero mode is not a creator
+
+
+def test_monomials_hold_plain_mode_indices():
+    # A monomial stores each mode h_g(n) as (g, n), in canonical order.
+    assert make_monomial(2, [(2, -1), (1, -3)]) == ((1, -3), (2, -1))
+    for rank in (1, 2, 3):
+        for w in range(7):
+            for mono in basis(rank, w, "all"):
+                assert all(type(n) is int and n < 0 for _, n in mono)
+                assert sum(n for _, n in mono) == -w
+    v = single(2, [(1, -3), (2, -1)]) + single(2, [(1, -2), (2, -2)])
+    assert type(v.weight()) is int and v.weight() == 4
+    assert type(v.max_weight()) is int and v.max_weight() == 4
+    assert ((1, -1), (1, -1)) in apply_delta(omega(1, 1))
 
 
 def test_apply_mode_commutator_single():

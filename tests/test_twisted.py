@@ -80,10 +80,10 @@ def test_apply_delta_examples():
     assert apply_delta(one) == {(): 1}
 
     omega = single(1, [(1, -1), (1, -1)], F(1, 2))
-    assert apply_delta(omega) == {((1, -2), (1, -2)): F(1, 2), (): F(1, 16)}
+    assert apply_delta(omega) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
 
     hv = single(1, [(1, -1)])
-    assert apply_delta(hv) == {((1, -2),): 1}
+    assert apply_delta(hv) == {((1, -1),): 1}
 
 
 def flat(buckets):

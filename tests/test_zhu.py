@@ -82,8 +82,8 @@ def test_products_match_recursion_on_benchmark_generators():
                          ids=["r2w10-all", "r3w8-quadratic"])
 def test_build_circles_match_recursion(ell, window, pairs):
     policy = GeneratorPolicy(pairs)
-    columns = OSpanEchelon(ell, 2 * window, policy).columns
-    for u, v in zhu._iter_circle_pairs(ell, columns, 2 * window, policy):
+    columns = OSpanEchelon(ell, window, policy).columns
+    for u, v in zhu._iter_circle_pairs(ell, columns, window, policy):
         assert circ_n(u, v) == reference_product(u, v, 2), (u, v)
 
 
@@ -138,12 +138,12 @@ def test_parity_and_top_weight_laws():
             assert p.is_even()
             # The top part of star(u, v) is the product of the top parts, so
             # script.realize can refuse a whole power before computing it.
-            assert p.max_weight2() == u.max_weight2() + v.max_weight2()
+            assert p.max_weight() == u.max_weight() + v.max_weight()
             for n in (0, 1):
                 c = circ_n(u, v, n)
                 assert c.is_even()
-                assert c.max_weight2() <= (u.max_weight2() + v.max_weight2()
-                                           + 2 * n + 2)
+                assert c.max_weight() <= (u.max_weight() + v.max_weight()
+                                          + n + 1)
 
 
 def test_generator_formulas():
@@ -223,36 +223,34 @@ def test_policy_validation_and_keys():
 # over every ordered pair of even monomials and every n whose full circle
 # fits.  It is kept here as the oracle for the generator-family spans.
 def all_pairs_circles(ell, window):
-    limit2 = 2 * window
     monos = [FockVector.from_monomial(ell, m)
              for w in range(window + 1)
              for m in basis(ell, w, "even")]
     for u in monos[1:]:  # u = |0> gives only zero circles
         for v in monos:
-            for n in range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1):
+            for n in range(window - u.weight() - v.weight()):
                 yield circ_n(u, v, n)
 
 
 def omega_two_order_circles(ell, window):
     """The vacuum circles and circ_n(w_a, v), circ_n(v, w_a) in both orders."""
-    limit2 = 2 * window
     monos = [FockVector.from_monomial(ell, m)
              for w in range(1, window + 1)
              for m in basis(ell, w, "even")]
     one = FockVector.vacuum(ell)
     for u in monos:
-        for n in range((limit2 - u.weight2() - 2) // 2 + 1):
+        for n in range(window - u.weight()):
             yield circ_n(u, one, n)
     for a in range(1, ell + 1):
         om = omega(ell, a)
         for v in monos:
-            for n in range((limit2 - v.weight2() - 6) // 2 + 1):
+            for n in range(window - v.weight() - 2):
                 yield circ_n(om, v, n)
                 yield circ_n(v, om, n)
 
 
 def echelon_of(ell, window, circles):
-    e = OSpanEchelon(ell, 2 * window, GeneratorPolicy())
+    e = OSpanEchelon(ell, window, GeneratorPolicy())
     for vec in circles:
         if not vec.is_zero():
             e.insert(vec)
@@ -313,7 +311,6 @@ def test_omega_span_matches_both_orders(ell, window):
 # policy's circles circ_n over every n whose full circle fits, with J_a a
 # left factor of "all" at every rank.  It is the oracle for the n = 0 seeds.
 def all_n_generator_circles(ell, window, pairs):
-    limit2 = 2 * window
     monos = [FockVector.from_monomial(ell, m)
              for w in range(1, window + 1)
              for m in basis(ell, w, "even")]
@@ -328,7 +325,7 @@ def all_n_generator_circles(ell, window, pairs):
         right = monos
     one = FockVector.vacuum(ell)
     for u, v in chain(((m, one) for m in monos), product(left, right)):
-        for n in range((limit2 - u.weight2() - v.weight2() - 2) // 2 + 1):
+        for n in range(window - u.weight() - v.weight()):
             yield circ_n(u, v, n)
 
 
@@ -358,9 +355,9 @@ def test_rows_are_fully_reduced(ell, window, pairs):
 
 
 def test_rows_do_not_depend_on_insertion_order():
-    columns = OSpanEchelon(2, 16, GeneratorPolicy()).columns
+    columns = OSpanEchelon(2, 8, GeneratorPolicy()).columns
     circles = [circ_n(u, v) for u, v in
-               zhu._iter_circle_pairs(2, columns, 16, GeneratorPolicy())]
+               zhu._iter_circle_pairs(2, columns, 8, GeneratorPolicy())]
     want = build_ospan(2, 8).rows
     for seed in (1, 2, 3):
         shuffled = list(circles)
@@ -451,7 +448,7 @@ def test_insert_after_load_matches_fresh_build(tmp_path):
                for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
     circles = [circ_n(u, v) for u, v in
-               zhu._iter_circle_pairs(2, loaded.columns, 20, policy)]
+               zhu._iter_circle_pairs(2, loaded.columns, 10, policy)]
     fresh = echelon_of(2, 10, circles + blanket)
     for vec in blanket:
         loaded.insert(vec)
