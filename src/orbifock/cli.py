@@ -16,7 +16,11 @@ from .runner import CACHE_ENV, RunConfig, Runner, default_cache_dir
 from .suites import SUITE_NAMES, run_suite
 from .tables import emit_tables
 from .twisted import delta_coefficients
-from .zhu import MAX_WEIGHT_CAP, GeneratorPolicy
+from .zhu import MAX_WEIGHT_CAP
+
+# Each Hminus/Tminus reading holds rank x rank cells; at rank 8 a whole
+# ``suite all`` takes seconds, and far beyond it memory runs out.
+MAX_RANK = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,16 +60,6 @@ def main(argv=None):
     p.add_argument("--max-weight", type=int, default=8,
                    help="cutoff weight above which a claim stays Unknown "
                         "(default 8)")
-    p.add_argument("--slack", type=int, default=2,
-                   help="extra weight allowed for circle tails; the echelon "
-                        "is keyed by max-weight + slack (default 2)")
-    p.add_argument("--pairs", choices=("all", "omega", "quadratic"),
-                   default="all",
-                   help="circle generator policy, by the left factors of "
-                        "circ_0(a, v): omega = the w_a; all = the w_a, the "
-                        "h_a(-1)h_b(-1) with a < b and, at rank 1, J_1 "
-                        "(default); quadratic = the two-mode monomials, "
-                        "paired with each other")
 
     p = sub.add_parser("suite", help="run a built-in suite")
     p.add_argument("name", choices=SUITE_NAMES)
@@ -82,11 +76,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command in ("verify", "suite") and args.rank < 1:
         parser.error(f"--rank must be at least 1, got {args.rank}")
-    if args.command == "verify":
-        for option, value in (("--max-weight", args.max_weight),
-                              ("--slack", args.slack)):
-            if value < 0:
-                parser.error(f"{option} must be at least 0, got {value}")
+    if args.command != "delta-table" and args.rank > MAX_RANK:
+        parser.error(f"--rank must be at most {MAX_RANK}, got {args.rank}")
+    if args.command == "verify" and args.max_weight < 0:
+        parser.error(f"--max-weight must be at least 0, got {args.max_weight}")
     if args.command == "delta-table" and not 2 <= args.degree <= MAX_WEIGHT_CAP:
         parser.error(f"--degree must be between 2 and {MAX_WEIGHT_CAP}, "
                      f"got {args.degree}")
@@ -110,10 +103,8 @@ def main(argv=None):
         except dsl.ScriptError as exc:
             print(f"syntax error: {exc}", file=sys.stderr)
             return 2
-        report = Runner(RunConfig(
-            rank=args.rank, max_weight=args.max_weight, slack=args.slack,
-            policy=GeneratorPolicy(pairs=args.pairs),
-            cache_dir=cache_dir)).run(stmts)
+        report = Runner(RunConfig(rank=args.rank, max_weight=args.max_weight,
+                                  cache_dir=cache_dir)).run(stmts)
         return _emit(report, args)
 
     if args.command == "suite":

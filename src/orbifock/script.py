@@ -32,7 +32,7 @@ from itertools import repeat
 
 from .coeffs import LPoly
 from .fock import FockVector, make_monomial
-from .toplevel import FAMILIES, Matrix, identity
+from .toplevel import FAMILIES, Matrix, _entries, identity
 from . import zhu
 
 
@@ -563,13 +563,7 @@ def _scalar_part(act):
 
 def _check_digits(act):
     """``act``, after checking that its entries print in ``_MAX_DIGITS``."""
-    if isinstance(act, Matrix):
-        values = [v for row in act.rows for v in row]
-    elif isinstance(act, LPoly):
-        values = act.terms.values()
-    else:
-        values = [act]
-    for v in values:
+    for _, v in _entries(act):
         for part in (v.numerator, v.denominator):
             if part and math.log10(abs(part)) >= _MAX_DIGITS:
                 raise ResourceWarning(f"power has an entry beyond "

@@ -5,7 +5,9 @@ native checks that the language cannot express) and runs them through the
 standard runner, so reports look the same everywhere.  Each certificate
 block sets its own cutoff and generator policy, the values that make its
 certificates fire; the other blocks only evaluate.  A suite reads only the
-rank and the cache directory from its configuration.
+rank and the cache directory from its configuration.  :func:`run_suite`
+makes one report per run, headed by the rank alone, and each suite adds its
+results to it.
 
 Some relations only exist at a minimal rank (four distinct indices for the
 sign relations, three for the triple-index center relation); those blocks
@@ -30,23 +32,22 @@ SUITE_NAMES = ("tables", "circle_reductions", "matrix_units",
 
 
 def run_suite(name, config):
-    """Run a named suite; 'all' chains every suite into one report."""
+    """Run a named suite, or with 'all' every suite in turn, into one report.
+
+    The report's header is ``rank=R``: the rank is all a suite reads, and
+    each block sets its own cutoff and policy.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES}")
-    if name == "all":
-        report = Report(config)
-        for sub in ("tables", "circle_reductions", "matrix_units",
-                    "final_relations"):
-            part = run_suite(sub, config)
-            report.results.extend(part.results)
-            report.cache_hits += part.cache_hits
-    else:
-        report = {"tables": tables_suite,
-                  "circle_reductions": circle_reductions_suite,
-                  "matrix_units": matrix_units_suite,
-                  "final_relations": final_relations_suite}[name](config)
-    # The rank is all a suite reads; each block sets its own cutoff and policy.
+    # Looked up per call: the benchmark's tracer rebinds the suite functions.
+    suites = {"tables": tables_suite,
+              "circle_reductions": circle_reductions_suite,
+              "matrix_units": matrix_units_suite,
+              "final_relations": final_relations_suite}
+    report = Report(config)
     report.header = f"rank={config.rank}"
+    for fn in suites.values() if name == "all" else [suites[name]]:
+        fn(config, report)
     return report
 
 
@@ -66,26 +67,22 @@ def _native(report, text, ok, detail=""):
 # ---------------------------------------------------------------------------
 # tables
 
-def tables_suite(config):
+def tables_suite(config, report):
     """Golden check of all three action tables, 40 entries."""
     rank = max(2, config.rank)
     cfg = RunConfig(rank=rank, cache_dir=config.cache_dir)
-    report = Report(cfg)
     lines = [f"assert_eval {label} on {fam} = {expected}"
              for elements in GOLDEN.values()
              for label, row in elements.items()
              for fam, expected in row.items()]
     _run_lines(lines, cfg, report)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # circle_reductions
 
-def circle_reductions_suite(config):
+def circle_reductions_suite(config, report):
     """The weight-reduction lemmas, certified against truncated circle spans."""
-    report = Report(config)
-
     # Four-index sign relations need four distinct generators.
     r4 = max(4, config.rank)
     cfg4 = RunConfig(rank=r4, max_weight=7, slack=1,
@@ -147,7 +144,6 @@ def circle_reductions_suite(config):
     _run_lines(lines, cfg3, report)
 
     _membership_and_leading_coefficient(report, runner2.echelon())
-    return report
 
 
 def _reduce_from_weight(echelon, vec, low):
@@ -200,10 +196,9 @@ def _membership_and_leading_coefficient(report, full):
 # ---------------------------------------------------------------------------
 # matrix_units
 
-def matrix_units_suite(config):
+def matrix_units_suite(config, report):
     """Two matrix-algebra copies: actions, products, mutual annihilation."""
     rank = max(3, config.rank)
-    report = Report(config)
 
     # Class equality of the two representatives (evaluation, all families).
     for a in range(1, rank + 1):
@@ -260,7 +255,6 @@ def matrix_units_suite(config):
         "assert_equiv Lam(1,2) ~ Lam(2,1)",
     ]
     _run_lines(lines, cfg2, report)
-    return report
 
 
 def _unit_words(rank):
@@ -347,9 +341,8 @@ SPOT_TERMS = (Fraction(630, 128), Fraction(594, 128),
               Fraction(-4680, 128), Fraction(3456, 128))
 
 
-def final_relations_suite(config):
+def final_relations_suite(config, report):
     """The closing polynomial relations among w_a, H_a, units and Lam."""
-    report = Report(config)
     ranks = sorted({max(2, config.rank), 2, 3})
     for rank in ranks:
         cfg = RunConfig(rank=rank, cache_dir=config.cache_dir)
@@ -409,4 +402,3 @@ def final_relations_suite(config):
     cfg1b = RunConfig(rank=1, max_weight=10, slack=2, cache_dir=config.cache_dir)
     _run_lines(["assert_equiv (w1 - 1) * (w1 - 1/16) * (w1 - 9/16) * H1 ~ 0"],
                cfg1b, report)
-    return report

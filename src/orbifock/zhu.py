@@ -359,8 +359,10 @@ class OSpanEchelon:
     Rows are integer vectors over the even monomial basis of weight at most
     the window.  The pivot of a row is its maximal monomial in the
     canonical order, so reduction rewrites top-weight monomials into lower
-    tails and the conformal vectors survive as their own normal forms.  Rows are kept fully reduced: each is zero in every
-    other row's pivot column, primitive, and has a positive pivot entry.
+    tails and the conformal vectors survive as their own normal forms.
+
+    Rows are kept fully reduced: each is zero in every other row's pivot
+    column, primitive, and has a positive pivot entry.
     That form depends only on the span, so the rows depend only on the
     rank, the generator policy and the window, not on the order of
     insertion; the cutoff above which a claim stays Unknown belongs to the

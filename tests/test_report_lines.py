@@ -15,7 +15,7 @@ import re
 import pytest
 
 from orbifock.runner import RunConfig, run_text
-from orbifock.suites import run_suite
+from orbifock.suites import SUITE_NAMES, run_suite
 
 EXPECTED_LINES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "expected_lines.json")
@@ -87,3 +87,16 @@ def test_eval_r2_lines_replay(expected_lines):
 def test_suite_all_lines_replay(expected_lines):
     report = run_suite("all", RunConfig(rank=2))
     assert [_line(r) for r in report.results] == expected_lines["suite-warm"]
+
+
+def test_suite_all_is_one_report_of_the_four_suites(tmp_path):
+    # 'all' runs the four suites in order into one report: the same lines,
+    # their cache hits summed, and the one rank header.
+    config = RunConfig(rank=2, cache_dir=str(tmp_path))
+    run_suite("all", config)
+    whole = run_suite("all", config)
+    parts = [run_suite(name, config) for name in SUITE_NAMES if name != "all"]
+    assert [_line(r) for r in whole.results] == [
+        _line(r) for part in parts for r in part.results]
+    assert whole.cache_hits == sum(part.cache_hits for part in parts) == 6
+    assert [report.header for report in [whole, *parts]] == ["rank=2"] * 5

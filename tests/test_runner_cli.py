@@ -224,13 +224,20 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys):
     (["delta-table", "--degree", "17"], "--degree"),
     (["tables", "--rank", "1"], "rank"),
     (["verify", "{script}", "--rank", "0"], "--rank"),
+    (["verify", "{script}", "--rank", "9"], "--rank"),
+    (["suite", "tables", "--rank", "9"], "--rank"),
+    (["tables", "--rank", "9"], "--rank"),
     (["verify", "{script}", "--slack", "-3"], "--slack"),
+    (["verify", "{script}", "--slack", "1"], "--slack"),
+    (["verify", "{script}", "--pairs", "omega"], "--pairs"),
     (["verify", "{script}", "--max-weight", "-1"], "--max-weight"),
     (["suite", "tables", "--pairs", "omega"], "--pairs"),
     (["verify", "{script}", "--cache-dir", "{script}/cache"], "cache directory"),
     (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
 ], ids=["missing-script", "degree-1", "degree-17", "tables-rank-1", "rank-0",
-        "negative-slack", "negative-max-weight", "suite-pairs",
+        "verify-rank-9", "suite-rank-9", "tables-rank-9",
+        "unknown-negative-slack", "verify-slack", "verify-pairs",
+        "negative-max-weight", "suite-pairs",
         "verify-cache-under-file", "suite-cache-under-file"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
