@@ -14,7 +14,6 @@ spelling.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .coeffs import LPoly
 
@@ -196,17 +195,6 @@ def annihilate(terms, gen, n):
     return out
 
 
-def _partitions(total, max_part):
-    """Partitions of ``total`` into parts of at most ``max_part``, largest
-    part first."""
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(max_part, total), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
-
-
 def basis(ell, weight, parity="all"):
     """All canonical monomials of the given integer mode-weight, filtered
     by parity.
@@ -218,24 +206,18 @@ def basis(ell, weight, parity="all"):
         raise ValueError("weight must be nonnegative")
     if parity not in ("even", "odd", "all"):
         raise ValueError(f"parity filter {parity!r} not one of even/odd/all")
+    keep = {"even": (0,), "odd": (1,), "all": (0, 1)}[parity]
     out = []
-    for part_shape in _partitions(weight, weight):
-        if parity == "even" and len(part_shape) % 2:
-            continue
-        if parity == "odd" and len(part_shape) % 2 == 0:
-            continue
-        # Distribute generator colors over equal parts without double counting.
-        groups = []
-        for p in sorted(set(part_shape), reverse=True):
-            groups.append((p, part_shape.count(p)))
-        colorings = [()]
-        for p, count in groups:
-            colorings = [
-                prev + tuple((g, -p) for g in combo)
-                for prev in colorings
-                for combo in combinations_with_replacement(range(1, ell + 1), count)
-            ]
-        for modes in colorings:
-            out.append(tuple(sorted(modes)))
-    out.sort(key=mono_key)
-    return out
+
+    def grow(mono, g0, n0, left):
+        # Extend mono by modes (g, n) >= (g0, n0) of total weight left.
+        if not left:
+            if len(mono) % 2 in keep:
+                out.append(mono)
+            return
+        for g in range(g0, ell + 1):
+            for n in range(max(n0, -left) if g == g0 else -left, 0):
+                grow(mono + ((g, n),), g, n, left + n)
+
+    grow((), 1, -weight, weight)
+    return sorted(out, key=mono_key)

@@ -19,6 +19,8 @@ Expressions nest at most ``MAX_NESTING`` = 100 levels, checked at parse
 time: parentheses, circle arguments and unary minus signs each open one,
 as does each node on a path of the parsed tree (a sum of k terms is k
 deep), so parsing, realizing and formatting stay below the recursion limit.
+Integer literals, glued indices such as the 1 of ``w1`` included, have at
+most ``_MAX_DIGITS`` = 4300 digits, also checked at parse time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 
 from .coeffs import LPoly
@@ -118,6 +120,7 @@ _ATOMS = {
 }
 
 
+@lru_cache(maxsize=1024)
 def _lookup(name, expected):
     """(kind, glued index digits) of an atom name valid in expected values
     or in main expressions, or None."""
@@ -127,6 +130,10 @@ def _lookup(name, expected):
         if only_expected == expected and (shape == "i") == bool(m[2]):
             return m.groups()
     return None
+
+
+# A raw monomial's generator name, h followed by its index.
+_MONOMIAL = re.compile(r"h\d+")
 
 
 @dataclass(frozen=True)
@@ -264,10 +271,8 @@ class _Parser:
                 exprs.append(self.parse_expr())
             self.expect("]")
             self.expect("=")
-            val = self.next()
-            if val.kind != "int":
-                raise ScriptError("expected an integer rank", val.line, val.col)
-            return Statement("rank", (tuple(exprs), int(val.text)), tok.line, tok.col)
+            value = self.integer("an integer rank")
+            return Statement("rank", (tuple(exprs), value), tok.line, tok.col)
         if tok.text == "assert_zero_eval":
             return Statement("zero_eval", (self.parse_expr(),), tok.line, tok.col)
         raise ScriptError(f"unknown statement {tok.text!r}", tok.line, tok.col)
@@ -305,66 +310,95 @@ class _Parser:
             self.level -= 1
             return Neg(arg)
         if tok.kind == "int":
-            value = self.parse_number()
-            if self.at_atom_start(expected):
+            value = self.rational("a number")
+            if self.atom_start(expected):
                 return Scale(value, self.parse_power(expected))
             return Num(value)
         return self.parse_power(expected)
-
-    def parse_number(self):
-        tok = self.next()
-        value = Fraction(int(tok.text))
-        if self.peek().text == "/" and self.peek(1).kind == "int":
-            self.next()
-            value /= self.parse_denominator()
-        return value
-
-    def parse_denominator(self):
-        tok = self.next()
-        if tok.kind != "int":
-            raise ScriptError("expected a denominator", tok.line, tok.col)
-        if int(tok.text) == 0:
-            raise ScriptError("zero denominator", tok.line, tok.col)
-        return int(tok.text)
-
-    def at_atom_start(self, expected):
-        tok = self.peek()
-        if tok.text == "(":
-            return True
-        if tok.kind != "name":
-            return False
-        if _lookup(tok.text, expected):
-            return True
-        return not expected and (tok.text in ("circ", "circn")
-                                 or re.fullmatch(r"h\d+", tok.text) is not None)
 
     def parse_power(self, expected):
         base = self.parse_atom(expected)
         if self.peek().text == "^":
             self.next()
-            tok = self.next()
-            if tok.kind != "int":
-                raise ScriptError("expected an integer exponent", tok.line, tok.col)
-            return Pow(base, int(tok.text))
+            return Pow(base, self.integer("an integer exponent"))
         return base
+
+    def atom_start(self, expected):
+        """What the next token starts: a "group", a "circle", a "monomial", a
+        "named" atom or None.  Circles and monomials occur only in main
+        expressions."""
+        tok = self.peek()
+        if tok.text == "(":
+            return "group"
+        if tok.kind != "name":
+            return None
+        if _lookup(tok.text, expected):
+            return "named"
+        if expected:
+            return None
+        if tok.text in ("circ", "circn"):
+            return "circle"
+        if _MONOMIAL.fullmatch(tok.text):
+            return "monomial"
+        return None
 
     def parse_atom(self, expected):
         tok = self.peek()
-        if tok.text == "(":
-            self.next()
+        start = self.atom_start(expected)
+        if tok.kind != "name" and start is None:
+            self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+        self.next()
+        if start == "group":
             inner = self.parse_expr(expected)
             self.expect(")")
             return inner
-        if tok.kind == "int":
-            return Num(self.parse_number())
-        if tok.kind != "name":
-            self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
-        tok = self.next()
-        if not expected and tok.text in ("circ", "circn"):
+        if start == "circle":
             return self.parse_circle(tok.text)
-        if not expected and re.fullmatch(r"h\d+", tok.text):
+        if start == "monomial":
             return self.parse_monomial(tok)
         return self.parse_named(tok, expected)
+
+    # -- literals ------------------------------------------------------------
+
+    def integer(self, what, tok=None, least=0):
+        """The value of an integer literal: the next token, or ``tok``.
+
+        ``what`` names the literal in the errors, raised at the token when it
+        is not an integer, has more than ``_MAX_DIGITS`` digits or is below
+        ``least``.
+        """
+        tok = tok or self.next()
+        if tok.kind != "int":
+            raise ScriptError(f"expected {what}", tok.line, tok.col)
+        if len(tok.text) > _MAX_DIGITS:
+            raise ScriptError(f"expected {what} of at most {_MAX_DIGITS} digits",
+                              tok.line, tok.col)
+        value = int(tok.text)
+        if value < least:
+            raise ScriptError(f"expected {what}", tok.line, tok.col)
+        return value
+
+    def rational(self, what):
+        """An integer literal over an optional ``/`` and nonzero denominator."""
+        num, den = self.integer(what), 1
+        if self.peek().text == "/":
+            self.next()
+            tok = self.next()
+            den = self.integer("a denominator", tok)
+            if not den:
+                raise ScriptError("zero denominator", tok.line, tok.col)
+        return Fraction(num, den)
+
+    def index(self, tok=None):
+        """A generator index (the next token, or ``tok``), checked against
+        the rank when it is known."""
+        tok = tok or self.next()
+        idx = self.integer("a generator index", tok)
+        if idx < 1 or (self.rank is not None and idx > self.rank):
+            bound = self.rank if self.rank is not None else "ell"
+            raise ScriptError(f"generator index {idx} out of range 1..{bound}",
+                              tok.line, tok.col)
+        return idx
 
     # -- atoms ---------------------------------------------------------------
 
@@ -376,14 +410,13 @@ class _Parser:
         kind, digits = found
         shape = _ATOMS[kind][0]
         if shape == "i":
-            self.check_index(int(digits), tok)
-            return Named(kind, (int(digits),))
+            return Named(kind, (self.index(Token("int", digits, tok.line, tok.col)),))
         args = []
         for ch in shape:
             if ch in "abij":
-                args.append(self.parse_index())
+                args.append(self.index())
             elif ch in "mn":
-                args.append(self.parse_positive())
+                args.append(self.integer("a positive mode depth", least=1))
             else:
                 self.expect(ch)
         if "a" in shape and args[0] == args[1]:
@@ -398,57 +431,21 @@ class _Parser:
         n = 0
         if name == "circn":
             self.expect(",")
-            ntok = self.next()
-            if ntok.kind != "int":
-                raise ScriptError("expected an integer circle index",
-                                  ntok.line, ntok.col)
-            n = int(ntok.text)
+            n = self.integer("an integer circle index")
         self.expect(")")
         return Circ(left, right, n)
 
-    def parse_monomial(self, first):
+    def parse_monomial(self, tok):
         modes = []
-        tok = first
         while True:
-            gen = int(tok.text[1:])
-            self.check_index(gen, tok)
+            gen = self.index(Token("int", tok.text[1:], tok.line, tok.col))
             self.expect("(")
             self.expect("-")
-            num = self.next()
-            if num.kind != "int":
-                raise ScriptError("expected a mode index", num.line, num.col)
-            idx = Fraction(int(num.text))
-            if self.peek().text == "/":
-                self.next()
-                idx /= self.parse_denominator()
+            modes.append((gen, -self.rational("a mode index")))
             self.expect(")")
-            modes.append((gen, -idx))
-            nxt = self.peek()
-            if nxt.kind == "name" and re.fullmatch(r"h\d+", nxt.text) \
-                    and self.peek(1).text == "(":
-                tok = self.next()
-                continue
-            return Mono(tuple(modes))
-
-    def parse_index(self):
-        tok = self.next()
-        if tok.kind != "int":
-            raise ScriptError("expected a generator index", tok.line, tok.col)
-        idx = int(tok.text)
-        self.check_index(idx, tok)
-        return idx
-
-    def parse_positive(self):
-        tok = self.next()
-        if tok.kind != "int" or int(tok.text) < 1:
-            raise ScriptError("expected a positive mode depth", tok.line, tok.col)
-        return int(tok.text)
-
-    def check_index(self, idx, tok):
-        if idx < 1 or (self.rank is not None and idx > self.rank):
-            bound = self.rank if self.rank is not None else "ell"
-            raise ScriptError(f"generator index {idx} out of range 1..{bound}",
-                              tok.line, tok.col)
+            if self.atom_start(False) != "monomial" or self.peek(1).text != "(":
+                return Mono(tuple(modes))
+            tok = self.next()
 
 
 def parse_script(text, rank=None):

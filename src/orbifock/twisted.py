@@ -50,6 +50,7 @@ from math import lcm
 from operator import itemgetter
 
 from .coeffs import clear_denominators
+from .vertex import d_coeff
 
 
 class DeltaTable:
@@ -86,10 +87,7 @@ def delta_coefficients(max_degree):
     """The correction table from the closed form of ``c_mn``."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    # binom[k] = C(-1/2, k)
-    binom = [Fraction(1)]
-    for k in range(1, max_degree):
-        binom.append(binom[-1] * (1 - 2 * k) / (2 * k))
+    binom = [d_coeff(Fraction(-1, 2), k + 1) for k in range(max_degree)]
     return DeltaTable(max_degree, {
         (m, n): binom[m] * binom[n] / (2 * (m + n))
         for m in range(1, max_degree) for n in range(1, max_degree + 1 - m)})

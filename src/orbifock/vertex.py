@@ -64,10 +64,11 @@ def d_coeff(k, n):
     """The coefficient C(-k-1, n-1), for an int or Fraction mode index k.
 
     It weighs the mode h(k) in the field of h(-n)|0>; its users are
-    :func:`wick_sum` and :func:`orbifock.toplevel.top_level_matrix`, which
-    reads the twisted top level at k = +-1/2.  An int for an int k or at
-    n = 1, a Fraction otherwise; zero exactly when k is an integer with
-    -n < k < 0.
+    :func:`wick_sum`, :func:`orbifock.toplevel.top_level_matrix`, which
+    reads the twisted top level at k = +-1/2, and
+    :func:`orbifock.twisted.delta_coefficients`, which reads C(-1/2, m) at
+    k = -1/2.  An int for an int k or at n = 1, a Fraction otherwise; zero
+    exactly when k is an integer with -n < k < 0.
     """
     num = 1
     top = -k - 1

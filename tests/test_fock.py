@@ -118,12 +118,15 @@ def _partition_count(ell, weight, want_parity):
     return sum(c for (w, par), c in counts.items() if w == weight and par == want)
 
 
-@pytest.mark.parametrize("ell", [1, 2], ids=["1-False", "2-False"])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4],
+                         ids=["1-False", "2-False", "3-False", "4-False"])
 def test_basis_counts_match_generating_function(ell):
-    for weight in range(0, 7):
+    for weight in range(0, 11):
         for parity in ("even", "odd", "all"):
-            got = len(basis(ell, weight, parity))
-            assert got == _partition_count(ell, weight, parity)
+            monos = basis(ell, weight, parity)
+            assert len(monos) == _partition_count(ell, weight, parity)
+            assert len(set(monos)) == len(monos)
+            assert all(m == make_monomial(ell, m) for m in monos)
 
 
 def test_basis_parity_partition():

@@ -208,14 +208,19 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
-def test_cli_zero_denominator_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("text, col", [
+    ("assert_equiv 1/0 ~ 0", 16),
+    ("assert_zero_eval " + "9" * 5000 + " w1", 18),
+    ("assert_zero_eval w" + "1" * 5000, 18),
+], ids=["zero-denominator", "long-scalar", "long-glued-index"])
+def test_cli_zero_denominator_exit_2(tmp_path, capsys, text, col):
     script = tmp_path / "zero.txt"
-    script.write_text("assert_equiv 1/0 ~ 0\n")
+    script.write_text(text + "\n")
     assert main(["verify", str(script), "--rank", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert "syntax error" in captured.err
+    assert f"syntax error: line 1, col {col}:" in captured.err
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -248,6 +248,40 @@ def test_zero_denominator_is_a_syntax_error(text):
     assert (err.value.line, err.value.col) == (1, text.index("/0") + 2)
 
 
+# Every integer position, with the text its error points at: a glued index
+# is reported at its name.
+LONG_LITERALS = {
+    "rank": ("assert_rank [w1] = {N}", "{N}"),
+    "scalar": ("assert_equiv {N} w1 ~ 0", "{N}"),
+    "denominator": ("assert_equiv 1/{N} w1 ~ 0", "{N}"),
+    "expected-scalar": ("assert_eval w1 on Tplus = {N}", "{N}"),
+    "exponent": ("assert_equiv w1^{N} ~ 0", "{N}"),
+    "circn": ("assert_equiv circn(w1, J1, {N}) ~ 0", "{N}"),
+    "monomial-generator": ("assert_equiv h{N}(-1)h1(-1) ~ 0", "h{N}"),
+    "mode-index": ("assert_equiv h1(-{N})h1(-1) ~ 0", "{N}"),
+    "mode-denominator": ("assert_equiv h1(-1/{N})h1(-1) ~ 0", "{N}"),
+    "shape-index": ("assert_equiv Eu({N},2) ~ 0", "{N}"),
+    "mode-depth": ("assert_equiv S(1,{N};2,1) ~ 0", "{N}"),
+    "glued-w": ("assert_equiv w{N} ~ 0", "w{N}"),
+    "glued-J": ("assert_equiv J{N} ~ 0", "J{N}"),
+    "glued-H": ("assert_equiv H{N} ~ 0", "H{N}"),
+    "glued-l": ("assert_eval w1 on Mlambda = l{N}", "l{N}"),
+}
+
+
+@pytest.mark.parametrize("template, at", LONG_LITERALS.values(),
+                         ids=LONG_LITERALS.keys())
+def test_long_integer_literals_are_syntax_errors(template, at):
+    with pytest.raises(ScriptError, match="of at most 4300 digits") as err:
+        parse_script(template.format(N="1" * 5000), rank=2)
+    assert (err.value.line, err.value.col) == (1, template.index(at) + 1)
+
+
+def test_longest_integer_literal_parses():
+    stmt, = parse_script("assert_equiv " + "9" * 4300 + " w1 ~ 0", rank=2)
+    assert stmt.payload[0] == Scale(F(10 ** 4300 - 1), Named("w", (1,)))
+
+
 def test_nesting_bound():
     # The top-level expression is one level; each parenthesis, circle or
     # unary minus opens another, and a sum of k terms is k levels deep.
