@@ -496,15 +496,18 @@ def _fold(expr, unit, product, leaf):
 
 def _guard(what, top):
     if top > zhu.MAX_WEIGHT_CAP:
-        raise ResourceWarning(f"{what} of top weight {top} exceeds the "
+        shown = (top if top < 10 ** _MAX_DIGITS
+                 else f"beyond {_MAX_DIGITS} digits")
+        raise ResourceWarning(f"{what} of top weight {shown} exceeds the "
                               f"weight cap {zhu.MAX_WEIGHT_CAP}")
 
 
 def _scalar_power(c, k):
-    """c^k, after checking that its numerator and denominator stay printable."""
+    """c^k, after checking that its numerator and denominator stay printable.
+    Parts 0 and +-1 never grow, and k is never turned into a float."""
     c = Fraction(c)
     for part in (c.numerator, c.denominator):
-        if part and k * math.log10(abs(part)) >= _MAX_DIGITS:
+        if abs(part) > 1 and k >= _MAX_DIGITS / math.log10(abs(part)):
             raise ResourceWarning(f"scalar power ({c})^{k} exceeds "
                                   f"{_MAX_DIGITS} digits")
     return c ** k

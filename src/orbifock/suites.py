@@ -318,12 +318,12 @@ def _multiplication_tables(report, rank):
 
     # The diagonal unit must not depend on the detour index.
     bad = []
-    for kind, mk in (("u", zhu.e_u), ("t", zhu.e_t)):
+    for kind in ("u", "t"):
         for a in range(1, rank + 1):
             others = [b for b in range(1, rank + 1) if b != a]
             base = None
             for b in others:
-                cur = [evaluate_word([mk(rank, a, b), mk(rank, b, a)], fam)
+                cur = [acts[(kind, a, b), fam] * acts[(kind, b, a), fam]
                        for fam in fams]
                 if base is None:
                     base = cur

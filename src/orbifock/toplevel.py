@@ -32,6 +32,8 @@ two-factor remainders act.  Matchings remove factors in pairs, so an even
 state leaves only remainders of even length.  Tplus therefore keeps the
 perfect matchings alone (:func:`orbifock.twisted.twisted_zero_mode`) and
 Tminus the matchings that leave at most two factors, and both are exact.
+Both read integer numerators over the expansion's one denominator, and
+Tminus hands them to :func:`top_level_matrix` as they are.
 """
 
 from __future__ import annotations
@@ -186,31 +188,29 @@ def _pair_weight(k, q, p):
     return w.numerator, w.denominator.bit_length() - 1
 
 
-def top_level_matrix(terms, rank, k):
+def top_level_matrix(den, terms, rank, k):
     """o(v) on a top level spanned by h_j(-k)|top>, j = 1..rank, a Matrix.
 
-    ``terms`` maps monomials to coefficients: those of v on the vacuum
-    module (k = 1), or those of the remainders of exp(Delta_z) v on the
-    twisted module (k = Fraction(1, 2)).  Neither module has a zero mode,
-    so a grade-preserving mode tuple on h_b(-k)|top> is either empty or
-    contracts h_b(k) against it and creates one h_a(-k).  The vacuum term
-    thus acts as the identity, a two-factor term h_a(-p) h_b(-q) adds
-    k d(k, q) d(-k, p) to entry (a, b) and the mirror term to entry (b, a),
-    and every other term acts as zero.  Here
-    d(k, n) = C(-k-1, n-1) is :func:`orbifock.vertex.d_coeff`, and entry
-    (a, b) is the coefficient of basis vector a in the image of basis
+    ``terms`` maps monomials to int numerators over the positive int ``den``:
+    those of v on the vacuum module (k = 1), or those of the remainders of
+    exp(Delta_z) v on the twisted module (k = Fraction(1, 2), from
+    :func:`orbifock.twisted.apply_delta`).  Neither module has a zero mode, so
+    a grade-preserving mode tuple on h_b(-k)|top> is either empty or contracts
+    h_b(k) against it and creates one h_a(-k).  The vacuum term thus acts as
+    the identity, a two-factor term h_a(-p) h_b(-q) adds k d(k, q) d(-k, p) to
+    entry (a, b) and the mirror term to entry (b, a), and every other term acts
+    as zero.  Here d(k, n) = C(-k-1, n-1) is :func:`orbifock.vertex.d_coeff`,
+    and entry (a, b) is the coefficient of basis vector a in the image of basis
     vector b.
 
-    The sums run in integers: the coefficients are cleared to ints over
-    their common denominator once, and each factor k d(k, q) d(-k, p) is
-    one cached weight n / 2**s per (k, q, p) (:func:`_pair_weight`), lifted
-    to the largest s that a term reaches.  A term costs one product per
-    entry it reaches, and a zero weight none; the matrix is reduced once.
+    The sums run in integers: each factor k d(k, q) d(-k, p) is one cached
+    weight n / 2**s per (k, q, p) (:func:`_pair_weight`), lifted to the
+    largest s that a term reaches.  A term costs one product per entry it
+    reaches, and a zero weight none; the matrix is reduced once.
     """
-    den, scaled = clear_denominators(terms)
     diag = 0
     reached = []  # (row, column, c * n, s) for each nonzero weight n / 2**s
-    for mono, c in scaled.items():
+    for mono, c in terms.items():
         if not mono:
             diag += c
         elif len(mono) == 2:
@@ -254,22 +254,23 @@ def evaluate(u, fam):
     if fam == "Hplus":
         return Fraction(u.coeff(VACUUM))
     if fam == "Mlambda":
+        den, scaled = clear_denominators(u.terms)
         terms = {}
-        for mono, c in u.terms.items():
+        for mono, c in scaled.items():
             exps = [0] * rank
             for g, n in mono:
                 exps[g - 1] += 1
                 if n % 2 == 0:
                     c = -c
             exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return LPoly(rank, terms)
+            terms[exps] = terms.get(exps, 0) + c
+        return LPoly(rank, {e: Fraction(c, den) for e, c in terms.items()})
     if fam == "Hminus":
-        return top_level_matrix(u.terms, rank, 1)
+        return top_level_matrix(*clear_denominators(u.terms), rank, 1)
     if fam == "Tplus":
         return twisted_zero_mode(u)
     if fam == "Tminus":
-        return top_level_matrix(apply_delta(u, keep=2), rank, Fraction(1, 2))
+        return top_level_matrix(*apply_delta(u, keep=2), rank, Fraction(1, 2))
     raise ValueError(f"unknown family {fam!r}")
 
 

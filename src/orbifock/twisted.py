@@ -36,10 +36,9 @@ holds each pair weight as an integer P_pq = D * 2 c_pq p q, where D is the
 lcm of the weights' denominators.  A matching of k pairs then weighs
 (product of its P) / D^k, and k = (len(mono) - len(remainder)) / 2 is
 fixed by the remainder alone.  The state's coefficients are scaled by the
-lcm d of their denominators, every product is lifted to the common power
-D^top (top pairs at most), and each remainder's integer sum is divided by
-d * D^top once.  Every step is an identity of rationals, so the result is
-the exact one.
+lcm d of their denominators and every product is lifted to the common power
+D^top (top pairs at most), so each remainder's integer sum is its exact
+coefficient times d * D^top.  The reading divides by that once per value.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def _matchings(modes, pairs, keep, memo):
 
 
 def apply_delta(v, keep=None):
-    """exp(Delta_z) v as one term dict, summed over the powers of z.
+    """exp(Delta_z) v summed over the powers of z, as a pair (den, terms).
 
     Each monomial expands into its partial matchings, one generator at a
     time, with the pair weights of the shared :func:`delta_table`.  A
@@ -147,9 +146,9 @@ def apply_delta(v, keep=None):
     state a remainder's weight fixes its exponent and the sum, which is all
     the top level reads, loses nothing.  With ``keep``, a remainder of more
     than ``keep`` factors is dropped, across the generators together;
-    ``None`` keeps the full expansion.  The sums run in integers and each
-    remainder is divided once by the common denominator (module
-    docstring), so the coefficients come back as Fractions.
+    ``None`` keeps the full expansion.  The sums run in integers over one
+    positive int ``den`` (module docstring), and ``terms`` maps each
+    remainder to its nonzero int numerator over ``den``.
     """
     table = delta_table(v.max_weight())
     longest = max(map(len, v.terms), default=0)
@@ -173,8 +172,7 @@ def apply_delta(v, keep=None):
         for rem, coeff in partial.items():
             coeff *= lift[(len(mono) - len(rem)) // 2]
             terms[rem] = terms.get(rem, 0) + coeff
-    den *= table.scale ** top
-    return {mono: Fraction(c, den) for mono, c in terms.items() if c}
+    return den * table.scale ** top, {rem: c for rem, c in terms.items() if c}
 
 
 def twisted_zero_mode(v):
@@ -187,4 +185,5 @@ def twisted_zero_mode(v):
     """
     if not v.is_even():
         raise ValueError("twisted components need an even-parity state")
-    return Fraction(apply_delta(v, keep=0).get((), 0))
+    den, terms = apply_delta(v, keep=0)
+    return Fraction(terms.get((), 0), den)

@@ -92,10 +92,7 @@ def _binomial_sum(u, v, shift):
 
 def star(u, v):
     """The associative product representative star(u, v)."""
-    _check_even(u, "star")
-    _check_even(v, "star")
-    if u.ell != v.ell:
-        raise ValueError("rank mismatch in star")
+    _check_arguments(u, v, "star")
     return _binomial_sum(u, v, 1)
 
 
@@ -108,16 +105,16 @@ def circ_n(u, v, n=0):
     """
     if n < 0:
         raise ValueError("circle index n must be nonnegative")
-    _check_even(u, "circ_n")
-    _check_even(v, "circ_n")
-    if u.ell != v.ell:
-        raise ValueError("rank mismatch in circ_n")
+    _check_arguments(u, v, "circ_n")
     return _binomial_sum(u, v, n + 2)
 
 
-def _check_even(u, opname):
-    if not u.is_even():
+def _check_arguments(u, v, opname):
+    """Both arguments of a product even and of one rank."""
+    if not (u.is_even() and v.is_even()):
         raise ValueError(f"{opname} argument has odd-parity terms")
+    if u.ell != v.ell:
+        raise ValueError(f"rank mismatch in {opname}")
 
 
 # ---------------------------------------------------------------------------

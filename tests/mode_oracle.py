@@ -3,7 +3,8 @@
 The package never applies one mode at a time: products go through closed
 forms and ``vertex.mode_component``, and top levels through closed forms.
 The oracle tests build their expected values from the single modes here
-instead, including exp(Delta_z) in operator form (:func:`reference_delta`).
+instead, including exp(Delta_z) in operator form (:func:`reference_delta`),
+against which :func:`delta_terms` reads the package's expansion.
 The products' reference, :func:`reference_product`, runs every pair
 through the Borcherds recursion, and :func:`wick_component` takes one
 mode of a two-factor state at a time, the reference for
@@ -18,6 +19,7 @@ from math import comb
 
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, annihilate, mono_weight
+from orbifock.twisted import apply_delta
 from orbifock.vertex import d_coeff, mode_component
 from orbifock.zhu import omega
 
@@ -89,6 +91,13 @@ def reference_delta(v, table):
                         nxt[s - m - n] = prev + Fraction(c, k) * dw
         frontier = {s: w for s, w in nxt.items() if w}
     return {s: w for s, w in buckets.items() if w}
+
+
+def delta_terms(v, keep=None):
+    """``twisted.apply_delta(v, keep)`` as {remainder: Fraction}: each int
+    numerator over the expansion's one denominator."""
+    den, terms = apply_delta(v, keep)
+    return {m: Fraction(c, den) for m, c in terms.items()}
 
 
 def graded_parts(u):

@@ -85,9 +85,14 @@ def test_resource_guard_reports_unknown():
 
 
 @pytest.mark.parametrize("expr", ["circ(" * 5 + "w1" + ", w1)" * 5, "w1^9",
-                                  "S(1,200;2,200)", "h1(-17)h1(-1)"],
+                                  "S(1,200;2,200)", "h1(-17)h1(-1)",
+                                  "(1/2)^" + "9" * 4300, "w1^" + "9" * 4300,
+                                  "circn(w1, w1, " + "9" * 4300 + ")"],
                          ids=["circle-weight-17", "power-weight-18",
-                              "pair-weight-400", "monomial-weight-18"])
+                              "pair-weight-400", "monomial-weight-18",
+                              "scalar-power-4300-digits",
+                              "power-weight-4301-digits",
+                              "circle-weight-4301-digits"])
 def test_realize_resource_guard_reports_unknown(expr):
     t0 = time.perf_counter()
     report = run_text(f"assert_zero_eval {expr}", cfg())
@@ -118,6 +123,23 @@ def test_powers_of_a_weight_zero_base():
     assert two.line() == "[DISPROVED] assert_zero_eval (2 one)^3  (Hplus: 8 vs 0)"
     assert half.line() == ("[DISPROVED] assert_zero_eval (1/2)^10000  "
                            f"(Hplus: {Fraction(1, 2 ** 10000)} vs 0)")
+
+
+def test_powers_of_unit_scalars_beyond_a_float():
+    # 0, 1 and -1 never grow, so their powers need no digit guard, even
+    # with an exponent too large to convert to a float.
+    big = "9" * 400
+    report = run_text(f"assert_zero_eval one^{big}\n"
+                      f"assert_zero_eval (-1)^{big}\n"
+                      f"assert_zero_eval (0)^{big}\n"
+                      f"assert_eval one on Hminus = I^{big}\n", cfg())
+    one, minus, zero, identity = report.results
+    assert one.line() == (f"[DISPROVED] assert_zero_eval one^{big}  "
+                          "(Hplus: 1 vs 0)")
+    assert minus.line() == (f"[DISPROVED] assert_zero_eval (-1)^{big}  "
+                            "(Hplus: -1 vs 0)")
+    assert zero.line() == f"[PROVED   ] assert_zero_eval (0)^{big}"
+    assert identity.line() == f"[PROVED   ] assert_eval one on Hminus = I^{big}"
 
 
 def test_powers_in_expected_values():

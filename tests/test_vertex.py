@@ -8,8 +8,9 @@ from math import comb, factorial
 
 import pytest
 
-from mode_oracle import (SYMBOLIC, apply_mode, graded_parts, reference_delta,
-                         reference_product, virasoro, wick_component)
+from mode_oracle import (SYMBOLIC, apply_mode, delta_terms, graded_parts,
+                         reference_delta, reference_product, virasoro,
+                         wick_component)
 from orbifock.fock import FockVector, basis, single
 from orbifock.toplevel import FAMILIES, Matrix, evaluate
 from orbifock.twisted import apply_delta, delta_coefficients
@@ -274,10 +275,18 @@ def test_mixed_denominators_delta_against_oracle():
     table = delta_coefficients(8)
     for v in MIXED_STATES:
         full = sum(reference_delta(v, table).values(), FockVector.zero(v.ell))
-        assert apply_delta(v) == full.terms, v
+        assert delta_terms(v) == full.terms, v
         for keep in (2, 0):
             want = {m: c for m, c in full.terms.items() if len(m) <= keep}
-            assert apply_delta(v, keep=keep) == want, (v, keep)
+            assert delta_terms(v, keep=keep) == want, (v, keep)
+
+
+def test_delta_expansion_is_int_numerators_over_one_denominator():
+    for v in MIXED_STATES:
+        for keep in (None, 2, 0):
+            den, terms = apply_delta(v, keep)
+            assert type(den) is int and den > 0, (v, keep)
+            assert all(type(c) is int and c for c in terms.values()), (v, keep)
 
 
 def test_mixed_denominators_products_against_recursion():
