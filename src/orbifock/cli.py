@@ -57,9 +57,11 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run a relation script")
     p.add_argument("script", help="path to the script file, or - for stdin")
     _add_config_args(p)
+    # verify builds its span to max_weight plus RunConfig's default slack.
+    top = MAX_WEIGHT_CAP - RunConfig.slack
     p.add_argument("--max-weight", type=int, default=8,
-                   help="cutoff weight above which a claim stays Unknown "
-                        "(default 8)")
+                   help="cutoff weight above which a claim stays Unknown, "
+                        f"0..{top} (default 8)")
 
     p = sub.add_parser("suite", help="run a built-in suite")
     p.add_argument("name", choices=SUITE_NAMES)
@@ -78,8 +80,9 @@ def main(argv=None):
         parser.error(f"--rank must be at least 1, got {args.rank}")
     if args.command != "delta-table" and args.rank > MAX_RANK:
         parser.error(f"--rank must be at most {MAX_RANK}, got {args.rank}")
-    if args.command == "verify" and args.max_weight < 0:
-        parser.error(f"--max-weight must be at least 0, got {args.max_weight}")
+    if args.command == "verify" and not 0 <= args.max_weight <= top:
+        parser.error(f"--max-weight must be between 0 and {top}, "
+                     f"got {args.max_weight}")
     if args.command == "delta-table" and not 2 <= args.degree <= MAX_WEIGHT_CAP:
         parser.error(f"--degree must be between 2 and {MAX_WEIGHT_CAP}, "
                      f"got {args.degree}")

@@ -153,7 +153,8 @@ class Runner:
             want = dsl.realize_expected(expected, fam, rank)
             if got == want:
                 return "Proved", ""
-            return "Disproved", f"{fam}: got {got}, expected {want}"
+            return "Disproved", (f"{fam}: got {dsl.printable(got)}, "
+                                 f"expected {dsl.printable(want)}")
         if stmt.kind == "rank":
             exprs, value = stmt.payload
             got = independence_rank([dsl.realize(e, rank) for e in exprs])
@@ -165,12 +166,14 @@ class Runner:
             if found is None:
                 return "Proved", ""
             fam, entry, val = found
-            return "Disproved", str(Witness(fam, entry, val, 0))
+            return "Disproved", str(Witness(fam, entry, dsl.printable(val), 0))
         raise ValueError(f"unknown statement kind {stmt.kind!r}")
 
     def check_equiv(self, left, right):
         witness = disprove_equiv(left, right)
         if witness is not None:
+            dsl.printable(witness.left)
+            dsl.printable(witness.right)
             return "Disproved", str(witness)
         diff = left - right
         if diff.is_zero():

@@ -21,11 +21,16 @@ as does each node on a path of the parsed tree (a sum of k terms is k
 deep), so parsing, realizing and formatting stay below the recursion limit.
 Integer literals, glued indices such as the 1 of ``w1`` included, have at
 most ``_MAX_DIGITS`` = 4300 digits, also checked at parse time.
+
+Realizing an expression keeps three guards, each raising ResourceWarning:
+the weight cap ``zhu.MAX_WEIGHT_CAP``, checked on every product, power,
+circle and atom before it is computed; the digit bound ``_MAX_DIGITS`` on
+each partial product of a power (:func:`_power`); and printability
+(:func:`printable`), checked where a value enters a report line.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +46,7 @@ from . import zhu
 MAX_NESTING = 100
 # Python's default limit on the digits of an int converted to text.
 _MAX_DIGITS = 4300
+_PRINT_LIMIT = 10 ** _MAX_DIGITS
 _TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
 
 
@@ -496,21 +502,43 @@ def _fold(expr, unit, product, leaf):
 
 def _guard(what, top):
     if top > zhu.MAX_WEIGHT_CAP:
-        shown = (top if top < 10 ** _MAX_DIGITS
+        shown = (top if top < _PRINT_LIMIT
                  else f"beyond {_MAX_DIGITS} digits")
         raise ResourceWarning(f"{what} of top weight {shown} exceeds the "
                               f"weight cap {zhu.MAX_WEIGHT_CAP}")
 
 
-def _scalar_power(c, k):
-    """c^k, after checking that its numerator and denominator stay printable.
-    Parts 0 and +-1 never grow, and k is never turned into a float."""
-    c = Fraction(c)
-    for part in (c.numerator, c.denominator):
-        if abs(part) > 1 and k >= _MAX_DIGITS / math.log10(abs(part)):
-            raise ResourceWarning(f"scalar power ({c})^{k} exceeds "
-                                  f"{_MAX_DIGITS} digits")
-    return c ** k
+def printable(act):
+    """``act``, after checking that every entry of it, a Fraction in lowest
+    terms, prints in ``_MAX_DIGITS`` digits; ResourceWarning otherwise."""
+    for _, v in _entries(act):
+        if max(abs(v.numerator), v.denominator) >= _PRINT_LIMIT:
+            raise ResourceWarning(f"value exceeds {_MAX_DIGITS} digits")
+    return act
+
+
+def _power(x, y, k):
+    """x * y^k, for scalars and top-level actions, by repeated squaring.
+
+    Every partial product is :func:`printable`, and squaring stops once
+    y * y == y, so 0, +-1, the identity and other idempotents finish at
+    once, whatever k is.  A polynomial power whose degree exceeds
+    ``zhu.MAX_WEIGHT_CAP`` is refused first, as a product of that top
+    weight is in ``realize``: the Mlambda reading of a state of weight W
+    has degree at most W.
+    """
+    if isinstance(y, LPoly):
+        _guard("polynomial power", k * max(map(sum, y.terms), default=0))
+    while True:
+        if k & 1:
+            x = printable(x * y)
+        k >>= 1
+        if not k:
+            return x
+        square = y * y
+        if square == y:
+            return printable(x * y)
+        y = printable(square)
 
 
 def realize(expr, rank):
@@ -521,13 +549,14 @@ def realize(expr, rank):
     (the top part of star(u, v) is the product of those of u and v), and
     so does an atom heavier than the cap, before anything reads it.  A
     weight-0 factor c|0> acts as the scalar c, because star(u, |0>) = u, so
-    its power is c^k, and ResourceWarning is raised when c^k would not
-    print in ``_MAX_DIGITS`` digits.
+    its power is c^k from :func:`_power`, under the digit bound on each
+    partial power.  Sums and products of scalars are not bounded here: a
+    value is checked by :func:`printable` only where a report prints it.
     """
     def star(u, v, k):
         _guard("product", u.max_weight() + k * v.max_weight())
         if not v.max_weight():
-            return _scalar_power(v.coeff(()), k) * u
+            return _power(Fraction(1), v.coeff(()), k) * u
         return reduce(zhu.star, repeat(v, k), u)
 
     def leaf(e, fold):
@@ -547,59 +576,13 @@ def realize(expr, rank):
     return _fold(expr, FockVector.vacuum(rank), star, leaf)
 
 
-def _scalar_part(act):
-    """c when the action is c times the identity, else None."""
-    if isinstance(act, Matrix):
-        n = act.num[0][0]
-        diagonal = all(v == (n if i == j else 0)
-                       for i, row in enumerate(act.num) for j, v in enumerate(row))
-        return Fraction(n, act.den) if diagonal else None
-    if isinstance(act, LPoly):
-        if any(any(exp) for exp in act.terms):
-            return None
-        return sum(act.terms.values(), Fraction(0))
-    return act
-
-
-def _check_digits(act):
-    """``act``, after checking that its entries print in ``_MAX_DIGITS``."""
-    for _, v in _entries(act):
-        for part in (v.numerator, v.denominator):
-            if part and math.log10(abs(part)) >= _MAX_DIGITS:
-                raise ResourceWarning(f"power has an entry beyond "
-                                      f"{_MAX_DIGITS} digits")
-    return act
-
-
-def _action_power(x, y, k):
-    """x * y^k for top-level actions, under ``realize``'s guards.
-
-    A scalar, or a scalar multiple of the identity, goes through
-    :func:`_scalar_power`.  Any other base is raised by repeated squaring,
-    and every partial product is checked against ``_MAX_DIGITS``.  A
-    polynomial power whose degree exceeds ``zhu.MAX_WEIGHT_CAP`` is refused
-    first, as a product of that top weight is in ``realize``: the Mlambda
-    reading of a state of weight W has degree at most W.
-    """
-    c = _scalar_part(y)
-    if c is not None:
-        return x * _scalar_power(c, k)
-    if isinstance(y, LPoly):
-        _guard("polynomial power", k * max(map(sum, y.terms)))
-    while k:
-        if k & 1:
-            x = _check_digits(x * y)
-        k >>= 1
-        if k:
-            y = _check_digits(y * y)
-    return x
-
-
 def realize_expected(expr, fam, rank):
     """Turn an expected-value AST into a top-level action for a family.
 
-    Powers follow :func:`_action_power`, so an oversized one raises
-    ResourceWarning.
+    Every power and product goes through :func:`_power`, so a polynomial
+    power above the weight cap, or a partial power or product beyond
+    ``_MAX_DIGITS`` digits, raises ResourceWarning; sums are checked by
+    :func:`printable` only where a report prints them.
     """
     def leaf(e, fold):
         kind = e.kind if isinstance(e, Named) else None
@@ -615,7 +598,7 @@ def realize_expected(expr, fam, rank):
             return Matrix.unit(rank, *e.args)
         raise TypeError(f"not an expected-value expression: {e!r}")
 
-    return _fold(expr, identity(fam, rank), _action_power, leaf)
+    return _fold(expr, identity(fam, rank), _power, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,42 @@ def test_realize_resource_guard_admits_weight_15():
     assert report.results[0].status == "Proved"
 
 
+# Two coprime 4,000-digit literals: each prints, but their product, and
+# the denominator of the sum of their inverses, do not.
+A, B = "1" + "0" * 3998 + "1", "1" + "0" * 3998 + "3"
+
+
+@pytest.mark.parametrize("text", [
+    "assert_zero_eval (1/2)^14000 * (1/2)^14000",
+    f"assert_zero_eval 1/{A} + 1/{B}",
+    f"assert_zero_eval {A} * {B}",
+    f"assert_zero_eval {A} ({B} w1)",
+    f"assert_eval one on Hplus = {A} * {B}",
+    f"assert_eval one on Hplus = 1/{A} + 1/{B}",
+    f"assert_equiv {A} * {B} one ~ 0",
+], ids=["scalar-powers-product", "zero-eval-inverse-sum", "zero-eval-product",
+        "zero-eval-nested-scale", "expected-product", "expected-inverse-sum",
+        "equiv-witness"])
+def test_unprintable_values_report_unknown(text):
+    t0 = time.perf_counter()
+    report = run_text(text, cfg())
+    assert time.perf_counter() - t0 < 0.5
+    assert report.results[0].status == "Unknown"
+    assert report.results[0].detail.startswith("resource guard: ")
+
+
+def test_unprinted_large_values_keep_their_verdict():
+    # Intermediates beyond 4300 digits that no report line prints do not
+    # turn a verdict into a resource guard.
+    report = run_text("assert_zero_eval (1/2)^14000 * (1/2)^14000 * "
+                      "circ(w1, one)\n"
+                      f"assert_zero_eval (1/{A}) * ({A} one)\n", cfg())
+    proved, disproved = report.results
+    assert proved.status == "Proved"
+    assert disproved.status == "Disproved"
+    assert disproved.detail == "Hplus: 1 vs 0"
+
+
 def test_powers_of_a_weight_zero_base():
     # A power of c|0> is c^k|0>: no products, whatever the exponent, and a
     # resource guard once c^k has more digits than Python prints.
@@ -143,24 +179,41 @@ def test_powers_of_unit_scalars_beyond_a_float():
 
 
 def test_powers_in_expected_values():
-    # An identity or scalar base is raised as a scalar, under the digit
-    # guard; any other base by repeated squaring, under the same guard.
+    # Every base is raised by repeated squaring under the digit guard, and
+    # squaring stops once the base is idempotent: 0, -1 I, I, a nilpotent
+    # unit (its square is 0) and E(1,1) + c E(1,2) finish at once.
+    huge = "9" * 4300
     t0 = time.perf_counter()
     report = run_text("assert_eval one on Hminus = I^100000\n"
                       "assert_eval one on Hplus = (1/2)^100000\n"
                       "assert_eval w1 on Hminus = E(1,1)^1000000000\n"
                       "assert_eval one on Hminus = (E(1,1) + 2 E(2,2))^20000\n"
-                      "assert_eval one on Mlambda = (l1 + l2)^17\n", cfg())
+                      "assert_eval one on Mlambda = (l1 + l2)^17\n"
+                      f"assert_eval one on Hminus = (-1 I)^{huge}\n"
+                      f"assert_eval one on Hminus = E(1,2)^{huge}\n"
+                      "assert_eval one on Mlambda = (0 l1)^5\n", cfg())
     assert time.perf_counter() - t0 < 1
-    identity, half, unit, growing, poly = report.results
+    identity, half, unit, growing, poly, minus, nilpotent, zero = report.results
     assert identity.line() == "[PROVED   ] assert_eval one on Hminus = I^100000"
     assert half.status == "Unknown"
-    assert half.detail == ("resource guard: scalar power (1/2)^100000 "
-                           "exceeds 4300 digits")
+    assert half.detail == "resource guard: value exceeds 4300 digits"
     assert unit.status == "Proved"
     for result in (growing, poly):
         assert result.status == "Unknown"
         assert result.detail.startswith("resource guard: ")
+    assert minus.detail == "Hminus: got [1,0;0,1], expected [-1,0;0,-1]"
+    assert nilpotent.detail == "Hminus: got [1,0;0,1], expected [0,0;0,0]"
+    assert zero.line() == ("[DISPROVED] assert_eval one on Mlambda = (0 l1)^5  "
+                           "(Mlambda: got 1, expected 0)")
+    # (E(1,1) + c E(1,2))^2 is itself, so rank 8 finishes at once as well.
+    t0 = time.perf_counter()
+    idempotent, = run_text("assert_eval one on Hminus = "
+                           f"(E(1,1) + {A} E(1,2))^{huge}\n",
+                           cfg(rank=8)).results
+    assert time.perf_counter() - t0 < 0.5
+    assert idempotent.status == "Disproved"
+    assert idempotent.detail.endswith(f"expected [1,{A},0,0,0,0,0,0;"
+                                      + ";".join(["0,0,0,0,0,0,0,0"] * 7) + "]")
 
 
 def test_power_digit_guard_reads_entries_in_lowest_terms():
@@ -258,13 +311,14 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys, text, col):
     (["verify", "{script}", "--slack", "1"], "--slack"),
     (["verify", "{script}", "--pairs", "omega"], "--pairs"),
     (["verify", "{script}", "--max-weight", "-1"], "--max-weight"),
+    (["verify", "{script}", "--max-weight", "15"], "--max-weight"),
     (["suite", "tables", "--pairs", "omega"], "--pairs"),
     (["verify", "{script}", "--cache-dir", "{script}/cache"], "cache directory"),
     (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
 ], ids=["missing-script", "degree-1", "degree-17", "tables-rank-1", "rank-0",
         "verify-rank-9", "suite-rank-9", "tables-rank-9",
         "unknown-negative-slack", "verify-slack", "verify-pairs",
-        "negative-max-weight", "suite-pairs",
+        "negative-max-weight", "max-weight-above-cap", "suite-pairs",
         "verify-cache-under-file", "suite-cache-under-file"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
