@@ -58,9 +58,6 @@ class LPoly:
         exp = tuple(1 if i == index - 1 else 0 for i in range(ell))
         return cls(ell, {exp: Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -93,12 +90,6 @@ class LPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -118,9 +109,6 @@ class LPoly:
         if not isinstance(other, LPoly):
             return NotImplemented
         return self.ell == other.ell and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ell, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         """Terms in the canonical order: graded, then lexicographic exponents."""

@@ -123,9 +123,6 @@ class FockVector:
             return NotImplemented
         return self.ell == other.ell and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ell, frozenset(self.terms.items())))
-
     def coeff(self, mono):
         return self.terms.get(mono, 0)
 
@@ -210,7 +207,8 @@ def basis(ell, weight, parity="all"):
     out = []
 
     def grow(mono, g0, n0, left):
-        # Extend mono by modes (g, n) >= (g0, n0) of total weight left.
+        # Extend mono by modes (g, n) >= (g0, n0) of total weight left, so
+        # the monomials come out in the order of mono_key.
         if not left:
             if len(mono) % 2 in keep:
                 out.append(mono)
@@ -220,4 +218,4 @@ def basis(ell, weight, parity="all"):
                 grow(mono + ((g, n),), g, n, left + n)
 
     grow((), 1, -weight, weight)
-    return sorted(out, key=mono_key)
+    return out

@@ -13,7 +13,8 @@ in expected values, on the right of ``assert_eval``), raw monomials like
 ``h1(-3)h1(-1)``, and rational literals.  ``*`` is the quotient product
 (left associative), ``^`` an integer product power, ``circ(x,y)`` /
 ``circn(x,y,n)`` the circle elements, and a literal juxtaposed before an
-atom is a tight scalar multiple.
+atom is a tight scalar multiple.  A script is always parsed at a rank, and
+every generator index must lie in 1..rank.
 
 Expressions nest at most ``MAX_NESTING`` = 100 levels, checked at parse
 time: parentheses, circle arguments and unary minus signs each open one,
@@ -22,9 +23,11 @@ deep), so parsing, realizing and formatting stay below the recursion limit.
 Integer literals, glued indices such as the 1 of ``w1`` included, have at
 most ``_MAX_DIGITS`` = 4300 digits, also checked at parse time.
 
-Realizing an expression keeps three guards, each raising ResourceWarning:
+Realizing an expression keeps four guards, each raising ResourceWarning:
 the weight cap ``zhu.MAX_WEIGHT_CAP``, checked on every product, power,
-circle and atom before it is computed; the digit bound ``_MAX_DIGITS`` on
+circle and atom before it is computed, and on the degree of every
+polynomial product; the bound ``_MAX_PAIRS`` on the term pairs of each
+polynomial product (:func:`_times`); the digit bound ``_MAX_DIGITS`` on
 each partial product of a power (:func:`_power`); and printability
 (:func:`printable`), checked where a value enters a report line.
 """
@@ -47,6 +50,8 @@ MAX_NESTING = 100
 # Python's default limit on the digits of an int converted to text.
 _MAX_DIGITS = 4300
 _PRINT_LIMIT = 10 ** _MAX_DIGITS
+# The most pairs of terms one polynomial product may multiply out.
+_MAX_PAIRS = 20000
 _TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
 
 
@@ -204,7 +209,7 @@ def _depth(expr):
 
 
 class _Parser:
-    def __init__(self, text, rank=None):
+    def __init__(self, text, rank):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.rank = rank
@@ -396,13 +401,11 @@ class _Parser:
         return Fraction(num, den)
 
     def index(self, tok=None):
-        """A generator index (the next token, or ``tok``), checked against
-        the rank when it is known."""
+        """A generator index in 1..rank: the next token, or ``tok``."""
         tok = tok or self.next()
         idx = self.integer("a generator index", tok)
-        if idx < 1 or (self.rank is not None and idx > self.rank):
-            bound = self.rank if self.rank is not None else "ell"
-            raise ScriptError(f"generator index {idx} out of range 1..{bound}",
+        if not 1 <= idx <= self.rank:
+            raise ScriptError(f"generator index {idx} out of range 1..{self.rank}",
                               tok.line, tok.col)
         return idx
 
@@ -454,13 +457,13 @@ class _Parser:
             tok = self.next()
 
 
-def parse_script(text, rank=None):
-    """Parse a script into statements; checks indices when rank is given."""
+def parse_script(text, rank):
+    """Parse a script into statements, with generator indices in 1..rank."""
     return _Parser(text, rank).parse_script()
 
 
-def parse_expr(text, rank=None):
-    """Parse a single main expression."""
+def parse_expr(text, rank):
+    """Parse a single main expression at the given rank."""
     p = _Parser(text, rank)
     expr = p.parse_expr()
     if p.peek().kind not in ("newline", "eof"):
@@ -517,28 +520,43 @@ def printable(act):
     return act
 
 
+def _degree(v):
+    """The degree of a polynomial, and 0 for any other value."""
+    return max(map(sum, v.terms), default=0) if isinstance(v, LPoly) else 0
+
+
+def _times(a, b):
+    """a * b, :func:`printable`.  A product of two polynomials with more
+    than ``_MAX_PAIRS`` pairs of terms raises ResourceWarning first."""
+    if isinstance(a, LPoly) and isinstance(b, LPoly):
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > _MAX_PAIRS:
+            raise ResourceWarning(f"polynomial product of {pairs} term pairs "
+                                  f"exceeds {_MAX_PAIRS}")
+    return printable(a * b)
+
+
 def _power(x, y, k):
     """x * y^k, for scalars and top-level actions, by repeated squaring.
 
-    Every partial product is :func:`printable`, and squaring stops once
-    y * y == y, so 0, +-1, the identity and other idempotents finish at
-    once, whatever k is.  A polynomial power whose degree exceeds
-    ``zhu.MAX_WEIGHT_CAP`` is refused first, as a product of that top
-    weight is in ``realize``: the Mlambda reading of a state of weight W
-    has degree at most W.
+    Every partial product goes through :func:`_times`, and squaring stops
+    once y * y == y, so 0, +-1, the identity and other idempotents finish
+    at once, whatever k is.  A polynomial result whose degree
+    deg x + k deg y exceeds ``zhu.MAX_WEIGHT_CAP`` is refused first, as a
+    product of that top weight is in ``realize``: the Mlambda reading of a
+    state of weight W has degree at most W.
     """
-    if isinstance(y, LPoly):
-        _guard("polynomial power", k * max(map(sum, y.terms), default=0))
+    _guard("polynomial product", _degree(x) + k * _degree(y))
     while True:
         if k & 1:
-            x = printable(x * y)
+            x = _times(x, y)
         k >>= 1
         if not k:
             return x
-        square = y * y
+        square = _times(y, y)
         if square == y:
-            return printable(x * y)
-        y = printable(square)
+            return _times(x, y)
+        y = square
 
 
 def realize(expr, rank):
@@ -580,9 +598,10 @@ def realize_expected(expr, fam, rank):
     """Turn an expected-value AST into a top-level action for a family.
 
     Every power and product goes through :func:`_power`, so a polynomial
-    power above the weight cap, or a partial power or product beyond
-    ``_MAX_DIGITS`` digits, raises ResourceWarning; sums are checked by
-    :func:`printable` only where a report prints them.
+    product above the weight cap or of more than ``_MAX_PAIRS`` term pairs,
+    or a partial power or product beyond ``_MAX_DIGITS`` digits, raises
+    ResourceWarning; sums are checked by :func:`printable` only where a
+    report prints them.
     """
     def leaf(e, fold):
         kind = e.kind if isinstance(e, Named) else None

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .coeffs import clear_denominators
-from .fock import VACUUM, FockVector, basis, mono_weight, single
+from .fock import VACUUM, FockVector, basis, make_monomial, mono_weight, single
 from .vertex import mode_component, vacuum_component, wick_sum
 
 FORMAT_VERSION = 5
@@ -133,9 +133,12 @@ def jgen(rank, a):
 
 
 def hgen(rank, a):
-    """The combination J_a + w_a - 4 w_a*w_a that kills highest-weight modules."""
-    w = omega(rank, a)
-    return jgen(rank, a) + w - 4 * star(w, w)
+    """The combination J_a + w_a - 4 w_a*w_a that kills highest-weight
+    modules.  The quartic parts of J_a and 4 w_a*w_a cancel, so it is
+    -7/2 h_a(-1)^2 - 8 h_a(-2)h_a(-1) - 6 h_a(-3)h_a(-1) + 3/2 h_a(-2)^2."""
+    return FockVector(rank, {make_monomial(rank, modes): c for modes, c in (
+        ([(a, -1)] * 2, Fraction(-7, 2)), ([(a, -2), (a, -1)], -8),
+        ([(a, -3), (a, -1)], -6), ([(a, -2)] * 2, Fraction(3, 2)))})
 
 
 def s_pair(rank, a, m, b, n):
@@ -143,49 +146,43 @@ def s_pair(rank, a, m, b, n):
     return single(rank, [(a, -m), (b, -n)])
 
 
-def _s_combo(rank, a, b, coeffs):
-    """Combination sum of c * h_a(-1) h_b(-m) over (m, c) pairs."""
-    out = FockVector.zero(rank)
-    for m, c in coeffs:
-        out = out + c * s_pair(rank, a, 1, b, m)
-    return out
-
-
-def _check_offdiag(rank, a, b, name):
+def _s_combo(rank, a, b, coeffs, name):
+    """The sum of c * h_a(-1) h_b(-m) over the (m, c) pairs, as one vector,
+    for distinct a and b in 1..rank; the errors name the generator ``name``."""
     if not (1 <= a <= rank and 1 <= b <= rank):
         raise ValueError(f"{name} index out of range 1..{rank}")
     if a == b:
         raise ValueError(f"{name} needs two distinct generator indices")
+    return FockVector(rank, {make_monomial(rank, [(a, -1), (b, -m)]): c
+                             for m, c in coeffs})
 
 
 def e_u(rank, a, b):
     """Matrix-unit candidate supported on the untwisted minus module."""
-    _check_offdiag(rank, a, b, "Eu")
-    return _s_combo(rank, a, b, [(2, 5), (3, 25), (4, 36), (5, 16)])
+    return _s_combo(rank, a, b, [(2, 5), (3, 25), (4, 36), (5, 16)], "Eu")
 
 
 def e_u_bar(rank, a, b):
     """Alternative representative of the same class as e_u(rank, a, b)."""
-    _check_offdiag(rank, a, b, "Eubar")
-    return _s_combo(rank, b, a, [(1, 1), (2, 14), (3, 41), (4, 44), (5, 16)])
+    return _s_combo(rank, b, a, [(1, 1), (2, 14), (3, 41), (4, 44), (5, 16)],
+                    "Eubar")
 
 
 def e_t(rank, a, b):
     """Matrix-unit candidate supported on the twisted minus module."""
-    _check_offdiag(rank, a, b, "Et")
-    return _s_combo(rank, a, b, [(2, -48), (3, -224), (4, -304), (5, -128)])
+    return _s_combo(rank, a, b, [(2, -48), (3, -224), (4, -304), (5, -128)],
+                    "Et")
 
 
 def e_t_bar(rank, a, b):
     """Alternative representative of the same class as e_t(rank, a, b)."""
-    _check_offdiag(rank, a, b, "Etbar")
-    return _s_combo(rank, b, a, [(2, -80), (3, -288), (4, -336), (5, -128)])
+    return _s_combo(rank, b, a, [(2, -80), (3, -288), (4, -336), (5, -128)],
+                    "Etbar")
 
 
 def lam(rank, a, b):
     """The central element seeing only the highest-weight family."""
-    _check_offdiag(rank, a, b, "Lam")
-    return _s_combo(rank, a, b, [(2, 45), (3, 190), (4, 240), (5, 96)])
+    return _s_combo(rank, a, b, [(2, 45), (3, 190), (4, 240), (5, 96)], "Lam")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +408,6 @@ class OSpanEchelon:
         return True
 
     # -- queries -----------------------------------------------------------
-
-    def rank(self):
-        return len(self.rows)
 
     def reduce(self, vec):
         """Exact normal form of a vector modulo the stored row space: one

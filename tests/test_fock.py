@@ -126,6 +126,8 @@ def test_basis_counts_match_generating_function(ell):
             assert len(monos) == _partition_count(ell, weight, parity)
             assert len(set(monos)) == len(monos)
             assert all(m == make_monomial(ell, m) for m in monos)
+            # The echelon's columns, and so its pivots, follow this order.
+            assert monos == sorted(monos, key=mono_key)
 
 
 def test_basis_parity_partition():

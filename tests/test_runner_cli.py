@@ -63,8 +63,9 @@ def test_out_of_range_matrix_unit_is_an_error():
     # Read as the zero matrix, E(3,3) at rank 2 would prove this false claim.
     with pytest.raises(ValueError, match="out of range"):
         Matrix.unit(2, 1, 3)
+    # Parsed at rank 3 and run at rank 2, so E(3,3) fails at run time.
     report = Runner(RunConfig(rank=2)).run(parse_script(
-        "assert_eval Eu(1,2) on Hminus = E(1,2) + E(3,3)"))
+        "assert_eval Eu(1,2) on Hminus = E(1,2) + E(3,3)", 3))
     assert report.results[0].status == "Error"
 
 
@@ -178,6 +179,34 @@ def test_powers_of_unit_scalars_beyond_a_float():
     assert identity.line() == f"[PROVED   ] assert_eval one on Hminus = I^{big}"
 
 
+SUM8 = "(" + " + ".join(f"l{i}" for i in range(1, 9)) + ")"
+
+
+@pytest.mark.parametrize("expected", ["l1^10 * l1^10", SUM8 + "^10",
+                                      SUM8 + "^16"],
+                         ids=["product-degree-20", "sum-power-10",
+                              "sum-power-16"])
+def test_polynomial_product_guards(expected):
+    # A polynomial product above the weight cap in degree, or of more term
+    # pairs than the pair bound, is refused before it is multiplied out.
+    t0 = time.perf_counter()
+    report = run_text(f"assert_eval one on Mlambda = {expected}", cfg(rank=8))
+    assert time.perf_counter() - t0 < 1
+    assert report.results[0].status == "Unknown"
+    assert report.results[0].detail.startswith("resource guard: ")
+
+
+def test_polynomial_products_within_the_guards():
+    # Degree 16 and a largest product of 11,880 term pairs still run.
+    report = run_text("assert_eval one on Mlambda = l1^8 * l1^8\n"
+                      f"assert_eval one on Mlambda = {SUM8}^6\n", cfg(rank=8))
+    square, sixth = report.results
+    assert square.detail == "Mlambda: got 1, expected l1^16"
+    assert sixth.status == "Disproved"
+    assert sixth.detail.startswith("Mlambda: got 1, expected l8^6 + 6*l7*l8^5")
+    assert sixth.detail.endswith(" + 6*l1^5*l2 + l1^6")
+
+
 def test_powers_in_expected_values():
     # Every base is raised by repeated squaring under the digit guard, and
     # squaring stops once the base is idempotent: 0, -1 I, I, a nilpotent
@@ -263,6 +292,19 @@ def test_cache_hits_counted(tmp_path):
     # The same window at another cutoff reads the same echelon.
     same_window = RunConfig(rank=1, max_weight=6, slack=0, cache_dir=str(tmp_path))
     assert Runner(same_window).run(stmts).cache_hits == 1
+
+
+def test_cache_hit_counted_once_per_echelon(tmp_path):
+    # One statement per run call on one Runner reads the cached echelon
+    # once, so the report counts one hit.
+    config = RunConfig(rank=1, max_weight=4, slack=2, cache_dir=str(tmp_path))
+    stmts = parse_script("assert_equiv circ(w1, one) ~ 0\n" * 4, 1)
+    Runner(config).run(stmts)
+    runner, report = Runner(config), Report(config)
+    for stmt in stmts:
+        runner.run([stmt], report)
+    assert [r.status for r in report.results] == ["Proved"] * 4
+    assert report.cache_hits == 1
 
 
 def test_cli_verify_and_exit_codes(tmp_path, capsys):

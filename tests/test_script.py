@@ -224,16 +224,16 @@ def test_expected_value_family_guards():
 
 def test_syntax_errors_carry_location():
     with pytest.raises(ScriptError) as err:
-        parse_script("assert_equiv w1 * ( ~ 0")
+        parse_script("assert_equiv w1 * ( ~ 0", 2)
     assert err.value.line == 1 and err.value.col >= 20
     with pytest.raises(ScriptError):
-        parse_script("assert_equiv w1 ~")
+        parse_script("assert_equiv w1 ~", 2)
     with pytest.raises(ScriptError):
-        parse_script("frobnicate w1")
+        parse_script("frobnicate w1", 2)
     with pytest.raises(ScriptError):
-        parse_script("assert_eval w1 on Nowhere = 0")
+        parse_script("assert_eval w1 on Nowhere = 0", 2)
     with pytest.raises(ScriptError):
-        parse_script("assert_rank [w1] = x")
+        parse_script("assert_rank [w1] = x", 2)
 
 
 @pytest.mark.parametrize("text", [
@@ -313,17 +313,16 @@ def test_index_errors():
         parse_script("assert_equiv w7 ~ 0", rank=2)
     with pytest.raises(ScriptError):
         parse_script("assert_equiv S(1,0;2,1) ~ 0", rank=2)
-    # Without a rank, only positivity is enforced at parse time.
-    parse_script("assert_equiv w7 ~ 0")
 
 
 def test_unexpected_trailing_tokens():
     with pytest.raises(ScriptError):
-        parse_script("assert_zero_eval w1 w2")
+        parse_script("assert_zero_eval w1 w2", 2)
     with pytest.raises(ScriptError):
         parse_expr("w1 )", 2)
 
 
 def test_comments_and_blank_lines():
-    stmts = parse_script("\n\n# nothing here\n  \nassert_zero_eval w1 - w1\n#tail\n")
+    stmts = parse_script("\n\n# nothing here\n  \nassert_zero_eval w1 - w1\n#tail\n",
+                         2)
     assert len(stmts) == 1

@@ -41,7 +41,8 @@ def _golden_cells(rank):
     for tnum, elements in GOLDEN.items():
         for label, row in elements.items():
             for fam, expected in row.items():
-                stmt, = parse_script(f"assert_eval {label} on {fam} = {expected}")
+                stmt, = parse_script(f"assert_eval {label} on {fam} = {expected}",
+                                     rank)
                 act = realize_expected(stmt.payload[2], fam, rank)
                 cells.append([str(tnum), label, fam, str(act)])
     return cells
