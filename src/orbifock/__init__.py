@@ -10,7 +10,7 @@ verification suites behind the ``orbifock`` command.
 
 from .coeffs import LPoly
 from .fock import FockVector, basis, make_monomial
-from .twisted import DeltaTable, apply_delta, delta_coefficients, twisted_zero_mode
+from .twisted import apply_delta, delta_coefficients, twisted_zero_mode
 from .vertex import mode_component
 from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                   e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
@@ -25,9 +25,8 @@ from .tables import emit_tables
 __version__ = "0.1.0"
 
 __all__ = [
-    "LPoly", "FockVector", "basis", "make_monomial", "DeltaTable",
-    "apply_delta", "delta_coefficients", "twisted_zero_mode",
-    "mode_component", "GeneratorPolicy",
+    "LPoly", "FockVector", "basis", "make_monomial", "apply_delta",
+    "delta_coefficients", "twisted_zero_mode", "mode_component", "GeneratorPolicy",
     "OSpanEchelon", "build_ospan", "circ_n", "e_t", "e_t_bar",
     "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
     "FAMILIES", "Matrix", "disprove_equiv", "evaluate", "evaluate_word",

@@ -120,7 +120,9 @@ def main(argv=None):
         if args.command == "tables":
             text = emit_tables(args.rank, args.format)
         else:
-            text = delta_coefficients(args.degree).to_text()
+            table = delta_coefficients(args.degree)
+            text = f"# delta table, degree {args.degree}\n" + "".join(
+                f"{m} {n} {table[m, n]}\n" for m, n in sorted(table))
     except ValueError as exc:
         parser.error(str(exc))
     sys.stdout.write(text)

@@ -174,22 +174,31 @@ def single(ell, modes, coeff=1):
     return FockVector.from_monomial(ell, make_monomial(ell, modes), coeff)
 
 
-def annihilate(terms, gen, n):
-    """Contract h_gen(n), n > 0, against a raw term dict; a fresh dict."""
+def annihilate(mono, gen, n):
+    """h_gen(n), n > 0, on one monomial: the pair (the monomial less one
+    factor h_gen(-n), n * multiplicity), or None without such a factor."""
     target = (gen, -n)
-    out = {}
-    for mono, c in terms.items():
-        mult = mono.count(target)
-        if not mult:
-            continue
-        idx = mono.index(target)
-        reduced = mono[:idx] + mono[idx + 1:]
-        add = out.get(reduced, 0) + c * (n * mult)
-        if add:
-            out[reduced] = add
-        else:
-            out.pop(reduced, None)
-    return out
+    mult = mono.count(target)
+    if not mult:
+        return None
+    idx = mono.index(target)
+    return mono[:idx] + mono[idx + 1:], n * mult
+
+
+def count_even(ell, window):
+    """How many even monomials weigh at most ``window``, without listing them:
+    with each mode marked by s, their generating function is the mean of
+    prod_{n >= 1} (1 - s t^n)^(-ell) at s = 1 and s = -1."""
+    total = 0
+    for s in (1, -1):
+        series = [1] + [0] * window
+        for n in range(1, window + 1):
+            for _ in range(ell):
+                # Multiply by 1 / (1 - s t^n), in place.
+                for k in range(n, window + 1):
+                    series[k] += s * series[k - n]
+        total += sum(series)
+    return total // 2
 
 
 def basis(ell, weight, parity="all"):

@@ -155,7 +155,7 @@ class Named:
 
 @dataclass(frozen=True)
 class Mono:
-    modes: tuple     # ((gen, Fraction index), ...)
+    modes: tuple     # ((gen, int index), ...)
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,7 @@ class _Parser:
             gen = self.index(Token("int", tok.text[1:], tok.line, tok.col))
             self.expect("(")
             self.expect("-")
-            modes.append((gen, -self.rational("a mode index")))
+            modes.append((gen, -self.integer("a positive mode depth", least=1)))
             self.expect(")")
             if self.atom_start(False) != "monomial" or self.peek(1).text != "(":
                 return Mono(tuple(modes))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .coeffs import LPoly, clear_denominators
@@ -56,38 +56,23 @@ FAMILIES = ("Hplus", "Hminus", "Mlambda", "Tplus", "Tminus")
 # Discriminating families first: this is the witness search order.
 WITNESS_ORDER = ("Hminus", "Mlambda", "Tminus", "Hplus", "Tplus")
 
-_MATRIX_FAMILIES = {"Hminus", "Tminus"}
-
 
 class Matrix:
     """An immutable square matrix of rationals, in the column convention.
 
-    The entries are held as integer numerators ``num`` (a tuple of int
-    rows) over one positive denominator ``den``, in lowest terms: the gcd
-    of ``den`` and every numerator is 1, so a zero matrix has ``den == 1``
-    and equal matrices have equal ``(den, num)``.  A product is integer dot
-    products and one gcd; ``rows`` gives the entries as Fractions.
+    ``Matrix(num, den)`` is the matrix of int rows ``num`` over a positive
+    int ``den``, reduced to lowest terms: the gcd of ``den`` and every
+    numerator is 1, so a zero matrix has ``den == 1`` and equal matrices
+    have equal ``(den, num)``.  A product is integer dot products and one
+    gcd; ``rows`` gives the entries as Fractions.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, rows):
-        rows = [[Fraction(v) for v in row] for row in rows]
-        # Over the lcm of the reduced denominators the numerators share no
-        # factor with it, so the pair is already in lowest terms.
-        den = lcm(1, *(v.denominator for row in rows for v in row))
-        self.num = tuple(tuple(v.numerator * (den // v.denominator)
-                               for v in row) for row in rows)
-        self.den = den
-
-    @classmethod
-    def _reduced(cls, num, den):
-        """The matrix num / den, for int rows ``num`` and ``den > 0``."""
+    def __init__(self, num, den=1):
         g = gcd(den, *chain.from_iterable(num))
-        out = cls.__new__(cls)
-        out.num = tuple(tuple(v // g for v in row) for row in num)
-        out.den = den // g
-        return out
+        self.num = tuple(tuple(v // g for v in row) for row in num)
+        self.den = den // g
 
     @classmethod
     def unit(cls, rank, a, b):
@@ -107,13 +92,11 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         d1, d2 = self.den, other.den
-        return Matrix._reduced([[a * d2 + b * d1 for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.num, other.num)],
-                               d1 * d2)
+        return Matrix([[a * d2 + b * d1 for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.num, other.num)], d1 * d2)
 
     def __neg__(self):
-        return Matrix._reduced([[-v for v in row] for row in self.num],
-                               self.den)
+        return Matrix([[-v for v in row] for row in self.num], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -124,13 +107,12 @@ class Matrix:
         """Composition (left-to-right word products) or a scalar multiple."""
         if isinstance(other, Matrix):
             cols = list(zip(*other.num))
-            return Matrix._reduced([[sum(map(mul, row, col)) for col in cols]
-                                    for row in self.num],
-                                   self.den * other.den)
+            return Matrix([[sum(map(mul, row, col)) for col in cols]
+                           for row in self.num], self.den * other.den)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
-            return Matrix._reduced([[n * v for v in row] for row in self.num],
-                                   self.den * other.denominator)
+            return Matrix([[n * v for v in row] for row in self.num],
+                          self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -153,7 +135,7 @@ class Matrix:
 
 def identity(fam, rank):
     """The action of the vacuum on the family's top level."""
-    if fam in _MATRIX_FAMILIES:
+    if fam in ("Hminus", "Tminus"):
         return Matrix([[int(i == j) for j in range(rank)] for i in range(rank)])
     if fam == "Mlambda":
         return LPoly.const(rank, 1)
@@ -228,7 +210,7 @@ def top_level_matrix(den, terms, rank, k):
         num[i][i] = diag << top
     for i, j, x, s in reached:
         num[i][j] += x << (top - s)
-    return Matrix._reduced(num, den << top)
+    return Matrix(num, den << top)
 
 
 def evaluate(u, fam):

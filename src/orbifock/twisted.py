@@ -31,7 +31,7 @@ the h_j(-1/2)|0>_tw read remainders of at most two factors.  So
 :func:`apply_delta` can stop at remainders of ``keep`` factors, and
 :func:`twisted_zero_mode`, the Tplus reading, keeps none.
 
-The expansion runs in integers under one common denominator.  The table
+The expansion runs in integers over one denominator: :func:`delta_table`
 holds each pair weight as an integer P_pq = D * 2 c_pq p q, where D is the
 lcm of the weights' denominators.  A matching of k pairs then weighs
 (product of its P) / D^k, and k = (len(mono) - len(remainder)) / 2 is
@@ -52,57 +52,33 @@ from .coeffs import clear_denominators
 from .vertex import d_coeff
 
 
-class DeltaTable:
-    """Exact coefficients c_mn for 1 <= m, n and m + n <= max_degree.
-
-    ``entries`` maps (m, n) to c_mn.  The expansion reads the integer pair
-    weights ``pairs[m, n] = scale * 2 c_mn m n`` instead, computed once
-    here, with ``scale`` the lcm of the denominators of the 2 c_mn m n: a
-    product of k pair weights over ``scale**k`` is the exact rational
-    weight of those k pairs (module docstring).
-    """
-
-    __slots__ = ("max_degree", "entries", "scale", "pairs")
-
-    def __init__(self, max_degree, entries):
-        self.max_degree = max_degree
-        self.entries = dict(entries)
-        for (m, n), c in self.entries.items():
-            if self.entries.get((n, m)) != c:
-                raise ValueError(f"asymmetric table entry at ({m},{n})")
-        weights = {mn: Fraction(2 * c * mn[0] * mn[1])
-                   for mn, c in self.entries.items() if c}
-        self.scale = lcm(1, *(w.denominator for w in weights.values()))
-        self.pairs = {mn: int(w * self.scale) for mn, w in weights.items()}
-
-    def to_text(self):
-        lines = [f"# delta table, degree {self.max_degree}"]
-        for (m, n) in sorted(self.entries):
-            lines.append(f"{m} {n} {self.entries[m, n]}")
-        return "\n".join(lines) + "\n"
-
-
 def delta_coefficients(max_degree):
-    """The correction table from the closed form of ``c_mn``."""
+    """The correction table {(m, n): c_mn} for 1 <= m, n and
+    m + n <= max_degree, from the closed form of ``c_mn``."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     binom = [d_coeff(Fraction(-1, 2), k + 1) for k in range(max_degree)]
-    return DeltaTable(max_degree, {
-        (m, n): binom[m] * binom[n] / (2 * (m + n))
-        for m in range(1, max_degree) for n in range(1, max_degree + 1 - m)})
+    return {(m, n): binom[m] * binom[n] / (2 * (m + n))
+            for m in range(1, max_degree) for n in range(1, max_degree + 1 - m)}
 
 
-# The largest table built so far; a table serves every smaller degree.
-_largest = None
+_largest = None  # (degree, (scale, pairs)) of the largest table built so far
 
 
 def delta_table(degree):
-    """A shared table of degree at least ``degree`` (and at least 2)."""
+    """The shared ``(scale, pairs)`` of the largest table built so far, of
+    degree at least ``degree`` (and 2): ``pairs[m, n] = scale * 2 c_mn m n``
+    with ``scale`` the lcm of their denominators (module docstring).
+    """
     global _largest
     degree = max(2, degree)
-    if _largest is None or degree > _largest.max_degree:
-        _largest = delta_coefficients(degree)
-    return _largest
+    if _largest is None or degree > _largest[0]:
+        weights = {(m, n): Fraction(2 * c * m * n)
+                   for (m, n), c in delta_coefficients(degree).items()}
+        scale = lcm(1, *(w.denominator for w in weights.values()))
+        _largest = degree, (scale, {mn: int(w * scale)
+                                    for mn, w in weights.items()})
+    return _largest[1]
 
 
 def _matchings(modes, pairs, keep, memo):
@@ -150,21 +126,21 @@ def apply_delta(v, keep=None):
     positive int ``den`` (module docstring), and ``terms`` maps each
     remainder to its nonzero int numerator over ``den``.
     """
-    table = delta_table(v.max_weight())
+    scale, pairs = delta_table(v.max_weight())
     longest = max(map(len, v.terms), default=0)
     if keep is None:
         keep = longest
     den, scaled = clear_denominators(v.terms)
     top = longest // 2
     # lift[k]: a matching of k pairs, lifted to the common power scale**top.
-    lift = [table.scale ** (top - k) for k in range(top + 1)]
+    lift = [scale ** (top - k) for k in range(top + 1)]
     memo = {}
     terms = {}
     for mono, c in scaled.items():
         partial = {(): c}
         for gen, factors in groupby(mono, key=itemgetter(0)):
             matched = _matchings(tuple(-n for _, n in factors),
-                                 table.pairs, keep, memo)
+                                 pairs, keep, memo)
             partial = {head + tuple((gen, -n) for n in rem): w * coeff
                        for head, coeff in partial.items()
                        for rem, w in matched.items()
@@ -172,7 +148,7 @@ def apply_delta(v, keep=None):
         for rem, coeff in partial.items():
             coeff *= lift[(len(mono) - len(rem)) // 2]
             terms[rem] = terms.get(rem, 0) + coeff
-    return den * table.scale ** top, {rem: c for rem, c in terms.items() if c}
+    return den * scale ** top, {rem: c for rem, c in terms.items() if c}
 
 
 def twisted_zero_mode(v):

@@ -132,13 +132,12 @@ def wick_sum(mono, shift, tmono):
     # the other factor h_h(-ph) creates h_h(k) with k = s0 + i - n <= -ph.
     for g, pg, h, ph in ((b, r, a, p), (a, p, b, r)):
         for n in {-m for g2, m in tmono if g2 == g}:
-            reduced = annihilate({tmono: d_coeff(n, pg)}, g, n)
+            red, x = annihilate(tmono, g, n)
+            x *= d_coeff(n, pg)
             for i in range(min(w, pg + n + shift - 1) + 1):
                 k = s0 + i - n
-                c = comb(w, i) * d_coeff(k, ph)
-                for red, x in reduced.items():
-                    m = tuple(sorted((*red, (h, k))))
-                    out[m] = out.get(m, 0) + c * x
+                m = tuple(sorted((*red, (h, k))))
+                out[m] = out.get(m, 0) + comb(w, i) * d_coeff(k, ph) * x
     return {m: c for m, c in out.items() if c}
 
 
@@ -170,10 +169,10 @@ def _component(mono, q, tmono, memo):
     # h_g(i) t, i >= 1, contracts a factor h_g(-i) of t; h_g(0) kills t.
     sign = -1 if n % 2 == 0 else 1
     for i in {-m for h, m in tmono if h == g}:
-        c = sign * comb(n + i - 1, i)
-        for reduced, y in annihilate({tmono: 1}, g, i).items():
-            for wmono, x in _component(w, q - n - i, reduced, memo).items():
-                out[wmono] = out.get(wmono, 0) + c * y * x
+        reduced, y = annihilate(tmono, g, i)
+        c = sign * comb(n + i - 1, i) * y
+        for wmono, x in _component(w, q - n - i, reduced, memo).items():
+            out[wmono] = out.get(wmono, 0) + c * x
     memo[key] = out
     return out
 

@@ -27,14 +27,17 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .coeffs import clear_denominators
-from .fock import VACUUM, FockVector, basis, make_monomial, mono_weight, single
+from .fock import (VACUUM, FockVector, basis, count_even, make_monomial,
+                   mono_weight, single)
 from .vertex import mode_component, vacuum_component, wick_sum
 
 FORMAT_VERSION = 5
 
-# Hard resource guard: echelons and realized products above this weight are
+# Hard resource guards: echelons and realized products above this weight, and
+# echelons of more columns (``verify --rank 8`` at window 10 has 340,512), are
 # refused, not attempted.
 MAX_WEIGHT_CAP = 16
+MAX_COLUMNS = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +369,15 @@ class OSpanEchelon:
     Because no row touches another's pivot column, reducing a vector makes
     one subtraction per pivot column of the vector, and none of them brings
     in another pivot column: :func:`_eliminate`, which :meth:`insert` and
-    :meth:`reduce` share.
+    :meth:`reduce` share.  More than ``MAX_COLUMNS`` columns raise
+    ResourceWarning before they are listed.
     """
 
     def __init__(self, ell, window, policy):
+        ncols = count_even(ell, window)
+        if ncols > MAX_COLUMNS:
+            raise ResourceWarning(f"echelon of {ncols} columns at rank {ell}, "
+                                  f"window {window} exceeds {MAX_COLUMNS}")
         self.ell = ell
         self.window = window
         self.policy = policy

@@ -62,7 +62,13 @@ def apply_mode(gen, n, vec, hw=None):
         if hw == SYMBOLIC:
             return vec.scale(LPoly.unit(ell, gen))
         return vec.scale(hw[gen - 1])
-    return FockVector(ell, annihilate(vec.terms, gen, n))
+    terms = {}
+    for mono, c in vec.terms.items():
+        hit = annihilate(mono, gen, n)
+        if hit:
+            reduced, x = hit
+            terms[reduced] = terms.get(reduced, 0) + c * x
+    return FockVector(ell, terms)
 
 
 def virasoro(a, n, v):
@@ -83,7 +89,7 @@ def reference_delta(v, table):
         k += 1
         nxt = {}
         for s, w in frontier.items():
-            for (m, n), c in table.entries.items():
+            for (m, n), c in table.items():
                 for i in range(1, v.ell + 1):
                     dw = apply_mode(i, m, apply_mode(i, n, w))
                     if dw:
@@ -149,20 +155,21 @@ def wick_component(mono, q, tmono):
         k = s - l
         if k == 0 or -p < k < 0:
             continue
-        c = d_coeff(k, p) * d_coeff(l, r)
-        for reduced, x in annihilate({tmono: c}, b, l).items():
-            if k < 0:
-                add(tuple(sorted((*reduced, (a, k)))), x)
-            else:
-                for both, y in annihilate({reduced: x}, a, k).items():
-                    add(both, y)
+        reduced, x = annihilate(tmono, b, l)
+        x *= d_coeff(k, p) * d_coeff(l, r)
+        if k < 0:
+            add(tuple(sorted((*reduced, (a, k)))), x)
+        else:
+            both = annihilate(reduced, a, k)
+            if both:
+                add(both[0], x * both[1])
     # h_a(k), k >= 1, contracts a factor of tmono while h_b(l) creates.
     for k in {-m for g, m in tmono if g == a}:
         l = s - k
         if l <= -r:
-            c = d_coeff(k, p) * d_coeff(l, r)
-            for reduced, x in annihilate({tmono: c}, a, k).items():
-                add(tuple(sorted((*reduced, (b, l)))), x)
+            reduced, x = annihilate(tmono, a, k)
+            add(tuple(sorted((*reduced, (b, l)))),
+                x * d_coeff(k, p) * d_coeff(l, r))
     return out
 
 

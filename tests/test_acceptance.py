@@ -166,9 +166,9 @@ def test_criterion_5_final_relations(capsys):
 def test_criterion_6_twisted_engine(capsys):
     t0 = time.time()
     table = delta_coefficients(16)
-    for (m, n), c in table.entries.items():
-        assert table.entries[n, m] == c
-    assert table.entries[1, 1] == F(1, 16)
+    for (m, n), c in table.items():
+        assert table[n, m] == c
+    assert table[1, 1] == F(1, 16)
     for ell in (1, 2, 3):
         om = FockVector.zero(ell)
         for a in range(1, ell + 1):

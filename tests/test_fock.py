@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from mode_oracle import apply_mode, delta_terms
-from orbifock.fock import FockVector, basis, make_monomial, mono_key, single
+from orbifock.fock import (FockVector, basis, count_even, make_monomial,
+                          mono_key, single)
 from orbifock.zhu import omega
 
 F = Fraction
@@ -128,6 +129,19 @@ def test_basis_counts_match_generating_function(ell):
             assert all(m == make_monomial(ell, m) for m in monos)
             # The echelon's columns, and so its pivots, follow this order.
             assert monos == sorted(monos, key=mono_key)
+
+
+def test_count_even_matches_basis():
+    for ell in (1, 2, 3, 4):
+        total = 0
+        for window in range(0, 11):
+            total += len(basis(ell, window, "even"))
+            assert count_even(ell, window) == total
+    # Echelon column counts at larger ranks and windows.
+    assert [count_even(4, w) for w in (10, 12, 16)] == [10098, 37595, 406826]
+    assert [count_even(5, w) for w in (10, 12, 16)] == [28917, 124182, 1744053]
+    assert [count_even(8, w) for w in (10, 12, 16)] == [340512, 2062718,
+                                                        54406122]
 
 
 def test_basis_parity_partition():

@@ -1,7 +1,9 @@
 """Runner semantics, report determinism, and the command-line interface."""
 
+import hashlib
 import json
 import os
+import re
 import time
 from fractions import Fraction
 
@@ -9,8 +11,9 @@ import pytest
 
 from orbifock.cli import main
 from orbifock.runner import MAX_WEIGHT_CAP, Report, RunConfig, Runner, run_text
-from orbifock.script import parse_script
+from orbifock.script import ScriptError, parse_script
 from orbifock.toplevel import Matrix
+from orbifock.zhu import GeneratorPolicy
 
 
 def cfg(rank=2, max_weight=6, slack=2):
@@ -52,11 +55,12 @@ def test_eval_and_rank_and_zero_eval():
 
 
 def test_error_status_for_bad_realization():
-    # Twisted-module modes do not act on the vacuum module.
-    report = run_text("assert_zero_eval h1(-1/2)h1(-1/2)", cfg())
-    assert report.results[0].status == "Error"
-    assert "mode index -1/2 is not an integer" in report.results[0].detail
-    assert report.passed() is False
+    # Twisted-module modes do not act on the vacuum module, and h(0) kills
+    # it: a mode depth is a positive integer, checked when parsing.
+    with pytest.raises(ScriptError, match="expected '\\)', found '/'"):
+        parse_script("assert_zero_eval h1(-1/2)h1(-1/2)", 2)
+    with pytest.raises(ScriptError, match="expected a positive mode depth"):
+        parse_script("assert_zero_eval h1(-0)h1(-1)", 2)
 
 
 def test_out_of_range_matrix_unit_is_an_error():
@@ -100,6 +104,33 @@ def test_realize_resource_guard_reports_unknown(expr):
     assert time.perf_counter() - t0 < 0.5
     assert report.results[0].status == "Unknown"
     assert report.results[0].detail.startswith("resource guard: ")
+
+
+def test_oversized_echelon_reports_unknown():
+    # verify --rank 8 --max-weight 14 asks for window 16: 54,406,122 columns.
+    t0 = time.perf_counter()
+    report = run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)",
+                      cfg(rank=8, max_weight=14))
+    assert time.perf_counter() - t0 < 1
+    assert report.results[0].status == "Unknown"
+    assert report.results[0].detail.startswith("resource guard: ")
+
+
+def test_missing_certificate_stays_unknown():
+    # Without J_1 the rank-1 span at window 10 misses this circle, and the
+    # runner never upgrades the Unknown; under "all" it is Proved.
+    text = "assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0"
+    lines = {}
+    for pairs in ("omega", "all"):
+        config = RunConfig(rank=1, max_weight=10, slack=0,
+                           policy=GeneratorPolicy(pairs=pairs), cache_dir=None)
+        lines[pairs] = run_text(text, config).results[0].line()
+    assert lines["omega"] == (
+        "[UNKNOWN  ] assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0  (no certificate "
+        "at cutoff 10 (slack 0); no disproof found)")
+    assert lines["all"] == (
+        "[PROVED   ] assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0  "
+        "(circle-span certificate at cutoff 10)")
 
 
 def test_realize_resource_guard_admits_weight_15():
@@ -357,19 +388,30 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys, text, col):
     (["suite", "tables", "--pairs", "omega"], "--pairs"),
     (["verify", "{script}", "--cache-dir", "{script}/cache"], "cache directory"),
     (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
+    (["verify", "{half}"], "expected ')', found '/'"),
+    (["verify", "{zero}"], "expected a positive mode depth"),
 ], ids=["missing-script", "degree-1", "degree-17", "tables-rank-1", "rank-0",
         "verify-rank-9", "suite-rank-9", "tables-rank-9",
         "unknown-negative-slack", "verify-slack", "verify-pairs",
         "negative-max-weight", "max-weight-above-cap", "suite-pairs",
-        "verify-cache-under-file", "suite-cache-under-file"])
+        "verify-cache-under-file", "suite-cache-under-file",
+        "half-integer-mode", "zero-mode"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("assert_eval w1 on Tplus = 1/16\n")
-    argv = [a.format(script=script, missing=tmp_path / "missing.txt")
+    half = tmp_path / "half.txt"
+    half.write_text("assert_zero_eval h1(-1/2)h1(-1)\n")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("assert_zero_eval h1(-0)h1(-1)\n")
+    argv = [a.format(script=script, missing=tmp_path / "missing.txt",
+                     half=half, zero=zero)
             for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # Usage errors exit from the argument parser; script errors return 2.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -430,6 +472,28 @@ def test_cli_tables_and_delta(capsys):
     assert main(["delta-table", "--degree", "6"]) == 0
     out = capsys.readouterr().out
     assert "1 1 1/16" in out
+
+
+def test_cli_delta_table_text(capsys):
+    assert main(["delta-table", "--degree", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "# delta table, degree 4\n1 1 1/16\n1 2 -1/32\n1 3 5/256\n"
+        "2 1 -1/32\n2 2 9/512\n3 1 5/256\n")
+    assert main(["delta-table", "--degree", "16"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("671f36fa12299f864392467070733e703a3ce4952005954ce6fe7"
+                      "ced2bedcb77")
+
+
+def test_cli_timing_lines(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text("assert_eval w1 on Tplus = 1/16\nassert_equiv w1 ~ 0\n")
+    assert main(["verify", str(script), "--rank", "1", "--timing"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\[PROVED   \] assert_eval w1 on Tplus = 1/16"
+                        r"  \[\d+ ms\]", lines[1])
+    assert re.fullmatch(r"\[DISPROVED\] assert_equiv w1 ~ 0  \(.+\)"
+                        r"  \[\d+ ms\]", lines[2])
 
 
 def test_cli_suite_smoke(capsys):

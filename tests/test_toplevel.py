@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -188,6 +188,12 @@ def _random_rational_matrix(rng, rank):
             for _ in range(rank)]
 
 
+def _exact(rows):
+    """The Matrix of rational rows, over the lcm of their denominators."""
+    den = lcm(1, *(F(v).denominator for row in rows for v in row))
+    return Matrix([[int(v * den) for v in row] for row in rows], den)
+
+
 def _assert_canonical(m):
     assert m.den > 0
     assert gcd(m.den, *(v for row in m.num for v in row)) == 1
@@ -203,7 +209,7 @@ def test_matrix_matches_fraction_reference(rank):
     scalars = [3, -2, F(5, 6), 0, F(-7, 4), F(-1, 10 ** 20)]
     for _ in range(60):
         left, right = (_random_rational_matrix(rng, rank) for _ in range(2))
-        a, b = Matrix(left), Matrix(right)
+        a, b = _exact(left), _exact(right)
         fa, fb = FractionMatrix(left), FractionMatrix(right)
         k = rng.choice(scalars)
         pairs = [(a, fa), (b, fb), (a + b, fa + fb), (a - b, fa - fb),
@@ -215,11 +221,13 @@ def test_matrix_matches_fraction_reference(rank):
             assert str(m) == str(f)
             assert m.rows == f.rows
             assert bool(m) == bool(f)
-            assert m == Matrix(f.rows)
+            assert m == _exact(f.rows)
         for (m1, f1), (m2, f2) in zip(pairs, pairs[1:] + pairs[:1]):
             assert (m1 == m2) == (f1 == f2)
-    assert Matrix([[F(1, 2)]]) * 2 == Matrix([[1]])
-    assert Matrix([[F(1, 2)]]) * 2 != Matrix([[F(1, 2)]])
+    assert _exact([[F(1, 2)]]) * 2 == Matrix([[1]])
+    assert _exact([[F(1, 2)]]) * 2 != _exact([[F(1, 2)]])
+    assert Matrix([[2, -4], [0, 6]], 6) == Matrix([[1, -2], [0, 3]], 3)
+    assert Matrix([[0, 0], [0, 0]], 5).den == 1
     assert Matrix.__slots__ == ("num", "den")
 
 

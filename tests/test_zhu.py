@@ -12,7 +12,7 @@ import pytest
 from mode_oracle import (fraction_rank, fraction_reduce, reference_product,
                          virasoro)
 from orbifock import zhu
-from orbifock.fock import FockVector, basis, single
+from orbifock.fock import FockVector, basis, count_even, single
 from orbifock.vertex import mode_component
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                           e_t, e_t_bar, e_u, e_u_bar, exact_rank, hgen, jgen, lam,
@@ -190,6 +190,25 @@ def test_reduce_weight_guard(echelon1):
         echelon1.reduce(heavy)
     with pytest.raises(ValueError):
         echelon1.reduce(single(1, [(1, -1)]))
+
+
+def test_window_guards():
+    with pytest.raises(ValueError, match="window must be nonnegative"):
+        build_ospan(1, -1)
+    small = OSpanEchelon(1, 4, GeneratorPolicy())
+    with pytest.raises(ValueError, match="exceeds the echelon's weight window"):
+        small.insert(single(1, [(1, -3)] * 2))
+    assert not small.rows
+
+
+def test_oversized_echelon_refused_before_listing():
+    # The default verify --rank 8 (window 10) fits; rank 8 at window 16 would
+    # list 54,406,122 columns.
+    assert count_even(8, 10) <= zhu.MAX_COLUMNS
+    with pytest.raises(ResourceWarning, match="54406122 columns"):
+        OSpanEchelon(8, 16, GeneratorPolicy())
+    with pytest.raises(ResourceWarning):
+        OSpanEchelon(4, 16, GeneratorPolicy())
 
 
 def test_reduce_then_count_consistency():
