@@ -27,6 +27,27 @@ def clear_denominators(terms):
     return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
 
 
+def format_sum(terms):
+    """The text of a sum of (coefficient text, factor text) terms: a unit
+    coefficient prints as its sign, an empty factor as a bare coefficient."""
+    parts = []
+    for cs, factor in terms:
+        if not factor:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(factor)
+        elif cs == "-1":
+            parts.append("-" + factor)
+        else:
+            parts.append(f"{cs}*{factor}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 def _clean(terms):
     return {e: c for e, c in terms.items() if c}
 
@@ -115,28 +136,12 @@ class LPoly:
         return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for exp, coeff in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(f"l{i + 1}")
-                elif e > 1:
-                    factors.append(f"l{i + 1}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            elif coeff == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(coeff) + "*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            factors = [f"l{i + 1}" if e == 1 else f"l{i + 1}^{e}"
+                       for i, e in enumerate(exp) if e]
+            terms.append((str(coeff), "*".join(factors)))
+        return format_sum(terms)
 
     __repr__ = __str__
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import LPoly
+from .coeffs import LPoly, format_sum
 
 # A monomial is a tuple of (gen, n) pairs; the vacuum is the empty tuple.
 VACUUM = ()
@@ -146,25 +146,13 @@ class FockVector:
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for mono, c in self.sorted_terms():
             cs = str(c)
             if isinstance(c, LPoly) and len(c.terms) > 1:
                 cs = f"({cs})"
-            if cs == "1" and mono:
-                parts.append(format_monomial(mono))
-            elif cs == "-1" and mono:
-                parts.append("-" + format_monomial(mono))
-            elif mono:
-                parts.append(f"{cs}*{format_monomial(mono)}")
-            else:
-                parts.append(cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            terms.append((cs, format_monomial(mono) if mono else ""))
+        return format_sum(terms)
 
     __repr__ = __str__
 

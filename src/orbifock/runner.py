@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import script as dsl
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
-from .zhu import DEFAULT_POLICY, MAX_WEIGHT_CAP, build_ospan
+from .zhu import DEFAULT_POLICY, build_ospan
 
 CACHE_ENV = "ORBIFOCK_CACHE_DIR"
 
@@ -117,11 +117,8 @@ class Runner:
             if cfg.max_weight < 0 or cfg.slack < 0:
                 raise ValueError(f"max_weight and slack must be nonnegative, "
                                  f"got {cfg.max_weight} and {cfg.slack}")
-            window = cfg.max_weight + cfg.slack
-            if window > MAX_WEIGHT_CAP:
-                raise ResourceWarning(f"max_weight+slack {window} exceeds the "
-                                      f"resource guard {MAX_WEIGHT_CAP}")
-            self._echelon = build_ospan(cfg.rank, window, policy=cfg.policy,
+            self._echelon = build_ospan(cfg.rank, cfg.max_weight + cfg.slack,
+                                        policy=cfg.policy,
                                         cache_dir=cfg.cache_dir)
         return self._echelon
 

@@ -9,7 +9,8 @@ Scripts are plain text, one statement per line, ``#`` comments::
 
 Expression atoms are the names listed in the ``_ATOMS`` table, such as
 ``w1``, ``Eu(2,3)`` and ``S(a,m;b,n)`` (``I``, ``l1`` and ``E(a,b)`` only
-in expected values, on the right of ``assert_eval``), raw monomials like
+in expected values, on the right of ``assert_eval``: ``l1`` on Mlambda and
+``E(a,b)`` on Hminus and Tminus, checked at parse time), raw monomials like
 ``h1(-3)h1(-1)``, and rational literals.  ``*`` is the quotient product
 (left associative), ``^`` an integer product power, ``circ(x,y)`` /
 ``circn(x,y,n)`` the circle elements, and a literal juxtaposed before an
@@ -41,7 +42,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 
 from .coeffs import LPoly
-from .fock import FockVector, make_monomial
+from .fock import FockVector, format_monomial, make_monomial
 from .toplevel import FAMILIES, Matrix, _entries, identity
 from . import zhu
 
@@ -116,29 +117,32 @@ class Num:
     value: Fraction
 
 
-# Every named atom: name -> (argument shape, True if the atom belongs only
-# in expected values).  Each letter of a shape is one argument: i, j and
-# the distinct pair a, b are generator indices, m and n positive mode
-# depths; a bare "i" is glued to the name (w1), other characters are
-# literal.
+# Every named atom: name -> (argument shape, the families whose expected
+# values it may appear in, or None for a state).  Each letter of a shape is
+# one argument: i, j and the distinct pair a, b are generator indices, m
+# and n positive mode depths; a bare "i" is glued to the name (w1), other
+# characters are literal.
 _ATOMS = {
-    "one": ("", False), "I": ("", True),
-    "w": ("i", False), "J": ("i", False), "H": ("i", False), "l": ("i", True),
-    "Eu": ("(a,b)", False), "Eubar": ("(a,b)", False), "Et": ("(a,b)", False),
-    "Etbar": ("(a,b)", False), "Lam": ("(a,b)", False),
-    "E": ("(i,j)", True),
-    "S": ("(i,m;j,n)", False),
+    "one": ("", None), "I": ("", FAMILIES),
+    "w": ("i", None), "J": ("i", None), "H": ("i", None),
+    "l": ("i", ("Mlambda",)),
+    "Eu": ("(a,b)", None), "Eubar": ("(a,b)", None), "Et": ("(a,b)", None),
+    "Etbar": ("(a,b)", None), "Lam": ("(a,b)", None),
+    "E": ("(i,j)", ("Hminus", "Tminus")),
+    "S": ("(i,m;j,n)", None),
 }
 
 
 @lru_cache(maxsize=1024)
-def _lookup(name, expected):
-    """(kind, glued index digits) of an atom name valid in expected values
-    or in main expressions, or None."""
+def _lookup(name, family):
+    """(kind, glued index digits) of an atom name, or None: a state atom in
+    a main expression (``family`` None), an expected-value atom in the
+    expected value of a family."""
     m = re.fullmatch(r"([A-Za-z]+?)(\d*)", name)
     if m and m[1] in _ATOMS:
-        shape, only_expected = _ATOMS[m[1]]
-        if only_expected == expected and (shape == "i") == bool(m[2]):
+        shape, families = _ATOMS[m[1]]
+        if ((families is None) == (family is None)
+                and (shape == "i") == bool(m[2])):
             return m.groups()
     return None
 
@@ -272,7 +276,7 @@ class _Parser:
             if fam.text not in FAMILIES:
                 raise ScriptError(f"unknown family {fam.text!r}", fam.line, fam.col)
             self.expect("=")
-            expected = self.parse_expr(expected=True)
+            expected = self.parse_expr(family=fam.text)
             return Statement("eval", (expr, fam.text, expected), tok.line, tok.col)
         if tok.text == "assert_rank":
             self.expect("[")
@@ -290,13 +294,14 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self, expected=False):
+    def parse_expr(self, family=None):
+        """A main expression, or with ``family`` an expected value of it."""
         start = self.peek()
         self.enter()
-        left = self.parse_term(expected)
+        left = self.parse_term(family)
         while self.peek().text in ("+", "-") and self.peek().kind == "punct":
             op = self.next().text
-            right = self.parse_term(expected)
+            right = self.parse_term(family)
             left = Bin(op, left, right)
         self.level -= 1
         # The outermost expression checks its whole tree.
@@ -304,37 +309,37 @@ class _Parser:
             raise ScriptError(_TOO_DEEP, start.line, start.col)
         return left
 
-    def parse_term(self, expected):
-        left = self.parse_factor(expected)
+    def parse_term(self, family):
+        left = self.parse_factor(family)
         while self.peek().text == "*":
             self.next()
-            right = self.parse_factor(expected)
+            right = self.parse_factor(family)
             left = Bin("*", left, right)
         return left
 
-    def parse_factor(self, expected):
+    def parse_factor(self, family):
         tok = self.peek()
         if tok.text == "-":
             self.next()
             self.enter()
-            arg = self.parse_factor(expected)
+            arg = self.parse_factor(family)
             self.level -= 1
             return Neg(arg)
         if tok.kind == "int":
             value = self.rational("a number")
-            if self.atom_start(expected):
-                return Scale(value, self.parse_power(expected))
+            if self.atom_start(family):
+                return Scale(value, self.parse_power(family))
             return Num(value)
-        return self.parse_power(expected)
+        return self.parse_power(family)
 
-    def parse_power(self, expected):
-        base = self.parse_atom(expected)
+    def parse_power(self, family):
+        base = self.parse_atom(family)
         if self.peek().text == "^":
             self.next()
             return Pow(base, self.integer("an integer exponent"))
         return base
 
-    def atom_start(self, expected):
+    def atom_start(self, family):
         """What the next token starts: a "group", a "circle", a "monomial", a
         "named" atom or None.  Circles and monomials occur only in main
         expressions."""
@@ -343,9 +348,9 @@ class _Parser:
             return "group"
         if tok.kind != "name":
             return None
-        if _lookup(tok.text, expected):
+        if _lookup(tok.text, family):
             return "named"
-        if expected:
+        if family:
             return None
         if tok.text in ("circ", "circn"):
             return "circle"
@@ -353,21 +358,21 @@ class _Parser:
             return "monomial"
         return None
 
-    def parse_atom(self, expected):
+    def parse_atom(self, family):
         tok = self.peek()
-        start = self.atom_start(expected)
+        start = self.atom_start(family)
         if tok.kind != "name" and start is None:
             self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
         self.next()
         if start == "group":
-            inner = self.parse_expr(expected)
+            inner = self.parse_expr(family)
             self.expect(")")
             return inner
         if start == "circle":
             return self.parse_circle(tok.text)
         if start == "monomial":
             return self.parse_monomial(tok)
-        return self.parse_named(tok, expected)
+        return self.parse_named(tok, family)
 
     # -- literals ------------------------------------------------------------
 
@@ -411,13 +416,18 @@ class _Parser:
 
     # -- atoms ---------------------------------------------------------------
 
-    def parse_named(self, tok, expected):
-        found = _lookup(tok.text, expected)
+    def parse_named(self, tok, family):
+        found = _lookup(tok.text, family)
         if found is None:
-            where = " in an expected value" if expected else ""
+            where = " in an expected value" if family else ""
             raise ScriptError(f"unknown name {tok.text!r}{where}", tok.line, tok.col)
         kind, digits = found
-        shape = _ATOMS[kind][0]
+        shape, families = _ATOMS[kind]
+        if families and family not in families:
+            what = ("matrix units only make" if kind == "E"
+                    else f"{tok.text} only makes")
+            raise ScriptError(f"{what} sense on {'/'.join(families)}",
+                              tok.line, tok.col)
         if shape == "i":
             return Named(kind, (self.index(Token("int", digits, tok.line, tok.col)),))
         args = []
@@ -595,7 +605,8 @@ def realize(expr, rank):
 
 
 def realize_expected(expr, fam, rank):
-    """Turn an expected-value AST into a top-level action for a family.
+    """Turn an expected-value AST, parsed for ``fam``, into a top-level
+    action of that family; the parser has checked each atom's family.
 
     Every power and product goes through :func:`_power`, so a polynomial
     product above the weight cap or of more than ``_MAX_PAIRS`` term pairs,
@@ -608,12 +619,8 @@ def realize_expected(expr, fam, rank):
         if kind == "I":
             return identity(fam, rank)
         if kind == "l":
-            if fam != "Mlambda":
-                raise ValueError(f"l{e.args[0]} only makes sense on Mlambda")
             return LPoly.unit(rank, *e.args)
         if kind == "E":
-            if fam not in ("Hminus", "Tminus"):
-                raise ValueError("matrix units only make sense on Hminus/Tminus")
             return Matrix.unit(rank, *e.args)
         raise TypeError(f"not an expected-value expression: {e!r}")
 
@@ -639,7 +646,7 @@ def _fmt(expr, prec):
         out = expr.kind + "".join(str(next(args)) if ch.isalpha() else ch
                                   for ch in _ATOMS[expr.kind][0])
     elif isinstance(expr, Mono):
-        out = "".join(f"h{g}({idx})" for g, idx in expr.modes)
+        out = format_monomial(expr.modes)
     elif isinstance(expr, Neg):
         # A negated negation prints as --x, which parses back at its depth.
         out, level = "-" + _fmt(expr.arg, 1 if isinstance(expr.arg, Neg) else 2), 1

@@ -5,9 +5,9 @@ native checks that the language cannot express) and runs them through the
 standard runner, so reports look the same everywhere.  Each certificate
 block sets its own cutoff and generator policy, the values that make its
 certificates fire; the other blocks only evaluate.  A suite reads only the
-rank and the cache directory from its configuration.  :func:`run_suite`
-makes one report per run, headed by the rank alone, and each suite adds its
-results to it.
+rank and the cache directory from its configuration, since every block runs
+through :func:`_run_block`.  :func:`run_suite` makes one report per run,
+headed by the rank alone, and each suite adds its results to it.
 
 Some relations only exist at a minimal rank (four distinct indices for the
 sign relations, three for the triple-index center relation); those blocks
@@ -51,12 +51,13 @@ def run_suite(name, config):
     return report
 
 
-def _run_lines(lines, config, report):
-    """Run script lines into report; return the Runner, whose echelon
-    a native check may reuse."""
-    stmts = dsl.parse_script("\n".join(lines), config.rank)
-    runner = Runner(config)
-    runner.run(stmts, report)
+def _run_block(config, report, lines, rank, **settings):
+    """Run a block's script lines into report at its own rank and settings
+    (max_weight, slack, policy) and the suite's cache directory; return the
+    Runner, whose echelon a native check may reuse."""
+    block = RunConfig(rank=rank, cache_dir=config.cache_dir, **settings)
+    runner = Runner(block)
+    runner.run(dsl.parse_script("\n".join(lines), rank), report)
     return runner
 
 
@@ -69,13 +70,11 @@ def _native(report, text, ok, detail=""):
 
 def tables_suite(config, report):
     """Golden check of all three action tables, 40 entries."""
-    rank = max(2, config.rank)
-    cfg = RunConfig(rank=rank, cache_dir=config.cache_dir)
     lines = [f"assert_eval {label} on {fam} = {expected}"
              for elements in GOLDEN.values()
              for label, row in elements.items()
              for fam, expected in row.items()]
-    _run_lines(lines, cfg, report)
+    _run_block(config, report, lines, max(2, config.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +83,6 @@ def tables_suite(config, report):
 def circle_reductions_suite(config, report):
     """The weight-reduction lemmas, certified against truncated circle spans."""
     # Four-index sign relations need four distinct generators.
-    r4 = max(4, config.rank)
-    cfg4 = RunConfig(rank=r4, max_weight=7, slack=1,
-                     policy=GeneratorPolicy(pairs="quadratic"),
-                     cache_dir=config.cache_dir)
     lines = []
     for (m, n, r, s) in [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1),
                          (1, 1, 1, 2), (2, 2, 1, 1), (3, 1, 1, 1),
@@ -96,10 +91,10 @@ def circle_reductions_suite(config, report):
         lines.append(
             f"assert_equiv h1(-{m})h2(-{n})h3(-{r})h4(-{s}) ~ "
             f"{sign}h1(-1)h2(-1)h3(-1)h4(-1)")
-    _run_lines(lines, cfg4, report)
+    _run_block(config, report, lines, max(4, config.rank), max_weight=7,
+               slack=1, policy=GeneratorPolicy(pairs="quadratic"))
 
     # Quadratic weight-shift relations at two indices.
-    cfg2 = RunConfig(rank=2, max_weight=8, slack=2, cache_dir=config.cache_dir)
     lines = []
     for (m, n) in [(1, 1), (1, 2), (2, 1)]:
         lines.append(
@@ -125,12 +120,9 @@ def circle_reductions_suite(config, report):
     # Basis of the quadratic sector and the weight-7 relation behind it.
     lines.append("assert_rank [S(1,1;2,1), S(1,1;2,2), S(1,1;2,3), "
                  "S(1,1;2,4), S(1,1;2,5)] = 5")
-    runner2 = _run_lines(lines, cfg2, report)
+    runner2 = _run_block(config, report, lines, 2, max_weight=8, slack=2)
 
     # Mixed-index shift relations need three generators.
-    cfg3 = RunConfig(rank=3, max_weight=7, slack=1,
-                     policy=GeneratorPolicy(pairs="quadratic"),
-                     cache_dir=config.cache_dir)
     lines = []
     for m in (1, 2):
         lines.append(
@@ -141,7 +133,8 @@ def circle_reductions_suite(config, report):
             f"assert_equiv w1 * (S(2,1;2,{m + 1}) + S(2,1;2,{m})) ~ "
             f"1/2 (S(1,1;1,{m + 3}) + 2 S(1,1;1,{m + 2}) + S(1,1;1,{m + 1})) "
             f"+ 1/{2 * m} (S(2,4;2,{m}) + 2 S(2,3;2,{m}) + S(2,2;2,{m}))")
-    _run_lines(lines, cfg3, report)
+    _run_block(config, report, lines, 3, max_weight=7, slack=1,
+               policy=GeneratorPolicy(pairs="quadratic"))
 
     _membership_and_leading_coefficient(report, runner2.echelon())
 
@@ -219,7 +212,6 @@ def matrix_units_suite(config, report):
                     w is None, str(w) if w else "")
 
     # Conformal-vector action on the units (star vectors, all families).
-    cfg = RunConfig(rank=rank, cache_dir=config.cache_dir)
     lines = []
     for a in (1, 2, 3):
         for (b, c) in ((1, 2), (2, 3), (3, 1)):
@@ -238,12 +230,11 @@ def matrix_units_suite(config, report):
     lines.append("assert_zero_eval Eu(2,3) * J1")
     lines.append("assert_zero_eval J1 * Et(2,3) - 3/128 Et(2,3)")
     lines.append("assert_zero_eval Et(2,3) * J1 - 3/128 Et(2,3)")
-    _run_lines(lines, cfg, report)
+    _run_block(config, report, lines, rank)
 
     _multiplication_tables(report, rank)
 
     # Reduction-certified samples at rank 2 (one identity per shape).
-    cfg2 = RunConfig(rank=2, max_weight=10, slack=0, cache_dir=config.cache_dir)
     lines = [
         "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)",
         "assert_equiv Eu(1,2) * w2 ~ Eu(1,2)",
@@ -254,7 +245,7 @@ def matrix_units_suite(config, report):
         "assert_equiv Et(2,1) ~ Etbar(2,1)",
         "assert_equiv Lam(1,2) ~ Lam(2,1)",
     ]
-    _run_lines(lines, cfg2, report)
+    _run_block(config, report, lines, 2, max_weight=10, slack=0)
 
 
 def _unit_words(rank):
@@ -330,7 +321,6 @@ def final_relations_suite(config, report):
     """The closing polynomial relations among w_a, H_a, units and Lam."""
     ranks = sorted({max(2, config.rank), 2, 3})
     for rank in ranks:
-        cfg = RunConfig(rank=rank, cache_dir=config.cache_dir)
         lines = []
         pairs = [(a, b) for a in range(1, rank + 1)
                  for b in range(1, rank + 1) if a != b]
@@ -363,7 +353,7 @@ def final_relations_suite(config, report):
                 lines.append(f"assert_zero_eval Lam({a},{b}) * Lam({b},{c}) "
                              f"- 2 w{b} * Lam({a},{c})")
         lines.append("assert_eval H1 on Hminus = -9 E(1,1)")
-        _run_lines(lines, cfg, report)
+        _run_block(config, report, lines, rank)
 
     # Analytic spot values on the twisted vacuum for the quartic relation.
     rank = 2
@@ -381,9 +371,9 @@ def final_relations_suite(config, report):
             ok, "got " + " + ".join(f"{v * 128}/128" for v in got))
 
     # Reduction-certified instances of the two single-index relations.
-    cfg1a = RunConfig(rank=1, max_weight=8, slack=2, cache_dir=config.cache_dir)
-    _run_lines(["assert_equiv (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 ~ 0"],
-               cfg1a, report)
-    cfg1b = RunConfig(rank=1, max_weight=10, slack=2, cache_dir=config.cache_dir)
-    _run_lines(["assert_equiv (w1 - 1) * (w1 - 1/16) * (w1 - 9/16) * H1 ~ 0"],
-               cfg1b, report)
+    _run_block(config, report,
+               ["assert_equiv (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 ~ 0"],
+               1, max_weight=8, slack=2)
+    _run_block(config, report,
+               ["assert_equiv (w1 - 1) * (w1 - 1/16) * (w1 - 9/16) * H1 ~ 0"],
+               1, max_weight=10, slack=2)

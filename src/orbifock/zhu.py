@@ -369,11 +369,17 @@ class OSpanEchelon:
     Because no row touches another's pivot column, reducing a vector makes
     one subtraction per pivot column of the vector, and none of them brings
     in another pivot column: :func:`_eliminate`, which :meth:`insert` and
-    :meth:`reduce` share.  More than ``MAX_COLUMNS`` columns raise
-    ResourceWarning before they are listed.
+    :meth:`reduce` share.  A negative window raises ValueError, and a
+    window above ``MAX_WEIGHT_CAP`` or more than ``MAX_COLUMNS`` columns
+    raise ResourceWarning, before any column is listed.
     """
 
     def __init__(self, ell, window, policy):
+        if window < 0:
+            raise ValueError(f"window must be nonnegative, got {window}")
+        if window > MAX_WEIGHT_CAP:
+            raise ResourceWarning(f"echelon window {window} exceeds the "
+                                  f"weight cap {MAX_WEIGHT_CAP}")
         ncols = count_even(ell, window)
         if ncols > MAX_COLUMNS:
             raise ResourceWarning(f"echelon of {ncols} columns at rank {ell}, "
@@ -519,8 +525,6 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
     and answers queries above W itself.  Without ``cache_dir`` nothing is
     read or written.
     """
-    if window < 0:
-        raise ValueError(f"window must be nonnegative, got {window}")
     ech = OSpanEchelon(rank, window, policy)
 
     cache_file = None
@@ -541,9 +545,9 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
         if not vec.is_zero():
             ech.insert(vec)
     ech._holders = None  # only a build needs the column index
-    ech.cache_hit = False
     if cache_file:
-        # Write aside and rename, so a reader never sees a partial file.
+        # Write aside and rename, so a reader never sees a partial file; a
+        # write that fails (a full disk, a directory in the way) is skipped.
         text = ech.to_text()
         tmp = f"{cache_file}.{os.getpid()}.tmp"
         try:
@@ -552,6 +556,8 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, cache_file)
+        except OSError:
+            pass
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)

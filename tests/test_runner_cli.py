@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from orbifock.cli import main
-from orbifock.runner import MAX_WEIGHT_CAP, Report, RunConfig, Runner, run_text
+from orbifock.runner import Report, RunConfig, Runner, run_text
 from orbifock.script import ScriptError, parse_script
 from orbifock.toplevel import Matrix
-from orbifock.zhu import GeneratorPolicy
+from orbifock.zhu import (DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy,
+                          OSpanEchelon)
 
 
 def cfg(rank=2, max_weight=6, slack=2):
@@ -83,10 +84,17 @@ def test_runner_never_both_proved_and_disproved():
 
 
 def test_resource_guard_reports_unknown():
+    # The echelon refuses a window above the cap, whoever asks for it.
     report = run_text("assert_equiv circn(w1, J1, 9) ~ 0",
                       cfg(max_weight=MAX_WEIGHT_CAP + 2, slack=0))
     assert report.results[0].status == "Unknown"
-    assert "resource guard" in report.results[0].detail
+    assert report.results[0].detail == (
+        "resource guard: echelon window 18 exceeds the weight cap 16")
+    report = run_text("assert_equiv circn(w1, J1, 9) ~ 0",
+                      cfg(max_weight=MAX_WEIGHT_CAP, slack=1))
+    assert report.results[0].line() == (
+        "[UNKNOWN  ] assert_equiv circn(w1, J1, 9) ~ 0  (resource guard: "
+        "echelon window 17 exceeds the weight cap 16)")
 
 
 @pytest.mark.parametrize("expr", ["circ(" * 5 + "w1" + ", w1)" * 5, "w1^9",
@@ -313,6 +321,21 @@ def test_negative_slack_is_an_error():
     assert "nonnegative" in report.results[0].detail
 
 
+def test_blocked_cache_write_still_proves(tmp_path, capsys):
+    # A directory in the way of the rank-2 window-10 cache file, as a full
+    # disk would, makes the write fail: the built echelon is used, and no
+    # temporary file is left behind.
+    key = OSpanEchelon(2, 10, DEFAULT_POLICY).cache_key()
+    (tmp_path / "cache" / f"ospan-{key}.txt" / "x").mkdir(parents=True)
+    script = tmp_path / "s.txt"
+    script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
+    argv = ["verify", str(script), "--rank", "2",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    assert "[PROVED   ] assert_equiv w1 * Eu(1,2) ~ Eu(1,2)" in capsys.readouterr().out
+    assert os.listdir(tmp_path / "cache") == [f"ospan-{key}.txt"]
+
+
 def test_cache_hits_counted(tmp_path):
     config = RunConfig(rank=1, max_weight=4, slack=2, cache_dir=str(tmp_path))
     stmts = parse_script("assert_equiv circ(w1, one) ~ 0", 1)
@@ -390,12 +413,16 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys, text, col):
     (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
     (["verify", "{half}"], "expected ')', found '/'"),
     (["verify", "{zero}"], "expected a positive mode depth"),
+    (["verify", "{lam}"], "col 27: l1 only makes sense on Mlambda"),
+    (["verify", "{unit}"],
+     "col 29: matrix units only make sense on Hminus/Tminus"),
 ], ids=["missing-script", "degree-1", "degree-17", "tables-rank-1", "rank-0",
         "verify-rank-9", "suite-rank-9", "tables-rank-9",
         "unknown-negative-slack", "verify-slack", "verify-pairs",
         "negative-max-weight", "max-weight-above-cap", "suite-pairs",
         "verify-cache-under-file", "suite-cache-under-file",
-        "half-integer-mode", "zero-mode"])
+        "half-integer-mode", "zero-mode", "lambda-off-Mlambda",
+        "matrix-unit-on-Mlambda"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("assert_eval w1 on Tplus = 1/16\n")
@@ -403,8 +430,12 @@ def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     half.write_text("assert_zero_eval h1(-1/2)h1(-1)\n")
     zero = tmp_path / "zero.txt"
     zero.write_text("assert_zero_eval h1(-0)h1(-1)\n")
+    lam = tmp_path / "lam.txt"
+    lam.write_text("assert_eval w1 on Hplus = l1\n")
+    unit = tmp_path / "unit.txt"
+    unit.write_text("assert_eval w1 on Mlambda = E(1,1)\n")
     argv = [a.format(script=script, missing=tmp_path / "missing.txt",
-                     half=half, zero=zero)
+                     half=half, zero=zero, lam=lam, unit=unit)
             for a in argv]
     # Usage errors exit from the argument parser; script errors return 2.
     try:

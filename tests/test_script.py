@@ -11,7 +11,7 @@ from orbifock.script import (_ATOMS, MAX_NESTING, Bin, Circ, Mono, Named, Neg,
                              Num, Pow, Scale, ScriptError, format_expr,
                              format_statement, parse_expr, parse_script,
                              realize, realize_expected)
-from orbifock.toplevel import Matrix, evaluate, identity
+from orbifock.toplevel import FAMILIES, Matrix, evaluate, identity
 from orbifock.zhu import (circ_n, e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam,
                           omega, s_pair, star)
 
@@ -51,8 +51,9 @@ def test_pretty_print_round_trip():
         assert format_statement(again[0]) == text
 
 
-def parse_expected(text, rank):
-    return parse_script(f"assert_eval one on Hminus = {text}", rank)[0].payload[2]
+def parse_expected(text, rank, family):
+    return parse_script(f"assert_eval one on {family} = {text}",
+                        rank)[0].payload[2]
 
 
 # Each printed form parses back to the same tree.
@@ -71,11 +72,17 @@ def _fraction(rng):
     return Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
 
 
-def _random_atom(rng, expected):
-    if not expected and rng.random() < 0.2:
+def _random_atom(rng, family):
+    """A random atom of a main expression (``family`` None) or of an
+    expected value of ``family``."""
+    if family is None and rng.random() < 0.2:
         return Mono(tuple((rng.randint(1, 3), Fraction(-rng.randint(1, 4)))
                           for _ in range(rng.randint(1, 3))))
-    kind = rng.choice([k for k, (_, only) in _ATOMS.items() if only == expected])
+    if family is None:
+        kinds = [k for k, (_, fams) in _ATOMS.items() if fams is None]
+    else:
+        kinds = [k for k, (_, fams) in _ATOMS.items() if fams and family in fams]
+    kind = rng.choice(kinds)
     shape = _ATOMS[kind][0]
     args = [rng.randint(1, 3) if ch in "ijab" else rng.randint(1, 5)
             for ch in shape if ch.isalpha()]
@@ -84,13 +91,13 @@ def _random_atom(rng, expected):
     return Named(kind, tuple(args))
 
 
-def _random_expr(rng, depth, expected):
+def _random_expr(rng, depth, family):
     """A random tree over every node type the parser builds."""
     if depth == 0 or rng.random() < 0.25:
-        return Num(_fraction(rng)) if rng.random() < 0.3 else _random_atom(rng, expected)
+        return Num(_fraction(rng)) if rng.random() < 0.3 else _random_atom(rng, family)
     def sub():
-        return _random_expr(rng, depth - 1, expected)
-    pick = rng.randrange(6 if expected else 7)
+        return _random_expr(rng, depth - 1, family)
+    pick = rng.randrange(6 if family else 7)
     if pick == 0:
         return Neg(sub())
     if pick == 1:
@@ -104,13 +111,23 @@ def _random_expr(rng, depth, expected):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_printer_round_trip_fuzz(seed):
+    # Every third tree is an expected value, its atoms drawn for one family.
     rng = random.Random(seed)
+    seen = set()
     for i in range(300):
-        expected = i % 3 == 0
-        expr = _random_expr(rng, 5, expected)
+        family = rng.choice(FAMILIES) if i % 3 == 0 else None
+        expr = _random_expr(rng, 5, family)
         text = format_expr(expr)
-        again = parse_expected(text, 3) if expected else parse_expr(text, 3)
+        again = (parse_expected(text, 3, family) if family
+                 else parse_expr(text, 3))
         assert again == expr, text
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            seen.add(node.kind if isinstance(node, Named) else type(node))
+            stack += [getattr(node, name) for name in
+                      ("arg", "left", "right", "base") if hasattr(node, name)]
+    assert seen == {*_ATOMS, Num, Mono, Neg, Scale, Pow, Circ, Bin}
 
 
 # One printed atom per key of the atom table.
@@ -130,8 +147,8 @@ EXPECTED_ACTIONS = {"I": ("Tminus", identity("Tminus", 2)),
 def test_atom_table_round_trip_and_realization(kind):
     text = ATOM_TEXTS[kind]
     if _ATOMS[kind][1]:
-        expr = parse_expected(text, 2)
         fam, action = EXPECTED_ACTIONS[kind]
+        expr = parse_expected(text, 2, fam)
         assert realize_expected(expr, fam, 2) == action
     else:
         expr = parse_expr(text, 2)
@@ -213,13 +230,23 @@ def test_realize_expected_values():
     assert realize_expected(exp, "Mlambda", 2) == evaluate(lam(2, 1, 2), "Mlambda")
 
 
+FAMILY_GUARDS = [
+    ("assert_eval w1 on Hplus = l1", 27, "l1 only makes sense on Mlambda"),
+    ("assert_eval w1 on Tminus = 1/2 I + l2", 36,
+     "l2 only makes sense on Mlambda"),
+    ("assert_eval w1 on Mlambda = E(1,1)", 29,
+     "matrix units only make sense on Hminus/Tminus"),
+    ("assert_eval w1 on Tplus = (E(1,2))^2", 28,
+     "matrix units only make sense on Hminus/Tminus"),
+]
+
+
 def test_expected_value_family_guards():
-    exp = parse_script("assert_eval w1 on Hplus = l1", rank=2)[0].payload[2]
-    with pytest.raises(ValueError):
-        realize_expected(exp, "Hplus", 2)
-    exp = parse_script("assert_eval w1 on Mlambda = E(1,1)", rank=2)[0].payload[2]
-    with pytest.raises(ValueError):
-        realize_expected(exp, "Mlambda", 2)
+    # Checked at the atom when parsing, before anything is realized.
+    for text, col, message in FAMILY_GUARDS:
+        with pytest.raises(ScriptError) as err:
+            parse_script(text, rank=2)
+        assert str(err.value) == f"line 1, col {col}: {message}"
 
 
 def test_syntax_errors_carry_location():

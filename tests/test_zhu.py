@@ -201,14 +201,22 @@ def test_window_guards():
     assert not small.rows
 
 
-def test_oversized_echelon_refused_before_listing():
+def test_oversized_echelon_refused_before_listing(monkeypatch):
     # The default verify --rank 8 (window 10) fits; rank 8 at window 16 would
-    # list 54,406,122 columns.
+    # list 54,406,122 columns.  A window above the cap is refused at any
+    # rank, whoever asks for it.
+    def listed(*args):
+        raise AssertionError("columns listed")
+
     assert count_even(8, 10) <= zhu.MAX_COLUMNS
+    monkeypatch.setattr(zhu, "basis", listed)
     with pytest.raises(ResourceWarning, match="54406122 columns"):
         OSpanEchelon(8, 16, GeneratorPolicy())
     with pytest.raises(ResourceWarning):
         OSpanEchelon(4, 16, GeneratorPolicy())
+    with pytest.raises(ResourceWarning, match="echelon window 17 exceeds "
+                                              "the weight cap 16"):
+        build_ospan(1, zhu.MAX_WEIGHT_CAP + 1)
 
 
 def test_reduce_then_count_consistency():
