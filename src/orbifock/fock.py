@@ -14,6 +14,7 @@ spelling.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .coeffs import LPoly, format_sum
 
@@ -173,28 +174,56 @@ def annihilate(mono, gen, n):
     return mono[:idx] + mono[idx + 1:], n * mult
 
 
-def count_even(ell, window):
-    """How many even monomials weigh at most ``window``, without listing them:
-    with each mode marked by s, their generating function is the mean of
-    prod_{n >= 1} (1 - s t^n)^(-ell) at s = 1 and s = -1."""
-    total = 0
+def sector(mono):
+    """The parity sector of a monomial: the bitmask whose bit g-1 is set
+    when h_g occurs an odd number of times.  A monomial is even exactly when
+    its sector has an even number of bits."""
+    s = 0
+    for g, _ in mono:
+        s ^= 1 << (g - 1)
+    return s
+
+
+def count_sector(ell, window, sector):
+    """How many monomials of a sector weigh at most ``window``, without
+    listing them.  With each mode marked by s, one generator's monomials
+    have the generating function prod_{n >= 1} (1 - s t^n)^(-1); its even
+    and odd parts in s, at s = 1, count the monomials with an even and an
+    odd number of modes.  The sector's series is the product over the
+    generators of the odd part where its bit is set and the even part
+    elsewhere."""
+    signed = {}
     for s in (1, -1):
-        series = [1] + [0] * window
+        series = signed[s] = [1] + [0] * window
         for n in range(1, window + 1):
-            for _ in range(ell):
-                # Multiply by 1 / (1 - s t^n), in place.
-                for k in range(n, window + 1):
-                    series[k] += s * series[k - n]
-        total += sum(series)
-    return total // 2
+            # Multiply by 1 / (1 - s t^n), in place.
+            for k in range(n, window + 1):
+                series[k] += s * series[k - n]
+    even = [(a + b) // 2 for a, b in zip(signed[1], signed[-1])]
+    odd = [(a - b) // 2 for a, b in zip(signed[1], signed[-1])]
+    total = [1] + [0] * window
+    for g in range(ell):
+        part = odd if sector >> g & 1 else even
+        total = [sum(total[i] * part[k - i] for i in range(k + 1))
+                 for k in range(window + 1)]
+    return sum(total)
 
 
-def basis(ell, weight, parity="all"):
+def count_even(ell, window):
+    """How many even monomials weigh at most ``window``: the sum of
+    :func:`count_sector` over the sectors with an even number of bits,
+    where a sector's count depends only on that number."""
+    return sum(comb(ell, k) * count_sector(ell, window, (1 << k) - 1)
+               for k in range(0, ell + 1, 2))
+
+
+def basis(ell, weight, parity="all", sector=None):
     """All canonical monomials of the given integer mode-weight, filtered
-    by parity.
+    by parity and, unless ``sector`` is None, to that sector.
 
     The result comes back in the canonical monomial order, so callers can
-    rely on reproducible indexing.
+    rely on reproducible indexing.  A sector is grown, not filtered: no
+    monomial outside it is listed.
     """
     if weight < 0:
         raise ValueError("weight must be nonnegative")
@@ -203,16 +232,23 @@ def basis(ell, weight, parity="all"):
     keep = {"even": (0,), "odd": (1,), "all": (0, 1)}[parity]
     out = []
 
-    def grow(mono, g0, n0, left):
+    def grow(mono, g0, n0, left, par):
         # Extend mono by modes (g, n) >= (g0, n0) of total weight left, so
-        # the monomials come out in the order of mono_key.
+        # the monomials come out in the order of mono_key.  par is the
+        # sector of mono; each generator whose parity is still wrong needs
+        # one more mode, of weight at least 1.
+        if sector is not None and (par ^ sector).bit_count() > left:
+            return
         if not left:
             if len(mono) % 2 in keep:
                 out.append(mono)
             return
         for g in range(g0, ell + 1):
+            # The generators below g get no more modes.
+            if sector is not None and (par ^ sector) & ((1 << (g - 1)) - 1):
+                break
             for n in range(max(n0, -left) if g == g0 else -left, 0):
-                grow(mono + ((g, n),), g, n, left + n)
+                grow(mono + ((g, n),), g, n, left + n, par ^ (1 << (g - 1)))
 
-    grow((), 1, -weight, weight)
+    grow((), 1, -weight, weight, 0)
     return out

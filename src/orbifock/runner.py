@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import script as dsl
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
-from .zhu import DEFAULT_POLICY, build_ospan
+from .zhu import DEFAULT_POLICY, build_ospan, sector_parts
 
 CACHE_ENV = "ORBIFOCK_CACHE_DIR"
 
@@ -105,26 +105,28 @@ class Report:
 
 
 class Runner:
-    """Runs statements against one configuration, building spans lazily."""
+    """Runs statements against one configuration, building the span of
+    each parity sector (see :mod:`orbifock.zhu`) lazily."""
 
     def __init__(self, config):
         self.config = config
-        self._echelon = None
+        self._echelons = {}  # sector -> echelon
 
-    def echelon(self):
-        if self._echelon is None:
+    def echelon(self, sector):
+        if sector not in self._echelons:
             cfg = self.config
             if cfg.max_weight < 0 or cfg.slack < 0:
                 raise ValueError(f"max_weight and slack must be nonnegative, "
                                  f"got {cfg.max_weight} and {cfg.slack}")
-            self._echelon = build_ospan(cfg.rank, cfg.max_weight + cfg.slack,
-                                        policy=cfg.policy,
-                                        cache_dir=cfg.cache_dir)
-        return self._echelon
+            self._echelons[sector] = build_ospan(
+                cfg.rank, cfg.max_weight + cfg.slack, policy=cfg.policy,
+                cache_dir=cfg.cache_dir, sector=sector)
+        return self._echelons[sector]
 
     def run(self, statements, report=None):
         report = report or Report(self.config)
-        before = self._echelon  # a cache hit counts in the call that read it
+        # A call that read any echelon from the cache counts one hit.
+        before = set(self._echelons)
         for stmt in statements:
             t0 = time.perf_counter()
             try:
@@ -135,7 +137,8 @@ class Runner:
                 status, detail = "Error", str(exc)
             ms = 1000 * (time.perf_counter() - t0)
             report.add(StatementResult(dsl.format_statement(stmt), status, detail, ms))
-        if self._echelon is not before and self._echelon.cache_hit:
+        if any(ech.cache_hit for s, ech in self._echelons.items()
+               if s not in before):
             report.cache_hits += 1
         return report
 
@@ -179,7 +182,9 @@ class Runner:
         if diff.max_weight() > cfg.max_weight:
             return "Unknown", (f"weight {diff.max_weight()} exceeds "
                                f"cutoff {cfg.max_weight}; no disproof found")
-        if self.echelon().reduce(diff).is_zero():
+        # The span is the direct sum of its sectors' spans.
+        if all(self.echelon(s).reduce(part).is_zero()
+               for s, part in sorted(sector_parts(diff).items())):
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"
         return "Unknown", (f"no certificate at cutoff {cfg.max_weight} "
                            f"(slack {cfg.slack}); no disproof found")

@@ -136,7 +136,9 @@ def circle_reductions_suite(config, report):
     _run_block(config, report, lines, 3, max_weight=7, slack=1,
                policy=GeneratorPolicy(pairs="quadratic"))
 
-    _membership_and_leading_coefficient(report, runner2.echelon())
+    # Every vector of the ladder lies in the sector of S(1,1;2,1).
+    ladder = zhu.sector(make_monomial(2, [(1, -1), (2, -1)]))
+    _membership_and_leading_coefficient(report, runner2.echelon(ladder))
 
 
 def _reduce_from_weight(echelon, vec, low):
@@ -159,8 +161,9 @@ def _membership_and_leading_coefficient(report, full):
     truncated span have rank 5, and the circle of the basic quadratic with
     h_1(-1)^4 reduces, modulo the omega-anchored span plus everything below
     weight 7, to exactly -64 times the reduced form of S(1,6).  ``full``
-    is the rank-2 window-10 echelon of the quadratic shift relations; the
-    omega-anchored one is built here, without a cache, and the weight < 7
+    is the rank-2 window-10 echelon of the quadratic shift relations in the
+    sector of S(1,1;2,1), where every vector here lies; the omega-anchored
+    one is built here for that sector, without a cache, and the weight < 7
     quotient is taken by :func:`_reduce_from_weight`.
     """
     t0 = time.perf_counter()
@@ -174,7 +177,8 @@ def _membership_and_leading_coefficient(report, full):
             f"{1000 * (time.perf_counter() - t0):.0f} ms")
 
     t0 = time.perf_counter()
-    anchored = zhu.build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"))
+    anchored = zhu.build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"),
+                               sector=full.sector)
     circle = zhu.circ_n(zhu.s_pair(2, 1, 1, 2, 1),
                         FockVector.from_monomial(2, make_monomial(2, [(1, -1)] * 4)))
     nf = _reduce_from_weight(anchored, circle, 7)

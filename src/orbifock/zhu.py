@@ -14,6 +14,25 @@ reduced, so reducing a vector makes one subtraction per pivot column it
 touches.  A certificate of membership is sound, a failure is only
 inconclusive because circle elements mix weights.
 
+Parity sectors.  The sector of a monomial (:func:`sector`) is the bitmask
+of the generators h_g that occur in it an odd number of times.  Flipping
+the sign of one generator, h_g -> -h_g, is an automorphism of the vertex
+algebra that commutes with theta, so it maps star, circ_n and O to
+themselves; a monomial is an eigenvector, of sign (-1) to its number of h_g
+modes.  Hence star(u, v) and circ_n(u, v) of two vectors of one sector
+each lie in sector(u) XOR sector(v): every Wick contraction removes one
+h_g mode from each side.  The vacuum circles circ_0(m, |0>) keep the
+sector of m, and each factor of a policy lies in one sector, so each seed
+of a build lies in one sector and the truncated span is the direct sum of
+its sector parts, each spanned by that sector's seeds.  The fully reduced
+echelon of a direct sum over disjoint column sets is the union of the
+blocks' fully reduced echelons: no row of one block has an entry in
+another's columns, and that form depends only on the span.  So the
+echelon of sector s (``build_ospan(..., sector=s)``) holds exactly the
+rows of the whole window's echelon that lie in s, every normal form of a
+sector-s vector is the same in both, and a vector is in the span exactly
+when each of its sector parts (:func:`sector_parts`) is in its sector's.
+
 The same integer step (:func:`_eliminate`, :func:`_insert_row`) ranks any
 sparse rational rows on a scratch echelon (:func:`exact_rank`).
 """
@@ -27,8 +46,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .coeffs import clear_denominators
-from .fock import (VACUUM, FockVector, basis, count_even, make_monomial,
-                   mono_weight, single)
+from .fock import (VACUUM, FockVector, basis, count_even, count_sector,
+                   make_monomial, mono_weight, sector, single)
 from .vertex import mode_component, vacuum_component, wick_sum
 
 FORMAT_VERSION = 5
@@ -110,6 +129,14 @@ def circ_n(u, v, n=0):
         raise ValueError("circle index n must be nonnegative")
     _check_arguments(u, v, "circ_n")
     return _binomial_sum(u, v, n + 2)
+
+
+def sector_parts(vec):
+    """{sector: the part of ``vec`` in that sector} over the sectors it meets."""
+    parts = {}
+    for mono, c in vec.terms.items():
+        parts.setdefault(sector(mono), {})[mono] = c
+    return {s: FockVector(vec.ell, terms) for s, terms in parts.items()}
 
 
 def _check_arguments(u, v, opname):
@@ -238,10 +265,13 @@ class GeneratorPolicy:
         return f"pairs={self.pairs}"
 
     def factors(self, ell, monos):
-        """(left, right) factor lists, given the even monomials of weight >= 1."""
+        """(left, right): the left factors, and right(s), the right factors
+        in sector s, given monos(s), the even monomials of weight >= 1 in
+        sector s; the sector None stands for all of them."""
         if self.pairs == "quadratic":
-            quads = [v for v in monos if all(len(m) == 2 for m in v.terms)]
-            return quads, quads
+            quads = [v for v in monos(None) if all(len(m) == 2 for m in v.terms)]
+            return quads, lambda s: [v for v in quads
+                                     if s is None or s in sector_parts(v)]
         gens = range(1, ell + 1)
         left = [omega(ell, a) for a in gens]
         if self.pairs == "all":
@@ -354,43 +384,52 @@ class OSpanEchelon:
     """Echelonized spanning set of circle elements, truncated at a window.
 
     Rows are integer vectors over the even monomial basis of weight at most
-    the window.  The pivot of a row is its maximal monomial in the
-    canonical order, so reduction rewrites top-weight monomials into lower
+    the window, or over its monomials of one sector (see the module
+    docstring) unless ``sector`` is None.  The pivot of a row is its
+    maximal monomial in the canonical order, so reduction rewrites top-weight monomials into lower
     tails and the conformal vectors survive as their own normal forms.
 
     Rows are kept fully reduced: each is zero in every other row's pivot
     column, primitive, and has a positive pivot entry.
     That form depends only on the span, so the rows depend only on the
     rank, the generator policy and the window, not on the order of
-    insertion; the cutoff above which a claim stays Unknown belongs to the
+    insertion, and those of a sector are the whole window's rows that lie
+    in it; the cutoff above which a claim stays Unknown belongs to the
     caller.  Every row is a combination of circle elements, so a zero
     normal form certifies membership in O.
 
     Because no row touches another's pivot column, reducing a vector makes
     one subtraction per pivot column of the vector, and none of them brings
     in another pivot column: :func:`_eliminate`, which :meth:`insert` and
-    :meth:`reduce` share.  A negative window raises ValueError, and a
-    window above ``MAX_WEIGHT_CAP`` or more than ``MAX_COLUMNS`` columns
-    raise ResourceWarning, before any column is listed.
+    :meth:`reduce` share.  A negative window or a sector that holds no
+    even monomial raises ValueError, and a window above ``MAX_WEIGHT_CAP``
+    or more than ``MAX_COLUMNS`` columns raise ResourceWarning, before any
+    column is listed.
     """
 
-    def __init__(self, ell, window, policy):
+    def __init__(self, ell, window, policy, sector=None):
         if window < 0:
             raise ValueError(f"window must be nonnegative, got {window}")
+        if sector is not None and not (0 <= sector < 1 << ell
+                                       and sector.bit_count() % 2 == 0):
+            raise ValueError(f"sector {sector} holds no even monomial "
+                             f"at rank {ell}")
         if window > MAX_WEIGHT_CAP:
             raise ResourceWarning(f"echelon window {window} exceeds the "
                                   f"weight cap {MAX_WEIGHT_CAP}")
-        ncols = count_even(ell, window)
+        ncols = (count_even(ell, window) if sector is None
+                 else count_sector(ell, window, sector))
         if ncols > MAX_COLUMNS:
             raise ResourceWarning(f"echelon of {ncols} columns at rank {ell}, "
                                   f"window {window} exceeds {MAX_COLUMNS}")
         self.ell = ell
         self.window = window
         self.policy = policy
+        self.sector = sector
         self.columns = []
         self.col_index = {}
         for w in range(window + 1):
-            for mono in basis(ell, w, "even"):
+            for mono in basis(ell, w, "even", sector):
                 self.col_index[mono] = len(self.columns)
                 self.columns.append(mono)
         self.rows = {}  # pivot column -> fully reduced integer row
@@ -412,7 +451,8 @@ class OSpanEchelon:
             row = {col_index[mono]: c
                    for mono, c in clear_denominators(vec.terms)[1].items()}
         except KeyError:
-            raise ValueError("row exceeds the echelon's weight window") from None
+            raise ValueError("row exceeds the echelon's weight window "
+                             "or leaves its sector") from None
         row = _eliminate(self.rows, row)[1]
         if not row:
             return False
@@ -433,8 +473,12 @@ class OSpanEchelon:
                 f"vector weight {vec.max_weight()} exceeds the "
                 f"echelon window {self.window}")
         d, terms = clear_denominators(vec.terms)
-        scale, row = _eliminate(self.rows, {self.col_index[mono]: c
-                                            for mono, c in terms.items()})
+        try:
+            row = {self.col_index[mono]: c for mono, c in terms.items()}
+        except KeyError:
+            raise ValueError(f"vector leaves the echelon's sector "
+                             f"{self.sector}") from None
+        scale, row = _eliminate(self.rows, row)
         den = d * scale
         return FockVector(self.ell,
                           {self.columns[c]: Fraction(v, den) if den > 1 else v
@@ -443,8 +487,9 @@ class OSpanEchelon:
     # -- persistence --------------------------------------------------------
 
     def _header(self):
+        sec = "" if self.sector is None else f" sector={self.sector}"
         return (f"# ospan v{FORMAT_VERSION} ell={self.ell} "
-                f"window={self.window} policy={self.policy.key()} "
+                f"window={self.window} policy={self.policy.key()}{sec} "
                 f"cols={len(self.columns)}")
 
     def cache_key(self):
@@ -492,65 +537,83 @@ class OSpanEchelon:
                                      f"pivot column {c}")
 
 
-def _iter_circle_pairs(ell, columns, limit, policy):
-    """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within limit.
+def _iter_circle_pairs(ell, limit, policy, sector=None):
+    """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within
+    limit and, unless ``sector`` is None, lies in that sector.
 
-    ``columns`` are the echelon's even monomials.  The vacuum circles come
-    first, then every (left, right) pair of the policy's factors.  Each
-    factor is homogeneous and its weight is taken once.
+    The vacuum circles come first, then every (left, right) pair of the
+    policy's factors.  A circle lies in sector(u) XOR sector(v), so a left
+    factor meets only the right factors of one sector, and only the
+    sectors met are listed.  Each factor is homogeneous and its weight is
+    taken once.
     """
-    monos = [FockVector.from_monomial(ell, m) for m in columns if m]
+    lists = {}
+
+    def monos(s):
+        # top weight of circ_0 is wt u + wt v + 1, and wt v >= 1 or v = |0>
+        if s not in lists:
+            lists[s] = [FockVector.from_monomial(ell, m)
+                        for w in range(1, limit) for m in basis(ell, w, "even", s)]
+        return lists[s]
+
     left, right = policy.factors(ell, monos)
     vac = FockVector.vacuum(ell)
-    right = [(v, v.weight()) for v in right]
-    # top weight of circ_0 is wt u + wt v + 1
-    for u in monos:
-        if u.weight() + 1 <= limit:
-            yield u, vac
+    for u in monos(sector):
+        yield u, vac
+    rights = {}
     for u in left:
+        if sector is None:
+            key = None
+        else:
+            (su,) = sector_parts(u)
+            key = sector ^ su
+        if key not in rights:
+            rights[key] = [(v, v.weight()) for v in right(key)]
         room = limit - 1 - u.weight()
-        for v, wv in right:
+        for v, wv in rights[key]:
             if wv <= room:
                 yield u, v
 
 
-def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None):
-    """Echelonize the circle span truncated at weight ``window``.
+def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None,
+                sector=None):
+    """Echelonize the circle span truncated at weight ``window``, or its
+    part in one sector (see the module docstring) unless ``sector`` is None.
 
     The span is seeded with circ_0(u, v) for the pairs of
     :func:`_iter_circle_pairs`; the circles with n >= 1 add nothing (see
     :class:`GeneratorPolicy`).  The echelon holds circle rows only and
-    depends only on (rank, policy, window), and so does its cache file in
-    ``cache_dir``; a caller with cutoff W and slack S asks for window W+S
-    and answers queries above W itself.  Without ``cache_dir`` nothing is
-    read or written.
+    depends only on (rank, policy, window, sector), and so does its cache
+    file in ``cache_dir``; a caller with cutoff W and slack S asks for
+    window W+S and answers queries above W itself.  Without ``cache_dir``,
+    or with one that cannot be read or made, nothing is read or written.
     """
-    ech = OSpanEchelon(rank, window, policy)
+    ech = OSpanEchelon(rank, window, policy, sector)
 
     cache_file = None
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
         cache_file = os.path.join(cache_dir, f"ospan-{ech.cache_key()}.txt")
-        if os.path.exists(cache_file):
-            try:
-                with open(cache_file, "r", encoding="ascii") as fh:
-                    ech.load_rows(fh.read())
-                ech.cache_hit = True
-                return ech
-            except (OSError, ValueError):
-                ech.rows.clear()
+        try:
+            with open(cache_file, "r", encoding="ascii") as fh:
+                ech.load_rows(fh.read())
+            ech.cache_hit = True
+            return ech
+        except (OSError, ValueError):
+            ech.rows.clear()
 
-    for u, v in _iter_circle_pairs(rank, ech.columns, window, policy):
+    for u, v in _iter_circle_pairs(rank, window, policy, sector):
         vec = circ_n(u, v)
         if not vec.is_zero():
             ech.insert(vec)
     ech._holders = None  # only a build needs the column index
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file; a
-        # write that fails (a full disk, a directory in the way) is skipped.
+        # write that fails (a full disk, a file or directory in the way) is
+        # skipped.
         text = ech.to_text()
         tmp = f"{cache_file}.{os.getpid()}.tmp"
         try:
+            os.makedirs(cache_dir, exist_ok=True)
             with open(tmp, "w", encoding="ascii") as fh:
                 fh.write(text)
                 fh.flush()

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from mode_oracle import apply_mode, delta_terms
-from orbifock.fock import (FockVector, basis, count_even, make_monomial,
-                          mono_key, single)
+from orbifock.fock import (FockVector, basis, count_even, count_sector,
+                          make_monomial, mono_key, sector, single)
 from orbifock.zhu import omega
 
 F = Fraction
@@ -142,6 +142,25 @@ def test_count_even_matches_basis():
     assert [count_even(5, w) for w in (10, 12, 16)] == [28917, 124182, 1744053]
     assert [count_even(8, w) for w in (10, 12, 16)] == [340512, 2062718,
                                                         54406122]
+
+
+def test_sector_counts_match_listing():
+    # Each sector is grown, not filtered, so its listing is compared with
+    # the filtered full listing, and its generating-function count with
+    # the listing, at every window up to 10.
+    for ell in (1, 2, 3, 4):
+        totals = [0] * (1 << ell)
+        for window in range(0, 11):
+            full = basis(ell, window, "all")
+            for s in range(1 << ell):
+                monos = basis(ell, window, "all", sector=s)
+                assert monos == [m for m in full if sector(m) == s]
+                assert basis(ell, window, "even", sector=s) == (
+                    monos if s.bit_count() % 2 == 0 else [])
+                totals[s] += len(monos)
+                assert count_sector(ell, window, s) == totals[s]
+            assert count_even(ell, window) == sum(
+                totals[s] for s in range(1 << ell) if s.bit_count() % 2 == 0)
 
 
 def test_basis_parity_partition():

@@ -12,6 +12,7 @@ import pytest
 from orbifock.cli import main
 from orbifock.runner import Report, RunConfig, Runner, run_text
 from orbifock.script import ScriptError, parse_script
+from orbifock.suites import run_suite
 from orbifock.toplevel import Matrix
 from orbifock.zhu import (DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy,
                           OSpanEchelon)
@@ -322,10 +323,10 @@ def test_negative_slack_is_an_error():
 
 
 def test_blocked_cache_write_still_proves(tmp_path, capsys):
-    # A directory in the way of the rank-2 window-10 cache file, as a full
-    # disk would, makes the write fail: the built echelon is used, and no
-    # temporary file is left behind.
-    key = OSpanEchelon(2, 10, DEFAULT_POLICY).cache_key()
+    # A directory in the way of the rank-2 window-10 cache file of the
+    # statement's sector, as a full disk would, makes the write fail: the
+    # built echelon is used, and no temporary file is left behind.
+    key = OSpanEchelon(2, 10, DEFAULT_POLICY, sector=0b11).cache_key()
     (tmp_path / "cache" / f"ospan-{key}.txt" / "x").mkdir(parents=True)
     script = tmp_path / "s.txt"
     script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
@@ -359,6 +360,71 @@ def test_cache_hit_counted_once_per_echelon(tmp_path):
         runner.run([stmt], report)
     assert [r.status for r in report.results] == ["Proved"] * 4
     assert report.cache_hits == 1
+
+
+# The mixed-index shift relations of the circle_reductions suite at m = 1:
+# the first lies in the sector of h2 h3, the second in the even sector.
+MIXED_SHIFTS = (
+    "assert_equiv w1 * (S(2,1;3,2) + S(2,1;3,1)) ~ "
+    "1/2 S(2,4;3,1) + 1/1 S(2,3;3,1) + 1/2 S(2,2;3,1)\n"
+    "assert_equiv w1 * (S(2,1;2,2) + S(2,1;2,1)) ~ "
+    "1/2 (S(1,1;1,4) + 2 S(1,1;1,3) + S(1,1;1,2)) "
+    "+ 1/2 (S(2,4;2,1) + 2 S(2,3;2,1) + S(2,2;2,1))\n")
+
+
+def test_two_sector_block_counts_one_cache_hit(tmp_path):
+    # The block reads two sector echelons from a warm cache in one run
+    # call, which counts one hit.
+    config = RunConfig(rank=3, max_weight=7, slack=1,
+                       policy=GeneratorPolicy("quadratic"),
+                       cache_dir=str(tmp_path))
+    stmts = parse_script(MIXED_SHIFTS, 3)
+    assert Runner(config).run(stmts).cache_hits == 0
+    assert len(os.listdir(tmp_path)) == 2
+    runner = Runner(config)
+    report = runner.run(stmts)
+    assert report.passed(), report.to_text()
+    assert report.cache_hits == 1
+    assert {s: e.cache_hit for s, e in runner._echelons.items()} == {
+        0: True, 0b110: True}
+
+
+def test_difference_certified_per_sector():
+    # w1 * Eu(1,2) - Eu(1,2) lies in the sector of h1 h2 and is certified
+    # there; J1 * Eu(1,2) + 6 Eu(1,2) lies there too but is not, at this
+    # cutoff and policy.  The circle and the H1 relation lie in the even
+    # sector, where only the circle is certified.  Each part is reduced on
+    # its own sector's echelon, and a difference is Proved only when every
+    # part reduces to zero.
+    config = RunConfig(rank=2, max_weight=10, slack=0,
+                       policy=GeneratorPolicy("quadratic"), cache_dir=None)
+    circle = "circ(h1(-1)h1(-1), h2(-1)h2(-1))"
+    relation = "(70 H1 + 1188 w1^2 - 585 w1 + 27) * H1"
+    runner = Runner(config)
+    report = runner.run(parse_script(
+        f"assert_equiv w1 * Eu(1,2) + {circle} ~ Eu(1,2)\n"
+        f"assert_equiv w1 * Eu(1,2) + {relation} ~ Eu(1,2)\n"
+        f"assert_equiv J1 * Eu(1,2) + {circle} ~ -6 Eu(1,2)\n", 2))
+    unknown = ("Unknown", "no certificate at cutoff 10 (slack 0); "
+                          "no disproof found")
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("Proved", "circle-span certificate at cutoff 10"), unknown, unknown]
+    assert sorted(runner._echelons) == [0, 0b11]
+
+
+def test_cache_dir_under_a_file_builds_uncached(tmp_path):
+    # A cache directory that cannot be made is neither read nor written.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = str(blocker / "cache")
+    report = run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)",
+                      RunConfig(rank=2, cache_dir=cache_dir))
+    assert [r.status for r in report.results] == ["Proved"]
+    assert report.cache_hits == 0
+    report = run_suite("circle_reductions", RunConfig(rank=2, cache_dir=cache_dir))
+    assert report.passed(), report.to_text()
+    assert report.cache_hits == 0
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_cli_verify_and_exit_codes(tmp_path, capsys):

@@ -82,8 +82,7 @@ def test_products_match_recursion_on_benchmark_generators():
                          ids=["r2w10-all", "r3w8-quadratic"])
 def test_build_circles_match_recursion(ell, window, pairs):
     policy = GeneratorPolicy(pairs)
-    columns = OSpanEchelon(ell, window, policy).columns
-    for u, v in zhu._iter_circle_pairs(ell, columns, window, policy):
+    for u, v in zhu._iter_circle_pairs(ell, window, policy):
         assert circ_n(u, v) == reference_product(u, v, 2), (u, v)
 
 
@@ -217,6 +216,75 @@ def test_oversized_echelon_refused_before_listing(monkeypatch):
     with pytest.raises(ResourceWarning, match="echelon window 17 exceeds "
                                               "the weight cap 16"):
         build_ospan(1, zhu.MAX_WEIGHT_CAP + 1)
+
+
+def test_sector_echelon_columns_counted_before_listing(monkeypatch):
+    # A sector's echelon counts, then lists, only that sector's columns: the
+    # rank-8 window-10 echelon of h1 h2's sector has 5,958 of the window's
+    # 340,512, and at window 16 its 728,958 are still refused unlisted.
+    policy = GeneratorPolicy()
+    assert len(OSpanEchelon(4, 8, policy, sector=0b1111).columns) == 144
+    assert len(OSpanEchelon(2, 10, policy, sector=0b11).columns) == 296
+    e = OSpanEchelon(8, 10, policy, sector=0b11)
+    assert len(e.columns) == 5958
+    assert all(zhu.sector(m) == 0b11 for m in e.columns)
+
+    def listed(*args):
+        raise AssertionError("columns listed")
+
+    monkeypatch.setattr(zhu, "basis", listed)
+    with pytest.raises(ResourceWarning, match="728958 columns"):
+        OSpanEchelon(8, 16, policy, sector=0b11)
+
+
+def test_sector_guards():
+    policy = GeneratorPolicy()
+    for bad in (0b1, 0b100, -1):  # odd, beyond rank 2, not a sector
+        with pytest.raises(ValueError, match="holds no even monomial"):
+            OSpanEchelon(2, 4, policy, sector=bad)
+    e = build_ospan(2, 4, sector=0b11)
+    assert e.reduce(s_pair(2, 1, 1, 2, 1)) == s_pair(2, 1, 1, 2, 1)
+    with pytest.raises(ValueError, match="leaves the echelon's sector 3"):
+        e.reduce(omega(2, 1))
+    with pytest.raises(ValueError, match="leaves its sector"):
+        e.insert(omega(2, 1))
+
+
+def _monomial_rows(e):
+    """The echelon's rows keyed and indexed by monomials, not columns."""
+    return {e.columns[p]: {e.columns[c]: v for c, v in row.items()}
+            for p, row in e.rows.items()}
+
+
+@pytest.mark.parametrize("ell, window, pairs", [
+    (1, 12, "all"), (2, 10, "all"), (2, 10, "omega"), (3, 8, "quadratic"),
+    (4, 8, "quadratic")], ids=["r1w12-all", "r2w10-all", "r2w10-omega",
+                               "r3w8-quadratic", "r4w8-quadratic"])
+def test_sector_echelons_are_the_full_echelon(ell, window, pairs):
+    # The fully reduced echelon of a direct sum over disjoint column sets is
+    # the union of the blocks' echelons, row for row.
+    policy = GeneratorPolicy(pairs)
+    union = {}
+    for s in range(1 << ell):
+        if s.bit_count() % 2 == 0:
+            e = build_ospan(ell, window, policy, sector=s)
+            assert e.sector == s and all(zhu.sector(m) == s for m in e.columns)
+            union.update(_monomial_rows(e))
+    assert union == _monomial_rows(build_ospan(ell, window, policy))
+
+
+def test_products_stay_in_the_xor_sector():
+    rng = random.Random(30)
+    monos = [FockVector.from_monomial(4, m)
+             for w in range(0, 5) for m in basis(4, w, "even")]
+    nonzero = 0
+    for _ in range(150):
+        u, v = rng.choice(monos), rng.choice(monos)
+        (su,), (sv,) = zhu.sector_parts(u), zhu.sector_parts(v)
+        for got in (star(u, v), circ_n(u, v, rng.randrange(3))):
+            assert set(zhu.sector_parts(got)) <= {su ^ sv}
+            nonzero += bool(got)
+    assert nonzero > 200
 
 
 def test_reduce_then_count_consistency():
@@ -385,9 +453,8 @@ def test_rows_are_fully_reduced(ell, window, pairs):
 
 
 def test_rows_do_not_depend_on_insertion_order():
-    columns = OSpanEchelon(2, 8, GeneratorPolicy()).columns
     circles = [circ_n(u, v) for u, v in
-               zhu._iter_circle_pairs(2, columns, 8, GeneratorPolicy())]
+               zhu._iter_circle_pairs(2, 8, GeneratorPolicy())]
     want = build_ospan(2, 8).rows
     for seed in (1, 2, 3):
         shuffled = list(circles)
@@ -478,7 +545,7 @@ def test_insert_after_load_matches_fresh_build(tmp_path):
                for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
     circles = [circ_n(u, v) for u, v in
-               zhu._iter_circle_pairs(2, loaded.columns, 10, policy)]
+               zhu._iter_circle_pairs(2, 10, policy)]
     fresh = echelon_of(2, 10, circles + blanket)
     for vec in blanket:
         loaded.insert(vec)
