@@ -14,7 +14,6 @@ spelling.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .coeffs import LPoly, format_sum
 
@@ -207,14 +206,6 @@ def count_sector(ell, window, sector):
         total = [sum(total[i] * part[k - i] for i in range(k + 1))
                  for k in range(window + 1)]
     return sum(total)
-
-
-def count_even(ell, window):
-    """How many even monomials weigh at most ``window``: the sum of
-    :func:`count_sector` over the sectors with an even number of bits,
-    where a sector's count depends only on that number."""
-    return sum(comb(ell, k) * count_sector(ell, window, (1 << k) - 1)
-               for k in range(0, ell + 1, 2))
 
 
 def basis(ell, weight, parity="all", sector=None):

@@ -23,14 +23,9 @@ modes.  Hence star(u, v) and circ_n(u, v) of two vectors of one sector
 each lie in sector(u) XOR sector(v): every Wick contraction removes one
 h_g mode from each side.  The vacuum circles circ_0(m, |0>) keep the
 sector of m, and each factor of a policy lies in one sector, so each seed
-of a build lies in one sector and the truncated span is the direct sum of
-its sector parts, each spanned by that sector's seeds.  The fully reduced
-echelon of a direct sum over disjoint column sets is the union of the
-blocks' fully reduced echelons: no row of one block has an entry in
-another's columns, and that form depends only on the span.  So the
-echelon of sector s (``build_ospan(..., sector=s)``) holds exactly the
-rows of the whole window's echelon that lie in s, every normal form of a
-sector-s vector is the same in both, and a vector is in the span exactly
+lies in one sector and the truncated span is the direct sum of its sector
+parts, each spanned by that sector's seeds.  An echelon holds one sector
+part (``build_ospan(..., sector=s)``), and a vector is in the span exactly
 when each of its sector parts (:func:`sector_parts`) is in its sector's.
 
 The same integer step (:func:`_eliminate`, :func:`_insert_row`) ranks any
@@ -46,15 +41,15 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .coeffs import clear_denominators
-from .fock import (VACUUM, FockVector, basis, count_even, count_sector,
-                   make_monomial, mono_weight, sector, single)
+from .fock import (VACUUM, FockVector, basis, count_sector, make_monomial,
+                   mono_key, mono_weight, sector, single)
 from .vertex import mode_component, vacuum_component, wick_sum
 
 FORMAT_VERSION = 5
 
 # Hard resource guards: echelons and realized products above this weight, and
-# echelons of more columns (``verify --rank 8`` at window 10 has 340,512), are
-# refused, not attempted.
+# echelons of more columns (the largest sector of ``verify --rank 8`` at window
+# 10, {}, has 13,643), are refused, not attempted.
 MAX_WEIGHT_CAP = 16
 MAX_COLUMNS = 400_000
 
@@ -264,15 +259,19 @@ class GeneratorPolicy:
     def key(self):
         return f"pairs={self.pairs}"
 
-    def factors(self, ell, monos):
+    def factors(self, ell, limit, monos):
         """(left, right): the left factors, and right(s), the right factors
-        in sector s, given monos(s), the even monomials of weight >= 1 in
-        sector s; the sector None stands for all of them."""
-        if self.pairs == "quadratic":
-            quads = [v for v in monos(None) if all(len(m) == 2 for m in v.terms)]
-            return quads, lambda s: [v for v in quads
-                                     if s is None or s in sector_parts(v)]
+        in sector s, given monos(s), the even monomials of sector s that
+        weigh 1 to limit - 1."""
         gens = range(1, ell + 1)
+        if self.pairs == "quadratic":
+            quads = sorted({make_monomial(ell, [(a, -m), (b, -n)])
+                            for a in gens for b in gens
+                            for m in range(1, limit) for n in range(1, limit - m)},
+                           key=mono_key)
+            vecs = [FockVector.from_monomial(ell, q) for q in quads]
+            return vecs, lambda s: [v for v, q in zip(vecs, quads)
+                                    if sector(q) == s]
         left = [omega(ell, a) for a in gens]
         if self.pairs == "all":
             left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
@@ -381,22 +380,21 @@ def exact_rank(rows):
 
 
 class OSpanEchelon:
-    """Echelonized spanning set of circle elements, truncated at a window.
+    """Echelonized spanning set of circle elements of one parity sector
+    (see the module docstring), truncated at a window.
 
-    Rows are integer vectors over the even monomial basis of weight at most
-    the window, or over its monomials of one sector (see the module
-    docstring) unless ``sector`` is None.  The pivot of a row is its
-    maximal monomial in the canonical order, so reduction rewrites top-weight monomials into lower
+    Rows are integer vectors over the sector's monomials of weight at most
+    the window.  The pivot of a row is its maximal monomial in the
+    canonical order, so reduction rewrites top-weight monomials into lower
     tails and the conformal vectors survive as their own normal forms.
 
     Rows are kept fully reduced: each is zero in every other row's pivot
     column, primitive, and has a positive pivot entry.
     That form depends only on the span, so the rows depend only on the
-    rank, the generator policy and the window, not on the order of
-    insertion, and those of a sector are the whole window's rows that lie
-    in it; the cutoff above which a claim stays Unknown belongs to the
-    caller.  Every row is a combination of circle elements, so a zero
-    normal form certifies membership in O.
+    rank, the generator policy, the window and the sector, not on the
+    order of insertion; the cutoff above which a claim stays Unknown
+    belongs to the caller.  Every row is a combination of circle elements,
+    so a zero normal form certifies membership in O.
 
     Because no row touches another's pivot column, reducing a vector makes
     one subtraction per pivot column of the vector, and none of them brings
@@ -407,18 +405,16 @@ class OSpanEchelon:
     column is listed.
     """
 
-    def __init__(self, ell, window, policy, sector=None):
+    def __init__(self, ell, window, policy, *, sector):
         if window < 0:
             raise ValueError(f"window must be nonnegative, got {window}")
-        if sector is not None and not (0 <= sector < 1 << ell
-                                       and sector.bit_count() % 2 == 0):
+        if not (0 <= sector < 1 << ell and sector.bit_count() % 2 == 0):
             raise ValueError(f"sector {sector} holds no even monomial "
                              f"at rank {ell}")
         if window > MAX_WEIGHT_CAP:
             raise ResourceWarning(f"echelon window {window} exceeds the "
                                   f"weight cap {MAX_WEIGHT_CAP}")
-        ncols = (count_even(ell, window) if sector is None
-                 else count_sector(ell, window, sector))
+        ncols = count_sector(ell, window, sector)
         if ncols > MAX_COLUMNS:
             raise ResourceWarning(f"echelon of {ncols} columns at rank {ell}, "
                                   f"window {window} exceeds {MAX_COLUMNS}")
@@ -487,10 +483,9 @@ class OSpanEchelon:
     # -- persistence --------------------------------------------------------
 
     def _header(self):
-        sec = "" if self.sector is None else f" sector={self.sector}"
         return (f"# ospan v{FORMAT_VERSION} ell={self.ell} "
-                f"window={self.window} policy={self.policy.key()}{sec} "
-                f"cols={len(self.columns)}")
+                f"window={self.window} policy={self.policy.key()} "
+                f"sector={self.sector} cols={len(self.columns)}")
 
     def cache_key(self):
         return hashlib.sha256(self._header().encode()).hexdigest()[:24]
@@ -537,9 +532,9 @@ class OSpanEchelon:
                                      f"pivot column {c}")
 
 
-def _iter_circle_pairs(ell, limit, policy, sector=None):
+def _iter_circle_pairs(ell, limit, policy, *, sector):
     """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within
-    limit and, unless ``sector`` is None, lies in that sector.
+    limit and lies in ``sector``.
 
     The vacuum circles come first, then every (left, right) pair of the
     policy's factors.  A circle lies in sector(u) XOR sector(v), so a left
@@ -556,17 +551,14 @@ def _iter_circle_pairs(ell, limit, policy, sector=None):
                         for w in range(1, limit) for m in basis(ell, w, "even", s)]
         return lists[s]
 
-    left, right = policy.factors(ell, monos)
+    left, right = policy.factors(ell, limit, monos)
     vac = FockVector.vacuum(ell)
     for u in monos(sector):
         yield u, vac
     rights = {}
     for u in left:
-        if sector is None:
-            key = None
-        else:
-            (su,) = sector_parts(u)
-            key = sector ^ su
+        (su,) = sector_parts(u)
+        key = sector ^ su
         if key not in rights:
             rights[key] = [(v, v.weight()) for v in right(key)]
         room = limit - 1 - u.weight()
@@ -575,10 +567,10 @@ def _iter_circle_pairs(ell, limit, policy, sector=None):
                 yield u, v
 
 
-def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None,
-                sector=None):
-    """Echelonize the circle span truncated at weight ``window``, or its
-    part in one sector (see the module docstring) unless ``sector`` is None.
+def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
+                sector):
+    """Echelonize the part in ``sector`` (see the module docstring) of the
+    circle span truncated at weight ``window``.
 
     The span is seeded with circ_0(u, v) for the pairs of
     :func:`_iter_circle_pairs`; the circles with n >= 1 add nothing (see
@@ -588,7 +580,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None,
     window W+S and answers queries above W itself.  Without ``cache_dir``,
     or with one that cannot be read or made, nothing is read or written.
     """
-    ech = OSpanEchelon(rank, window, policy, sector)
+    ech = OSpanEchelon(rank, window, policy, sector=sector)
 
     cache_file = None
     if cache_dir:
@@ -601,7 +593,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None,
         except (OSError, ValueError):
             ech.rows.clear()
 
-    for u, v in _iter_circle_pairs(rank, window, policy, sector):
+    for u, v in _iter_circle_pairs(rank, window, policy, sector=sector):
         vec = circ_n(u, v)
         if not vec.is_zero():
             ech.insert(vec)

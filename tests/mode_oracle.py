@@ -11,17 +11,20 @@ mode of a two-factor state at a time, the reference for
 ``vertex.wick_sum``.  The exact linear algebra has dense ``Fraction``
 references too: :func:`fraction_rank` for ``zhu.exact_rank``,
 :func:`fraction_reduce` for ``OSpanEchelon.reduce`` and
-:class:`FractionMatrix` for ``toplevel.Matrix``.
+:class:`FractionMatrix` for ``toplevel.Matrix``.  The package echelonizes
+one parity sector at a time; :class:`WholeWindow` joins the sectors into
+the echelon of the whole even window, the form the span tests read.
 """
 
 from fractions import Fraction
 from math import comb
 
 from orbifock.coeffs import LPoly
-from orbifock.fock import FockVector, annihilate, mono_weight
+from orbifock.fock import FockVector, annihilate, basis, mono_weight
 from orbifock.twisted import apply_delta
 from orbifock.vertex import d_coeff, mode_component
-from orbifock.zhu import omega
+from orbifock.zhu import (DEFAULT_POLICY, OSpanEchelon, build_ospan, omega,
+                          sector_parts)
 
 # Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g.
 SYMBOLIC = "symbolic"
@@ -218,6 +221,60 @@ def fraction_reduce(echelon, vec):
                 del work[c]
     return FockVector(echelon.ell,
                       {echelon.columns[c]: v for c, v in work.items()})
+
+
+def even_sectors(ell):
+    """The parity sectors of rank ell that hold even monomials."""
+    return [s for s in range(1 << ell) if s.bit_count() % 2 == 0]
+
+
+class WholeWindow:
+    """The echelon of every even monomial of weight at most ``window``, as
+    the union of the parity-sector echelons of ``build_ospan``, or of empty
+    ones when ``build`` is false.
+
+    ``columns`` run in ``basis`` order and ``rows`` are the sectors' rows
+    reindexed to them, kept until the next insert: the fully reduced
+    echelon of a direct sum over disjoint column sets is the union of the
+    blocks'.  :meth:`reduce` reduces each sector part on its sector's
+    echelon, and :meth:`insert` routes a vector of one sector, such as a
+    circle, to that sector's.
+    """
+
+    def __init__(self, ell, window, policy=DEFAULT_POLICY, cache_dir=None,
+                 build=True):
+        def make(s):
+            if build:
+                return build_ospan(ell, window, policy, cache_dir, sector=s)
+            return OSpanEchelon(ell, window, policy, sector=s)
+
+        self.ell = ell
+        self.window = window
+        self.sectors = {s: make(s) for s in even_sectors(ell)}
+        self.columns = [m for w in range(window + 1) for m in basis(ell, w, "even")]
+        self.col_index = {m: i for i, m in enumerate(self.columns)}
+        self._rows = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = {}
+            for e in self.sectors.values():
+                index = [self.col_index[m] for m in e.columns]
+                for p, row in e.rows.items():
+                    self._rows[index[p]] = {index[c]: v for c, v in row.items()}
+        return self._rows
+
+    def reduce(self, vec):
+        out = FockVector.zero(self.ell)
+        for s, part in sector_parts(vec).items():
+            out += self.sectors[s].reduce(part)
+        return out
+
+    def insert(self, vec):
+        (s,) = sector_parts(vec)
+        self._rows = None
+        return self.sectors[s].insert(vec)
 
 
 class FractionMatrix:

@@ -14,16 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from mode_oracle import reference_product, virasoro
+from mode_oracle import WholeWindow, reference_product, virasoro
 from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.runner import RunConfig
 from orbifock.suites import SUITE_NAMES, _reduce_from_weight, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
                                independence_rank)
 from orbifock.twisted import delta_coefficients, twisted_zero_mode
-from orbifock.zhu import (GeneratorPolicy, build_ospan, circ_n, e_t,
-                          e_u, exact_rank, hgen, jgen, lam, omega, s_pair,
-                          star)
+from orbifock.zhu import (GeneratorPolicy, circ_n, e_t, e_u, exact_rank,
+                          hgen, jgen, lam, omega, s_pair, star)
 
 F = Fraction
 
@@ -61,7 +60,7 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
     S = [s_pair(2, 1, 1, 2, m) for m in range(1, 6)]
     assert independence_rank(S) == 5
 
-    ech = build_ospan(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+    ech = WholeWindow(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
     reduced = [ech.reduce(s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
     assert exact_rank(r.terms for r in reduced[:5]) == 5
     assert exact_rank(r.terms for r in reduced) == 5  # S(1,6) falls into the span
@@ -69,7 +68,7 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
     # Leading coefficient -64 of the weight-7 circle relation.  The oracle
     # quotients by weight < 7 with bookkeeping rows: the omega-anchored
     # circles, then every even monomial below weight 7 inserted as a row.
-    anchored = build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"))
+    anchored = WholeWindow(2, 10, GeneratorPolicy(pairs="omega"))
     oracle = copy.deepcopy(anchored)
     blanket = [FockVector.from_monomial(2, mn)
                for w in range(0, 7)
@@ -98,7 +97,7 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
 
 def test_criterion_3_product_shift_identities(capsys):
     t0 = time.time()
-    ech = build_ospan(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+    ech = WholeWindow(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
     us = [FockVector.from_monomial(2, m)
           for w in range(0, 6) for m in basis(2, w, "even")]
     assert len(us) == 36
@@ -220,7 +219,7 @@ def test_criterion_8_scope_honesty(capsys):
     # even when no evaluation disproof exists.
     assert set(SUITE_NAMES) == {"tables", "circle_reductions", "matrix_units",
                                 "final_relations", "all"}
-    ech = build_ospan(2, 4)
+    ech = WholeWindow(2, 4)
     deep = circ_n(jgen(2, 1), jgen(2, 1), 0)  # weight 9 circle, beyond reach
     x = omega(2, 1) + deep
     y = omega(2, 1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from mode_oracle import graded_parts
+from mode_oracle import WholeWindow, graded_parts
 from orbifock.fock import FockVector, basis
 from orbifock.toplevel import FAMILIES, evaluate
 from orbifock.vertex import mode_component
@@ -64,7 +64,7 @@ def test_circle_annihilation_on_all_pairs(gens):
 
 def test_certificate_soundness_against_evaluation():
     # Every certified pair over a sample set evaluates identically.
-    e = build_ospan(2, 8)
+    e = WholeWindow(2, 8)
     sample = []
     for w in (0, 2, 3, 4):
         sample += [FockVector.from_monomial(2, m)
@@ -106,10 +106,10 @@ def _assert_associative_mod_circles(e, states):
 
 
 def test_associativity_modulo_circles():
-    e1 = build_ospan(1, 10)
+    e1 = build_ospan(1, 10, sector=0)
     gens1 = [omega(1, 1), jgen(1, 1), FockVector.vacuum(1)]
     assert _assert_associative_mod_circles(e1, gens1) == 26
-    e2 = build_ospan(2, 10)
+    e2 = WholeWindow(2, 10)
     states2 = ([FockVector.vacuum(2), omega(2, 1), omega(2, 2),
                 s_pair(2, 1, 1, 2, 1)] + _seeded_even_states(2, 3, seed=5))
     assert _assert_associative_mod_circles(e2, states2) == 7 ** 3

@@ -54,7 +54,7 @@ def test_tracer_installs_and_restores_every_name(tmp_path):
             assert key in wrapped, key
         # The build observer binds the call to build_ospan's signature.
         for cache_dir in (None, str(tmp_path), str(tmp_path)):
-            orbifock.zhu.build_ospan(1, 3, cache_dir=cache_dir)
+            orbifock.zhu.build_ospan(1, 3, cache_dir=cache_dir, sector=0)
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()

@@ -9,10 +9,11 @@ from math import gcd
 
 import pytest
 
-from mode_oracle import (fraction_rank, fraction_reduce, reference_product,
-                         virasoro)
+from mode_oracle import (WholeWindow, even_sectors, fraction_rank,
+                         fraction_reduce, reference_product, virasoro)
 from orbifock import zhu
-from orbifock.fock import FockVector, basis, count_even, single
+from orbifock.coeffs import clear_denominators
+from orbifock.fock import FockVector, basis, count_sector, single
 from orbifock.vertex import mode_component
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                           e_t, e_t_bar, e_u, e_u_bar, exact_rank, hgen, jgen, lam,
@@ -24,7 +25,7 @@ F = Fraction
 
 @pytest.fixture(scope="module")
 def echelon1():
-    return build_ospan(1, 6)
+    return build_ospan(1, 6, sector=0)
 
 
 def test_star_identity_element():
@@ -82,8 +83,9 @@ def test_products_match_recursion_on_benchmark_generators():
                          ids=["r2w10-all", "r3w8-quadratic"])
 def test_build_circles_match_recursion(ell, window, pairs):
     policy = GeneratorPolicy(pairs)
-    for u, v in zhu._iter_circle_pairs(ell, window, policy):
-        assert circ_n(u, v) == reference_product(u, v, 2), (u, v)
+    for s in even_sectors(ell):
+        for u, v in zhu._iter_circle_pairs(ell, window, policy, sector=s):
+            assert circ_n(u, v) == reference_product(u, v, 2), (u, v)
 
 
 def test_vacuum_circles_are_translations():
@@ -106,7 +108,7 @@ def test_build_makes_no_recursive_mode_calls(monkeypatch):
         return mode_component(*args, **kwargs)
 
     monkeypatch.setattr(zhu, "mode_component", spy)
-    assert build_ospan(2, 8).rows
+    assert WholeWindow(2, 8).rows
     assert calls == []
     assert star(jgen(2, 1), omega(2, 1)) == reference_product(jgen(2, 1), omega(2, 1), 1)
     assert calls
@@ -193,29 +195,30 @@ def test_reduce_weight_guard(echelon1):
 
 def test_window_guards():
     with pytest.raises(ValueError, match="window must be nonnegative"):
-        build_ospan(1, -1)
-    small = OSpanEchelon(1, 4, GeneratorPolicy())
+        build_ospan(1, -1, sector=0)
+    small = OSpanEchelon(1, 4, GeneratorPolicy(), sector=0)
     with pytest.raises(ValueError, match="exceeds the echelon's weight window"):
         small.insert(single(1, [(1, -3)] * 2))
     assert not small.rows
 
 
 def test_oversized_echelon_refused_before_listing(monkeypatch):
-    # The default verify --rank 8 (window 10) fits; rank 8 at window 16 would
-    # list 54,406,122 columns.  A window above the cap is refused at any
-    # rank, whoever asks for it.
+    # Sector {} is the largest: at the default verify --rank 8 (window 10)
+    # it fits, and at window 16 it would list 1,231,628 columns, and 669,006
+    # at rank 7.  A window above the cap is refused at any rank, whoever
+    # asks for it.
     def listed(*args):
         raise AssertionError("columns listed")
 
-    assert count_even(8, 10) <= zhu.MAX_COLUMNS
+    assert count_sector(8, 10, 0) == 13643 <= zhu.MAX_COLUMNS
     monkeypatch.setattr(zhu, "basis", listed)
-    with pytest.raises(ResourceWarning, match="54406122 columns"):
-        OSpanEchelon(8, 16, GeneratorPolicy())
+    with pytest.raises(ResourceWarning, match="1231628 columns"):
+        OSpanEchelon(8, 16, GeneratorPolicy(), sector=0)
     with pytest.raises(ResourceWarning):
-        OSpanEchelon(4, 16, GeneratorPolicy())
+        OSpanEchelon(7, 16, GeneratorPolicy(), sector=0)
     with pytest.raises(ResourceWarning, match="echelon window 17 exceeds "
                                               "the weight cap 16"):
-        build_ospan(1, zhu.MAX_WEIGHT_CAP + 1)
+        build_ospan(1, zhu.MAX_WEIGHT_CAP + 1, sector=0)
 
 
 def test_sector_echelon_columns_counted_before_listing(monkeypatch):
@@ -262,15 +265,23 @@ def _monomial_rows(e):
                                "r3w8-quadratic", "r4w8-quadratic"])
 def test_sector_echelons_are_the_full_echelon(ell, window, pairs):
     # The fully reduced echelon of a direct sum over disjoint column sets is
-    # the union of the blocks' echelons, row for row.
+    # the union of the blocks' echelons, row for row.  The reference
+    # eliminates the same circles over the whole even window.
     policy = GeneratorPolicy(pairs)
-    union = {}
-    for s in range(1 << ell):
-        if s.bit_count() % 2 == 0:
-            e = build_ospan(ell, window, policy, sector=s)
-            assert e.sector == s and all(zhu.sector(m) == s for m in e.columns)
-            union.update(_monomial_rows(e))
-    assert union == _monomial_rows(build_ospan(ell, window, policy))
+    columns = [m for w in range(window + 1) for m in basis(ell, w, "even")]
+    col_index = {m: i for i, m in enumerate(columns)}
+    union, rows, holders = {}, {}, {}
+    for s in even_sectors(ell):
+        e = build_ospan(ell, window, policy, sector=s)
+        assert e.sector == s and all(zhu.sector(m) == s for m in e.columns)
+        union.update(_monomial_rows(e))
+        for u, v in zhu._iter_circle_pairs(ell, window, policy, sector=s):
+            terms = clear_denominators(circ_n(u, v).terms)[1]
+            row = zhu._eliminate(rows, {col_index[m]: c for m, c in terms.items()})[1]
+            if row:
+                zhu._insert_row(rows, holders, row)
+    assert union == {columns[p]: {columns[c]: v for c, v in row.items()}
+                     for p, row in rows.items()}
 
 
 def test_products_stay_in_the_xor_sector():
@@ -289,8 +300,8 @@ def test_products_stay_in_the_xor_sector():
 
 def test_reduce_then_count_consistency():
     # The truncated quotient dimensions agree between two windows.
-    e_a = build_ospan(1, 6)
-    e_b = build_ospan(1, 7)
+    e_a = build_ospan(1, 6, sector=0)
+    e_b = build_ospan(1, 7, sector=0)
     dims_a = sum(1 for w in (0, 2, 3, 4)
                  for m in basis(1, w, "even")
                  if not e_a.reduce(FockVector.from_monomial(1, m)).is_zero())
@@ -301,7 +312,7 @@ def test_reduce_then_count_consistency():
 
 
 def test_equivalence_by_reduction_examples():
-    e = build_ospan(2, 8)
+    e = WholeWindow(2, 8)
     S = s_pair(2, 1, 1, 2, 1)
     lhs = star(S, omega(2, 1))
     rhs = virasoro(1, -2, S) + virasoro(1, -1, S)
@@ -348,7 +359,7 @@ def omega_two_order_circles(ell, window):
 
 
 def echelon_of(ell, window, circles):
-    e = OSpanEchelon(ell, window, GeneratorPolicy())
+    e = WholeWindow(ell, window, build=False)
     for vec in circles:
         if not vec.is_zero():
             e.insert(vec)
@@ -393,14 +404,14 @@ def canonical_digest(e):
 @pytest.mark.parametrize("ell, window", [(1, 8), (1, 10), (1, 12), (2, 6), (2, 8),
                                          (3, 6), (4, 5)])
 def test_generator_family_spans_all_pairs(ell, window):
-    got = build_ospan(ell, window)
+    got = WholeWindow(ell, window)
     want = echelon_of(ell, window, all_pairs_circles(ell, window))
     assert canonical_rows(got) == canonical_rows(want)
 
 
 @pytest.mark.parametrize("ell, window", [(1, 10), (2, 8)])
 def test_omega_span_matches_both_orders(ell, window):
-    got = build_ospan(ell, window, policy=GeneratorPolicy("omega"))
+    got = WholeWindow(ell, window, GeneratorPolicy("omega"))
     want = echelon_of(ell, window, omega_two_order_circles(ell, window))
     assert canonical_rows(got) == canonical_rows(want)
 
@@ -437,7 +448,7 @@ SUITE_ECHELONS = [(1, 10, "all"), (1, 12, "all"), (2, 10, "all"),
 def test_circ0_seeds_span_all_n(ell, window, pairs):
     # The shipped rows lie in the all-n span and have its rank, so the two
     # spans are equal.
-    got = build_ospan(ell, window, policy=GeneratorPolicy(pairs))
+    got = WholeWindow(ell, window, GeneratorPolicy(pairs))
     want = echelon_of(ell, window, all_n_generator_circles(ell, window, pairs))
     assert len(got.rows) == len(want.rows)
     for row in got.rows.values():
@@ -448,14 +459,14 @@ def test_circ0_seeds_span_all_n(ell, window, pairs):
 @pytest.mark.parametrize("ell, window, pairs", SUITE_ECHELONS,
                          ids=[f"r{r}w{w}-{p}" for r, w, p in SUITE_ECHELONS])
 def test_rows_are_fully_reduced(ell, window, pairs):
-    e = build_ospan(ell, window, policy=GeneratorPolicy(pairs))
+    e = WholeWindow(ell, window, GeneratorPolicy(pairs))
     assert e.rows == canonical_rows(e)
 
 
 def test_rows_do_not_depend_on_insertion_order():
-    circles = [circ_n(u, v) for u, v in
-               zhu._iter_circle_pairs(2, 8, GeneratorPolicy())]
-    want = build_ospan(2, 8).rows
+    circles = [circ_n(u, v) for s in even_sectors(2) for u, v in
+               zhu._iter_circle_pairs(2, 8, GeneratorPolicy(), sector=s)]
+    want = WholeWindow(2, 8).rows
     for seed in (1, 2, 3):
         shuffled = list(circles)
         random.Random(seed).shuffle(shuffled)
@@ -472,7 +483,7 @@ def test_build_seeds_circ0_without_singlets_above_rank_1(monkeypatch):
         return real(u, v, n, **kwargs)
 
     monkeypatch.setattr(zhu, "circ_n", spy)
-    build_ospan(2, 8)
+    WholeWindow(2, 8)
     singlets = [jgen(2, a) for a in (1, 2)]
     assert calls
     assert all(n == 0 for _, n in calls)
@@ -480,9 +491,9 @@ def test_build_seeds_circ0_without_singlets_above_rank_1(monkeypatch):
 
 
 def test_policies_nest_in_all():
-    full = build_ospan(3, 6)
+    full = WholeWindow(3, 6)
     for pairs in ("omega", "quadratic"):
-        e = build_ospan(3, 6, policy=GeneratorPolicy(pairs))
+        e = WholeWindow(3, 6, GeneratorPolicy(pairs))
         for row in e.rows.values():
             vec = FockVector(3, {e.columns[c]: v for c, v in row.items()})
             assert full.reduce(vec).is_zero()
@@ -504,20 +515,20 @@ ECHELON_GOLDENS = [
 @pytest.mark.parametrize("args, pairs, digest, kept", ECHELON_GOLDENS,
                          ids=["r1w8-all", "r2w6-omega", "r3w5-quadratic"])
 def test_echelon_golden(args, pairs, digest, kept):
-    e = build_ospan(*args, policy=GeneratorPolicy(pairs))
+    e = WholeWindow(*args, GeneratorPolicy(pairs))
     assert canonical_digest(e) == digest
     assert len(e.rows) == kept
 
 
 def test_echelon_cache_round_trip(tmp_path):
-    e1 = build_ospan(1, 6, cache_dir=str(tmp_path))
+    e1 = build_ospan(1, 6, cache_dir=str(tmp_path), sector=0)
     assert not e1.cache_hit
-    e2 = build_ospan(1, 6, cache_dir=str(tmp_path))
+    e2 = build_ospan(1, 6, cache_dir=str(tmp_path), sector=0)
     assert e2.cache_hit
     assert e1.rows == e2.rows
     w1 = omega(1, 1)
     assert e1.reduce(w1) == e2.reduce(w1)
-    assert not build_ospan(1, 7, cache_dir=str(tmp_path)).cache_hit
+    assert not build_ospan(1, 7, cache_dir=str(tmp_path), sector=0).cache_hit
 
 
 def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
@@ -526,11 +537,11 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(OSpanEchelon, "to_text", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        build_ospan(1, 6, cache_dir=str(tmp_path))
+        build_ospan(1, 6, cache_dir=str(tmp_path), sector=0)
     assert os.listdir(tmp_path) == []
     monkeypatch.undo()
-    assert not build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
-    assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
+    assert not build_ospan(1, 6, cache_dir=str(tmp_path), sector=0).cache_hit
+    assert build_ospan(1, 6, cache_dir=str(tmp_path), sector=0).cache_hit
 
 
 def test_insert_after_load_matches_fresh_build(tmp_path):
@@ -538,14 +549,14 @@ def test_insert_after_load_matches_fresh_build(tmp_path):
     # read from a cache file, which has no column index until insert builds
     # one.  The fresh echelon keeps one index from its first circle on.
     policy = GeneratorPolicy("omega")
-    build_ospan(2, 10, policy=policy, cache_dir=str(tmp_path))
-    loaded = build_ospan(2, 10, policy=policy, cache_dir=str(tmp_path))
-    assert loaded.cache_hit
+    WholeWindow(2, 10, policy, cache_dir=str(tmp_path))
+    loaded = WholeWindow(2, 10, policy, cache_dir=str(tmp_path))
+    assert all(e.cache_hit for e in loaded.sectors.values())
     blanket = [FockVector.from_monomial(2, m)
                for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
-    circles = [circ_n(u, v) for u, v in
-               zhu._iter_circle_pairs(2, 10, policy)]
+    circles = [circ_n(u, v) for s in even_sectors(2) for u, v in
+               zhu._iter_circle_pairs(2, 10, policy, sector=s)]
     fresh = echelon_of(2, 10, circles + blanket)
     for vec in blanket:
         loaded.insert(vec)
@@ -576,17 +587,17 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
 def test_malformed_cache_file_is_rebuilt(tmp_path, corrupt):
-    fresh = build_ospan(1, 6, cache_dir=str(tmp_path))
+    fresh = build_ospan(1, 6, cache_dir=str(tmp_path), sector=0)
     (name,) = os.listdir(tmp_path)
     path = tmp_path / name
     path.write_text(corrupt(path.read_text()))
-    again = build_ospan(1, 6, cache_dir=str(tmp_path))
+    again = build_ospan(1, 6, cache_dir=str(tmp_path), sector=0)
     assert not again.cache_hit
     assert again.rows == fresh.rows
     h2 = single(1, [(1, -2), (1, -2)])
     assert again.reduce(h2) == (3 * single(1, [(1, -1), (1, -1)])
                                 - 2 * single(1, [(1, -3), (1, -1)]))
-    assert build_ospan(1, 6, cache_dir=str(tmp_path)).cache_hit
+    assert build_ospan(1, 6, cache_dir=str(tmp_path), sector=0).cache_hit
 
 
 # Keys of mixed shapes, as independence_rank's (family, entry) columns: a
@@ -649,7 +660,7 @@ def test_exact_rank_leaves_its_rows_alone():
 
 
 def test_reduce_matches_fraction_reference():
-    e = build_ospan(2, 8)
+    e = WholeWindow(2, 8)
     rng = random.Random(9905064)
     for _ in range(200):
         vec = FockVector(2, {
@@ -662,7 +673,7 @@ def test_reduce_matches_fraction_reference():
                for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
     for policy in (GeneratorPolicy(), GeneratorPolicy("omega")):
-        e = build_ospan(2, 10, policy=policy)
+        e = WholeWindow(2, 10, policy)
         for vec in blanket:
             for v in (vec, F(-5, 12) * vec):
                 assert e.reduce(v) == fraction_reduce(e, v)
