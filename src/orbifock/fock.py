@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import LPoly, format_sum
+from .coeffs import format_sum
 
 # A monomial is a tuple of (gen, n) pairs; the vacuum is the empty tuple.
 VACUUM = ()
@@ -114,7 +114,7 @@ class FockVector:
         return FockVector(self.ell, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c):
-        if isinstance(c, (int, Fraction, LPoly)):
+        if isinstance(c, (int, Fraction)):
             return self.scale(c)
         return NotImplemented
 
@@ -142,17 +142,9 @@ class FockVector:
         """True when every monomial has an even number of modes."""
         return all(len(m) % 2 == 0 for m in self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
-
     def __str__(self):
-        terms = []
-        for mono, c in self.sorted_terms():
-            cs = str(c)
-            if isinstance(c, LPoly) and len(c.terms) > 1:
-                cs = f"({cs})"
-            terms.append((cs, format_monomial(mono) if mono else ""))
-        return format_sum(terms)
+        return format_sum([(str(self.terms[m]), format_monomial(m) if m else "")
+                           for m in sorted(self.terms, key=mono_key)])
 
     __repr__ = __str__
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import script as dsl
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
-from .zhu import DEFAULT_POLICY, build_ospan, sector_parts
+from .zhu import DEFAULT_POLICY, CircleSpan
 
 CACHE_ENV = "ORBIFOCK_CACHE_DIR"
 
@@ -105,28 +105,19 @@ class Report:
 
 
 class Runner:
-    """Runs statements against one configuration, building the span of
-    each parity sector (see :mod:`orbifock.zhu`) lazily."""
+    """Runs statements against one configuration.  Its ``span`` is the
+    :class:`~orbifock.zhu.CircleSpan` at window max_weight + slack, which
+    builds the echelon of each parity sector a difference meets."""
 
     def __init__(self, config):
         self.config = config
-        self._echelons = {}  # sector -> echelon
-
-    def echelon(self, sector):
-        if sector not in self._echelons:
-            cfg = self.config
-            if cfg.max_weight < 0 or cfg.slack < 0:
-                raise ValueError(f"max_weight and slack must be nonnegative, "
-                                 f"got {cfg.max_weight} and {cfg.slack}")
-            self._echelons[sector] = build_ospan(
-                cfg.rank, cfg.max_weight + cfg.slack, policy=cfg.policy,
-                cache_dir=cfg.cache_dir, sector=sector)
-        return self._echelons[sector]
+        self.span = CircleSpan(config.rank, config.max_weight + config.slack,
+                               config.policy, config.cache_dir)
 
     def run(self, statements, report=None):
         report = report or Report(self.config)
         # A call that read any echelon from the cache counts one hit.
-        before = set(self._echelons)
+        before = set(self.span.echelons)
         for stmt in statements:
             t0 = time.perf_counter()
             try:
@@ -137,7 +128,7 @@ class Runner:
                 status, detail = "Error", str(exc)
             ms = 1000 * (time.perf_counter() - t0)
             report.add(StatementResult(dsl.format_statement(stmt), status, detail, ms))
-        if any(ech.cache_hit for s, ech in self._echelons.items()
+        if any(ech.cache_hit for s, ech in self.span.echelons.items()
                if s not in before):
             report.cache_hits += 1
         return report
@@ -182,9 +173,10 @@ class Runner:
         if diff.max_weight() > cfg.max_weight:
             return "Unknown", (f"weight {diff.max_weight()} exceeds "
                                f"cutoff {cfg.max_weight}; no disproof found")
-        # The span is the direct sum of its sectors' spans.
-        if all(self.echelon(s).reduce(part).is_zero()
-               for s, part in sorted(sector_parts(diff).items())):
+        if cfg.max_weight < 0 or cfg.slack < 0:
+            raise ValueError(f"max_weight and slack must be nonnegative, "
+                             f"got {cfg.max_weight} and {cfg.slack}")
+        if self.span.contains(diff):
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"
         return "Unknown", (f"no certificate at cutoff {cfg.max_weight} "
                            f"(slack {cfg.slack}); no disproof found")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import script as dsl
 from . import zhu
-from .fock import FockVector, make_monomial, mono_weight
+from .fock import FockVector, make_monomial
 from .runner import Report, RunConfig, Runner, StatementResult
 from .tables import GOLDEN
 from .toplevel import FAMILIES, disprove_equiv, evaluate, evaluate_word
@@ -54,7 +54,7 @@ def run_suite(name, config):
 def _run_block(config, report, lines, rank, **settings):
     """Run a block's script lines into report at its own rank and settings
     (max_weight, slack, policy) and the suite's cache directory; return the
-    Runner, whose echelon a native check may reuse."""
+    Runner, whose span a native check may reuse."""
     block = RunConfig(rank=rank, cache_dir=config.cache_dir, **settings)
     runner = Runner(block)
     runner.run(dsl.parse_script("\n".join(lines), rank), report)
@@ -136,22 +136,7 @@ def circle_reductions_suite(config, report):
     _run_block(config, report, lines, 3, max_weight=7, slack=1,
                policy=GeneratorPolicy(pairs="quadratic"))
 
-    # Every vector of the ladder lies in the sector of S(1,1;2,1).
-    ladder = zhu.sector(make_monomial(2, [(1, -1), (2, -1)]))
-    _membership_and_leading_coefficient(report, runner2.echelon(ladder))
-
-
-def _reduce_from_weight(echelon, vec, low):
-    """Normal form of ``vec`` modulo the echelon's span plus all of weight < low.
-
-    Columns run in weight order and a pivot is the top monomial of its row,
-    so a row whose pivot lies below weight ``low`` lies entirely below it.
-    The part of weight >= low is therefore reduced by the same steps as
-    modulo span + V_{<low}, and the rest of the normal form is dropped.
-    """
-    nf = echelon.reduce(vec)
-    return FockVector(nf.ell, {m: c for m, c in nf.terms.items()
-                               if mono_weight(m) >= low})
+    _membership_and_leading_coefficient(report, runner2.span)
 
 
 def _membership_and_leading_coefficient(report, full):
@@ -161,10 +146,8 @@ def _membership_and_leading_coefficient(report, full):
     truncated span have rank 5, and the circle of the basic quadratic with
     h_1(-1)^4 reduces, modulo the omega-anchored span plus everything below
     weight 7, to exactly -64 times the reduced form of S(1,6).  ``full``
-    is the rank-2 window-10 echelon of the quadratic shift relations in the
-    sector of S(1,1;2,1), where every vector here lies; the omega-anchored
-    one is built here for that sector, without a cache, and the weight < 7
-    quotient is taken by :func:`_reduce_from_weight`.
+    is the rank-2 window-10 span of the quadratic shift relations; the
+    omega-anchored one is made here, without a cache.
     """
     t0 = time.perf_counter()
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
@@ -177,12 +160,11 @@ def _membership_and_leading_coefficient(report, full):
             f"{1000 * (time.perf_counter() - t0):.0f} ms")
 
     t0 = time.perf_counter()
-    anchored = zhu.build_ospan(2, 10, policy=GeneratorPolicy(pairs="omega"),
-                               sector=full.sector)
+    anchored = zhu.CircleSpan(2, 10, GeneratorPolicy(pairs="omega"))
     circle = zhu.circ_n(zhu.s_pair(2, 1, 1, 2, 1),
                         FockVector.from_monomial(2, make_monomial(2, [(1, -1)] * 4)))
-    nf = _reduce_from_weight(anchored, circle, 7)
-    s16 = _reduce_from_weight(anchored, zhu.s_pair(2, 1, 1, 2, 6), 7)
+    nf = anchored.reduce(circle, low=7)
+    s16 = anchored.reduce(zhu.s_pair(2, 1, 1, 2, 6), low=7)
     ok = (not s16.is_zero()) and nf == -64 * s16
     _native(report,
             "circ(S(1,1;2,1), h1(-1)^4) reduces to -64 * S(1,1;2,6) "

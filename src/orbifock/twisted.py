@@ -113,25 +113,22 @@ def _matchings(modes, pairs, keep, memo):
     return out
 
 
-def apply_delta(v, keep=None):
+def apply_delta(v, keep):
     """exp(Delta_z) v summed over the powers of z, as a pair (den, terms).
 
     Each monomial expands into its partial matchings, one generator at a
     time, with the pair weights of the shared :func:`delta_table`.  A
     matching that removes weight k carries z^(-k), so on a homogeneous
     state a remainder's weight fixes its exponent and the sum, which is all
-    the top level reads, loses nothing.  With ``keep``, a remainder of more
-    than ``keep`` factors is dropped, across the generators together;
-    ``None`` keeps the full expansion.  The sums run in integers over one
-    positive int ``den`` (module docstring), and ``terms`` maps each
-    remainder to its nonzero int numerator over ``den``.
+    the top level reads, loses nothing.  A remainder of more than ``keep``
+    factors is dropped, across the generators together, so a ``keep`` of at
+    least the longest monomial's length gives the full expansion.  The sums
+    run in integers over one positive int ``den`` (module docstring), and
+    ``terms`` maps each remainder to its nonzero int numerator over ``den``.
     """
     scale, pairs = delta_table(v.max_weight())
-    longest = max(map(len, v.terms), default=0)
-    if keep is None:
-        keep = longest
     den, scaled = clear_denominators(v.terms)
-    top = longest // 2
+    top = max(map(len, v.terms), default=0) // 2
     # lift[k]: a matching of k pairs, lifted to the common power scale**top.
     lift = [scale ** (top - k) for k in range(top + 1)]
     memo = {}

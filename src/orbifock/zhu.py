@@ -26,7 +26,7 @@ sector of m, and each factor of a policy lies in one sector, so each seed
 lies in one sector and the truncated span is the direct sum of its sector
 parts, each spanned by that sector's seeds.  An echelon holds one sector
 part (``build_ospan(..., sector=s)``), and a vector is in the span exactly
-when each of its sector parts (:func:`sector_parts`) is in its sector's.
+when each of its sector parts is in its sector's (:class:`CircleSpan`).
 
 The same integer step (:func:`_eliminate`, :func:`_insert_row`) ranks any
 sparse rational rows on a scratch echelon (:func:`exact_rank`).
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from . import fock
 from .coeffs import clear_denominators
 from .fock import (VACUUM, FockVector, basis, count_sector, make_monomial,
                    mono_key, mono_weight, sector, single)
@@ -124,14 +125,6 @@ def circ_n(u, v, n=0):
         raise ValueError("circle index n must be nonnegative")
     _check_arguments(u, v, "circ_n")
     return _binomial_sum(u, v, n + 2)
-
-
-def sector_parts(vec):
-    """{sector: the part of ``vec`` in that sector} over the sectors it meets."""
-    parts = {}
-    for mono, c in vec.terms.items():
-        parts.setdefault(sector(mono), {})[mono] = c
-    return {s: FockVector(vec.ell, terms) for s, terms in parts.items()}
 
 
 def _check_arguments(u, v, opname):
@@ -557,8 +550,7 @@ def _iter_circle_pairs(ell, limit, policy, *, sector):
         yield u, vac
     rights = {}
     for u in left:
-        (su,) = sector_parts(u)
-        key = sector ^ su
+        key = sector ^ fock.sector(next(iter(u.terms)))
         if key not in rights:
             rights[key] = [(v, v.weight()) for v in right(key)]
         room = limit - 1 - u.weight()
@@ -617,3 +609,46 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
             if os.path.exists(tmp):
                 os.remove(tmp)
     return ech
+
+
+class CircleSpan:
+    """The circle span truncated at ``window``, the direct sum of its sector
+    parts (see the module docstring): ``echelons`` maps each sector met so
+    far to its :func:`build_ospan` echelon, built when a vector first meets
+    that sector."""
+
+    def __init__(self, rank, window, policy=DEFAULT_POLICY, cache_dir=None):
+        self.rank = rank
+        self.window = window
+        self.policy = policy
+        self.cache_dir = cache_dir
+        self.echelons = {}
+
+    def _parts(self, vec):
+        """Yield (echelon, part) per sector part of ``vec`` in sector order,
+        building an echelon only when its part is reached."""
+        parts = {}
+        for mono, c in vec.terms.items():
+            parts.setdefault(sector(mono), {})[mono] = c
+        for s in sorted(parts):
+            if s not in self.echelons:
+                self.echelons[s] = build_ospan(self.rank, self.window,
+                                               self.policy, self.cache_dir,
+                                               sector=s)
+            yield self.echelons[s], FockVector(vec.ell, parts[s])
+
+    def contains(self, vec):
+        """Whether every sector part of ``vec`` reduces to zero; the first
+        part that does not ends the check."""
+        return all(ech.reduce(part).is_zero() for ech, part in self._parts(vec))
+
+    def reduce(self, vec, low=0):
+        """Normal form of ``vec`` modulo the span plus everything of weight
+        below ``low``.  Columns run in weight order and a row's pivot is its
+        top monomial, so the rows with a pivot below ``low`` lie below it: the
+        part of weight >= low is reduced as modulo span + V_{<low}."""
+        out = {}
+        for ech, part in self._parts(vec):
+            out.update((m, c) for m, c in ech.reduce(part).terms.items()
+                       if mono_weight(m) >= low)
+        return FockVector(vec.ell, out)

@@ -12,19 +12,20 @@ mode of a two-factor state at a time, the reference for
 references too: :func:`fraction_rank` for ``zhu.exact_rank``,
 :func:`fraction_reduce` for ``OSpanEchelon.reduce`` and
 :class:`FractionMatrix` for ``toplevel.Matrix``.  The package echelonizes
-one parity sector at a time; :class:`WholeWindow` joins the sectors into
-the echelon of the whole even window, the form the span tests read.
+one parity sector at a time; :class:`WholeWindow` is the circle span with
+every sector built, read as the echelon of the whole even window, the form
+the span tests read.
 """
 
 from fractions import Fraction
 from math import comb
 
 from orbifock.coeffs import LPoly
-from orbifock.fock import FockVector, annihilate, basis, mono_weight
+from orbifock.fock import FockVector, annihilate, basis, mono_weight, sector
 from orbifock.twisted import apply_delta
 from orbifock.vertex import d_coeff, mode_component
-from orbifock.zhu import (DEFAULT_POLICY, OSpanEchelon, build_ospan, omega,
-                          sector_parts)
+from orbifock.zhu import (DEFAULT_POLICY, CircleSpan, OSpanEchelon,
+                          build_ospan, omega)
 
 # Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g.
 SYMBOLIC = "symbolic"
@@ -102,7 +103,7 @@ def reference_delta(v, table):
     return {s: w for s, w in buckets.items() if w}
 
 
-def delta_terms(v, keep=None):
+def delta_terms(v, keep):
     """``twisted.apply_delta(v, keep)`` as {remainder: Fraction}: each int
     numerator over the expansion's one denominator."""
     den, terms = apply_delta(v, keep)
@@ -219,7 +220,7 @@ def fraction_reduce(echelon, vec):
                 work[c] = s
             else:
                 del work[c]
-    return FockVector(echelon.ell,
+    return FockVector(vec.ell,
                       {echelon.columns[c]: v for c, v in work.items()})
 
 
@@ -228,17 +229,16 @@ def even_sectors(ell):
     return [s for s in range(1 << ell) if s.bit_count() % 2 == 0]
 
 
-class WholeWindow:
-    """The echelon of every even monomial of weight at most ``window``, as
-    the union of the parity-sector echelons of ``build_ospan``, or of empty
-    ones when ``build`` is false.
+class WholeWindow(CircleSpan):
+    """The circle span with every even sector's echelon built, or empty
+    when ``build`` is false, read as the echelon of every even monomial of
+    weight at most ``window``.
 
     ``columns`` run in ``basis`` order and ``rows`` are the sectors' rows
     reindexed to them, kept until the next insert: the fully reduced
     echelon of a direct sum over disjoint column sets is the union of the
-    blocks'.  :meth:`reduce` reduces each sector part on its sector's
-    echelon, and :meth:`insert` routes a vector of one sector, such as a
-    circle, to that sector's.
+    blocks'.  :meth:`insert` routes a vector of one sector, such as a
+    circle, to that sector's echelon.
     """
 
     def __init__(self, ell, window, policy=DEFAULT_POLICY, cache_dir=None,
@@ -248,9 +248,8 @@ class WholeWindow:
                 return build_ospan(ell, window, policy, cache_dir, sector=s)
             return OSpanEchelon(ell, window, policy, sector=s)
 
-        self.ell = ell
-        self.window = window
-        self.sectors = {s: make(s) for s in even_sectors(ell)}
+        super().__init__(ell, window, policy, cache_dir)
+        self.echelons = {s: make(s) for s in even_sectors(ell)}
         self.columns = [m for w in range(window + 1) for m in basis(ell, w, "even")]
         self.col_index = {m: i for i, m in enumerate(self.columns)}
         self._rows = None
@@ -259,22 +258,16 @@ class WholeWindow:
     def rows(self):
         if self._rows is None:
             self._rows = {}
-            for e in self.sectors.values():
+            for e in self.echelons.values():
                 index = [self.col_index[m] for m in e.columns]
                 for p, row in e.rows.items():
                     self._rows[index[p]] = {index[c]: v for c, v in row.items()}
         return self._rows
 
-    def reduce(self, vec):
-        out = FockVector.zero(self.ell)
-        for s, part in sector_parts(vec).items():
-            out += self.sectors[s].reduce(part)
-        return out
-
     def insert(self, vec):
-        (s,) = sector_parts(vec)
+        (s,) = {sector(m) for m in vec.terms}
         self._rows = None
-        return self.sectors[s].insert(vec)
+        return self.echelons[s].insert(vec)
 
 
 class FractionMatrix:

@@ -5,9 +5,11 @@ The benchmark under ``perfbench/`` records the report line of every
 statement its workloads can draw (``perfbench/expected_lines.json``).  The
 replays here run the eval-r2 statements and ``suite all`` at rank 2 and
 compare their lines with the recording, so a drifted line fails in the
-test suite.  The recording is only read.
+test suite.  The recording is only read.  ``suite all`` at rank 4, which
+the benchmark does not run, is pinned by a digest of its lines.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -87,6 +89,19 @@ def test_eval_r2_lines_replay(expected_lines):
 def test_suite_all_lines_replay(expected_lines):
     report = run_suite("all", RunConfig(rank=2))
     assert [_line(r) for r in report.results] == expected_lines["suite-warm"]
+
+
+# SHA-256 of the 257 timing-stripped lines of ``suite all --rank 4``, each
+# ended by a newline.
+SUITE_ALL_RANK_4 = "49f16cbc71f2a7f362461f779c0f5fe1b9c2e1c51f3e0571946b01b5e06082da"
+
+
+def test_suite_all_rank_4_lines_pinned():
+    report = run_suite("all", RunConfig(rank=4))
+    lines = [_line(r) for r in report.results]
+    assert report.counts()["Proved"] == len(lines) == 257
+    digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+    assert digest.hexdigest() == SUITE_ALL_RANK_4
 
 
 def test_suite_all_is_one_report_of_the_four_suites(tmp_path):

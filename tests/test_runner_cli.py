@@ -385,7 +385,7 @@ def test_two_sector_block_counts_one_cache_hit(tmp_path):
     report = runner.run(stmts)
     assert report.passed(), report.to_text()
     assert report.cache_hits == 1
-    assert {s: e.cache_hit for s, e in runner._echelons.items()} == {
+    assert {s: e.cache_hit for s, e in runner.span.echelons.items()} == {
         0: True, 0b110: True}
 
 
@@ -409,7 +409,22 @@ def test_difference_certified_per_sector():
                           "no disproof found")
     assert [(r.status, r.detail) for r in report.results] == [
         ("Proved", "circle-span certificate at cutoff 10"), unknown, unknown]
-    assert sorted(runner._echelons) == [0, 0b11]
+    assert sorted(runner.span.echelons) == [0, 0b11]
+
+
+def test_first_uncertified_sector_ends_the_check():
+    # The even-sector part, the H1 relation, does not reduce to zero at this
+    # cutoff and policy, so the check stops there and never builds the
+    # echelon of the h1 h2 sector, where J1 * Eu(1,2) + 6 Eu(1,2) lies.
+    config = RunConfig(rank=2, max_weight=10, slack=0,
+                       policy=GeneratorPolicy("quadratic"), cache_dir=None)
+    runner = Runner(config)
+    report = runner.run(parse_script(
+        "assert_equiv J1 * Eu(1,2) + (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 "
+        "~ -6 Eu(1,2)", 2))
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("Unknown", "no certificate at cutoff 10 (slack 0); no disproof found")]
+    assert sorted(runner.span.echelons) == [0]
 
 
 def test_cache_dir_under_a_file_builds_uncached(tmp_path):

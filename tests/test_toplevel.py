@@ -242,7 +242,7 @@ def test_tminus_expands_each_state_once(monkeypatch):
     real = twisted.apply_delta
     calls = []
 
-    def counting(v, keep=None):
+    def counting(v, keep):
         calls.append(v)
         return real(v, keep=keep)
 

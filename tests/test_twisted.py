@@ -74,13 +74,13 @@ def test_asymmetric_table_rejected():
 
 def test_apply_delta_examples():
     one = FockVector.vacuum(1)
-    assert delta_terms(one) == {(): 1}
+    assert delta_terms(one, 0) == {(): 1}
 
     omega = single(1, [(1, -1), (1, -1)], F(1, 2))
-    assert delta_terms(omega) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
+    assert delta_terms(omega, 2) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
 
     hv = single(1, [(1, -1)])
-    assert delta_terms(hv) == {((1, -1),): 1}
+    assert delta_terms(hv, 1) == {((1, -1),): 1}
 
 
 def flat(buckets):
@@ -102,7 +102,8 @@ def test_matching_expansion_matches_operator_form():
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
     for v in states:
-        assert delta_terms(v) == flat(reference_delta(v, table)), v
+        assert delta_terms(v, max(map(len, v.terms))) == flat(
+            reference_delta(v, table)), v
 
 
 def test_truncated_expansion_drops_only_long_remainders():
@@ -112,7 +113,7 @@ def test_truncated_expansion_drops_only_long_remainders():
                for a in range(1, ell + 1)]
     short = 0
     for v in states:
-        full = delta_terms(v)
+        full = delta_terms(v, max(map(len, v.terms)))
         for keep in (0, 2):
             want = {mono: c for mono, c in full.items() if len(mono) <= keep}
             assert delta_terms(v, keep=keep) == want, (v, keep)

@@ -291,9 +291,9 @@ def test_products_stay_in_the_xor_sector():
     nonzero = 0
     for _ in range(150):
         u, v = rng.choice(monos), rng.choice(monos)
-        (su,), (sv,) = zhu.sector_parts(u), zhu.sector_parts(v)
+        (su,), (sv,) = ({zhu.sector(m) for m in x.terms} for x in (u, v))
         for got in (star(u, v), circ_n(u, v, rng.randrange(3))):
-            assert set(zhu.sector_parts(got)) <= {su ^ sv}
+            assert {zhu.sector(m) for m in got.terms} <= {su ^ sv}
             nonzero += bool(got)
     assert nonzero > 200
 
@@ -551,7 +551,7 @@ def test_insert_after_load_matches_fresh_build(tmp_path):
     policy = GeneratorPolicy("omega")
     WholeWindow(2, 10, policy, cache_dir=str(tmp_path))
     loaded = WholeWindow(2, 10, policy, cache_dir=str(tmp_path))
-    assert all(e.cache_hit for e in loaded.sectors.values())
+    assert all(e.cache_hit for e in loaded.echelons.values())
     blanket = [FockVector.from_monomial(2, m)
                for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
