@@ -170,12 +170,12 @@ class Runner:
         if diff.is_zero():
             return "Proved", "exact equality"
         cfg = self.config
-        if diff.max_weight() > cfg.max_weight:
-            return "Unknown", (f"weight {diff.max_weight()} exceeds "
-                               f"cutoff {cfg.max_weight}; no disproof found")
         if cfg.max_weight < 0 or cfg.slack < 0:
             raise ValueError(f"max_weight and slack must be nonnegative, "
                              f"got {cfg.max_weight} and {cfg.slack}")
+        if diff.max_weight() > cfg.max_weight:
+            return "Unknown", (f"weight {diff.max_weight()} exceeds "
+                               f"cutoff {cfg.max_weight}; no disproof found")
         if self.span.contains(diff):
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"
         return "Unknown", (f"no certificate at cutoff {cfg.max_weight} "

@@ -27,12 +27,13 @@ target t and the other creates.  The contraction does not depend on i, so
 :func:`wick_sum` makes each one once and then only places the creation
 mode for every i.
 
-Every other pair, a state monomial of three or more factors (J_a, H_a and
-nested products in scripts) on a target other than the vacuum, goes to the
-Borcherds recursion of :func:`mode_component`.  The state a = h_g(-1)|0>
-has the modes a_k = h_g(k), and every monomial is built from such factors:
-h_g(-n) w = a_{-n} w.  The Borcherds identity for a_{-n} w therefore peels
-one factor off a monomial at a time:
+Every other pair, a state monomial of three or more factors on a target
+other than the vacuum, goes to the Borcherds recursion of
+:func:`mode_component`.  No seed factor of a circle-span policy has more
+than two modes, so only script products (J_a, nested products) reach it.
+The state a = h_g(-1)|0> has the modes a_k = h_g(k), and every monomial
+is built from such factors: h_g(-n) w = a_{-n} w.  The Borcherds identity
+for a_{-n} w therefore peels one factor off a monomial at a time:
 
     (h_g(-n) w)_q t = sum_{i >= 0} C(n+i-1, i) [ h_g(-n-i) w_{q+i} t
                                                 - (-1)^n w_{q-n-i} h_g(i) t ]

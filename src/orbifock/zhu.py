@@ -219,12 +219,11 @@ class GeneratorPolicy:
     - ``"omega"``: left = the coordinate conformal vectors omega_a, the
       family behind the one-sided weight-reduction arguments.
     - ``"all"`` (the default): left = the omega_a, the off-diagonal
-      quadratics h_a(-1)h_b(-1) (a < b), and at rank 1 the singlet J_1,
-      the generators the paper works from.  At every window tested this
-      spans the same space as circ_n(u, v) over all ordered pairs of even
-      monomials and all n.  J_a is needed only at rank 1: without it the
-      rank-1 span loses one dimension at window 10 and two at window 12,
-      while at ranks 2-4 its circles keep no row.
+      quadratics h_a(-1)h_b(-1) (a < b) and the squares h_a(-2)^2.  It
+      spans what circ_n(u, v) over all pairs of even monomials and all n
+      span, and what the paper's singlets J_a seeded (tested at rank 1 for
+      windows 0-12; sampled at ranks 1-8 up to window 16).  At rank 1 the
+      squares keep 1 row more than omega_1 at window 10 and 2 at window 12.
     - ``"quadratic"``: left = right = the two-mode monomials of every
       weight, which is what the four-index sign relations come from.
 
@@ -268,8 +267,7 @@ class GeneratorPolicy:
         left = [omega(ell, a) for a in gens]
         if self.pairs == "all":
             left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
-            if ell == 1:
-                left.append(jgen(1, 1))
+            left += [s_pair(ell, a, 2, a, 2) for a in gens]
         return left, monos
 
 

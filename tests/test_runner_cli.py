@@ -126,8 +126,9 @@ def test_oversized_echelon_reports_unknown():
 
 
 def test_missing_certificate_stays_unknown():
-    # Without J_1 the rank-1 span at window 10 misses this circle, and the
-    # runner never upgrades the Unknown; under "all" it is Proved.
+    # Without the seed h_1(-2)^2 the rank-1 span at window 10 misses this
+    # circle, and the runner never upgrades the Unknown; under "all" it is
+    # Proved.
     text = "assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0"
     lines = {}
     for pairs in ("omega", "all"):
@@ -317,6 +318,15 @@ def test_report_unknown_blocks_pass_only_when_expected():
 
 def test_negative_slack_is_an_error():
     config = RunConfig(rank=1, max_weight=4, slack=-1, cache_dir=None)
+    report = Runner(config).run(parse_script("assert_equiv circ(w1, one) ~ 0", 1))
+    assert report.results[0].status == "Error"
+    assert "nonnegative" in report.results[0].detail
+
+
+def test_negative_cutoff_is_an_error():
+    # The sign check comes before the weight check, so a difference above a
+    # negative cutoff is an Error, not Unknown.
+    config = RunConfig(rank=1, max_weight=-1, slack=2, cache_dir=None)
     report = Runner(config).run(parse_script("assert_equiv circ(w1, one) ~ 0", 1))
     assert report.results[0].status == "Error"
     assert "nonnegative" in report.results[0].detail

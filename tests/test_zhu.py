@@ -99,8 +99,9 @@ def test_vacuum_circles_are_translations():
 
 
 def test_build_makes_no_recursive_mode_calls(monkeypatch):
-    # Every circle of the rank-2 "all" policy has the vacuum on the right or
-    # a two-factor left factor, so none reaches the recursion.
+    # Every seed circle has the vacuum on the right or a two-factor left
+    # factor, under every policy and at every rank, so none reaches the
+    # recursion; a script product of a longer monomial still does.
     calls = []
 
     def spy(*args, **kwargs):
@@ -108,7 +109,9 @@ def test_build_makes_no_recursive_mode_calls(monkeypatch):
         return mode_component(*args, **kwargs)
 
     monkeypatch.setattr(zhu, "mode_component", spy)
-    assert WholeWindow(2, 8).rows
+    for ell, window, pairs in [(2, 8, "all"), (1, 12, "all"),
+                               (3, 8, "quadratic"), (2, 10, "omega")]:
+        assert WholeWindow(ell, window, GeneratorPolicy(pairs)).rows
     assert calls == []
     assert star(jgen(2, 1), omega(2, 1)) == reference_product(jgen(2, 1), omega(2, 1), 1)
     assert calls
@@ -436,6 +439,24 @@ def all_n_generator_circles(ell, window, pairs):
     for u, v in chain(((m, one) for m in monos), product(left, right)):
         for n in range(window - u.weight() - v.weight()):
             yield circ_n(u, v, n)
+
+
+def test_two_mode_seeds_span_the_singlet_seeds_at_rank_1():
+    # The J_1-seeded circles that "all" once built at rank 1 span the same
+    # rows as its two-mode seeds.
+    for window in range(13):
+        want = echelon_of(1, window, all_n_generator_circles(1, window, "all"))
+        assert WholeWindow(1, window).rows == want.rows, window
+
+
+@pytest.mark.parametrize("window, kept", [(10, (61, 60)), (12, (127, 125))],
+                         ids=["w10", "w12"])
+def test_rank_1_seed_beyond_omega(window, kept):
+    # At rank 1 "all" is "omega" plus the seed h_1(-2)^2, which keeps one
+    # more row than the conformal vector alone at window 10 and two more at
+    # window 12.
+    assert tuple(len(WholeWindow(1, window, GeneratorPolicy(pairs)).rows)
+                 for pairs in ("all", "omega")) == kept
 
 
 # The six echelons `orbifock suite all` builds: (rank, window, policy).
