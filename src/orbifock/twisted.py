@@ -39,6 +39,15 @@ fixed by the remainder alone.  The state's coefficients are scaled by the
 lcm d of their denominators and every product is lifted to the common power
 D^top (top pairs at most), so each remainder's integer sum is its exact
 coefficient times d * D^top.  The reading divides by that once per value.
+
+Expansions are made once per process and kept in two tables beside the
+largest delta table (:func:`_tables`).  The per-generator table maps a run
+of one generator's factors and ``keep`` (capped at the run's length) to its
+remainders and their integer weights (:func:`_matchings`).  The
+per-monomial table maps (monomial, min(keep, len(monomial))) to its
+remainders, weights and numbers of pairs matched.  Their weights count in
+units of D, so the tables live and die with the delta table: a heavier
+state, which builds a larger table with a new D, starts both empty.
 """
 
 from __future__ import annotations
@@ -62,13 +71,14 @@ def delta_coefficients(max_degree):
             for m in range(1, max_degree) for n in range(1, max_degree + 1 - m)}
 
 
-_largest = None  # (degree, (scale, pairs)) of the largest table built so far
+_largest = None  # (degree, (scale, pairs), runs, monos): module docstring
 
 
-def delta_table(degree):
-    """The shared ``(scale, pairs)`` of the largest table built so far, of
-    degree at least ``degree`` (and 2): ``pairs[m, n] = scale * 2 c_mn m n``
-    with ``scale`` the lcm of their denominators (module docstring).
+def _tables(degree):
+    """The largest table built so far, of degree at least ``degree`` (and
+    2), with its expansion tables: ``(degree, (scale, pairs), runs,
+    monos)``.  A heavier degree builds a new table and starts both
+    expansion tables empty, since their weights count in ``scale``.
     """
     global _largest
     degree = max(2, degree)
@@ -76,41 +86,66 @@ def delta_table(degree):
         weights = {(m, n): Fraction(2 * c * m * n)
                    for (m, n), c in delta_coefficients(degree).items()}
         scale = lcm(1, *(w.denominator for w in weights.values()))
-        _largest = degree, (scale, {mn: int(w * scale)
-                                    for mn, w in weights.items()})
-    return _largest[1]
+        _largest = (degree, (scale, {mn: int(w * scale)
+                                     for mn, w in weights.items()}), {}, {})
+    return _largest
 
 
-def _matchings(modes, pairs, keep, memo):
-    """{unmatched modes: integer weight} over the partial matchings of
-    ``modes`` that leave at most ``keep`` of them unmatched.
-
-    ``modes`` is one generator's creation modes n (for h(-n)), in order; the
-    first stays, or pairs with each distinct later mode times its count.
-    ``pairs`` holds the table's integer pair weights, so a matching of k
-    pairs weighs its value times the table's ``scale**k``.  ``memo`` holds
-    every (modes, keep) met, with keep capped at len(modes).
+def delta_table(degree):
+    """The shared ``(scale, pairs)`` of the largest table built so far, of
+    degree at least ``degree`` (and 2): ``pairs[m, n] = scale * 2 c_mn m n``
+    with ``scale`` the lcm of their denominators (module docstring).
     """
-    keep = min(keep, len(modes))
-    key = (modes, keep)
-    out = memo.get(key)
+    return _tables(degree)[1]
+
+
+def _matchings(run, pairs, keep, runs):
+    """{remainder: integer weight} over the partial matchings of one
+    generator's ``run`` of factors that leave at most ``keep`` unmatched.
+
+    ``run`` holds one generator's factors, (gen, -n) for h(-n), in order,
+    and so does each remainder.  The first factor stays, or pairs with each
+    distinct later factor times its count.  ``pairs`` holds the table's
+    integer pair weights, so a matching of k pairs weighs its value times
+    the table's ``scale**k``.  ``runs``, the per-generator table, holds
+    every (run, keep) met, with keep capped at len(run); it lives and dies
+    with the delta table (:func:`_tables`).
+    """
+    keep = min(keep, len(run))
+    key = (run, keep)
+    out = runs.get(key)
     if out is not None:
         return out
-    if len(modes) < 2:
-        out = {modes: 1} if len(modes) <= keep else {}
+    if len(run) < 2:
+        out = {run: 1} if len(run) <= keep else {}
     else:
-        first, rest = modes[0], modes[1:]
+        first, rest = run[0], run[1:]
         out = {(first,) + rem: w for rem, w in
-               _matchings(rest, pairs, keep - 1, memo).items()} if keep else {}
+               _matchings(rest, pairs, keep - 1, runs).items()} if keep else {}
         for j, second in enumerate(rest):
-            pair = pairs.get((first, second))
+            pair = pairs.get((-first[1], -second[1]))
             if pair and not (j and rest[j - 1] == second):
                 pair *= rest.count(second)
                 for rem, w in _matchings(rest[:j] + rest[j + 1:], pairs,
-                                         keep, memo).items():
+                                         keep, runs).items():
                     out[rem] = out.get(rem, 0) + pair * w
-    memo[key] = out
+    runs[key] = out
     return out
+
+
+def _expansion(mono, keep, pairs, runs):
+    """[(remainder, weight, pairs matched)] of one monomial's partial
+    matchings that leave at most ``keep`` factors, across its generators,
+    with each weight the product of its runs' (:func:`_matchings`)."""
+    partial = {(): 1}
+    for _, factors in groupby(mono, key=itemgetter(0)):
+        matched = _matchings(tuple(factors), pairs, keep, runs)
+        partial = {head + rem: w * coeff
+                   for head, coeff in partial.items()
+                   for rem, w in matched.items()
+                   if len(head) + len(rem) <= keep}
+    return [(rem, w, (len(mono) - len(rem)) // 2)
+            for rem, w in partial.items()]
 
 
 def apply_delta(v, keep):
@@ -125,26 +160,26 @@ def apply_delta(v, keep):
     least the longest monomial's length gives the full expansion.  The sums
     run in integers over one positive int ``den`` (module docstring), and
     ``terms`` maps each remainder to its nonzero int numerator over ``den``.
+
+    A monomial's expansion is read from the per-monomial table, keyed on
+    (monomial, min(keep, len(monomial))), which :func:`_expansion` fills
+    from the per-generator table.  Both hold integer weights in the delta
+    table's ``scale``, so they live and die with it (:func:`_tables`): each
+    expansion is made once per process, while the table stands.
     """
-    scale, pairs = delta_table(v.max_weight())
+    _, (scale, pairs), runs, monos = _tables(v.max_weight())
     den, scaled = clear_denominators(v.terms)
     top = max(map(len, v.terms), default=0) // 2
     # lift[k]: a matching of k pairs, lifted to the common power scale**top.
     lift = [scale ** (top - k) for k in range(top + 1)]
-    memo = {}
     terms = {}
     for mono, c in scaled.items():
-        partial = {(): c}
-        for gen, factors in groupby(mono, key=itemgetter(0)):
-            matched = _matchings(tuple(-n for _, n in factors),
-                                 pairs, keep, memo)
-            partial = {head + tuple((gen, -n) for n in rem): w * coeff
-                       for head, coeff in partial.items()
-                       for rem, w in matched.items()
-                       if len(head) + len(rem) <= keep}
-        for rem, coeff in partial.items():
-            coeff *= lift[(len(mono) - len(rem)) // 2]
-            terms[rem] = terms.get(rem, 0) + coeff
+        key = (mono, min(keep, len(mono)))
+        expansion = monos.get(key)
+        if expansion is None:
+            expansion = monos[key] = _expansion(*key, pairs, runs)
+        for rem, w, k in expansion:
+            terms[rem] = terms.get(rem, 0) + c * w * lift[k]
     return den * scale ** top, {rem: c for rem, c in terms.items() if c}
 
 

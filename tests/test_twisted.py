@@ -1,14 +1,20 @@
 """Twisted sector: correction table, the exp(Delta_z) expansion, corrected modes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import orbifock.twisted as twisted
 from mode_oracle import delta_terms, reference_delta
+from orbifock.coeffs import clear_denominators
 from orbifock.fock import FockVector, basis, single
-from orbifock.toplevel import Matrix, evaluate
-from orbifock.twisted import delta_coefficients, delta_table, twisted_zero_mode
-from orbifock.zhu import hgen, jgen
+from orbifock.script import parse_expr, realize
+from orbifock.tables import GOLDEN
+from orbifock.toplevel import Matrix, evaluate, top_level_matrix
+from orbifock.twisted import (apply_delta, delta_coefficients, delta_table,
+                              twisted_zero_mode)
+from orbifock.zhu import circ_n, hgen, jgen
 
 F = Fraction
 
@@ -167,3 +173,72 @@ def test_shared_table_cache():
     assert max(m + n for m, n in big[1]) >= 12
     assert delta_table(3) is big
     assert delta_table(12) is big
+
+
+def reference_reading(v, fam):
+    """v's Tplus or Tminus reading from exp(Delta_z) in operator form
+    (:func:`mode_oracle.reference_delta`) over the table of v's own weight:
+    the coefficient of |0>_tw, or the matrix of the whole expansion on the
+    h_j(-1/2)|0>_tw."""
+    table = delta_coefficients(max(2, v.max_weight()))
+    full = sum(reference_delta(v, table).values(), FockVector.zero(v.ell))
+    if fam == "Tplus":
+        return Fraction(full.coeff(()))
+    return top_level_matrix(*clear_denominators(full.terms), v.ell, F(1, 2))
+
+
+# Unlike denominators, several generators per monomial and repeated modes.
+LIGHT = (single(2, [(1, -1), (1, -1), (2, -1), (2, -1)])
+         + single(2, [(1, -3), (2, -1)], F(1, 3))
+         + single(2, [(2, -2), (2, -2)], F(-5, 16)))
+MID = single(2, [(1, -1), (1, -2), (1, -2), (2, -3)], F(7, 2)) + jgen(2, 2)
+HEAVY = (single(2, [(1, -1), (1, -1), (1, -5), (1, -7)])
+         + single(2, [(1, -3), (1, -3), (2, -4), (2, -4)], F(-5, 16))
+         + single(2, [(2, -6), (2, -8)], F(1, 3)))
+
+
+def test_readings_survive_table_growth(monkeypatch):
+    # The expansion tables start small, are dropped when a heavier state
+    # grows the delta table, and refill from the new one: every reading
+    # equals the reference whatever the order the states come in.
+    assert [u.max_weight() for u in (LIGHT, MID, HEAVY)] == [4, 8, 14]
+
+    def read(u):
+        return evaluate(u, "Tplus"), evaluate(u, "Tminus")
+
+    monkeypatch.setattr(twisted, "_largest", None)
+    forward = [read(LIGHT)]
+    small = twisted._largest
+    assert small[0] == 4 and small[3]
+    forward.append(read(HEAVY))
+    grown = twisted._largest
+    assert grown[0] == 14
+    assert not grown[3].keys() & small[3].keys()
+    forward += [read(LIGHT), read(MID)]
+    assert twisted._largest is grown
+    assert grown[3].keys() >= small[3].keys()
+
+    order = [LIGHT, HEAVY, LIGHT, MID]
+    assert forward == [(reference_reading(u, "Tplus"),
+                        reference_reading(u, "Tminus")) for u in order]
+    monkeypatch.setattr(twisted, "_largest", None)
+    backward = [read(u) for u in reversed(order)]
+    assert backward[::-1] == forward
+    assert all(tplus for tplus, _ in forward)
+
+
+def test_tplus_is_the_empty_remainder_of_the_tminus_expansion():
+    # The Tplus reading is the empty remainder's coefficient in the keep=2
+    # expansion Tminus reads, on the golden states and a seeded sample of
+    # circles between them.
+    labels = [label for elements in GOLDEN.values() for label in elements]
+    rank_2, rank_3 = ([realize(parse_expr(label, rank), rank)
+                       for label in labels] for rank in (2, 3))
+    golden = rank_2 + rank_3
+    rng = random.Random(11)
+    circles = [circ_n(rng.choice(rank_2), rng.choice(rank_2), rng.randrange(3))
+               for _ in range(30)]
+    for v in golden + circles:
+        den, terms = apply_delta(v, keep=2)
+        assert twisted_zero_mode(v) == Fraction(terms.get((), 0), den), v
+    assert sum(bool(twisted_zero_mode(v)) for v in golden) == 4
