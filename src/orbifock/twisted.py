@@ -31,9 +31,11 @@ the h_j(-1/2)|0>_tw read remainders of at most two factors.  So
 :func:`apply_delta` can stop at remainders of ``keep`` factors, and
 :func:`twisted_zero_mode`, the Tplus reading, keeps none.
 
-The expansion runs in integers over one denominator: :func:`delta_table`
-holds each pair weight as an integer P_pq = D * 2 c_pq p q, where D is the
-lcm of the weights' denominators.  A matching of k pairs then weighs
+The expansion runs in integers over one denominator.  One delta table is
+built once per process at the weight cap ``zhu.MAX_WEIGHT_CAP``, past which
+no realized state goes (:func:`_tables`).  It holds each pair weight as an
+integer P_pq = D * 2 c_pq p q, where D, a power of two, is the lcm of the
+weights' denominators.  A matching of k pairs then weighs
 (product of its P) / D^k, and k = (len(mono) - len(remainder)) / 2 is
 fixed by the remainder alone.  The state's coefficients are scaled by the
 lcm d of their denominators and every product is lifted to the common power
@@ -41,24 +43,26 @@ D^top (top pairs at most), so each remainder's integer sum is its exact
 coefficient times d * D^top.  The reading divides by that once per value.
 
 Expansions are made once per process and kept in two tables beside the
-largest delta table (:func:`_tables`).  The per-generator table maps a run
-of one generator's factors and ``keep`` (capped at the run's length) to its
-remainders and their integer weights (:func:`_matchings`).  The
-per-monomial table maps (monomial, min(keep, len(monomial))) to its
-remainders, weights and numbers of pairs matched.  Their weights count in
-units of D, so the tables live and die with the delta table: a heavier
-state, which builds a larger table with a new D, starts both empty.
+delta table.  The per-generator table maps a run of one generator's factors
+and ``keep`` (capped at the run's length) to its remainders and their
+integer weights (:func:`_matchings`).  The per-monomial table maps
+(monomial, min(keep, len(monomial))) to its remainders, weights and numbers
+of pairs matched.  A monomial above the cap would need pairs the table
+lacks, so it raises ResourceWarning instead of being expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from math import lcm
 from operator import itemgetter
 
 from .coeffs import clear_denominators
+from .fock import mono_weight
 from .vertex import d_coeff
+from .zhu import MAX_WEIGHT_CAP
 
 
 def delta_coefficients(max_degree):
@@ -71,32 +75,17 @@ def delta_coefficients(max_degree):
             for m in range(1, max_degree) for n in range(1, max_degree + 1 - m)}
 
 
-_largest = None  # (degree, (scale, pairs), runs, monos): module docstring
-
-
-def _tables(degree):
-    """The largest table built so far, of degree at least ``degree`` (and
-    2), with its expansion tables: ``(degree, (scale, pairs), runs,
-    monos)``.  A heavier degree builds a new table and starts both
-    expansion tables empty, since their weights count in ``scale``.
+@cache
+def _tables():
+    """The delta table of degree ``MAX_WEIGHT_CAP`` and its two expansion
+    tables, built once per process: ``((scale, pairs), runs, monos)``, with
+    ``pairs[m, n] = scale * 2 c_mn m n`` and ``scale`` the lcm of their
+    denominators (module docstring).
     """
-    global _largest
-    degree = max(2, degree)
-    if _largest is None or degree > _largest[0]:
-        weights = {(m, n): Fraction(2 * c * m * n)
-                   for (m, n), c in delta_coefficients(degree).items()}
-        scale = lcm(1, *(w.denominator for w in weights.values()))
-        _largest = (degree, (scale, {mn: int(w * scale)
-                                     for mn, w in weights.items()}), {}, {})
-    return _largest
-
-
-def delta_table(degree):
-    """The shared ``(scale, pairs)`` of the largest table built so far, of
-    degree at least ``degree`` (and 2): ``pairs[m, n] = scale * 2 c_mn m n``
-    with ``scale`` the lcm of their denominators (module docstring).
-    """
-    return _tables(degree)[1]
+    weights = {(m, n): Fraction(2 * c * m * n)
+               for (m, n), c in delta_coefficients(MAX_WEIGHT_CAP).items()}
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return (scale, {mn: int(w * scale) for mn, w in weights.items()}), {}, {}
 
 
 def _matchings(run, pairs, keep, runs):
@@ -108,8 +97,7 @@ def _matchings(run, pairs, keep, runs):
     distinct later factor times its count.  ``pairs`` holds the table's
     integer pair weights, so a matching of k pairs weighs its value times
     the table's ``scale**k``.  ``runs``, the per-generator table, holds
-    every (run, keep) met, with keep capped at len(run); it lives and dies
-    with the delta table (:func:`_tables`).
+    every (run, keep) met, with keep capped at len(run) (:func:`_tables`).
     """
     keep = min(keep, len(run))
     key = (run, keep)
@@ -152,7 +140,7 @@ def apply_delta(v, keep):
     """exp(Delta_z) v summed over the powers of z, as a pair (den, terms).
 
     Each monomial expands into its partial matchings, one generator at a
-    time, with the pair weights of the shared :func:`delta_table`.  A
+    time, with the pair weights of the delta table (:func:`_tables`).  A
     matching that removes weight k carries z^(-k), so on a homogeneous
     state a remainder's weight fixes its exponent and the sum, which is all
     the top level reads, loses nothing.  A remainder of more than ``keep``
@@ -163,11 +151,12 @@ def apply_delta(v, keep):
 
     A monomial's expansion is read from the per-monomial table, keyed on
     (monomial, min(keep, len(monomial))), which :func:`_expansion` fills
-    from the per-generator table.  Both hold integer weights in the delta
-    table's ``scale``, so they live and die with it (:func:`_tables`): each
-    expansion is made once per process, while the table stands.
+    from the per-generator table.  All three tables are built once per
+    process at the weight cap, so each expansion is made once per process.
+    A monomial above the cap raises ResourceWarning when it misses the
+    table, which is every time, since it is never stored.
     """
-    _, (scale, pairs), runs, monos = _tables(v.max_weight())
+    (scale, pairs), runs, monos = _tables()
     den, scaled = clear_denominators(v.terms)
     top = max(map(len, v.terms), default=0) // 2
     # lift[k]: a matching of k pairs, lifted to the common power scale**top.
@@ -177,6 +166,10 @@ def apply_delta(v, keep):
         key = (mono, min(keep, len(mono)))
         expansion = monos.get(key)
         if expansion is None:
+            weight = mono_weight(mono)
+            if weight > MAX_WEIGHT_CAP:
+                raise ResourceWarning(f"twisted correction at weight {weight} "
+                                      f"exceeds the weight cap {MAX_WEIGHT_CAP}")
             expansion = monos[key] = _expansion(*key, pairs, runs)
         for rem, w, k in expansion:
             terms[rem] = terms.get(rem, 0) + c * w * lift[k]

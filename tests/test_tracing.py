@@ -75,7 +75,7 @@ assert_eval w1 on Tplus = 1/16
 """
 
 
-def test_tracer_sees_every_evaluation_layer(monkeypatch):
+def test_tracer_sees_every_evaluation_layer():
     # A small rank-2 script must reach every layer the eval-r2 workload's
     # per-layer metrics require, so a family that stops going through a
     # traced entry point (Tplus through twisted_zero_mode, say) fails here.
@@ -87,7 +87,7 @@ def test_tracer_sees_every_evaluation_layer(monkeypatch):
     tracer = tracing.Tracer(run_id=0)
     tracer.install()
     try:
-        monkeypatch.setattr(orbifock.twisted, "_largest", None)
+        orbifock.twisted._tables.cache_clear()
         stmts = orbifock.script.parse_script(EVAL_SCRIPT, 2)
         report = Runner(RunConfig(rank=2, cache_dir=None)).run(stmts)
         metrics = tracer.layer_metrics()
@@ -138,7 +138,7 @@ def test_tracer_sees_every_cold_build_layer(tmp_path):
     assert [name for name in required if not metrics[name]] == []
 
 
-def test_tracer_sees_every_warm_suite_layer(tmp_path, monkeypatch):
+def test_tracer_sees_every_warm_suite_layer(tmp_path):
     # suite all at rank 2 on the cache its own first run left: every layer
     # the suite-warm workload's per-layer metrics require must be reached,
     # every cached echelon read and only the anchored build made uncached.
@@ -153,7 +153,7 @@ def test_tracer_sees_every_warm_suite_layer(tmp_path, monkeypatch):
     tracer = tracing.Tracer(run_id=0)
     tracer.install()
     try:
-        monkeypatch.setattr(orbifock.twisted, "_largest", None)
+        orbifock.twisted._tables.cache_clear()
         report = run_suite("all", config)
         metrics = tracer.layer_metrics()
     finally:

@@ -7,14 +7,13 @@ import pytest
 
 import orbifock.twisted as twisted
 from mode_oracle import delta_terms, reference_delta
-from orbifock.coeffs import clear_denominators
-from orbifock.fock import FockVector, basis, single
+from orbifock.coeffs import LPoly, clear_denominators
+from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.script import parse_expr, realize
 from orbifock.tables import GOLDEN
 from orbifock.toplevel import Matrix, evaluate, top_level_matrix
-from orbifock.twisted import (apply_delta, delta_coefficients, delta_table,
-                              twisted_zero_mode)
-from orbifock.zhu import circ_n, hgen, jgen
+from orbifock.twisted import apply_delta, delta_coefficients, twisted_zero_mode
+from orbifock.zhu import MAX_WEIGHT_CAP, circ_n, hgen, jgen, omega
 
 F = Fraction
 
@@ -167,14 +166,6 @@ def test_matrix_action_on_twisted_top_level():
     assert evaluate(S12, "Tminus") == Matrix([[0, -3], [-1, 0]], 4)
 
 
-def test_shared_table_cache():
-    # The cache only grows: a smaller request returns the larger table.
-    big = delta_table(12)
-    assert max(m + n for m, n in big[1]) >= 12
-    assert delta_table(3) is big
-    assert delta_table(12) is big
-
-
 def reference_reading(v, fam):
     """v's Tplus or Tminus reading from exp(Delta_z) in operator form
     (:func:`mode_oracle.reference_delta`) over the table of v's own weight:
@@ -197,34 +188,105 @@ HEAVY = (single(2, [(1, -1), (1, -1), (1, -5), (1, -7)])
          + single(2, [(2, -6), (2, -8)], F(1, 3)))
 
 
-def test_readings_survive_table_growth(monkeypatch):
-    # The expansion tables start small, are dropped when a heavier state
-    # grows the delta table, and refill from the new one: every reading
-    # equals the reference whatever the order the states come in.
-    assert [u.max_weight() for u in (LIGHT, MID, HEAVY)] == [4, 8, 14]
+HEAVIEST = (single(2, [(1, -1), (1, -15)])
+            + single(2, [(1, -2), (1, -2), (2, -5), (2, -7)], F(-3, 4))
+            + single(2, [(2, -8), (2, -8)], F(1, 3)))
 
-    def read(u):
-        return evaluate(u, "Tplus"), evaluate(u, "Tminus")
 
-    monkeypatch.setattr(twisted, "_largest", None)
-    forward = [read(LIGHT)]
-    small = twisted._largest
-    assert small[0] == 4 and small[3]
-    forward.append(read(HEAVY))
-    grown = twisted._largest
-    assert grown[0] == 14
-    assert not grown[3].keys() & small[3].keys()
-    forward += [read(LIGHT), read(MID)]
-    assert twisted._largest is grown
-    assert grown[3].keys() >= small[3].keys()
+def read(u):
+    return evaluate(u, "Tplus"), evaluate(u, "Tminus")
 
-    order = [LIGHT, HEAVY, LIGHT, MID]
+
+def test_shared_table_cache(monkeypatch):
+    # One delta table per process, of degree MAX_WEIGHT_CAP: the readings
+    # of light and heavy states alike build it once and share it.
+    calls = []
+    built = twisted.delta_coefficients
+    monkeypatch.setattr(twisted, "delta_coefficients",
+                        lambda degree: calls.append(degree) or built(degree))
+    states = (omega(2, 1), MID, HEAVIEST)
+    assert [u.max_weight() for u in states] == [2, 8, 16]
+    twisted._tables.cache_clear()
+    for u in states:
+        read(u)
+    assert calls == [MAX_WEIGHT_CAP]
+    assert twisted._tables() is twisted._tables()
+    (scale, pairs), _, _ = twisted._tables()
+    assert max(m + n for m, n in pairs) == MAX_WEIGHT_CAP
+    assert scale == 1 << 31
+
+
+def test_readings_do_not_depend_on_evaluation_order():
+    # The expansion tables fill as states come and nothing is dropped from
+    # them: every reading equals the reference over the state's own-weight
+    # table, whatever the order the states come in.
+    order = [LIGHT, HEAVY, LIGHT, MID, HEAVIEST]
+    assert [u.max_weight() for u in order] == [4, 14, 4, 8, 16]
+    twisted._tables.cache_clear()
+    monos = twisted._tables()[2]
+    forward = [read(order[0])]
+    light = set(monos)
+    assert light
+    forward += [read(u) for u in order[1:]]
+    assert set(monos) > light
     assert forward == [(reference_reading(u, "Tplus"),
                         reference_reading(u, "Tminus")) for u in order]
-    monkeypatch.setattr(twisted, "_largest", None)
+    twisted._tables.cache_clear()
     backward = [read(u) for u in reversed(order)]
     assert backward[::-1] == forward
     assert all(tplus for tplus, _ in forward)
+
+
+def test_monomial_above_the_cap_is_refused():
+    # A weight-17 monomial needs pairs the degree-16 table lacks, so every
+    # twisted reading of it raises the cap guard, each time, since it is
+    # never stored; the untwisted families read it without the table.
+    u = single(1, [(1, -1), (1, -16)]) + omega(1, 1)
+    assert u.max_weight() == MAX_WEIGHT_CAP + 1
+    for _ in range(2):
+        for read_twisted in (lambda: evaluate(u, "Tplus"),
+                             lambda: evaluate(u, "Tminus"),
+                             lambda: apply_delta(u, keep=0),
+                             lambda: apply_delta(u, keep=2)):
+            with pytest.raises(ResourceWarning, match="weight cap 16"):
+                read_twisted()
+    assert evaluate(u, "Hplus") == 0
+    # h1(-1) h1(-16) adds d(1, 16) d(-1, 1) = C(-2, 15) = -16; omega the 1.
+    assert evaluate(u, "Hminus") == Matrix([[-15]], 1)
+    # (-1)^0 (-1)^15 l1^2 + l1^2 / 2.
+    assert evaluate(u, "Mlambda") == LPoly(1, {(2,): F(-1, 2)})
+
+
+def _random_even_state(rng, rank, weight):
+    """1-3 random even monomials of weight at most ``weight`` (no even
+    monomial weighs 1), one of them of exactly that weight, with small
+    rational coefficients."""
+    weights = [w for w in range(weight + 1) if w != 1]
+    terms = {}
+    for top in [weight] + rng.choices(weights, k=rng.randrange(3)):
+        length = rng.choice([n for n in (2, 4, 6) if n <= top] or [0])
+        cuts = ([0, *sorted(rng.sample(range(1, top), length - 1)), top]
+                if length else [0])
+        parts = [b - a for a, b in zip(cuts, cuts[1:])]
+        mono = make_monomial(rank, [(rng.randint(1, rank), -p) for p in parts])
+        terms[mono] = F(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+    return FockVector(rank, terms)
+
+
+def test_readings_equal_the_own_degree_reference():
+    # The one table at the weight cap reads every state as the table of the
+    # state's own weight does, at ranks 1-3 and weights 0-16.
+    rng = random.Random(35)
+    states = [_random_even_state(rng, rank, weight)
+              for rank in (1, 2, 3) for weight in range(17) if weight != 1
+              for _ in range(3)]
+    assert {u.max_weight() for u in states} == set(range(17)) - {1}
+    readings = [read(u) for u in states]
+    for u, reading in zip(states, readings):
+        assert reading == (reference_reading(u, "Tplus"),
+                           reference_reading(u, "Tminus")), u
+    # Most states reach the empty remainder, so the readings are not all 0.
+    assert sum(bool(tplus) for tplus, _ in readings) > len(states) // 2
 
 
 def test_tplus_is_the_empty_remainder_of_the_tminus_expansion():
