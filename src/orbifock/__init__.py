@@ -11,7 +11,6 @@ verification suites behind the ``orbifock`` command.
 from .coeffs import LPoly
 from .fock import FockVector, basis, make_monomial
 from .twisted import apply_delta, delta_coefficients, twisted_zero_mode
-from .vertex import mode_component
 from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                   e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
                   s_pair, star)
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LPoly", "FockVector", "basis", "make_monomial", "apply_delta",
-    "delta_coefficients", "twisted_zero_mode", "mode_component", "GeneratorPolicy",
+    "delta_coefficients", "twisted_zero_mode", "GeneratorPolicy",
     "OSpanEchelon", "build_ospan", "circ_n", "e_t", "e_t_bar",
     "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
     "FAMILIES", "Matrix", "disprove_equiv", "evaluate", "evaluate_word",

@@ -1,62 +1,44 @@
 """Vertex-operator mode components on the vacuum module of the free boson.
 
-The products of :mod:`orbifock.zhu` take one (state monomial, target
-monomial) pair at a time, and two kinds of pair have a closed form by
-Wick's theorem.
+The products of :mod:`orbifock.zhu` are one sum, for a shift >= 1,
 
-*Vacuum target.*  Y(m, z)|0> = exp(z L(-1)) m, so m_q|0> = 0 for q >= 0
-and m_{-1-j}|0> is the weight-j part of exp(L(-1)) m: for
-m = h(-n_1) ... h(-n_k),
+    sum_i C(wt m, i) m_{i-shift} t      over the monomials m of u and t of v,
 
-    m_{-1-j}|0> = sum_{i_1+...+i_k = j} prod_r C(n_r+i_r-1, i_r) h(-n_r-i_r),
+which :func:`mode_component` computes by one Wick walk per (m, t) pair.  A
+monomial m = h_{g_1}(-p_1) ... h_{g_k}(-p_k) of weight w has the
+normal-ordered modes
 
-which is :func:`vacuum_component`.  Hence circ_0(m, |0>) = L(-1)m + wt(m) m
-and star(m, |0>) = m.
+    m_q = sum_{k_1+...+k_k = q+1-w} prod_r d(k_r, p_r) :h_{g_1}(k_1) ... h_{g_k}(k_k):
 
-*State of at most two factors.*  The vacuum acts as |0>_q t = delta_{q,-1} t,
-and u = h_a(-p) h_b(-r) has the normal-ordered modes
+with d(k, n) = C(-k-1, n-1) (:func:`d_coeff`).  On the vacuum module h(0)
+is zero, so each factor h_g(-p) of m either contracts or creates:
 
-    u_q = sum_{k+l = q+1-p-r} d(k, p) d(l, r) :h_a(k) h_b(l):,
+*Contractions.*  h_g(n), n >= 1, removes a factor h_g(-n) of t, with weight
+d(n, p) times n times its multiplicity (:func:`orbifock.fock.annihilate`).
+Several factors of m may contract, each a distinct factor of t.  What a
+contraction pattern leaves, the rest of t and the creating factors of m,
+does not depend on i, so :func:`_contractions` makes each pattern once per
+pair, merging the equal patterns of repeated factors.
 
-with d(k, n) = C(-k-1, n-1) (:func:`d_coeff`).  The products need
-sum_i C(w, i) u_{i-shift} t over 0 <= i <= w = p + r with shift >= 1, and
-there k + l = i+1-w-shift <= 0.  Two contractions would need k + l >= 2,
-and h(0) kills the vacuum module, so either both modes create (k <= -p,
-l <= -r, only when i < shift) or one contracts a factor h(-n) of the
-target t and the other creates.  The contraction does not depend on i, so
-:func:`wick_sum` makes each one once and then only places the creation
-mode for every i.
+*Creations.*  d(k, p) vanishes for -p < k < 0, so a creating factor is
+h_g(-p-j), j >= 0, with weight d(-p-j, p) = C(p+j-1, j): the factor moves
+as it does in exp(L(-1)) m.  The modes of the i-th term add up to
+i+1-w-shift, so the creators' added weight is top - i, with
+top = shift - 1 + sum(p + n) over the contractions, and the whole i-sum of
+one pattern is one enumeration of that added weight (:func:`_creations`).
 
-Every other pair, a state monomial of three or more factors on a target
-other than the vacuum, goes to the Borcherds recursion of
-:func:`mode_component`.  No seed factor of a circle-span policy has more
-than two modes, so only script products (J_a, nested products) reach it.
-The state a = h_g(-1)|0> has the modes a_k = h_g(k), and every monomial
-is built from such factors: h_g(-n) w = a_{-n} w.  The Borcherds identity
-for a_{-n} w therefore peels one factor off a monomial at a time:
-
-    (h_g(-n) w)_q t = sum_{i >= 0} C(n+i-1, i) [ h_g(-n-i) w_{q+i} t
-                                                - (-1)^n w_{q-n-i} h_g(i) t ]
-
-with |0>_q t = delta_{q,-1} t at the bottom.  Both sums are finite.  The
-component w_{q+i} t has weight wt w + wt t - q - i - 1, so the first sum
-stops once that is negative.  In the second, h_g(0) kills the vacuum
-module and h_g(i) with i >= 1 contracts a factor h_g(-i) of t, so only the
-i with h_g(-i) in t contribute.
-
-The recursion runs per (state monomial, target monomial) pair and memoizes
-each (monomial, q, target monomial) it meets.  The memo lives for one
-product: :func:`orbifock.zhu.star` and :func:`orbifock.zhu.circ_n` create
-it and pass it to each of their :func:`mode_component` calls, which share
-peeled suffixes and contracted targets.  A build thus holds the memo of one
-circle at a time; a memo shared by the whole build would grow with it.
+With the vacuum as t nothing contracts, and the walk reads
+m_{-1-j}|0> as the weight-j part of exp(L(-1)) m.  Hence
+circ_0(m, |0>) = L(-1)m + wt(m) m and star(m, |0>) = m.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .coeffs import clear_denominators
 from .fock import FockVector, annihilate, mono_weight
 
 
@@ -65,11 +47,12 @@ def d_coeff(k, n):
     """The coefficient C(-k-1, n-1), for an int or Fraction mode index k.
 
     It weighs the mode h(k) in the field of h(-n)|0>; its users are
-    :func:`wick_sum`, :func:`orbifock.toplevel.top_level_matrix`, which
-    reads the twisted top level at k = +-1/2, and
-    :func:`orbifock.twisted.delta_coefficients`, which reads C(-1/2, m) at
-    k = -1/2.  An int for an int k or at n = 1, a Fraction otherwise; zero
-    exactly when k is an integer with -n < k < 0.
+    :func:`mode_component`, for each contraction,
+    :func:`orbifock.toplevel.top_level_matrix`, which reads the twisted top
+    level at k = +-1/2, and :func:`orbifock.twisted.delta_coefficients`,
+    which reads C(-1/2, m) at k = -1/2.  An int for an int k or at n = 1,
+    a Fraction otherwise; zero exactly when k is an integer with
+    -n < k < 0.
     """
     num = 1
     top = -k - 1
@@ -80,118 +63,78 @@ def d_coeff(k, n):
     return num / factorial(n - 1)
 
 
-def vacuum_component(mono, j):
-    """mono_{-1-j}|0> as a term dict: the weight-j part of exp(L(-1)) mono.
+def _contractions(mono, tmono):
+    """The contraction patterns of mono against tmono, as a dict from
+    (rest of tmono, creating factors of mono, sum of p + n over the
+    contractions) to the patterns' summed weight (module docstring)."""
+    parts = {(tmono, (), 0): 1}
+    for factor in mono:
+        g, m = factor
+        p = -m
+        grown = {}
+        for (rest, made, s), c in parts.items():
+            key = (rest, (*made, factor), s)
+            grown[key] = grown.get(key, 0) + c
+            for n in {-k for h, k in rest if h == g}:
+                reduced, x = annihilate(rest, g, n)
+                key = (reduced, made, s + p + n)
+                grown[key] = grown.get(key, 0) + c * x * d_coeff(n, p)
+        parts = grown
+    return parts
 
-    Each factor h_g(-n) of mono becomes h_g(-n-i) with weight C(n+i-1, i),
-    and the i of all factors add up to j (module docstring).
+
+@lru_cache(maxsize=None)
+def _creations(creators, top, w):
+    """The sum over i of C(w, i) times the creators moved by added weight
+    top - i, as (sorted modes, coefficient) pairs.
+
+    Each factor h_g(-n) becomes h_g(-n-j) with weight C(n+j-1, j) (module
+    docstring).  The process keeps every answer: the creators are factors
+    of a product's left monomial, which weighs at most
+    ``zhu.MAX_WEIGHT_CAP``, so the keys are few.
     """
-    if not j:
-        return {mono: 1}
     parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
-    for g, m in mono:
+    for factor in creators:
+        g, m = factor
         n = -m
+        moved = [factor] + [(g, m - j) for j in range(1, top + 1)]
         grown = {}
         for (modes, used), c in parts.items():
-            for i in range(j - used + 1):
-                key = ((*modes, (g, m - i)), used + i)
-                grown[key] = grown.get(key, 0) + c * comb(n + i - 1, i)
+            for j in range(top - used + 1):
+                key = ((*modes, moved[j]), used + j)
+                grown[key] = grown.get(key, 0) + c * comb(n + j - 1, j)
         parts = grown
     out = {}
     for (modes, used), c in parts.items():
-        if used == j:
+        if top - used <= w:
             full = tuple(sorted(modes))
-            out[full] = out.get(full, 0) + c
-    return out
+            out[full] = out.get(full, 0) + comb(w, top - used) * c
+    return tuple(out.items())
 
 
-def wick_sum(mono, shift, tmono):
-    """sum_i C(w, i) mono_{i-shift} tmono as a term dict, w = wt mono.
+def mode_component(u, v, shift):
+    """sum_i C(wt m, i) m_{i-shift} t over the monomials m of u and t of v,
+    for shift >= 1: star is shift 1, circ_n shift n + 2.
 
-    For a monomial of zero or two factors.  With mono = h_a(-p) h_b(-r),
-    the i-th term has k + l = i+1-w-shift <= 0 (module docstring), so
-    either both modes create or one contracts a factor of tmono and the
-    other creates.  Each contraction of tmono is made once, and every i
-    then only places its creation mode.
+    The sum is bilinear, and every term is an integer combination of
+    monomials when its inputs have integer coefficients.  So u and v are
+    scaled by the lcms du and dv of their coefficients' denominators, the
+    sum runs in Python ints, and each output coefficient is divided by
+    du * dv once, which is exact.  With du * dv = 1 the ints are returned
+    as they are.
     """
-    if not mono:
-        return {tmono: 1} if shift == 1 else {}
-    (a, p), (b, r) = mono
-    p, r = -p, -r
-    w = p + r
-    s0 = 1 - w - shift  # k + l at i = 0
-    out = {}
-    # Both create: k <= -p and l <= -r, so k + l <= -w, which needs i < shift.
-    for i in range(min(w + 1, shift)):
-        ci = comb(w, i)
-        s = s0 + i
-        for k in range(s + r, -p + 1):
-            l = s - k
-            m = tuple(sorted((*tmono, (a, k), (b, l))))
-            out[m] = out.get(m, 0) + ci * d_coeff(k, p) * d_coeff(l, r)
-    # The factor h_g(-pg) of mono contracts a factor h_g(-n) of tmono, and
-    # the other factor h_h(-ph) creates h_h(k) with k = s0 + i - n <= -ph.
-    for g, pg, h, ph in ((b, r, a, p), (a, p, b, r)):
-        for n in {-m for g2, m in tmono if g2 == g}:
-            red, x = annihilate(tmono, g, n)
-            x *= d_coeff(n, pg)
-            for i in range(min(w, pg + n + shift - 1) + 1):
-                k = s0 + i - n
-                m = tuple(sorted((*red, (h, k))))
-                out[m] = out.get(m, 0) + comb(w, i) * d_coeff(k, ph) * x
-    return {m: c for m, c in out.items() if c}
-
-
-def _component(mono, q, tmono, memo):
-    """mono_q tmono as a term dict, peeling mono's first factor h_g(-n).
-
-    Writes mono = h_g(-n) w and applies the Borcherds identity (module
-    docstring); the memo holds every (monomial, q, target monomial) met.
-    """
-    key = (mono, q, tmono)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    out = {}
-    if not mono:
-        if q == -1:
-            out[tmono] = 1
-        memo[key] = out
-        return out
-    (g, m), w = mono[0], mono[1:]
-    n = -m
-    # w_{q+i} tmono has weight wt w + wt tmono - q - i - 1, which must be >= 0.
-    for i in range(mono_weight(w) + mono_weight(tmono) - q):
-        c = comb(n + i - 1, i)
-        mode = (g, m - i)
-        for wmono, x in _component(w, q + i, tmono, memo).items():
-            full = tuple(sorted((*wmono, mode)))
-            out[full] = out.get(full, 0) + c * x
-    # h_g(i) t, i >= 1, contracts a factor h_g(-i) of t; h_g(0) kills t.
-    sign = -1 if n % 2 == 0 else 1
-    for i in {-m for h, m in tmono if h == g}:
-        reduced, y = annihilate(tmono, g, i)
-        c = sign * comb(n + i - 1, i) * y
-        for wmono, x in _component(w, q - n - i, reduced, memo).items():
-            out[wmono] = out.get(wmono, 0) + c * x
-    memo[key] = out
-    return out
-
-
-def mode_component(v, m, target, *, memo=None):
-    """The component v_m of Y(v,z) applied to ``target``.
-
-    ``memo`` is shared by the calls of one product (see the module
-    docstring); each call without one gets a fresh dict.
-    """
-    if v.ell != target.ell:
-        raise ValueError("rank mismatch between state and target")
-    if memo is None:
-        memo = {}
+    du, uterms = clear_denominators(u.terms)
+    dv, vterms = clear_denominators(v.terms)
     acc = {}
-    for mono, c in v.terms.items():
-        for tmono, tc in target.terms.items():
-            for full, x in _component(mono, m, tmono, memo).items():
-                acc[full] = acc.get(full, 0) + c * tc * x
-    return FockVector(target.ell, acc)
-
+    for mono, c in uterms.items():
+        w = mono_weight(mono)
+        for tmono, tc in vterms.items():
+            for (rest, made, s), x in _contractions(mono, tmono).items():
+                x *= c * tc
+                for modes, y in _creations(made, shift - 1 + s, w):
+                    full = tuple(sorted((*rest, *modes))) if rest else modes
+                    acc[full] = acc.get(full, 0) + x * y
+    den = du * dv
+    if den > 1:
+        acc = {mono: Fraction(x, den) for mono, x in acc.items() if x}
+    return FockVector(u.ell, acc)

@@ -7,11 +7,12 @@ operations on states,
     circ_n(u, v) = sum_i C(wt u, i) u_{i-n-2} v      (n >= 0),
 
 where every ``circ_n`` lands in the span O of circle elements, which acts as
-zero on the top level of every admissible module.  Membership in a
-weight-truncated piece of O is decided by exact integer Gauss-Jordan
-elimination over the even monomial basis: the echelon's rows are kept fully
-reduced, so reducing a vector makes one subtraction per pivot column it
-touches.  A certificate of membership is sound, a failure is only
+zero on the top level of every admissible module.  Both run through one Wick
+walk, :func:`orbifock.vertex.mode_component`, at shift 1 and at shift n + 2.
+Membership in a weight-truncated piece of O is decided by exact integer
+Gauss-Jordan elimination over the even monomial basis: the echelon's rows
+are kept fully reduced, so reducing a vector makes one subtraction per pivot
+column it touches.  A certificate of membership is sound, a failure is only
 inconclusive because circle elements mix weights.
 
 Parity sectors.  The sector of a monomial (:func:`sector`) is the bitmask
@@ -38,13 +39,13 @@ import hashlib
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from . import fock
 from .coeffs import clear_denominators
-from .fock import (VACUUM, FockVector, basis, count_sector, make_monomial,
-                   mono_key, mono_weight, sector, single)
-from .vertex import mode_component, vacuum_component, wick_sum
+from .fock import (FockVector, basis, count_sector, make_monomial, mono_key,
+                   mono_weight, sector, single)
+from .vertex import mode_component
 
 FORMAT_VERSION = 5
 
@@ -58,60 +59,10 @@ MAX_COLUMNS = 400_000
 # ---------------------------------------------------------------------------
 # Products
 
-def _binomial_sum(u, v, shift):
-    """sum_i C(wt m, i) m_{i-shift} t over the monomials m of u and t of v.
-
-    Each (m, t) pair with t the vacuum, or with m of at most two factors,
-    is taken in closed form: :func:`vacuum_component` per i, and
-    :func:`wick_sum`, which sums over i in one pass.  The longer monomials
-    of each weight go to :func:`mode_component` against the rest of v, and
-    those calls of one product share one memo.
-
-    The sum is bilinear, and every component is an integer combination of
-    monomials when its inputs have integer coefficients.  So u and v are
-    scaled by the lcms du and dv of their coefficients' denominators, the
-    sum runs in Python ints, and each output coefficient is divided by
-    du * dv once, which is exact.  With du * dv = 1 the ints are returned
-    as they are.
-    """
-    du, uterms = clear_denominators(u.terms)
-    dv, vterms = clear_denominators(v.terms)
-    acc = {}
-
-    def add(terms, c):
-        for mono, x in terms.items():
-            acc[mono] = acc.get(mono, 0) + c * x
-
-    vac = vterms.get(VACUUM)
-    rest = {m: c for m, c in vterms.items() if m}
-    longer = {}  # weight -> the monomials of u with three or more factors
-    for mono, c in uterms.items():
-        w = mono_weight(mono)
-        if vac:
-            for i in range(min(w, shift - 1) + 1):
-                add(vacuum_component(mono, shift - 1 - i), comb(w, i) * c * vac)
-        if len(mono) > 2:
-            longer.setdefault(w, {})[mono] = c
-        else:
-            for tmono, tc in rest.items():
-                add(wick_sum(mono, shift, tmono), c * tc)
-    if rest and longer:
-        target = FockVector(v.ell, rest)
-        memo = {}
-        for w, terms in longer.items():
-            comp = FockVector(u.ell, terms)
-            for i in range(w + 1):
-                add(mode_component(comp, i - shift, target, memo=memo).terms, comb(w, i))
-    den = du * dv
-    if den > 1:
-        acc = {mono: Fraction(x, den) for mono, x in acc.items() if x}
-    return FockVector(u.ell, acc)
-
-
 def star(u, v):
     """The associative product representative star(u, v)."""
     _check_arguments(u, v, "star")
-    return _binomial_sum(u, v, 1)
+    return mode_component(u, v, 1)
 
 
 def circ_n(u, v, n=0):
@@ -124,7 +75,7 @@ def circ_n(u, v, n=0):
     if n < 0:
         raise ValueError("circle index n must be nonnegative")
     _check_arguments(u, v, "circ_n")
-    return _binomial_sum(u, v, n + 2)
+    return mode_component(u, v, n + 2)
 
 
 def _check_arguments(u, v, opname):

@@ -1,15 +1,14 @@
-"""Single Heisenberg modes, the desk oracle's building block.
+"""Single Heisenberg modes and the Borcherds recursion, the desk oracle.
 
-The package never applies one mode at a time: products go through closed
-forms and ``vertex.mode_component``, and top levels through closed forms.
+The package never applies one mode at a time: products go through the one
+Wick walk ``vertex.mode_component``, and top levels through closed forms.
 The oracle tests build their expected values from the single modes here
 instead, including exp(Delta_z) in operator form (:func:`reference_delta`),
-against which :func:`delta_terms` reads the package's expansion.
-The products' reference, :func:`reference_product`, runs every pair
-through the Borcherds recursion, and :func:`wick_component` takes one
-mode of a two-factor state at a time, the reference for
-``vertex.wick_sum``.  The exact linear algebra has dense ``Fraction``
-references too: :func:`fraction_rank` for ``zhu.exact_rank``,
+against which :func:`delta_terms` reads the package's expansion.  Single
+mode components v_m t come from the Borcherds recursion
+(:func:`mode_component`), and the products' reference,
+:func:`reference_product`, sums them.  The exact linear algebra has dense
+``Fraction`` references too: :func:`fraction_rank` for ``zhu.exact_rank``,
 :func:`fraction_reduce` for ``OSpanEchelon.reduce`` and
 :class:`FractionMatrix` for ``toplevel.Matrix``.  The package echelonizes
 one parity sector at a time; :class:`WholeWindow` is the circle span with
@@ -23,7 +22,6 @@ from math import comb
 from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, annihilate, basis, mono_weight, sector
 from orbifock.twisted import apply_delta
-from orbifock.vertex import d_coeff, mode_component
 from orbifock.zhu import (DEFAULT_POLICY, CircleSpan, OSpanEchelon,
                           build_ospan, omega)
 
@@ -73,6 +71,68 @@ def apply_mode(gen, n, vec, hw=None):
             reduced, x = hit
             terms[reduced] = terms.get(reduced, 0) + c * x
     return FockVector(ell, terms)
+
+
+def _component(mono, q, tmono, memo):
+    """mono_q tmono as a term dict, peeling mono's first factor h_g(-n).
+
+    The state a = h_g(-1)|0> has the modes a_k = h_g(k), and
+    h_g(-n) w = a_{-n} w, so the Borcherds identity peels one factor off a
+    monomial at a time:
+
+        (h_g(-n) w)_q t = sum_{i >= 0} C(n+i-1, i) [ h_g(-n-i) w_{q+i} t
+                                                    - (-1)^n w_{q-n-i} h_g(i) t ]
+
+    with |0>_q t = delta_{q,-1} t at the bottom.  Both sums are finite.
+    The component w_{q+i} t has weight wt w + wt t - q - i - 1, so the
+    first sum stops once that is negative.  In the second, h_g(0) kills
+    the vacuum module and h_g(i) with i >= 1 contracts a factor h_g(-i) of
+    t, so only the i with h_g(-i) in t contribute.  The memo holds every
+    (monomial, q, target monomial) met.
+    """
+    key = (mono, q, tmono)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if not mono:
+        if q == -1:
+            out[tmono] = 1
+        memo[key] = out
+        return out
+    (g, m), w = mono[0], mono[1:]
+    n = -m
+    # w_{q+i} tmono has weight wt w + wt tmono - q - i - 1, which must be >= 0.
+    for i in range(mono_weight(w) + mono_weight(tmono) - q):
+        c = comb(n + i - 1, i)
+        mode = (g, m - i)
+        for wmono, x in _component(w, q + i, tmono, memo).items():
+            full = tuple(sorted((*wmono, mode)))
+            out[full] = out.get(full, 0) + c * x
+    # h_g(i) t, i >= 1, contracts a factor h_g(-i) of t; h_g(0) kills t.
+    sign = -1 if n % 2 == 0 else 1
+    for i in {-m for h, m in tmono if h == g}:
+        reduced, y = annihilate(tmono, g, i)
+        c = sign * comb(n + i - 1, i) * y
+        for wmono, x in _component(w, q - n - i, reduced, memo).items():
+            out[wmono] = out.get(wmono, 0) + c * x
+    memo[key] = out
+    return out
+
+
+def mode_component(v, m, target, *, memo=None):
+    """The component v_m of Y(v,z) applied to ``target``, by the Borcherds
+    recursion.  Calls that pass one ``memo`` dict share its components."""
+    if v.ell != target.ell:
+        raise ValueError("rank mismatch between state and target")
+    if memo is None:
+        memo = {}
+    acc = {}
+    for mono, c in v.terms.items():
+        for tmono, tc in target.terms.items():
+            for full, x in _component(mono, m, tmono, memo).items():
+                acc[full] = acc.get(full, 0) + c * tc * x
+    return FockVector(target.ell, acc)
 
 
 def virasoro(a, n, v):
@@ -129,51 +189,6 @@ def reference_product(u, v, shift):
     for w, comp in graded_parts(u).items():
         for i in range(w + 1):
             out = out + comb(w, i) * mode_component(comp, i - shift, v, memo=memo)
-    return out
-
-
-def wick_component(mono, q, tmono):
-    """mono_q tmono as a term dict, for a monomial of zero or two factors.
-
-    For mono = h_a(-p) h_b(-r) it sums d(k, p) d(l, r) :h_a(k) h_b(l): tmono
-    over k + l = q+1-p-r (``vertex`` module docstring), visiting only the k
-    that act: both modes creating, or k or l contracting a factor of tmono.
-    """
-    if not mono:
-        return {tmono: 1} if q == -1 else {}
-    (a, p), (b, r) = mono
-    p, r = -p, -r
-    s = q + 1 - p - r
-    out = {}
-
-    def add(m, c):
-        out[m] = out.get(m, 0) + c
-
-    # Both create: d(k, p) d(l, r) vanishes unless k <= -p and l <= -r.
-    for k in range(s + r, -p + 1):
-        l = s - k
-        add(tuple(sorted((*tmono, (a, k), (b, l)))),
-            d_coeff(k, p) * d_coeff(l, r))
-    # h_b(l), l >= 1, contracts a factor of tmono; h_a(k) creates or contracts.
-    for l in {-m for g, m in tmono if g == b}:
-        k = s - l
-        if k == 0 or -p < k < 0:
-            continue
-        reduced, x = annihilate(tmono, b, l)
-        x *= d_coeff(k, p) * d_coeff(l, r)
-        if k < 0:
-            add(tuple(sorted((*reduced, (a, k)))), x)
-        else:
-            both = annihilate(reduced, a, k)
-            if both:
-                add(both[0], x * both[1])
-    # h_a(k), k >= 1, contracts a factor of tmono while h_b(l) creates.
-    for k in {-m for g, m in tmono if g == a}:
-        l = s - k
-        if l <= -r:
-            reduced, x = annihilate(tmono, a, k)
-            add(tuple(sorted((*reduced, (b, l)))),
-                x * d_coeff(k, p) * d_coeff(l, r))
     return out
 
 

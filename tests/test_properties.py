@@ -12,10 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from mode_oracle import WholeWindow, graded_parts
+from mode_oracle import WholeWindow, graded_parts, mode_component
 from orbifock.fock import FockVector, basis
 from orbifock.toplevel import FAMILIES, evaluate
-from orbifock.vertex import mode_component
 from orbifock.zhu import (build_ospan, circ_n, e_t, e_u, hgen, jgen, lam,
                           omega, s_pair, star)
 

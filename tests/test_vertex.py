@@ -8,13 +8,14 @@ from math import comb, factorial
 
 import pytest
 
-from mode_oracle import (SYMBOLIC, apply_mode, delta_terms, graded_parts,
-                         reference_delta, reference_product, virasoro,
-                         wick_component)
-from orbifock.fock import FockVector, basis, single
+from mode_oracle import (SYMBOLIC, _component, apply_mode, delta_terms,
+                         graded_parts, mode_component, reference_delta,
+                         reference_product, virasoro)
+from orbifock import vertex
+from orbifock.fock import FockVector, basis, mono_weight, single
 from orbifock.toplevel import FAMILIES, Matrix, evaluate
 from orbifock.twisted import apply_delta, delta_coefficients
-from orbifock.vertex import d_coeff, mode_component, wick_sum
+from orbifock.vertex import d_coeff
 from orbifock.zhu import circ_n, hgen, jgen, omega, star
 
 F = Fraction
@@ -91,23 +92,30 @@ def test_d_coefficients_against_oracle():
                 assert type(got) is int, (k, n)
 
 
-def test_one_pass_wick_sum_against_single_components():
-    # Every two-factor monomial m and every target t of weight <= 6 at
-    # rank 3, and the vacuum as m; shifts 1-4 need m_q t for -4 <= q < wt m.
-    targets = [t for w in range(0, 7) for t in basis(3, w, "even")]
-    states = [()] + [m for m in targets if len(m) == 2]
-    assert (len(targets), len(states)) == (212, 73)
+def test_one_pass_wick_walk_against_the_recursion():
+    # States of zero, two, three and four factors and weight <= 5, and
+    # h1(-1)^6, against every target of weight <= 4 at rank 2; shifts 1-4
+    # need m_q t for -4 <= q < wt m.  Three or more factors may contract
+    # several factors of one target.
+    targets = [t for w in range(5) for t in basis(2, w, "all")]
+    states = ([()] + [m for w in range(2, 6) for m in basis(2, w, "all")
+                      if len(m) in (2, 3, 4)] + [((1, -1),) * 6])
+    assert (len(targets), len(states)) == (38, 59)
+    memo = {}
     for m in states:
-        w = -sum(n for _, n in m)
+        w = mono_weight(m)
+        u = FockVector.from_monomial(2, m)
         for t in targets:
-            parts = {q: wick_component(m, q, t) for q in range(-4, w)}
+            parts = {q: _component(m, q, t, memo) for q in range(-4, w)}
+            v = FockVector.from_monomial(2, t)
             for shift in range(1, 5):
                 want = {}
                 for i in range(w + 1):
                     for mono, x in parts[i - shift].items():
                         want[mono] = want.get(mono, 0) + comb(w, i) * x
                 want = {mono: x for mono, x in want.items() if x}
-                assert wick_sum(m, shift, t) == want, (m, t, shift)
+                got = vertex.mode_component(u, v, shift).terms
+                assert got == want, (m, t, shift)
 
 
 def test_single_mode_state_is_the_current():

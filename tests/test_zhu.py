@@ -11,10 +11,9 @@ import pytest
 
 from mode_oracle import (WholeWindow, even_sectors, fraction_rank,
                          fraction_reduce, reference_product, virasoro)
-from orbifock import zhu
+from orbifock import vertex, zhu
 from orbifock.coeffs import clear_denominators
 from orbifock.fock import FockVector, basis, count_sector, single
-from orbifock.vertex import mode_component
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                           e_t, e_t_bar, e_u, e_u_bar, exact_rank, hgen, jgen, lam,
                           omega, s_pair, star)
@@ -98,23 +97,25 @@ def test_vacuum_circles_are_translations():
             assert circ_n(u, one) == virasoro(1, -1, u) + virasoro(2, -1, u) + w * u
 
 
-def test_build_makes_no_recursive_mode_calls(monkeypatch):
+def test_build_walks_contract_at_most_two_factors(monkeypatch):
     # Every seed circle has the vacuum on the right or a two-factor left
-    # factor, under every policy and at every rank, so none reaches the
-    # recursion; a script product of a longer monomial still does.
-    calls = []
+    # factor, under every policy and at every rank, so no walk of a build
+    # contracts a longer monomial; a script product of one still does.
+    longer = []
+    contractions = vertex._contractions
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return mode_component(*args, **kwargs)
+    def spy(mono, tmono):
+        if len(mono) > 2 and tmono:
+            longer.append((mono, tmono))
+        return contractions(mono, tmono)
 
-    monkeypatch.setattr(zhu, "mode_component", spy)
+    monkeypatch.setattr(vertex, "_contractions", spy)
     for ell, window, pairs in [(2, 8, "all"), (1, 12, "all"),
                                (3, 8, "quadratic"), (2, 10, "omega")]:
         assert WholeWindow(ell, window, GeneratorPolicy(pairs)).rows
-    assert calls == []
+    assert longer == []
     assert star(jgen(2, 1), omega(2, 1)) == reference_product(jgen(2, 1), omega(2, 1), 1)
-    assert calls
+    assert longer
 
 
 def test_circ_examples_and_guards():
