@@ -29,11 +29,11 @@ The twisted families read o(u) on the remainders of exp(Delta_z) u
 twisted top level as untwisted fields act on the h_j(-1)|0>, at modes
 +-1/2 in place of +-1 (:func:`top_level_matrix`): only the empty and the
 two-factor remainders act.  Matchings remove factors in pairs, so an even
-state leaves only remainders of even length.  Tplus therefore keeps the
-perfect matchings alone (:func:`orbifock.twisted.twisted_zero_mode`) and
-Tminus the matchings that leave at most two factors, and both are exact.
-Both read integer numerators over the expansion's one denominator, and
-Tminus hands them to :func:`top_level_matrix` as they are.
+state leaves only remainders of even length.  So one expansion, cut at
+remainders of two factors, serves both and is exact: Tplus reads its empty
+remainder (:func:`orbifock.twisted.twisted_zero_mode`) and Tminus hands
+its integer numerators over the one denominator to
+:func:`top_level_matrix` as they are.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def evaluate(u, fam):
     if fam == "Tplus":
         return twisted_zero_mode(u)
     if fam == "Tminus":
-        return top_level_matrix(*apply_delta(u, keep=2), rank, Fraction(1, 2))
+        return top_level_matrix(*apply_delta(u), rank, Fraction(1, 2))
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -4,7 +4,8 @@ The package never applies one mode at a time: products go through the one
 Wick walk ``vertex.mode_component``, and top levels through closed forms.
 The oracle tests build their expected values from the single modes here
 instead, including exp(Delta_z) in operator form (:func:`reference_delta`),
-against which :func:`delta_terms` reads the package's expansion.  Single
+against which :func:`delta_terms` reads the package's expansion and
+:func:`reference_reading` the twisted top levels.  Single
 mode components v_m t come from the Borcherds recursion
 (:func:`mode_component`), and the products' reference,
 :func:`reference_product`, sums them.  The exact linear algebra has dense
@@ -19,9 +20,11 @@ the span tests read.
 from fractions import Fraction
 from math import comb
 
-from orbifock.coeffs import LPoly
+from orbifock import twisted
+from orbifock.coeffs import LPoly, clear_denominators
 from orbifock.fock import FockVector, annihilate, basis, mono_weight, sector
-from orbifock.twisted import apply_delta
+from orbifock.toplevel import top_level_matrix
+from orbifock.twisted import apply_delta, delta_coefficients
 from orbifock.zhu import (DEFAULT_POLICY, CircleSpan, OSpanEchelon,
                           build_ospan, omega)
 
@@ -163,11 +166,31 @@ def reference_delta(v, table):
     return {s: w for s, w in buckets.items() if w}
 
 
-def delta_terms(v, keep):
-    """``twisted.apply_delta(v, keep)`` as {remainder: Fraction}: each int
+def delta_terms(v):
+    """``twisted.apply_delta(v)`` as {remainder: Fraction}: each int
     numerator over the expansion's one denominator."""
-    den, terms = apply_delta(v, keep)
+    den, terms = apply_delta(v)
     return {m: Fraction(c, den) for m, c in terms.items()}
+
+
+def reference_reading(v, fam):
+    """v's Tplus or Tminus reading from exp(Delta_z) in operator form
+    (:func:`reference_delta`) over the table of v's own weight: the
+    coefficient of |0>_tw, or the matrix of the whole expansion on the
+    h_j(-1/2)|0>_tw."""
+    table = delta_coefficients(max(2, v.max_weight()))
+    full = sum(reference_delta(v, table).values(), FockVector.zero(v.ell))
+    if fam == "Tplus":
+        return Fraction(full.coeff(()))
+    return top_level_matrix(*clear_denominators(full.terms), v.ell,
+                            Fraction(1, 2))
+
+
+def clear_twisted_caches():
+    """Empty the delta table and both expansion caches of
+    :mod:`orbifock.twisted`, as in a fresh process."""
+    for cached in (twisted._delta, twisted._matchings, twisted._expansion):
+        cached.cache_clear()
 
 
 def graded_parts(u):

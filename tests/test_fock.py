@@ -50,7 +50,7 @@ def test_monomials_hold_plain_mode_indices():
     v = single(2, [(1, -3), (2, -1)]) + single(2, [(1, -2), (2, -2)])
     assert type(v.weight()) is int and v.weight() == 4
     assert type(v.max_weight()) is int and v.max_weight() == 4
-    assert ((1, -1), (1, -1)) in delta_terms(omega(1, 1), 2)
+    assert ((1, -1), (1, -1)) in delta_terms(omega(1, 1))
 
 
 def test_apply_mode_commutator_single():

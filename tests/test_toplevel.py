@@ -242,9 +242,9 @@ def test_tminus_expands_each_state_once(monkeypatch):
     real = twisted.apply_delta
     calls = []
 
-    def counting(v, keep):
+    def counting(v):
         calls.append(v)
-        return real(v, keep=keep)
+        return real(v)
 
     # toplevel binds the name itself, so both modules are patched.
     monkeypatch.setattr(twisted, "apply_delta", counting)

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import orbifock
+from mode_oracle import clear_twisted_caches
 from orbifock.runner import Runner
 from orbifock.zhu import OSpanEchelon
 
@@ -80,14 +81,13 @@ def test_tracer_sees_every_evaluation_layer():
     # per-layer metrics require, so a family that stops going through a
     # traced entry point (Tplus through twisted_zero_mode, say) fails here.
     import orbifock.script
-    import orbifock.twisted
     from orbifock.runner import RunConfig
 
     tracing = _load_tracing()
     tracer = tracing.Tracer(run_id=0)
     tracer.install()
     try:
-        orbifock.twisted._tables.cache_clear()
+        clear_twisted_caches()
         stmts = orbifock.script.parse_script(EVAL_SCRIPT, 2)
         report = Runner(RunConfig(rank=2, cache_dir=None)).run(stmts)
         metrics = tracer.layer_metrics()
@@ -142,8 +142,8 @@ def test_tracer_sees_every_warm_suite_layer(tmp_path):
     # suite all at rank 2 on the cache its own first run left: every layer
     # the suite-warm workload's per-layer metrics require must be reached,
     # every cached echelon read and only the anchored build made uncached.
-    # The second run starts, as a fresh process would, with no delta table.
-    import orbifock.twisted
+    # The second run starts, as a fresh process would, with no delta table
+    # and no expansions.
     from orbifock.runner import RunConfig
     from orbifock.suites import run_suite
 
@@ -153,7 +153,7 @@ def test_tracer_sees_every_warm_suite_layer(tmp_path):
     tracer = tracing.Tracer(run_id=0)
     tracer.install()
     try:
-        orbifock.twisted._tables.cache_clear()
+        clear_twisted_caches()
         report = run_suite("all", config)
         metrics = tracer.layer_metrics()
     finally:

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import orbifock.twisted as twisted
-from mode_oracle import delta_terms, reference_delta
-from orbifock.coeffs import LPoly, clear_denominators
+from mode_oracle import (clear_twisted_caches, delta_terms, reference_delta,
+                         reference_reading)
+from orbifock.coeffs import LPoly
 from orbifock.fock import FockVector, basis, make_monomial, single
 from orbifock.script import parse_expr, realize
 from orbifock.tables import GOLDEN
-from orbifock.toplevel import Matrix, evaluate, top_level_matrix
+from orbifock.toplevel import Matrix, evaluate
 from orbifock.twisted import apply_delta, delta_coefficients, twisted_zero_mode
 from orbifock.zhu import MAX_WEIGHT_CAP, circ_n, hgen, jgen, omega
 
@@ -79,13 +80,18 @@ def test_asymmetric_table_rejected():
 
 def test_apply_delta_examples():
     one = FockVector.vacuum(1)
-    assert delta_terms(one, 0) == {(): 1}
+    assert delta_terms(one) == {(): 1}
 
     omega = single(1, [(1, -1), (1, -1)], F(1, 2))
-    assert delta_terms(omega, 2) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
+    assert delta_terms(omega) == {((1, -1), (1, -1)): F(1, 2), (): F(1, 16)}
 
     hv = single(1, [(1, -1)])
-    assert delta_terms(hv, 1) == {((1, -1),): 1}
+    assert delta_terms(hv) == {((1, -1),): 1}
+
+    # h1(-1)^4 itself, of four factors, is cut.  Delta takes it to
+    # 4 * 3 c_11 = 3/4 of h1(-1)^2, and Delta^2 / 2 to 3/4 * 2 c_11 / 2 of |0>.
+    J = single(1, [(1, -1)] * 4)
+    assert delta_terms(J) == {((1, -1), (1, -1)): F(3, 4), (): F(3, 64)}
 
 
 def flat(buckets):
@@ -98,6 +104,7 @@ def flat(buckets):
 
 
 def test_matching_expansion_matches_operator_form():
+    # apply_delta is the operator form cut at remainders of two factors.
     table = delta_coefficients(8)
     states = [FockVector.from_monomial(2, mono)
               for weight in range(9) for mono in basis(2, weight, "even")]
@@ -106,25 +113,14 @@ def test_matching_expansion_matches_operator_form():
     assert single(2, [(1, -2)] * 2) in states
     states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
                for a in range(1, ell + 1)]
-    for v in states:
-        assert delta_terms(v, max(map(len, v.terms))) == flat(
-            reference_delta(v, table)), v
-
-
-def test_truncated_expansion_drops_only_long_remainders():
-    states = [FockVector.from_monomial(2, mono)
-              for weight in range(9) for mono in basis(2, weight, "even")]
-    states += [gen(ell, a) for ell in (1, 3) for gen in (jgen, hgen)
-               for a in range(1, ell + 1)]
     short = 0
     for v in states:
-        full = delta_terms(v, max(map(len, v.terms)))
-        for keep in (0, 2):
-            want = {mono: c for mono, c in full.items() if len(mono) <= keep}
-            assert delta_terms(v, keep=keep) == want, (v, keep)
-            short += any(len(mono) > keep for mono in full)
-    # The truncation drops something in more than half of the cases.
-    assert short > len(states)
+        full = flat(reference_delta(v, table))
+        assert delta_terms(v) == {mono: c for mono, c in full.items()
+                                  if len(mono) <= 2}, v
+        short += any(len(mono) > 2 for mono in full)
+    # The cut drops something in more than half of the states.
+    assert short > len(states) // 2
 
 
 def test_bucket_weights():
@@ -166,18 +162,6 @@ def test_matrix_action_on_twisted_top_level():
     assert evaluate(S12, "Tminus") == Matrix([[0, -3], [-1, 0]], 4)
 
 
-def reference_reading(v, fam):
-    """v's Tplus or Tminus reading from exp(Delta_z) in operator form
-    (:func:`mode_oracle.reference_delta`) over the table of v's own weight:
-    the coefficient of |0>_tw, or the matrix of the whole expansion on the
-    h_j(-1/2)|0>_tw."""
-    table = delta_coefficients(max(2, v.max_weight()))
-    full = sum(reference_delta(v, table).values(), FockVector.zero(v.ell))
-    if fam == "Tplus":
-        return Fraction(full.coeff(()))
-    return top_level_matrix(*clear_denominators(full.terms), v.ell, F(1, 2))
-
-
 # Unlike denominators, several generators per monomial and repeated modes.
 LIGHT = (single(2, [(1, -1), (1, -1), (2, -1), (2, -1)])
          + single(2, [(1, -3), (2, -1)], F(1, 3))
@@ -206,12 +190,12 @@ def test_shared_table_cache(monkeypatch):
                         lambda degree: calls.append(degree) or built(degree))
     states = (omega(2, 1), MID, HEAVIEST)
     assert [u.max_weight() for u in states] == [2, 8, 16]
-    twisted._tables.cache_clear()
+    clear_twisted_caches()
     for u in states:
         read(u)
     assert calls == [MAX_WEIGHT_CAP]
-    assert twisted._tables() is twisted._tables()
-    (scale, pairs), _, _ = twisted._tables()
+    assert twisted._delta() is twisted._delta()
+    scale, pairs = twisted._delta()
     assert max(m + n for m, n in pairs) == MAX_WEIGHT_CAP
     assert scale == 1 << 31
 
@@ -222,16 +206,15 @@ def test_readings_do_not_depend_on_evaluation_order():
     # table, whatever the order the states come in.
     order = [LIGHT, HEAVY, LIGHT, MID, HEAVIEST]
     assert [u.max_weight() for u in order] == [4, 14, 4, 8, 16]
-    twisted._tables.cache_clear()
-    monos = twisted._tables()[2]
+    clear_twisted_caches()
     forward = [read(order[0])]
-    light = set(monos)
+    light = twisted._expansion.cache_info().currsize
     assert light
     forward += [read(u) for u in order[1:]]
-    assert set(monos) > light
+    assert twisted._expansion.cache_info().currsize > light
     assert forward == [(reference_reading(u, "Tplus"),
                         reference_reading(u, "Tminus")) for u in order]
-    twisted._tables.cache_clear()
+    clear_twisted_caches()
     backward = [read(u) for u in reversed(order)]
     assert backward[::-1] == forward
     assert all(tplus for tplus, _ in forward)
@@ -246,8 +229,8 @@ def test_monomial_above_the_cap_is_refused():
     for _ in range(2):
         for read_twisted in (lambda: evaluate(u, "Tplus"),
                              lambda: evaluate(u, "Tminus"),
-                             lambda: apply_delta(u, keep=0),
-                             lambda: apply_delta(u, keep=2)):
+                             lambda: twisted_zero_mode(u),
+                             lambda: apply_delta(u)):
             with pytest.raises(ResourceWarning, match="weight cap 16"):
                 read_twisted()
     assert evaluate(u, "Hplus") == 0
@@ -256,6 +239,35 @@ def test_monomial_above_the_cap_is_refused():
     # (-1)^0 (-1)^15 l1^2 + l1^2 / 2.
     assert evaluate(u, "Mlambda") == LPoly(1, {(2,): F(-1, 2)})
 
+
+
+def test_one_expansion_per_monomial():
+    # Tminus reads the expansions the Tplus reading of the same state made,
+    # and adds none of its own, nor any run's matchings.
+    clear_twisted_caches()
+    u = LIGHT + MID
+    evaluate(u, "Tplus")
+    expansions = twisted._expansion.cache_info()
+    runs = twisted._matchings.cache_info()
+    evaluate(u, "Tminus")
+    assert twisted._expansion.cache_info().misses == expansions.misses
+    assert twisted._expansion.cache_info().hits == (expansions.hits
+                                                    + len(u.terms))
+    assert twisted._matchings.cache_info().misses == runs.misses
+    # keep is capped at len(run) before the lookup, so the run h1(-1)^4 at
+    # keep 2 makes six entries: (h^4, 2), (h^3, 1), (h^2, 2), (h^2, 0),
+    # (h, 1) and ((), 0).  Uncapped, ((), 2) would be a seventh.
+    clear_twisted_caches()
+    apply_delta(single(1, [(1, -1)] * 4))
+    assert twisted._matchings.cache_info().currsize == 6
+    # A monomial above the cap raises without entering the cache.
+    evaluate(omega(1, 1), "Tplus")
+    size = twisted._expansion.cache_info().currsize
+    over = single(1, [(1, -1), (1, -16)]) + omega(1, 1)
+    for fam in ("Tplus", "Tminus"):
+        with pytest.raises(ResourceWarning, match="weight cap 16"):
+            evaluate(over, fam)
+    assert twisted._expansion.cache_info().currsize == size
 
 def _random_even_state(rng, rank, weight):
     """1-3 random even monomials of weight at most ``weight`` (no even
@@ -289,10 +301,10 @@ def test_readings_equal_the_own_degree_reference():
     assert sum(bool(tplus) for tplus, _ in readings) > len(states) // 2
 
 
-def test_tplus_is_the_empty_remainder_of_the_tminus_expansion():
-    # The Tplus reading is the empty remainder's coefficient in the keep=2
-    # expansion Tminus reads, on the golden states and a seeded sample of
-    # circles between them.
+def test_tplus_reads_the_reference_on_golden_states_and_circles():
+    # The empty remainder of the expansion Tminus reads is the Tplus
+    # reading of the operator form, on the golden states and a seeded
+    # sample of circles between them.
     labels = [label for elements in GOLDEN.values() for label in elements]
     rank_2, rank_3 = ([realize(parse_expr(label, rank), rank)
                        for label in labels] for rank in (2, 3))
@@ -301,6 +313,5 @@ def test_tplus_is_the_empty_remainder_of_the_tminus_expansion():
     circles = [circ_n(rng.choice(rank_2), rng.choice(rank_2), rng.randrange(3))
                for _ in range(30)]
     for v in golden + circles:
-        den, terms = apply_delta(v, keep=2)
-        assert twisted_zero_mode(v) == Fraction(terms.get((), 0), den), v
+        assert twisted_zero_mode(v) == reference_reading(v, "Tplus"), v
     assert sum(bool(twisted_zero_mode(v)) for v in golden) == 4

@@ -283,18 +283,15 @@ def test_mixed_denominators_delta_against_oracle():
     table = delta_coefficients(8)
     for v in MIXED_STATES:
         full = sum(reference_delta(v, table).values(), FockVector.zero(v.ell))
-        assert delta_terms(v, max(map(len, v.terms))) == full.terms, v
-        for keep in (2, 0):
-            want = {m: c for m, c in full.terms.items() if len(m) <= keep}
-            assert delta_terms(v, keep=keep) == want, (v, keep)
+        want = {m: c for m, c in full.terms.items() if len(m) <= 2}
+        assert delta_terms(v) == want, v
 
 
 def test_delta_expansion_is_int_numerators_over_one_denominator():
     for v in MIXED_STATES:
-        for keep in (max(map(len, v.terms)), 2, 0):
-            den, terms = apply_delta(v, keep)
-            assert type(den) is int and den > 0, (v, keep)
-            assert all(type(c) is int and c for c in terms.values()), (v, keep)
+        den, terms = apply_delta(v)
+        assert type(den) is int and den > 0, v
+        assert all(type(c) is int and c for c in terms.values()), v
 
 
 def test_mixed_denominators_products_against_recursion():
