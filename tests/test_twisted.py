@@ -123,6 +123,22 @@ def test_matching_expansion_matches_operator_form():
     assert short > len(states) // 2
 
 
+def test_truncated_expansion_drops_only_long_remainders():
+    # A run's matchings that keep at most `keep` factors are its full
+    # matchings (keep = len(run)) restricted to remainders that short.
+    runs = [mono for weight in range(1, 10) for mono in basis(1, weight)]
+    short = 0
+    for run in runs:
+        full = twisted._matchings(run, len(run))
+        for keep in (0, 2):
+            keep = min(keep, len(run))
+            want = {rem: w for rem, w in full.items() if len(rem) <= keep}
+            assert twisted._matchings(run, keep) == want, (run, keep)
+            short += any(len(rem) > keep for rem in full)
+    # The truncation drops something in more than half of the cases.
+    assert short > len(runs)
+
+
 def test_bucket_weights():
     # Bucket s of a homogeneous state's operator form has weight wt v + s,
     # so the z-exponent of a remainder is fixed by its weight and summing
