@@ -5,6 +5,13 @@ any top level is a hard counterexample), then ask the truncated circle span
 for a membership certificate.  The three possible outcomes are Proved,
 Disproved (with a witness), and Unknown (the cutoff was not enough, which
 is never an error: truncation is one-sided).
+
+A Runner decides each statement once per relabeling of its generator
+indices.  Permuting the generators h_a is an automorphism of M(1) that
+commutes with theta, so it preserves the product, the circles and O(V) and
+permutes the readings on the five top levels: a statement and its
+relabelings have one verdict.  Only Proved verdicts are reused, since a
+witness names an entry of one index order.
 """
 
 from __future__ import annotations
@@ -107,12 +114,21 @@ class Report:
 class Runner:
     """Runs statements against one configuration.  Its ``span`` is the
     :class:`~orbifock.zhu.CircleSpan` at window max_weight + slack, which
-    builds the echelon of each parity sector a difference meets."""
+    builds the echelon of each parity sector a difference meets.
+
+    ``proved`` maps the :func:`~orbifock.script.relabel` key of every
+    statement Proved so far to its detail, and a statement whose key is
+    there is Proved without being run again (see the module docstring).
+    Every generator policy seeds the span symmetrically in the indices, so
+    a certificate carries over too.  Disproved, Unknown and Error results
+    are always computed afresh.
+    """
 
     def __init__(self, config):
         self.config = config
         self.span = CircleSpan(config.rank, config.max_weight + config.slack,
                                config.policy, config.cache_dir)
+        self.proved = {}
 
     def run(self, statements, report=None):
         report = report or Report(self.config)
@@ -120,12 +136,21 @@ class Runner:
         before = set(self.span.echelons)
         for stmt in statements:
             t0 = time.perf_counter()
-            try:
-                status, detail = self.run_statement(stmt)
-            except ResourceWarning as exc:
-                status, detail = "Unknown", f"resource guard: {exc}"
-            except (ValueError, ArithmeticError) as exc:
-                status, detail = "Error", str(exc)
+            names = {}
+            key = dsl.relabel(stmt, names)
+            # An index beyond the rank, in a statement parsed at a higher
+            # one, is an Error, so such a statement is always run.
+            if key in self.proved and max(names, default=0) <= self.config.rank:
+                status, detail = "Proved", self.proved[key]
+            else:
+                try:
+                    status, detail = self.run_statement(stmt)
+                except ResourceWarning as exc:
+                    status, detail = "Unknown", f"resource guard: {exc}"
+                except (ValueError, ArithmeticError) as exc:
+                    status, detail = "Error", str(exc)
+                if status == "Proved":
+                    self.proved[key] = detail
             ms = 1000 * (time.perf_counter() - t0)
             report.add(StatementResult(dsl.format_statement(stmt), status, detail, ms))
         if any(ech.cache_hit for s, ech in self.span.echelons.items()

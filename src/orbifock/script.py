@@ -36,7 +36,7 @@ each partial product of a power (:func:`_power`); and printability
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -201,14 +201,18 @@ class Statement:
     col: int
 
 
+# The fields that hold subexpressions, in reading order.
+_CHILDREN = ("arg", "left", "right", "base")
+
+
 def _depth(expr):
     """Nodes on the longest path of an expression tree, found iteratively."""
     deepest, stack = 0, [(expr, 1)]
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack += [(getattr(node, name), depth + 1) for name in
-                  ("arg", "left", "right", "base") if hasattr(node, name)]
+        stack += [(getattr(node, name), depth + 1) for name in _CHILDREN
+                  if hasattr(node, name)]
     return deepest
 
 
@@ -479,6 +483,42 @@ def parse_expr(text, rank):
     if p.peek().kind not in ("newline", "eof"):
         p.fail(f"unexpected {p.peek().text!r} after expression")
     return expr
+
+
+# ---------------------------------------------------------------------------
+# Relabeling
+
+def relabel(stmt, names=None):
+    """The kind and payload of a statement, without its source position,
+    with every generator index renamed 1, 2, ... in order of first
+    appearance.
+
+    One renaming covers the whole statement, expected value included, so
+    two statements get equal keys exactly when a permutation of the
+    generators maps one onto the other.  Mode depths, circle indices,
+    exponents and literals keep their values.  ``names``, when given, is a
+    dict that receives the renaming, from old index to new.
+    """
+    names = {} if names is None else names
+
+    def rename(i):
+        return names.setdefault(i, len(names) + 1)
+
+    def walk(node):
+        if isinstance(node, tuple):         # a payload, or a rank's list
+            return tuple(map(walk, node))
+        if isinstance(node, Named):
+            letters = [ch for ch in _ATOMS[node.kind][0] if ch.isalpha()]
+            return Named(node.kind, tuple(rename(x) if ch in "abij" else x
+                                          for ch, x in zip(letters, node.args)))
+        if isinstance(node, Mono):
+            return Mono(tuple((rename(gen), k) for gen, k in node.modes))
+        if isinstance(node, (str, int, Num)):
+            return node
+        return replace(node, **{name: walk(getattr(node, name))
+                                for name in _CHILDREN if hasattr(node, name)})
+
+    return stmt.kind, walk(stmt.payload)
 
 
 # ---------------------------------------------------------------------------
