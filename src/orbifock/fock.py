@@ -14,6 +14,7 @@ spelling.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeffs import format_sum
 
@@ -206,8 +207,15 @@ def basis(ell, weight, parity="all", sector=None):
 
     The result comes back in the canonical monomial order, so callers can
     rely on reproducible indexing.  A sector is grown, not filtered: no
-    monomial outside it is listed.
+    monomial outside it is listed.  Each listing is made once per process
+    and every call gets a fresh list of it.
     """
+    return list(_listing(ell, weight, parity, sector))
+
+
+@lru_cache(maxsize=None)
+def _listing(ell, weight, parity, sector):
+    """The monomials of :func:`basis`, as a tuple."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
     if parity not in ("even", "odd", "all"):
@@ -234,4 +242,4 @@ def basis(ell, weight, parity="all", sector=None):
                 grow(mono + ((g, n),), g, n, left + n, par ^ (1 << (g - 1)))
 
     grow((), 1, -weight, weight, 0)
-    return out
+    return tuple(out)

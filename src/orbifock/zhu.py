@@ -15,6 +15,13 @@ are kept fully reduced, so reducing a vector makes one subtraction per pivot
 column it touches.  A certificate of membership is sound, a failure is only
 inconclusive because circle elements mix weights.
 
+A build inserts its circles one top weight at a time, and those of one top
+weight in ascending pivot column, the column of the circle's top monomial.
+Columns run in weight order, so a new row's pivot then mostly lies above
+every existing pivot, and few rows hold an entry in its column to clear.
+The fully reduced rows depend only on the span, so the order changes the
+work of a build, never its rows.
+
 Parity sectors.  The sector of a monomial (:func:`sector`) is the bitmask
 of the generators h_g that occur in it an odd number of times.  Flipping
 the sign of one generator, h_g -> -h_g, is an automorphism of the vertex
@@ -39,6 +46,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 
 from . import fock
@@ -167,14 +175,17 @@ class GeneratorPolicy:
     window.  The right factors are the even monomials of weight >= 1 unless
     a policy says otherwise.  The policies nest:
 
-    - ``"omega"``: left = the coordinate conformal vectors omega_a, the
-      family behind the one-sided weight-reduction arguments.
-    - ``"all"`` (the default): left = the omega_a, the off-diagonal
+    - ``"omega"``: left = the squares h_a(-1)^2 = 2 omega_a of the
+      coordinate conformal vectors, the family behind the one-sided
+      weight-reduction arguments.  A circle is linear in its left factor,
+      so the factor 2 changes no row and keeps every seed integral.
+    - ``"all"`` (the default): left = the h_a(-1)^2, the off-diagonal
       quadratics h_a(-1)h_b(-1) (a < b) and the squares h_a(-2)^2.  It
       spans what circ_n(u, v) over all pairs of even monomials and all n
       span, and what the paper's singlets J_a seeded (tested at rank 1 for
       windows 0-12; sampled at ranks 1-8 up to window 16).  At rank 1 the
-      squares keep 1 row more than omega_1 at window 10 and 2 at window 12.
+      seed h_1(-2)^2 keeps 1 row more than h_1(-1)^2 alone at window 10
+      and 2 at window 12.
     - ``"quadratic"``: left = right = the two-mode monomials of every
       weight, which is what the four-index sign relations come from.
 
@@ -215,7 +226,7 @@ class GeneratorPolicy:
             vecs = [FockVector.from_monomial(ell, q) for q in quads]
             return vecs, lambda s: [v for v, q in zip(vecs, quads)
                                     if sector(q) == s]
-        left = [omega(ell, a) for a in gens]
+        left = [s_pair(ell, a, 1, a, 1) for a in gens]
         if self.pairs == "all":
             left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
             left += [s_pair(ell, a, 2, a, 2) for a in gens]
@@ -476,13 +487,14 @@ class OSpanEchelon:
 
 def _iter_circle_pairs(ell, limit, policy, *, sector):
     """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within
-    limit and lies in ``sector``.
+    limit and lies in ``sector``, in nondecreasing top weight
+    wt u + wt v + 1.
 
-    The vacuum circles come first, then every (left, right) pair of the
-    policy's factors.  A circle lies in sector(u) XOR sector(v), so a left
-    factor meets only the right factors of one sector, and only the
-    sectors met are listed.  Each factor is homogeneous and its weight is
-    taken once.
+    At each top weight the vacuum circles come first, then the (left,
+    right) pairs of the policy's factors.  A circle lies in sector(u) XOR
+    sector(v), so a left factor meets only the right factors of one
+    sector, and only the sectors met are listed.  Each factor is
+    homogeneous and its weight is taken once.
     """
     lists = {}
 
@@ -493,18 +505,23 @@ def _iter_circle_pairs(ell, limit, policy, *, sector):
                         for w in range(1, limit) for m in basis(ell, w, "even", s)]
         return lists[s]
 
+    def by_weight(vecs):
+        out = {}
+        for v in vecs:
+            out.setdefault(v.weight(), []).append(v)
+        return out
+
     left, right = policy.factors(ell, limit, monos)
+    left = [(u, u.weight(), sector ^ fock.sector(next(iter(u.terms))))
+            for u in left]
+    rights = {key: by_weight(right(key)) for key in {k for _, _, k in left}}
+    vacuum = by_weight(monos(sector))
     vac = FockVector.vacuum(ell)
-    for u in monos(sector):
-        yield u, vac
-    rights = {}
-    for u in left:
-        key = sector ^ fock.sector(next(iter(u.terms)))
-        if key not in rights:
-            rights[key] = [(v, v.weight()) for v in right(key)]
-        room = limit - 1 - u.weight()
-        for v, wv in rights[key]:
-            if wv <= room:
+    for top in range(2, limit + 1):
+        for u in vacuum.get(top - 1, ()):
+            yield u, vac
+        for u, wu, key in left:
+            for v in rights[key].get(top - 1 - wu, ()):
                 yield u, v
 
 
@@ -515,7 +532,12 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
 
     The span is seeded with circ_0(u, v) for the pairs of
     :func:`_iter_circle_pairs`; the circles with n >= 1 add nothing (see
-    :class:`GeneratorPolicy`).  The echelon holds circle rows only and
+    :class:`GeneratorPolicy`).  Each top weight's nonzero circles are made
+    together and inserted in ascending pivot column, from the end of a list
+    sorted the other way so that each is dropped once inserted.  A row
+    whose pivot lies above every existing pivot clears no other row, and
+    the fully reduced rows do not depend on the order (see
+    :class:`OSpanEchelon`).  The echelon holds circle rows only and
     depends only on (rank, policy, window, sector), and so does its cache
     file in ``cache_dir``; a caller with cutoff W and slack S asks for
     window W+S and answers queries above W itself.  Without ``cache_dir``,
@@ -534,10 +556,15 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
         except (OSError, ValueError):
             ech.rows.clear()
 
-    for u, v in _iter_circle_pairs(rank, window, policy, sector=sector):
-        vec = circ_n(u, v)
-        if not vec.is_zero():
-            ech.insert(vec)
+    pivot = ech.col_index.__getitem__
+    circles = filter(None, (circ_n(u, v) for u, v in
+                            _iter_circle_pairs(rank, window, policy,
+                                               sector=sector)))
+    for _, batch in groupby(circles, key=FockVector.max_weight):
+        batch = sorted(batch, key=lambda vec: max(map(pivot, vec.terms)),
+                       reverse=True)
+        while batch:
+            ech.insert(batch.pop())
     ech._holders = None  # only a build needs the column index
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file; a

@@ -191,6 +191,20 @@ def test_basis_examples():
     assert basis(3, 0, "odd") == []
 
 
+def test_basis_listing_is_shared_but_each_call_gets_its_own_list():
+    first = basis(2, 6, "even", sector=3)
+    second = basis(2, 6, "even", sector=3)
+    assert type(first) is list and first == second
+    assert first is not second
+    first.append(((1, -9),))
+    first[0] = ()
+    again = basis(2, 6, "even", sector=3)
+    assert again == second and again is not second
+    assert ((1, -9),) not in again and () not in again
+    with pytest.raises(ValueError, match="nonnegative"):
+        basis(2, -1)
+
+
 def test_vector_arithmetic_drops_zeros():
     v = single(1, [(1, -1)])
     assert (v - v).is_zero()

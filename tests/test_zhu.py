@@ -13,7 +13,7 @@ from mode_oracle import (WholeWindow, even_sectors, fraction_rank,
                          fraction_reduce, reference_product, virasoro)
 from orbifock import vertex, zhu
 from orbifock.coeffs import clear_denominators
-from orbifock.fock import FockVector, basis, count_sector, single
+from orbifock.fock import FockVector, basis, count_sector, mono_weight, single
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                           e_t, e_t_bar, e_u, e_u_bar, exact_rank, hgen, jgen, lam,
                           omega, s_pair, star)
@@ -494,6 +494,69 @@ def test_rows_do_not_depend_on_insertion_order():
         random.Random(seed).shuffle(shuffled)
         assert shuffled != circles
         assert echelon_of(2, 8, shuffled).rows == want
+
+
+def reference_seed_pairs(ell, window, pairs, s):
+    """The monomial pairs (u, v) of the seeds circ_0(u, v) in sector s,
+    written out: the vacuum circles of weights 1..window-1, then every
+    left x right pair of top weight wt u + wt v + 1 <= window."""
+    monos = [m for w in range(1, window) for m in basis(ell, w, "even")]
+    if pairs == "quadratic":
+        left = right = [m for m in monos if len(m) == 2]
+    else:
+        gens = range(1, ell + 1)
+        left = [((a, -1), (b, -1)) for a in gens for b in gens
+                if a == b or (a < b and pairs == "all")]
+        if pairs == "all":
+            left += [((a, -2), (a, -2)) for a in gens]
+        right = monos
+    want = [(m, ()) for m in monos if zhu.sector(m) == s]
+    want += [(u, v) for u in left for v in right
+             if zhu.sector(u) ^ zhu.sector(v) == s
+             and mono_weight(u) + mono_weight(v) < window]
+    return want
+
+
+@pytest.mark.parametrize("ell, window, pairs",
+                         [(2, 10, "all"), (2, 10, "omega"), (3, 8, "quadratic")],
+                         ids=["r2w10-all", "r2w10-omega", "r3w8-quadratic"])
+def test_circle_pairs_come_in_top_weight_order(ell, window, pairs):
+    for s in even_sectors(ell):
+        got, tops = [], []
+        for u, v in zhu._iter_circle_pairs(ell, window, GeneratorPolicy(pairs),
+                                           sector=s):
+            (mu, cu), = u.terms.items()
+            (mv, cv), = v.terms.items()
+            assert type(cu) is int and type(cv) is int, (u, v)
+            assert cu == cv == 1, (u, v)
+            got.append((mu, mv))
+            tops.append(mono_weight(mu) + mono_weight(mv) + 1)
+        assert tops == sorted(tops), s
+        assert sorted(got) == sorted(reference_seed_pairs(ell, window, pairs, s))
+
+
+def test_build_inserts_each_top_weight_in_pivot_order(monkeypatch):
+    calls = []
+    real = OSpanEchelon.insert
+
+    def spy(self, vec):
+        top = max(self.col_index[m] for m in vec.terms)
+        calls.append((self.columns[top], top))
+        return real(self, vec)
+
+    monkeypatch.setattr(OSpanEchelon, "insert", spy)
+    e = build_ospan(2, 10, sector=0b11)
+    nonzero = [c for c in (circ_n(u, v) for u, v in zhu._iter_circle_pairs(
+        2, 10, GeneratorPolicy(), sector=0b11)) if c]
+    assert len(calls) == len(nonzero) > len(e.rows)
+    # Columns run in weight order, so sorted pivots say: top weights in
+    # ascending order, and within one top weight ascending pivot columns.
+    by_weight = {}
+    for mono, col in calls:
+        by_weight.setdefault(mono_weight(mono), []).append(col)
+    assert list(by_weight) == sorted(by_weight)
+    for w, cols in by_weight.items():
+        assert cols == sorted(cols), w
 
 
 def test_build_seeds_circ0_without_singlets_above_rank_1(monkeypatch):
