@@ -57,7 +57,9 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run a relation script")
     p.add_argument("script", help="path to the script file, or - for stdin")
     _add_config_args(p)
-    # verify builds its span to max_weight plus RunConfig's default slack.
+    # verify certifies at max_weight first and grows a sector's span by
+    # RunConfig's default slack when that fails; the resource guard checks
+    # the grown window before any certificate, so it must fit the cap.
     top = MAX_WEIGHT_CAP - RunConfig.slack
     p.add_argument("--max-weight", type=int, default=8,
                    help="cutoff weight above which a claim stays Unknown, "

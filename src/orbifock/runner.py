@@ -114,7 +114,9 @@ class Report:
 class Runner:
     """Runs statements against one configuration.  Its ``span`` is the
     :class:`~orbifock.zhu.CircleSpan` at window max_weight + slack, which
-    builds the echelon of each parity sector a difference meets.
+    builds the echelon of each parity sector a difference meets at the
+    cutoff max_weight, and grows it by the slack only for a difference
+    that the cutoff does not certify.
 
     ``proved`` maps the :func:`~orbifock.script.relabel` key of every
     statement Proved so far to its detail, and a statement whose key is
@@ -127,13 +129,14 @@ class Runner:
     def __init__(self, config):
         self.config = config
         self.span = CircleSpan(config.rank, config.max_weight + config.slack,
-                               config.policy, config.cache_dir)
+                               config.policy, config.cache_dir,
+                               cutoff=config.max_weight)
         self.proved = {}
 
     def run(self, statements, report=None):
         report = report or Report(self.config)
         # A call that read any echelon from the cache counts one hit.
-        before = set(self.span.echelons)
+        hits = self.span.cache_hits
         for stmt in statements:
             t0 = time.perf_counter()
             names = {}
@@ -153,8 +156,7 @@ class Runner:
                     self.proved[key] = detail
             ms = 1000 * (time.perf_counter() - t0)
             report.add(StatementResult(dsl.format_statement(stmt), status, detail, ms))
-        if any(ech.cache_hit for s, ech in self.span.echelons.items()
-               if s not in before):
+        if self.span.cache_hits > hits:
             report.cache_hits += 1
         return report
 

@@ -146,8 +146,9 @@ def _membership_and_leading_coefficient(report, full):
     truncated span have rank 5, and the circle of the basic quadratic with
     h_1(-1)^4 reduces, modulo the omega-anchored span plus everything below
     weight 7, to exactly -64 times the reduced form of S(1,6).  ``full``
-    is the rank-2 window-10 span of the quadratic shift relations; the
-    omega-anchored one is made here, without a cache.
+    is the rank-2 window-10 span of the quadratic shift relations, whose
+    ``reduce`` grows the echelon their certificates read at cutoff 8 to
+    window 10; the omega-anchored one is made here, without a cache.
     """
     t0 = time.perf_counter()
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]

@@ -158,14 +158,16 @@ def _check_state(u):
 
 
 @lru_cache(maxsize=None)
-def _pair_weight(k, q, p):
-    """k d(k, q) d(-k, p), the weight of h_a(-p) h_b(-q) at entry (a, b), as
-    the pair (n, s) of the weight n / 2**s in lowest terms.
+def _pair_weight(k2, q, p):
+    """k d(k, q) d(-k, p) at k = k2 / 2, the weight of h_a(-p) h_b(-q) at
+    entry (a, b), as the pair (n, s) of the weight n / 2**s in lowest terms.
+    The key is the int k2, which hashes faster than a Fraction k.
 
     At k = 1 it is an int (s = 0), and zero unless p = 1, since d(-1, p) =
-    C(0, p-1).  At k = Fraction(1, 2) the binomials C(-k-1, n-1) of a
-    half-integer have power-of-two denominators, and so does the weight.
+    C(0, p-1).  At k = 1/2 the binomials C(-k-1, n-1) of a half-integer
+    have power-of-two denominators, and so does the weight.
     """
+    k = Fraction(k2, 2) if k2 % 2 else k2 // 2
     w = Fraction(k * d_coeff(k, q) * d_coeff(-k, p))
     return w.numerator, w.denominator.bit_length() - 1
 
@@ -190,6 +192,7 @@ def top_level_matrix(den, terms, rank, k):
     largest s that a term reaches.  A term costs one product per entry it
     reaches, and a zero weight none; the matrix is reduced once.
     """
+    k2 = int(2 * k)
     diag = 0
     reached = []  # (row, column, c * n, s) for each nonzero weight n / 2**s
     for mono, c in terms.items():
@@ -198,10 +201,10 @@ def top_level_matrix(den, terms, rank, k):
         elif len(mono) == 2:
             (a, p), (b, q) = mono
             p, q = -p, -q
-            w, s = _pair_weight(k, q, p)
+            w, s = _pair_weight(k2, q, p)
             if w:
                 reached.append((a - 1, b - 1, c * w, s))
-            w, s = _pair_weight(k, p, q)
+            w, s = _pair_weight(k2, p, q)
             if w:
                 reached.append((b - 1, a - 1, c * w, s))
     top = max((s for *_, s in reached), default=0)

@@ -332,6 +332,19 @@ def exact_rank(rows):
     return len(echelon)
 
 
+def check_resources(ell, window, sector):
+    """Refuse an echelon window above ``MAX_WEIGHT_CAP``, then one of more
+    than ``MAX_COLUMNS`` columns in ``sector``, with a ResourceWarning and
+    without listing a column."""
+    if window > MAX_WEIGHT_CAP:
+        raise ResourceWarning(f"echelon window {window} exceeds the "
+                              f"weight cap {MAX_WEIGHT_CAP}")
+    ncols = count_sector(ell, window, sector)
+    if ncols > MAX_COLUMNS:
+        raise ResourceWarning(f"echelon of {ncols} columns at rank {ell}, "
+                              f"window {window} exceeds {MAX_COLUMNS}")
+
+
 class OSpanEchelon:
     """Echelonized spanning set of circle elements of one parity sector
     (see the module docstring), truncated at a window.
@@ -353,8 +366,8 @@ class OSpanEchelon:
     one subtraction per pivot column of the vector, and none of them brings
     in another pivot column: :func:`_eliminate`, which :meth:`insert` and
     :meth:`reduce` share.  A negative window or a sector that holds no
-    even monomial raises ValueError, and a window above ``MAX_WEIGHT_CAP``
-    or more than ``MAX_COLUMNS`` columns raise ResourceWarning, before any
+    even monomial raises ValueError, and a window or a column count that
+    :func:`check_resources` refuses raises ResourceWarning, before any
     column is listed.
     """
 
@@ -364,13 +377,7 @@ class OSpanEchelon:
         if not (0 <= sector < 1 << ell and sector.bit_count() % 2 == 0):
             raise ValueError(f"sector {sector} holds no even monomial "
                              f"at rank {ell}")
-        if window > MAX_WEIGHT_CAP:
-            raise ResourceWarning(f"echelon window {window} exceeds the "
-                                  f"weight cap {MAX_WEIGHT_CAP}")
-        ncols = count_sector(ell, window, sector)
-        if ncols > MAX_COLUMNS:
-            raise ResourceWarning(f"echelon of {ncols} columns at rank {ell}, "
-                                  f"window {window} exceeds {MAX_COLUMNS}")
+        check_resources(ell, window, sector)
         self.ell = ell
         self.window = window
         self.policy = policy
@@ -485,10 +492,10 @@ class OSpanEchelon:
                                      f"pivot column {c}")
 
 
-def _iter_circle_pairs(ell, limit, policy, *, sector):
+def _iter_circle_pairs(ell, limit, policy, *, sector, start=2):
     """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within
     limit and lies in ``sector``, in nondecreasing top weight
-    wt u + wt v + 1.
+    wt u + wt v + 1, from top weight ``start`` on.
 
     At each top weight the vacuum circles come first, then the (left,
     right) pairs of the policy's factors.  A circle lies in sector(u) XOR
@@ -517,7 +524,7 @@ def _iter_circle_pairs(ell, limit, policy, *, sector):
     rights = {key: by_weight(right(key)) for key in {k for _, _, k in left}}
     vacuum = by_weight(monos(sector))
     vac = FockVector.vacuum(ell)
-    for top in range(2, limit + 1):
+    for top in range(max(start, 2), limit + 1):
         for u in vacuum.get(top - 1, ()):
             yield u, vac
         for u, wu, key in left:
@@ -526,7 +533,7 @@ def _iter_circle_pairs(ell, limit, policy, *, sector):
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
-                sector):
+                sector, base=None):
     """Echelonize the part in ``sector`` (see the module docstring) of the
     circle span truncated at weight ``window``.
 
@@ -539,10 +546,23 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
     the fully reduced rows do not depend on the order (see
     :class:`OSpanEchelon`).  The echelon holds circle rows only and
     depends only on (rank, policy, window, sector), and so does its cache
-    file in ``cache_dir``; a caller with cutoff W and slack S asks for
-    window W+S and answers queries above W itself.  Without ``cache_dir``,
-    or with one that cannot be read or made, nothing is read or written.
+    file in ``cache_dir``.  Without ``cache_dir``, or with one that cannot
+    be read or made, nothing is read or written.
+
+    ``base``, an echelon of the same rank, policy and sector at a smaller
+    window, is grown when no cache file is read.  Its seeds are the seeds of
+    ``window`` up to its own window as top weight, so only the circles of
+    the top weights above it are made.  Columns run in weight order, so its
+    columns are a prefix of the new ones: its rows move over unchanged and
+    ``base`` is left empty.  The rows come out as those of a fresh build.
     """
+    start = 2
+    if base is not None:
+        if ((base.ell, base.policy, base.sector) != (rank, policy, sector)
+                or base.window >= window):
+            raise ValueError("a base echelon must be a smaller window of the "
+                             "same rank, policy and sector")
+        start = base.window + 1
     ech = OSpanEchelon(rank, window, policy, sector=sector)
 
     cache_file = None
@@ -556,10 +576,12 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
         except (OSError, ValueError):
             ech.rows.clear()
 
+    if base is not None:
+        ech.rows, base.rows = base.rows, {}
     pivot = ech.col_index.__getitem__
     circles = filter(None, (circ_n(u, v) for u, v in
                             _iter_circle_pairs(rank, window, policy,
-                                               sector=sector)))
+                                               sector=sector, start=start)))
     for _, batch in groupby(circles, key=FockVector.max_weight):
         batch = sorted(batch, key=lambda vec: max(map(pivot, vec.terms)),
                        reverse=True)
@@ -591,40 +613,70 @@ class CircleSpan:
     """The circle span truncated at ``window``, the direct sum of its sector
     parts (see the module docstring): ``echelons`` maps each sector met so
     far to its :func:`build_ospan` echelon, built when a vector first meets
-    that sector."""
+    that sector.
 
-    def __init__(self, rank, window, policy=DEFAULT_POLICY, cache_dir=None):
+    An echelon is first built at ``cutoff`` (``window`` by default) and
+    grown to ``window`` (``build_ospan``'s ``base``) only when a part fails
+    to reduce to zero at the cutoff.  The cutoff's seeds are among the
+    window's, so a part in the cutoff's span lies in the window's, and
+    :meth:`contains` answers as the window's span would.  ``cache_hits``
+    counts the echelons read from the cache.
+    """
+
+    def __init__(self, rank, window, policy=DEFAULT_POLICY, cache_dir=None,
+                 *, cutoff=None):
         self.rank = rank
         self.window = window
+        self.cutoff = window if cutoff is None else cutoff
         self.policy = policy
         self.cache_dir = cache_dir
         self.echelons = {}
+        self.cache_hits = 0
+
+    def _echelon(self, s, window):
+        """Sector s's echelon at ``window`` or above: the one held, or one
+        built or grown from it."""
+        ech = self.echelons.get(s)
+        if ech is None or ech.window < window:
+            ech = self.echelons[s] = build_ospan(
+                self.rank, window, self.policy, self.cache_dir, sector=s,
+                base=ech)
+            self.cache_hits += ech.cache_hit
+        return ech
 
     def _parts(self, vec):
-        """Yield (echelon, part) per sector part of ``vec`` in sector order,
-        building an echelon only when its part is reached."""
+        """Yield (sector, part) per sector part of ``vec`` in sector order."""
         parts = {}
         for mono, c in vec.terms.items():
             parts.setdefault(sector(mono), {})[mono] = c
         for s in sorted(parts):
-            if s not in self.echelons:
-                self.echelons[s] = build_ospan(self.rank, self.window,
-                                               self.policy, self.cache_dir,
-                                               sector=s)
-            yield self.echelons[s], FockVector(vec.ell, parts[s])
+            yield s, FockVector(vec.ell, parts[s])
 
     def contains(self, vec):
-        """Whether every sector part of ``vec`` reduces to zero; the first
-        part that does not ends the check."""
-        return all(ech.reduce(part).is_zero() for ech, part in self._parts(vec))
+        """Whether every sector part of ``vec``, of weight at most the
+        cutoff, reduces to zero at ``window``; the first part that does not
+        ends the check.
+
+        Each part first meets the resource guard of its sector at
+        ``window`` (:func:`check_resources`), so a window too large to
+        build is refused whether or not the cutoff would certify the part.
+        """
+        for s, part in self._parts(vec):
+            check_resources(self.rank, self.window, s)
+            if not (self._echelon(s, self.cutoff).reduce(part).is_zero()
+                    or self._echelon(s, self.window).reduce(part).is_zero()):
+                return False
+        return True
 
     def reduce(self, vec, low=0):
-        """Normal form of ``vec`` modulo the span plus everything of weight
-        below ``low``.  Columns run in weight order and a row's pivot is its
-        top monomial, so the rows with a pivot below ``low`` lie below it: the
-        part of weight >= low is reduced as modulo span + V_{<low}."""
+        """Normal form of ``vec`` modulo the span at ``window`` plus
+        everything of weight below ``low``.  Columns run in weight order and
+        a row's pivot is its top monomial, so the rows with a pivot below
+        ``low`` lie below it: the part of weight >= low is reduced as modulo
+        span + V_{<low}."""
         out = {}
-        for ech, part in self._parts(vec):
-            out.update((m, c) for m, c in ech.reduce(part).terms.items()
+        for s, part in self._parts(vec):
+            nf = self._echelon(s, self.window).reduce(part)
+            out.update((m, c) for m, c in nf.terms.items()
                        if mono_weight(m) >= low)
         return FockVector(vec.ell, out)

@@ -16,7 +16,8 @@ import pytest
 
 from mode_oracle import WholeWindow, reference_product, virasoro
 from orbifock.fock import FockVector, basis, make_monomial, single
-from orbifock.runner import RunConfig
+from orbifock.runner import RunConfig, Runner
+from orbifock.script import parse_script
 from orbifock.suites import SUITE_NAMES, run_suite
 from orbifock.toplevel import (FAMILIES, evaluate, evaluate_word,
                                independence_rank)
@@ -211,6 +212,19 @@ def test_criterion_7_property_suites(capsys):
     _announce(capsys, 7,
               f"parity, homomorphism, circle annihilation, product oracle "
               f"({elapsed:.0f}s)")
+
+
+def test_rank_8_unit_certificate_budget():
+    # The matrix-unit certificate that verify --rank 8 gives at the default
+    # cutoff 8 and slack 2, with no cache: one sector's echelon at the
+    # cutoff, which certifies it without the slack.  The budget is about
+    # three times the 0.15-0.16 s it took in process on a 2-vCPU host.
+    t0 = time.perf_counter()
+    report = Runner(RunConfig(rank=8, cache_dir=None)).run(
+        parse_script("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)", 8))
+    elapsed = time.perf_counter() - t0
+    assert report.passed(), report.to_text()
+    assert elapsed < 0.5
 
 
 def test_criterion_8_scope_honesty(capsys):

@@ -13,6 +13,7 @@ from orbifock.cli import main
 from orbifock.runner import Report, RunConfig, Runner, run_text
 from orbifock.script import ScriptError, parse_script
 from orbifock.suites import run_suite
+from orbifock import zhu
 from orbifock.toplevel import Matrix
 from orbifock.zhu import (DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy,
                           OSpanEchelon)
@@ -333,10 +334,10 @@ def test_negative_cutoff_is_an_error():
 
 
 def test_blocked_cache_write_still_proves(tmp_path, capsys):
-    # A directory in the way of the rank-2 window-10 cache file of the
+    # A directory in the way of the rank-2 window-8 cache file of the
     # statement's sector, as a full disk would, makes the write fail: the
     # built echelon is used, and no temporary file is left behind.
-    key = OSpanEchelon(2, 10, DEFAULT_POLICY, sector=0b11).cache_key()
+    key = OSpanEchelon(2, 8, DEFAULT_POLICY, sector=0b11).cache_key()
     (tmp_path / "cache" / f"ospan-{key}.txt" / "x").mkdir(parents=True)
     script = tmp_path / "s.txt"
     script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
@@ -354,8 +355,8 @@ def test_cache_hits_counted(tmp_path):
     second = Runner(config).run(stmts)
     assert first.cache_hits == 0
     assert second.cache_hits == 1
-    # The same window at another cutoff reads the same echelon.
-    same_window = RunConfig(rank=1, max_weight=6, slack=0, cache_dir=str(tmp_path))
+    # The same window, the cutoff's, at another slack reads the same echelon.
+    same_window = RunConfig(rank=1, max_weight=4, slack=0, cache_dir=str(tmp_path))
     assert Runner(same_window).run(stmts).cache_hits == 1
 
 
@@ -435,6 +436,81 @@ def test_first_uncertified_sector_ends_the_check():
     assert [(r.status, r.detail) for r in report.results] == [
         ("Unknown", "no certificate at cutoff 10 (slack 0); no disproof found")]
     assert sorted(runner.span.echelons) == [0]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(window, sector, base window or None) of every build_ospan call."""
+    calls = []
+    real = zhu.build_ospan
+
+    def spy(rank, window, *args, sector, base=None, **kwargs):
+        calls.append((window, sector, base and base.window))
+        return real(rank, window, *args, sector=sector, base=base, **kwargs)
+
+    monkeypatch.setattr(zhu, "build_ospan", spy)
+    return calls
+
+
+def test_statement_proved_at_the_cutoff_builds_nothing_above_it(builds):
+    runner = Runner(RunConfig(rank=2, max_weight=8, slack=2, cache_dir=None))
+    report = runner.run(parse_script(
+        "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n"
+        "assert_equiv w1^2 * H1 ~ H1 * w1^2\n", 2))
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("Proved", "circle-span certificate at cutoff 8")] * 2
+    assert builds == [(8, 0b11, None), (8, 0, None)]
+
+
+def test_unknown_grows_each_failing_sector_once(builds):
+    # The circle, in the even sector, is certified at the cutoff; the
+    # J1 * Eu(1,2) part, in the sector of h1 h2, is not, even at the window,
+    # so that sector's echelon is grown from the cutoff's, never built
+    # afresh, and a second run builds nothing.
+    config = RunConfig(rank=2, max_weight=10, slack=2,
+                       policy=GeneratorPolicy("quadratic"), cache_dir=None)
+    runner = Runner(config)
+    stmts = parse_script("assert_equiv J1 * Eu(1,2) + "
+                         "circ(h1(-1)h1(-1), h2(-1)h2(-1)) ~ -6 Eu(1,2)", 2)
+    line = ("[UNKNOWN  ] assert_equiv J1 * Eu(1,2) + circ(h1(-1)h1(-1), "
+            "h2(-1)h2(-1)) ~ -6 Eu(1,2)  (no certificate at cutoff 10 "
+            "(slack 2); no disproof found)")
+    for _ in range(2):
+        assert runner.run(stmts).results[0].line() == line
+    assert builds == [(10, 0, None), (10, 0b11, None), (12, 0b11, 10)]
+    assert {s: e.window for s, e in runner.span.echelons.items()} == {
+        0: 10, 0b11: 12}
+
+
+def test_rank_1_omega_circle_stays_unknown(builds):
+    runner = Runner(RunConfig(rank=1, max_weight=10, slack=2,
+                              policy=GeneratorPolicy("omega"), cache_dir=None))
+    report = runner.run(parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0",
+                                     1))
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("Unknown", "no certificate at cutoff 10 (slack 2); no disproof found")]
+    assert builds == [(10, 0, None), (12, 0, 10)]
+
+
+def test_cutoff_read_before_growth_counts_a_hit(tmp_path):
+    # A run call that reads the cutoff's echelon from the cache and then
+    # grows it, with or without the window's file, read an echelon.
+    config = RunConfig(rank=1, max_weight=10, slack=2,
+                       policy=GeneratorPolicy("omega"), cache_dir=str(tmp_path))
+    stmts = parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0", 1)
+    assert Runner(config).run(stmts).cache_hits == 0
+    window = OSpanEchelon(1, 12, config.policy, sector=0).cache_key()
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"ospan-{OSpanEchelon(1, w, config.policy, sector=0).cache_key()}.txt"
+        for w in (10, 12))
+    runner = Runner(config)
+    assert runner.run(stmts).cache_hits == 1
+    assert runner.span.cache_hits == 2
+    os.remove(tmp_path / f"ospan-{window}.txt")
+    runner = Runner(config)
+    assert runner.run(stmts).cache_hits == 1
+    assert runner.span.cache_hits == 1
+    assert not runner.span.echelons[0].cache_hit
 
 
 def test_cache_dir_under_a_file_builds_uncached(tmp_path):

@@ -605,6 +605,102 @@ def test_echelon_golden(args, pairs, digest, kept):
     assert len(e.rows) == kept
 
 
+# (rank, base window, grown window, policy, sector): growth by the slack of
+# the suites' certificate blocks, at the sectors their differences reach.
+GROWTHS = [(2, 8, 10, "all", 0b11), (1, 10, 12, "all", 0),
+           (3, 7, 8, "quadratic", 0), (3, 7, 8, "quadratic", 0b110)]
+
+
+@pytest.mark.parametrize("ell, small, window, pairs, s", GROWTHS,
+                         ids=["r2-8to10-all-12", "r1-10to12-all",
+                              "r3-7to8-quadratic", "r3-7to8-quadratic-23"])
+def test_grown_echelon_matches_fresh_build(ell, small, window, pairs, s,
+                                           monkeypatch):
+    policy = GeneratorPolicy(pairs)
+    fresh = build_ospan(ell, window, policy, sector=s)
+    base = build_ospan(ell, small, policy, sector=s)
+    tops = []
+    real = zhu.circ_n
+
+    def spy(u, v, n=0):
+        tops.append(u.max_weight() + v.max_weight() + 1)
+        return real(u, v, n)
+
+    monkeypatch.setattr(zhu, "circ_n", spy)
+    grown = build_ospan(ell, window, policy, sector=s, base=base)
+    assert grown.to_text() == fresh.to_text()
+    assert grown.columns == fresh.columns
+    # Only the circles above the base's window are made, and the base's
+    # rows moved over.
+    assert tops and min(tops) == small + 1 and max(tops) == window
+    assert base.rows == {}
+
+
+def test_circle_pairs_start_at_a_top_weight():
+    policy = GeneratorPolicy()
+
+    def top(pair):
+        u, v = pair
+        return u.max_weight() + v.max_weight() + 1
+
+    every = list(zhu._iter_circle_pairs(2, 10, policy, sector=0b11))
+    later = list(zhu._iter_circle_pairs(2, 10, policy, sector=0b11, start=9))
+    assert later == [p for p in every if top(p) >= 9]
+    assert {top(p) for p in later} == {9, 10}
+
+
+def test_base_must_be_a_smaller_window_of_the_same_echelon():
+    base = build_ospan(2, 6, sector=0b11)
+    for args, kwargs in [((2, 6), {"sector": 0b11}),
+                         ((2, 5), {"sector": 0b11}),
+                         ((2, 8), {"sector": 0}),
+                         ((2, 8, GeneratorPolicy("omega")), {"sector": 0b11})]:
+        with pytest.raises(ValueError, match="base echelon"):
+            build_ospan(*args, **kwargs, base=base)
+    assert build_ospan(2, 8, sector=0b11, base=base).window == 8
+
+
+def test_growth_reads_and_writes_the_larger_window_file(tmp_path):
+    cache = str(tmp_path)
+    # A miss grows the base and writes the grown echelon's file.
+    base = build_ospan(1, 10, cache_dir=cache, sector=0)
+    grown = build_ospan(1, 12, cache_dir=cache, sector=0, base=base)
+    assert not grown.cache_hit and base.rows == {}
+    assert len(os.listdir(tmp_path)) == 2
+    # A hit reads that file and leaves the base as it was.
+    base = build_ospan(1, 10, cache_dir=cache, sector=0)
+    rows = dict(base.rows)
+    read = build_ospan(1, 12, cache_dir=cache, sector=0, base=base)
+    assert read.cache_hit and read is not base
+    assert read.to_text() == grown.to_text()
+    assert base.rows == rows
+
+
+def test_cutoff_first_span_answers_as_the_window():
+    # Rank-1 circles and monomials of weight at most 8, and sums of them:
+    # the span at cutoff 8 says what the window-10 span says, and grows to
+    # 10 exactly when the cutoff does not certify the vector.
+    window = zhu.CircleSpan(1, 10)
+    monos = [FockVector.from_monomial(1, m)
+             for w in range(1, 8) for m in basis(1, w, "even")]
+    circles = [c for u in monos for v in monos
+               if u.max_weight() + v.max_weight() < 8
+               for c in [circ_n(u, v)] if c]
+    vecs = circles + monos + [c + m for c, m in zip(circles, monos)]
+    members = 0
+    for vec in vecs:
+        first = zhu.CircleSpan(1, 10, cutoff=8)
+        got = first.contains(vec)
+        assert got == window.contains(vec)
+        assert first.echelons[0].window == (8 if got else 10)
+        members += got
+    assert members == len(circles)
+    # reduce always reads the window, as the native checks expect.
+    first = zhu.CircleSpan(1, 10, cutoff=8)
+    assert first.reduce(circles[0]).is_zero()
+    assert first.echelons[0].window == 10
+
+
 def test_echelon_cache_round_trip(tmp_path):
     e1 = build_ospan(1, 6, cache_dir=str(tmp_path), sector=0)
     assert not e1.cache_hit
