@@ -113,10 +113,9 @@ class Report:
 
 class Runner:
     """Runs statements against one configuration.  Its ``span`` is the
-    :class:`~orbifock.zhu.CircleSpan` at window max_weight + slack, which
-    builds the echelon of each parity sector a difference meets at the
-    cutoff max_weight, and grows it by the slack only for a difference
-    that the cutoff does not certify.
+    :class:`~orbifock.zhu.CircleSpan` of its (rank, policy, cache_dir) in
+    the registry ``spans``, which Runners share, or a fresh one.  A
+    difference is certified at cutoff max_weight, else at max_weight + slack.
 
     ``proved`` maps the :func:`~orbifock.script.relabel` key of every
     statement Proved so far to its detail, and a statement whose key is
@@ -126,11 +125,11 @@ class Runner:
     are always computed afresh.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, spans=None):
         self.config = config
-        self.span = CircleSpan(config.rank, config.max_weight + config.slack,
-                               config.policy, config.cache_dir,
-                               cutoff=config.max_weight)
+        key = (config.rank, config.policy, config.cache_dir)
+        self.span = ({} if spans is None else spans).setdefault(
+            key, CircleSpan(*key))
         self.proved = {}
 
     def run(self, statements, report=None):
@@ -203,7 +202,8 @@ class Runner:
         if diff.max_weight() > cfg.max_weight:
             return "Unknown", (f"weight {diff.max_weight()} exceeds "
                                f"cutoff {cfg.max_weight}; no disproof found")
-        if self.span.contains(diff):
+        if self.span.contains(diff, cfg.max_weight,
+                              cfg.max_weight + cfg.slack):
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"
         return "Unknown", (f"no certificate at cutoff {cfg.max_weight} "
                            f"(slack {cfg.slack}); no disproof found")

@@ -610,38 +610,34 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
 
 
 class CircleSpan:
-    """The circle span truncated at ``window``, the direct sum of its sector
-    parts (see the module docstring): ``echelons`` maps each sector met so
-    far to its :func:`build_ospan` echelon, built when a vector first meets
-    that sector.
-
-    An echelon is first built at ``cutoff`` (``window`` by default) and
-    grown to ``window`` (``build_ospan``'s ``base``) only when a part fails
-    to reduce to zero at the cutoff.  The cutoff's seeds are among the
-    window's, so a part in the cutoff's span lies in the window's, and
-    :meth:`contains` answers as the window's span would.  ``cache_hits``
-    counts the echelons read from the cache.
+    """The circle span of one rank, policy and cache directory, the direct
+    sum of its sector parts (see the module docstring): ``echelons`` maps
+    each sector met so far to its :func:`build_ospan` echelon, built when a
+    vector first meets that sector and grown in place (``build_ospan``'s
+    ``base``), never built twice, when a query asks for a larger window.
+    Each query names its windows, and one that finds an echelon held above
+    the largest it allows raises ValueError, since a larger window may
+    certify more.  ``cache_hits`` counts the echelons read from the cache.
     """
 
-    def __init__(self, rank, window, policy=DEFAULT_POLICY, cache_dir=None,
-                 *, cutoff=None):
+    def __init__(self, rank, policy=DEFAULT_POLICY, cache_dir=None):
         self.rank = rank
-        self.window = window
-        self.cutoff = window if cutoff is None else cutoff
         self.policy = policy
         self.cache_dir = cache_dir
         self.echelons = {}
         self.cache_hits = 0
 
-    def _echelon(self, s, window):
-        """Sector s's echelon at ``window`` or above: the one held, or one
-        built or grown from it."""
+    def _echelon(self, s, low, high):
+        """Sector s's echelon at a window from ``low`` to ``high``: the one
+        held, or one built at ``low`` or grown to it."""
         ech = self.echelons.get(s)
-        if ech is None or ech.window < window:
+        if ech is None or ech.window < low:
             ech = self.echelons[s] = build_ospan(
-                self.rank, window, self.policy, self.cache_dir, sector=s,
+                self.rank, low, self.policy, self.cache_dir, sector=s,
                 base=ech)
             self.cache_hits += ech.cache_hit
+        elif ech.window > high:
+            raise ValueError(f"sector {s} held at window {ech.window} > {high}")
         return ech
 
     def _parts(self, vec):
@@ -652,23 +648,23 @@ class CircleSpan:
         for s in sorted(parts):
             yield s, FockVector(vec.ell, parts[s])
 
-    def contains(self, vec):
-        """Whether every sector part of ``vec``, of weight at most the
-        cutoff, reduces to zero at ``window``; the first part that does not
-        ends the check.
-
-        Each part first meets the resource guard of its sector at
-        ``window`` (:func:`check_resources`), so a window too large to
-        build is refused whether or not the cutoff would certify the part.
+    def contains(self, vec, cutoff, window):
+        """Whether every sector part of ``vec``, of weight at most
+        ``cutoff``, reduces to zero at ``window``; the first part that does
+        not ends the check.  A part is reduced at the window held, at least
+        ``cutoff``, and again at ``window`` only if it is not zero there: a
+        smaller window's seeds are among the larger's, so the answer is the
+        window's.  Each part first meets the resource guard of its sector
+        at ``window`` (:func:`check_resources`), whatever the cutoff says.
         """
         for s, part in self._parts(vec):
-            check_resources(self.rank, self.window, s)
-            if not (self._echelon(s, self.cutoff).reduce(part).is_zero()
-                    or self._echelon(s, self.window).reduce(part).is_zero()):
+            check_resources(self.rank, window, s)
+            if not (self._echelon(s, cutoff, window).reduce(part).is_zero()
+                    or self._echelon(s, window, window).reduce(part).is_zero()):
                 return False
         return True
 
-    def reduce(self, vec, low=0):
+    def reduce(self, vec, window, low=0):
         """Normal form of ``vec`` modulo the span at ``window`` plus
         everything of weight below ``low``.  Columns run in weight order and
         a row's pivot is its top monomial, so the rows with a pivot below
@@ -676,7 +672,7 @@ class CircleSpan:
         span + V_{<low}."""
         out = {}
         for s, part in self._parts(vec):
-            nf = self._echelon(s, self.window).reduce(part)
+            nf = self._echelon(s, window, window).reduce(part)
             out.update((m, c) for m, c in nf.terms.items()
                        if mono_weight(m) >= low)
         return FockVector(vec.ell, out)

@@ -1,6 +1,13 @@
-"""Shared test configuration: one echelon cache per session."""
+"""Shared test configuration: one echelon cache per session, and the
+benchmark's workload definitions."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -17,3 +24,16 @@ def _session_cache(tmp_path_factory):
         os.environ.pop("ORBIFOCK_CACHE_DIR", None)
     else:
         os.environ["ORBIFOCK_CACHE_DIR"] = old
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py`` as a module, loaded from its file and only
+    read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # A dataclass reads its module's namespace while it is defined.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -276,7 +276,8 @@ class WholeWindow(CircleSpan):
     reindexed to them, kept until the next insert: the fully reduced
     echelon of a direct sum over disjoint column sets is the union of the
     blocks'.  :meth:`insert` routes a vector of one sector, such as a
-    circle, to that sector's echelon.
+    circle, to that sector's echelon.  It keeps its own ``window``, at
+    which :meth:`reduce` reads every sector.
     """
 
     def __init__(self, ell, window, policy=DEFAULT_POLICY, cache_dir=None,
@@ -286,7 +287,8 @@ class WholeWindow(CircleSpan):
                 return build_ospan(ell, window, policy, cache_dir, sector=s)
             return OSpanEchelon(ell, window, policy, sector=s)
 
-        super().__init__(ell, window, policy, cache_dir)
+        super().__init__(ell, policy, cache_dir)
+        self.window = window
         self.echelons = {s: make(s) for s in even_sectors(ell)}
         self.columns = [m for w in range(window + 1) for m in basis(ell, w, "even")]
         self.col_index = {m: i for i, m in enumerate(self.columns)}
@@ -301,6 +303,9 @@ class WholeWindow(CircleSpan):
                 for p, row in e.rows.items():
                     self._rows[index[p]] = {index[c]: v for c, v in row.items()}
         return self._rows
+
+    def reduce(self, vec, low=0):
+        return super().reduce(vec, self.window, low)
 
     def insert(self, vec):
         (s,) = {sector(m) for m in vec.terms}

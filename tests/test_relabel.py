@@ -2,13 +2,10 @@
 verdicts, and the symmetry of verdicts under permuting the generators that
 the memo rests on."""
 
-import importlib.util
 import random
 import re
-import sys
 from fractions import Fraction
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +15,6 @@ from orbifock.script import Mono, Named, parse_script, relabel
 from orbifock.suites import run_suite
 
 TIMING_RE = re.compile(r"\d+ ms\b")
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # Where a generator index stands in statement text: glued to w, J, H, l
 # or a raw monomial's h; the two indices of a pair atom; the two of S.
@@ -41,16 +37,6 @@ def permute(text, perm):
 def key(text, rank=4):
     [stmt] = parse_script(text, rank)
     return relabel(stmt)
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # A dataclass reads its module's namespace while it is defined.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +219,7 @@ def test_suite_all_lines_match_a_run_without_the_memo(rank, calls, tmp_path,
         plain = run_suite("all", config)
     # A native check's detail gives its time in ms.
     assert TIMING_RE.sub("", memo.to_text()) == TIMING_RE.sub("", plain.to_text())
-    assert memo.to_text().endswith("cache_hits=6\nPASS\n")
+    assert memo.to_text().endswith("cache_hits=5\nPASS\n")
     # 56 of the 155 script lines are relabelings of a line Proved before
     # them in their block; the other 24 of the 179 lines are native checks.
     assert len(memo.results) == 179
@@ -261,12 +247,12 @@ def _verdict(text, rank):
     return result.status, result.detail
 
 
-def test_verdicts_are_invariant_under_permuting_the_generators():
+def test_verdicts_are_invariant_under_permuting_the_generators(workloads):
     # Each statement and its image under a seeded permutation of 1..4 run
     # in fresh Runners, so no memo is in the way.
     rng = random.Random(4)
     statuses = set()
-    for text in _eval_r2_style(_load_workloads(), seed=1):
+    for text in _eval_r2_style(workloads, seed=1):
         perm = dict(zip((1, 2, 3, 4), rng.sample((1, 2, 3, 4), 4)))
         image = permute(text, perm)
         want = _verdict(text, 4)

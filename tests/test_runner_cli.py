@@ -513,6 +513,62 @@ def test_cutoff_read_before_growth_counts_a_hit(tmp_path):
     assert not runner.span.echelons[0].cache_hit
 
 
+def test_suite_all_builds_each_echelon_once(monkeypatch):
+    # One run_suite call holds one span per (rank, policy): the S(1,1;2,6)
+    # ladder grows the quadratic shifts' window-8 echelon of the h1 h2
+    # sector to window 10, which the matrix-unit block then reads, and the
+    # second rank-1 block grows the first one's window-8 echelon.  Only
+    # the omega-anchored span of the ladder is made apart.
+    calls = []
+    real = zhu.build_ospan
+
+    def spy(rank, window, policy=DEFAULT_POLICY, *args, sector, base=None,
+            **kwargs):
+        calls.append((rank, window, policy.pairs, sector,
+                      base and base.window))
+        return real(rank, window, policy, *args, sector=sector, base=base,
+                    **kwargs)
+
+    monkeypatch.setattr(zhu, "build_ospan", spy)
+    report = run_suite("all", RunConfig(rank=2, cache_dir=None))
+    assert report.passed()
+    assert len(calls) == 8
+    assert [c for c in calls if c[:4] == (2, 10, "all", 0b11)] == [
+        (2, 10, "all", 0b11, 8)]
+    assert [c for c in calls if c[:4] == (1, 10, "all", 0)] == [
+        (1, 10, "all", 0, 8)]
+    # Every (rank, policy, sector) is built afresh once, then only grown.
+    fresh = [(r, pairs, s) for r, _, pairs, s, base in calls if base is None]
+    assert sorted(fresh) == sorted({(r, pairs, s)
+                                    for r, _, pairs, s, _ in calls})
+
+
+def test_suite_blocks_sharing_spans_give_the_lines_of_fresh_runners(
+        workloads):
+    # certify-cold's six blocks, in plan order, through one registry of
+    # spans and through Runners with a fresh span each (spans=None): a
+    # block that meets an echelon a former block built or grew reads it,
+    # and says what its own would.
+    def lines(spans):
+        out = []
+        for block in workloads.certify_cold_plan(seed=1):
+            config = RunConfig(rank=block.rank, max_weight=block.max_weight,
+                               slack=block.slack,
+                               policy=GeneratorPolicy(block.pairs),
+                               cache_dir=None)
+            stmts = parse_script(
+                "\n".join(text for text, _ in block.statements), block.rank)
+            out += [r.line() for r in Runner(config, spans).run(stmts).results]
+        return out
+
+    spans = {}
+    shared = lines(spans)
+    assert len(shared) == 28
+    assert shared == lines(None)
+    assert sorted((k[0], k[1].pairs) for k in spans) == [
+        (1, "all"), (2, "all"), (3, "quadratic"), (4, "quadratic")]
+
+
 def test_cache_dir_under_a_file_builds_uncached(tmp_path):
     # A cache directory that cannot be made is neither read nor written.
     blocker = tmp_path / "file"

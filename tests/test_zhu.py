@@ -680,7 +680,7 @@ def test_cutoff_first_span_answers_as_the_window():
     # Rank-1 circles and monomials of weight at most 8, and sums of them:
     # the span at cutoff 8 says what the window-10 span says, and grows to
     # 10 exactly when the cutoff does not certify the vector.
-    window = zhu.CircleSpan(1, 10)
+    window = zhu.CircleSpan(1)
     monos = [FockVector.from_monomial(1, m)
              for w in range(1, 8) for m in basis(1, w, "even")]
     circles = [c for u in monos for v in monos
@@ -689,16 +689,30 @@ def test_cutoff_first_span_answers_as_the_window():
     vecs = circles + monos + [c + m for c, m in zip(circles, monos)]
     members = 0
     for vec in vecs:
-        first = zhu.CircleSpan(1, 10, cutoff=8)
-        got = first.contains(vec)
-        assert got == window.contains(vec)
+        first = zhu.CircleSpan(1)
+        got = first.contains(vec, 8, 10)
+        assert got == window.contains(vec, 10, 10)
         assert first.echelons[0].window == (8 if got else 10)
         members += got
     assert members == len(circles)
-    # reduce always reads the window, as the native checks expect.
-    first = zhu.CircleSpan(1, 10, cutoff=8)
-    assert first.reduce(circles[0]).is_zero()
+    # reduce reads the window it is given, as the native checks expect.
+    first = zhu.CircleSpan(1)
+    assert first.reduce(circles[0], 10).is_zero()
     assert first.echelons[0].window == 10
+
+
+def test_span_never_answers_from_a_larger_window():
+    # A larger window may certify more, so once the echelon is held at 12
+    # a query that allows at most 10 is refused, and the echelon is kept.
+    span = zhu.CircleSpan(1)
+    v = omega(1, 1)
+    assert span.reduce(v, 12) == v
+    with pytest.raises(ValueError, match="held at window 12 > 10"):
+        span.contains(v, 8, 10)
+    with pytest.raises(ValueError, match="held at window 12 > 10"):
+        span.reduce(v, 10)
+    assert span.echelons[0].window == 12
+    assert not span.contains(v, 8, 12)
 
 
 def test_echelon_cache_round_trip(tmp_path):
