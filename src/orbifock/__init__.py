@@ -17,7 +17,7 @@ from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
 from .toplevel import (FAMILIES, Matrix, disprove_equiv, evaluate,
                        evaluate_word, independence_rank)
 from .script import ScriptError, parse_expr, parse_script, realize
-from .runner import Report, RunConfig, Runner, run_text
+from .runner import Report, RunConfig, Runner, Session, run_text
 from .suites import run_suite
 from .tables import emit_tables
 
@@ -30,6 +30,6 @@ __all__ = [
     "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
     "FAMILIES", "Matrix", "disprove_equiv", "evaluate", "evaluate_word",
     "independence_rank", "ScriptError", "parse_expr",
-    "parse_script", "realize", "Report", "RunConfig", "Runner", "run_text",
-    "run_suite", "emit_tables", "__version__",
+    "parse_script", "realize", "Report", "RunConfig", "Runner", "Session",
+    "run_text", "run_suite", "emit_tables", "__version__",
 ]

@@ -6,12 +6,34 @@ for a membership certificate.  The three possible outcomes are Proved,
 Disproved (with a witness), and Unknown (the cutoff was not enough, which
 is never an error: truncation is one-sided).
 
-A Runner decides each statement once per relabeling of its generator
-indices.  Permuting the generators h_a is an automorphism of M(1) that
-commutes with theta, so it preserves the product, the circles and O(V) and
-permutes the readings on the five top levels: a statement and its
-relabelings have one verdict.  Only Proved verdicts are reused, since a
-witness names an entry of one index order.
+The Runners of one run share a :class:`Session`: its circle spans and one
+memo of Proved verdicts, so a statement is decided once per run and per
+relabeling of its generator indices.  Permuting the generators h_a is an
+automorphism of M(1) that commutes with theta, so it preserves the product,
+the circles and O(V) and permutes the readings on the five top levels: a
+statement and its relabelings have one verdict.  Only Proved verdicts are
+reused, since a witness names an entry of one index order.
+
+The memo key (:meth:`Runner.memo_key`) also says where a verdict holds, by
+statement kind:
+
+- ``zero_eval`` and ``rank``: the relabeled statement alone, at every rank.
+  Take a state on generators 1..k, read at rank l >= k.  Its Hplus, Tplus
+  and Mlambda readings (a polynomial in l_1..l_k) are its rank-k ones.  Its
+  Hminus and Tminus readings are the rank-k matrices plus the diagonal
+  entries (j, j), j > k: :func:`~orbifock.toplevel.top_level_matrix` puts
+  the vacuum (or empty-remainder) term on every diagonal entry, and no
+  other term of the state reaches row or column j, so each extra entry
+  equals the Hplus (or Tplus) reading.  Whether every reading vanishes, and
+  the rank of a list of readings, therefore do not depend on l.
+- ``eval``: the rank and the relabeled statement.  An expected value such
+  as E(1,1) is a matrix of the rank, so ``one on Hminus = E(1,1)`` holds at
+  rank 1 and fails at rank 2.
+- ``equiv``: the span's (rank, policy, cache_dir), the cutoff, the slack
+  and the relabeled statement, since a certificate is one truncated span's.
+
+A statement that names an index above its Runner's rank is an Error, so it
+always runs.
 """
 
 from __future__ import annotations
@@ -22,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import script as dsl
+from . import vertex
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
 from .zhu import DEFAULT_POLICY, CircleSpan
@@ -111,39 +134,75 @@ class Report:
         }, indent=2) + "\n"
 
 
-class Runner:
-    """Runs statements against one configuration.  Its ``span`` is the
-    :class:`~orbifock.zhu.CircleSpan` of its (rank, policy, cache_dir) in
-    the registry ``spans``, which Runners share, or a fresh one.  A
-    difference is certified at cutoff max_weight, else at max_weight + slack.
+class Session:
+    """What the Runners of one run share: ``spans``, the
+    :class:`~orbifock.zhu.CircleSpan` of each (rank, policy, cache_dir) met
+    so far, and ``proved``, which maps the :meth:`Runner.memo_key` of every
+    statement Proved so far to its detail (see the module docstring).
 
-    ``proved`` maps the :func:`~orbifock.script.relabel` key of every
-    statement Proved so far to its detail, and a statement whose key is
-    there is Proved without being run again (see the module docstring).
-    Every generator policy seeds the span symmetrically in the indices, so
-    a certificate carries over too.  Disproved, Unknown and Error results
-    are always computed afresh.
+    Used as a context manager, a session also scopes the process-wide cache
+    of vacuum-circle creations (``vertex._creations``): it is cleared when
+    the run ends, normally or by an exception.
     """
 
-    def __init__(self, config, spans=None):
-        self.config = config
-        key = (config.rank, config.policy, config.cache_dir)
-        self.span = ({} if spans is None else spans).setdefault(
-            key, CircleSpan(*key))
+    def __init__(self):
+        self.spans = {}
         self.proved = {}
+
+    def span(self, rank, policy, cache_dir):
+        key = (rank, policy, cache_dir)
+        return self.spans.setdefault(key, CircleSpan(*key))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        vertex._creations.cache_clear()
+
+
+class Runner:
+    """Runs statements against one configuration, in ``session`` or in a
+    fresh session of its own.  Its ``span`` is the session's
+    :class:`~orbifock.zhu.CircleSpan` of its (rank, policy, cache_dir).  A
+    difference is certified at cutoff max_weight, else at max_weight + slack.
+
+    A statement whose memo key is in the session's ``proved`` is Proved
+    without being run again.  Every generator policy seeds the span
+    symmetrically in the indices, so a certificate carries over too.
+    Disproved, Unknown and Error results are always computed afresh.
+    """
+
+    def __init__(self, config, session=None):
+        self.config = config
+        self.session = Session() if session is None else session
+        self.span = self.session.span(config.rank, config.policy,
+                                      config.cache_dir)
+
+    def memo_key(self, stmt, names):
+        """The key under which a Proved ``stmt`` is memoized, by kind (see
+        the module docstring); ``names`` receives the relabeling."""
+        key = dsl.relabel(stmt, names)
+        cfg = self.config
+        if stmt.kind == "eval":
+            return cfg.rank, key
+        if stmt.kind == "equiv":
+            return ((cfg.rank, cfg.policy, cfg.cache_dir), cfg.max_weight,
+                    cfg.slack, key)
+        return key
 
     def run(self, statements, report=None):
         report = report or Report(self.config)
+        proved = self.session.proved
         # A call that read any echelon from the cache counts one hit.
         hits = self.span.cache_hits
         for stmt in statements:
             t0 = time.perf_counter()
             names = {}
-            key = dsl.relabel(stmt, names)
+            key = self.memo_key(stmt, names)
             # An index beyond the rank, in a statement parsed at a higher
             # one, is an Error, so such a statement is always run.
-            if key in self.proved and max(names, default=0) <= self.config.rank:
-                status, detail = "Proved", self.proved[key]
+            if key in proved and max(names, default=0) <= self.config.rank:
+                status, detail = "Proved", proved[key]
             else:
                 try:
                     status, detail = self.run_statement(stmt)
@@ -152,7 +211,7 @@ class Runner:
                 except (ValueError, ArithmeticError) as exc:
                     status, detail = "Error", str(exc)
                 if status == "Proved":
-                    self.proved[key] = detail
+                    proved[key] = detail
             ms = 1000 * (time.perf_counter() - t0)
             report.add(StatementResult(dsl.format_statement(stmt), status, detail, ms))
         if self.span.cache_hits > hits:

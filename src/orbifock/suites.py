@@ -8,10 +8,15 @@ certificates fire; the other blocks only evaluate.  A suite reads only the
 rank and the cache directory from its configuration, since every block runs
 through :func:`_run_block`.  :func:`run_suite` makes one report per run,
 headed by the rank alone, and each suite adds its results to it.  It also
-makes one registry of circle spans per run, keyed on (rank, policy,
-cache_dir), for every block's Runner and native check: each sector echelon
-is built once and grown in place, as the windows asked of one span only
-rise within a run.
+makes one :class:`~orbifock.runner.Session` per run for every block's
+Runner and native check.  Its circle spans, one per (rank, policy,
+cache_dir), build each sector echelon once and grow it in place, as the
+windows asked of one span only rise within a run.  Its one memo of Proved
+verdicts is keyed by statement kind: a ``zero_eval`` or ``rank`` statement
+Proved at one rank is Proved at every rank that names its indices, so the
+rank-3 closing relations reuse the rank-2 ones; an ``assert_eval`` is
+reused only at its own rank, and an ``assert_equiv`` only under its own
+span, cutoff and slack.
 
 Some relations only exist at a minimal rank (four distinct indices for the
 sign relations, three for the triple-index center relation); those blocks
@@ -26,7 +31,7 @@ from fractions import Fraction
 from . import script as dsl
 from . import zhu
 from .fock import FockVector, make_monomial
-from .runner import Report, RunConfig, Runner, StatementResult
+from .runner import Report, RunConfig, Runner, Session, StatementResult
 from .tables import GOLDEN
 from .toplevel import FAMILIES, disprove_equiv, evaluate, evaluate_word
 from .zhu import GeneratorPolicy
@@ -50,18 +55,19 @@ def run_suite(name, config):
               "final_relations": final_relations_suite}
     report = Report(config)
     report.header = f"rank={config.rank}"
-    spans = {}
-    for fn in suites.values() if name == "all" else [suites[name]]:
-        fn(config, report, spans)
+    with Session() as session:
+        for fn in suites.values() if name == "all" else [suites[name]]:
+            fn(config, report, session)
     return report
 
 
-def _run_block(config, report, spans, lines, rank, **settings):
+def _run_block(config, report, session, lines, rank, **settings):
     """Run a block's script lines into report at its own rank and settings
-    (max_weight, slack, policy) and the suite's cache directory, on the
-    span of ``spans`` that those name."""
+    (max_weight, slack, policy) and the suite's cache directory, in the
+    run's session."""
     block = RunConfig(rank=rank, cache_dir=config.cache_dir, **settings)
-    Runner(block, spans).run(dsl.parse_script("\n".join(lines), rank), report)
+    stmts = dsl.parse_script("\n".join(lines), rank)
+    Runner(block, session).run(stmts, report)
 
 
 def _native(report, text, ok, detail=""):
@@ -71,19 +77,19 @@ def _native(report, text, ok, detail=""):
 # ---------------------------------------------------------------------------
 # tables
 
-def tables_suite(config, report, spans):
+def tables_suite(config, report, session):
     """Golden check of all three action tables, 40 entries."""
     lines = [f"assert_eval {label} on {fam} = {expected}"
              for elements in GOLDEN.values()
              for label, row in elements.items()
              for fam, expected in row.items()]
-    _run_block(config, report, spans, lines, max(2, config.rank))
+    _run_block(config, report, session, lines, max(2, config.rank))
 
 
 # ---------------------------------------------------------------------------
 # circle_reductions
 
-def circle_reductions_suite(config, report, spans):
+def circle_reductions_suite(config, report, session):
     """The weight-reduction lemmas, certified against truncated circle spans."""
     # Four-index sign relations need four distinct generators.
     lines = []
@@ -94,8 +100,9 @@ def circle_reductions_suite(config, report, spans):
         lines.append(
             f"assert_equiv h1(-{m})h2(-{n})h3(-{r})h4(-{s}) ~ "
             f"{sign}h1(-1)h2(-1)h3(-1)h4(-1)")
-    _run_block(config, report, spans, lines, max(4, config.rank), max_weight=7,
-               slack=1, policy=GeneratorPolicy(pairs="quadratic"))
+    _run_block(config, report, session, lines, max(4, config.rank),
+               max_weight=7, slack=1,
+               policy=GeneratorPolicy(pairs="quadratic"))
 
     # Quadratic weight-shift relations at two indices.
     lines = []
@@ -123,7 +130,7 @@ def circle_reductions_suite(config, report, spans):
     # Basis of the quadratic sector and the weight-7 relation behind it.
     lines.append("assert_rank [S(1,1;2,1), S(1,1;2,2), S(1,1;2,3), "
                  "S(1,1;2,4), S(1,1;2,5)] = 5")
-    _run_block(config, report, spans, lines, 2, max_weight=8, slack=2)
+    _run_block(config, report, session, lines, 2, max_weight=8, slack=2)
 
     # Mixed-index shift relations need three generators.
     lines = []
@@ -136,25 +143,25 @@ def circle_reductions_suite(config, report, spans):
             f"assert_equiv w1 * (S(2,1;2,{m + 1}) + S(2,1;2,{m})) ~ "
             f"1/2 (S(1,1;1,{m + 3}) + 2 S(1,1;1,{m + 2}) + S(1,1;1,{m + 1})) "
             f"+ 1/{2 * m} (S(2,4;2,{m}) + 2 S(2,3;2,{m}) + S(2,2;2,{m}))")
-    _run_block(config, report, spans, lines, 3, max_weight=7, slack=1,
+    _run_block(config, report, session, lines, 3, max_weight=7, slack=1,
                policy=GeneratorPolicy(pairs="quadratic"))
 
-    _membership_and_leading_coefficient(
-        report, spans[2, zhu.DEFAULT_POLICY, config.cache_dir])
+    _membership_and_leading_coefficient(report, session, config.cache_dir)
 
 
-def _membership_and_leading_coefficient(report, full):
+def _membership_and_leading_coefficient(report, session, cache_dir):
     """The six-step ladder: S(1,6) falls into the span of S(1,m), m <= 5.
 
     Two native checks: the reduced normal forms of S(1,1..6) modulo the full
     span at window 10 have rank 5, and the circle of the basic quadratic with
     h_1(-1)^4 reduces, modulo the omega-anchored span plus everything below
-    weight 7, to exactly -64 times the reduced form of S(1,6).  ``full``,
-    the run's rank-2 default span, grows the quadratic shifts' cutoff-8
-    echelon to window 10 for the matrix-unit block; the omega-anchored one
-    is made here, without a cache.
+    weight 7, to exactly -64 times the reduced form of S(1,6).  The full
+    span, the session's rank-2 default one, grows the quadratic shifts'
+    cutoff-8 echelon to window 10 for the matrix-unit block; the
+    omega-anchored one is made here, without a cache.
     """
     t0 = time.perf_counter()
+    full = session.span(2, zhu.DEFAULT_POLICY, cache_dir)
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m), 10) for m in range(1, 7)]
     r5 = zhu.exact_rank(r.terms for r in reduced[:5])
     r6 = zhu.exact_rank(r.terms for r in reduced)
@@ -180,7 +187,7 @@ def _membership_and_leading_coefficient(report, full):
 # ---------------------------------------------------------------------------
 # matrix_units
 
-def matrix_units_suite(config, report, spans):
+def matrix_units_suite(config, report, session):
     """Two matrix-algebra copies: actions, products, mutual annihilation."""
     rank = max(3, config.rank)
 
@@ -221,7 +228,7 @@ def matrix_units_suite(config, report, spans):
     lines.append("assert_zero_eval Eu(2,3) * J1")
     lines.append("assert_zero_eval J1 * Et(2,3) - 3/128 Et(2,3)")
     lines.append("assert_zero_eval Et(2,3) * J1 - 3/128 Et(2,3)")
-    _run_block(config, report, spans, lines, rank)
+    _run_block(config, report, session, lines, rank)
 
     _multiplication_tables(report, rank)
 
@@ -236,7 +243,7 @@ def matrix_units_suite(config, report, spans):
         "assert_equiv Et(2,1) ~ Etbar(2,1)",
         "assert_equiv Lam(1,2) ~ Lam(2,1)",
     ]
-    _run_block(config, report, spans, lines, 2, max_weight=10, slack=0)
+    _run_block(config, report, session, lines, 2, max_weight=10, slack=0)
 
 
 def _unit_words(rank):
@@ -308,7 +315,7 @@ SPOT_TERMS = (Fraction(630, 128), Fraction(594, 128),
               Fraction(-4680, 128), Fraction(3456, 128))
 
 
-def final_relations_suite(config, report, spans):
+def final_relations_suite(config, report, session):
     """The closing polynomial relations among w_a, H_a, units and Lam."""
     ranks = sorted({max(2, config.rank), 2, 3})
     for rank in ranks:
@@ -344,7 +351,7 @@ def final_relations_suite(config, report, spans):
                 lines.append(f"assert_zero_eval Lam({a},{b}) * Lam({b},{c}) "
                              f"- 2 w{b} * Lam({a},{c})")
         lines.append("assert_eval H1 on Hminus = -9 E(1,1)")
-        _run_block(config, report, spans, lines, rank)
+        _run_block(config, report, session, lines, rank)
 
     # Analytic spot values on the twisted vacuum for the quartic relation.
     rank = 2
@@ -362,9 +369,9 @@ def final_relations_suite(config, report, spans):
             ok, "got " + " + ".join(f"{v * 128}/128" for v in got))
 
     # Reduction-certified instances of the two single-index relations.
-    _run_block(config, report, spans,
+    _run_block(config, report, session,
                ["assert_equiv (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 ~ 0"],
                1, max_weight=8, slack=2)
-    _run_block(config, report, spans,
+    _run_block(config, report, session,
                ["assert_equiv (w1 - 1) * (w1 - 1/16) * (w1 - 9/16) * H1 ~ 0"],
                1, max_weight=10, slack=2)

@@ -89,9 +89,10 @@ def _creations(creators, top, w):
     top - i, as (sorted modes, coefficient) pairs.
 
     Each factor h_g(-n) becomes h_g(-n-j) with weight C(n+j-1, j) (module
-    docstring).  The process keeps every answer: the creators are factors
-    of a product's left monomial, which weighs at most
-    ``zhu.MAX_WEIGHT_CAP``, so the keys are few.
+    docstring).  Every answer is kept until a suite run's
+    :class:`~orbifock.runner.Session` ends: the creators are factors of a
+    product's left monomial, which weighs at most ``zhu.MAX_WEIGHT_CAP``,
+    so the keys are few.
     """
     parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
     for factor in creators:

@@ -1,4 +1,4 @@
-"""Index relabeling: the ``relabel`` key, the Runner's memo of Proved
+"""Index relabeling: the ``relabel`` key, the session's memo of Proved
 verdicts, and the symmetry of verdicts under permuting the generators that
 the memo rests on."""
 
@@ -10,7 +10,7 @@ from itertools import permutations
 import pytest
 
 from orbifock import script
-from orbifock.runner import RunConfig, Runner
+from orbifock.runner import RunConfig, Runner, Session
 from orbifock.script import Mono, Named, parse_script, relabel
 from orbifock.suites import run_suite
 
@@ -185,8 +185,9 @@ def test_memo_lives_on_one_runner(calls):
     run("assert_eval J1 on Tplus = 3/128", runner=runner)
     run("assert_eval J2 on Tplus = 3/128", runner=runner)
     assert len(calls) == 3
-    assert runner.proved == {("eval", (Named("J", (1,)), "Tplus",
-                                       script.Num(Fraction(3, 128)))): ""}
+    assert runner.session.proved == {
+        (2, ("eval", (Named("J", (1,)), "Tplus",
+                      script.Num(Fraction(3, 128))))): ""}
 
 
 def test_index_beyond_the_rank_is_never_a_hit(calls):
@@ -201,29 +202,69 @@ def test_index_beyond_the_rank_is_never_a_hit(calls):
     assert len(calls) == 2
 
 
+# Across ranks, in one session: evaluation-only statements carry over, an
+# expected value does not, and a certificate belongs to its span and cutoff.
+
+def session_runner(session, rank, **settings):
+    return Runner(RunConfig(rank=rank, cache_dir=None, **settings), session)
+
+
+def test_zero_eval_proved_at_rank_2_is_a_hit_at_rank_3(calls):
+    session = Session()
+    text = "assert_zero_eval (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1"
+    for rank in (2, 3):
+        runner = session_runner(session, rank)
+        assert run(text, rank, runner) == [("Proved", "")]
+    assert calls == [text]
+
+
+def test_eval_proved_at_rank_1_is_rerun_at_rank_2(calls):
+    session = Session()
+    text = "assert_eval one on Hminus = E(1,1)"
+    assert run(text, 1, session_runner(session, 1)) == [("Proved", "")]
+    assert run(text, 2, session_runner(session, 2)) == [
+        ("Disproved", "Hminus: got [1,0;0,1], expected [1,0;0,0]")]
+    assert len(calls) == 2
+
+
+def test_equiv_is_reused_only_under_its_own_span_and_cutoff(calls):
+    session = Session()
+    text = "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)"
+    at = "circle-span certificate at cutoff {}"
+    for rank, cutoff, slack in ((2, 10, 0), (2, 10, 0), (2, 8, 2), (3, 10, 0)):
+        runner = session_runner(session, rank, max_weight=cutoff, slack=slack)
+        assert run(text, rank, runner) == [("Proved", at.format(cutoff))]
+    # The repeat at rank 2 and cutoff 10 is the one hit.
+    assert len(calls) == 3
+
+
 def _bypass(monkeypatch):
     """Make every statement's key fresh, so the memo never hits."""
     monkeypatch.setattr(script, "relabel", lambda stmt, names=None: object())
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_suite_all_lines_match_a_run_without_the_memo(rank, calls, tmp_path,
-                                                      monkeypatch):
+@pytest.mark.parametrize("rank, lines, decided, script_lines",
+                         [(2, 179, 93, 155), (3, 179, 93, 155),
+                          (4, 257, 94, 215)], ids=["2", "3", "4"])
+def test_suite_all_lines_match_a_run_without_the_memo(
+        rank, lines, decided, script_lines, calls, tmp_path, monkeypatch):
     config = RunConfig(rank=rank, cache_dir=str(tmp_path))
     run_suite("all", config)                    # warms the cache
     calls.clear()
     memo = run_suite("all", config)
-    decided = len(calls)
+    memo_calls = len(calls)
     with monkeypatch.context() as patch:
         _bypass(patch)
         plain = run_suite("all", config)
     # A native check's detail gives its time in ms.
     assert TIMING_RE.sub("", memo.to_text()) == TIMING_RE.sub("", plain.to_text())
     assert memo.to_text().endswith("cache_hits=5\nPASS\n")
-    # 56 of the 155 script lines are relabelings of a line Proved before
-    # them in their block; the other 24 of the 179 lines are native checks.
-    assert len(memo.results) == 179
-    assert (decided, len(calls) - decided) == (99, 155)
+    # At ranks 2 and 3, 62 of the 155 script lines are relabelings of a
+    # line Proved before them in the run, six of them rank-3 closing
+    # relations Proved at rank 2; the other 24 of the 179 lines are native
+    # checks.
+    assert len(memo.results) == lines
+    assert (memo_calls, len(calls) - memo_calls) == (decided, script_lines)
 
 
 # ---------------------------------------------------------------------------

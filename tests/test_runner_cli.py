@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from orbifock.cli import main
-from orbifock.runner import Report, RunConfig, Runner, run_text
+from orbifock.runner import Report, RunConfig, Runner, Session, run_text
 from orbifock.script import ScriptError, parse_script
 from orbifock.suites import run_suite
-from orbifock import zhu
+from orbifock import suites, vertex, zhu
 from orbifock.toplevel import Matrix
 from orbifock.zhu import (DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy,
                           OSpanEchelon)
@@ -545,11 +545,11 @@ def test_suite_all_builds_each_echelon_once(monkeypatch):
 
 def test_suite_blocks_sharing_spans_give_the_lines_of_fresh_runners(
         workloads):
-    # certify-cold's six blocks, in plan order, through one registry of
-    # spans and through Runners with a fresh span each (spans=None): a
-    # block that meets an echelon a former block built or grew reads it,
-    # and says what its own would.
-    def lines(spans):
+    # certify-cold's six blocks, in plan order, through one session and
+    # through Runners with a fresh session each (session=None): a block
+    # that meets an echelon a former block built or grew reads it, and
+    # says what its own would.
+    def lines(session):
         out = []
         for block in workloads.certify_cold_plan(seed=1):
             config = RunConfig(rank=block.rank, max_weight=block.max_weight,
@@ -558,15 +558,41 @@ def test_suite_blocks_sharing_spans_give_the_lines_of_fresh_runners(
                                cache_dir=None)
             stmts = parse_script(
                 "\n".join(text for text, _ in block.statements), block.rank)
-            out += [r.line() for r in Runner(config, spans).run(stmts).results]
+            out += [r.line()
+                    for r in Runner(config, session).run(stmts).results]
         return out
 
-    spans = {}
-    shared = lines(spans)
+    session = Session()
+    shared = lines(session)
     assert len(shared) == 28
     assert shared == lines(None)
-    assert sorted((k[0], k[1].pairs) for k in spans) == [
+    assert sorted((k[0], k[1].pairs) for k in session.spans) == [
         (1, "all"), (2, "all"), (3, "quadratic"), (4, "quadratic")]
+
+
+def test_suite_run_clears_the_creations_cache_when_it_ends(monkeypatch):
+    config = RunConfig(rank=2, cache_dir=None)
+    first = run_suite("all", config)
+    assert vertex._creations.cache_info().currsize == 0
+    second = run_suite("all", config)
+    # A native check's detail gives its time in ms.
+    def masked(report):
+        return re.sub(r"\d+ ms\b", "", report.to_text())
+
+    assert masked(second) == masked(first)
+
+    def failing(config, report, session):
+        zhu.build_ospan(1, 4, sector=0)
+        assert vertex._creations.cache_info().currsize > 0
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setattr(suites, "tables_suite", failing)
+    with pytest.raises(RuntimeError):
+        run_suite("tables", config)
+    assert vertex._creations.cache_info().currsize == 0
+    # A bare Runner, as the verify command makes, keeps the cache.
+    run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)", config)
+    assert vertex._creations.cache_info().currsize > 0
 
 
 def test_cache_dir_under_a_file_builds_uncached(tmp_path):
