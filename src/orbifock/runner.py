@@ -164,7 +164,8 @@ class Runner:
     """Runs statements against one configuration, in ``session`` or in a
     fresh session of its own.  Its ``span`` is the session's
     :class:`~orbifock.zhu.CircleSpan` of its (rank, policy, cache_dir).  A
-    difference is certified at cutoff max_weight, else at max_weight + slack.
+    difference is certified at its own weight, else at cutoff max_weight,
+    else at max_weight + slack; the first that certifies ends the check.
 
     A statement whose memo key is in the session's ``proved`` is Proved
     without being run again.  Every generator policy seeds the span

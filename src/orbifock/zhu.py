@@ -345,6 +345,26 @@ def check_resources(ell, window, sector):
                               f"window {window} exceeds {MAX_COLUMNS}")
 
 
+def _header(ell, window, policy, sector):
+    """The first line of an echelon's cache file; the column count is
+    :func:`count_sector`'s, so no column is listed."""
+    return (f"# ospan v{FORMAT_VERSION} ell={ell} window={window} "
+            f"policy={policy.key()} sector={sector} "
+            f"cols={count_sector(ell, window, sector)}")
+
+
+def cache_key(ell, window, policy, sector):
+    """The key of the cache file ``ospan-<key>.txt`` of the echelon of
+    (rank, window, policy, sector): a hash of its header."""
+    header = _header(ell, window, policy, sector)
+    return hashlib.sha256(header.encode()).hexdigest()[:24]
+
+
+def _cache_file(cache_dir, ell, window, policy, sector):
+    return os.path.join(cache_dir,
+                        f"ospan-{cache_key(ell, window, policy, sector)}.txt")
+
+
 class OSpanEchelon:
     """Echelonized spanning set of circle elements of one parity sector
     (see the module docstring), truncated at a window.
@@ -443,12 +463,10 @@ class OSpanEchelon:
     # -- persistence --------------------------------------------------------
 
     def _header(self):
-        return (f"# ospan v{FORMAT_VERSION} ell={self.ell} "
-                f"window={self.window} policy={self.policy.key()} "
-                f"sector={self.sector} cols={len(self.columns)}")
+        return _header(self.ell, self.window, self.policy, self.sector)
 
     def cache_key(self):
-        return hashlib.sha256(self._header().encode()).hexdigest()[:24]
+        return cache_key(self.ell, self.window, self.policy, self.sector)
 
     def to_text(self):
         lines = [self._header()]
@@ -567,7 +585,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
 
     cache_file = None
     if cache_dir:
-        cache_file = os.path.join(cache_dir, f"ospan-{ech.cache_key()}.txt")
+        cache_file = _cache_file(cache_dir, rank, window, policy, sector)
         try:
             with open(cache_file, "r", encoding="ascii") as fh:
                 ech.load_rows(fh.read())
@@ -618,6 +636,12 @@ class CircleSpan:
     Each query names its windows, and one that finds an echelon held above
     the largest it allows raises ValueError, since a larger window may
     certify more.  ``cache_hits`` counts the echelons read from the cache.
+
+    The span only grows with the window, so the windows a span is built at
+    depend on the order of the queries, and so do the files it leaves in
+    its cache directory.  A query that needs a larger echelon reads the
+    smallest cached one among the windows it allows, and builds only when
+    there is none.
     """
 
     def __init__(self, rank, policy=DEFAULT_POLICY, cache_dir=None):
@@ -629,11 +653,18 @@ class CircleSpan:
 
     def _echelon(self, s, low, high):
         """Sector s's echelon at a window from ``low`` to ``high``: the one
-        held, or one built at ``low`` or grown to it."""
+        held, else the cache file of the smallest window in that range,
+        else one built at ``low`` or grown to it."""
         ech = self.echelons.get(s)
         if ech is None or ech.window < low:
+            window = low
+            if self.cache_dir:
+                window = next(
+                    (w for w in range(low, high + 1) if os.path.exists(
+                        _cache_file(self.cache_dir, self.rank, w,
+                                    self.policy, s))), low)
             ech = self.echelons[s] = build_ospan(
-                self.rank, low, self.policy, self.cache_dir, sector=s,
+                self.rank, window, self.policy, self.cache_dir, sector=s,
                 base=ech)
             self.cache_hits += ech.cache_hit
         elif ech.window > high:
@@ -651,16 +682,22 @@ class CircleSpan:
     def contains(self, vec, cutoff, window):
         """Whether every sector part of ``vec``, of weight at most
         ``cutoff``, reduces to zero at ``window``; the first part that does
-        not ends the check.  A part is reduced at the window held, at least
-        ``cutoff``, and again at ``window`` only if it is not zero there: a
+        not ends the check.  A part of weight d is reduced at the window
+        held, at least min(d, cutoff), and only if it is not zero there,
+        again at a window of at least ``cutoff``, then at ``window``: a
         smaller window's seeds are among the larger's, so the answer is the
         window's.  Each part first meets the resource guard of its sector
         at ``window`` (:func:`check_resources`), whatever the cutoff says.
         """
         for s, part in self._parts(vec):
             check_resources(self.rank, window, s)
-            if not (self._echelon(s, cutoff, window).reduce(part).is_zero()
-                    or self._echelon(s, window, window).reduce(part).is_zero()):
+            ech = None
+            for low in (min(cutoff, part.max_weight()), cutoff, window):
+                if ech is None or ech.window < low:
+                    ech = self._echelon(s, low, window)
+                    if ech.reduce(part).is_zero():
+                        break
+            else:
                 return False
         return True
 

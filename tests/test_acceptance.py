@@ -227,6 +227,22 @@ def test_rank_8_unit_certificate_budget():
     assert elapsed < 0.5
 
 
+def test_rank_8_quartic_certificate_budget():
+    # The quartic relation of H1, of weight 8, that verify --rank 8
+    # --max-weight 10 certifies with no cache: the even sector's echelon is
+    # built at the difference's weight, 8, which certifies it below the
+    # cutoff.  It took 0.22-0.34 s in process on a 2-vCPU host, against
+    # 1.9-2.0 s for a build at the cutoff.
+    t0 = time.perf_counter()
+    report = Runner(RunConfig(rank=8, max_weight=10, cache_dir=None)).run(
+        parse_script("assert_equiv (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 ~ 0",
+                     8))
+    elapsed = time.perf_counter() - t0
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("Proved", "circle-span certificate at cutoff 10")]
+    assert elapsed < 1.0
+
+
 def test_criterion_8_scope_honesty(capsys):
     # The package claims no classification: it exposes exactly the built-in
     # computational suites, and equivalences it cannot certify stay Unknown

@@ -355,7 +355,8 @@ def test_cache_hits_counted(tmp_path):
     second = Runner(config).run(stmts)
     assert first.cache_hits == 0
     assert second.cache_hits == 1
-    # The same window, the cutoff's, at another slack reads the same echelon.
+    # The same window, the circle's weight 3, at another slack reads the same
+    # echelon.
     same_window = RunConfig(rank=1, max_weight=4, slack=0, cache_dir=str(tmp_path))
     assert Runner(same_window).run(stmts).cache_hits == 1
 
@@ -463,10 +464,10 @@ def test_statement_proved_at_the_cutoff_builds_nothing_above_it(builds):
 
 
 def test_unknown_grows_each_failing_sector_once(builds):
-    # The circle, in the even sector, is certified at the cutoff; the
-    # J1 * Eu(1,2) part, in the sector of h1 h2, is not, even at the window,
-    # so that sector's echelon is grown from the cutoff's, never built
-    # afresh, and a second run builds nothing.
+    # The circle, in the even sector, is certified at its own weight, 5;
+    # the J1 * Eu(1,2) part, of weight 10 in the sector of h1 h2, is not,
+    # even at the window, so that sector's echelon is grown from the
+    # cutoff's, never built afresh, and a second run builds nothing.
     config = RunConfig(rank=2, max_weight=10, slack=2,
                        policy=GeneratorPolicy("quadratic"), cache_dir=None)
     runner = Runner(config)
@@ -477,9 +478,9 @@ def test_unknown_grows_each_failing_sector_once(builds):
             "(slack 2); no disproof found)")
     for _ in range(2):
         assert runner.run(stmts).results[0].line() == line
-    assert builds == [(10, 0, None), (10, 0b11, None), (12, 0b11, 10)]
+    assert builds == [(5, 0, None), (10, 0b11, None), (12, 0b11, 10)]
     assert {s: e.window for s, e in runner.span.echelons.items()} == {
-        0: 10, 0b11: 12}
+        0: 5, 0b11: 12}
 
 
 def test_rank_1_omega_circle_stays_unknown(builds):
@@ -515,10 +516,11 @@ def test_cutoff_read_before_growth_counts_a_hit(tmp_path):
 
 def test_suite_all_builds_each_echelon_once(monkeypatch):
     # One run_suite call holds one span per (rank, policy): the S(1,1;2,6)
-    # ladder grows the quadratic shifts' window-8 echelon of the h1 h2
-    # sector to window 10, which the matrix-unit block then reads, and the
-    # second rank-1 block grows the first one's window-8 echelon.  Only
-    # the omega-anchored span of the ladder is made apart.
+    # ladder grows the quadratic shifts' echelon of the h1 h2 sector, held
+    # at window 6, the weight of their differences, to window 10, which the
+    # matrix-unit block then reads, and the second rank-1 block grows the
+    # first one's window-8 echelon.  Only the omega-anchored span of the
+    # ladder is made apart.
     calls = []
     real = zhu.build_ospan
 
@@ -532,9 +534,9 @@ def test_suite_all_builds_each_echelon_once(monkeypatch):
     monkeypatch.setattr(zhu, "build_ospan", spy)
     report = run_suite("all", RunConfig(rank=2, cache_dir=None))
     assert report.passed()
-    assert len(calls) == 8
+    assert len(calls) == 13
     assert [c for c in calls if c[:4] == (2, 10, "all", 0b11)] == [
-        (2, 10, "all", 0b11, 8)]
+        (2, 10, "all", 0b11, 6)]
     assert [c for c in calls if c[:4] == (1, 10, "all", 0)] == [
         (1, 10, "all", 0, 8)]
     # Every (rank, policy, sector) is built afresh once, then only grown.

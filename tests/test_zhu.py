@@ -677,28 +677,42 @@ def test_growth_reads_and_writes_the_larger_window_file(tmp_path):
 
 
 def test_cutoff_first_span_answers_as_the_window():
-    # Rank-1 circles and monomials of weight at most 8, and sums of them:
-    # the span at cutoff 8 says what the window-10 span says, and grows to
-    # 10 exactly when the cutoff does not certify the vector.
-    window = zhu.CircleSpan(1)
-    monos = [FockVector.from_monomial(1, m)
-             for w in range(1, 8) for m in basis(1, w, "even")]
-    circles = [c for u in monos for v in monos
-               if u.max_weight() + v.max_weight() < 8
-               for c in [circ_n(u, v)] if c]
-    vecs = circles + monos + [c + m for c, m in zip(circles, monos)]
-    members = 0
-    for vec in vecs:
-        first = zhu.CircleSpan(1)
-        got = first.contains(vec, 8, 10)
-        assert got == window.contains(vec, 10, 10)
-        assert first.echelons[0].window == (8 if got else 10)
-        members += got
-    assert members == len(circles)
-    # reduce reads the window it is given, as the native checks expect.
-    first = zhu.CircleSpan(1)
-    assert first.reduce(circles[0], 10).is_zero()
-    assert first.echelons[0].window == 10
+    # Circles and monomials of weight at most 8, and sums of them, at rank
+    # 1 and, sampled, at rank 2 in its sectors {} and {1,2}: a fresh span
+    # at cutoff 8 says what the window-10 span says.  It holds each sector
+    # at its part's weight when that certifies the vector, and grows the
+    # sector that ends the check to 10 when nothing does.
+    rng = random.Random(8)
+    for rank, sample in ((1, None), (2, 24)):
+        window = zhu.CircleSpan(rank)
+        monos = [FockVector.from_monomial(rank, m)
+                 for w in range(1, 8) for m in basis(rank, w, "even")]
+        circles = [c for u in monos for v in monos
+                   if u.max_weight() + v.max_weight() < 8
+                   for c in [circ_n(u, v)] if c]
+        if sample:
+            monos = rng.sample(monos, sample)
+            circles = rng.sample(circles, sample)
+        vecs = circles + monos + [c + m for c, m in zip(circles, monos)]
+        members = 0
+        for vec in vecs:
+            first = zhu.CircleSpan(rank)
+            got = first.contains(vec, 8, 10)
+            assert got == window.contains(vec, 10, 10)
+            held = {s: e.window for s, e in first.echelons.items()}
+            if got:
+                assert held == {s: part.max_weight()
+                                for s, part in first._parts(vec)}
+            else:
+                assert held[max(held)] == 10
+            members += got
+        assert members == len(circles)
+        if rank == 2:
+            assert {s for v in vecs for s, _ in window._parts(v)} == {0, 0b11}
+        # reduce reads the window it is given, as the native checks expect.
+        first = zhu.CircleSpan(rank)
+        assert first.reduce(circles[0], 10).is_zero()
+        assert {e.window for e in first.echelons.values()} == {10}
 
 
 def test_span_never_answers_from_a_larger_window():
@@ -713,6 +727,52 @@ def test_span_never_answers_from_a_larger_window():
         span.reduce(v, 10)
     assert span.echelons[0].window == 12
     assert not span.contains(v, 8, 12)
+
+
+def test_cache_key_needs_no_columns():
+    # The module's cache_key counts the columns (count_sector) and names the
+    # same file as an echelon that lists them.
+    policy = zhu.DEFAULT_POLICY
+    for ell in range(1, 5):
+        for window in range(11):
+            for s in even_sectors(ell):
+                ech = OSpanEchelon(ell, window, policy, sector=s)
+                assert zhu.cache_key(ell, window, policy, s) == ech.cache_key()
+
+
+def test_span_reads_the_smallest_cached_window_it_allows(tmp_path,
+                                                         monkeypatch):
+    # A query that allows windows 5 to 10 reads the window-9 file rather
+    # than build at 5, and never the window-12 file above what it allows.
+    cache = str(tmp_path)
+    for w in (9, 12):
+        build_ospan(1, w, cache_dir=cache, sector=0)
+    member = circ_n(omega(1, 1), omega(1, 1))
+    assert member.max_weight() == 5
+    reads = []
+    real = zhu.build_ospan
+
+    def spy(rank, window, *args, **kwargs):
+        reads.append(window)
+        return real(rank, window, *args, **kwargs)
+
+    def no_circles(*args, **kwargs):
+        raise AssertionError("a circle was made")
+
+    monkeypatch.setattr(zhu, "build_ospan", spy)
+    monkeypatch.setattr(zhu, "circ_n", no_circles)
+    span = zhu.CircleSpan(1, cache_dir=cache)
+    assert span.contains(member, 8, 10)
+    assert reads == [9] and span.cache_hits == 1
+    assert span.echelons[0].window == 9
+    # With only the window-12 file, the span builds at the part's weight.
+    monkeypatch.setattr(zhu, "circ_n", circ_n)
+    key = zhu.cache_key(1, 9, zhu.DEFAULT_POLICY, 0)
+    os.remove(os.path.join(cache, f"ospan-{key}.txt"))
+    span = zhu.CircleSpan(1, cache_dir=cache)
+    assert span.contains(member, 8, 10)
+    assert reads == [9, 5] and span.cache_hits == 0
+    assert span.echelons[0].window == 5
 
 
 def test_echelon_cache_round_trip(tmp_path):
