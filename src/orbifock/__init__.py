@@ -17,7 +17,7 @@ from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
 from .toplevel import (FAMILIES, Matrix, disprove_equiv, evaluate,
                        evaluate_word, independence_rank)
 from .script import ScriptError, parse_expr, parse_script, realize
-from .runner import Report, RunConfig, Runner, Session, run_text
+from .runner import Report, RunConfig, Runner, Session
 from .suites import run_suite
 from .tables import emit_tables
 
@@ -31,5 +31,5 @@ __all__ = [
     "FAMILIES", "Matrix", "disprove_equiv", "evaluate", "evaluate_word",
     "independence_rank", "ScriptError", "parse_expr",
     "parse_script", "realize", "Report", "RunConfig", "Runner", "Session",
-    "run_text", "run_suite", "emit_tables", "__version__",
+    "run_suite", "emit_tables", "__version__",
 ]

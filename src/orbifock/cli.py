@@ -57,10 +57,10 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run a relation script")
     p.add_argument("script", help="path to the script file, or - for stdin")
     _add_config_args(p)
-    # verify certifies at a difference's own weight first, then at
-    # max_weight, and grows a sector's span by RunConfig's default slack
-    # when both fail; the resource guard checks the grown window before any
-    # certificate, so it must fit the cap.
+    # verify certifies each sector part of a difference at its own weight,
+    # else at the window max_weight plus RunConfig's default slack; the
+    # resource guard checks that window before any certificate, so it must
+    # fit the cap.
     top = MAX_WEIGHT_CAP - RunConfig.slack
     p.add_argument("--max-weight", type=int, default=8,
                    help="cutoff weight above which a claim stays Unknown, "

@@ -164,8 +164,9 @@ class Runner:
     """Runs statements against one configuration, in ``session`` or in a
     fresh session of its own.  Its ``span`` is the session's
     :class:`~orbifock.zhu.CircleSpan` of its (rank, policy, cache_dir).  A
-    difference is certified at its own weight, else at cutoff max_weight,
-    else at max_weight + slack; the first that certifies ends the check.
+    difference of weight at most the cutoff max_weight is certified sector
+    part by sector part, each at its own weight, else at the window
+    max_weight + slack.
 
     A statement whose memo key is in the session's ``proved`` is Proved
     without being run again.  Every generator policy seeds the span
@@ -262,13 +263,8 @@ class Runner:
         if diff.max_weight() > cfg.max_weight:
             return "Unknown", (f"weight {diff.max_weight()} exceeds "
                                f"cutoff {cfg.max_weight}; no disproof found")
-        if self.span.contains(diff, cfg.max_weight,
-                              cfg.max_weight + cfg.slack):
+        if self.span.contains(diff, cfg.max_weight + cfg.slack):
             return "Proved", f"circle-span certificate at cutoff {cfg.max_weight}"
         return "Unknown", (f"no certificate at cutoff {cfg.max_weight} "
                            f"(slack {cfg.slack}); no disproof found")
 
-
-def run_text(text, config):
-    """Parse and run a script given as text."""
-    return Runner(config).run(dsl.parse_script(text, config.rank))

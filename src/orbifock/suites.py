@@ -11,14 +11,14 @@ headed by the rank alone, and each suite adds its results to it.  It also
 makes one :class:`~orbifock.runner.Session` per run for every block's
 Runner and native check.  Its circle spans, one per (rank, policy,
 cache_dir), build each sector echelon once, at the weight of the first
-difference that meets it, and grow it in place when a heavier difference,
-the cutoff or the window needs more; no later query of a run allows less
-than the window a span holds.  Its one memo of Proved verdicts is keyed by
-statement kind: a ``zero_eval`` or ``rank`` statement Proved at one rank is
-Proved at every rank that names its indices, so the rank-3 closing
-relations reuse the rank-2 ones; an ``assert_eval`` is reused only at its
-own rank, and an ``assert_equiv`` only under its own span, cutoff and
-slack.
+difference part that meets it, and grow it when a heavier part needs more,
+or to the window when a part's own weight does not certify it; no later
+query of a run allows less than the window a span holds.  Its one memo of
+Proved verdicts is keyed by statement kind: a ``zero_eval`` or ``rank``
+statement Proved at one rank is Proved at every rank that names its
+indices, so the rank-3 closing relations reuse the rank-2 ones; an
+``assert_eval`` is reused only at its own rank, and an ``assert_equiv``
+only under its own span, cutoff and slack.
 
 Some relations only exist at a minimal rank (four distinct indices for the
 sign relations, three for the triple-index center relation); those blocks
@@ -160,11 +160,15 @@ def _membership_and_leading_coefficient(report, session, cache_dir):
     weight 7, to exactly -64 times the reduced form of S(1,6).  The full
     span, the session's rank-2 default one, grows the quadratic shifts'
     echelon, held at their weight 6, to window 10 for the matrix-unit
-    block; the omega-anchored one is made here, without a cache.
+    block, and counts one cache hit when that reads a file, as a Runner's
+    run call does; the omega-anchored one is made here, without a cache.
     """
     t0 = time.perf_counter()
     full = session.span(2, zhu.DEFAULT_POLICY, cache_dir)
+    hits = full.cache_hits
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m), 10) for m in range(1, 7)]
+    if full.cache_hits > hits:
+        report.cache_hits += 1
     r5 = zhu.exact_rank(r.terms for r in reduced[:5])
     r6 = zhu.exact_rank(r.terms for r in reduced)
     _native(report,

@@ -462,14 +462,8 @@ class OSpanEchelon:
 
     # -- persistence --------------------------------------------------------
 
-    def _header(self):
-        return _header(self.ell, self.window, self.policy, self.sector)
-
-    def cache_key(self):
-        return cache_key(self.ell, self.window, self.policy, self.sector)
-
     def to_text(self):
-        lines = [self._header()]
+        lines = [_header(self.ell, self.window, self.policy, self.sector)]
         for p in sorted(self.rows):
             row = self.rows[p]
             cells = " ".join(f"{c}:{row[c]}" for c in sorted(row))
@@ -483,7 +477,8 @@ class OSpanEchelon:
         :meth:`reduce` relies on that form.
         """
         lines = text.splitlines()
-        if not lines or lines[0] != self._header():
+        if not lines or lines[0] != _header(self.ell, self.window,
+                                            self.policy, self.sector):
             raise ValueError("incompatible cache file")
         ncols = len(self.columns)
         for line in lines[1:]:
@@ -631,11 +626,13 @@ class CircleSpan:
     """The circle span of one rank, policy and cache directory, the direct
     sum of its sector parts (see the module docstring): ``echelons`` maps
     each sector met so far to its :func:`build_ospan` echelon, built when a
-    vector first meets that sector and grown in place (``build_ospan``'s
-    ``base``), never built twice, when a query asks for a larger window.
-    Each query names its windows, and one that finds an echelon held above
-    the largest it allows raises ValueError, since a larger window may
-    certify more.  ``cache_hits`` counts the echelons read from the cache.
+    vector first meets that sector.  A query that asks for a larger window
+    replaces it by one grown from it (``build_ospan``'s ``base``), which
+    takes over its rows and leaves it empty, so no window is built twice.
+    Each query names its window, and one that finds an echelon held above
+    it raises ValueError, since a larger window may certify more.  A sector
+    part is certified at its own weight, else at the query's window.
+    ``cache_hits`` counts the echelons read from the cache.
 
     The span only grows with the window, so the windows a span is built at
     depend on the order of the queries, and so do the files it leaves in
@@ -679,25 +676,23 @@ class CircleSpan:
         for s in sorted(parts):
             yield s, FockVector(vec.ell, parts[s])
 
-    def contains(self, vec, cutoff, window):
-        """Whether every sector part of ``vec``, of weight at most
-        ``cutoff``, reduces to zero at ``window``; the first part that does
-        not ends the check.  A part of weight d is reduced at the window
-        held, at least min(d, cutoff), and only if it is not zero there,
-        again at a window of at least ``cutoff``, then at ``window``: a
-        smaller window's seeds are among the larger's, so the answer is the
-        window's.  Each part first meets the resource guard of its sector
-        at ``window`` (:func:`check_resources`), whatever the cutoff says.
+    def contains(self, vec, window):
+        """Whether every sector part of ``vec`` reduces to zero at
+        ``window``; the first part that does not ends the check.  A part of
+        weight d is reduced on the echelon held at d or above, and only if
+        it is not zero there, at ``window``: a smaller window's seeds are
+        among the larger's, so the answer is the window's.  Each part first
+        meets the resource guard of its sector at ``window``
+        (:func:`check_resources`).
         """
         for s, part in self._parts(vec):
             check_resources(self.rank, window, s)
-            ech = None
-            for low in (min(cutoff, part.max_weight()), cutoff, window):
-                if ech is None or ech.window < low:
-                    ech = self._echelon(s, low, window)
-                    if ech.reduce(part).is_zero():
-                        break
-            else:
+            ech = self._echelon(s, min(part.max_weight(), window), window)
+            if ech.reduce(part).is_zero():
+                continue
+            if ech.window == window:
+                return False
+            if not self._echelon(s, window, window).reduce(part).is_zero():
                 return False
         return True
 

@@ -258,7 +258,7 @@ def test_suite_all_lines_match_a_run_without_the_memo(
         plain = run_suite("all", config)
     # A native check's detail gives its time in ms.
     assert TIMING_RE.sub("", memo.to_text()) == TIMING_RE.sub("", plain.to_text())
-    assert memo.to_text().endswith("cache_hits=5\nPASS\n")
+    assert memo.to_text().endswith("cache_hits=6\nPASS\n")
     # At ranks 2 and 3, 62 of the 155 script lines are relabelings of a
     # line Proved before them in the run, six of them rank-3 closing
     # relations Proved at rank 2; the other 24 of the 179 lines are native

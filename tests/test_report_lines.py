@@ -16,7 +16,8 @@ import re
 
 import pytest
 
-from orbifock.runner import RunConfig, run_text
+from orbifock.runner import RunConfig, Runner
+from orbifock.script import parse_script
 from orbifock.suites import SUITE_NAMES, run_suite
 
 EXPECTED_LINES = os.path.join(os.path.dirname(os.path.dirname(
@@ -71,7 +72,8 @@ def expected_lines():
 @pytest.mark.parametrize("text, line", list(WITNESS_LINES.items())
                          + list(ERROR_LINES.items()))
 def test_disproof_and_error_lines(text, line):
-    report = run_text(text, RunConfig(rank=2, cache_dir=None))
+    config = RunConfig(rank=2, cache_dir=None)
+    report = Runner(config).run(parse_script(text, config.rank))
     assert [r.line() for r in report.results] == [line]
 
 
@@ -79,7 +81,8 @@ def test_eval_r2_lines_replay(expected_lines):
     config = RunConfig(rank=2)
     drifted = []
     for text, want in expected_lines["eval-r2"].items():
-        got = [_line(r) for r in run_text(text, config).results]
+        report = Runner(config).run(parse_script(text, config.rank))
+        got = [_line(r) for r in report.results]
         if got != [want]:
             drifted.append((text, got, want))
     assert len(expected_lines["eval-r2"]) == 627
@@ -108,13 +111,14 @@ def test_suite_all_is_one_report_of_the_four_suites(tmp_path):
     # 'all' runs the four suites in order into one report: the same lines
     # and the one rank header.  Its blocks share their spans, so the
     # matrix-unit block does not read again the window-10 echelon that the
-    # S(1,1;2,6) ladder read: one cache hit fewer than the parts' sum.
+    # S(1,1;2,6) ladder read, and counted: one cache hit fewer than the
+    # parts' sum.
     config = RunConfig(rank=2, cache_dir=str(tmp_path))
     run_suite("all", config)
     whole = run_suite("all", config)
     parts = [run_suite(name, config) for name in SUITE_NAMES if name != "all"]
     assert [_line(r) for r in whole.results] == [
         _line(r) for part in parts for r in part.results]
-    assert whole.cache_hits == 5
-    assert sum(part.cache_hits for part in parts) == 6
+    assert whole.cache_hits == 6
+    assert sum(part.cache_hits for part in parts) == 7
     assert [report.header for report in [whole, *parts]] == ["rank=2"] * 5

@@ -10,18 +10,22 @@ from fractions import Fraction
 import pytest
 
 from orbifock.cli import main
-from orbifock.runner import Report, RunConfig, Runner, Session, run_text
+from orbifock.runner import Report, RunConfig, Runner, Session
 from orbifock.script import ScriptError, parse_script
 from orbifock.suites import run_suite
 from orbifock import suites, vertex, zhu
 from orbifock.toplevel import Matrix
-from orbifock.zhu import (DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy,
-                          OSpanEchelon)
+from orbifock.zhu import DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy
 
 
 def cfg(rank=2, max_weight=6, slack=2):
     return RunConfig(rank=rank, max_weight=max_weight, slack=slack,
                      cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+
+
+def run_text(text, config):
+    """Parse and run a script given as text, as the verify command does."""
+    return Runner(config).run(parse_script(text, config.rank))
 
 
 def test_equiv_statuses():
@@ -337,7 +341,7 @@ def test_blocked_cache_write_still_proves(tmp_path, capsys):
     # A directory in the way of the rank-2 window-8 cache file of the
     # statement's sector, as a full disk would, makes the write fail: the
     # built echelon is used, and no temporary file is left behind.
-    key = OSpanEchelon(2, 8, DEFAULT_POLICY, sector=0b11).cache_key()
+    key = zhu.cache_key(2, 8, DEFAULT_POLICY, 0b11)
     (tmp_path / "cache" / f"ospan-{key}.txt" / "x").mkdir(parents=True)
     script = tmp_path / "s.txt"
     script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
@@ -493,6 +497,20 @@ def test_rank_1_omega_circle_stays_unknown(builds):
     assert builds == [(10, 0, None), (12, 0, 10)]
 
 
+def test_part_lighter_than_its_cutoff_grows_straight_to_the_window(builds):
+    # The circle, of weight 10, is not certified at its own weight at
+    # cutoff 12, so its echelon is grown to the window 14, with no step at
+    # the cutoff; the line is the one a step at 12 gave.
+    runner = Runner(RunConfig(rank=1, max_weight=12, slack=2,
+                              policy=GeneratorPolicy("omega"), cache_dir=None))
+    report = runner.run(parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0",
+                                     1))
+    assert [r.line() for r in report.results] == [
+        "[UNKNOWN  ] assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0  (no certificate "
+        "at cutoff 12 (slack 2); no disproof found)"]
+    assert builds == [(10, 0, None), (14, 0, 10)]
+
+
 def test_cutoff_read_before_growth_counts_a_hit(tmp_path):
     # A run call that reads the cutoff's echelon from the cache and then
     # grows it, with or without the window's file, read an echelon.
@@ -500,9 +518,9 @@ def test_cutoff_read_before_growth_counts_a_hit(tmp_path):
                        policy=GeneratorPolicy("omega"), cache_dir=str(tmp_path))
     stmts = parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0", 1)
     assert Runner(config).run(stmts).cache_hits == 0
-    window = OSpanEchelon(1, 12, config.policy, sector=0).cache_key()
+    window = zhu.cache_key(1, 12, config.policy, 0)
     assert sorted(os.listdir(tmp_path)) == sorted(
-        f"ospan-{OSpanEchelon(1, w, config.policy, sector=0).cache_key()}.txt"
+        f"ospan-{zhu.cache_key(1, w, config.policy, 0)}.txt"
         for w in (10, 12))
     runner = Runner(config)
     assert runner.run(stmts).cache_hits == 1
@@ -543,6 +561,35 @@ def test_suite_all_builds_each_echelon_once(monkeypatch):
     fresh = [(r, pairs, s) for r, _, pairs, s, base in calls if base is None]
     assert sorted(fresh) == sorted({(r, pairs, s)
                                     for r, _, pairs, s, _ in calls})
+
+
+def test_suite_all_certifies_each_part_on_one_echelon_query(monkeypatch):
+    # Every sector part of every assert_equiv difference in suite all at
+    # rank 2 is certified by the echelon held at its own weight or above,
+    # so each part makes one echelon query and none reaches the window.
+    counts = []  # (sector parts, echelon queries) per contains call
+    active = []
+    real_contains = zhu.CircleSpan.contains
+    real_echelon = zhu.CircleSpan._echelon
+
+    def contains(self, vec, window):
+        active.append(0)
+        try:
+            return real_contains(self, vec, window)
+        finally:
+            counts.append((len(list(self._parts(vec))), active.pop()))
+
+    def echelon(self, *args):
+        if active:
+            active[-1] += 1
+        return real_echelon(self, *args)
+
+    monkeypatch.setattr(zhu.CircleSpan, "contains", contains)
+    monkeypatch.setattr(zhu.CircleSpan, "_echelon", echelon)
+    report = run_suite("all", RunConfig(rank=2, cache_dir=None))
+    assert report.passed()
+    assert [queries for _, queries in counts] == [parts for parts, _ in counts]
+    assert (len(counts), sum(parts for parts, _ in counts)) == (27, 27)
 
 
 def test_suite_blocks_sharing_spans_give_the_lines_of_fresh_runners(

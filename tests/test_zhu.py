@@ -679,9 +679,10 @@ def test_growth_reads_and_writes_the_larger_window_file(tmp_path):
 def test_cutoff_first_span_answers_as_the_window():
     # Circles and monomials of weight at most 8, and sums of them, at rank
     # 1 and, sampled, at rank 2 in its sectors {} and {1,2}: a fresh span
-    # at cutoff 8 says what the window-10 span says.  It holds each sector
-    # at its part's weight when that certifies the vector, and grows the
-    # sector that ends the check to 10 when nothing does.
+    # says at window 10 what one span shared by every vector says.  It
+    # holds each sector at its part's weight when that certifies the
+    # vector, and grows the sector that ends the check to 10 when nothing
+    # does.
     rng = random.Random(8)
     for rank, sample in ((1, None), (2, 24)):
         window = zhu.CircleSpan(rank)
@@ -697,8 +698,8 @@ def test_cutoff_first_span_answers_as_the_window():
         members = 0
         for vec in vecs:
             first = zhu.CircleSpan(rank)
-            got = first.contains(vec, 8, 10)
-            assert got == window.contains(vec, 10, 10)
+            got = first.contains(vec, 10)
+            assert got == window.contains(vec, 10)
             held = {s: e.window for s, e in first.echelons.items()}
             if got:
                 assert held == {s: part.max_weight()
@@ -722,22 +723,25 @@ def test_span_never_answers_from_a_larger_window():
     v = omega(1, 1)
     assert span.reduce(v, 12) == v
     with pytest.raises(ValueError, match="held at window 12 > 10"):
-        span.contains(v, 8, 10)
+        span.contains(v, 10)
     with pytest.raises(ValueError, match="held at window 12 > 10"):
         span.reduce(v, 10)
     assert span.echelons[0].window == 12
-    assert not span.contains(v, 8, 12)
+    assert not span.contains(v, 12)
 
 
 def test_cache_key_needs_no_columns():
-    # The module's cache_key counts the columns (count_sector) and names the
-    # same file as an echelon that lists them.
+    # The module's cache_key counts the columns (count_sector) and hashes
+    # the header that an echelon listing them writes.
     policy = zhu.DEFAULT_POLICY
     for ell in range(1, 5):
         for window in range(11):
             for s in even_sectors(ell):
                 ech = OSpanEchelon(ell, window, policy, sector=s)
-                assert zhu.cache_key(ell, window, policy, s) == ech.cache_key()
+                header = ech.to_text().splitlines()[0]
+                assert header.endswith(f" cols={len(ech.columns)}")
+                digest = hashlib.sha256(header.encode()).hexdigest()[:24]
+                assert zhu.cache_key(ell, window, policy, s) == digest
 
 
 def test_span_reads_the_smallest_cached_window_it_allows(tmp_path,
@@ -762,7 +766,7 @@ def test_span_reads_the_smallest_cached_window_it_allows(tmp_path,
     monkeypatch.setattr(zhu, "build_ospan", spy)
     monkeypatch.setattr(zhu, "circ_n", no_circles)
     span = zhu.CircleSpan(1, cache_dir=cache)
-    assert span.contains(member, 8, 10)
+    assert span.contains(member, 10)
     assert reads == [9] and span.cache_hits == 1
     assert span.echelons[0].window == 9
     # With only the window-12 file, the span builds at the part's weight.
@@ -770,7 +774,7 @@ def test_span_reads_the_smallest_cached_window_it_allows(tmp_path,
     key = zhu.cache_key(1, 9, zhu.DEFAULT_POLICY, 0)
     os.remove(os.path.join(cache, f"ospan-{key}.txt"))
     span = zhu.CircleSpan(1, cache_dir=cache)
-    assert span.contains(member, 8, 10)
+    assert span.contains(member, 10)
     assert reads == [9, 5] and span.cache_hits == 0
     assert span.echelons[0].window == 5
 
