@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import format_sum
+from .coeffs import clear_denominators, format_sum
 
 # A monomial is a tuple of (gen, n) pairs; the vacuum is the empty tuple.
 VACUUM = ()
@@ -60,15 +60,20 @@ def format_monomial(mono):
 class FockVector:
     """A finite linear combination of canonical monomials.
 
-    Zero coefficients are never stored.  Instances are immutable by
-    convention; all operations return fresh vectors.
+    Zero coefficients are never stored.  All operations return fresh
+    vectors, and an instance must never be changed: it keeps forms derived
+    from its terms, each made on first use and then shared with every
+    reader, who must not change them either.  They are its integer form
+    (:meth:`integer_form`), its parity (:meth:`is_even`) and its twisted
+    sum, which only :func:`orbifock.twisted.apply_delta` reads and writes.
     """
 
-    __slots__ = ("ell", "terms")
+    __slots__ = ("ell", "terms", "_int", "_even", "_twisted")
 
     def __init__(self, ell, terms=None):
         self.ell = ell
         self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self._int = self._even = self._twisted = None
 
     @classmethod
     def zero(cls, ell):
@@ -139,9 +144,20 @@ class FockVector:
     def max_weight(self):
         return max((mono_weight(m) for m in self.terms), default=0)
 
+    def integer_form(self):
+        """(den, ints): the lcm of the coefficients' denominators and the
+        terms times it, as ints, from
+        :func:`orbifock.coeffs.clear_denominators`.  Made once; with every
+        coefficient an int, ``ints`` is ``terms`` itself."""
+        if self._int is None:
+            self._int = clear_denominators(self.terms)
+        return self._int
+
     def is_even(self):
         """True when every monomial has an even number of modes."""
-        return all(len(m) % 2 == 0 for m in self.terms)
+        if self._even is None:
+            self._even = all(len(m) % 2 == 0 for m in self.terms)
+        return self._even
 
     def __str__(self):
         return format_sum([(str(self.terms[m]), format_monomial(m) if m else "")
@@ -176,6 +192,7 @@ def sector(mono):
     return s
 
 
+@lru_cache(maxsize=None)
 def count_sector(ell, window, sector):
     """How many monomials of a sector weigh at most ``window``, without
     listing them.  With each mode marked by s, one generator's monomials
@@ -183,7 +200,7 @@ def count_sector(ell, window, sector):
     and odd parts in s, at s = 1, count the monomials with an even and an
     odd number of modes.  The sector's series is the product over the
     generators of the odd part where its bit is set and the even part
-    elsewhere."""
+    elsewhere.  Each count is made once per process."""
     signed = {}
     for s in (1, -1):
         series = signed[s] = [1] + [0] * window

@@ -45,7 +45,7 @@ from itertools import chain
 from math import gcd
 from operator import mul
 
-from .coeffs import LPoly, clear_denominators
+from .coeffs import LPoly
 from .fock import VACUUM
 from .twisted import apply_delta, twisted_zero_mode
 from .vertex import d_coeff
@@ -239,7 +239,7 @@ def evaluate(u, fam):
     if fam == "Hplus":
         return Fraction(u.coeff(VACUUM))
     if fam == "Mlambda":
-        den, scaled = clear_denominators(u.terms)
+        den, scaled = u.integer_form()
         terms = {}
         for mono, c in scaled.items():
             exps = [0] * rank
@@ -251,7 +251,7 @@ def evaluate(u, fam):
             terms[exps] = terms.get(exps, 0) + c
         return LPoly(rank, {e: Fraction(c, den) for e, c in terms.items()})
     if fam == "Hminus":
-        return top_level_matrix(*clear_denominators(u.terms), rank, 1)
+        return top_level_matrix(*u.integer_form(), rank, 1)
     if fam == "Tplus":
         return twisted_zero_mode(u)
     if fam == "Tminus":

@@ -46,9 +46,11 @@ coefficient times d * D^top.  The reading divides by that once per value.
 Expansions are made once per process and kept in two function caches
 beside the delta table: one per run of one generator's factors and the
 number of factors it may keep (:func:`_matchings`), and one per monomial
-(:func:`_expansion`), which both twisted families read.  A monomial above
-the cap would need pairs the table lacks, so it raises ResourceWarning
-instead of being expanded.
+(:func:`_expansion`), which both twisted families read.  Each state sums
+its expansion once: :func:`apply_delta` keeps the sum on the state, and the
+Tplus and Tminus readings of that state share it.  A monomial above the cap
+would need pairs the table lacks, so it raises ResourceWarning instead of
+being expanded, and the state keeps no sum.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from itertools import groupby
 from math import lcm
 from operator import itemgetter
 
-from .coeffs import clear_denominators
 from .fock import mono_weight
 from .vertex import d_coeff
 from .zhu import MAX_WEIGHT_CAP
@@ -153,11 +154,15 @@ def apply_delta(v):
     ``terms`` maps each remainder to its nonzero int numerator over ``den``.
 
     Each monomial's expansion is made once per process (:func:`_expansion`)
-    and read by both twisted families.  A monomial above the weight cap
-    raises ResourceWarning.
+    and read by both twisted families.  The pair is made once per state and
+    kept on it, so later calls return the same pair, which callers must not
+    change.  A monomial above the weight cap raises ResourceWarning, and
+    nothing is kept.
     """
+    if v._twisted is not None:
+        return v._twisted
     scale = _delta()[0]
-    den, scaled = clear_denominators(v.terms)
+    den, scaled = v.integer_form()
     top = max(map(len, v.terms), default=0) // 2
     # lift[k]: a matching of k pairs, lifted to the common power scale**top.
     lift = [scale ** (top - k) for k in range(top + 1)]
@@ -165,7 +170,8 @@ def apply_delta(v):
     for mono, c in scaled.items():
         for rem, w, k in _expansion(mono):
             terms[rem] = terms.get(rem, 0) + c * w * lift[k]
-    return den * scale ** top, {rem: c for rem, c in terms.items() if c}
+    v._twisted = den * scale ** top, {rem: c for rem, c in terms.items() if c}
+    return v._twisted
 
 
 def twisted_zero_mode(v):

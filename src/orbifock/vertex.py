@@ -38,7 +38,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .coeffs import clear_denominators
 from .fock import FockVector, annihilate, mono_weight
 
 
@@ -124,8 +123,8 @@ def mode_component(u, v, shift):
     du * dv once, which is exact.  With du * dv = 1 the ints are returned
     as they are.
     """
-    du, uterms = clear_denominators(u.terms)
-    dv, vterms = clear_denominators(v.terms)
+    du, uterms = u.integer_form()
+    dv, vterms = v.integer_form()
     acc = {}
     for mono, c in uterms.items():
         w = mono_weight(mono)

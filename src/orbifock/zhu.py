@@ -425,7 +425,7 @@ class OSpanEchelon:
         col_index = self.col_index
         try:
             row = {col_index[mono]: c
-                   for mono, c in clear_denominators(vec.terms)[1].items()}
+                   for mono, c in vec.integer_form()[1].items()}
         except KeyError:
             raise ValueError("row exceeds the echelon's weight window "
                              "or leaves its sector") from None
@@ -448,7 +448,7 @@ class OSpanEchelon:
             raise ValueError(
                 f"vector weight {vec.max_weight()} exceeds the "
                 f"echelon window {self.window}")
-        d, terms = clear_denominators(vec.terms)
+        d, terms = vec.integer_form()
         try:
             row = {self.col_index[mono]: c for mono, c in terms.items()}
         except KeyError:

@@ -188,7 +188,8 @@ def reference_reading(v, fam):
 
 def clear_twisted_caches():
     """Empty the delta table and both expansion caches of
-    :mod:`orbifock.twisted`, as in a fresh process."""
+    :mod:`orbifock.twisted`, as in a fresh process.  A state read before
+    keeps its twisted sum, so only fresh states go through the caches."""
     for cached in (twisted._delta, twisted._matchings, twisted._expansion):
         cached.cache_clear()
 

@@ -19,6 +19,19 @@ def test_vacuum_monomial():
     assert v.weight() == 0 and v.is_even()
 
 
+def test_integer_form_is_made_once_and_shared():
+    # All-int terms are their own integer form; a rational vector's form is
+    # made on first use and the same pair is returned after that.
+    v = single(2, [(1, -1), (2, -3)], 4) + single(2, [(2, -2), (2, -2)], -6)
+    assert v.integer_form() == (1, v.terms)
+    assert v.integer_form()[1] is v.terms
+    w = F(1, 6) * v + omega(2, 1)
+    den, ints = w.integer_form()
+    assert (den, ints) == (6, {m: int(6 * c) for m, c in w.terms.items()})
+    assert w.integer_form() is w.integer_form()
+    assert w.is_even() and not (w + single(2, [(1, -2)])).is_even()
+
+
 def test_canonical_order_of_commuting_creators():
     m1 = make_monomial(1, [(1, -1), (1, -3)])
     m2 = make_monomial(1, [(1, -3), (1, -1)])

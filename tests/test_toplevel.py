@@ -6,13 +6,14 @@ from math import gcd, lcm
 
 import pytest
 
-from mode_oracle import FractionMatrix, fraction_rank
+from mode_oracle import FractionMatrix, fraction_rank, reference_reading
 import orbifock.toplevel as toplevel
 import orbifock.twisted as twisted
-from orbifock.coeffs import LPoly
+from orbifock.coeffs import LPoly, clear_denominators
 from orbifock.fock import FockVector, single
-from orbifock.toplevel import (Matrix, disprove_equiv, evaluate,
-                               evaluate_word, identity, independence_rank)
+from orbifock.toplevel import (FAMILIES, WITNESS_ORDER, Matrix, disprove_equiv,
+                               evaluate, evaluate_word, identity,
+                               independence_rank)
 from orbifock.zhu import circ_n, e_t, e_u, hgen, jgen, lam, omega, s_pair, star
 
 F = Fraction
@@ -253,3 +254,42 @@ def test_tminus_expands_each_state_once(monkeypatch):
         calls.clear()
         evaluate(u, "Tminus")
         assert calls == [u]
+
+
+def _random_generator_sum(rng, rank):
+    """Two or three named generators at one rank with small rational
+    coefficients; the pairs of two distinct indices only from rank 2."""
+    pool = [f(rank, a) for f in (omega, jgen, hgen)
+            for a in range(1, rank + 1)]
+    pool += [s_pair(rank, a, 1, b, 2)
+             for a in range(1, rank + 1) for b in range(1, rank + 1)]
+    if rank > 1:
+        pool += [e_u(rank, 1, 2), e_t(rank, 2, 1), lam(rank, 1, rank)]
+    out = FockVector.vacuum(rank, F(rng.randint(-3, 3), rng.randint(1, 4)))
+    for u in rng.sample(pool, rng.randint(2, 3)):
+        out = out + F(rng.randint(-9, 9) or 1, rng.randint(1, 6)) * u
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_readings_do_not_depend_on_what_the_state_kept(rank):
+    # A state keeps its integer form, its parity and its twisted sum once
+    # made, so its readings are the same in any family order, on a second
+    # reading and on a fresh equal state, and they still obey the laws no
+    # kept form enters: the twisted readings of the operator form, the star
+    # homomorphism and circles acting as zero.
+    rng = random.Random(45 + rank)
+    x, y = (_random_generator_sum(rng, rank) for _ in range(2))
+    states = [x, y, star(x, y), circ_n(x, y, rng.randrange(3))]
+    forward = [{fam: evaluate(u, fam) for fam in FAMILIES} for u in states]
+    for u, reads in zip(reversed(states), reversed(forward)):
+        assert {fam: evaluate(u, fam) for fam in WITNESS_ORDER} == reads
+        fresh = FockVector(rank, dict(u.terms))
+        assert {fam: evaluate(fresh, fam) for fam in WITNESS_ORDER} == reads
+        assert u.integer_form() == clear_denominators(u.terms)
+    for u, reads in zip(states[:2], forward):
+        for fam in ("Tplus", "Tminus"):
+            assert reads[fam] == reference_reading(u, fam), fam
+    for fam in FAMILIES:
+        assert forward[2][fam] == forward[0][fam] * forward[1][fam], fam
+        assert not forward[3][fam], fam

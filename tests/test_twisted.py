@@ -194,7 +194,10 @@ HEAVIEST = (single(2, [(1, -1), (1, -15)])
 
 
 def read(u):
-    return evaluate(u, "Tplus"), evaluate(u, "Tminus")
+    """The Tplus and Tminus readings of a fresh equal copy of u, which
+    keeps no twisted sum yet, so they go through the expansion caches."""
+    fresh = FockVector(u.ell, dict(u.terms))
+    return evaluate(fresh, "Tplus"), evaluate(fresh, "Tminus")
 
 
 def test_shared_table_cache(monkeypatch):
@@ -249,6 +252,8 @@ def test_monomial_above_the_cap_is_refused():
                              lambda: apply_delta(u)):
             with pytest.raises(ResourceWarning, match="weight cap 16"):
                 read_twisted()
+    # No twisted sum is kept, so the next reading raises again.
+    assert u._twisted is None
     assert evaluate(u, "Hplus") == 0
     # h1(-1) h1(-16) adds d(1, 16) d(-1, 1) = C(-2, 15) = -16; omega the 1.
     assert evaluate(u, "Hminus") == Matrix([[-15]], 1)
@@ -258,8 +263,8 @@ def test_monomial_above_the_cap_is_refused():
 
 
 def test_one_expansion_per_monomial():
-    # Tminus reads the expansions the Tplus reading of the same state made,
-    # and adds none of its own, nor any run's matchings.
+    # Tminus reads the sum the Tplus reading of the same state kept on it,
+    # so it looks up no expansion and makes no run's matchings.
     clear_twisted_caches()
     u = LIGHT + MID
     evaluate(u, "Tplus")
@@ -267,9 +272,14 @@ def test_one_expansion_per_monomial():
     runs = twisted._matchings.cache_info()
     evaluate(u, "Tminus")
     assert twisted._expansion.cache_info().misses == expansions.misses
+    assert twisted._expansion.cache_info().hits == expansions.hits
+    assert twisted._matchings.cache_info().misses == runs.misses
+    # A fresh equal state keeps no sum, but reuses the process's expansions.
+    copy = FockVector(u.ell, dict(u.terms))
+    evaluate(copy, "Tminus")
+    assert twisted._expansion.cache_info().misses == expansions.misses
     assert twisted._expansion.cache_info().hits == (expansions.hits
                                                     + len(u.terms))
-    assert twisted._matchings.cache_info().misses == runs.misses
     # keep is capped at len(run) before the lookup, so the run h1(-1)^4 at
     # keep 2 makes six entries: (h^4, 2), (h^3, 1), (h^2, 2), (h^2, 0),
     # (h, 1) and ((), 0).  Uncapped, ((), 2) would be a seventh.
