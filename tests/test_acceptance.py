@@ -243,6 +243,17 @@ def test_rank_8_quartic_certificate_budget():
     assert elapsed < 1.0
 
 
+def test_rank_8_matrix_units_budget():
+    # The matrix_units suite at rank 8 with no cache: the unit tables form
+    # their 2 x 8192 products from cells.  It took 0.16-0.19 s in process on
+    # a 2-vCPU host, against 1.4-1.7 s when every product was a dense matrix.
+    t0 = time.perf_counter()
+    report = run_suite("matrix_units", RunConfig(rank=8, cache_dir=None))
+    elapsed = time.perf_counter() - t0
+    assert report.passed(), report.to_text()
+    assert elapsed < 1.0
+
+
 def test_criterion_8_scope_honesty(capsys):
     # The package claims no classification: it exposes exactly the built-in
     # computational suites, and equivalences it cannot certify stay Unknown

@@ -639,8 +639,23 @@ def test_suite_run_clears_the_creations_cache_when_it_ends(monkeypatch):
     with pytest.raises(RuntimeError):
         run_suite("tables", config)
     assert vertex._creations.cache_info().currsize == 0
-    # A bare Runner, as the verify command makes, keeps the cache.
+    # A bare Runner, outside any session, keeps the cache.
     run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)", config)
+    assert vertex._creations.cache_info().currsize > 0
+
+
+def test_cli_verify_runs_in_a_session(tmp_path, capsys, monkeypatch):
+    # verify runs its Runner in a session, which clears the creations cache
+    # when the run ends; the exit code and the report are a bare Runner's.
+    monkeypatch.delenv("ORBIFOCK_CACHE_DIR", raising=False)
+    text = "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n"
+    script = tmp_path / "s.txt"
+    script.write_text(text)
+    vertex._creations.cache_clear()
+    assert main(["verify", "--rank", "2", str(script)]) == 0
+    assert vertex._creations.cache_info().currsize == 0
+    bare = run_text(text, RunConfig(rank=2, cache_dir=None))
+    assert capsys.readouterr().out == bare.to_text()
     assert vertex._creations.cache_info().currsize > 0
 
 
