@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .coeffs import clear_denominators, format_sum
 
@@ -40,7 +41,7 @@ def make_monomial(ell, modes):
     """
     out = []
     for gen, n in modes:
-        if Fraction(n).denominator != 1:
+        if type(n) is not int and Fraction(n).denominator != 1:
             raise ValueError(f"mode index {n} is not an integer")
         if not 1 <= gen <= ell:
             raise ValueError(f"generator index {gen} out of range 1..{ell}")
@@ -66,14 +67,54 @@ class FockVector:
     reader, who must not change them either.  They are its integer form
     (:meth:`integer_form`), its parity (:meth:`is_even`) and its twisted
     sum, which only :func:`orbifock.twisted.apply_delta` reads and writes.
+
+    A state built from its coefficients keeps them as ``terms``.  A state
+    born as integers (:meth:`from_integer`, every product of
+    :func:`orbifock.vertex.mode_component`) keeps only its integer form,
+    and ``terms`` is a view of it whose Fractions are made on first read;
+    with a denominator of 1 the view is the int dict itself.  Parity,
+    weight, :meth:`coeff` and :meth:`is_zero` read the integer form's keys,
+    so they never make the view.
     """
 
-    __slots__ = ("ell", "terms", "_int", "_even", "_twisted")
+    __slots__ = ("ell", "_terms", "_int", "_even", "_twisted")
 
     def __init__(self, ell, terms=None):
         self.ell = ell
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self._terms = {m: c for m, c in (terms or {}).items() if c}
         self._int = self._even = self._twisted = None
+
+    @classmethod
+    def from_integer(cls, ell, den, ints):
+        """The state with int numerators ``ints`` over the positive int
+        ``den``, born as its integer form: the zeros are dropped and the
+        gcd of ``den`` and the numerators divided out, so the form is what
+        :func:`orbifock.coeffs.clear_denominators` gives for its terms."""
+        ints = {m: c for m, c in ints.items() if c}
+        if den > 1:
+            g = gcd(den, *ints.values())
+            if g > 1:
+                den //= g
+                ints = {m: c // g for m, c in ints.items()}
+        vec = cls.__new__(cls)
+        vec.ell = ell
+        vec._int = den, ints
+        vec._terms = ints if den == 1 else None
+        vec._even = vec._twisted = None
+        return vec
+
+    @property
+    def terms(self):
+        """{monomial: coefficient}; for a state born as integers, made from
+        its integer form on first read."""
+        if self._terms is None:
+            den, ints = self._int
+            self._terms = {m: Fraction(c, den) for m, c in ints.items()}
+        return self._terms
+
+    def _monomials(self):
+        """The monomials, read without making the ``terms`` view."""
+        return self._int[1] if self._terms is None else self._terms
 
     @classmethod
     def zero(cls, ell):
@@ -88,10 +129,10 @@ class FockVector:
         return cls(ell, {mono: coeff})
 
     def is_zero(self):
-        return not self.terms
+        return not self._monomials()
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._monomials())
 
     def _check_compatible(self, other):
         if self.ell != other.ell:
@@ -130,11 +171,15 @@ class FockVector:
         return self.ell == other.ell and self.terms == other.terms
 
     def coeff(self, mono):
-        return self.terms.get(mono, 0)
+        if self._terms is None:
+            den, ints = self._int
+            c = ints.get(mono)
+            return Fraction(c, den) if c else 0
+        return self._terms.get(mono, 0)
 
     def weight(self):
         """The common mode-weight; raises on inhomogeneous vectors."""
-        ws = {mono_weight(m) for m in self.terms}
+        ws = {mono_weight(m) for m in self._monomials()}
         if not ws:
             raise ValueError("the zero vector has no weight")
         if len(ws) > 1:
@@ -142,7 +187,7 @@ class FockVector:
         return ws.pop()
 
     def max_weight(self):
-        return max((mono_weight(m) for m in self.terms), default=0)
+        return max((mono_weight(m) for m in self._monomials()), default=0)
 
     def integer_form(self):
         """(den, ints): the lcm of the coefficients' denominators and the
@@ -156,7 +201,7 @@ class FockVector:
     def is_even(self):
         """True when every monomial has an even number of modes."""
         if self._even is None:
-            self._even = all(len(m) % 2 == 0 for m in self.terms)
+            self._even = all(len(m) % 2 == 0 for m in self._monomials())
         return self._even
 
     def __str__(self):

@@ -140,9 +140,10 @@ class Session:
     so far, and ``proved``, which maps the :meth:`Runner.memo_key` of every
     statement Proved so far to its detail (see the module docstring).
 
-    Used as a context manager, a session also scopes the process-wide cache
-    of vacuum-circle creations (``vertex._creations``): it is cleared when
-    the run ends, normally or by an exception.
+    Used as a context manager, a session also scopes the process-wide
+    caches of the Wick walk (the contraction patterns and creations of
+    :mod:`orbifock.vertex`): they are cleared when the run ends, normally
+    or by an exception.
     """
 
     def __init__(self):
@@ -157,7 +158,7 @@ class Session:
         return self
 
     def __exit__(self, *exc):
-        vertex._creations.cache_clear()
+        vertex.clear_caches()
 
 
 class Runner:

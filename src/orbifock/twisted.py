@@ -163,7 +163,7 @@ def apply_delta(v):
         return v._twisted
     scale = _delta()[0]
     den, scaled = v.integer_form()
-    top = max(map(len, v.terms), default=0) // 2
+    top = max(map(len, scaled), default=0) // 2
     # lift[k]: a matching of k pairs, lifted to the common power scale**top.
     lift = [scale ** (top - k) for k in range(top + 1)]
     terms = {}

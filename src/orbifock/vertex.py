@@ -17,8 +17,9 @@ is zero, so each factor h_g(-p) of m either contracts or creates:
 d(n, p) times n times its multiplicity (:func:`orbifock.fock.annihilate`).
 Several factors of m may contract, each a distinct factor of t.  What a
 contraction pattern leaves, the rest of t and the creating factors of m,
-does not depend on i, so :func:`_contractions` makes each pattern once per
-pair, merging the equal patterns of repeated factors.
+does not depend on i or on the shift, so :func:`_contractions` makes each
+pattern once per pair, merging the equal patterns of repeated factors, and
+keeps those of the ``PAIR_CACHE_SIZE`` pairs used most recently.
 
 *Creations.*  d(k, p) vanishes for -p < k < 0, so a creating factor is
 h_g(-p-j), j >= 0, with weight d(-p-j, p) = C(p+j-1, j): the factor moves
@@ -26,6 +27,15 @@ as it does in exp(L(-1)) m.  The modes of the i-th term add up to
 i+1-w-shift, so the creators' added weight is top - i, with
 top = shift - 1 + sum(p + n) over the contractions, and the whole i-sum of
 one pattern is one enumeration of that added weight (:func:`_creations`).
+Equal creators commute, so a run of them is enumerated as one multiset,
+each non-increasing split of its added weight once, times its number of
+orderings.
+
+The walk runs in ints over the inputs' denominators, and its product is
+born as that integer form (:meth:`orbifock.fock.FockVector.from_integer`).
+The caches of the walk are process-wide, and a suite run's
+:class:`~orbifock.runner.Session` clears them when it ends
+(:func:`clear_caches`).
 
 With the vacuum as t nothing contracts, and the walk reads
 m_{-1-j}|0> as the weight-j part of exp(L(-1)) m.  Hence
@@ -34,11 +44,16 @@ circ_0(m, |0>) = L(-1)m + wt(m) m and star(m, |0>) = m.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
+from operator import itemgetter
 
 from .fock import FockVector, annihilate, mono_weight
+
+# The contraction patterns of this many (monomial, monomial) pairs are kept;
+# a fresh eval-r2 pass meets 423 distinct pairs.
+PAIR_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=None)
@@ -62,10 +77,13 @@ def d_coeff(k, n):
     return num / factorial(n - 1)
 
 
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _contractions(mono, tmono):
-    """The contraction patterns of mono against tmono, as a dict from
+    """The contraction patterns of mono against tmono, as a tuple of
     (rest of tmono, creating factors of mono, sum of p + n over the
-    contractions) to the patterns' summed weight (module docstring)."""
+    contractions, the patterns' summed int weight) (module docstring).
+    The patterns do not depend on the shift, so each pair's are made once
+    and kept in a cache of ``PAIR_CACHE_SIZE`` pairs."""
     parts = {(tmono, (), 0): 1}
     for factor in mono:
         g, m = factor
@@ -79,7 +97,43 @@ def _contractions(mono, tmono):
                 key = (reduced, made, s + p + n)
                 grown[key] = grown.get(key, 0) + c * x * d_coeff(n, p)
         parts = grown
-    return parts
+    return tuple((*key, c) for key, c in parts.items())
+
+
+@lru_cache(maxsize=None)
+def _run_moves(factor, r, top):
+    """The ways to move a run of r equal creators h_g(-n) by at most top
+    in all, as (added weight, moved modes, weight) sorted by added weight.
+
+    The factors commute, so each non-increasing split j_1 >= ... >= j_r of
+    the added weight is one multiset of modes h_g(-n-j), made once: its
+    weight is the product of the C(n+j-1, j) times its number of orderings,
+    r! over the factorials of the multiplicities of the j.  The mode tuples
+    are shared by every creation that moves the run, until the caches are
+    cleared.
+    """
+    g, m = factor
+    n = -m
+    modes = (factor, *((g, m - j) for j in range(1, top + 1)))
+    binom = [comb(n + j - 1, j) for j in range(top + 1)]
+
+    def splits(js, left, cap):
+        if len(js) == r:
+            yield js
+            return
+        for j in range(min(cap, left) + 1):
+            yield from splits((*js, j), left - j, j)
+
+    out = []
+    for js in splits((), top, top):
+        x = factorial(r)
+        for _, same in groupby(js):
+            x //= factorial(len(tuple(same)))
+        for j in js:
+            x *= binom[j]
+        out.append((sum(js), tuple(modes[j] for j in js), x))
+    out.sort(key=itemgetter(0))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -88,21 +142,26 @@ def _creations(creators, top, w):
     top - i, as (sorted modes, coefficient) pairs.
 
     Each factor h_g(-n) becomes h_g(-n-j) with weight C(n+j-1, j) (module
-    docstring).  Every answer is kept until a suite run's
-    :class:`~orbifock.runner.Session` ends: the creators are factors of a
-    product's left monomial, which weighs at most ``zhu.MAX_WEIGHT_CAP``,
-    so the keys are few.
+    docstring).  A run of equal creators moves as one multiset
+    (:func:`_run_moves`), and the last run's added weight stops short of
+    leaving more than w for the i-sum.  Every answer is kept until a suite
+    run's :class:`~orbifock.runner.Session` ends: the creators are factors
+    of a product's left monomial, which weighs at most
+    ``zhu.MAX_WEIGHT_CAP``, so the keys are few.
     """
+    runs = [(factor, len(tuple(run))) for factor, run in groupby(creators)]
     parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
-    for factor in creators:
-        g, m = factor
-        n = -m
-        moved = [factor] + [(g, m - j) for j in range(1, top + 1)]
+    for index, (factor, r) in enumerate(runs):
+        low = top - w if index == len(runs) - 1 else 0
         grown = {}
+        moves = _run_moves(factor, r, top)
         for (modes, used), c in parts.items():
-            for j in range(top - used + 1):
-                key = ((*modes, moved[j]), used + j)
-                grown[key] = grown.get(key, 0) + c * comb(n + j - 1, j)
+            for added, moved, x in moves:
+                if used + added > top:
+                    break
+                if used + added >= low:
+                    key = ((*modes, *moved), used + added)
+                    grown[key] = grown.get(key, 0) + c * x
         parts = grown
     out = {}
     for (modes, used), c in parts.items():
@@ -117,11 +176,11 @@ def mode_component(u, v, shift):
     for shift >= 1: star is shift 1, circ_n shift n + 2.
 
     The sum is bilinear, and every term is an integer combination of
-    monomials when its inputs have integer coefficients.  So u and v are
-    scaled by the lcms du and dv of their coefficients' denominators, the
-    sum runs in Python ints, and each output coefficient is divided by
-    du * dv once, which is exact.  With du * dv = 1 the ints are returned
-    as they are.
+    monomials when its inputs have integer coefficients.  So the walk reads
+    u and v in their integer forms, over the lcms du and dv of their
+    coefficients' denominators, runs in Python ints, and the state is born
+    as the int sums over du * dv (:meth:`FockVector.from_integer`): no
+    coefficient is made a Fraction unless a reader asks for ``terms``.
     """
     du, uterms = u.integer_form()
     dv, vterms = v.integer_form()
@@ -129,12 +188,16 @@ def mode_component(u, v, shift):
     for mono, c in uterms.items():
         w = mono_weight(mono)
         for tmono, tc in vterms.items():
-            for (rest, made, s), x in _contractions(mono, tmono).items():
+            for rest, made, s, x in _contractions(mono, tmono):
                 x *= c * tc
                 for modes, y in _creations(made, shift - 1 + s, w):
                     full = tuple(sorted((*rest, *modes))) if rest else modes
                     acc[full] = acc.get(full, 0) + x * y
-    den = du * dv
-    if den > 1:
-        acc = {mono: Fraction(x, den) for mono, x in acc.items() if x}
-    return FockVector(u.ell, acc)
+    return FockVector.from_integer(u.ell, du * dv, acc)
+
+
+def clear_caches():
+    """Empty every cache of this module.  A suite run's
+    :class:`~orbifock.runner.Session` calls it when the run ends."""
+    for cached in (d_coeff, _contractions, _run_moves, _creations):
+        cached.cache_clear()

@@ -659,6 +659,30 @@ def test_cli_verify_runs_in_a_session(tmp_path, capsys, monkeypatch):
     assert vertex._creations.cache_info().currsize > 0
 
 
+def test_a_session_clears_every_cache_of_the_walk(tmp_path, monkeypatch):
+    # Every function cache of vertex is empty when a suite run or a CLI
+    # verify ends; a bare Runner in between fills them again.
+    monkeypatch.delenv("ORBIFOCK_CACHE_DIR", raising=False)
+    caches = {name: f for name, f in vars(vertex).items()
+              if hasattr(f, "cache_info")}
+    assert {"_contractions", "_creations"} <= set(caches)
+
+    def sizes():
+        return {name: f.cache_info().currsize for name, f in caches.items()}
+
+    config = RunConfig(rank=2, cache_dir=None)
+    run_suite("all", config)
+    assert set(sizes().values()) == {0}
+    text = "assert_equiv Lam(1,2) * Lam(2,3) - 2 w2 * Lam(1,3) ~ 0\n"
+    run_text(text, RunConfig(rank=3, cache_dir=None))
+    assert min(sizes().values()) > 0
+    script = tmp_path / "s.txt"
+    script.write_text(text)
+    assert main(["verify", "--rank", "3", "--max-weight", "12",
+                 str(script)]) == 0
+    assert set(sizes().values()) == {0}
+
+
 def test_cache_dir_under_a_file_builds_uncached(tmp_path):
     # A cache directory that cannot be made is neither read nor written.
     blocker = tmp_path / "file"

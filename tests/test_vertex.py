@@ -12,8 +12,10 @@ from mode_oracle import (SYMBOLIC, _component, apply_mode, delta_terms,
                          graded_parts, mode_component, reference_delta,
                          reference_product, virasoro)
 from orbifock import vertex
+from orbifock.coeffs import clear_denominators
 from orbifock.fock import FockVector, basis, mono_weight, single
-from orbifock.toplevel import FAMILIES, Matrix, evaluate
+from orbifock.toplevel import (FAMILIES, WITNESS_ORDER, Matrix, _entries,
+                               evaluate, first_nonzero)
 from orbifock.twisted import apply_delta, delta_coefficients
 from orbifock.vertex import d_coeff
 from orbifock.zhu import circ_n, hgen, jgen, omega, star
@@ -116,6 +118,103 @@ def test_one_pass_wick_walk_against_the_recursion():
                 want = {mono: x for mono, x in want.items() if x}
                 got = vertex.mode_component(u, v, shift).terms
                 assert got == want, (m, t, shift)
+
+
+def _ordered_parts(creators, top):
+    # The creators moved one factor at a time, every order of equal
+    # factors apart, as {(sorted modes, added weight): coefficient}.
+    parts = {((), 0): 1}
+    for factor in creators:
+        g, m = factor
+        n = -m
+        moved = [factor] + [(g, m - j) for j in range(1, top + 1)]
+        grown = {}
+        for (modes, used), c in parts.items():
+            for j in range(top - used + 1):
+                key = ((*modes, moved[j]), used + j)
+                grown[key] = grown.get(key, 0) + c * comb(n + j - 1, j)
+        parts = grown
+    merged = {}
+    for (modes, used), c in parts.items():
+        key = (tuple(sorted(modes)), used)
+        merged[key] = merged.get(key, 0) + c
+    return merged
+
+
+def ordered_creations(parts, top, w):
+    """The i-sum of the creations, from the ordered enumeration of
+    :func:`_ordered_parts`: the reference for the multiset one."""
+    out = {}
+    for (full, used), c in parts.items():
+        if top - used <= w:
+            out[full] = out.get(full, 0) + comb(w, top - used) * c
+    return out
+
+
+CREATORS = ([((1, -1),) * r for r in range(9)]
+            + [((1, -1), (2, -1)),
+               ((1, -3),) * 3 + ((2, -1),) * 2,
+               ((1, -3),) + ((1, -1),) * 2 + ((2, -2),) * 4,
+               ((1, -2), (1, -1), (1, -1), (2, -3), (2, -3), (2, -1))])
+
+
+def test_multiset_creations_match_the_ordered_enumeration():
+    # Runs of up to 8 equal creators, every added weight top <= 10 and
+    # every left weight w <= 16.
+    for creators in CREATORS:
+        assert list(creators) == sorted(creators)
+        for top in range(11):
+            parts = _ordered_parts(creators, top)
+            for w in range(17):
+                got = vertex._creations.__wrapped__(creators, top, w)
+                assert dict(got) == ordered_creations(parts, top, w), (
+                    creators, top, w)
+                assert len(dict(got)) == len(got)
+
+
+def _seeded_states(rng, ell, count):
+    # Even states of two to three monomials of weight <= 3, at least one
+    # with a repeated factor, and unlike Fraction coefficients.
+    monos = [m for w in range(4) for m in basis(ell, w, "even")]
+    repeated = [m for m in monos if len(set(m)) < len(m)]
+    return [FockVector(ell, {m: rng.choice(MIXED_COEFFS)
+                             for m in [rng.choice(repeated)]
+                             + rng.sample(monos, rng.randint(1, 2))})
+            for _ in range(count)]
+
+
+def test_products_born_as_integers_against_recursion():
+    rng = random.Random(5)
+    states = _seeded_states(rng, 1, 8) + _seeded_states(rng, 2, 8)
+    dens = set()
+    for u in states:
+        for v in states:
+            if u.ell != v.ell:
+                continue
+            for shift in range(1, 5):
+                got = vertex.mode_component(u, v, shift)
+                form = got.integer_form()
+                assert got == reference_product(u, v, shift), (u, v, shift)
+                assert form == clear_denominators(dict(got.terms))
+                dens.add(form[0])
+    assert max(dens) > 1
+
+
+def test_readings_leave_a_products_fraction_view_unbuilt():
+    u = F(1, 3) * jgen(2, 1) + F(-5, 16) * hgen(2, 2)
+    for v in (omega(2, 1), single(2, [(1, -1), (2, -2)], F(7, 2))):
+        product = star(u, v)
+        assert product.integer_form()[0] > 1
+        apply_delta(product)
+        found = [first_nonzero(product, order)
+                 for order in (FAMILIES, WITNESS_ORDER)]
+        for fam in FAMILIES:
+            evaluate(product, fam)
+        assert product._terms is None
+        copy = FockVector(2, dict(product.terms))
+        for fam, entry, value in found:
+            assert type(value) is F
+            assert dict(_entries(evaluate(copy, fam)))[entry] == value
 
 
 def test_single_mode_state_is_the_current():
