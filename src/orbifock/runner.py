@@ -141,9 +141,10 @@ class Session:
     statement Proved so far to its detail (see the module docstring).
 
     Used as a context manager, a session also scopes the process-wide
-    caches of the Wick walk (the contraction patterns and creations of
-    :mod:`orbifock.vertex`): they are cleared when the run ends, normally
-    or by an exception.
+    caches of :mod:`orbifock.vertex`: the walk's contraction patterns and
+    creations, and ``d_coeff``, which the top-level and twisted tables
+    share.  They are cleared when the run ends, normally or by an
+    exception.
     """
 
     def __init__(self):

@@ -288,19 +288,15 @@ def first_nonzero(u, order):
     """The first (family, entry, value) where o(u) is nonzero, or None.
 
     Families are read in the given order, and each action's entries in
-    the order of :func:`_entries`.  A Matrix is read in its integer
-    numerators, and only the value returned is made a Fraction.
+    the order of :func:`_entries`.
     """
     for fam in order:
         act = evaluate(u, fam)
-        if isinstance(act, Matrix):
-            found = (((i + 1, j + 1), Fraction(v, act.den))
-                     for i, row in enumerate(act.num)
-                     for j, v in enumerate(row) if v)
-        else:
-            found = ((entry, v) for entry, v in _entries(act) if v)
-        for entry, v in found:
-            return fam, entry, v
+        if not act:
+            continue
+        for entry, v in _entries(act):
+            if v:
+                return fam, entry, v
     return None
 
 

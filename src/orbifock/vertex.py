@@ -27,13 +27,10 @@ as it does in exp(L(-1)) m.  The modes of the i-th term add up to
 i+1-w-shift, so the creators' added weight is top - i, with
 top = shift - 1 + sum(p + n) over the contractions, and the whole i-sum of
 one pattern is one enumeration of that added weight (:func:`_creations`).
-Equal creators commute, so a run of them is enumerated as one multiset,
-each non-increasing split of its added weight once, times its number of
-orderings.
 
 The walk runs in ints over the inputs' denominators, and its product is
 born as that integer form (:meth:`orbifock.fock.FockVector.from_integer`).
-The caches of the walk are process-wide, and a suite run's
+The caches of this module are process-wide, and a suite run's
 :class:`~orbifock.runner.Session` clears them when it ends
 (:func:`clear_caches`).
 
@@ -45,9 +42,7 @@ circ_0(m, |0>) = L(-1)m + wt(m) m and star(m, |0>) = m.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 from math import comb, factorial
-from operator import itemgetter
 
 from .fock import FockVector, annihilate, mono_weight
 
@@ -101,67 +96,26 @@ def _contractions(mono, tmono):
 
 
 @lru_cache(maxsize=None)
-def _run_moves(factor, r, top):
-    """The ways to move a run of r equal creators h_g(-n) by at most top
-    in all, as (added weight, moved modes, weight) sorted by added weight.
-
-    The factors commute, so each non-increasing split j_1 >= ... >= j_r of
-    the added weight is one multiset of modes h_g(-n-j), made once: its
-    weight is the product of the C(n+j-1, j) times its number of orderings,
-    r! over the factorials of the multiplicities of the j.  The mode tuples
-    are shared by every creation that moves the run, until the caches are
-    cleared.
-    """
-    g, m = factor
-    n = -m
-    modes = (factor, *((g, m - j) for j in range(1, top + 1)))
-    binom = [comb(n + j - 1, j) for j in range(top + 1)]
-
-    def splits(js, left, cap):
-        if len(js) == r:
-            yield js
-            return
-        for j in range(min(cap, left) + 1):
-            yield from splits((*js, j), left - j, j)
-
-    out = []
-    for js in splits((), top, top):
-        x = factorial(r)
-        for _, same in groupby(js):
-            x //= factorial(len(tuple(same)))
-        for j in js:
-            x *= binom[j]
-        out.append((sum(js), tuple(modes[j] for j in js), x))
-    out.sort(key=itemgetter(0))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _creations(creators, top, w):
     """The sum over i of C(w, i) times the creators moved by added weight
     top - i, as (sorted modes, coefficient) pairs.
 
     Each factor h_g(-n) becomes h_g(-n-j) with weight C(n+j-1, j) (module
-    docstring).  A run of equal creators moves as one multiset
-    (:func:`_run_moves`), and the last run's added weight stops short of
-    leaving more than w for the i-sum.  Every answer is kept until a suite
-    run's :class:`~orbifock.runner.Session` ends: the creators are factors
-    of a product's left monomial, which weighs at most
-    ``zhu.MAX_WEIGHT_CAP``, so the keys are few.
+    docstring).  Every answer is kept until a suite run's
+    :class:`~orbifock.runner.Session` ends: the creators are factors of a
+    product's left monomial, which weighs at most ``zhu.MAX_WEIGHT_CAP``,
+    so the keys are few.
     """
-    runs = [(factor, len(tuple(run))) for factor, run in groupby(creators)]
     parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
-    for index, (factor, r) in enumerate(runs):
-        low = top - w if index == len(runs) - 1 else 0
+    for factor in creators:
+        g, m = factor
+        n = -m
+        moved = [factor] + [(g, m - j) for j in range(1, top + 1)]
         grown = {}
-        moves = _run_moves(factor, r, top)
         for (modes, used), c in parts.items():
-            for added, moved, x in moves:
-                if used + added > top:
-                    break
-                if used + added >= low:
-                    key = ((*modes, *moved), used + added)
-                    grown[key] = grown.get(key, 0) + c * x
+            for j in range(top - used + 1):
+                key = ((*modes, moved[j]), used + j)
+                grown[key] = grown.get(key, 0) + c * comb(n + j - 1, j)
         parts = grown
     out = {}
     for (modes, used), c in parts.items():
@@ -199,5 +153,5 @@ def mode_component(u, v, shift):
 def clear_caches():
     """Empty every cache of this module.  A suite run's
     :class:`~orbifock.runner.Session` calls it when the run ends."""
-    for cached in (d_coeff, _contractions, _run_moves, _creations):
+    for cached in (d_coeff, _contractions, _creations):
         cached.cache_clear()

@@ -120,58 +120,6 @@ def test_one_pass_wick_walk_against_the_recursion():
                 assert got == want, (m, t, shift)
 
 
-def _ordered_parts(creators, top):
-    # The creators moved one factor at a time, every order of equal
-    # factors apart, as {(sorted modes, added weight): coefficient}.
-    parts = {((), 0): 1}
-    for factor in creators:
-        g, m = factor
-        n = -m
-        moved = [factor] + [(g, m - j) for j in range(1, top + 1)]
-        grown = {}
-        for (modes, used), c in parts.items():
-            for j in range(top - used + 1):
-                key = ((*modes, moved[j]), used + j)
-                grown[key] = grown.get(key, 0) + c * comb(n + j - 1, j)
-        parts = grown
-    merged = {}
-    for (modes, used), c in parts.items():
-        key = (tuple(sorted(modes)), used)
-        merged[key] = merged.get(key, 0) + c
-    return merged
-
-
-def ordered_creations(parts, top, w):
-    """The i-sum of the creations, from the ordered enumeration of
-    :func:`_ordered_parts`: the reference for the multiset one."""
-    out = {}
-    for (full, used), c in parts.items():
-        if top - used <= w:
-            out[full] = out.get(full, 0) + comb(w, top - used) * c
-    return out
-
-
-CREATORS = ([((1, -1),) * r for r in range(9)]
-            + [((1, -1), (2, -1)),
-               ((1, -3),) * 3 + ((2, -1),) * 2,
-               ((1, -3),) + ((1, -1),) * 2 + ((2, -2),) * 4,
-               ((1, -2), (1, -1), (1, -1), (2, -3), (2, -3), (2, -1))])
-
-
-def test_multiset_creations_match_the_ordered_enumeration():
-    # Runs of up to 8 equal creators, every added weight top <= 10 and
-    # every left weight w <= 16.
-    for creators in CREATORS:
-        assert list(creators) == sorted(creators)
-        for top in range(11):
-            parts = _ordered_parts(creators, top)
-            for w in range(17):
-                got = vertex._creations.__wrapped__(creators, top, w)
-                assert dict(got) == ordered_creations(parts, top, w), (
-                    creators, top, w)
-                assert len(dict(got)) == len(got)
-
-
 def _seeded_states(rng, ell, count):
     # Even states of two to three monomials of weight <= 3, at least one
     # with a repeated factor, and unlike Fraction coefficients.
