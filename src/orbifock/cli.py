@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import script as dsl
-from .runner import CACHE_ENV, RunConfig, Runner, Session, default_cache_dir
+from .runner import CACHE_ENV, RunConfig, Runner, default_cache_dir
 from .suites import SUITE_NAMES, run_suite
 from .tables import emit_tables
 from .twisted import delta_coefficients
@@ -109,9 +109,8 @@ def main(argv=None):
         except dsl.ScriptError as exc:
             print(f"syntax error: {exc}", file=sys.stderr)
             return 2
-        with Session() as session:
-            report = Runner(RunConfig(args.rank, max_weight=args.max_weight,
-                                      cache_dir=cache_dir), session).run(stmts)
+        report = Runner(RunConfig(args.rank, max_weight=args.max_weight,
+                                  cache_dir=cache_dir)).run(stmts)
         return _emit(report, args)
 
     if args.command == "suite":

@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 
 from . import script as dsl
-from . import vertex
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
 from .zhu import DEFAULT_POLICY, CircleSpan
@@ -139,12 +138,6 @@ class Session:
     :class:`~orbifock.zhu.CircleSpan` of each (rank, policy, cache_dir) met
     so far, and ``proved``, which maps the :meth:`Runner.memo_key` of every
     statement Proved so far to its detail (see the module docstring).
-
-    Used as a context manager, a session also scopes the process-wide
-    caches of :mod:`orbifock.vertex`: the walk's contraction patterns and
-    creations, and ``d_coeff``, which the top-level and twisted tables
-    share.  They are cleared when the run ends, normally or by an
-    exception.
     """
 
     def __init__(self):
@@ -154,12 +147,6 @@ class Session:
     def span(self, rank, policy, cache_dir):
         key = (rank, policy, cache_dir)
         return self.spans.setdefault(key, CircleSpan(*key))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        vertex.clear_caches()
 
 
 class Runner:

@@ -58,9 +58,9 @@ def run_suite(name, config):
               "final_relations": final_relations_suite}
     report = Report(config)
     report.header = f"rank={config.rank}"
-    with Session() as session:
-        for fn in suites.values() if name == "all" else [suites[name]]:
-            fn(config, report, session)
+    session = Session()
+    for fn in suites.values() if name == "all" else [suites[name]]:
+        fn(config, report, session)
     return report
 
 

@@ -18,8 +18,7 @@ d(n, p) times n times its multiplicity (:func:`orbifock.fock.annihilate`).
 Several factors of m may contract, each a distinct factor of t.  What a
 contraction pattern leaves, the rest of t and the creating factors of m,
 does not depend on i or on the shift, so :func:`_contractions` makes each
-pattern once per pair, merging the equal patterns of repeated factors, and
-keeps those of the ``PAIR_CACHE_SIZE`` pairs used most recently.
+pattern once per pair, merging the equal patterns of repeated factors.
 
 *Creations.*  d(k, p) vanishes for -p < k < 0, so a creating factor is
 h_g(-p-j), j >= 0, with weight d(-p-j, p) = C(p+j-1, j): the factor moves
@@ -30,9 +29,9 @@ one pattern is one enumeration of that added weight (:func:`_creations`).
 
 The walk runs in ints over the inputs' denominators, and its product is
 born as that integer form (:meth:`orbifock.fock.FockVector.from_integer`).
-The caches of this module are process-wide, and a suite run's
-:class:`~orbifock.runner.Session` clears them when it ends
-(:func:`clear_caches`).
+Each cache of this module is process-wide and keeps the ``CACHE_SIZE``
+answers used most recently, so it bounds itself wherever the walk is called
+from.
 
 With the vacuum as t nothing contracts, and the walk reads
 m_{-1-j}|0> as the weight-j part of exp(L(-1)) m.  Hence
@@ -46,12 +45,13 @@ from math import comb, factorial
 
 from .fock import FockVector, annihilate, mono_weight
 
-# The contraction patterns of this many (monomial, monomial) pairs are kept;
-# a fresh eval-r2 pass meets 423 distinct pairs.
-PAIR_CACHE_SIZE = 512
+# The answers each cache below keeps; a fresh eval-r2 pass meets 423
+# distinct (monomial, monomial) pairs, and a `suite all` run 504 creation
+# keys.
+CACHE_SIZE = 512
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def d_coeff(k, n):
     """The coefficient C(-k-1, n-1), for an int or Fraction mode index k.
 
@@ -72,13 +72,14 @@ def d_coeff(k, n):
     return num / factorial(n - 1)
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _contractions(mono, tmono):
     """The contraction patterns of mono against tmono, as a tuple of
     (rest of tmono, creating factors of mono, sum of p + n over the
     contractions, the patterns' summed int weight) (module docstring).
     The patterns do not depend on the shift, so each pair's are made once
-    and kept in a cache of ``PAIR_CACHE_SIZE`` pairs."""
+    and kept while the pair is among the ``CACHE_SIZE`` used most
+    recently."""
     parts = {(tmono, (), 0): 1}
     for factor in mono:
         g, m = factor
@@ -95,16 +96,14 @@ def _contractions(mono, tmono):
     return tuple((*key, c) for key, c in parts.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _creations(creators, top, w):
     """The sum over i of C(w, i) times the creators moved by added weight
     top - i, as (sorted modes, coefficient) pairs.
 
     Each factor h_g(-n) becomes h_g(-n-j) with weight C(n+j-1, j) (module
-    docstring).  Every answer is kept until a suite run's
-    :class:`~orbifock.runner.Session` ends: the creators are factors of a
-    product's left monomial, which weighs at most ``zhu.MAX_WEIGHT_CAP``,
-    so the keys are few.
+    docstring).  The ``CACHE_SIZE`` answers used most recently are kept:
+    an echelon build reads most of its vacuum-circle keys once.
     """
     parts = {((), 0): 1}  # (modes so far, their added weight) -> coefficient
     for factor in creators:
@@ -148,10 +147,3 @@ def mode_component(u, v, shift):
                     full = tuple(sorted((*rest, *modes))) if rest else modes
                     acc[full] = acc.get(full, 0) + x * y
     return FockVector.from_integer(u.ell, du * dv, acc)
-
-
-def clear_caches():
-    """Empty every cache of this module.  A suite run's
-    :class:`~orbifock.runner.Session` calls it when the run ends."""
-    for cached in (d_coeff, _contractions, _creations):
-        cached.cache_clear()

@@ -619,68 +619,52 @@ def test_suite_blocks_sharing_spans_give_the_lines_of_fresh_runners(
         (1, "all"), (2, "all"), (3, "quadratic"), (4, "quadratic")]
 
 
-def test_suite_run_clears_the_creations_cache_when_it_ends(monkeypatch):
+def masked(report):
+    """A report's text without the ms a native check's detail gives."""
+    return re.sub(r"\d+ ms\b", "", report.to_text())
+
+
+def test_suite_runs_in_one_process_give_one_text(monkeypatch):
     config = RunConfig(rank=2, cache_dir=None)
     first = run_suite("all", config)
-    assert vertex._creations.cache_info().currsize == 0
-    second = run_suite("all", config)
-    # A native check's detail gives its time in ms.
-    def masked(report):
-        return re.sub(r"\d+ ms\b", "", report.to_text())
-
-    assert masked(second) == masked(first)
+    assert masked(run_suite("all", config)) == masked(first)
 
     def failing(config, report, session):
-        zhu.build_ospan(1, 4, sector=0)
-        assert vertex._creations.cache_info().currsize > 0
         raise RuntimeError("suite failed")
 
     monkeypatch.setattr(suites, "tables_suite", failing)
     with pytest.raises(RuntimeError):
         run_suite("tables", config)
-    assert vertex._creations.cache_info().currsize == 0
-    # A bare Runner, outside any session, keeps the cache.
-    run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)", config)
-    assert vertex._creations.cache_info().currsize > 0
 
 
-def test_cli_verify_runs_in_a_session(tmp_path, capsys, monkeypatch):
-    # verify runs its Runner in a session, which clears the creations cache
-    # when the run ends; the exit code and the report are a bare Runner's.
+def test_suite_text_does_not_depend_on_what_ran_before():
+    # The rank-4 W10 {} build evicts from both bounded caches of the walk
+    # (it meets 983 creation keys), so the second run starts from caches
+    # the first did not leave.
+    config = RunConfig(rank=3, cache_dir=None)
+    first = masked(run_suite("all", config))
+    zhu.build_ospan(4, 10, sector=0)
+    assert masked(run_suite("all", config)) == first
+
+
+def test_walk_caches_are_bounded():
+    caches = [f for f in vars(vertex).values() if hasattr(f, "cache_info")]
+    assert {vertex._contractions, vertex._creations} <= set(caches)
+    assert {f.cache_info().maxsize for f in caches} == {vertex.CACHE_SIZE}
+    echelon = zhu.build_ospan(4, 10, sector=0)
+    assert vertex._creations.cache_info().currsize == vertex.CACHE_SIZE
+    assert len(echelon.rows) == 1685
+
+
+def test_cli_verify_prints_a_bare_runners_report(tmp_path, capsys,
+                                                 monkeypatch):
     monkeypatch.delenv("ORBIFOCK_CACHE_DIR", raising=False)
     text = "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n"
     script = tmp_path / "s.txt"
     script.write_text(text)
-    vertex._creations.cache_clear()
     assert main(["verify", "--rank", "2", str(script)]) == 0
-    assert vertex._creations.cache_info().currsize == 0
     bare = run_text(text, RunConfig(rank=2, cache_dir=None))
     assert capsys.readouterr().out == bare.to_text()
-    assert vertex._creations.cache_info().currsize > 0
-
-
-def test_a_session_clears_every_cache_of_the_walk(tmp_path, monkeypatch):
-    # Every function cache of vertex is empty when a suite run or a CLI
-    # verify ends; a bare Runner in between fills them again.
-    monkeypatch.delenv("ORBIFOCK_CACHE_DIR", raising=False)
-    caches = {name: f for name, f in vars(vertex).items()
-              if hasattr(f, "cache_info")}
-    assert {"_contractions", "_creations"} <= set(caches)
-
-    def sizes():
-        return {name: f.cache_info().currsize for name, f in caches.items()}
-
-    config = RunConfig(rank=2, cache_dir=None)
-    run_suite("all", config)
-    assert set(sizes().values()) == {0}
-    text = "assert_equiv Lam(1,2) * Lam(2,3) - 2 w2 * Lam(1,3) ~ 0\n"
-    run_text(text, RunConfig(rank=3, cache_dir=None))
-    assert min(sizes().values()) > 0
-    script = tmp_path / "s.txt"
-    script.write_text(text)
-    assert main(["verify", "--rank", "3", "--max-weight", "12",
-                 str(script)]) == 0
-    assert set(sizes().values()) == {0}
 
 
 def test_cache_dir_under_a_file_builds_uncached(tmp_path):
