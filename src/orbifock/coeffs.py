@@ -4,9 +4,10 @@ Every coefficient in the package is an ``int``, a ``fractions.Fraction`` or
 an :class:`LPoly`, a multivariate polynomial in the symbols ``l1 .. l_ell``
 with rational coefficients; the integer kernels return ints where no
 denominator is left (``star(S, S)`` and ``e_u(2, 1, 2)`` have only ints).
-A product state is born as int numerators over one denominator
-(:func:`clear_denominators` is its form), and its Fraction coefficients
-are made only when a reader asks for them.
+A Fock state's coefficients are rationals only, held as int numerators
+over one denominator (:func:`clear_denominators` gives that form), and a
+Fraction is made only where a coefficient is read out (``coeff``,
+``terms``).
 No floats, anywhere.  A rational and an ``LPoly`` combine into an ``LPoly``;
 generic code can add and multiply coefficients without caring which kind it
 holds.

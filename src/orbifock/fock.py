@@ -1,8 +1,9 @@
 """Fock-space states of the vacuum module of the rank-ell free boson.
 
 States are finite linear combinations of creation monomials
-``h_g(-n_1) ... h_g(-n_k) |0>`` with exact coefficients; every creation
-mode of the vacuum module has an integer index.  The twisted module is met
+``h_g(-n_1) ... h_g(-n_k) |0>`` with exact rational coefficients, held as
+int numerators over one denominator; every creation mode of the vacuum
+module has an integer index.  The twisted module is met
 only through its top levels, read off the expansion in
 :mod:`orbifock.twisted`, and no twisted state is built.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .coeffs import clear_denominators, format_sum
 
@@ -59,37 +60,33 @@ def format_monomial(mono):
 
 
 class FockVector:
-    """A finite linear combination of canonical monomials.
+    """A finite linear combination of canonical monomials, held in one
+    form: int numerators over one positive int denominator, with no zero
+    numerator and the gcd of the denominator and the numerators 1, which is
+    what :func:`orbifock.coeffs.clear_denominators` gives for its
+    coefficients.  Every operation reads that form and returns a fresh
+    vector in it, so two vectors are equal exactly when their forms are.
 
-    Zero coefficients are never stored.  All operations return fresh
-    vectors, and an instance must never be changed: it keeps forms derived
-    from its terms, each made on first use and then shared with every
-    reader, who must not change them either.  They are its integer form
-    (:meth:`integer_form`), its parity (:meth:`is_even`) and its twisted
-    sum, which only :func:`orbifock.twisted.apply_delta` reads and writes.
-
-    A state built from its coefficients keeps them as ``terms``.  A state
-    born as integers (:meth:`from_integer`, every product of
-    :func:`orbifock.vertex.mode_component`) keeps only its integer form,
-    and ``terms`` is a view of it whose Fractions are made on first read;
-    with a denominator of 1 the view is the int dict itself.  Parity,
-    weight, :meth:`coeff` and :meth:`is_zero` read the integer form's keys,
-    so they never make the view.
+    An instance must never be changed, nor its integer form
+    (:meth:`integer_form`).  It keeps two readings made on first use and
+    then shared: its parity (:meth:`is_even`) and its twisted sum, which
+    only :func:`orbifock.twisted.apply_delta` reads and writes.  ``terms``
+    is a view of the form, made on each read.
     """
 
-    __slots__ = ("ell", "_terms", "_int", "_even", "_twisted")
+    __slots__ = ("ell", "_den", "_ints", "_even", "_twisted")
 
     def __init__(self, ell, terms=None):
         self.ell = ell
-        self._terms = {m: c for m, c in (terms or {}).items() if c}
-        self._int = self._even = self._twisted = None
+        self._den, self._ints = clear_denominators(
+            {m: c for m, c in (terms or {}).items() if c})
+        self._even = self._twisted = None
 
     @classmethod
     def from_integer(cls, ell, den, ints):
         """The state with int numerators ``ints`` over the positive int
-        ``den``, born as its integer form: the zeros are dropped and the
-        gcd of ``den`` and the numerators divided out, so the form is what
-        :func:`orbifock.coeffs.clear_denominators` gives for its terms."""
+        ``den``: the zeros are dropped and the gcd of ``den`` and the
+        numerators divided out, so the form is canonical."""
         ints = {m: c for m, c in ints.items() if c}
         if den > 1:
             g = gcd(den, *ints.values())
@@ -97,24 +94,18 @@ class FockVector:
                 den //= g
                 ints = {m: c // g for m, c in ints.items()}
         vec = cls.__new__(cls)
-        vec.ell = ell
-        vec._int = den, ints
-        vec._terms = ints if den == 1 else None
+        vec.ell, vec._den, vec._ints = ell, den, ints
         vec._even = vec._twisted = None
         return vec
 
     @property
     def terms(self):
-        """{monomial: coefficient}; for a state born as integers, made from
-        its integer form on first read."""
-        if self._terms is None:
-            den, ints = self._int
-            self._terms = {m: Fraction(c, den) for m, c in ints.items()}
-        return self._terms
-
-    def _monomials(self):
-        """The monomials, read without making the ``terms`` view."""
-        return self._int[1] if self._terms is None else self._terms
+        """{monomial: coefficient}: the int numerators themselves when the
+        denominator is 1, else a fresh dict of Fractions on each read."""
+        den, ints = self._den, self._ints
+        if den == 1:
+            return ints
+        return {m: Fraction(c, den) for m, c in ints.items()}
 
     @classmethod
     def zero(cls, ell):
@@ -129,36 +120,38 @@ class FockVector:
         return cls(ell, {mono: coeff})
 
     def is_zero(self):
-        return not self._monomials()
+        return not self._ints
 
     def __bool__(self):
-        return bool(self._monomials())
+        return bool(self._ints)
 
     def _check_compatible(self, other):
         if self.ell != other.ell:
             raise ValueError("rank mismatch between vectors")
 
     def __add__(self, other):
+        """The sum, in ints over the lcm of the two denominators."""
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return FockVector(self.ell, terms)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        ints = {m: a * c for m, c in self._ints.items()}
+        for m, c in other._ints.items():
+            ints[m] = ints.get(m, 0) + b * c
+        return FockVector.from_integer(self.ell, den, ints)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FockVector(self.ell, {m: -c for m, c in self.terms.items()})
+        return FockVector.from_integer(
+            self.ell, self._den, {m: -c for m, c in self._ints.items()})
 
     def scale(self, c):
-        if not c:
-            return FockVector.zero(self.ell)
-        return FockVector(self.ell, {m: c * v for m, v in self.terms.items()})
+        """c times the vector, for an int or Fraction c."""
+        num = c.numerator
+        return FockVector.from_integer(
+            self.ell, self._den * c.denominator,
+            {m: num * v for m, v in self._ints.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -168,18 +161,16 @@ class FockVector:
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self.ell == other.ell and self.terms == other.terms
+        return (self.ell, self._den, self._ints) == (other.ell, other._den,
+                                                     other._ints)
 
     def coeff(self, mono):
-        if self._terms is None:
-            den, ints = self._int
-            c = ints.get(mono)
-            return Fraction(c, den) if c else 0
-        return self._terms.get(mono, 0)
+        c = self._ints.get(mono, 0)
+        return Fraction(c, self._den) if c and self._den > 1 else c
 
     def weight(self):
         """The common mode-weight; raises on inhomogeneous vectors."""
-        ws = {mono_weight(m) for m in self._monomials()}
+        ws = {mono_weight(m) for m in self._ints}
         if not ws:
             raise ValueError("the zero vector has no weight")
         if len(ws) > 1:
@@ -187,26 +178,22 @@ class FockVector:
         return ws.pop()
 
     def max_weight(self):
-        return max((mono_weight(m) for m in self._monomials()), default=0)
+        return max((mono_weight(m) for m in self._ints), default=0)
 
     def integer_form(self):
-        """(den, ints): the lcm of the coefficients' denominators and the
-        terms times it, as ints, from
-        :func:`orbifock.coeffs.clear_denominators`.  Made once; with every
-        coefficient an int, ``ints`` is ``terms`` itself."""
-        if self._int is None:
-            self._int = clear_denominators(self.terms)
-        return self._int
+        """(den, ints): the vector's one form, as it is held."""
+        return self._den, self._ints
 
     def is_even(self):
         """True when every monomial has an even number of modes."""
         if self._even is None:
-            self._even = all(len(m) % 2 == 0 for m in self._monomials())
+            self._even = all(len(m) % 2 == 0 for m in self._ints)
         return self._even
 
     def __str__(self):
-        return format_sum([(str(self.terms[m]), format_monomial(m) if m else "")
-                           for m in sorted(self.terms, key=mono_key)])
+        terms = self.terms
+        return format_sum([(str(terms[m]), format_monomial(m) if m else "")
+                           for m in sorted(terms, key=mono_key)])
 
     __repr__ = __str__
 

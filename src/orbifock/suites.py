@@ -170,8 +170,9 @@ def _membership_and_leading_coefficient(report, session, cache_dir):
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m), 10) for m in range(1, 7)]
     if full.cache_hits > hits:
         report.cache_hits += 1
-    r5 = zhu.exact_rank(r.terms for r in reduced[:5])
-    r6 = zhu.exact_rank(r.terms for r in reduced)
+    rows = [r.integer_form()[1] for r in reduced]
+    r5 = zhu.exact_rank(rows[:5])
+    r6 = zhu.exact_rank(rows)
     _native(report,
             "S(1,1;2,6) lies in the span of S(1,1;2,m), m<=5, modulo circles",
             r5 == 5 and r6 == 5,

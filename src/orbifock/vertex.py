@@ -133,7 +133,7 @@ def mode_component(u, v, shift):
     u and v in their integer forms, over the lcms du and dv of their
     coefficients' denominators, runs in Python ints, and the state is born
     as the int sums over du * dv (:meth:`FockVector.from_integer`): no
-    coefficient is made a Fraction unless a reader asks for ``terms``.
+    coefficient is made a Fraction.
     """
     du, uterms = u.integer_form()
     dv, vterms = v.integer_form()

@@ -455,10 +455,8 @@ class OSpanEchelon:
             raise ValueError(f"vector leaves the echelon's sector "
                              f"{self.sector}") from None
         scale, row = _eliminate(self.rows, row)
-        den = d * scale
-        return FockVector(self.ell,
-                          {self.columns[c]: Fraction(v, den) if den > 1 else v
-                           for c, v in row.items()})
+        return FockVector.from_integer(
+            self.ell, d * scale, {self.columns[c]: v for c, v in row.items()})
 
     # -- persistence --------------------------------------------------------
 
@@ -532,7 +530,8 @@ def _iter_circle_pairs(ell, limit, policy, *, sector, start=2):
         return out
 
     left, right = policy.factors(ell, limit, monos)
-    left = [(u, u.weight(), sector ^ fock.sector(next(iter(u.terms))))
+    left = [(u, u.weight(),
+             sector ^ fock.sector(next(iter(u.integer_form()[1]))))
             for u in left]
     rights = {key: by_weight(right(key)) for key in {k for _, _, k in left}}
     vacuum = by_weight(monos(sector))
@@ -596,8 +595,8 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
                             _iter_circle_pairs(rank, window, policy,
                                                sector=sector, start=start)))
     for _, batch in groupby(circles, key=FockVector.max_weight):
-        batch = sorted(batch, key=lambda vec: max(map(pivot, vec.terms)),
-                       reverse=True)
+        batch = sorted(batch, reverse=True,
+                       key=lambda vec: max(map(pivot, vec.integer_form()[1])))
         while batch:
             ech.insert(batch.pop())
     ech._holders = None  # only a build needs the column index
@@ -670,11 +669,12 @@ class CircleSpan:
 
     def _parts(self, vec):
         """Yield (sector, part) per sector part of ``vec`` in sector order."""
+        den, ints = vec.integer_form()
         parts = {}
-        for mono, c in vec.terms.items():
+        for mono, c in ints.items():
             parts.setdefault(sector(mono), {})[mono] = c
         for s in sorted(parts):
-            yield s, FockVector(vec.ell, parts[s])
+            yield s, FockVector.from_integer(vec.ell, den, parts[s])
 
     def contains(self, vec, window):
         """Whether every sector part of ``vec`` reduces to zero at
@@ -702,9 +702,10 @@ class CircleSpan:
         a row's pivot is its top monomial, so the rows with a pivot below
         ``low`` lie below it: the part of weight >= low is reduced as modulo
         span + V_{<low}."""
-        out = {}
+        out = FockVector.zero(vec.ell)
         for s, part in self._parts(vec):
             nf = self._echelon(s, window, window).reduce(part)
-            out.update((m, c) for m, c in nf.terms.items()
-                       if mono_weight(m) >= low)
-        return FockVector(vec.ell, out)
+            den, ints = nf.integer_form()
+            out = out + FockVector.from_integer(vec.ell, den, {
+                m: c for m, c in ints.items() if mono_weight(m) >= low})
+        return out

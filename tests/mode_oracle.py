@@ -21,14 +21,15 @@ from fractions import Fraction
 from math import comb
 
 from orbifock import twisted
-from orbifock.coeffs import LPoly, clear_denominators
+from orbifock.coeffs import clear_denominators
 from orbifock.fock import FockVector, annihilate, basis, mono_weight, sector
 from orbifock.toplevel import top_level_matrix
 from orbifock.twisted import apply_delta, delta_coefficients
 from orbifock.zhu import (DEFAULT_POLICY, CircleSpan, OSpanEchelon,
                           build_ospan, omega)
 
-# Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g.
+# Marker for a symbolic highest weight: h_g(0) acts as the polynomial l_g,
+# spelled as the formal factor (g, 0) (see :func:`symbolic_vector`).
 SYMBOLIC = "symbolic"
 
 
@@ -51,6 +52,9 @@ def apply_mode(gen, n, vec, hw=None):
     d_{m+k,0}.  The zero mode multiplies by the highest-weight pairing: the
     polynomial l_gen when ``hw`` is :data:`SYMBOLIC`, the given numeric value
     when ``hw`` is a tuple, and 0 when ``hw`` is None (the vacuum module).
+    A state's coefficients are rational, so l_gen enters as a formal factor
+    ``(gen, 0)`` of each monomial: h_gen(0) is central, and no annihilator
+    matches such a factor.
     Half-integer modes, given as Fractions, act the same way on the
     twisted module's states, whose monomials hold Fraction indices such as
     ``(j, Fraction(-1, 2))`` for h_j(-1/2).
@@ -58,14 +62,12 @@ def apply_mode(gen, n, vec, hw=None):
     if not 1 <= gen <= vec.ell:
         raise ValueError(f"generator index {gen} out of range 1..{vec.ell}")
     ell = vec.ell
-    if n < 0:
+    if n < 0 or (n == 0 and hw == SYMBOLIC):
         return FockVector(ell, {_insert_mode(m, gen, n): c
                                 for m, c in vec.terms.items()})
     if n == 0:
         if hw is None:
             return FockVector.zero(ell)
-        if hw == SYMBOLIC:
-            return vec.scale(LPoly.unit(ell, gen))
         return vec.scale(hw[gen - 1])
     terms = {}
     for mono, c in vec.terms.items():
@@ -74,6 +76,15 @@ def apply_mode(gen, n, vec, hw=None):
             reduced, x = hit
             terms[reduced] = terms.get(reduced, 0) + c * x
     return FockVector(ell, terms)
+
+
+def symbolic_vector(poly):
+    """An Mlambda reading, the ``LPoly`` ``poly`` in l_1..l_ell, as the
+    vacuum-module vector :func:`apply_mode` spells it at a :data:`SYMBOLIC`
+    highest weight: each l_g is a formal factor ``(g, 0)``."""
+    return FockVector(poly.ell, {
+        tuple((g, 0) for g, e in enumerate(exps, 1) for _ in range(e)): c
+        for exps, c in poly.terms.items()})
 
 
 def _component(mono, q, tmono, memo):

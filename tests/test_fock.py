@@ -1,13 +1,15 @@
 """State representation: monomials, mode action, grading, bases, involution."""
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 
-from mode_oracle import apply_mode, delta_terms
-from orbifock.fock import (FockVector, basis, count_sector, make_monomial,
-                          mono_key, sector, single)
+from mode_oracle import apply_mode, delta_terms, symbolic_vector
+from orbifock.coeffs import LPoly, format_sum
+from orbifock.fock import (FockVector, basis, count_sector, format_monomial,
+                          make_monomial, mono_key, sector, single)
 from orbifock.zhu import omega
 
 F = Fraction
@@ -19,16 +21,22 @@ def test_vacuum_monomial():
     assert v.weight() == 0 and v.is_even()
 
 
-def test_integer_form_is_made_once_and_shared():
-    # All-int terms are their own integer form; a rational vector's form is
-    # made on first use and the same pair is returned after that.
+def test_integer_form_is_canonical():
+    # All-int terms are their own integer form; a rational vector holds int
+    # numerators over the lcm of its denominators, in lowest terms, however
+    # it was made.
     v = single(2, [(1, -1), (2, -3)], 4) + single(2, [(2, -2), (2, -2)], -6)
     assert v.integer_form() == (1, v.terms)
     assert v.integer_form()[1] is v.terms
     w = F(1, 6) * v + omega(2, 1)
     den, ints = w.integer_form()
     assert (den, ints) == (6, {m: int(6 * c) for m, c in w.terms.items()})
-    assert w.integer_form() is w.integer_form()
+    assert gcd(den, *ints.values()) == 1 and all(ints.values())
+    doubled = FockVector.from_integer(2, 2 * den,
+                                      {m: 2 * c for m, c in ints.items()})
+    for same in (doubled, FockVector(2, w.terms), w + w - w, -(-w)):
+        assert same == w and same.integer_form() == (den, ints)
+    assert (w - w).integer_form() == (1, {})
     assert w.is_even() and not (w + single(2, [(1, -2)])).is_even()
 
 
@@ -72,8 +80,12 @@ def test_apply_mode_commutator_single():
 
 
 def test_apply_mode_zero_mode_symbolic():
+    # At a symbolic highest weight h_1(0) inserts the formal factor (1, 0)
+    # for l1, which no annihilator removes.
     out = apply_mode(1, 0, FockVector.vacuum(2), "symbolic")
-    assert str(out) == "l1"
+    assert out == symbolic_vector(LPoly.unit(2, 1))
+    assert str(out) == "h1(0)"
+    assert apply_mode(1, 1, out).is_zero()
     out = apply_mode(2, 0, FockVector.vacuum(2), (F(3), F(5)))
     assert out == FockVector.vacuum(2, coeff=F(5))
     assert apply_mode(1, 0, FockVector.vacuum(2)).is_zero()
@@ -223,3 +235,66 @@ def test_vector_arithmetic_drops_zeros():
     assert (v - v).is_zero()
     assert not (v - v).terms
     assert (F(0) * v).is_zero()
+
+
+def _fraction_sum(a, b, sign=1):
+    # a + sign * b on plain {monomial: Fraction} dicts, zeros dropped.
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _assert_canonical(vec):
+    den, ints = vec.integer_form()
+    assert type(den) is int and den >= 1, vec
+    assert all(type(c) is int and c for c in ints.values()), vec
+    assert gcd(den, *ints.values()) == 1, vec
+
+
+def test_vector_arithmetic_matches_fraction_dicts():
+    # Random rational states at ranks 1-3, some coefficients zero, against
+    # the same arithmetic on plain Fraction dicts; every result must be in
+    # the one canonical form, however it was made.
+    rng = random.Random(49)
+    coeffs = [F(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4, 6, 12)]
+    for rank in (1, 2, 3):
+        monos = [m for w in range(5) for m in basis(rank, w)]
+
+        def draw():
+            return {m: rng.choice(coeffs)
+                    for m in rng.sample(monos, rng.randint(0, 4))}
+
+        for _ in range(60):
+            a, b = draw(), draw()
+            x, y = FockVector(rank, a), FockVector(rank, b)
+            fa, fb = _fraction_sum({}, a), _fraction_sum({}, b)
+            k = rng.choice([rng.randint(-5, 5), 0, F(0),
+                            F(rng.randint(-5, 5), rng.randint(1, 6))])
+            cases = [(x, fa), (y, fb), (x + y, _fraction_sum(fa, fb)),
+                     (x - y, _fraction_sum(fa, fb, -1)),
+                     (-x, {m: -c for m, c in fa.items()}),
+                     (x.scale(k), {m: k * c for m, c in fa.items() if k}),
+                     (k * y, {m: k * c for m, c in fb.items() if k})]
+            for vec, want in cases:
+                _assert_canonical(vec)
+                assert vec.terms == want
+                assert all(vec.coeff(m) == want.get(m, 0) for m in monos)
+                assert vec == FockVector(rank, want)
+                assert vec.is_even() == all(len(m) % 2 == 0 for m in want)
+                assert str(vec) == format_sum(
+                    [(str(F(want[m])), format_monomial(m) if m else "")
+                     for m in sorted(want, key=mono_key)])
+            assert (x == y) == (fa == fb)
+            # From Fractions, from numerators over a multiple of the lcm,
+            # and as a sum of one-term parts: one vector, one form.
+            den = lcm(1, *(c.denominator for c in fa.values()))
+            wide = den * rng.randint(1, 5)
+            born = FockVector.from_integer(
+                rank, wide, {m: (wide * c).numerator for m, c in a.items()})
+            parts = sum((FockVector.from_monomial(rank, m, c)
+                         for m, c in a.items()), FockVector.zero(rank))
+            for vec in (born, parts):
+                _assert_canonical(vec)
+                assert vec == x and vec.integer_form() == x.integer_form()
+            assert x.integer_form()[0] == den

@@ -10,15 +10,15 @@ import pytest
 
 from mode_oracle import (SYMBOLIC, _component, apply_mode, delta_terms,
                          graded_parts, mode_component, reference_delta,
-                         reference_product, virasoro)
+                         reference_product, symbolic_vector, virasoro)
 from orbifock import vertex
-from orbifock.coeffs import clear_denominators
+from orbifock.coeffs import LPoly, clear_denominators
 from orbifock.fock import FockVector, basis, mono_weight, single
 from orbifock.toplevel import (FAMILIES, WITNESS_ORDER, Matrix, _entries,
-                               evaluate, first_nonzero)
+                               disprove_equiv, evaluate, first_nonzero)
 from orbifock.twisted import apply_delta, delta_coefficients
 from orbifock.vertex import d_coeff
-from orbifock.zhu import circ_n, hgen, jgen, omega, star
+from orbifock.zhu import CircleSpan, circ_n, hgen, jgen, omega, star
 
 F = Fraction
 
@@ -148,8 +148,15 @@ def test_products_born_as_integers_against_recursion():
     assert max(dens) > 1
 
 
-def test_readings_leave_a_products_fraction_view_unbuilt():
+def test_readings_leave_a_products_fraction_view_unbuilt(monkeypatch):
+    # Every reading, and a difference taken for a disproof or a membership
+    # check, works on the integer form: no one reads the Fraction view.
+    reads = []
+    view = FockVector.terms.fget
+    monkeypatch.setattr(FockVector, "terms",
+                        property(lambda vec: reads.append(vec) or view(vec)))
     u = F(1, 3) * jgen(2, 1) + F(-5, 16) * hgen(2, 2)
+    span = CircleSpan(2)
     for v in (omega(2, 1), single(2, [(1, -1), (2, -2)], F(7, 2))):
         product = star(u, v)
         assert product.integer_form()[0] > 1
@@ -158,8 +165,11 @@ def test_readings_leave_a_products_fraction_view_unbuilt():
                  for order in (FAMILIES, WITNESS_ORDER)]
         for fam in FAMILIES:
             evaluate(product, fam)
-        assert product._terms is None
+        assert disprove_equiv(product, u) is not None
+        assert not span.contains(product - u, 10)
+        assert not reads
         copy = FockVector(2, dict(product.terms))
+        reads.clear()
         for fam, entry, value in found:
             assert type(value) is F
             assert dict(_entries(evaluate(copy, fam)))[entry] == value
@@ -253,6 +263,8 @@ def oracle_top_level(u, fam, box=1, hw=SYMBOLIC):
 
 def action_images(act, fam, rank):
     """The closed-form action as image vectors, in the oracle's layout."""
+    if isinstance(act, LPoly):
+        return [symbolic_vector(act)]
     if not isinstance(act, Matrix):
         return [FockVector.vacuum(rank, coeff=act)]
     n = F(-1, 2) if fam in ("Tplus", "Tminus") else -1
@@ -374,15 +386,19 @@ def test_mixed_readings_digest():
 @pytest.mark.parametrize("hw", [(2, -3), (0, 5), SYMBOLIC])
 def test_zero_modes_against_oracle(hw):
     # On a highest-weight top level every factor acts by its zero mode,
-    # which multiplies by hw[g-1] (or l_g).  The Mlambda polynomial, read at
-    # a numeric weight, must match the oracle's numeric zero modes.
+    # which multiplies by hw[g-1] (or l_g, a formal factor (g, 0)).  The
+    # Mlambda polynomial, read at a numeric weight, must match the oracle's
+    # numeric zero modes, and spelled in formal factors its symbolic ones.
     for u in _even_states(2, 6) + [jgen(2, 1), hgen(2, 2)]:
         poly = evaluate(u, "Mlambda")
-        if hw != SYMBOLIC:
-            poly = sum((c * F(hw[0]) ** e[0] * F(hw[1]) ** e[1]
-                        for e, c in poly.terms.items()), F(0))
+        if hw == SYMBOLIC:
+            got = symbolic_vector(poly)
+        else:
+            got = FockVector.vacuum(2, coeff=sum(
+                (c * F(hw[0]) ** e[0] * F(hw[1]) ** e[1]
+                 for e, c in poly.terms.items()), F(0)))
         want = oracle_top_level(u, "Mlambda", hw=hw)
-        assert [FockVector.vacuum(2, coeff=poly)] == want, u
+        assert [got] == want, u
 
 
 def gbinom(k, j):
