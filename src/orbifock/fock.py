@@ -168,15 +168,6 @@ class FockVector:
         c = self._ints.get(mono, 0)
         return Fraction(c, self._den) if c and self._den > 1 else c
 
-    def weight(self):
-        """The common mode-weight; raises on inhomogeneous vectors."""
-        ws = {mono_weight(m) for m in self._ints}
-        if not ws:
-            raise ValueError("the zero vector has no weight")
-        if len(ws) > 1:
-            raise ValueError(f"vector is not homogeneous (weights {sorted(ws)})")
-        return ws.pop()
-
     def max_weight(self):
         return max((mono_weight(m) for m in self._ints), default=0)
 

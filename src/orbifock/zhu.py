@@ -169,11 +169,14 @@ def lam(rank, a, b):
 class GeneratorPolicy:
     """Which circle elements seed the truncated span.
 
-    A policy is a pair of factor lists.  The span is seeded by the vacuum
-    circles circ_0(m, |0>) of every even monomial m, and by circ_0(a, v) for
-    each left factor a and each right factor v whose circle fits the
-    window.  The right factors are the even monomials of weight >= 1 unless
-    a policy says otherwise.  The policies nest:
+    A policy is a list of left factors and a listing of right factors
+    (:meth:`factors`).  The span is seeded by the vacuum circles
+    circ_0(m, |0>) of every even monomial m, and by circ_0(a, v) for each
+    left factor a and each right factor v whose circle fits the window: in
+    the part of sector s at window W, the v of sector s XOR sector(a) and
+    of weight 1 to W - 1 - wt a.  The right factors of a (sector, weight)
+    are its even monomials unless a policy says otherwise.  The policies
+    nest:
 
     - ``"omega"``: left = the squares h_a(-1)^2 = 2 omega_a of the
       coordinate conformal vectors, the family behind the one-sided
@@ -213,24 +216,28 @@ class GeneratorPolicy:
     def key(self):
         return f"pairs={self.pairs}"
 
-    def factors(self, ell, limit, monos):
-        """(left, right): the left factors, and right(s), the right factors
-        in sector s, given monos(s), the even monomials of sector s that
-        weigh 1 to limit - 1."""
+    def factors(self, ell, limit):
+        """(left, right) for the circles that fit within ``limit``: the left
+        factors as monomials, in the order their circles are listed (under
+        ``"quadratic"`` the canonical order), and ``right(s, w)``, the right
+        factors of sector s and weight w >= 1 as monomials in the canonical
+        order, or None when they are the even monomials of (s, w)."""
         gens = range(1, ell + 1)
         if self.pairs == "quadratic":
+            # A two-mode u meets a two-mode v only if wt u + 3 <= limit.
             quads = sorted({make_monomial(ell, [(a, -m), (b, -n)])
                             for a in gens for b in gens
-                            for m in range(1, limit) for n in range(1, limit - m)},
-                           key=mono_key)
-            vecs = [FockVector.from_monomial(ell, q) for q in quads]
-            return vecs, lambda s: [v for v, q in zip(vecs, quads)
-                                    if sector(q) == s]
-        left = [s_pair(ell, a, 1, a, 1) for a in gens]
+                            for m in range(1, limit - 3)
+                            for n in range(1, limit - 2 - m)}, key=mono_key)
+            right = {}
+            for q in quads:
+                right.setdefault((sector(q), mono_weight(q)), []).append(q)
+            return quads, lambda s, w: right.get((s, w), [])
+        left = [((a, -1), (a, -1)) for a in gens]
         if self.pairs == "all":
-            left += [s_pair(ell, a, 1, b, 1) for a in gens for b in gens if a < b]
-            left += [s_pair(ell, a, 2, a, 2) for a in gens]
-        return left, monos
+            left += [((a, -1), (b, -1)) for a in gens for b in gens if a < b]
+            left += [((a, -2), (a, -2)) for a in gens]
+        return left, None
 
 
 DEFAULT_POLICY = GeneratorPolicy()
@@ -508,40 +515,39 @@ def _iter_circle_pairs(ell, limit, policy, *, sector, start=2):
     limit and lies in ``sector``, in nondecreasing top weight
     wt u + wt v + 1, from top weight ``start`` on.
 
-    At each top weight the vacuum circles come first, then the (left,
-    right) pairs of the policy's factors.  A circle lies in sector(u) XOR
-    sector(v), so a left factor meets only the right factors of one
-    sector, and only the sectors met are listed.  Each factor is
-    homogeneous and its weight is taken once.
+    At each top weight t the vacuum circles of the even monomials of
+    weight t - 1 come first, then for each left factor u of the policy
+    (:meth:`GeneratorPolicy.factors`) its right factors v of weight
+    t - 1 - wt u >= 1, all in sector(u) XOR ``sector`` since circ_0(u, v)
+    lies in sector(u) XOR sector(v).  Each (sector, weight) is listed on
+    first use, so only the weights some circle from ``start`` on reaches
+    are listed, and each monomial becomes one vector per call.
     """
-    lists = {}
+    left, right = policy.factors(ell, limit)
+    made, lists = {}, {}
 
-    def monos(s):
-        # top weight of circ_0 is wt u + wt v + 1, and wt v >= 1 or v = |0>
-        if s not in lists:
-            lists[s] = [FockVector.from_monomial(ell, m)
-                        for w in range(1, limit) for m in basis(ell, w, "even", s)]
-        return lists[s]
+    def vector(m):
+        if m not in made:
+            made[m] = FockVector.from_monomial(ell, m)
+        return made[m]
 
-    def by_weight(vecs):
-        out = {}
-        for v in vecs:
-            out.setdefault(v.weight(), []).append(v)
-        return out
+    def listed(s, w, monos=None):
+        # The even monomials of (s, w), or the right factors monos(s, w),
+        # so the default right factors share the vacuum circles' lists.
+        if (s, w, monos) not in lists:
+            lists[s, w, monos] = [vector(m) for m in (
+                basis(ell, w, "even", s) if monos is None else monos(s, w))]
+        return lists[s, w, monos]
 
-    left, right = policy.factors(ell, limit, monos)
-    left = [(u, u.weight(),
-             sector ^ fock.sector(next(iter(u.integer_form()[1]))))
-            for u in left]
-    rights = {key: by_weight(right(key)) for key in {k for _, _, k in left}}
-    vacuum = by_weight(monos(sector))
+    left = [(vector(u), mono_weight(u), sector ^ fock.sector(u)) for u in left]
     vac = FockVector.vacuum(ell)
     for top in range(max(start, 2), limit + 1):
-        for u in vacuum.get(top - 1, ()):
+        for u in listed(sector, top - 1):
             yield u, vac
         for u, wu, key in left:
-            for v in rights[key].get(top - 1 - wu, ()):
-                yield u, v
+            if top - 1 - wu >= 1:
+                for v in listed(key, top - 1 - wu, right):
+                    yield u, v
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,

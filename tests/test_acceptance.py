@@ -105,7 +105,7 @@ def test_criterion_3_product_shift_identities(capsys):
     zero = FockVector.zero(2)
     checked = 0
     for u in us:
-        wu = u.weight()
+        wu = u.max_weight()
         for a in (1, 2):
             wa = omega(2, a)
             for n in (0, 1, 2):

@@ -18,7 +18,7 @@ F = Fraction
 def test_vacuum_monomial():
     assert make_monomial(1, []) == ()
     v = FockVector.vacuum(1)
-    assert v.weight() == 0 and v.is_even()
+    assert v.max_weight() == 0 and v.is_even()
 
 
 def test_integer_form_is_canonical():
@@ -69,7 +69,6 @@ def test_monomials_hold_plain_mode_indices():
                 assert all(type(n) is int and n < 0 for _, n in mono)
                 assert sum(n for _, n in mono) == -w
     v = single(2, [(1, -3), (2, -1)]) + single(2, [(1, -2), (2, -2)])
-    assert type(v.weight()) is int and v.weight() == 4
     assert type(v.max_weight()) is int and v.max_weight() == 4
     assert ((1, -1), (1, -1)) in delta_terms(omega(1, 1))
 
@@ -114,14 +113,8 @@ def test_heisenberg_relation_on_small_states():
 
 def test_weight_shift_under_modes():
     v = single(1, [(1, -2), (1, -1)])
-    assert apply_mode(1, -3, v).weight() == v.weight() + 3
-    assert apply_mode(1, 1, v).weight() == v.weight() - 1
-
-
-def test_weight_rejects_inhomogeneous():
-    v = single(1, [(1, -1)]) + single(1, [(1, -2)])
-    with pytest.raises(ValueError):
-        v.weight()
+    assert apply_mode(1, -3, v).max_weight() == v.max_weight() + 3
+    assert apply_mode(1, 1, v).max_weight() == v.max_weight() - 1
 
 
 def _partition_count(ell, weight, want_parity):

@@ -132,4 +132,4 @@ def test_mode_weight_law_on_products(gens):
         t = FockVector.vacuum(2)
         out = mode_component(comp, w - 1, t)
         if out:
-            assert out.weight() == 0
+            assert out.max_weight() == 0

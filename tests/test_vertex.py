@@ -442,7 +442,8 @@ def test_mode_weight_bookkeeping():
     for m in range(-3, 4):
         out = mode_component(v, m, t)
         if out:
-            assert out.weight() == v.weight() + t.weight() - m - 1
+            assert ({mono_weight(mono) for mono in out.terms}
+                    == {v.max_weight() + t.max_weight() - m - 1})
 
 
 def test_virasoro_grades_and_creates():

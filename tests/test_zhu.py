@@ -341,7 +341,7 @@ def all_pairs_circles(ell, window):
              for m in basis(ell, w, "even")]
     for u in monos[1:]:  # u = |0> gives only zero circles
         for v in monos:
-            for n in range(window - u.weight() - v.weight()):
+            for n in range(window - u.max_weight() - v.max_weight()):
                 yield circ_n(u, v, n)
 
 
@@ -352,12 +352,12 @@ def omega_two_order_circles(ell, window):
              for m in basis(ell, w, "even")]
     one = FockVector.vacuum(ell)
     for u in monos:
-        for n in range(window - u.weight()):
+        for n in range(window - u.max_weight()):
             yield circ_n(u, one, n)
     for a in range(1, ell + 1):
         om = omega(ell, a)
         for v in monos:
-            for n in range(window - v.weight() - 2):
+            for n in range(window - v.max_weight() - 2):
                 yield circ_n(om, v, n)
                 yield circ_n(v, om, n)
 
@@ -438,7 +438,7 @@ def all_n_generator_circles(ell, window, pairs):
         right = monos
     one = FockVector.vacuum(ell)
     for u, v in chain(((m, one) for m in monos), product(left, right)):
-        for n in range(window - u.weight() - v.weight()):
+        for n in range(window - u.max_weight() - v.max_weight()):
             yield circ_n(u, v, n)
 
 
@@ -496,20 +496,26 @@ def test_rows_do_not_depend_on_insertion_order():
         assert echelon_of(2, 8, shuffled).rows == want
 
 
+def reference_left_factors(ell, window, pairs):
+    """The left factors of a policy as monomials, written out."""
+    if pairs == "quadratic":
+        return [m for w in range(1, window) for m in basis(ell, w, "even")
+                if len(m) == 2]
+    gens = range(1, ell + 1)
+    left = [((a, -1), (b, -1)) for a in gens for b in gens
+            if a == b or (a < b and pairs == "all")]
+    if pairs == "all":
+        left += [((a, -2), (a, -2)) for a in gens]
+    return left
+
+
 def reference_seed_pairs(ell, window, pairs, s):
     """The monomial pairs (u, v) of the seeds circ_0(u, v) in sector s,
     written out: the vacuum circles of weights 1..window-1, then every
     left x right pair of top weight wt u + wt v + 1 <= window."""
     monos = [m for w in range(1, window) for m in basis(ell, w, "even")]
-    if pairs == "quadratic":
-        left = right = [m for m in monos if len(m) == 2]
-    else:
-        gens = range(1, ell + 1)
-        left = [((a, -1), (b, -1)) for a in gens for b in gens
-                if a == b or (a < b and pairs == "all")]
-        if pairs == "all":
-            left += [((a, -2), (a, -2)) for a in gens]
-        right = monos
+    left = reference_left_factors(ell, window, pairs)
+    right = left if pairs == "quadratic" else monos
     want = [(m, ()) for m in monos if zhu.sector(m) == s]
     want += [(u, v) for u in left for v in right
              if zhu.sector(u) ^ zhu.sector(v) == s
@@ -637,16 +643,54 @@ def test_grown_echelon_matches_fresh_build(ell, small, window, pairs, s,
 
 
 def test_circle_pairs_start_at_a_top_weight():
-    policy = GeneratorPolicy()
-
     def top(pair):
         u, v = pair
         return u.max_weight() + v.max_weight() + 1
 
-    every = list(zhu._iter_circle_pairs(2, 10, policy, sector=0b11))
-    later = list(zhu._iter_circle_pairs(2, 10, policy, sector=0b11, start=9))
-    assert later == [p for p in every if top(p) >= 9]
-    assert {top(p) for p in later} == {9, 10}
+    # The growth of the rank-2 {1,2} block, then the quadratic growth the
+    # suites make, in every even sector.
+    for ell, window, pairs, sectors, start in [
+            (2, 10, "all", [0b11], 9),
+            (3, 8, "quadratic", even_sectors(3), 6)]:
+        policy = GeneratorPolicy(pairs)
+        for s in sectors:
+            every = list(zhu._iter_circle_pairs(ell, window, policy, sector=s))
+            later = list(zhu._iter_circle_pairs(ell, window, policy, sector=s,
+                                                start=start))
+            assert later == [p for p in every if top(p) >= start], (pairs, s)
+            assert {top(p) for p in later} == set(range(start, window + 1))
+
+
+@pytest.mark.parametrize("ell, window, pairs, s, start",
+                         [(3, 8, "all", 0, 2), (2, 10, "omega", 0, 2),
+                          (3, 8, "quadratic", 0, 2), (2, 10, "all", 0b11, 9)],
+                         ids=["r3w8-all", "r2w10-omega", "r3w8-quadratic",
+                              "r2w10-all-12-from9"])
+def test_circle_pairs_list_only_what_circles_use(ell, window, pairs, s, start,
+                                                 monkeypatch):
+    # A (sector, weight) is usable when some circle of top weight start to
+    # window takes its monomials: as vacuum circles in the own sector, or
+    # as right factors of a left factor u, in sector s XOR sector(u) and of
+    # weight at least 1.
+    policy = GeneratorPolicy(pairs)
+    usable = {(s, w) for w in range(start - 1, window)}
+    usable |= {(s ^ zhu.sector(u), w)
+               for u in reference_left_factors(ell, window, pairs)
+               for w in range(max(1, start - 1 - mono_weight(u)),
+                              window - mono_weight(u))}
+    asked = []
+    real = zhu.basis
+
+    def spy(ell, weight, parity="all", sector=None):
+        asked.append((sector, weight))
+        return real(ell, weight, parity, sector)
+
+    monkeypatch.setattr(zhu, "basis", spy)
+    got = list(zhu._iter_circle_pairs(ell, window, policy, sector=s,
+                                      start=start))
+    assert got and asked
+    assert len(asked) == len(set(asked)), asked
+    assert set(asked) <= usable, sorted(set(asked) - usable)
 
 
 def test_base_must_be_a_smaller_window_of_the_same_echelon():
