@@ -15,12 +15,12 @@ are kept fully reduced, so reducing a vector makes one subtraction per pivot
 column it touches.  A certificate of membership is sound, a failure is only
 inconclusive because circle elements mix weights.
 
-A build inserts its circles one top weight at a time, and those of one top
-weight in ascending pivot column, the column of the circle's top monomial.
-Columns run in weight order, so a new row's pivot then mostly lies above
-every existing pivot, and few rows hold an entry in its column to clear.
-The fully reduced rows depend only on the span, so the order changes the
-work of a build, never its rows.
+A build maps each circle once to its integer row (:meth:`OSpanEchelon.row`)
+and inserts the rows one top weight of their pairs at a time, each batch in
+ascending pivot column, the row's largest.  Columns run in weight order, so
+a new row's pivot then mostly lies above every existing pivot, and few rows
+hold an entry in its column to clear.  The fully reduced rows depend only
+on the span, so the order changes the work of a build, never its rows.
 
 Parity sectors.  The sector of a monomial (:func:`sector`) is the bitmask
 of the generators h_g that occur in it an odd number of times.  Flipping
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import fock
 from .coeffs import clear_denominators
@@ -389,11 +390,12 @@ class OSpanEchelon:
     belongs to the caller.  Every row is a combination of circle elements,
     so a zero normal form certifies membership in O.
 
-    Because no row touches another's pivot column, reducing a vector makes
-    one subtraction per pivot column of the vector, and none of them brings
-    in another pivot column: :func:`_eliminate`, which :meth:`insert` and
-    :meth:`reduce` share.  A negative window or a sector that holds no
-    even monomial raises ValueError, and a window or a column count that
+    A vector becomes an integer row only through :meth:`row`, which
+    :meth:`insert` takes and :meth:`reduce` uses.  Because no row touches
+    another's pivot column, reducing a row makes one subtraction per pivot
+    column of the row, and none of them brings in another pivot column:
+    :func:`_eliminate`.  A negative window or a sector that holds no even
+    monomial raises ValueError, and a window or a column count that
     :func:`check_resources` refuses raises ResourceWarning, before any
     column is listed.
     """
@@ -421,21 +423,27 @@ class OSpanEchelon:
         self._holders = None
         self.cache_hit = False
 
-    # -- construction -----------------------------------------------------
-
-    def insert(self, vec):
-        """Reduce a vector against the echelon and keep what remains.
-
-        The remainder becomes a row, and its pivot column is cleared from
-        the rows that hold an entry there, so every row stays fully reduced.
-        """
+    def row(self, vec):
+        """``vec``'s integer row {column: numerator} over its own
+        denominator; ValueError when a monomial is not a column (odd, above
+        the window or of another sector)."""
         col_index = self.col_index
         try:
-            row = {col_index[mono]: c
-                   for mono, c in vec.integer_form()[1].items()}
+            return {col_index[mono]: c
+                    for mono, c in vec.integer_form()[1].items()}
         except KeyError:
-            raise ValueError("row exceeds the echelon's weight window "
-                             "or leaves its sector") from None
+            raise ValueError(f"vector leaves the columns of sector "
+                             f"{self.sector} at window {self.window}") from None
+
+    # -- construction -----------------------------------------------------
+
+    def insert(self, row):
+        """Reduce a :meth:`row` against the echelon and keep what remains.
+
+        The echelon owns ``row``: it is changed in place and may be stored.
+        The remainder's pivot column is cleared from the rows that hold an
+        entry there, so every row stays fully reduced.
+        """
         row = _eliminate(self.rows, row)[1]
         if not row:
             return False
@@ -448,22 +456,12 @@ class OSpanEchelon:
 
     def reduce(self, vec):
         """Exact normal form of a vector modulo the stored row space: one
-        integer :func:`_eliminate`, then one division per remaining entry."""
-        if not vec.is_even():
-            raise ValueError("reduce expects even-parity vectors")
-        if vec.max_weight() > self.window:
-            raise ValueError(
-                f"vector weight {vec.max_weight()} exceeds the "
-                f"echelon window {self.window}")
-        d, terms = vec.integer_form()
-        try:
-            row = {self.col_index[mono]: c for mono, c in terms.items()}
-        except KeyError:
-            raise ValueError(f"vector leaves the echelon's sector "
-                             f"{self.sector}") from None
-        scale, row = _eliminate(self.rows, row)
+        integer :func:`_eliminate` of its :meth:`row`, then one division per
+        remaining entry."""
+        scale, row = _eliminate(self.rows, self.row(vec))
         return FockVector.from_integer(
-            self.ell, d * scale, {self.columns[c]: v for c, v in row.items()})
+            self.ell, vec.integer_form()[0] * scale,
+            {self.columns[c]: v for c, v in row.items()})
 
     # -- persistence --------------------------------------------------------
 
@@ -511,9 +509,9 @@ class OSpanEchelon:
 
 
 def _iter_circle_pairs(ell, limit, policy, *, sector, start=2):
-    """Yield the pairs (u_vec, v_vec) whose circle circ_0(u, v) fits within
-    limit and lies in ``sector``, in nondecreasing top weight
-    wt u + wt v + 1, from top weight ``start`` on.
+    """Yield (top, u_vec, v_vec) for the pairs whose circle circ_0(u, v)
+    fits within limit and lies in ``sector``, in nondecreasing top weight
+    top = wt u + wt v + 1, from top weight ``start`` on.
 
     At each top weight t the vacuum circles of the even monomials of
     weight t - 1 come first, then for each left factor u of the policy
@@ -543,11 +541,11 @@ def _iter_circle_pairs(ell, limit, policy, *, sector, start=2):
     vac = FockVector.vacuum(ell)
     for top in range(max(start, 2), limit + 1):
         for u in listed(sector, top - 1):
-            yield u, vac
+            yield top, u, vac
         for u, wu, key in left:
             if top - 1 - wu >= 1:
                 for v in listed(key, top - 1 - wu, right):
-                    yield u, v
+                    yield top, u, v
 
 
 def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
@@ -557,15 +555,18 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
 
     The span is seeded with circ_0(u, v) for the pairs of
     :func:`_iter_circle_pairs`; the circles with n >= 1 add nothing (see
-    :class:`GeneratorPolicy`).  Each top weight's nonzero circles are made
-    together and inserted in ascending pivot column, from the end of a list
-    sorted the other way so that each is dropped once inserted.  A row
-    whose pivot lies above every existing pivot clears no other row, and
-    the fully reduced rows do not depend on the order (see
-    :class:`OSpanEchelon`).  The echelon holds circle rows only and
-    depends only on (rank, policy, window, sector), and so does its cache
-    file in ``cache_dir``.  Without ``cache_dir``, or with one that cannot
-    be read or made, nothing is read or written.
+    :class:`GeneratorPolicy`).  They are batched by the top weight each
+    comes with.  A batch's nonzero circles are each mapped once to their
+    :meth:`OSpanEchelon.row` and dropped, and the rows are inserted in
+    ascending pivot column, their largest, from the end of a list sorted
+    the other way, so that the echelon takes each over.  A row whose pivot
+    lies above every existing pivot clears no other row, and the fully
+    reduced rows do not depend on the order (see :class:`OSpanEchelon`),
+    so a circle whose top part cancels may stay in its pair's batch.  The
+    echelon holds circle rows only and depends only on (rank, policy,
+    window, sector), and so does its cache file in ``cache_dir``.  Without
+    ``cache_dir``, or with one that cannot be read or made, nothing is read
+    or written.
 
     ``base``, an echelon of the same rank, policy and sector at a smaller
     window, is grown when no cache file is read.  Its seeds are the seeds of
@@ -596,15 +597,13 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
 
     if base is not None:
         ech.rows, base.rows = base.rows, {}
-    pivot = ech.col_index.__getitem__
-    circles = filter(None, (circ_n(u, v) for u, v in
-                            _iter_circle_pairs(rank, window, policy,
-                                               sector=sector, start=start)))
-    for _, batch in groupby(circles, key=FockVector.max_weight):
-        batch = sorted(batch, reverse=True,
-                       key=lambda vec: max(map(pivot, vec.integer_form()[1])))
-        while batch:
-            ech.insert(batch.pop())
+    pairs = _iter_circle_pairs(rank, window, policy, sector=sector,
+                               start=start)
+    for _, batch in groupby(pairs, key=itemgetter(0)):
+        rows = [ech.row(c) for c in (circ_n(u, v) for _, u, v in batch) if c]
+        rows.sort(key=max, reverse=True)
+        while rows:
+            ech.insert(rows.pop())
     ech._holders = None  # only a build needs the column index
     if cache_file:
         # Write aside and rename, so a reader never sees a partial file; a

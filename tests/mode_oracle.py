@@ -322,7 +322,8 @@ class WholeWindow(CircleSpan):
     def insert(self, vec):
         (s,) = {sector(m) for m in vec.terms}
         self._rows = None
-        return self.echelons[s].insert(vec)
+        e = self.echelons[s]
+        return e.insert(e.row(vec))
 
 
 class FractionMatrix:

@@ -17,7 +17,10 @@ from orbifock.fock import FockVector, basis, count_sector, mono_weight, single
 from orbifock.zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
                           e_t, e_t_bar, e_u, e_u_bar, exact_rank, hgen, jgen, lam,
                           omega, s_pair, star)
+from orbifock.runner import RunConfig
 from orbifock.script import parse_expr, realize
+from orbifock.suites import run_suite
+from orbifock.toplevel import FAMILIES, first_nonzero
 
 F = Fraction
 
@@ -83,7 +86,7 @@ def test_products_match_recursion_on_benchmark_generators():
 def test_build_circles_match_recursion(ell, window, pairs):
     policy = GeneratorPolicy(pairs)
     for s in even_sectors(ell):
-        for u, v in zhu._iter_circle_pairs(ell, window, policy, sector=s):
+        for _, u, v in zhu._iter_circle_pairs(ell, window, policy, sector=s):
             assert circ_n(u, v) == reference_product(u, v, 2), (u, v)
 
 
@@ -201,8 +204,9 @@ def test_window_guards():
     with pytest.raises(ValueError, match="window must be nonnegative"):
         build_ospan(1, -1, sector=0)
     small = OSpanEchelon(1, 4, GeneratorPolicy(), sector=0)
-    with pytest.raises(ValueError, match="exceeds the echelon's weight window"):
-        small.insert(single(1, [(1, -3)] * 2))
+    with pytest.raises(ValueError, match="leaves the columns of sector 0 at "
+                                         "window 4"):
+        small.insert(small.row(single(1, [(1, -3)] * 2)))
     assert not small.rows
 
 
@@ -251,10 +255,29 @@ def test_sector_guards():
             OSpanEchelon(2, 4, policy, sector=bad)
     e = build_ospan(2, 4, sector=0b11)
     assert e.reduce(s_pair(2, 1, 1, 2, 1)) == s_pair(2, 1, 1, 2, 1)
-    with pytest.raises(ValueError, match="leaves the echelon's sector 3"):
+    with pytest.raises(ValueError, match="leaves the columns of sector 3 at "
+                                         "window 4"):
         e.reduce(omega(2, 1))
-    with pytest.raises(ValueError, match="leaves its sector"):
-        e.insert(omega(2, 1))
+    with pytest.raises(ValueError, match="leaves the columns of sector 3 at "
+                                         "window 4"):
+        e.insert(e.row(omega(2, 1)))
+
+
+@pytest.mark.parametrize("bad", [
+    single(2, [(1, -1)]),              # odd
+    single(2, [(1, -3), (1, -2)]),     # weight 5, above the window
+    s_pair(2, 1, 1, 2, 1)],            # sector {1,2}
+    ids=["odd", "too-heavy", "other-sector"])
+def test_row_guards(bad):
+    # Every way a vector meets the columns refuses a monomial that is not a
+    # column, naming the sector and the window, and changes no row.
+    e = build_ospan(2, 4, sector=0)
+    rows = {p: dict(row) for p, row in e.rows.items()}
+    for meet in (e.row, lambda vec: e.insert(e.row(vec)), e.reduce):
+        with pytest.raises(ValueError, match="leaves the columns of sector 0 "
+                                             "at window 4"):
+            meet(bad + omega(2, 1))
+        assert e.rows == rows
 
 
 def _monomial_rows(e):
@@ -279,7 +302,7 @@ def test_sector_echelons_are_the_full_echelon(ell, window, pairs):
         e = build_ospan(ell, window, policy, sector=s)
         assert e.sector == s and all(zhu.sector(m) == s for m in e.columns)
         union.update(_monomial_rows(e))
-        for u, v in zhu._iter_circle_pairs(ell, window, policy, sector=s):
+        for _, u, v in zhu._iter_circle_pairs(ell, window, policy, sector=s):
             terms = clear_denominators(circ_n(u, v).terms)[1]
             row = zhu._eliminate(rows, {col_index[m]: c for m, c in terms.items()})[1]
             if row:
@@ -486,7 +509,7 @@ def test_rows_are_fully_reduced(ell, window, pairs):
 
 
 def test_rows_do_not_depend_on_insertion_order():
-    circles = [circ_n(u, v) for s in even_sectors(2) for u, v in
+    circles = [circ_n(u, v) for s in even_sectors(2) for _, u, v in
                zhu._iter_circle_pairs(2, 8, GeneratorPolicy(), sector=s)]
     want = WholeWindow(2, 8).rows
     for seed in (1, 2, 3):
@@ -529,14 +552,15 @@ def reference_seed_pairs(ell, window, pairs, s):
 def test_circle_pairs_come_in_top_weight_order(ell, window, pairs):
     for s in even_sectors(ell):
         got, tops = [], []
-        for u, v in zhu._iter_circle_pairs(ell, window, GeneratorPolicy(pairs),
-                                           sector=s):
+        for top, u, v in zhu._iter_circle_pairs(ell, window,
+                                                GeneratorPolicy(pairs), sector=s):
             (mu, cu), = u.terms.items()
             (mv, cv), = v.terms.items()
             assert type(cu) is int and type(cv) is int, (u, v)
             assert cu == cv == 1, (u, v)
+            assert top == mono_weight(mu) + mono_weight(mv) + 1, (u, v)
             got.append((mu, mv))
-            tops.append(mono_weight(mu) + mono_weight(mv) + 1)
+            tops.append(top)
         assert tops == sorted(tops), s
         assert sorted(got) == sorted(reference_seed_pairs(ell, window, pairs, s))
 
@@ -545,14 +569,14 @@ def test_build_inserts_each_top_weight_in_pivot_order(monkeypatch):
     calls = []
     real = OSpanEchelon.insert
 
-    def spy(self, vec):
-        top = max(self.col_index[m] for m in vec.terms)
+    def spy(self, row):
+        top = max(row)
         calls.append((self.columns[top], top))
-        return real(self, vec)
+        return real(self, row)
 
     monkeypatch.setattr(OSpanEchelon, "insert", spy)
     e = build_ospan(2, 10, sector=0b11)
-    nonzero = [c for c in (circ_n(u, v) for u, v in zhu._iter_circle_pairs(
+    nonzero = [c for c in (circ_n(u, v) for _, u, v in zhu._iter_circle_pairs(
         2, 10, GeneratorPolicy(), sector=0b11)) if c]
     assert len(calls) == len(nonzero) > len(e.rows)
     # Columns run in weight order, so sorted pivots say: top weights in
@@ -609,6 +633,36 @@ def test_echelon_golden(args, pairs, digest, kept):
     e = WholeWindow(*args, GeneratorPolicy(pairs))
     assert canonical_digest(e) == digest
     assert len(e.rows) == kept
+    for sector_echelon in e.echelons.values():
+        assert_rows_read_zero(sector_echelon)
+
+
+def assert_rows_read_zero(e):
+    """Zhu's theorem as an audit: every row of echelon ``e`` is a circle
+    combination, so it acts as zero on every top level.  The readings share
+    only ``vertex.d_coeff`` with the Wick walk that made the circles."""
+    for p, row in e.rows.items():
+        vec = FockVector.from_integer(e.ell, 1, {e.columns[c]: v
+                                                 for c, v in row.items()})
+        assert first_nonzero(vec, FAMILIES) is None, (e.sector, e.columns[p])
+
+
+def test_suite_echelon_rows_read_zero(monkeypatch):
+    # Every echelon one suite run builds or grows; a grown one's base is
+    # left empty, so each row is read once.
+    made = []
+    real = zhu.build_ospan
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(zhu, "build_ospan", spy)
+    assert run_suite("all", RunConfig(rank=2, cache_dir=None)).passed()
+    held = [e for e in made if e.rows]
+    assert (len(held), sum(len(e.rows) for e in held)) == (6, 703)
+    for e in held:
+        assert_rows_read_zero(e)
 
 
 # (rank, base window, grown window, policy, sector): growth by the slack of
@@ -644,7 +698,7 @@ def test_grown_echelon_matches_fresh_build(ell, small, window, pairs, s,
 
 def test_circle_pairs_start_at_a_top_weight():
     def top(pair):
-        u, v = pair
+        _, u, v = pair
         return u.max_weight() + v.max_weight() + 1
 
     # The growth of the rank-2 {1,2} block, then the quadratic growth the
@@ -858,7 +912,7 @@ def test_insert_after_load_matches_fresh_build(tmp_path):
     blanket = [FockVector.from_monomial(2, m)
                for w in range(0, 7) for m in basis(2, w, "even")]
     assert len(blanket) == 71
-    circles = [circ_n(u, v) for s in even_sectors(2) for u, v in
+    circles = [circ_n(u, v) for s in even_sectors(2) for _, u, v in
                zhu._iter_circle_pairs(2, 10, policy, sector=s)]
     fresh = echelon_of(2, 10, circles + blanket)
     for vec in blanket:
