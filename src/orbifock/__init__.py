@@ -8,28 +8,12 @@ irreducible top levels, and ships a small assertion language plus built-in
 verification suites behind the ``orbifock`` command.
 """
 
-from .coeffs import LPoly
-from .fock import FockVector, basis, make_monomial
-from .twisted import apply_delta, delta_coefficients, twisted_zero_mode
-from .zhu import (GeneratorPolicy, OSpanEchelon, build_ospan, circ_n,
-                  e_t, e_t_bar, e_u, e_u_bar, hgen, jgen, lam, omega,
-                  s_pair, star)
-from .toplevel import (FAMILIES, Matrix, disprove_equiv, evaluate,
-                       evaluate_word, independence_rank)
-from .script import ScriptError, parse_expr, parse_script, realize
-from .runner import Report, RunConfig, Runner, Session
+from .zhu import GeneratorPolicy
+from .script import parse_script
+from .runner import Report, RunConfig, Runner
 from .suites import run_suite
-from .tables import emit_tables
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LPoly", "FockVector", "basis", "make_monomial", "apply_delta",
-    "delta_coefficients", "twisted_zero_mode", "GeneratorPolicy",
-    "OSpanEchelon", "build_ospan", "circ_n", "e_t", "e_t_bar",
-    "e_u", "e_u_bar", "hgen", "jgen", "lam", "omega", "s_pair", "star",
-    "FAMILIES", "Matrix", "disprove_equiv", "evaluate", "evaluate_word",
-    "independence_rank", "ScriptError", "parse_expr",
-    "parse_script", "realize", "Report", "RunConfig", "Runner", "Session",
-    "run_suite", "emit_tables", "__version__",
-]
+__all__ = ["GeneratorPolicy", "Report", "RunConfig", "Runner", "parse_script",
+           "run_suite", "__version__"]

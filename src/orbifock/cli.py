@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import script as dsl
-from .runner import CACHE_ENV, RunConfig, Runner, default_cache_dir
+from .runner import RunConfig, Runner
 from .suites import SUITE_NAMES, run_suite
 from .tables import emit_tables
 from .twisted import delta_coefficients
@@ -36,7 +36,7 @@ def _add_config_args(p):
     p.add_argument("--timing", action="store_true",
                    help="include per-statement timing in text output")
     p.add_argument("--cache-dir", default=None,
-                   help=f"echelon cache directory (default ${CACHE_ENV})")
+                   help="echelon cache directory (default: no cache)")
 
 
 def _emit(report, args):
@@ -91,12 +91,11 @@ def main(argv=None):
                      f"got {args.degree}")
     if args.command in ("verify", "suite"):
         # Created up front, so an unusable directory fails before any work.
-        cache_dir = args.cache_dir or default_cache_dir()
         try:
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
+            if args.cache_dir:
+                os.makedirs(args.cache_dir, exist_ok=True)
         except OSError as exc:
-            parser.error(f"cannot use cache directory {cache_dir}: {exc}")
+            parser.error(f"cannot use cache directory {args.cache_dir}: {exc}")
 
     if args.command == "verify":
         try:
@@ -110,13 +109,13 @@ def main(argv=None):
             print(f"syntax error: {exc}", file=sys.stderr)
             return 2
         report = Runner(RunConfig(args.rank, max_weight=args.max_weight,
-                                  cache_dir=cache_dir)).run(stmts)
+                                  cache_dir=args.cache_dir)).run(stmts)
         return _emit(report, args)
 
     if args.command == "suite":
         # Each suite block sets its own cutoff and policy.
         report = run_suite(args.name, RunConfig(rank=args.rank,
-                                                cache_dir=cache_dir))
+                                                cache_dir=args.cache_dir))
         return _emit(report, args)
 
     try:

@@ -39,20 +39,13 @@ always runs.
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import script as dsl
 from .toplevel import (FAMILIES, Witness, disprove_equiv, evaluate,
                        first_nonzero, independence_rank)
 from .zhu import DEFAULT_POLICY, CircleSpan
-
-CACHE_ENV = "ORBIFOCK_CACHE_DIR"
-
-
-def default_cache_dir():
-    return os.environ.get(CACHE_ENV) or None
 
 
 @dataclass
@@ -61,7 +54,7 @@ class RunConfig:
     max_weight: int = 8
     slack: int = 2
     policy: object = DEFAULT_POLICY
-    cache_dir: str | None = field(default_factory=default_cache_dir)
+    cache_dir: str | None = None  # None: no echelon file is read or written
 
     def describe(self):
         return (f"rank={self.rank} max_weight={self.max_weight} "

@@ -10,20 +10,11 @@ import pytest
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _session_cache(tmp_path_factory):
-    """Point the echelon cache at a session directory so repeated suites
-    and acceptance criteria share builds instead of recomputing them."""
-    import os
-
-    cache = tmp_path_factory.mktemp("ospan-cache")
-    old = os.environ.get("ORBIFOCK_CACHE_DIR")
-    os.environ["ORBIFOCK_CACHE_DIR"] = str(cache)
-    yield str(cache)
-    if old is None:
-        os.environ.pop("ORBIFOCK_CACHE_DIR", None)
-    else:
-        os.environ["ORBIFOCK_CACHE_DIR"] = old
+@pytest.fixture(scope="session")
+def ospan_cache(tmp_path_factory):
+    """One echelon cache directory for the session, so the tests that take
+    it share their builds instead of recomputing them."""
+    return str(tmp_path_factory.mktemp("ospan-cache"))
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ stated wall-clock budgets are asserted too.
 
 import copy
 import itertools
-import os
 import time
 from fractions import Fraction
 
@@ -28,9 +27,9 @@ from orbifock.zhu import (GeneratorPolicy, circ_n, e_t, e_u, exact_rank,
 F = Fraction
 
 
-def _cfg(rank, max_weight=8, slack=2):
+def _cfg(rank, max_weight=8, slack=2, cache_dir=None):
     return RunConfig(rank=rank, max_weight=max_weight, slack=slack,
-                     cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+                     cache_dir=cache_dir)
 
 
 def _announce(capsys, n, text):
@@ -56,12 +55,12 @@ def test_criterion_1_tables_golden(capsys):
               f"40 table actions exact at ranks 2 and 3 ({time.time()-t0:.0f}s)")
 
 
-def test_criterion_2_quadratic_sector_dimension(capsys):
+def test_criterion_2_quadratic_sector_dimension(capsys, ospan_cache):
     t0 = time.time()
     S = [s_pair(2, 1, 1, 2, m) for m in range(1, 6)]
     assert independence_rank(S) == 5
 
-    ech = WholeWindow(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+    ech = WholeWindow(2, 10, cache_dir=ospan_cache)
     reduced = [ech.reduce(s_pair(2, 1, 1, 2, m)) for m in range(1, 7)]
     assert exact_rank(r.terms for r in reduced[:5]) == 5
     assert exact_rank(r.terms for r in reduced) == 5  # S(1,6) falls into the span
@@ -96,9 +95,9 @@ def test_criterion_2_quadratic_sector_dimension(capsys):
               f"({elapsed:.0f}s)")
 
 
-def test_criterion_3_product_shift_identities(capsys):
+def test_criterion_3_product_shift_identities(capsys, ospan_cache):
     t0 = time.time()
-    ech = WholeWindow(2, 10, cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+    ech = WholeWindow(2, 10, cache_dir=ospan_cache)
     us = [FockVector.from_monomial(2, m)
           for w in range(0, 6) for m in basis(2, w, "even")]
     assert len(us) == 36
@@ -129,9 +128,9 @@ def test_criterion_3_product_shift_identities(capsys):
               f"states up to weight 5 ({elapsed:.0f}s)")
 
 
-def test_criterion_4_matrix_units(capsys):
+def test_criterion_4_matrix_units(capsys, ospan_cache):
     t0 = time.time()
-    report = run_suite("matrix_units", _cfg(3))
+    report = run_suite("matrix_units", _cfg(3, cache_dir=ospan_cache))
     elapsed = time.time() - t0
     assert report.passed(), report.to_text()
     # The two-sided annihilation and both unit tables ran at rank 3.
@@ -148,9 +147,9 @@ def test_criterion_4_matrix_units(capsys):
               f"certificates at rank 2 ({elapsed:.0f}s)")
 
 
-def test_criterion_5_final_relations(capsys):
+def test_criterion_5_final_relations(capsys, ospan_cache):
     t0 = time.time()
-    report = run_suite("final_relations", _cfg(2))
+    report = run_suite("final_relations", _cfg(2, cache_dir=ospan_cache))
     elapsed = time.time() - t0
     assert report.passed(), report.to_text()
     spot = [r for r in report.results if "decomposes" in r.text]
@@ -220,7 +219,7 @@ def test_rank_8_unit_certificate_budget():
     # cutoff, which certifies it without the slack.  The budget is about
     # three times the 0.15-0.16 s it took in process on a 2-vCPU host.
     t0 = time.perf_counter()
-    report = Runner(RunConfig(rank=8, cache_dir=None)).run(
+    report = Runner(RunConfig(rank=8)).run(
         parse_script("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)", 8))
     elapsed = time.perf_counter() - t0
     assert report.passed(), report.to_text()
@@ -234,7 +233,7 @@ def test_rank_8_quartic_certificate_budget():
     # cutoff.  It took 0.22-0.34 s in process on a 2-vCPU host, against
     # 1.9-2.0 s for a build at the cutoff.
     t0 = time.perf_counter()
-    report = Runner(RunConfig(rank=8, max_weight=10, cache_dir=None)).run(
+    report = Runner(RunConfig(rank=8, max_weight=10)).run(
         parse_script("assert_equiv (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 ~ 0",
                      8))
     elapsed = time.perf_counter() - t0
@@ -248,7 +247,7 @@ def test_rank_8_matrix_units_budget():
     # their 2 x 8192 products from cells.  It took 0.16-0.19 s in process on
     # a 2-vCPU host, against 1.4-1.7 s when every product was a dense matrix.
     t0 = time.perf_counter()
-    report = run_suite("matrix_units", RunConfig(rank=8, cache_dir=None))
+    report = run_suite("matrix_units", RunConfig(rank=8))
     elapsed = time.perf_counter() - t0
     assert report.passed(), report.to_text()
     assert elapsed < 1.0

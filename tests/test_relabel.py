@@ -132,7 +132,7 @@ def calls(monkeypatch):
 
 
 def run(text, rank=2, runner=None):
-    runner = runner or Runner(RunConfig(rank=rank, cache_dir=None))
+    runner = runner or Runner(RunConfig(rank=rank))
     return [(r.status, r.detail)
             for r in runner.run(parse_script(text, rank)).results]
 
@@ -144,7 +144,7 @@ def test_relabeled_proved_statement_is_a_hit(calls):
 
 
 def test_hit_carries_the_certificate_detail(calls):
-    config = RunConfig(rank=2, max_weight=10, slack=0, cache_dir=None)
+    config = RunConfig(rank=2, max_weight=10, slack=0)
     report = Runner(config).run(parse_script(
         "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n"
         "assert_equiv w2 * Eu(2,1) ~ Eu(2,1)", 2))
@@ -181,7 +181,7 @@ def test_unknown_verdicts_are_recomputed(calls):
 def test_memo_lives_on_one_runner(calls):
     run("assert_eval J1 on Tplus = 3/128")
     run("assert_eval J2 on Tplus = 3/128")
-    runner = Runner(RunConfig(rank=2, cache_dir=None))
+    runner = Runner(RunConfig(rank=2))
     run("assert_eval J1 on Tplus = 3/128", runner=runner)
     run("assert_eval J2 on Tplus = 3/128", runner=runner)
     assert len(calls) == 3
@@ -193,7 +193,7 @@ def test_memo_lives_on_one_runner(calls):
 def test_index_beyond_the_rank_is_never_a_hit(calls):
     # Parsed at rank 3 and run at rank 2, w3 ~ w3 keys like w1 ~ w1 but
     # names a generator rank 2 lacks, so it is run and is an Error.
-    runner = Runner(RunConfig(rank=2, cache_dir=None))
+    runner = Runner(RunConfig(rank=2))
     report = runner.run(parse_script("assert_equiv w1 ~ w1\n"
                                      "assert_equiv w3 ~ w3", 3))
     assert [(r.status, r.detail) for r in report.results] == [
@@ -206,7 +206,7 @@ def test_index_beyond_the_rank_is_never_a_hit(calls):
 # expected value does not, and a certificate belongs to its span and cutoff.
 
 def session_runner(session, rank, **settings):
-    return Runner(RunConfig(rank=rank, cache_dir=None, **settings), session)
+    return Runner(RunConfig(rank=rank, **settings), session)
 
 
 def test_zero_eval_proved_at_rank_2_is_a_hit_at_rank_3(calls):
@@ -280,7 +280,7 @@ def _eval_r2_style(workloads, seed):
 
 
 def _verdict(text, rank):
-    [result] = Runner(RunConfig(rank=rank, cache_dir=None)).run(
+    [result] = Runner(RunConfig(rank=rank)).run(
         parse_script(text, rank)).results
     if result.status == "Disproved":
         # The witness's family; its entry depends on the index order.

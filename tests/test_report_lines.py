@@ -72,7 +72,7 @@ def expected_lines():
 @pytest.mark.parametrize("text, line", list(WITNESS_LINES.items())
                          + list(ERROR_LINES.items()))
 def test_disproof_and_error_lines(text, line):
-    config = RunConfig(rank=2, cache_dir=None)
+    config = RunConfig(rank=2)
     report = Runner(config).run(parse_script(text, config.rank))
     assert [r.line() for r in report.results] == [line]
 
@@ -89,8 +89,8 @@ def test_eval_r2_lines_replay(expected_lines):
     assert not drifted, drifted[:3]
 
 
-def test_suite_all_lines_replay(expected_lines):
-    report = run_suite("all", RunConfig(rank=2))
+def test_suite_all_lines_replay(expected_lines, ospan_cache):
+    report = run_suite("all", RunConfig(rank=2, cache_dir=ospan_cache))
     assert [_line(r) for r in report.results] == expected_lines["suite-warm"]
 
 
@@ -99,8 +99,8 @@ def test_suite_all_lines_replay(expected_lines):
 SUITE_ALL_RANK_4 = "49f16cbc71f2a7f362461f779c0f5fe1b9c2e1c51f3e0571946b01b5e06082da"
 
 
-def test_suite_all_rank_4_lines_pinned():
-    report = run_suite("all", RunConfig(rank=4))
+def test_suite_all_rank_4_lines_pinned(ospan_cache):
+    report = run_suite("all", RunConfig(rank=4, cache_dir=ospan_cache))
     lines = [_line(r) for r in report.results]
     assert report.counts()["Proved"] == len(lines) == 257
     digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())

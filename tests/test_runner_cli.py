@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -18,9 +20,9 @@ from orbifock.toplevel import Matrix
 from orbifock.zhu import DEFAULT_POLICY, MAX_WEIGHT_CAP, GeneratorPolicy
 
 
-def cfg(rank=2, max_weight=6, slack=2):
+def cfg(rank=2, max_weight=6, slack=2, cache_dir=None):
     return RunConfig(rank=rank, max_weight=max_weight, slack=slack,
-                     cache_dir=os.environ.get("ORBIFOCK_CACHE_DIR"))
+                     cache_dir=cache_dir)
 
 
 def run_text(text, config):
@@ -28,14 +30,14 @@ def run_text(text, config):
     return Runner(config).run(parse_script(text, config.rank))
 
 
-def test_equiv_statuses():
+def test_equiv_statuses(ospan_cache):
     report = run_text(
         # the shift identity star(S, w1) ~ (L1(-2) + L1(-1)) S, certifiable
         "assert_equiv S(1,1;2,1) * w1 ~ h1(-2)h2(-1) + h1(-3)h2(-1) + "
         "1/2 h1(-1)h1(-1)h1(-1)h2(-1)\n"
         "assert_equiv w1 ~ 0\n"        # disprovable on the odd module
         "assert_equiv w1 ~ w1 + circ(w1, J1)\n",  # needs weight 9 > cutoff
-        cfg())
+        cfg(cache_dir=ospan_cache))
     statuses = [r.status for r in report.results]
     assert statuses == ["Proved", "Disproved", "Unknown"]
     assert "Hminus" in report.results[1].detail
@@ -80,11 +82,11 @@ def test_out_of_range_matrix_unit_is_an_error():
     assert report.results[0].status == "Error"
 
 
-def test_runner_never_both_proved_and_disproved():
+def test_runner_never_both_proved_and_disproved(ospan_cache):
     text = ("assert_equiv w1 ~ 0\n"
             "assert_equiv w1 ~ w1\n"
             "assert_equiv Lam(1,2) ~ Lam(2,1)\n")
-    report = run_text(text, cfg(max_weight=8))
+    report = run_text(text, cfg(max_weight=8, cache_dir=ospan_cache))
     for r in report.results:
         assert r.status in ("Proved", "Disproved", "Unknown")
 
@@ -138,7 +140,7 @@ def test_missing_certificate_stays_unknown():
     lines = {}
     for pairs in ("omega", "all"):
         config = RunConfig(rank=1, max_weight=10, slack=0,
-                           policy=GeneratorPolicy(pairs=pairs), cache_dir=None)
+                           policy=GeneratorPolicy(pairs=pairs))
         lines[pairs] = run_text(text, config).results[0].line()
     assert lines["omega"] == (
         "[UNKNOWN  ] assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0  (no certificate "
@@ -322,7 +324,7 @@ def test_report_unknown_blocks_pass_only_when_expected():
 
 
 def test_negative_slack_is_an_error():
-    config = RunConfig(rank=1, max_weight=4, slack=-1, cache_dir=None)
+    config = RunConfig(rank=1, max_weight=4, slack=-1)
     report = Runner(config).run(parse_script("assert_equiv circ(w1, one) ~ 0", 1))
     assert report.results[0].status == "Error"
     assert "nonnegative" in report.results[0].detail
@@ -331,7 +333,7 @@ def test_negative_slack_is_an_error():
 def test_negative_cutoff_is_an_error():
     # The sign check comes before the weight check, so a difference above a
     # negative cutoff is an Error, not Unknown.
-    config = RunConfig(rank=1, max_weight=-1, slack=2, cache_dir=None)
+    config = RunConfig(rank=1, max_weight=-1, slack=2)
     report = Runner(config).run(parse_script("assert_equiv circ(w1, one) ~ 0", 1))
     assert report.results[0].status == "Error"
     assert "nonnegative" in report.results[0].detail
@@ -413,7 +415,7 @@ def test_difference_certified_per_sector():
     # its own sector's echelon, and a difference is Proved only when every
     # part reduces to zero.
     config = RunConfig(rank=2, max_weight=10, slack=0,
-                       policy=GeneratorPolicy("quadratic"), cache_dir=None)
+                       policy=GeneratorPolicy("quadratic"))
     circle = "circ(h1(-1)h1(-1), h2(-1)h2(-1))"
     relation = "(70 H1 + 1188 w1^2 - 585 w1 + 27) * H1"
     runner = Runner(config)
@@ -433,7 +435,7 @@ def test_first_uncertified_sector_ends_the_check():
     # cutoff and policy, so the check stops there and never builds the
     # echelon of the h1 h2 sector, where J1 * Eu(1,2) + 6 Eu(1,2) lies.
     config = RunConfig(rank=2, max_weight=10, slack=0,
-                       policy=GeneratorPolicy("quadratic"), cache_dir=None)
+                       policy=GeneratorPolicy("quadratic"))
     runner = Runner(config)
     report = runner.run(parse_script(
         "assert_equiv J1 * Eu(1,2) + (70 H1 + 1188 w1^2 - 585 w1 + 27) * H1 "
@@ -458,7 +460,7 @@ def builds(monkeypatch):
 
 
 def test_statement_proved_at_the_cutoff_builds_nothing_above_it(builds):
-    runner = Runner(RunConfig(rank=2, max_weight=8, slack=2, cache_dir=None))
+    runner = Runner(RunConfig(rank=2, max_weight=8, slack=2))
     report = runner.run(parse_script(
         "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n"
         "assert_equiv w1^2 * H1 ~ H1 * w1^2\n", 2))
@@ -473,7 +475,7 @@ def test_unknown_grows_each_failing_sector_once(builds):
     # even at the window, so that sector's echelon is grown from the
     # cutoff's, never built afresh, and a second run builds nothing.
     config = RunConfig(rank=2, max_weight=10, slack=2,
-                       policy=GeneratorPolicy("quadratic"), cache_dir=None)
+                       policy=GeneratorPolicy("quadratic"))
     runner = Runner(config)
     stmts = parse_script("assert_equiv J1 * Eu(1,2) + "
                          "circ(h1(-1)h1(-1), h2(-1)h2(-1)) ~ -6 Eu(1,2)", 2)
@@ -489,7 +491,7 @@ def test_unknown_grows_each_failing_sector_once(builds):
 
 def test_rank_1_omega_circle_stays_unknown(builds):
     runner = Runner(RunConfig(rank=1, max_weight=10, slack=2,
-                              policy=GeneratorPolicy("omega"), cache_dir=None))
+                              policy=GeneratorPolicy("omega")))
     report = runner.run(parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0",
                                      1))
     assert [(r.status, r.detail) for r in report.results] == [
@@ -502,7 +504,7 @@ def test_part_lighter_than_its_cutoff_grows_straight_to_the_window(builds):
     # cutoff 12, so its echelon is grown to the window 14, with no step at
     # the cutoff; the line is the one a step at 12 gave.
     runner = Runner(RunConfig(rank=1, max_weight=12, slack=2,
-                              policy=GeneratorPolicy("omega"), cache_dir=None))
+                              policy=GeneratorPolicy("omega")))
     report = runner.run(parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0",
                                      1))
     assert [r.line() for r in report.results] == [
@@ -550,7 +552,7 @@ def test_suite_all_builds_each_echelon_once(monkeypatch):
                     **kwargs)
 
     monkeypatch.setattr(zhu, "build_ospan", spy)
-    report = run_suite("all", RunConfig(rank=2, cache_dir=None))
+    report = run_suite("all", RunConfig(rank=2))
     assert report.passed()
     assert len(calls) == 13
     assert [c for c in calls if c[:4] == (2, 10, "all", 0b11)] == [
@@ -586,7 +588,7 @@ def test_suite_all_certifies_each_part_on_one_echelon_query(monkeypatch):
 
     monkeypatch.setattr(zhu.CircleSpan, "contains", contains)
     monkeypatch.setattr(zhu.CircleSpan, "_echelon", echelon)
-    report = run_suite("all", RunConfig(rank=2, cache_dir=None))
+    report = run_suite("all", RunConfig(rank=2))
     assert report.passed()
     assert [queries for _, queries in counts] == [parts for parts, _ in counts]
     assert (len(counts), sum(parts for parts, _ in counts)) == (27, 27)
@@ -603,8 +605,7 @@ def test_suite_blocks_sharing_spans_give_the_lines_of_fresh_runners(
         for block in workloads.certify_cold_plan(seed=1):
             config = RunConfig(rank=block.rank, max_weight=block.max_weight,
                                slack=block.slack,
-                               policy=GeneratorPolicy(block.pairs),
-                               cache_dir=None)
+                               policy=GeneratorPolicy(block.pairs))
             stmts = parse_script(
                 "\n".join(text for text, _ in block.statements), block.rank)
             out += [r.line()
@@ -625,7 +626,7 @@ def masked(report):
 
 
 def test_suite_runs_in_one_process_give_one_text(monkeypatch):
-    config = RunConfig(rank=2, cache_dir=None)
+    config = RunConfig(rank=2)
     first = run_suite("all", config)
     assert masked(run_suite("all", config)) == masked(first)
 
@@ -641,7 +642,7 @@ def test_suite_text_does_not_depend_on_what_ran_before():
     # The rank-4 W10 {} build evicts from both bounded caches of the walk
     # (it meets 983 creation keys), so the second run starts from caches
     # the first did not leave.
-    config = RunConfig(rank=3, cache_dir=None)
+    config = RunConfig(rank=3)
     first = masked(run_suite("all", config))
     zhu.build_ospan(4, 10, sector=0)
     assert masked(run_suite("all", config)) == first
@@ -656,14 +657,12 @@ def test_walk_caches_are_bounded():
     assert len(echelon.rows) == 1685
 
 
-def test_cli_verify_prints_a_bare_runners_report(tmp_path, capsys,
-                                                 monkeypatch):
-    monkeypatch.delenv("ORBIFOCK_CACHE_DIR", raising=False)
+def test_cli_verify_prints_a_bare_runners_report(tmp_path, capsys):
     text = "assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n"
     script = tmp_path / "s.txt"
     script.write_text(text)
     assert main(["verify", "--rank", "2", str(script)]) == 0
-    bare = run_text(text, RunConfig(rank=2, cache_dir=None))
+    bare = run_text(text, RunConfig(rank=2))
     assert capsys.readouterr().out == bare.to_text()
 
 
@@ -680,6 +679,49 @@ def test_cache_dir_under_a_file_builds_uncached(tmp_path):
     assert report.passed(), report.to_text()
     assert report.cache_hits == 0
     assert os.listdir(tmp_path) == ["file"]
+
+
+def test_cache_dir_is_only_an_argument(tmp_path, capsys, monkeypatch):
+    # The environment names no cache: without a cache directory argument,
+    # neither a Runner nor the CLI reads or writes the variable's directory.
+    env_cache = tmp_path / "env-cache"
+    monkeypatch.setenv("ORBIFOCK_CACHE_DIR", str(env_cache))
+    config = RunConfig(rank=1)
+    assert config.cache_dir is None
+    runner = Runner(config)
+    report = runner.run(parse_script("assert_equiv circ(w1, w1) ~ 0", 1))
+    assert [r.status for r in report.results] == ["Proved"]
+    assert runner.span.echelons
+    assert main(["suite", "circle_reductions"]) == 0
+    script = tmp_path / "s.txt"
+    script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
+    assert main(["verify", str(script)]) == 0
+    capsys.readouterr()
+    assert not env_cache.exists()
+
+
+RUN_API = ["GeneratorPolicy", "Report", "RunConfig", "Runner", "__version__",
+           "parse_script", "run_suite"]
+
+
+def test_package_exports_only_the_run_api():
+    import orbifock
+
+    assert sorted(orbifock.__all__) == RUN_API
+    assert all(hasattr(orbifock, name) for name in RUN_API)
+    assert not hasattr(orbifock, "evaluate")
+    assert callable(orbifock.toplevel.evaluate)
+    # Importing the package loads every engine module but the CLI.
+    probe = ("import sys, orbifock; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('orbifock'))))")
+    src = os.path.dirname(os.path.dirname(orbifock.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["orbifock"] + [
+        f"orbifock.{name}" for name in (
+            "coeffs", "fock", "runner", "script", "suites", "tables",
+            "toplevel", "twisted", "vertex", "zhu")]
 
 
 def test_cli_verify_and_exit_codes(tmp_path, capsys):
@@ -768,19 +810,6 @@ def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert names in captured.err
-
-
-def test_cli_cache_dir_from_environment_exit_2(tmp_path, capsys, monkeypatch):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    monkeypatch.setenv("ORBIFOCK_CACHE_DIR", str(blocker / "cache"))
-    with pytest.raises(SystemExit) as exc:
-        main(["suite", "matrix_units"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "cache directory" in captured.err
 
 
 @pytest.mark.parametrize("expr", [

@@ -49,7 +49,7 @@ def test_tracer_installs_and_restores_every_name(tmp_path):
         for key in (("orbifock.twisted", "delta_coefficients"),
                     ("orbifock.twisted", "twisted_zero_mode"),
                     ("orbifock.zhu", "build_ospan"),
-                    ("orbifock", "build_ospan"),
+                    ("orbifock", "parse_script"),
                     ("OSpanEchelon", "insert"),
                     ("Runner", "run_statement")):
             assert key in wrapped, key
@@ -89,7 +89,7 @@ def test_tracer_sees_every_evaluation_layer():
     try:
         clear_twisted_caches()
         stmts = orbifock.script.parse_script(EVAL_SCRIPT, 2)
-        report = Runner(RunConfig(rank=2, cache_dir=None)).run(stmts)
+        report = Runner(RunConfig(rank=2)).run(stmts)
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()

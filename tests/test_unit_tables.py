@@ -58,7 +58,7 @@ def dense_tables(rank):
 
 
 def _table_lines(rank):
-    report = Report(RunConfig(rank=rank, cache_dir=None))
+    report = Report(RunConfig(rank=rank))
     suites._multiplication_tables(report, rank)
     return [(r.status, r.detail) for r in report.results]
 

@@ -658,7 +658,7 @@ def test_suite_echelon_rows_read_zero(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(zhu, "build_ospan", spy)
-    assert run_suite("all", RunConfig(rank=2, cache_dir=None)).passed()
+    assert run_suite("all", RunConfig(rank=2)).passed()
     held = [e for e in made if e.rows]
     assert (len(held), sum(len(e.rows) for e in held)) == (6, 703)
     for e in held:
