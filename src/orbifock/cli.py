@@ -7,7 +7,6 @@ arguments or an unreadable or malformed script, reported in one stderr line).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -35,8 +34,6 @@ def _add_config_args(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true",
                    help="include per-statement timing in text output")
-    p.add_argument("--cache-dir", default=None,
-                   help="echelon cache directory (default: no cache)")
 
 
 def _emit(report, args):
@@ -89,13 +86,6 @@ def main(argv=None):
     if args.command == "delta-table" and not 2 <= args.degree <= MAX_WEIGHT_CAP:
         parser.error(f"--degree must be between 2 and {MAX_WEIGHT_CAP}, "
                      f"got {args.degree}")
-    if args.command in ("verify", "suite"):
-        # Created up front, so an unusable directory fails before any work.
-        try:
-            if args.cache_dir:
-                os.makedirs(args.cache_dir, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {args.cache_dir}: {exc}")
 
     if args.command == "verify":
         try:
@@ -108,14 +98,13 @@ def main(argv=None):
         except dsl.ScriptError as exc:
             print(f"syntax error: {exc}", file=sys.stderr)
             return 2
-        report = Runner(RunConfig(args.rank, max_weight=args.max_weight,
-                                  cache_dir=args.cache_dir)).run(stmts)
+        report = Runner(RunConfig(args.rank,
+                                  max_weight=args.max_weight)).run(stmts)
         return _emit(report, args)
 
     if args.command == "suite":
         # Each suite block sets its own cutoff and policy.
-        report = run_suite(args.name, RunConfig(rank=args.rank,
-                                                cache_dir=args.cache_dir))
+        report = run_suite(args.name, RunConfig(rank=args.rank))
         return _emit(report, args)
 
     try:

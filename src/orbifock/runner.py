@@ -4,7 +4,9 @@ Equivalence assertions try the evaluation disproof first (a difference on
 any top level is a hard counterexample), then ask the truncated circle span
 for a membership certificate.  The three possible outcomes are Proved,
 Disproved (with a witness), and Unknown (the cutoff was not enough, which
-is never an error: truncation is one-sided).
+is never an error: truncation is one-sided).  A span reads and writes
+echelon files only in ``RunConfig.cache_dir``, a library argument that no
+command of :mod:`orbifock.cli` sets.
 
 The Runners of one run share a :class:`Session`: its circle spans and one
 memo of Proved verdicts, so a statement is decided once per run and per
@@ -54,7 +56,9 @@ class RunConfig:
     max_weight: int = 8
     slack: int = 2
     policy: object = DEFAULT_POLICY
-    cache_dir: str | None = None  # None: no echelon file is read or written
+    # A library argument, passed today only by the benchmark harness;
+    # None: no echelon file is read or written.
+    cache_dir: str | None = None
 
     def describe(self):
         return (f"rank={self.rank} max_weight={self.max_weight} "
@@ -84,7 +88,6 @@ class Report:
     def __init__(self, config):
         self.header = config.describe()
         self.results = []
-        self.cache_hits = 0
 
     def add(self, result):
         self.results.append(result)
@@ -109,8 +112,7 @@ class Report:
             lines.append(line)
         c = self.counts()
         lines.append(f"# proved={c['Proved']} disproved={c['Disproved']} "
-                     f"unknown={c['Unknown']} error={c['Error']} "
-                     f"cache_hits={self.cache_hits}")
+                     f"unknown={c['Unknown']} error={c['Error']}")
         lines.append("PASS" if self.passed() else "FAIL")
         return "\n".join(lines) + "\n"
 
@@ -121,7 +123,6 @@ class Report:
                          "detail": r.detail, "ms": round(r.ms, 3)}
                         for r in self.results],
             "counts": self.counts(),
-            "cache_hits": self.cache_hits,
             "pass": self.passed(),
         }, indent=2) + "\n"
 
@@ -177,8 +178,6 @@ class Runner:
     def run(self, statements, report=None):
         report = report or Report(self.config)
         proved = self.session.proved
-        # A call that read any echelon from the cache counts one hit.
-        hits = self.span.cache_hits
         for stmt in statements:
             t0 = time.perf_counter()
             names = {}
@@ -198,8 +197,6 @@ class Runner:
                     proved[key] = detail
             ms = 1000 * (time.perf_counter() - t0)
             report.add(StatementResult(dsl.format_statement(stmt), status, detail, ms))
-        if self.span.cache_hits > hits:
-            report.cache_hits += 1
         return report
 
     def run_statement(self, stmt):

@@ -5,20 +5,20 @@ native checks that the language cannot express) and runs them through the
 standard runner, so reports look the same everywhere.  Each certificate
 block sets its own cutoff and generator policy, the values that make its
 certificates fire; the other blocks only evaluate.  A suite reads only the
-rank and the cache directory from its configuration, since every block runs
-through :func:`_run_block`.  :func:`run_suite` makes one report per run,
-headed by the rank alone, and each suite adds its results to it.  It also
-makes one :class:`~orbifock.runner.Session` per run for every block's
-Runner and native check.  Its circle spans, one per (rank, policy,
-cache_dir), build each sector echelon once, at the weight of the first
-difference part that meets it, and grow it when a heavier part needs more,
-or to the window when a part's own weight does not certify it; no later
-query of a run allows less than the window a span holds.  Its one memo of
-Proved verdicts is keyed by statement kind: a ``zero_eval`` or ``rank``
-statement Proved at one rank is Proved at every rank that names its
-indices, so the rank-3 closing relations reuse the rank-2 ones; an
-``assert_eval`` is reused only at its own rank, and an ``assert_equiv``
-only under its own span, cutoff and slack.
+rank and ``cache_dir`` (which no command sets) from its configuration,
+since every block runs through :func:`_run_block`.  :func:`run_suite`
+makes one report per run, headed by the rank alone, and each suite adds
+its results to it.  It also makes one :class:`~orbifock.runner.Session`
+per run for every block's Runner and native check.  Its circle spans, one
+per (rank, policy, cache_dir), build each sector echelon once, at the
+weight of the first difference part that meets it, and grow it when a
+heavier part needs more, or to the window when a part's own weight does
+not certify it; no later query of a run allows less than the window a span
+holds.  Its one memo of Proved verdicts is keyed by statement kind: a
+``zero_eval`` or ``rank`` statement Proved at one rank is Proved at every
+rank that names its indices, so the rank-3 closing relations reuse the
+rank-2 ones; an ``assert_eval`` is reused only at its own rank, and an
+``assert_equiv`` only under its own span, cutoff and slack.
 
 Some relations only exist at a minimal rank (four distinct indices for the
 sign relations, three for the triple-index center relation); those blocks
@@ -66,8 +66,8 @@ def run_suite(name, config):
 
 def _run_block(config, report, session, lines, rank, **settings):
     """Run a block's script lines into report at its own rank and settings
-    (max_weight, slack, policy) and the suite's cache directory, in the
-    run's session."""
+    (max_weight, slack, policy) and the suite's ``cache_dir``, in the run's
+    session."""
     block = RunConfig(rank=rank, cache_dir=config.cache_dir, **settings)
     stmts = dsl.parse_script("\n".join(lines), rank)
     Runner(block, session).run(stmts, report)
@@ -161,15 +161,11 @@ def _membership_and_leading_coefficient(report, session, cache_dir):
     weight 7, to exactly -64 times the reduced form of S(1,6).  The full
     span, the session's rank-2 default one, grows the quadratic shifts'
     echelon, held at their weight 6, to window 10 for the matrix-unit
-    block, and counts one cache hit when that reads a file, as a Runner's
-    run call does; the omega-anchored one is made here, without a cache.
+    block; the omega-anchored one is made here, without a cache.
     """
     t0 = time.perf_counter()
     full = session.span(2, zhu.DEFAULT_POLICY, cache_dir)
-    hits = full.cache_hits
     reduced = [full.reduce(zhu.s_pair(2, 1, 1, 2, m), 10) for m in range(1, 7)]
-    if full.cache_hits > hits:
-        report.cache_hits += 1
     rows = [r.integer_form()[1] for r in reduced]
     r5 = zhu.exact_rank(rows[:5])
     r6 = zhu.exact_rank(rows)

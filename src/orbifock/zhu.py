@@ -564,9 +564,11 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
     reduced rows do not depend on the order (see :class:`OSpanEchelon`),
     so a circle whose top part cancels may stay in its pair's batch.  The
     echelon holds circle rows only and depends only on (rank, policy,
-    window, sector), and so does its cache file in ``cache_dir``.  Without
-    ``cache_dir``, or with one that cannot be read or made, nothing is read
-    or written.
+    window, sector), and so does its cache file in ``cache_dir``, whose rows
+    are trusted as read; only library callers (the benchmark harness) name
+    one.  Without ``cache_dir``, or with one that cannot be read or made,
+    nothing is read or written, and ``cache_hit`` says whether a file was
+    read.
 
     ``base``, an echelon of the same rank, policy and sector at a smaller
     window, is grown when no cache file is read.  Its seeds are the seeds of
@@ -627,7 +629,7 @@ def build_ospan(rank, window, policy=DEFAULT_POLICY, cache_dir=None, *,
 
 
 class CircleSpan:
-    """The circle span of one rank, policy and cache directory, the direct
+    """The circle span of one rank, policy and ``cache_dir``, the direct
     sum of its sector parts (see the module docstring): ``echelons`` maps
     each sector met so far to its :func:`build_ospan` echelon, built when a
     vector first meets that sector.  A query that asks for a larger window
@@ -636,11 +638,10 @@ class CircleSpan:
     Each query names its window, and one that finds an echelon held above
     it raises ValueError, since a larger window may certify more.  A sector
     part is certified at its own weight, else at the query's window.
-    ``cache_hits`` counts the echelons read from the cache.
 
     The span only grows with the window, so the windows a span is built at
     depend on the order of the queries, and so do the files it leaves in
-    its cache directory.  A query that needs a larger echelon reads the
+    its ``cache_dir``.  A query that needs a larger echelon reads the
     smallest cached one among the windows it allows, and builds only when
     there is none.
     """
@@ -650,7 +651,6 @@ class CircleSpan:
         self.policy = policy
         self.cache_dir = cache_dir
         self.echelons = {}
-        self.cache_hits = 0
 
     def _echelon(self, s, low, high):
         """Sector s's echelon at a window from ``low`` to ``high``: the one
@@ -667,7 +667,6 @@ class CircleSpan:
             ech = self.echelons[s] = build_ospan(
                 self.rank, window, self.policy, self.cache_dir, sector=s,
                 base=ech)
-            self.cache_hits += ech.cache_hit
         elif ech.window > high:
             raise ValueError(f"sector {s} held at window {ech.window} > {high}")
         return ech

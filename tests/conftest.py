@@ -1,11 +1,13 @@
-"""Shared test configuration: one echelon cache per session, and the
-benchmark's workload definitions."""
+"""Shared test configuration: one echelon cache per session, a count of the
+echelon files read, and the benchmark's workload definitions."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from orbifock import zhu
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -15,6 +17,23 @@ def ospan_cache(tmp_path_factory):
     """One echelon cache directory for the session, so the tests that take
     it share their builds instead of recomputing them."""
     return str(tmp_path_factory.mktemp("ospan-cache"))
+
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """The (rank, window, sector) of every echelon ``zhu.build_ospan`` reads
+    from a cache file, in order."""
+    reads = []
+    real = zhu.build_ospan
+
+    def spy(*args, **kwargs):
+        ech = real(*args, **kwargs)
+        if ech.cache_hit:
+            reads.append((ech.ell, ech.window, ech.sector))
+        return ech
+
+    monkeypatch.setattr(zhu, "build_ospan", spy)
+    return reads
 
 
 @pytest.fixture(scope="session")

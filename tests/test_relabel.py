@@ -247,18 +247,23 @@ def _bypass(monkeypatch):
                          [(2, 179, 93, 155), (3, 179, 93, 155),
                           (4, 257, 94, 215)], ids=["2", "3", "4"])
 def test_suite_all_lines_match_a_run_without_the_memo(
-        rank, lines, decided, script_lines, calls, tmp_path, monkeypatch):
+        rank, lines, decided, script_lines, calls, file_reads, tmp_path,
+        monkeypatch):
     config = RunConfig(rank=rank, cache_dir=str(tmp_path))
     run_suite("all", config)                    # warms the cache
     calls.clear()
+    file_reads.clear()
     memo = run_suite("all", config)
     memo_calls = len(calls)
+    memo_reads = len(file_reads)
     with monkeypatch.context() as patch:
         _bypass(patch)
         plain = run_suite("all", config)
     # A native check's detail gives its time in ms.
     assert TIMING_RE.sub("", memo.to_text()) == TIMING_RE.sub("", plain.to_text())
-    assert memo.to_text().endswith("cache_hits=6\nPASS\n")
+    # Each run reads the 12 echelon files of the four suites' spans once:
+    # the memo skips statements, never a span.
+    assert (memo_reads, len(file_reads) - memo_reads) == (12, 12)
     # At ranks 2 and 3, 62 of the 155 script lines are relabelings of a
     # line Proved before them in the run, six of them rank-3 closing
     # relations Proved at rank 2; the other 24 of the 179 lines are native

@@ -107,18 +107,21 @@ def test_suite_all_rank_4_lines_pinned(ospan_cache):
     assert digest.hexdigest() == SUITE_ALL_RANK_4
 
 
-def test_suite_all_is_one_report_of_the_four_suites(tmp_path):
+def test_suite_all_is_one_report_of_the_four_suites(tmp_path, file_reads):
     # 'all' runs the four suites in order into one report: the same lines
     # and the one rank header.  Its blocks share their spans, so the
     # matrix-unit block does not read again the window-10 echelon that the
-    # S(1,1;2,6) ladder read, and counted: one cache hit fewer than the
-    # parts' sum.
+    # S(1,1;2,6) ladder read: one echelon file fewer than the parts read.
     config = RunConfig(rank=2, cache_dir=str(tmp_path))
     run_suite("all", config)
+    file_reads.clear()
     whole = run_suite("all", config)
+    whole_reads = list(file_reads)
+    file_reads.clear()
     parts = [run_suite(name, config) for name in SUITE_NAMES if name != "all"]
     assert [_line(r) for r in whole.results] == [
         _line(r) for part in parts for r in part.results]
-    assert whole.cache_hits == 6
-    assert sum(part.cache_hits for part in parts) == 7
+    assert len(whole_reads) == 12
+    assert len(file_reads) == 13
+    assert sorted(file_reads) == sorted(whole_reads + [(2, 10, 0b11)])
     assert [report.header for report in [whole, *parts]] == ["rank=2"] * 5

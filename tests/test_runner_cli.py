@@ -339,45 +339,49 @@ def test_negative_cutoff_is_an_error():
     assert "nonnegative" in report.results[0].detail
 
 
-def test_blocked_cache_write_still_proves(tmp_path, capsys):
+def test_blocked_cache_write_still_proves(tmp_path):
     # A directory in the way of the rank-2 window-8 cache file of the
     # statement's sector, as a full disk would, makes the write fail: the
     # built echelon is used, and no temporary file is left behind.
     key = zhu.cache_key(2, 8, DEFAULT_POLICY, 0b11)
     (tmp_path / "cache" / f"ospan-{key}.txt" / "x").mkdir(parents=True)
-    script = tmp_path / "s.txt"
-    script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
-    argv = ["verify", str(script), "--rank", "2",
-            "--cache-dir", str(tmp_path / "cache")]
-    assert main(argv) == 0
-    assert "[PROVED   ] assert_equiv w1 * Eu(1,2) ~ Eu(1,2)" in capsys.readouterr().out
+    report = run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n",
+                      RunConfig(rank=2, cache_dir=str(tmp_path / "cache")))
+    assert [r.line() for r in report.results] == [
+        "[PROVED   ] assert_equiv w1 * Eu(1,2) ~ Eu(1,2)  "
+        "(circle-span certificate at cutoff 8)"]
     assert os.listdir(tmp_path / "cache") == [f"ospan-{key}.txt"]
 
 
 def test_cache_hits_counted(tmp_path):
     config = RunConfig(rank=1, max_weight=4, slack=2, cache_dir=str(tmp_path))
     stmts = parse_script("assert_equiv circ(w1, one) ~ 0", 1)
-    first = Runner(config).run(stmts)
-    second = Runner(config).run(stmts)
-    assert first.cache_hits == 0
-    assert second.cache_hits == 1
+    first, second = Runner(config), Runner(config)
+    first.run(stmts)
+    second.run(stmts)
+    assert not first.span.echelons[0].cache_hit
+    assert second.span.echelons[0].cache_hit
     # The same window, the circle's weight 3, at another slack reads the same
     # echelon.
-    same_window = RunConfig(rank=1, max_weight=4, slack=0, cache_dir=str(tmp_path))
-    assert Runner(same_window).run(stmts).cache_hits == 1
+    same_window = Runner(RunConfig(rank=1, max_weight=4, slack=0,
+                                   cache_dir=str(tmp_path)))
+    same_window.run(stmts)
+    assert same_window.span.echelons[0].cache_hit
+    assert same_window.span.echelons[0].window == 3
 
 
-def test_cache_hit_counted_once_per_echelon(tmp_path):
+def test_cache_hit_counted_once_per_echelon(tmp_path, file_reads):
     # One statement per run call on one Runner reads the cached echelon
-    # once, so the report counts one hit.
+    # once.
     config = RunConfig(rank=1, max_weight=4, slack=2, cache_dir=str(tmp_path))
     stmts = parse_script("assert_equiv circ(w1, one) ~ 0\n" * 4, 1)
     Runner(config).run(stmts)
+    assert file_reads == []
     runner, report = Runner(config), Report(config)
     for stmt in stmts:
         runner.run([stmt], report)
     assert [r.status for r in report.results] == ["Proved"] * 4
-    assert report.cache_hits == 1
+    assert file_reads == [(1, 3, 0)]
 
 
 # The mixed-index shift relations of the circle_reductions suite at m = 1:
@@ -390,19 +394,20 @@ MIXED_SHIFTS = (
     "+ 1/2 (S(2,4;2,1) + 2 S(2,3;2,1) + S(2,2;2,1))\n")
 
 
-def test_two_sector_block_counts_one_cache_hit(tmp_path):
+def test_two_sector_block_counts_one_cache_hit(tmp_path, file_reads):
     # The block reads two sector echelons from a warm cache in one run
-    # call, which counts one hit.
+    # call, each once.
     config = RunConfig(rank=3, max_weight=7, slack=1,
                        policy=GeneratorPolicy("quadratic"),
                        cache_dir=str(tmp_path))
     stmts = parse_script(MIXED_SHIFTS, 3)
-    assert Runner(config).run(stmts).cache_hits == 0
+    Runner(config).run(stmts)
+    assert file_reads == []
     assert len(os.listdir(tmp_path)) == 2
     runner = Runner(config)
     report = runner.run(stmts)
     assert report.passed(), report.to_text()
-    assert report.cache_hits == 1
+    assert sorted(file_reads) == [(3, 5, 0), (3, 5, 0b110)]
     assert {s: e.cache_hit for s, e in runner.span.echelons.items()} == {
         0: True, 0b110: True}
 
@@ -513,24 +518,26 @@ def test_part_lighter_than_its_cutoff_grows_straight_to_the_window(builds):
     assert builds == [(10, 0, None), (14, 0, 10)]
 
 
-def test_cutoff_read_before_growth_counts_a_hit(tmp_path):
+def test_cutoff_read_before_growth_counts_a_hit(tmp_path, file_reads):
     # A run call that reads the cutoff's echelon from the cache and then
-    # grows it, with or without the window's file, read an echelon.
+    # grows it reads the window's file too, or builds the window from the
+    # cutoff's echelon when that file is gone.
     config = RunConfig(rank=1, max_weight=10, slack=2,
                        policy=GeneratorPolicy("omega"), cache_dir=str(tmp_path))
     stmts = parse_script("assert_equiv circ(J1, h1(-4)h1(-1)) ~ 0", 1)
-    assert Runner(config).run(stmts).cache_hits == 0
+    Runner(config).run(stmts)
+    assert file_reads == []
     window = zhu.cache_key(1, 12, config.policy, 0)
     assert sorted(os.listdir(tmp_path)) == sorted(
         f"ospan-{zhu.cache_key(1, w, config.policy, 0)}.txt"
         for w in (10, 12))
-    runner = Runner(config)
-    assert runner.run(stmts).cache_hits == 1
-    assert runner.span.cache_hits == 2
+    Runner(config).run(stmts)
+    assert file_reads == [(1, 10, 0), (1, 12, 0)]
     os.remove(tmp_path / f"ospan-{window}.txt")
+    file_reads.clear()
     runner = Runner(config)
-    assert runner.run(stmts).cache_hits == 1
-    assert runner.span.cache_hits == 1
+    runner.run(stmts)
+    assert file_reads == [(1, 10, 0)]
     assert not runner.span.echelons[0].cache_hit
 
 
@@ -674,16 +681,14 @@ def test_cache_dir_under_a_file_builds_uncached(tmp_path):
     report = run_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)",
                       RunConfig(rank=2, cache_dir=cache_dir))
     assert [r.status for r in report.results] == ["Proved"]
-    assert report.cache_hits == 0
     report = run_suite("circle_reductions", RunConfig(rank=2, cache_dir=cache_dir))
     assert report.passed(), report.to_text()
-    assert report.cache_hits == 0
     assert os.listdir(tmp_path) == ["file"]
 
 
-def test_cache_dir_is_only_an_argument(tmp_path, capsys, monkeypatch):
-    # The environment names no cache: without a cache directory argument,
-    # neither a Runner nor the CLI reads or writes the variable's directory.
+def test_cache_dir_is_only_an_argument(tmp_path, monkeypatch):
+    # The environment names no cache: without a cache_dir, a Runner neither
+    # reads nor writes the variable's directory.
     env_cache = tmp_path / "env-cache"
     monkeypatch.setenv("ORBIFOCK_CACHE_DIR", str(env_cache))
     config = RunConfig(rank=1)
@@ -692,12 +697,17 @@ def test_cache_dir_is_only_an_argument(tmp_path, capsys, monkeypatch):
     report = runner.run(parse_script("assert_equiv circ(w1, w1) ~ 0", 1))
     assert [r.status for r in report.results] == ["Proved"]
     assert runner.span.echelons
-    assert main(["suite", "circle_reductions"]) == 0
-    script = tmp_path / "s.txt"
-    script.write_text("assert_equiv w1 * Eu(1,2) ~ Eu(1,2)\n")
-    assert main(["verify", str(script)]) == 0
-    capsys.readouterr()
     assert not env_cache.exists()
+
+
+def test_report_counts_no_cache_reads():
+    # The summary line counts verdicts only, and the JSON report holds the
+    # configuration, the results, their counts and the verdict.
+    report = run_text("assert_eval J1 on Tplus = 3/128", RunConfig(rank=2))
+    assert report.to_text().splitlines()[-2:] == [
+        "# proved=1 disproved=0 unknown=0 error=0", "PASS"]
+    assert list(json.loads(report.to_json())) == [
+        "config", "results", "counts", "pass"]
 
 
 RUN_API = ["GeneratorPolicy", "Report", "RunConfig", "Runner", "__version__",
@@ -772,8 +782,8 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys, text, col):
     (["verify", "{script}", "--max-weight", "-1"], "--max-weight"),
     (["verify", "{script}", "--max-weight", "15"], "--max-weight"),
     (["suite", "tables", "--pairs", "omega"], "--pairs"),
-    (["verify", "{script}", "--cache-dir", "{script}/cache"], "cache directory"),
-    (["suite", "tables", "--cache-dir", "{script}/cache"], "cache directory"),
+    (["verify", "{script}", "--cache-dir", "{cache}"], "--cache-dir"),
+    (["suite", "all", "--cache-dir", "{cache}"], "--cache-dir"),
     (["verify", "{half}"], "expected ')', found '/'"),
     (["verify", "{zero}"], "expected a positive mode depth"),
     (["verify", "{lam}"], "col 27: l1 only makes sense on Mlambda"),
@@ -783,7 +793,7 @@ def test_cli_zero_denominator_exit_2(tmp_path, capsys, text, col):
         "verify-rank-9", "suite-rank-9", "tables-rank-9",
         "unknown-negative-slack", "verify-slack", "verify-pairs",
         "negative-max-weight", "max-weight-above-cap", "suite-pairs",
-        "verify-cache-under-file", "suite-cache-under-file",
+        "verify-cache-dir", "suite-cache-dir",
         "half-integer-mode", "zero-mode", "lambda-off-Mlambda",
         "matrix-unit-on-Mlambda"])
 def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
@@ -798,7 +808,8 @@ def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     unit = tmp_path / "unit.txt"
     unit.write_text("assert_eval w1 on Mlambda = E(1,1)\n")
     argv = [a.format(script=script, missing=tmp_path / "missing.txt",
-                     half=half, zero=zero, lam=lam, unit=unit)
+                     half=half, zero=zero, lam=lam, unit=unit,
+                     cache=tmp_path / "cache")
             for a in argv]
     # Usage errors exit from the argument parser; script errors return 2.
     try:
@@ -810,6 +821,9 @@ def test_cli_user_errors_exit_2(argv, names, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert names in captured.err
+    # No command takes a cache directory, and a refused one makes nothing.
+    assert sorted(os.listdir(tmp_path)) == [
+        "half.txt", "lam.txt", "s.txt", "unit.txt", "zero.txt"]
 
 
 @pytest.mark.parametrize("expr", [

@@ -865,7 +865,7 @@ def test_span_reads_the_smallest_cached_window_it_allows(tmp_path,
     monkeypatch.setattr(zhu, "circ_n", no_circles)
     span = zhu.CircleSpan(1, cache_dir=cache)
     assert span.contains(member, 10)
-    assert reads == [9] and span.cache_hits == 1
+    assert reads == [9] and span.echelons[0].cache_hit
     assert span.echelons[0].window == 9
     # With only the window-12 file, the span builds at the part's weight.
     monkeypatch.setattr(zhu, "circ_n", circ_n)
@@ -873,7 +873,7 @@ def test_span_reads_the_smallest_cached_window_it_allows(tmp_path,
     os.remove(os.path.join(cache, f"ospan-{key}.txt"))
     span = zhu.CircleSpan(1, cache_dir=cache)
     assert span.contains(member, 10)
-    assert reads == [9, 5] and span.cache_hits == 0
+    assert reads == [9, 5] and not span.echelons[0].cache_hit
     assert span.echelons[0].window == 5
 
 
